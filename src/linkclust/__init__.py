@@ -56,17 +56,7 @@ from .formats import (
     serialize_hypergraph,
     serialize_pattern,
 )
-from .hypergraph import (
-    Hypergraph,
-    Partition,
-    average_degree,
-    degree,
-    hamming_distance,
-    induced,
-    link,
-    max_degree,
-    min_degree,
-)
+from .hypergraph import Hypergraph, Partition
 from .lagrangian import (
     MinimalityReport,
     OptConfig,
@@ -97,13 +87,6 @@ __all__ = [
     # hypergraph core
     "Hypergraph",
     "Partition",
-    "degree",
-    "min_degree",
-    "max_degree",
-    "average_degree",
-    "link",
-    "hamming_distance",
-    "induced",
     # patterns and numerics
     "Pattern",
     "SimplexPoint",

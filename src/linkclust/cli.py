@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -164,77 +165,33 @@ def _add_common(p: argparse.ArgumentParser, pattern: bool = False) -> None:
 # -- decide ----------------------------------------------------------------------
 
 
-def _cmd_decide_kcolor(args) -> int:
-    text = _read_text(args.host)
-    host = formats.parse_hypergraph(text)
+class _Decide(NamedTuple):
+    """One ``decide`` subcommand: the input files it reads (in the order
+    host, forbidden, pattern), its report params, and its decider call on
+    the parsed inputs.  The calls name the deciders at call time, so a
+    patched module global is the one that runs."""
+
+    inputs: tuple[str, ...]
+    params: Callable[[argparse.Namespace], dict]
+    call: Callable[[argparse.Namespace, dict], Decision]
+
+
+def _calibrated_params(args) -> dict:
+    return {"eps": args.eps, "n_small": args.n_small, "strict": args.strict}
+
+
+def _cmd_decide(args) -> int:
+    spec: _Decide = args.decide
+    texts = {key: _read_text(getattr(args, key)) for key in spec.inputs}
+    parsed = {
+        key: (formats.parse_pattern if key == "pattern" else formats.parse_hypergraph)(text)
+        for key, text in texts.items()
+    }
     t0 = time.perf_counter()
-    decision = decide_k_colorable(host, args.num_classes, _decider_cfg(args))
+    decision = spec.call(args, parsed)
     wall = time.perf_counter() - t0
     return _finish_decision(
-        args,
-        "decide kcolor",
-        {"l": args.num_classes, "eps": args.eps, "strict": args.strict},
-        {"host": text},
-        decision,
-        wall,
-    )
-
-
-def _cmd_decide_hom(args, surjective: bool) -> int:
-    text = _read_text(args.host)
-    ptext = _read_text(args.pattern)
-    host = formats.parse_hypergraph(text)
-    pattern = formats.parse_pattern(ptext)
-    cfg = _decider_cfg(args)
-    t0 = time.perf_counter()
-    if surjective:
-        decision = decide_shom_rigid(host, pattern, cfg)
-    else:
-        decision = decide_hom_minimal(host, pattern, cfg)
-    wall = time.perf_counter() - t0
-    return _finish_decision(
-        args,
-        "decide shom" if surjective else "decide hom",
-        {"eps": args.eps, "n_small": args.n_small, "strict": args.strict},
-        {"host": text, "pattern": ptext},
-        decision,
-        wall,
-    )
-
-
-def _cmd_decide_kfree(args) -> int:
-    text = _read_text(args.host)
-    ftext = _read_text(args.forbidden)
-    ptext = _read_text(args.pattern)
-    host = formats.parse_hypergraph(text)
-    small = formats.parse_hypergraph(ftext)
-    pattern = formats.parse_pattern(ptext)
-    t0 = time.perf_counter()
-    decision = embed_min_decide(host, small, pattern, _decider_cfg(args))
-    wall = time.perf_counter() - t0
-    return _finish_decision(
-        args,
-        "decide kfree",
-        {"eps": args.eps, "n_small": args.n_small, "strict": args.strict},
-        {"host": text, "forbidden": ftext, "pattern": ptext},
-        decision,
-        wall,
-    )
-
-
-def _cmd_decide_avg(args) -> int:
-    text = _read_text(args.host)
-    host = formats.parse_hypergraph(text)
-    t0 = time.perf_counter()
-    decision = clique_avg_decide(host, args.num_classes, args.k)
-    wall = time.perf_counter() - t0
-    return _finish_decision(
-        args,
-        "decide avg",
-        {"l": args.num_classes, "k": args.k},
-        {"host": text},
-        decision,
-        wall,
+        args, f"decide {args.decider}", spec.params(args), texts, decision, wall
     )
 
 
@@ -259,24 +216,7 @@ def _cmd_numeric(args, which: str) -> int:
     ptext = _read_text(args.pattern)
     pattern = formats.parse_pattern(ptext)
     cfg = OptConfig(seed=args.opt_seed, restarts=args.restarts)
-    results: dict
-    if which == "lagrangian":
-        rep = lagrangian(pattern, cfg)
-        results = {
-            "value": rep.value,
-            "argmax": list(rep.argmax.coords),
-            "converged": rep.converged,
-            "witnesses": len(rep.witness_set),
-        }
-    elif which == "phi":
-        rep = phi(pattern, cfg)
-        results = {
-            "value": rep.value,
-            "argmax": list(rep.argmax.coords),
-            "converged": rep.converged,
-            "witnesses": len(rep.witness_set),
-        }
-    else:
+    if which == "rigidity":
         rig = rigidity_report(pattern, cfg)
         mrep = is_minimal(pattern, cfg) if pattern.num_vertices >= 2 else None
         results = {
@@ -287,6 +227,14 @@ def _cmd_numeric(args, which: str) -> int:
             "minimality_margin": None if mrep is None else mrep.margin,
             "certificate": rig.certificate,
             "note": rig.note,
+        }
+    else:
+        rep = (lagrangian if which == "lagrangian" else phi)(pattern, cfg)
+        results = {
+            "value": rep.value,
+            "argmax": list(rep.argmax.coords),
+            "converged": rep.converged,
+            "witnesses": len(rep.witness_set),
         }
     report = formats.build_report(
         command=which,
@@ -439,26 +387,59 @@ def build_parser() -> _Parser:
     p = dsub.add_parser("kcolor", help="colorability under minimum degree")
     _add_common(p)
     p.add_argument("--l", type=int, required=True, dest="num_classes")
-    p.set_defaults(handler=_cmd_decide_kcolor)
+    p.set_defaults(
+        decide=_Decide(
+            ("host",),
+            lambda a: {"l": a.num_classes, "eps": a.eps, "strict": a.strict},
+            lambda a, x: decide_k_colorable(x["host"], a.num_classes, _decider_cfg(a)),
+        )
+    )
 
     p = dsub.add_parser("hom", help="pattern colorability (minimal pattern)")
     _add_common(p, pattern=True)
-    p.set_defaults(handler=lambda a: _cmd_decide_hom(a, surjective=False))
+    p.set_defaults(
+        decide=_Decide(
+            ("host", "pattern"),
+            _calibrated_params,
+            lambda a, x: decide_hom_minimal(x["host"], x["pattern"], _decider_cfg(a)),
+        )
+    )
 
     p = dsub.add_parser("shom", help="surjective pattern colorability (rigid pattern)")
     _add_common(p, pattern=True)
-    p.set_defaults(handler=lambda a: _cmd_decide_hom(a, surjective=True))
+    p.set_defaults(
+        decide=_Decide(
+            ("host", "pattern"),
+            _calibrated_params,
+            lambda a, x: decide_shom_rigid(x["host"], x["pattern"], _decider_cfg(a)),
+        )
+    )
 
     p = dsub.add_parser("kfree", help="freeness from a forbidden subgraph")
     _add_common(p, pattern=True)
     p.add_argument("--f", required=True, dest="forbidden", help="forbidden hypergraph file")
-    p.set_defaults(handler=_cmd_decide_kfree)
+    p.set_defaults(
+        decide=_Decide(
+            ("host", "forbidden", "pattern"),
+            _calibrated_params,
+            lambda a, x: embed_min_decide(
+                x["host"], x["forbidden"], x["pattern"], _decider_cfg(a)
+            ),
+        )
+    )
 
     p = dsub.add_parser("avg", help="clique freeness near the extremal edge count")
     _add_common(p)
     p.add_argument("--l", type=int, required=True, dest="num_classes")
     p.add_argument("--k", type=int, required=True, help="edge slack below the extremal count")
-    p.set_defaults(handler=_cmd_decide_avg)
+    p.set_defaults(
+        decide=_Decide(
+            ("host",),
+            lambda a: {"l": a.num_classes, "k": a.k},
+            lambda a, x: clique_avg_decide(x["host"], a.num_classes, a.k),
+        )
+    )
+    decide.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("cluster", help="ball clustering of the vertex set")
     p.add_argument("--host", default="-")

@@ -9,6 +9,7 @@ instances byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -184,17 +185,15 @@ def plant_violation(
         raise InvalidInput("partition covers a different vertex count")
     r = hypergraph.r
     rng = rng_from_seed(seed)
-    eligible = []
-    for ci, cls in enumerate(parts.classes):
-        if len(cls) < r:
-            continue
-        inside = sum(
-            1 for e in hypergraph if all(v in set(cls) for v in e)
-        ) if len(hypergraph) else 0
-        import math as _math
-
-        if inside < _math.comb(len(cls), r):
-            eligible.append(ci)
+    lab = parts.labels[hypergraph.edge_array]
+    inside = np.bincount(
+        lab[np.all(lab == lab[:, :1], axis=1), 0], minlength=parts.num_classes
+    )
+    eligible = [
+        ci
+        for ci, (count, size) in enumerate(zip(inside.tolist(), parts.sizes()))
+        if count < math.comb(size, r)
+    ]
     if not eligible:
         raise InvalidInput("no class admits a new internal edge")
     chosen = eligible[int(rng.integers(len(eligible)))]

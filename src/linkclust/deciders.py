@@ -6,18 +6,21 @@ resulting partition legally colors every edge.  Above the documented degree
 thresholds this is exact; below them the deciders either refuse (strict
 mode) or fall back to the exhaustive oracles.
 
-All degree and radius comparisons are exact integer or rational arithmetic;
-no verdict ever depends on a float rounding.
+All degree and radius comparisons are exact integer or rational arithmetic.
+The thresholds they compare against are exact only where a closed form
+exists (K_l and the single transversal edge); every other threshold is
+``Fraction(float)`` of the numeric optimizer's estimate, so a host within a
+rounding of the threshold can fall on either side of it.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,10 +96,15 @@ class DeciderConfig:
     """Caller-supplied slack constants for the deciders.
 
     ``eps`` is the accepted slack below the theoretical degree threshold,
-    ``n_small`` the host size under which the exhaustive oracle takes over
-    (defaults per decider), and ``strict`` controls whether sub-threshold
-    inputs refuse or silently fall back to the oracle (exponential worst
-    case).
+    ``n_small`` the host size under which the exhaustive oracle takes over,
+    and ``strict`` controls whether sub-threshold inputs refuse or silently
+    fall back to the oracle (exponential worst case).
+
+    ``n_small`` defaults per decider: ``3 * l * r`` for an l-vertex pattern
+    in :func:`decide_hom_minimal` and :func:`decide_shom_rigid`, and
+    ``3 * |V(F)|`` for the forbidden F in :func:`embed_min_decide`.  The
+    latter sends every smaller host to the embedding search whatever
+    ``strict`` says; ``strict`` governs only its sub-threshold hosts.
     """
 
     eps: float = 0.0
@@ -347,32 +355,37 @@ def _oracle_hom_decision(
     hypergraph: Hypergraph,
     pattern: Pattern,
     surjective: bool,
-    stats: DecideStats,
     budget_s: float,
     note: str,
 ) -> Decision:
     coloring = find_homomorphism(hypergraph, pattern, surjective, budget_s)
     if coloring is None:
         return Decision(
-            Verdict.NO,
-            reason=f"exhaustive search found no coloring ({note})",
-            stats=stats,
+            Verdict.NO, reason=f"exhaustive search found no coloring ({note})"
         )
     part = Partition.from_labels(np.array(coloring), pattern.num_vertices)
     return Decision(
-        Verdict.YES,
-        partition=part,
-        reason=f"exhaustive search ({note})",
-        stats=stats,
+        Verdict.YES, partition=part, reason=f"exhaustive search ({note})"
     )
 
 
-def _precondition(
-    reason: str, details: dict, stats: DecideStats
+def _oracle_embed_decision(
+    hypergraph: Hypergraph, small: Hypergraph, budget_s: float, note: str
 ) -> Decision:
+    emb = find_embedding(small, hypergraph, budget_s)
+    if emb is None:
+        return Decision(
+            Verdict.YES, reason=f"exhaustive embedding search found none ({note})"
+        )
     return Decision(
-        Verdict.PRECONDITION_VIOLATED, reason=reason, details=details, stats=stats
+        Verdict.NO,
+        reason=f"exhaustive embedding search found a copy ({note})",
+        details={"embedding": emb},
     )
+
+
+def _precondition(reason: str, details: dict) -> Decision:
+    return Decision(Verdict.PRECONDITION_VIOLATED, reason=reason, details=details)
 
 
 def _finish_work(stats: DecideStats, hypergraph: Hypergraph) -> DecideStats:
@@ -403,7 +416,6 @@ def decide_k_colorable(
         raise InvalidInput("need at least 2 colors")
     if graph.n == 0:
         raise InvalidInput("empty vertex set")
-    stats = DecideStats()
     n, k = graph.n, num_colors
     dmin = graph.min_degree()
     if not (3 * k - 1) * dmin > (3 * k - 4) * n:
@@ -411,19 +423,17 @@ def decide_k_colorable(
             return _precondition(
                 f"minimum degree {dmin} is not above {3 * k - 4}/{3 * k - 1} of {n}",
                 {"min_degree": dmin, "bound": (3 * k - 4, 3 * k - 1), "n": n},
-                stats,
             )
         return _oracle_hom_decision(
             graph,
             Pattern.complete_graph(k),
             False,
-            stats,
             cfg.oracle_budget_s,
             "sub-threshold fallback",
         )
 
     labels, evals = _cluster(graph, k, Fraction(2, 3 * k - 1))
-    stats.distance_evals = evals
+    stats = DecideStats(distance_evals=evals)
     idx = _first_internal_edge(graph, labels, k)
     if idx is not None:
         stats.edges_scanned = idx + 1
@@ -453,56 +463,40 @@ def _clustering_radius(smallest_coord: Fraction, r: int) -> Fraction:
     return (smallest_coord / 2) ** (r - 1) / math.factorial(r - 1)
 
 
-def _hom_core(
+def _decide_core(
     hypergraph: Hypergraph,
     pattern: Pattern,
     cfg: DeciderConfig,
     threshold: Fraction,
     smallest_coord: Fraction,
-    surjective: bool,
+    fallback: Callable[[], Decision],
+    degenerate: Exception,
+    surjective: bool = False,
 ) -> Decision:
-    stats = DecideStats()
-    n = hypergraph.n
-    n_small = (
-        cfg.n_small
-        if cfg.n_small is not None
-        else 3 * pattern.num_vertices * hypergraph.r
-    )
-    if n < n_small:
-        if cfg.strict:
-            return _precondition(
-                f"host has {n} vertices, below the small-instance cutoff {n_small}",
-                {"n": n, "n_small": n_small},
-                stats,
-            )
-        return _oracle_hom_decision(
-            hypergraph, pattern, surjective, stats, cfg.oracle_budget_s, "small host"
-        )
+    """The criterion's decision procedure, shared by the pattern deciders.
+
+    The minimum degree must reach ``(threshold - eps) * n**(r-1)``; below it
+    the decision is refused, or ``fallback()`` answers it when ``cfg.strict``
+    is false.  Above it the vertices are clustered at the radius that
+    ``smallest_coord`` gives (``degenerate`` is raised when that is not
+    positive) and the class signatures of the edges decide.
+    """
+    n, r = hypergraph.n, hypergraph.r
     dmin = hypergraph.min_degree()
-    bound = (threshold - Fraction(cfg.eps)) * Fraction(n) ** (hypergraph.r - 1)
+    bound = (threshold - Fraction(cfg.eps)) * Fraction(n) ** (r - 1)
     if not Fraction(dmin) >= bound:
         if cfg.strict:
             return _precondition(
-                f"minimum degree {dmin} below the threshold {float(bound):.6g}",
+                f"minimum degree {dmin} below the threshold {bound}",
                 {"min_degree": dmin, "threshold": str(bound)},
-                stats,
             )
-        return _oracle_hom_decision(
-            hypergraph,
-            pattern,
-            surjective,
-            stats,
-            cfg.oracle_budget_s,
-            "sub-threshold fallback",
-        )
+        return fallback()
 
     if smallest_coord <= 0:
-        raise NumericFailure(
-            "clustering radius degenerated to zero", float(smallest_coord)
-        )
-    radius = _clustering_radius(smallest_coord, hypergraph.r)
+        raise degenerate
+    radius = _clustering_radius(smallest_coord, r)
     labels, evals = _cluster(hypergraph, pattern.num_vertices, radius)
-    stats.distance_evals = evals
+    stats = DecideStats(distance_evals=evals)
     relabeled, bad_edge = _signature_verdict(hypergraph, pattern, labels, stats)
     _finish_work(stats, hypergraph)
     if bad_edge is not None:
@@ -522,6 +516,44 @@ def _hom_core(
             stats=stats,
         )
     return Decision(Verdict.YES, partition=part, stats=stats)
+
+
+def _hom_core(
+    hypergraph: Hypergraph,
+    pattern: Pattern,
+    cfg: DeciderConfig,
+    threshold: Fraction,
+    smallest_coord: Fraction,
+    surjective: bool,
+) -> Decision:
+    """Small hosts refuse or go to the coloring oracle; the rest go to
+    :func:`_decide_core`."""
+    oracle = functools.partial(
+        _oracle_hom_decision, hypergraph, pattern, surjective, cfg.oracle_budget_s
+    )
+    n = hypergraph.n
+    n_small = (
+        cfg.n_small
+        if cfg.n_small is not None
+        else 3 * pattern.num_vertices * hypergraph.r
+    )
+    if n < n_small:
+        if cfg.strict:
+            return _precondition(
+                f"host has {n} vertices, below the small-instance cutoff {n_small}",
+                {"n": n, "n_small": n_small},
+            )
+        return oracle("small host")
+    return _decide_core(
+        hypergraph,
+        pattern,
+        cfg,
+        threshold,
+        smallest_coord,
+        functools.partial(oracle, "sub-threshold fallback"),
+        NumericFailure("clustering radius degenerated to zero", float(smallest_coord)),
+        surjective,
+    )
 
 
 def decide_hom_minimal(
@@ -588,71 +620,23 @@ def embed_min_decide(
     """
     if hypergraph.r != small.r or hypergraph.r != pattern.r:
         raise InvalidInput("uniformity mismatch")
-    stats = DecideStats()
-    n = hypergraph.n
+    oracle = functools.partial(
+        _oracle_embed_decision, hypergraph, small, cfg.oracle_budget_s
+    )
     n_small = cfg.n_small if cfg.n_small is not None else 3 * small.n
-    if n < n_small:
-        emb = find_embedding(small, hypergraph, cfg.oracle_budget_s)
-        if emb is None:
-            return Decision(
-                Verdict.YES,
-                reason="exhaustive embedding search found none (small host)",
-                stats=stats,
-            )
-        return Decision(
-            Verdict.NO,
-            reason="exhaustive embedding search found a copy (small host)",
-            details={"embedding": emb},
-            stats=stats,
-        )
+    if hypergraph.n < n_small:
+        return oracle("small host")
 
     lam = lagrangian(pattern, cfg.opt)
     rig = rigidity_report(pattern, cfg.opt)
-    threshold = hypergraph.r * _exact_fraction(lam.value, lam.value_exact)
-    bound = (threshold - Fraction(cfg.eps)) * Fraction(n) ** (hypergraph.r - 1)
-    dmin = hypergraph.min_degree()
-    if not Fraction(dmin) >= bound:
-        if cfg.strict:
-            return _precondition(
-                f"minimum degree {dmin} below the threshold {float(bound):.6g}",
-                {"min_degree": dmin, "threshold": str(bound)},
-                stats,
-            )
-        emb = find_embedding(small, hypergraph, cfg.oracle_budget_s)
-        if emb is None:
-            return Decision(
-                Verdict.YES,
-                reason="exhaustive embedding search found none (sub-threshold)",
-                stats=stats,
-            )
-        return Decision(
-            Verdict.NO,
-            reason="exhaustive embedding search found a copy (sub-threshold)",
-            details={"embedding": emb},
-            stats=stats,
-        )
-
-    smallest = _exact_fraction(rig.smallest_coordinate, rig.smallest_exact)
-    if smallest <= 0:
-        raise InvalidInput(
-            "pattern admits no positive clustering radius; unusable pairing"
-        )
-    radius = _clustering_radius(smallest, hypergraph.r)
-    labels, evals = _cluster(hypergraph, pattern.num_vertices, radius)
-    stats.distance_evals = evals
-    relabeled, bad_edge = _signature_verdict(hypergraph, pattern, labels, stats)
-    _finish_work(stats, hypergraph)
-    if bad_edge is not None:
-        return Decision(
-            Verdict.NO,
-            violating_edge=bad_edge,
-            reason=f"edge {bad_edge} has no legal class signature",
-            stats=stats,
-        )
-    return Decision(
-        Verdict.YES,
-        partition=Partition.from_labels(relabeled, pattern.num_vertices),
-        stats=stats,
+    return _decide_core(
+        hypergraph,
+        pattern,
+        cfg,
+        hypergraph.r * _exact_fraction(lam.value, lam.value_exact),
+        _exact_fraction(rig.smallest_coordinate, rig.smallest_exact),
+        functools.partial(oracle, "sub-threshold"),
+        InvalidInput("pattern admits no positive clustering radius; unusable pairing"),
     )
 
 
@@ -716,27 +700,24 @@ def clique_avg_decide(
         raise InvalidInput("need at least 2 parts")
     if slack < 0:
         raise InvalidInput("edge slack must be nonnegative")
-    stats = DecideStats()
     n, k = graph.n, num_parts
     extremal = turan_number(n, k)
     if len(graph) < extremal - slack:
         return _precondition(
             f"graph has {len(graph)} edges, below {extremal} - {slack}",
             {"edges": len(graph), "extremal": extremal, "slack": slack},
-            stats,
         )
     gate = max(6 * k * k, 30 * slack * k)
     if n < gate:
         return _precondition(
             f"{n} vertices, below the size gate {gate}",
             {"n": n, "gate": gate},
-            stats,
         )
 
     # step 1: peel; too many removals already certify a clique
     peeled = peel(graph, k)
     z = peeled.z
-    stats.z = z
+    stats = DecideStats(z=z)
     if 8 * n * z > 12 * k * k * (8 * slack + k):
         _finish_work(stats, graph)
         return Decision(

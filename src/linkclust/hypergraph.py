@@ -19,17 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput, InvalidVertex
 
-__all__ = [
-    "Hypergraph",
-    "Partition",
-    "degree",
-    "min_degree",
-    "max_degree",
-    "average_degree",
-    "link",
-    "hamming_distance",
-    "induced",
-]
+__all__ = ["Hypergraph", "Partition"]
 
 
 def _encode_rows(rows: np.ndarray, base: int) -> np.ndarray:
@@ -477,34 +467,3 @@ class Partition:
     def __repr__(self) -> str:
         return f"Partition(n={self.n}, sizes={self.sizes()})"
 
-
-# Module-level forms of the elementary queries.
-
-def degree(hypergraph: Hypergraph, v: int) -> int:
-    return hypergraph.degree(v)
-
-
-def min_degree(hypergraph: Hypergraph) -> int:
-    return hypergraph.min_degree()
-
-
-def max_degree(hypergraph: Hypergraph) -> int:
-    return hypergraph.max_degree()
-
-
-def average_degree(hypergraph: Hypergraph) -> float:
-    return hypergraph.average_degree()
-
-
-def link(hypergraph: Hypergraph, v: int) -> set[tuple[int, ...]]:
-    return hypergraph.link(v)
-
-
-def hamming_distance(hypergraph: Hypergraph, u: int, v: int) -> int:
-    return hypergraph.hamming_distance(u, v)
-
-
-def induced(
-    hypergraph: Hypergraph, subset: Iterable[int]
-) -> tuple[Hypergraph, dict[int, int]]:
-    return hypergraph.induced(subset)

@@ -8,6 +8,7 @@ import pytest
 from linkclust import (
     Hypergraph,
     InvalidInput,
+    Partition,
     Pattern,
     balanced_sizes,
     catalog,
@@ -135,6 +136,15 @@ class TestPlantViolation:
         g = Hypergraph(2, 4, [(0, 1), (2, 3)])
         with pytest.raises(InvalidInput):
             plant_violation(g, contiguous_classes((2, 2)), 0)
+
+    def test_lands_in_the_class_with_room(self):
+        # class 0 is complete inside, class 1 has room, class 2 is too small
+        room = list(itertools.combinations(range(5, 10), 3))[:7]
+        g = Hypergraph(3, 12, list(itertools.combinations(range(5), 3)) + room)
+        parts = Partition([range(5), range(5, 10), [10, 11]], 12)
+        for seed in range(20):
+            (edge,) = set(plant_violation(g, parts, seed).edge_list()) - set(g.edge_list())
+            assert set(edge) <= set(range(5, 10))
 
     def test_determinism(self):
         g = turan_graph(12, 3)

@@ -1,5 +1,7 @@
 """Decider tests: spec-level examples, fallbacks, witnesses, work counters."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,30 @@ class TestEmbedMinDecide:
         d = embed_min_decide(host, t3, Pattern.single_edge(3))
         assert d.verdict is Verdict.YES
         assert find_embedding(t3, host) is None
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [
+        # a C5 blow-up whose smallest degree (12) is far below 2/5 of n = 50
+        lambda: decide_shom_rigid(
+            pattern_blowup(Pattern.cycle(5), (6, 14, 14, 6, 10)), Pattern.cycle(5)
+        ),
+        # K_{10,30} is far below the triangle-free threshold n/2 = 20
+        lambda: embed_min_decide(
+            pattern_blowup(Pattern.complete_graph(2), (10, 30)),
+            K3,
+            Pattern.complete_graph(2),
+        ),
+        lambda: decide_hom_minimal(turan_graph(30, 2), Pattern.complete_graph(3)),
+    ],
+    ids=["shom", "kfree", "hom"],
+)
+def test_refusal_names_the_exact_threshold(decide):
+    d = decide()
+    assert d.verdict is Verdict.PRECONDITION_VIOLATED
+    assert d.details["threshold"] in d.reason
+    assert Fraction(d.details["threshold"]) > d.details["min_degree"]
 
 
 class TestPeel:

@@ -14,10 +14,15 @@ from linkclust import (
     ParseError,
     Pattern,
     catalog,
+    contiguous_classes,
     parse_hypergraph,
     parse_pattern,
+    pattern_blowup,
+    phi,
+    plant_violation,
     serialize_hypergraph,
     serialize_pattern,
+    turan_classes,
     turan_graph,
 )
 from linkclust.cli import run_cli
@@ -215,6 +220,77 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "yes"
 
+    @pytest.mark.parametrize(
+        "host, code",
+        [
+            (pattern_blowup(Pattern.cycle(5), (5,) * 5), 0),
+            (
+                plant_violation(
+                    pattern_blowup(Pattern.cycle(5), (5,) * 5),
+                    contiguous_classes((5,) * 5),
+                    9,
+                ),
+                1,
+            ),
+            (pattern_blowup(Pattern.cycle(5), (6, 14, 14, 6, 10)), 2),
+        ],
+        ids=["yes", "no", "refused"],
+    )
+    def test_decide_shom(self, tmp_path, capsys, host, code):
+        hpath, ppath = tmp_path / "host.txt", tmp_path / "c5.txt"
+        hpath.write_text(serialize_hypergraph(host))
+        ppath.write_text(serialize_pattern(Pattern.cycle(5)))
+        argv = ["decide", "shom", "--host", str(hpath), "--pattern", str(ppath)]
+        assert run_cli(argv + ["--eps", "1e-9", "--n-small", "15"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "decide shom"
+        assert report["params"] == {"eps": 1e-9, "n_small": 15, "strict": True}
+        assert sorted(report["input_digests"]) == ["host", "pattern"]
+
+    @pytest.mark.parametrize(
+        "host, code",
+        [
+            (turan_graph(40, 2), 0),
+            (plant_violation(turan_graph(40, 2), turan_classes(40, 2), 5), 1),
+            (pattern_blowup(Pattern.complete_graph(2), (10, 30)), 2),
+        ],
+        ids=["yes", "no", "refused"],
+    )
+    def test_decide_kfree(self, tmp_path, capsys, host, code):
+        paths = {name: tmp_path / f"{name}.txt" for name in ("host", "k3", "k2")}
+        paths["host"].write_text(serialize_hypergraph(host))
+        paths["k3"].write_text(serialize_hypergraph(catalog("complete", n=3)))
+        paths["k2"].write_text(serialize_pattern(Pattern.complete_graph(2)))
+        argv = ["decide", "kfree", "--host", str(paths["host"])]
+        assert run_cli(argv + ["--f", str(paths["k3"]), "--pattern", str(paths["k2"])]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "decide kfree"
+        assert report["params"] == {"eps": 0.0, "n_small": None, "strict": True}
+        assert sorted(report["input_digests"]) == ["forbidden", "host", "pattern"]
+
+    def test_decide_runs_the_current_module_globals(self, turan_file, capsys, monkeypatch):
+        # tracing tools patch these names; the decide table must not hold
+        # the functions it saw at import
+        import linkclust.cli
+        import linkclust.formats
+
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(linkclust.cli, "decide_k_colorable")
+        counting(linkclust.formats, "parse_hypergraph")
+        assert run_cli(["decide", "kcolor", "--host", turan_file, "--l", "3"]) == 0
+        capsys.readouterr()
+        assert calls == ["parse_hypergraph", "decide_k_colorable"]
+
     def test_cluster_command(self, turan_file, capsys):
         code = run_cli(
             ["cluster", "--host", turan_file, "--l", "3", "--delta", "1/4"]
@@ -228,6 +304,12 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["results"]["value"] - 1 / 3) <= 1e-6
+
+    def test_phi_command(self, k3_pattern_file, capsys):
+        assert run_cli(["phi", "--pattern", k3_pattern_file]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "phi"
+        assert report["results"]["value"] == phi(Pattern.complete_graph(3)).value
 
     def test_rigidity_command(self, tmp_path, capsys):
         path = tmp_path / "c4.txt"

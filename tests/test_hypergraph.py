@@ -63,6 +63,14 @@ class TestConstruction:
         assert a == b and hash(a) == hash(b)
         assert a != Hypergraph(2, 3, [(0, 2)])
 
+    @pytest.mark.parametrize("r, largest", [(3, 1_664_510), (4, 46_340)])
+    def test_64_bit_encoding_boundary(self, r, largest):
+        # r-tuples of vertices are coded base n in an int64
+        edge = [tuple(range(r))]
+        assert Hypergraph(r, largest, edge).n == largest
+        with pytest.raises(InvalidInput, match="64 bits"):
+            Hypergraph(r, largest + 1, edge)
+
     def test_constant_time_edge_query_backing(self):
         g = turan_graph(10, 2)
         assert g.packed_adjacency.shape == (10, 2)
