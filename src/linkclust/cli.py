@@ -68,6 +68,19 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _read_inputs(args, keys: tuple[str, ...]) -> tuple[dict[str, str], dict]:
+    """Read the input file of every key in order, then parse each text in
+    the same order: ``pattern`` as a pattern, any other key as a
+    hypergraph.  The parsers are looked up at call time, so a patched
+    module global is the one that runs."""
+    texts = {key: _read_text(getattr(args, key)) for key in keys}
+    parsed = {
+        key: (formats.parse_pattern if key == "pattern" else formats.parse_hypergraph)(text)
+        for key, text in texts.items()
+    }
+    return texts, parsed
+
+
 def _emit_text(report: dict) -> None:
     for key in ("verdict", "results"):
         if key in report:
@@ -182,11 +195,7 @@ def _calibrated_params(args) -> dict:
 
 def _cmd_decide(args) -> int:
     spec: _Decide = args.decide
-    texts = {key: _read_text(getattr(args, key)) for key in spec.inputs}
-    parsed = {
-        key: (formats.parse_pattern if key == "pattern" else formats.parse_hypergraph)(text)
-        for key, text in texts.items()
-    }
+    texts, parsed = _read_inputs(args, spec.inputs)
     t0 = time.perf_counter()
     decision = spec.call(args, parsed)
     wall = time.perf_counter() - t0
@@ -199,13 +208,12 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    text = _read_text(args.host)
-    host = formats.parse_hypergraph(text)
-    part = hamming_clustering(host, args.num_classes, Fraction(args.delta))
+    texts, parsed = _read_inputs(args, ("host",))
+    part = hamming_clustering(parsed["host"], args.num_classes, Fraction(args.delta))
     report = formats.build_report(
         command="cluster",
         params={"l": args.num_classes, "delta": args.delta},
-        inputs={"host": text},
+        inputs=texts,
         witness=part,
     )
     _emit(report, args.format)
@@ -213,8 +221,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_numeric(args, which: str) -> int:
-    ptext = _read_text(args.pattern)
-    pattern = formats.parse_pattern(ptext)
+    texts, parsed = _read_inputs(args, ("pattern",))
+    pattern = parsed["pattern"]
     cfg = OptConfig(seed=args.opt_seed, restarts=args.restarts)
     if which == "rigidity":
         rig = rigidity_report(pattern, cfg)
@@ -239,7 +247,7 @@ def _cmd_numeric(args, which: str) -> int:
     report = formats.build_report(
         command=which,
         params={"restarts": args.restarts, "opt_seed": args.opt_seed},
-        inputs={"pattern": ptext},
+        inputs=texts,
         results=results,
     )
     _emit(report, args.format)
@@ -313,15 +321,12 @@ def _cmd_gen_perturb(args) -> int:
 
 
 def _cmd_oracle_embed(args) -> int:
-    ftext = _read_text(args.forbidden)
-    htext = _read_text(args.host)
-    small = formats.parse_hypergraph(ftext)
-    host = formats.parse_hypergraph(htext)
-    emb = find_embedding(small, host, args.oracle_budget)
+    texts, parsed = _read_inputs(args, ("forbidden", "host"))
+    emb = find_embedding(parsed["forbidden"], parsed["host"], args.oracle_budget)
     report = formats.build_report(
         command="oracle embed",
         params={},
-        inputs={"forbidden": ftext, "host": htext},
+        inputs=texts,
         results={"found": emb is not None, "embedding": emb},
     )
     _emit(report, args.format)
@@ -329,18 +334,16 @@ def _cmd_oracle_embed(args) -> int:
 
 
 def _cmd_oracle_hom(args) -> int:
-    ptext = _read_text(args.pattern)
-    htext = _read_text(args.host)
-    pattern = formats.parse_pattern(ptext)
-    host = formats.parse_hypergraph(htext)
-    coloring = find_homomorphism(host, pattern, args.surjective, args.oracle_budget)
+    texts, parsed = _read_inputs(args, ("pattern", "host"))
+    pattern = parsed["pattern"]
+    coloring = find_homomorphism(parsed["host"], pattern, args.surjective, args.oracle_budget)
     witness = None
     if coloring is not None:
         witness = Partition.from_labels(np.array(coloring), pattern.num_vertices)
     report = formats.build_report(
         command="oracle hom",
         params={"surjective": args.surjective},
-        inputs={"pattern": ptext, "host": htext},
+        inputs=texts,
         verdict="yes" if coloring is not None else "no",
         witness=witness,
     )

@@ -6,15 +6,28 @@ a header line ``r l m`` followed by m lines of r vertex labels in ``1..l``,
 with repetition denoting multiplicity.  ``#`` starts a comment anywhere on a
 line; blank lines are ignored.  Serialization is canonical, so parse and
 serialize round-trip exactly.
+
+Well-formed hypergraph text is parsed in bulk: numpy counts the tokens of
+each line from the bytes, one ``np.array(text.split(), dtype=np.int64)``
+converts every token, and the ``Hypergraph`` constructor checks ranges,
+repeated vertices and duplicate edges on the whole array.  The line loop
+``_parse_hypergraph_lines`` is the reference parser.  It runs only when the
+bulk path declines an input (any error, and the rare texts the bulk path
+does not handle: non-ASCII text, line breaks other than LF and CRLF, and
+integers beyond int64), and it locates the offending line.  Serialization
+formats the whole edge array at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import IO
 
-from .errors import DuplicateEdge, IndexOutOfRange, ParseError
+import numpy as np
+
+from .errors import DuplicateEdge, IndexOutOfRange, InvalidInput, ParseError
 from .hypergraph import Hypergraph, Partition
 from .patterns import Pattern
 
@@ -70,6 +83,60 @@ def _parse_header(lines: list[tuple[int, str]], kind: str) -> tuple[int, int, in
 
 def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     """Parse the edge-list format; malformed lines raise with line numbers."""
+    text = source if isinstance(source, str) else source.read()
+    hypergraph = _parse_hypergraph_bulk(text)
+    return hypergraph if hypergraph is not None else _parse_hypergraph_lines(text)
+
+
+# Line breaks of ``str.splitlines`` and whitespace of ``str.split`` in ASCII
+# other than LF, CRLF, space and tab: a text holding one is left to the line
+# loop, so the bulk path never has to agree with Python on them.
+_RARE_SEPARATORS = re.compile(r"[\r\x0b\x0c\x1c-\x1f]")
+_COMMENT = re.compile(r"#[^\n]*")
+
+
+def _parse_hypergraph_bulk(text: str) -> Hypergraph | None:
+    """The graph of a well-formed text, or None to defer to the line loop.
+
+    Returns a graph exactly when ``_parse_hypergraph_lines`` returns the
+    same graph; every error, and every text it does not handle, is None.
+    """
+    if not text.isascii():
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if _RARE_SEPARATORS.search(text):
+        return None
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    # tokens per line, counted from the bytes: a token starts at byte 0
+    # (unless it is blank) and at each non-blank byte after a blank one
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    blank = (raw == 32) | (raw == 9) | (raw == 10)
+    first = int(raw.size > 0 and not blank[0])
+    blank_before_token = np.flatnonzero(blank[:-1] & ~blank[1:])
+    before = np.searchsorted(blank_before_token, np.flatnonzero(raw == 10)) + first
+    per_line = np.diff(before, prepend=0, append=blank_before_token.size + first)
+    per_line = per_line[per_line > 0]
+    del raw, blank, blank_before_token, before  # freed before the token list exists
+    if per_line.size == 0 or per_line[0] != 3:
+        return None
+    try:
+        values = np.array(text.split(), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    r, n, m = (int(v) for v in values[:3])
+    # r < 2 is the constructor's error too, but a reshape to r <= 0 columns fails first
+    if r < 2 or m != per_line.size - 1 or np.any(per_line[1:] != r):
+        return None
+    try:
+        return Hypergraph(r, n, values[3:].reshape(m, r))
+    except InvalidInput:
+        return None
+
+
+def _parse_hypergraph_lines(source: str | IO[str]) -> Hypergraph:
+    """The reference parser: one line at a time, naming the first bad line."""
     lines = _content_lines(source)
     r, n, _ = _parse_header(lines, "hypergraph")
     if r < 2:
@@ -102,9 +169,10 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
 
 
 def serialize_hypergraph(hypergraph: Hypergraph) -> str:
-    lines = [f"{hypergraph.r} {hypergraph.n} {len(hypergraph)}"]
-    lines.extend(" ".join(str(v) for v in e) for e in hypergraph)
-    return "\n".join(lines) + "\n"
+    edges = hypergraph.edge_array
+    header = f"{hypergraph.r} {hypergraph.n} {len(edges)}\n"
+    line = " ".join(["%d"] * hypergraph.r) + "\n"
+    return header + (line * len(edges)) % tuple(edges.ravel().tolist())
 
 
 def parse_pattern(source: str | IO[str]) -> Pattern:

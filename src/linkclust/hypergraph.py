@@ -21,6 +21,13 @@ from .errors import InvalidInput, InvalidVertex
 
 __all__ = ["Hypergraph", "Partition"]
 
+# Upper bound on the per-vertex tables one instance allocates whatever its
+# edge count: the degree and link-offset arrays and, for graphs, the packed
+# adjacency bit rows (n * ceil(n/8) bytes).  A larger request is rejected
+# before anything is allocated, so a header such as ``2 1000000 0`` cannot
+# ask for ~125 GB.
+MAX_VERTEX_TABLE_BYTES = 1 << 30
+
 
 def _encode_rows(rows: np.ndarray, base: int) -> np.ndarray:
     """Positional base-`base` encoding of sorted index rows into int64 keys."""
@@ -73,6 +80,14 @@ class Hypergraph:
             raise InvalidInput(f"vertex count must be a nonnegative integer, got {n!r}")
         self.r = int(r)
         self.n = int(n)
+        table_bytes = 16 * (self.n + 1) + (
+            self.n * ((self.n + 7) // 8) if self.r == 2 else 0
+        )
+        if table_bytes > MAX_VERTEX_TABLE_BYTES:
+            raise InvalidInput(
+                f"vertex count {self.n} needs {table_bytes} bytes of per-vertex "
+                f"tables, above MAX_VERTEX_TABLE_BYTES = {MAX_VERTEX_TABLE_BYTES}"
+            )
 
         if isinstance(edges, np.ndarray):
             arr = np.array(edges)

@@ -1,0 +1,296 @@
+"""The bulk edge-list parser and serializer against their line-by-line
+references: the same graphs, the same errors, the same bytes."""
+
+import io
+import itertools
+import json
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linkclust import (
+    DuplicateEdge,
+    Hypergraph,
+    IndexOutOfRange,
+    ParseError,
+    catalog,
+    parse_hypergraph,
+    serialize_hypergraph,
+    turan_graph,
+)
+from linkclust.cli import run_cli
+from linkclust.formats import _parse_hypergraph_bulk, _parse_hypergraph_lines
+
+# Line breaks and token separators the bulk path handles, and the ones it
+# leaves to the line loop (a rare separator may be a line break inside an
+# edge line).
+PLAIN_BREAKS = ["\n", "\r\n"]
+RARE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2029"]
+PLAIN_BLANKS = [" ", "  ", "\t", " \t"]
+RARE_BLANKS = ["\x1f", "\xa0", "\u3000", "\r", "\x0c"]
+NON_ASCII_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+FAULTS = [
+    None,
+    "header_short",
+    "header_long",
+    "edge_count",
+    "uniformity",
+    "vertex_count",
+    "short_line",
+    "long_line",
+    "out_of_range",
+    "negative",
+    "repeated",
+    "duplicate",
+    "non_integer",
+    "huge",
+]
+
+
+def _corrupt(draw, rows: list[list], fault: str | None) -> bool:
+    """Apply ``fault`` to the token rows in place; False if it cannot apply."""
+    body = range(1, len(rows))
+    if fault is None:
+        return False
+    if fault == "header_short":
+        rows[0].pop()
+    elif fault == "header_long":
+        rows[0].append(draw(st.integers(0, 3)))
+    elif fault == "edge_count":
+        rows[0][2] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif fault == "uniformity":
+        rows[0][0] = draw(st.sampled_from([-1, 0, 1]))
+    elif fault == "vertex_count":
+        rows[0][1] = -1
+    elif fault == "huge":
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.sampled_from([2**63, 10**20, -(2**63) - 1]))
+    elif not body:
+        return False
+    else:
+        i = draw(st.sampled_from(body))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        if fault == "short_line":
+            rows[i].pop()
+        elif fault == "long_line":
+            rows[i].append(rows[i][0])
+        elif fault == "out_of_range":
+            rows[i][j] = rows[0][1] + draw(st.integers(0, 2))
+        elif fault == "negative":
+            rows[i][j] = -1
+        elif fault == "repeated":
+            rows[i][j] = rows[i][j - 1]
+        elif fault == "non_integer":
+            rows[i][j] = draw(st.sampled_from(["x", "1.0", "1e0", "0x1", "--1"]))
+        elif fault == "duplicate":
+            at = draw(st.integers(i + 1, len(rows)))
+            rows.insert(at, list(draw(st.permutations(rows[i]))))
+            rows[0][2] += 1
+    return True
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A text in the edge-list format spelled in the ways the format allows
+    (comments, blank lines, CRLF and rarer line breaks, tabs, ``+`` and
+    leading zeros, non-ASCII digits), possibly with one fault.
+
+    Returns ``(text, graph, plain)``: ``graph`` is the encoded hypergraph
+    when the text has no fault, else None; ``plain`` says the text uses
+    only the spellings the bulk parser handles itself.
+    """
+    n = draw(st.integers(0, 7))
+    r = draw(st.integers(2, max(2, min(4, n))))
+    pool = list(itertools.combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=8)) if pool else []
+    rows = [[r, n, len(edges)]] + [list(draw(st.permutations(e))) for e in edges]
+    faulty = _corrupt(draw, rows, draw(st.sampled_from(FAULTS)))
+    rare = draw(st.booleans())  # whether rare spellings may occur at all
+    plain = True
+
+    def spell(token) -> str:
+        nonlocal plain
+        text = str(token)
+        ways = ["plain", "plain", "plus", "zero", "underscore"] + ["non_ascii"] * rare
+        how = draw(st.sampled_from(ways))
+        if how == "plus":
+            return "+" + text
+        if how == "zero":
+            return "0" + text
+        if how == "underscore":
+            return "0_" + text
+        if how == "non_ascii":
+            plain = False
+            return text.translate(NON_ASCII_DIGITS)
+        return text
+
+    def pick(usual: list[str], unusual: list[str]) -> str:
+        nonlocal plain
+        if rare and draw(st.integers(0, 4)) == 4:
+            plain = False
+            return draw(st.sampled_from(unusual))
+        return draw(st.sampled_from(usual))
+
+    lines = []
+    for row in rows:
+        while draw(st.integers(0, 4)) == 4:
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "\t# 0 1 2"])))
+        blank = pick(PLAIN_BLANKS, RARE_BLANKS)
+        faulty = faulty or (blank in RARE_BREAKS and len(row) > 1)
+        line = blank.join(spell(t) for t in row)
+        if draw(st.booleans()):
+            line = draw(st.sampled_from(["", " ", "\t"])) + line + " "
+        if draw(st.integers(0, 3)) == 3:
+            comment = draw(st.sampled_from(["# edge", "#1 2 3", "##"] + ["# \xe9"] * rare))
+            plain = plain and comment.isascii()
+            line += comment
+        lines.append(line)
+    text = "".join(line + pick(PLAIN_BREAKS, RARE_BREAKS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    graph = None if faulty else Hypergraph(r, n, edges)
+    return text, graph, plain
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # compared whole: class, line and message
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+class TestBulkParser:
+    @given(edge_list_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_loop(self, case):
+        text, graph, plain = case
+        outcome = _outcome(parse_hypergraph, text)
+        assert outcome == _outcome(_parse_hypergraph_lines, text)
+        if graph is not None:
+            assert outcome == graph
+        if graph is not None and plain:
+            assert _parse_hypergraph_bulk(text) == graph
+
+    def test_takes_plain_text_with_comments_crlf_and_signs(self):
+        text = "# K3\r\n2 3 3\r\n\r\n+0\t1  # first\r\n00 2\r\n1 0_2\r\n"
+        assert _parse_hypergraph_bulk(text) == catalog("complete", n=3)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2 3 1\r0 1\r",  # lone carriage returns
+            "2 3 1\n0\r1 2\n",  # a lone carriage return inside a line
+            "2 3 1\x0c0 1\n",  # form feed as a line break
+            "2 3 1\n0\x1f1\n",  # unit separator as a blank
+            "2 3 1\n0 \u0661\n",  # non-ASCII digit
+            "2 3 1\n0 99999999999999999999\n",  # beyond int64
+            "2 3 1\n0 0\n",  # an error
+        ],
+    )
+    def test_declines_what_the_line_loop_must_read(self, text):
+        assert _parse_hypergraph_bulk(text) is None
+
+    @pytest.mark.parametrize(
+        "text, error, line, reason",
+        [
+            ("2 3\n", ParseError, 1, "header must be 3 integers, got '2 3'"),
+            ("2 3 2\n0 1\n", ParseError, 2, "header declares 2 edges but 1 edge lines follow"),
+            ("3 4 1\n0 1\n", ParseError, 2, "expected 3 vertices, got 2"),
+            ("2 3 1\n\n0 3\n", IndexOutOfRange, 3, "vertex 3 outside [0, 3)"),
+            ("2 3 1\n0 0\n", ParseError, 2, "repeated vertex in edge '0 0'"),
+            ("2 3 2\n0 1\n# c\n1 0\n", DuplicateEdge, 4, "edge '1 0' duplicates line 2"),
+            ("2 3 1\n0 x\n", ParseError, 2, "non-integer vertex in '0 x'"),
+        ],
+    )
+    def test_errors_name_the_offending_line(self, text, error, line, reason):
+        with pytest.raises(error) as exc:
+            parse_hypergraph(text)
+        assert type(exc.value) is error
+        assert (exc.value.line, exc.value.reason) == (line, reason)
+
+    def test_reads_a_stream(self):
+        text = serialize_hypergraph(catalog("fano"))
+        assert parse_hypergraph(io.StringIO(text)) == catalog("fano")
+
+    def test_memory_stays_proportional_to_the_text(self):
+        text = serialize_hypergraph(turan_graph(600, 3))
+        tracemalloc.start()
+        try:
+            graph = parse_hypergraph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(graph) == 120_000
+        assert peak <= 30 * len(text)
+
+
+def _joined(hypergraph: Hypergraph) -> str:
+    """The per-edge serializer that the bulk one replaced."""
+    lines = [f"{hypergraph.r} {hypergraph.n} {len(hypergraph)}"]
+    lines.extend(" ".join(str(v) for v in e) for e in hypergraph)
+    return "\n".join(lines) + "\n"
+
+
+class TestBulkSerializer:
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            turan_graph(12, 3),
+            catalog("fano"),
+            catalog("generalized_triangle", r=4),
+            Hypergraph(2, 5, []),
+            Hypergraph(3, 4, []),
+            Hypergraph(4, 0, []),
+            Hypergraph(2, 0, []),
+            Hypergraph(2, 1000, [(0, 999), (7, 500)]),
+        ],
+        ids=["turan", "fano", "triangle4", "m0r2", "m0r3", "n0r4", "n0r2", "wide"],
+    )
+    def test_bytes_match_the_per_edge_join(self, graph):
+        assert serialize_hypergraph(graph) == _joined(graph)
+
+    def test_report_digests_do_not_move(self, tmp_path, capsys):
+        host = tmp_path / "t30.txt"
+        host.write_text(serialize_hypergraph(turan_graph(30, 3)))
+        assert run_cli(["decide", "kcolor", "--host", str(host), "--l", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # digest of the per-edge serializer's text of T(30, 3)
+        assert report["input_digests"] == {
+            "host": "eff9405291a2e6f2364bb03666e1fa55de6caffa25bb87f7d3c4cc6c97d5c76a"
+        }
+
+
+class TestCliInputs:
+    def test_oracle_embed_reads_both_files_before_parsing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 3 1\n0 0\n")
+        missing = str(tmp_path / "missing.txt")
+        assert run_cli(["oracle", "embed", "--f", str(bad), "--host", missing]) == 3
+        assert "missing.txt" in capsys.readouterr().err
+
+    def test_oracle_hom_reads_both_files_before_parsing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 3 1\n0 4\n")
+        missing = str(tmp_path / "missing.txt")
+        assert run_cli(["oracle", "hom", "--pattern", str(bad), "--host", missing]) == 3
+        assert "missing.txt" in capsys.readouterr().err
+
+    def test_oracle_reports_keep_their_inputs(self, tmp_path, capsys):
+        k3 = tmp_path / "k3.txt"
+        k3.write_text(serialize_hypergraph(catalog("complete", n=3)))
+        k4 = tmp_path / "k4.txt"
+        k4.write_text(serialize_hypergraph(catalog("complete", n=4)))
+        assert run_cli(["oracle", "embed", "--f", str(k3), "--host", str(k4)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report["input_digests"]) == ["forbidden", "host"]
+        assert report["results"]["found"] is True
+
+    def test_a_huge_vertex_count_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("2 1000000 0\n")
+        assert run_cli(["decide", "kcolor", "--host", str(path), "--l", "3"]) == 3
+        assert "MAX_VERTEX_TABLE_BYTES" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Core storage and elementary query tests."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,18 @@ class TestConstruction:
         assert Hypergraph(r, largest, edge).n == largest
         with pytest.raises(InvalidInput, match="64 bits"):
             Hypergraph(r, largest + 1, edge)
+
+    @pytest.mark.parametrize("r, n", [(2, 1_000_000), (3, 10**12)])
+    def test_rejects_huge_vertex_tables_before_allocating(self, r, n):
+        # a graph on 10^6 vertices would need ~125 GB of adjacency bit rows
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput, match="MAX_VERTEX_TABLE_BYTES"):
+                Hypergraph(r, n, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_constant_time_edge_query_backing(self):
         g = turan_graph(10, 2)
