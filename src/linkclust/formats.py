@@ -126,8 +126,9 @@ def _parse_hypergraph_bulk(text: str) -> Hypergraph | None:
     except (ValueError, OverflowError):
         return None
     r, n, m = (int(v) for v in values[:3])
-    # r < 2 is the constructor's error too, but a reshape to r <= 0 columns fails first
-    if r < 2 or m != per_line.size - 1 or np.any(per_line[1:] != r):
+    # r < 2 and r > 62 (past the 64-bit encoding) are the constructor's errors
+    # too, but a reshape to r <= 0 or to 2**60 or more columns fails first
+    if not 2 <= r <= 62 or m != per_line.size - 1 or np.any(per_line[1:] != r):
         return None
     try:
         return Hypergraph(r, n, values[3:].reshape(m, r))

@@ -294,3 +294,13 @@ class TestCliInputs:
         path.write_text("2 1000000 0\n")
         assert run_cli(["decide", "kcolor", "--host", str(path), "--l", "3"]) == 3
         assert "MAX_VERTEX_TABLE_BYTES" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", [2**60, 2**63, 10**400], ids=["2^60", "2^63", "10^400"])
+    def test_a_huge_uniformity_is_an_input_error(self, tmp_path, capsys, r):
+        # 2**60 fits an int64 token and 2**63 does not; none may reach numpy
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{r} 0 0\n")
+        assert run_cli(["decide", "kcolor", "--host", str(path), "--l", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("linkclust: error: ") and "64 bits" in err
+        assert "Traceback" not in err

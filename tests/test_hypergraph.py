@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from linkclust import (
     InvalidInput,
     InvalidVertex,
     Partition,
+    Pattern,
     catalog,
+    pattern_blowup,
     turan_graph,
 )
 
@@ -23,12 +26,29 @@ FANO = catalog("fano")
 
 
 @st.composite
-def hypergraphs(draw):
-    r = draw(st.sampled_from([2, 3]))
+def edge_sets(draw):
+    """``(r, n, edges)``: distinct r-sets, each listed in a random vertex order."""
+    r = draw(st.sampled_from([2, 3, 4]))
     n = draw(st.integers(min_value=r, max_value=8))
     pool = list(itertools.combinations(range(n), r))
     edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
-    return Hypergraph(r, n, edges)
+    return r, n, [draw(st.permutations(e)) for e in edges]
+
+
+# the edge inputs the constructor takes: a list of tuples or an integer array
+EDGE_FORMS = ["list", np.int32, np.int64]
+
+
+def as_form(edges, r, form):
+    if form == "list":
+        return [tuple(e) for e in edges]
+    return np.array(edges, dtype=form).reshape(len(edges), r)
+
+
+@st.composite
+def hypergraphs(draw):
+    r, n, edges = draw(edge_sets())
+    return Hypergraph(r, n, as_form(edges, r, draw(st.sampled_from(EDGE_FORMS))))
 
 
 class TestConstruction:
@@ -71,6 +91,51 @@ class TestConstruction:
         assert Hypergraph(r, largest, edge).n == largest
         with pytest.raises(InvalidInput, match="64 bits"):
             Hypergraph(r, largest + 1, edge)
+
+    @pytest.mark.parametrize(
+        "r, n",
+        [(2**60, 0), (2**63, 0), (10**400, 0), (3, 1_664_511)],
+        ids=["2^60", "2^63", "10^400", "r3"],
+    )
+    def test_rejects_unencodable_uniformity_without_edges(self, r, n):
+        # a (0, r) array for r >= 2**60 cannot even be allocated, and
+        # 10**400 has no float
+        with pytest.raises(InvalidInput, match="64 bits"):
+            Hypergraph(r, n, [])
+
+    def test_errors_name_edges_with_plain_ints(self):
+        with pytest.raises(InvalidInput) as err:
+            Hypergraph(3, 4, np.array([(0, 1, 2), (2, 3, 2)]))
+        assert str(err.value) == "edge (2, 2, 3) has a repeated vertex"
+        with pytest.raises(InvalidInput) as err:
+            Hypergraph(3, 4, [(0, 1, 2), (3, 1, 2), (2, 1, 0)])
+        assert str(err.value) == "duplicate edge (0, 1, 2); multi-edges are rejected"
+
+    @pytest.mark.parametrize(
+        "r, largest_int32", [(2, 46_340), (3, 1_290), (4, 215)]
+    )
+    def test_code_dtype_follows_the_vertex_count(self, r, largest_int32):
+        # edges and their codes are int32 exactly when max(n, 2)**r < 2**31
+        edge = [tuple(range(r))]
+        for n, dtype in ((largest_int32, np.int32), (largest_int32 + 1, np.int64)):
+            g = Hypergraph(r, n, edge)
+            assert g.edge_array.dtype == dtype
+            assert (max(n, 2) ** r < 2**31) == (dtype == np.int32)
+        assert Hypergraph(r, r, []).edge_array.dtype == np.int32
+
+    def test_build_peak_memory(self):
+        host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
+        edges = np.ascontiguousarray(host.edge_array[::-1, ::-1], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            g = Hypergraph(3, host.n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == host
+        # about 2x: the build works in int32 columns; int64 (m, r)
+        # temporaries and a lexsort of the links take it past 4x
+        assert peak < 4 * edges.nbytes
 
     @pytest.mark.parametrize("r, n", [(2, 1_000_000), (3, 10**12)])
     def test_rejects_huge_vertex_tables_before_allocating(self, r, n):
@@ -203,6 +268,24 @@ class TestInduced:
     def test_out_of_range_subset(self):
         with pytest.raises(InvalidVertex):
             K3.induced([0, 7])
+
+
+class TestCanonicalization:
+    @given(edge_sets(), st.sampled_from(EDGE_FORMS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_python_reference(self, case, form):
+        r, n, edges = case
+        g = Hypergraph(r, n, as_form(edges, r, form))
+        ref = {tuple(sorted(e)) for e in edges}
+        assert g.edge_list() == sorted(ref)
+        deg = Counter(v for e in ref for v in e)
+        assert g.degrees().tolist() == [deg[v] for v in range(n)]
+        links = [{tuple(u for u in e if u != v) for e in ref if v in e} for v in range(n)]
+        for v in range(n):
+            assert g.link(v) == links[v]
+            assert g.distances_from(v).tolist() == [len(links[u] ^ links[v]) for u in range(n)]
+        for sub in itertools.combinations(range(n), r):
+            assert g.has_edge(sub[::-1]) == (sub in ref)
 
 
 class TestInvariants:
