@@ -6,6 +6,13 @@ resulting partition legally colors every edge.  Above the documented degree
 thresholds this is exact; below them the deciders either refuse (strict
 mode) or fall back to the exhaustive oracles.
 
+The pattern deciders check an edge through its signature, the sorted tuple
+of its vertices' class labels.  Signatures are canonicalized and coded by
+the helpers that canonicalize the edges of a :class:`Hypergraph`, so only
+the few distinct codes are decoded and matched against the pattern.  The
+graph deciders (k-colorability and the clique decider) instead test each
+class for independence on the packed adjacency rows.
+
 All degree and radius comparisons are exact integer or rational arithmetic.
 The thresholds they compare against are exact only where a closed form
 exists (K_l and the single transversal edge); every other threshold is
@@ -15,8 +22,10 @@ rounding of the threshold can fall on either side of it.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -31,6 +40,7 @@ from .errors import (
     PatternNotRigid,
 )
 from .hypergraph import Hypergraph, Partition
+from .hypergraph import _code_dtype, _decode_codes, _encode_rows, _sort_columns
 from .lagrangian import OptConfig, is_minimal, lagrangian, rigidity_report
 from .oracles import DEFAULT_BUDGET_S, find_embedding, find_homomorphism, turan_number
 from .patterns import Pattern
@@ -139,22 +149,12 @@ def _cluster(
     labels = np.zeros(n, dtype=np.int64)
     covered = np.zeros(n, dtype=bool)
     evals = 0
-    packed = hypergraph.packed_adjacency if (hypergraph.r == 2 and n) else None
-    if packed is not None:
-        xor_buf = np.empty_like(packed)
-        dist_buf = np.empty(n, dtype=np.int64)
     for i in range(num_classes):
         if covered.all():
             break
         if i < num_classes - 1:
             seed = int(np.argmax(~covered))
-            if packed is not None:
-                np.bitwise_xor(packed, packed[seed], out=xor_buf)
-                np.bitwise_count(xor_buf, out=xor_buf)
-                xor_buf.sum(axis=1, dtype=np.int64, out=dist_buf)
-                members = dist_buf <= radius
-            else:
-                members = hypergraph.distances_from(seed) <= radius
+            members = hypergraph.distances_from(seed) <= radius
             evals += n - 1
         else:
             members = ~covered
@@ -183,26 +183,30 @@ def hamming_clustering(
 # -- signature tests -----------------------------------------------------------
 
 
+def _class_masks(
+    n: int, vertices: np.ndarray, labels: np.ndarray, num_classes: int
+) -> np.ndarray:
+    """Packed bit rows of the classes: row j marks the vertices labeled j."""
+    members = np.zeros((num_classes, n), dtype=bool)
+    members[labels, vertices] = True
+    return np.packbits(members, axis=1)
+
+
 def _first_internal_edge(
     graph: Hypergraph, labels: np.ndarray, num_classes: int
 ) -> Optional[int]:
     """Index of the first edge with both ends in one class, or ``None``.
 
-    The existence check runs as packed-row AND passes per class (uniform
-    popcount-style work); the index is located only when a violation exists.
+    The existence check is one AND of each packed row with its own class's
+    mask; the index is located only when a violation exists.  This path
+    stays beside the signature codes because it is much cheaper on graphs:
+    after clustering T(4000, 3) it took 0.5-0.6 ms, against 137-150 ms for
+    the signature verdict with K_3, and 0.05-0.08 ms against 11-13 ms on
+    T(1200, 3) (best of 7, three sessions, 2 cores).
     """
     rows = graph.packed_adjacency
-    width = rows.shape[1]
-    violated = False
-    for i in range(num_classes):
-        members = np.nonzero(labels == i)[0]
-        if len(members) < 2:
-            continue
-        mask = np.packbits(labels == i, bitorder="big")[:width]
-        if np.any(rows[members] & mask[None, :]):
-            violated = True
-            break
-    if not violated:
+    masks = _class_masks(graph.n, np.arange(graph.n), labels, num_classes)
+    if not np.any(rows & masks[labels]):
         return None
     arr = graph.edge_array
     step = 1 << 18
@@ -218,64 +222,47 @@ def _first_internal_edge(
 def _edge_signatures(
     hypergraph: Hypergraph, labels: np.ndarray, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct class-count vectors over the edges and one representative
-    edge index (the lowest) per distinct vector."""
-    m = len(hypergraph)
-    if m == 0:
-        return np.zeros((0, num_classes), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    lab = labels[hypergraph.edge_array]
-    counts = np.zeros((m, num_classes), dtype=np.int64)
-    rows = np.arange(m)
-    for j in range(hypergraph.r):
-        np.add.at(counts, (rows, lab[:, j]), 1)
-    distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
-    reps = np.full(distinct.shape[0], m, dtype=np.int64)
-    np.minimum.at(reps, inverse, rows)
+    """Sorted codes of the distinct edge signatures, and the lowest index of
+    an edge with each.  A signature is the sorted tuple of an edge's class
+    labels, coded base ``max(num_classes, 2)`` like the edges themselves."""
+    base = max(num_classes, 2)
+    lab = labels.astype(_code_dtype(base, hypergraph.r))
+    cols = [lab[col] for col in hypergraph.edge_array.T]
+    _sort_columns(cols)
+    codes = _encode_rows(cols, base)
+    distinct = np.unique(codes)
+    # one pass per distinct code: at most the number of label multisets
+    reps = np.array([int(np.argmax(codes == c)) for c in distinct], dtype=np.int64)
     return distinct, reps
 
 
 def _match_to_pattern(
-    distinct: np.ndarray, pattern: Pattern
+    sigs: list[tuple[int, ...]], pattern: Pattern
 ) -> Optional[dict[int, int]]:
     """An injective relabeling of clusters to pattern vertices under which
-    every distinct signature is a pattern edge, or ``None``.
+    every signature (a sorted label tuple) is a pattern edge, or ``None``.
 
     Cluster indices come from seed discovery order, so the identity need
     not work even when some relabeling does.
     """
     allowed = set(pattern.edges)
     num = pattern.num_vertices
-    active = sorted(
-        {int(c) for sig in distinct for c in np.nonzero(sig)[0]}
-    )
-    sigs = [tuple(int(x) for x in sig) for sig in distinct]
+    counts = [Counter(sig) for sig in sigs]
+    active = sorted({c for sig in sigs for c in sig})
 
     assignment: dict[int, int] = {}
 
     def feasible() -> bool:
-        for sig in sigs:
-            ok = False
-            for a in allowed:
-                if all(a[img] >= sig[c] for c, img in assignment.items()):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+        return all(
+            any(all(a[img] >= cnt[c] for c, img in assignment.items()) for a in allowed)
+            for cnt in counts
+        )
 
     def complete() -> bool:
-        for sig in sigs:
+        for cnt in counts:
             target = [0] * num
-            leftover = 0
-            for c, count in enumerate(sig):
-                if count == 0:
-                    continue
-                if c in assignment:
-                    target[assignment[c]] = count
-                else:
-                    leftover += count
-            if leftover:
-                return False  # unreachable: every active cluster is assigned
+            for c, k in cnt.items():
+                target[assignment[c]] = k
             if tuple(target) not in allowed:
                 return False
         return True
@@ -283,23 +270,17 @@ def _match_to_pattern(
     def search(i: int) -> bool:
         if i == len(active):
             return complete()
-        for img in range(num):
-            if img in assignment.values():
-                continue
+        for img in [p for p in range(num) if p not in assignment.values()]:
             assignment[active[i]] = img
             if feasible() and search(i + 1):
                 return True
             del assignment[active[i]]
         return False
 
-    if len(active) > num:
+    if len(active) > num or not search(0):
         return None
-    if not search(0):
-        return None
-    leftover_imgs = [p for p in range(num) if p not in assignment.values()]
-    for c in range(num):
-        if c not in assignment:
-            assignment[c] = leftover_imgs.pop(0)
+    unused = [p for p in range(num) if p not in assignment.values()]
+    assignment.update(zip([c for c in range(num) if c not in assignment], unused))
     return assignment
 
 
@@ -315,36 +296,35 @@ def _signature_verdict(
     Returns (relabeled labels, None) on success, (None, edge) otherwise.
     """
     num = pattern.num_vertices
-    distinct, reps = _edge_signatures(hypergraph, labels, num)
+    codes, reps = _edge_signatures(hypergraph, labels, num)
     stats.edges_scanned += len(hypergraph)
+    sigs = [tuple(row) for row in _decode_codes(codes, max(num, 2), hypergraph.r).tolist()]
 
     # A class-count profile that no pattern edge has cannot be fixed by any
     # relabeling; report the earliest offending edge.
     allowed_profiles = {tuple(sorted(x for x in e if x)) for e in pattern.edges}
-    bad = [
-        int(reps[i])
-        for i in range(distinct.shape[0])
-        if tuple(sorted(int(x) for x in distinct[i] if x)) not in allowed_profiles
-    ]
+    profiles = [tuple(sorted(Counter(sig).values())) for sig in sigs]
+    bad = [int(rep) for p, rep in zip(profiles, reps) if p not in allowed_profiles]
     if bad:
-        edge = tuple(int(v) for v in hypergraph.edge_array[min(bad)])
-        return None, edge
+        return None, tuple(int(v) for v in hypergraph.edge_array[min(bad)])
 
-    mapping = _match_to_pattern(distinct, pattern)
+    mapping = _match_to_pattern(sigs, pattern)
     if mapping is None:
         # No single profile is wrong, but the signatures are jointly
-        # unmatchable.  Report the earliest edge whose signature completes an
-        # unmatchable prefix (in representative order).
+        # unmatchable.  Report the edge whose signature completes the shortest
+        # unmatchable prefix in representative order.  A relabeling that works
+        # for a set works for each subset, so prefix matchability is monotone
+        # and a binary search over the prefix lengths below the full one
+        # finds it in ceil(log2 d) searches.
         order = np.argsort(reps)
-        for t in range(1, len(order) + 1):
-            if _match_to_pattern(distinct[order[:t]], pattern) is None:
-                idx = int(reps[order[t - 1]])
-                edge = tuple(int(v) for v in hypergraph.edge_array[idx])
-                return None, edge
-        raise AssertionError("unmatchable signature set had no bad prefix")
-    remap = np.zeros(num, dtype=np.int64)
-    for cluster, img in mapping.items():
-        remap[cluster] = img
+        ordered = [sigs[i] for i in order]
+        t = 1 + bisect.bisect_left(
+            range(1, len(ordered)),
+            True,
+            key=lambda length: _match_to_pattern(ordered[:length], pattern) is None,
+        )
+        return None, tuple(int(v) for v in hypergraph.edge_array[reps[order[t - 1]]])
+    remap = np.array([mapping[c] for c in range(num)], dtype=np.int64)
     return remap[labels], None
 
 
@@ -605,6 +585,12 @@ def decide_shom_rigid(
 # -- freeness under minimum degree ----------------------------------------------
 
 
+@functools.lru_cache(maxsize=512)
+def _colorable_by(small: Hypergraph, pattern: Pattern) -> bool:
+    """Whether ``small`` maps into ``pattern``; cached per pairing."""
+    return find_homomorphism(small, pattern) is not None
+
+
 def embed_min_decide(
     hypergraph: Hypergraph,
     small: Hypergraph,
@@ -616,7 +602,10 @@ def embed_min_decide(
     The caller supplies the pairing: hosts colorable by ``pattern`` avoid
     ``small``, and dense ``small``-free hosts are pattern-colorable.  Small
     hosts go straight to the exhaustive embedding search; large ones are
-    clustered and answered by the class-signature test.
+    clustered and answered by the class-signature test.  Before that the
+    checkable half of the pairing is checked, once per pairing: a ``small``
+    that is itself ``pattern``-colorable lies in the pattern's blow-ups, so
+    the pairing is refused with :class:`InvalidInput`.
     """
     if hypergraph.r != small.r or hypergraph.r != pattern.r:
         raise InvalidInput("uniformity mismatch")
@@ -626,6 +615,11 @@ def embed_min_decide(
     n_small = cfg.n_small if cfg.n_small is not None else 3 * small.n
     if hypergraph.n < n_small:
         return oracle("small host")
+    if _colorable_by(small, pattern):
+        raise InvalidInput(
+            "the forbidden hypergraph is colorable by the pattern, so the "
+            "pattern's blow-ups contain it; unusable pairing"
+        )
 
     lam = lagrangian(pattern, cfg.opt)
     rig = rigidity_report(pattern, cfg.opt)
@@ -746,33 +740,25 @@ def clique_avg_decide(
                 stats=stats,
             )
 
-    # step 3: reinsert peeled vertices into classes where they have no neighbor
+    # step 3: reinsert each peeled vertex into the first class where it has
+    # no neighbor: one (z, k, width) AND of its row against the class masks
     rows = graph.packed_adjacency
-    width = rows.shape[1] if rows.size else (n + 7) // 8
-    class_masks = np.zeros((k, width), dtype=np.uint8)
-    member_bits = np.zeros(n, dtype=bool)
-    for j in range(k):
-        member_bits[:] = False
-        member_bits[survivors[labels_sub == j]] = True
-        class_masks[j] = np.packbits(member_bits, bitorder="big")[:width]
+    class_masks = _class_masks(n, survivors, labels_sub, k)
+    order = np.array(peeled.order, dtype=np.int64)
+    free = ~np.any(rows[order][:, None, :] & class_masks[None, :, :], axis=2)
+    stuck = np.flatnonzero(~free.any(axis=1))
+    if stuck.size:
+        v = int(order[stuck[0]])
+        _finish_work(stats, graph)
+        return Decision(
+            Verdict.NO,
+            reason=f"peeled vertex {v} has neighbors in every class",
+            details={"vertex": v},
+            stats=stats,
+        )
     full_labels = np.full(n, -1, dtype=np.int64)
     full_labels[survivors] = labels_sub
-    for v in peeled.order:
-        row = rows[v]
-        target = -1
-        for j in range(k):
-            if not np.any(row & class_masks[j]):
-                target = j
-                break
-        if target == -1:
-            _finish_work(stats, graph)
-            return Decision(
-                Verdict.NO,
-                reason=f"peeled vertex {v} has neighbors in every class",
-                details={"vertex": int(v)},
-                stats=stats,
-            )
-        full_labels[v] = target
+    full_labels[order] = free.argmax(axis=1)
 
     # step 4: the merged partition must be proper
     stats.edges_scanned += len(graph)

@@ -35,6 +35,11 @@ __all__ = ["Hypergraph", "Partition"]
 # ask for ~125 GB.
 MAX_VERTEX_TABLE_BYTES = 1 << 30
 
+# Bytes of the dense bool buffer that builds graph adjacency rows (n <= 8192)
+# a block of rows at a time: one block up to n = 4096, so the n = 8192 peak
+# is the packed rows plus this buffer instead of an n*n matrix.
+DENSE_BLOCK_BYTES = 1 << 24
+
 
 def _code_dtype(base: int, k: int) -> type:
     """dtype of base-`base` codes of k-tuples: int32 when ``base**k < 2**31``."""
@@ -43,6 +48,19 @@ def _code_dtype(base: int, k: int) -> type:
             f"vertex count {base} too large to encode {k}-tuples in 64 bits"
         )
     return np.int32 if base**k < 2**31 else np.int64
+
+
+def _sort_columns(cols: list[np.ndarray]) -> None:
+    """Sort the rows with columns `cols` in place, by compare-exchange of
+    whole columns (k passes of odd-even transposition; for k = 2 one
+    min/max).  ``arr.sort(axis=1)`` took 21 ms on a (540 000, 2) array and
+    made the graph-text benchmark's wall time about 8 % worse."""
+    k = len(cols)
+    for p in range(k):
+        for j in range(p % 2, k - 1, 2):
+            low = np.minimum(cols[j], cols[j + 1])
+            np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
+            cols[j] = low
 
 
 def _encode_rows(cols: Sequence[np.ndarray], base: int) -> np.ndarray:
@@ -133,16 +151,8 @@ class Hypergraph:
                 raise InvalidInput(
                     f"edge vertex {lo if lo < 0 else hi} outside [0, {self.n})"
                 )
-        # Sort each row by compare-exchange of whole columns (r passes of
-        # odd-even transposition; for r = 2 one min/max): ``arr.sort(axis=1)``
-        # took 21 ms on a (540 000, 2) array and made the graph-text benchmark's
-        # wall time about 8 % worse.
         cols = [arr[:, j].astype(dtype) for j in range(self.r)]
-        for p in range(self.r):
-            for j in range(p % 2, self.r - 1, 2):
-                low = np.minimum(cols[j], cols[j + 1])
-                np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
-                cols[j] = low
+        _sort_columns(cols)
         repeated = np.logical_or.reduce([a == b for a, b in zip(cols, cols[1:])])
         if repeated.any():
             at = int(repeated.argmax())
@@ -178,20 +188,24 @@ class Hypergraph:
 
     def _build_rows(self, arr: np.ndarray, codes: np.ndarray) -> np.ndarray:
         n = self.n
-        if n == 0:
-            return np.zeros((0, 0), dtype=np.uint8)
-        if n <= 8192:
-            dense = np.zeros(n * n, dtype=bool)
-            dense[codes] = True  # pair codes are flat adjacency indices
-            rev = np.sort(arr[:, 1] * n + arr[:, 0])
-            dense[rev] = True
-            return np.packbits(dense.reshape(n, n), axis=1)
         packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-        u, v = arr[:, 0], arr[:, 1]
-        masks_v = (128 >> (v & 7)).astype(np.uint8)
-        masks_u = (128 >> (u & 7)).astype(np.uint8)
-        np.bitwise_or.at(packed, (u, v >> 3), masks_v)
-        np.bitwise_or.at(packed, (v, u >> 3), masks_u)
+        if n > 8192:
+            for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):
+                np.bitwise_or.at(packed, (a, b >> 3), (128 >> (b & 7)).astype(np.uint8))
+            return packed
+        # Pair codes u*n + v (u < v) and the sorted reverse codes are flat
+        # adjacency indices: each block of rows is set from a slice of both in
+        # a dense bool buffer, then packed.
+        rev = np.sort(arr[:, 1] * n + arr[:, 0])
+        step = DENSE_BLOCK_BYTES // max(n, 1)
+        dense = np.empty(min(step, n) * n, dtype=bool)
+        for lo in range(0, n, step):
+            block = dense[: (min(n, lo + step) - lo) * n]
+            block[:] = False
+            for keys in (codes, rev):
+                a, b = keys.searchsorted(np.array([lo, lo + step], keys.dtype) * n)
+                block[keys[a:b] - lo * n] = True
+            packed[lo : lo + step] = np.packbits(block.reshape(-1, n), axis=1)
         return packed
 
     def _build_links(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -344,8 +358,6 @@ class Hypergraph:
         """Link distances from every vertex to ``v`` (entry ``v`` is 0)."""
         v = self._check_vertex(v)
         if self.r == 2:
-            if self.n == 0:
-                return np.zeros(0, dtype=np.int64)
             xored = self._rows ^ self._rows[v]
             return np.bitwise_count(xored).sum(axis=1).astype(np.int64)
         out = np.zeros(self.n, dtype=np.int64)

@@ -70,3 +70,109 @@ def brute_force_max_edges_without(small: Hypergraph, n: int) -> int:
 def interior_points(dim: int, count: int, seed: int) -> np.ndarray:
     rng = rng_from_seed(seed)
     return rng.dirichlet(np.full(dim, 1.5), size=count)
+
+
+# -- reference signature verdict ------------------------------------------------
+# The count-matrix implementation the deciders used before signatures became
+# codes of sorted label tuples: an (m, l) class-count matrix, its distinct
+# rows, and a linear search for the shortest unmatchable prefix.
+
+
+def _reference_edge_signatures(hypergraph: Hypergraph, labels, num_classes: int):
+    m = len(hypergraph)
+    if m == 0:
+        return np.zeros((0, num_classes), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    lab = labels[hypergraph.edge_array]
+    counts = np.zeros((m, num_classes), dtype=np.int64)
+    rows = np.arange(m)
+    for j in range(hypergraph.r):
+        np.add.at(counts, (rows, lab[:, j]), 1)
+    distinct, inverse = np.unique(counts, axis=0, return_inverse=True)
+    reps = np.full(distinct.shape[0], m, dtype=np.int64)
+    np.minimum.at(reps, inverse, rows)
+    return distinct, reps
+
+
+def _reference_match(distinct: np.ndarray, pattern: Pattern):
+    allowed = set(pattern.edges)
+    num = pattern.num_vertices
+    active = sorted({int(c) for sig in distinct for c in np.nonzero(sig)[0]})
+    sigs = [tuple(int(x) for x in sig) for sig in distinct]
+    assignment: dict[int, int] = {}
+
+    def feasible() -> bool:
+        for sig in sigs:
+            ok = False
+            for a in allowed:
+                if all(a[img] >= sig[c] for c, img in assignment.items()):
+                    ok = True
+                    break
+            if not ok:
+                return False
+        return True
+
+    def complete() -> bool:
+        for sig in sigs:
+            target = [0] * num
+            leftover = 0
+            for c, count in enumerate(sig):
+                if count == 0:
+                    continue
+                if c in assignment:
+                    target[assignment[c]] = count
+                else:
+                    leftover += count
+            if leftover:
+                return False  # unreachable: every active cluster is assigned
+            if tuple(target) not in allowed:
+                return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == len(active):
+            return complete()
+        for img in range(num):
+            if img in assignment.values():
+                continue
+            assignment[active[i]] = img
+            if feasible() and search(i + 1):
+                return True
+            del assignment[active[i]]
+        return False
+
+    if len(active) > num:
+        return None
+    if not search(0):
+        return None
+    leftover_imgs = [p for p in range(num) if p not in assignment.values()]
+    for c in range(num):
+        if c not in assignment:
+            assignment[c] = leftover_imgs.pop(0)
+    return assignment
+
+
+def reference_signature_verdict(hypergraph: Hypergraph, pattern: Pattern, labels):
+    """(relabeled labels, None) or (None, violating edge), as the deciders'
+    ``_signature_verdict`` returns them, by the count-matrix method."""
+    num = pattern.num_vertices
+    distinct, reps = _reference_edge_signatures(hypergraph, labels, num)
+    allowed_profiles = {tuple(sorted(x for x in e if x)) for e in pattern.edges}
+    bad = [
+        int(reps[i])
+        for i in range(distinct.shape[0])
+        if tuple(sorted(int(x) for x in distinct[i] if x)) not in allowed_profiles
+    ]
+    if bad:
+        return None, tuple(int(v) for v in hypergraph.edge_array[min(bad)])
+    mapping = _reference_match(distinct, pattern)
+    if mapping is None:
+        order = np.argsort(reps)
+        for t in range(1, len(order) + 1):
+            if _reference_match(distinct[order[:t]], pattern) is None:
+                idx = int(reps[order[t - 1]])
+                return None, tuple(int(v) for v in hypergraph.edge_array[idx])
+        raise AssertionError("unmatchable signature set had no bad prefix")
+    remap = np.zeros(num, dtype=np.int64)
+    for cluster, img in mapping.items():
+        remap[cluster] = img
+    return remap[labels], None

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from linkclust import deciders
 from linkclust import (
     DeciderConfig,
     Hypergraph,
@@ -13,6 +14,7 @@ from linkclust import (
     Pattern,
     PatternNotMinimal,
     PatternNotRigid,
+    PeelResult,
     Verdict,
     catalog,
     clique_avg_decide,
@@ -196,6 +198,31 @@ class TestEmbedMinDecide:
         d2 = embed_min_decide(trimmed, fano, Pattern.single_edge(3), cfg)
         assert d2.verdict is Verdict.YES
 
+    def test_colorable_pairing_is_refused(self):
+        # K3 is K3-colorable, so every K3 blow-up contains it
+        host = turan_graph(60, 3)
+        assert find_embedding(K3, host) is not None
+        with pytest.raises(InvalidInput, match="colorable by the pattern"):
+            embed_min_decide(host, K3, Pattern.complete_graph(3))
+        # small hosts still go to the embedding search
+        d = embed_min_decide(catalog("complete", n=4), K3, Pattern.complete_graph(3))
+        assert d.verdict is Verdict.NO and "embedding" in d.details
+
+    def test_pairing_is_checked_once(self, monkeypatch):
+        deciders._colorable_by.cache_clear()
+        searched = []
+        original = deciders.find_homomorphism
+
+        def counting(host, pattern, *args):
+            searched.append(host)
+            return original(host, pattern, *args)
+
+        monkeypatch.setattr(deciders, "find_homomorphism", counting)
+        for _ in range(2):
+            d = embed_min_decide(turan_graph(40, 2), K3, Pattern.complete_graph(2))
+            assert d.verdict is Verdict.YES
+        assert searched == [K3]
+
     def test_generalized_triangle_pair(self):
         host = pattern_blowup(Pattern.single_edge(3), (9, 9, 9))
         t3 = catalog("generalized_triangle", r=3)
@@ -299,6 +326,44 @@ class TestCliqueAvgDecide:
         assert d.verdict is Verdict.NO
         assert d.stats.z >= 1
         assert find_embedding(K3, g) is not None
+
+    def _forced_peel(self, monkeypatch, order):
+        # For k <= 7 a vertex that peels under the gates leaves a survivor
+        # graph with too many edges to be k-partite, so step 3 is reached
+        # only with a forced peel order.
+        def forced(graph, num_parts):
+            rest = tuple(v for v in range(graph.n) if v not in order)
+            return PeelResult(order=tuple(order), z=len(order), survivors=rest)
+
+        monkeypatch.setattr(deciders, "peel", forced)
+
+    def test_peeled_vertices_rejoin_their_free_class(self, monkeypatch):
+        g = turan_graph(120, 4)  # classes 0..29, 30..59, 60..89, 90..119
+        self._forced_peel(monkeypatch, (95, 5))
+        d = clique_avg_decide(g, 4, 1)
+        assert d.verdict is Verdict.YES and d.stats.z == 2
+        assert d.partition.nonempty_class_sets() == turan_classes(120, 4).nonempty_class_sets()
+
+    def test_a_peeled_vertex_takes_its_first_free_class(self, monkeypatch):
+        # 5 has no neighbor in its own class nor in 30..59 (cluster labels 0
+        # and 1); the edge-count gate is lifted to let it lose those edges
+        edges = [
+            e for e in turan_graph(120, 4).edge_list() if not (e[0] == 5 and 30 <= e[1] < 60)
+        ]
+        self._forced_peel(monkeypatch, (5,))
+        monkeypatch.setattr(deciders, "turan_number", lambda n, k: len(edges))
+        d = clique_avg_decide(Hypergraph(2, 120, edges), 4, 1)
+        assert d.verdict is Verdict.YES
+        assert d.partition.labels[5] == d.partition.labels[0] == 0
+
+    def test_first_stuck_vertex_in_peel_order_is_reported(self, monkeypatch):
+        # 50 and 10 gain a neighbor in their own class; 140 can still rejoin
+        g = Hypergraph(2, 150, turan_graph(150, 5).edge_list() + [(10, 11), (50, 51)])
+        self._forced_peel(monkeypatch, (140, 50, 10))
+        d = clique_avg_decide(g, 5, 1)
+        assert d.verdict is Verdict.NO
+        assert d.reason == "peeled vertex 50 has neighbors in every class"
+        assert d.details == {"vertex": 50}
 
     def test_z_bound_on_yes(self):
         for seed in range(5):

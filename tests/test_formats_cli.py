@@ -268,6 +268,19 @@ class TestCli:
         assert report["params"] == {"eps": 0.0, "n_small": None, "strict": True}
         assert sorted(report["input_digests"]) == ["forbidden", "host", "pattern"]
 
+    def test_decide_kfree_refuses_a_colorable_pairing(self, tmp_path, capsys):
+        # K3 is K3-colorable: the pairing is an input error, not a verdict
+        paths = {name: tmp_path / f"{name}.txt" for name in ("host", "k3", "p3")}
+        paths["host"].write_text(serialize_hypergraph(turan_graph(60, 3)))
+        paths["k3"].write_text(serialize_hypergraph(catalog("complete", n=3)))
+        paths["p3"].write_text(serialize_pattern(Pattern.complete_graph(3)))
+        argv = ["decide", "kfree", "--host", str(paths["host"]), "--f", str(paths["k3"])]
+        assert run_cli(argv + ["--pattern", str(paths["p3"])]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("linkclust: error: ")
+        assert "colorable by the pattern" in captured.err
+
     def test_decide_runs_the_current_module_globals(self, turan_file, capsys, monkeypatch):
         # tracing tools patch these names; the decide table must not hold
         # the functions it saw at import

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linkclust import hypergraph as hypergraph_module
 from linkclust import (
     Hypergraph,
     InvalidInput,
@@ -136,6 +137,36 @@ class TestConstruction:
         # about 2x: the build works in int32 columns; int64 (m, r)
         # temporaries and a lexsort of the links take it past 4x
         assert peak < 4 * edges.nbytes
+
+    def test_dense_rows_peak_near_the_packed_output(self):
+        # the packed rows (8 MiB) plus one 16 MiB block of dense rows; the
+        # whole n*n bool matrix took the peak to 8.6x the packed rows
+        n = 8192
+        tracemalloc.start()
+        try:
+            g = Hypergraph(2, n, [(0, 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.packed_adjacency.nbytes == n * n // 8
+        assert peak < 3.5 * g.packed_adjacency.nbytes
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7, 23])
+    def test_dense_rows_match_across_block_boundaries(self, monkeypatch, rows_per_block):
+        n = 23
+        rng = np.random.default_rng(rows_per_block)
+        pairs = np.array(list(itertools.combinations(range(n), 2)))
+        edges = pairs[rng.random(len(pairs)) < 0.4]
+        dense = np.zeros((n, n), dtype=bool)
+        dense[edges[:, 0], edges[:, 1]] = dense[edges[:, 1], edges[:, 0]] = True
+        monkeypatch.setattr(hypergraph_module, "DENSE_BLOCK_BYTES", rows_per_block * n)
+        g = Hypergraph(2, n, edges[rng.permutation(len(edges))])
+        np.testing.assert_array_equal(g.packed_adjacency, np.packbits(dense, axis=1))
+
+    def test_sparse_rows_above_the_dense_cut(self):
+        g = Hypergraph(2, 8193, [(0, 8192), (5, 13), (8000, 13)])
+        assert int(np.bitwise_count(g.packed_adjacency).sum()) == 6
+        assert g.link(13) == {(5,), (8000,)} and g.link(8192) == {(0,)}
 
     @pytest.mark.parametrize("r, n", [(2, 1_000_000), (3, 10**12)])
     def test_rejects_huge_vertex_tables_before_allocating(self, r, n):
