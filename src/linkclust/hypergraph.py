@@ -12,8 +12,9 @@ Two derived representations back the distance queries:
 * ``r == 2``: packed adjacency bit-rows, so the link distance of a pair is a
   popcount over XORed rows.
 * ``r >= 3``: per-vertex links as sorted base-n codes of (r-1)-tuples, built
-  by one sort of owner-first ``(v, rest...)`` codes, so the link distance is
-  a sorted-merge count.
+  by one sort of owner-first ``(v, rest...)`` codes.  The distances from a
+  vertex v to all others come from one membership count: mark the codes
+  that lie in v's link, and count the marks per owner.
 
 Instances are immutable after construction and safe to share across threads.
 """
@@ -39,6 +40,11 @@ MAX_VERTEX_TABLE_BYTES = 1 << 30
 # a block of rows at a time: one block up to n = 4096, so the n = 8192 peak
 # is the packed rows plus this buffer instead of an n*n matrix.
 DENSE_BLOCK_BYTES = 1 << 24
+
+# Link codes marked per block by the r >= 3 ``distances_from``, so that its
+# temporaries stay below the link codes themselves: marking all 1.5M codes
+# of a 3 x 80 host at once peaked at 3.7x their bytes.
+LINK_BLOCK = 1 << 18
 
 
 def _code_dtype(base: int, k: int) -> type:
@@ -337,22 +343,7 @@ class Hypergraph:
         v = self._check_vertex(v)
         if u == v:
             raise InvalidInput("link distance requires two distinct vertices")
-        if self.r == 2:
-            return int(np.bitwise_count(self._rows[u] ^ self._rows[v]).sum())
-        return self._link_distance(u, v)
-
-    def _link_distance(self, u: int, v: int) -> int:
-        off = self._link_off
-        a = self._link_codes[off[u] : off[u + 1]]
-        b = self._link_codes[off[v] : off[v + 1]]
-        if len(a) < len(b):
-            a, b = b, a
-        if len(b) == 0:
-            return len(a)
-        idx = np.searchsorted(a, b)
-        inside = idx < len(a)
-        common = int(np.count_nonzero(a[np.minimum(idx, len(a) - 1)][inside] == b[inside]))
-        return len(a) + len(b) - 2 * common
+        return int(self.distances_from(v)[u])
 
     def distances_from(self, v: int) -> np.ndarray:
         """Link distances from every vertex to ``v`` (entry ``v`` is 0)."""
@@ -360,11 +351,16 @@ class Hypergraph:
         if self.r == 2:
             xored = self._rows ^ self._rows[v]
             return np.bitwise_count(xored).sum(axis=1).astype(np.int64)
-        out = np.zeros(self.n, dtype=np.int64)
-        for u in range(self.n):
-            if u != v:
-                out[u] = self._link_distance(u, v)
-        return out
+        # deg(u) + deg(v) - 2 |L(u) & L(v)|: mark the link codes that lie in
+        # L(v) and count the marks per owner (the last u with off[u] <= i
+        # owns code i, so empty links own nothing).
+        codes, off = self._link_codes, self._link_off
+        seed = codes[off[v] : off[v + 1]]
+        common = np.zeros(self.n, dtype=np.int64)
+        for lo in range(0, len(codes), LINK_BLOCK):
+            hits = np.flatnonzero(np.isin(codes[lo : lo + LINK_BLOCK], seed)) + lo
+            common += np.bincount(off.searchsorted(hits, side="right") - 1, minlength=self.n)
+        return self._deg + self._deg[v] - 2 * common
 
     # -- induced subgraphs ---------------------------------------------------
 

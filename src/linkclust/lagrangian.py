@@ -1,21 +1,29 @@
 """Simplex optimization layer for patterns.
 
-Computes the maximum of a pattern's weight polynomial over the probability
-simplex, the maximin of its partial derivatives, and the derived minimality
-and rigidity certificates.  The optimizer is a multistart projected-gradient
-ascent with all restarts batched as rows of a numpy array; the maximin
-objective is smoothed by a soft minimum with annealed sharpness and then
-polished by Newton steps on the active-set equality system.
+Computes the maximum λ of a pattern's weight polynomial over the probability
+simplex, the maximin φ of its partial derivatives, and the minimality and
+rigidity certificates derived from them.  Both values come from one driver,
+:func:`_optimize`: the uniform point plus Dirichlet samples, all restarts
+batched as rows of a numpy array, climb by projected-gradient ascent in
+stages, each row is polished by Newton steps, and the best candidate wins.
+The two problems differ only in what they pass: λ climbs the polynomial in
+one stage and polishes on a face of the simplex; φ climbs a soft minimum of
+the partials with annealed sharpness (one stage per sharpness) and polishes
+on the active set of the least partials.
 
 Complete graphs and single-transversal-edge patterns bypass the numerics
-entirely through exact rational closed forms, so the deciders built on them
-are float-free.  Everything else is certified only numerically and the
-reports say so.
+entirely through one table of exact rational closed forms, so the deciders
+built on them are float-free.  Everything else is certified only numerically
+and the reports say so.
+
+Only the restart count, the seed and the closed-form switch are options
+(:class:`OptConfig`).  The iteration budget, step size and tolerances below
+are fixed: they are tuned together, the minimality and rigidity verdicts are
+read against them, and nothing calls for other values.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -45,27 +53,37 @@ __all__ = [
 
 _NUMERICAL_NOTE = "numerical estimate, not a proof"
 
+# Ascent: iterations in all (the φ stages share them equally), the first
+# step length, and the displacement per unit step under which a row counts
+# as converged.
+MAX_ITER = 10_000
+STEP_INIT = 0.25
+GRAD_TOL = 1e-10
+# Sharpness of the soft minimum in the successive φ stages.
+SOFTMIN_BETAS = (16.0, 128.0, 1024.0, 8192.0)
+# Candidates within VALUE_WINDOW of the best value are optimal; those more
+# than WITNESS_TOL apart (max norm) are distinct witnesses.
+VALUE_WINDOW = 1e-9
+WITNESS_TOL = 1e-6
+# Minimality: every vertex deletion must drop λ by more than STRICT_GAP.
+STRICT_GAP = 1e-7
+# Rigidity: every witness coordinate above POS_GAP, every partial within TOL
+# of φ.
+POS_GAP = 1e-6
+TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Knobs for the simplex optimizer.
+    """Options of the simplex optimizer.
 
     ``restarts`` counts independent starting points (the uniform point plus
-    Dirichlet samples); ``strict_gap`` separates true Lagrangian drops from
-    float noise in the minimality test; ``pos_gap`` is the positivity margin
-    required of the smallest witness coordinate for rigidity.
+    Dirichlet samples drawn from ``seed``); ``closed_forms`` lets patterns
+    with a known exact value skip the numerics.  The tolerances are the
+    module constants above.
     """
 
     restarts: int = 64
-    max_iter: int = 10_000
-    step_init: float = 0.25
-    grad_tol: float = 1e-10
-    tol: float = 1e-6
-    strict_gap: float = 1e-7
-    pos_gap: float = 1e-6
-    witness_tol: float = 1e-6
-    value_window: float = 1e-9
-    softmin_betas: tuple[float, ...] = (16.0, 128.0, 1024.0, 8192.0)
     seed: int = 1729
     closed_forms: bool = True
 
@@ -203,12 +221,10 @@ def _ascend(
     grad_fn: Callable[[np.ndarray], np.ndarray],
     X: np.ndarray,
     max_iter: int,
-    step_init: float,
-    grad_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected-gradient ascent on all rows of X; returns (X, converged)."""
     R = X.shape[0]
-    step = np.full(R, step_init)
+    step = np.full(R, STEP_INIT)
     f = value_fn(X)
     converged = np.zeros(R, dtype=bool)
     for _ in range(max_iter):
@@ -216,7 +232,7 @@ def _ascend(
         Y = _project_rows(X + step[:, None] * G)
         fY = value_fn(Y)
         disp = np.max(np.abs(Y - X), axis=1)
-        converged |= disp <= grad_tol * np.maximum(step, 1e-300)
+        converged |= disp <= GRAD_TOL * np.maximum(step, 1e-300)
         better = fY > f
         X = np.where(better[:, None], Y, X)
         f = np.where(better, fY, f)
@@ -225,6 +241,34 @@ def _ascend(
         if converged.all():
             break
     return X, converged
+
+
+_Stage = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray], int]
+
+
+def _value_stages(calc: _Calc) -> list[_Stage]:
+    """λ: one ascent on the polynomial itself."""
+    return [(calc.value, calc.grad, MAX_ITER)]
+
+
+def _softmin_stages(calc: _Calc) -> list[_Stage]:
+    """φ: one ascent per sharpness on the soft minimum of the partials."""
+    stages = []
+    for beta in SOFTMIN_BETAS:
+
+        def value_fn(Z: np.ndarray, b: float = beta) -> np.ndarray:
+            g = calc.grad(Z)
+            m = g.min(axis=1)
+            return m - np.log(np.exp(-b * (g - m[:, None])).sum(axis=1)) / b
+
+        def grad_fn(Z: np.ndarray, b: float = beta) -> np.ndarray:
+            g = calc.grad(Z)
+            w = np.exp(-b * (g - g.min(axis=1, keepdims=True)))
+            w /= w.sum(axis=1, keepdims=True)
+            return np.einsum("rk,rkj->rj", w, calc.hess(Z))
+
+        stages.append((value_fn, grad_fn, MAX_ITER // len(SOFTMIN_BETAS)))
+    return stages
 
 
 # -- Newton polish -----------------------------------------------------------
@@ -240,45 +284,59 @@ def _feasible(x: np.ndarray) -> Optional[np.ndarray]:
     return x / s
 
 
-def _polish_face_max(calc: _Calc, x: np.ndarray) -> Optional[np.ndarray]:
-    """Newton on the first-order system of a maximum restricted to a face:
-    all support partials equal, support coordinates summing to one."""
-    x = x.copy()
-    for _ in range(3):
-        support = np.nonzero(x > 1e-9)[0]
-        s = len(support)
-        if s == 0:
-            return None
-        y = x[support]
-        ok = False
-        for _ in range(40):
-            full = np.zeros_like(x)
-            full[support] = y
-            g = calc.grad(full[None, :])[0][support]
-            H = calc.hess(full[None, :])[0][np.ix_(support, support)]
-            z = g.mean()
-            F = np.concatenate([g - z, [y.sum() - 1.0]])
-            if np.max(np.abs(F)) < 1e-13:
-                ok = True
-                break
-            J = np.zeros((s + 1, s + 1))
-            J[:s, :s] = H
-            J[:s, s] = -1.0
-            J[s, :s] = 1.0
-            try:
-                delta = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 10.0:
-                break
-            y = y + delta[:s]
-            if np.min(y) < -1e-6:
-                break
+def _newton(
+    calc: _Calc, x: np.ndarray, support: np.ndarray, active: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """Newton on the system: the ``active`` partials all equal a common
+    level, the ``support`` coordinates (the only ones that move) sum to one.
+
+    Returns the last iterate and whether the system was solved.  Square
+    systems are solved directly, others in the least-squares sense.
+    """
+    a, s = len(active), len(support)
+    y = x[support]
+    solved = False
+    for _ in range(40):
         full = np.zeros_like(x)
         full[support] = y
-        if ok:
-            return _feasible(full)
+        g = calc.grad(full[None, :])[0][active]
+        H = calc.hess(full[None, :])[0][np.ix_(active, support)]
+        F = np.concatenate([g - g.mean(), [y.sum() - 1.0]])
+        if np.max(np.abs(F)) < 1e-13:
+            solved = True
+            break
+        J = np.zeros((a + 1, s + 1))
+        J[:a, :s] = H
+        J[:a, s] = -1.0
+        J[a, :s] = 1.0
+        try:
+            if a == s:
+                delta = np.linalg.solve(J, -F)
+            else:
+                delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        except np.linalg.LinAlgError:
+            delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 10.0:
+            break
+        y = y + delta[:s]
+        if np.min(y) < -1e-6:
+            break
+    full = np.zeros_like(x)
+    full[support] = y
+    return full, solved
+
+
+def _polish_face_max(calc: _Calc, x: np.ndarray) -> Optional[np.ndarray]:
+    """Newton on the first-order system of a maximum restricted to the face
+    of x's support (all support partials equal).  When Newton fails but
+    ends on a smaller face, it is retried there, at most three times in
+    all."""
+    for _ in range(3):
+        support = np.nonzero(x > 1e-9)[0]
+        full, solved = _newton(calc, x, support, support)
         nxt = _feasible(full)
+        if solved:
+            return nxt
         if nxt is None or np.array_equal(nxt > 1e-9, x > 1e-9):
             return None
         x = nxt
@@ -286,46 +344,15 @@ def _polish_face_max(calc: _Calc, x: np.ndarray) -> Optional[np.ndarray]:
 
 
 def _polish_maximin(calc: _Calc, x: np.ndarray) -> Optional[np.ndarray]:
-    """Newton on the maximin first-order system: the active partials all
-    equal a common level, support coordinates summing to one."""
+    """Newton on the maximin first-order system: the active partials (the
+    ones within a tolerance of the least) all equal a common level.  Both
+    tolerances are tried; the result with the larger least partial wins."""
     g0 = calc.grad(x[None, :])[0]
-    lo = g0.min()
+    support = np.nonzero(x > 1e-9)[0]
     best = None
     for active_tol in (1e-8, 1e-4):
-        active = np.nonzero(g0 <= lo + active_tol)[0]
-        support = np.nonzero(x > 1e-9)[0]
-        a, s = len(active), len(support)
-        if s == 0 or a == 0:
-            continue
-        y = x[support].copy()
-        for _ in range(40):
-            full = np.zeros_like(x)
-            full[support] = y
-            g = calc.grad(full[None, :])[0]
-            H = calc.hess(full[None, :])[0]
-            z = g[active].mean()
-            F = np.concatenate([g[active] - z, [y.sum() - 1.0]])
-            if np.max(np.abs(F)) < 1e-13:
-                break
-            J = np.zeros((a + 1, s + 1))
-            J[:a, :s] = H[np.ix_(active, support)]
-            J[:a, s] = -1.0
-            J[a, :s] = 1.0
-            try:
-                if a == s:
-                    delta = np.linalg.solve(J, -F)
-                else:
-                    delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
-            if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 10.0:
-                break
-            y = y + delta[:s]
-            if np.min(y) < -1e-6:
-                break
-        full = np.zeros_like(x)
-        full[support] = y
-        cand = _feasible(full)
+        active = np.nonzero(g0 <= g0.min() + active_tol)[0]
+        cand = _feasible(_newton(calc, x, support, active)[0])
         if cand is not None:
             val = calc.grad(cand[None, :])[0].min()
             if best is None or val > best[0]:
@@ -333,14 +360,23 @@ def _polish_maximin(calc: _Calc, x: np.ndarray) -> Optional[np.ndarray]:
     return None if best is None else best[1]
 
 
-# -- candidate selection -------------------------------------------------------
+# -- the driver ----------------------------------------------------------------
+
+
+def _closed_form(pattern: Pattern) -> Optional[tuple[Fraction, Fraction, Fraction]]:
+    """(λ, φ, smallest optimal coordinate) when known exactly; the uniform
+    point is optimal for both problems."""
+    if pattern.is_complete_graph():
+        l = pattern.num_vertices
+        return Fraction(l - 1, 2 * l), Fraction(l - 1, l), Fraction(1, l)
+    if pattern.is_single_transversal_edge():
+        r = pattern.r
+        return Fraction(1, r**r), Fraction(1, r ** (r - 1)), Fraction(1, r)
+    return None
 
 
 def _select(
-    candidates: list[np.ndarray],
-    score: Callable[[np.ndarray], float],
-    witness_tol: float,
-    value_window: float,
+    candidates: list[np.ndarray], score: Callable[[np.ndarray], float]
 ) -> tuple[float, tuple[float, ...], list[tuple[float, ...]]]:
     scored = sorted(
         ((score(c), tuple(float(v) for v in c)) for c in candidates),
@@ -349,80 +385,49 @@ def _select(
     best_val, best_arg = scored[0]
     witnesses: list[tuple[float, ...]] = []
     for val, arg in scored:
-        if val < best_val - value_window:
+        if val < best_val - VALUE_WINDOW:
             break
         if all(
-            max(abs(a - b) for a, b in zip(arg, w)) > witness_tol for w in witnesses
+            max(abs(a - b) for a, b in zip(arg, w)) > WITNESS_TOL for w in witnesses
         ):
             witnesses.append(arg)
     return best_val, best_arg, witnesses
 
 
-def _closed_lagrangian(pattern: Pattern) -> Optional[Fraction]:
-    if pattern.is_complete_graph():
-        l = pattern.num_vertices
-        return Fraction(l - 1, 2 * l)
-    if pattern.is_single_transversal_edge():
-        return Fraction(1, pattern.r**pattern.r)
-    return None
+_LAMBDA, _PHI = 0, 1  # which entry of the closed-form table a run reports
+_NAMES = ("simplex", "maximin")
 
 
-def _closed_maximin(pattern: Pattern) -> Optional[tuple[Fraction, Fraction]]:
-    """(maximin level, smallest optimal coordinate) when known exactly."""
-    if pattern.is_complete_graph():
-        l = pattern.num_vertices
-        return Fraction(l - 1, l), Fraction(1, l)
-    if pattern.is_single_transversal_edge():
-        r = pattern.r
-        return Fraction(1, r ** (r - 1)), Fraction(1, r)
-    return None
-
-
-def _exact_report(pattern: Pattern, exact: Fraction) -> OptReport:
+@lru_cache(maxsize=1024)
+def _optimize(
+    pattern: Pattern,
+    cfg: OptConfig,
+    which: int,
+    stages: Callable[[_Calc], list[_Stage]],
+    polish: Callable[[_Calc, np.ndarray], Optional[np.ndarray]],
+    score: Callable[[Pattern, np.ndarray], float],
+) -> OptReport:
+    """One multistart run: ascend all restarts through ``stages``, polish
+    each, and report the best ``score`` with its distinct near-optimal
+    points as witnesses, ties broken toward the lexicographically smallest
+    point."""
     u = SimplexPoint.uniform(pattern.num_vertices)
-    return OptReport(
-        value=float(exact),
-        argmax=u,
-        restarts_used=0,
-        converged=True,
-        witness_set=(u,),
-        value_exact=exact,
-    )
-
-
-@lru_cache(maxsize=512)
-def _lagrangian_cached(pattern: Pattern, cfg: OptConfig) -> OptReport:
     if not pattern.edges:
-        u = SimplexPoint.uniform(pattern.num_vertices)
         return OptReport(0.0, u, 0, True, (u,), Fraction(0))
-    if cfg.closed_forms:
-        exact = _closed_lagrangian(pattern)
-        if exact is not None:
-            return _exact_report(pattern, exact)
+    closed = _closed_form(pattern) if cfg.closed_forms else None
+    if closed is not None:
+        return OptReport(float(closed[which]), u, 0, True, (u,), closed[which])
 
     calc = _Calc(pattern)
     X = _starts(pattern.num_vertices, cfg.restarts, cfg.seed)
-    X, conv = _ascend(
-        calc.value, calc.grad, X, cfg.max_iter, cfg.step_init, cfg.grad_tol
-    )
-    candidates = [X[i] for i in range(X.shape[0])]
-    polished_any = False
-    extra = []
-    for c in candidates:
-        p = _polish_face_max(calc, c)
-        if p is not None:
-            extra.append(p)
-            polished_any = True
-    candidates.extend(extra)
-
-    def score(c: np.ndarray) -> float:
-        return lagrange_eval(pattern, c)
-
+    for value_fn, grad_fn, max_iter in stages(calc):
+        X, conv = _ascend(value_fn, grad_fn, X, max_iter)
+    polished = [p for p in (polish(calc, x) for x in X) if p is not None]
     best_val, best_arg, witnesses = _select(
-        candidates, score, cfg.witness_tol, cfg.value_window
+        [*X, *polished], lambda c: score(pattern, c)
     )
-    if not (bool(conv.any()) or polished_any):
-        raise NumericFailure("simplex ascent did not converge", best_val)
+    if not (bool(conv.any()) or polished):
+        raise NumericFailure(f"{_NAMES[which]} ascent did not converge", best_val)
     return OptReport(
         value=best_val,
         argmax=SimplexPoint.normalized(best_arg),
@@ -431,6 +436,10 @@ def _lagrangian_cached(pattern: Pattern, cfg: OptConfig) -> OptReport:
         witness_set=tuple(SimplexPoint.normalized(w) for w in witnesses),
         value_exact=None,
     )
+
+
+def _min_partial(pattern: Pattern, x: np.ndarray) -> float:
+    return min(lagrange_grad(pattern, x))
 
 
 def lagrangian(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
@@ -440,67 +449,7 @@ def lagrangian(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
     lexicographically smallest maximizer.  ``value_exact`` is set when a
     rational closed form applies.
     """
-    return _lagrangian_cached(pattern, cfg)
-
-
-@lru_cache(maxsize=512)
-def _phi_cached(pattern: Pattern, cfg: OptConfig) -> OptReport:
-    dim = pattern.num_vertices
-    if not pattern.edges:
-        u = SimplexPoint.uniform(dim)
-        return OptReport(0.0, u, 0, True, (u,), Fraction(0))
-    if cfg.closed_forms:
-        closed = _closed_maximin(pattern)
-        if closed is not None:
-            return _exact_report(pattern, closed[0])
-
-    calc = _Calc(pattern)
-    X = _starts(dim, cfg.restarts, cfg.seed)
-    per_stage = max(200, cfg.max_iter // max(len(cfg.softmin_betas), 1))
-    conv = np.zeros(X.shape[0], dtype=bool)
-    for beta in cfg.softmin_betas:
-
-        def value_fn(Z: np.ndarray, b: float = beta) -> np.ndarray:
-            g = calc.grad(Z)
-            m = g.min(axis=1)
-            return m - np.log(np.exp(-b * (g - m[:, None])).sum(axis=1)) / b
-
-        def grad_fn(Z: np.ndarray, b: float = beta) -> np.ndarray:
-            g = calc.grad(Z)
-            w = np.exp(-b * (g - g.min(axis=1, keepdims=True)))
-            w /= w.sum(axis=1, keepdims=True)
-            return np.einsum("rk,rkj->rj", w, calc.hess(Z))
-
-        X, conv = _ascend(
-            value_fn, grad_fn, X, per_stage, cfg.step_init, cfg.grad_tol
-        )
-
-    candidates = [X[i] for i in range(X.shape[0])]
-    polished_any = False
-    extra = []
-    for c in candidates:
-        p = _polish_maximin(calc, c)
-        if p is not None:
-            extra.append(p)
-            polished_any = True
-    candidates.extend(extra)
-
-    def score(c: np.ndarray) -> float:
-        return min(lagrange_grad(pattern, c))
-
-    best_val, best_arg, witnesses = _select(
-        candidates, score, cfg.witness_tol, cfg.value_window
-    )
-    if not (bool(conv.any()) or polished_any):
-        raise NumericFailure("maximin ascent did not converge", best_val)
-    return OptReport(
-        value=best_val,
-        argmax=SimplexPoint.normalized(best_arg),
-        restarts_used=X.shape[0],
-        converged=True,
-        witness_set=tuple(SimplexPoint.normalized(w) for w in witnesses),
-        value_exact=None,
-    )
+    return _optimize(pattern, cfg, _LAMBDA, _value_stages, _polish_face_max, lagrange_eval)
 
 
 def phi(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
@@ -509,13 +458,13 @@ def phi(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
     The witness set collects the distinct near-optimal points found across
     restarts; it samples the optimal set of the maximin problem.
     """
-    return _phi_cached(pattern, cfg)
+    return _optimize(pattern, cfg, _PHI, _softmin_stages, _polish_maximin, _min_partial)
 
 
 def is_minimal(pattern: Pattern, cfg: OptConfig = OptConfig()) -> MinimalityReport:
     """Whether deleting any vertex strictly drops the simplex maximum.
 
-    The drop must exceed ``cfg.strict_gap`` for every vertex; the report
+    The drop must exceed ``STRICT_GAP`` for every vertex; the report
     carries the smallest drop seen.
     """
     if pattern.num_vertices < 2:
@@ -529,7 +478,7 @@ def is_minimal(pattern: Pattern, cfg: OptConfig = OptConfig()) -> MinimalityRepo
         else:
             gaps.append(whole.value - sub.value)
     margin = min(gaps)
-    return MinimalityReport(minimal=margin > cfg.strict_gap, margin=margin, gaps=tuple(gaps))
+    return MinimalityReport(minimal=margin > STRICT_GAP, margin=margin, gaps=tuple(gaps))
 
 
 def _slide_to_twin(w: SimplexPoint, i: int, j: int) -> SimplexPoint:
@@ -543,12 +492,12 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
     """Numerical rigidity classification.
 
     Rigid means: the sampled optimal set of the maximin problem stays away
-    from the simplex boundary (smallest coordinate above ``cfg.pos_gap``)
-    and every sampled optimum has all partials equal to the maximin level
-    within ``cfg.tol``.  Twin vertices defeat both conditions, because mass
-    can be shifted freely between twins without leaving the optimal set;
-    when twins exist the slid witnesses are added explicitly, which drives
-    the smallest coordinate to zero.
+    from the simplex boundary (smallest coordinate above ``POS_GAP``) and
+    every sampled optimum has all partials equal to the maximin level within
+    ``TOL``.  Twin vertices defeat both conditions, because mass can be
+    shifted freely between twins without leaving the optimal set; when twins
+    exist the slid witnesses are added explicitly, which drives the smallest
+    coordinate to zero.
     """
     if pattern.num_vertices < 2:
         raise InvalidInput("rigidity needs at least 2 vertices")
@@ -567,8 +516,8 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
     worst_dev = max(
         max(abs(g - rep.value) for g in lagrange_grad(pattern, w)) for w in witnesses
     )
-    equal_partials = worst_dev <= cfg.tol
-    rigid = (not pairs) and smallest > cfg.pos_gap and equal_partials
+    equal_partials = worst_dev <= TOL
+    rigid = (not pairs) and smallest > POS_GAP and equal_partials
 
     certificate: Optional[dict] = None
     if not rigid:
@@ -579,7 +528,7 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
                 "pair": (i, j),
                 "witness": _slide_to_twin(witnesses[0], i, j).coords,
             }
-        elif smallest <= cfg.pos_gap:
+        elif smallest <= POS_GAP:
             bad = min(witnesses, key=lambda w: min(w.coords))
             certificate = {
                 "kind": "boundary_witness",
@@ -599,9 +548,9 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
 
     smallest_exact: Optional[Fraction] = None
     if rep.value_exact is not None and not pairs:
-        closed = _closed_maximin(pattern) if cfg.closed_forms else None
+        closed = _closed_form(pattern) if cfg.closed_forms else None
         if closed is not None:
-            smallest_exact = closed[1]
+            smallest_exact = closed[2]
 
     return RigidityReport(
         maximin=rep.value,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput, OracleTimeout
 from .hypergraph import Hypergraph
+from .lagrangian import _Calc
 from .patterns import Pattern
 
 __all__ = [
@@ -381,8 +382,6 @@ def lagrangian_grid(pattern: Pattern, resolution: int) -> float:
     Always a lower bound on the true maximum, converging as the resolution
     grows.
     """
-    from .lagrangian import _Calc
-
     _grid_guard(resolution, pattern.num_vertices)
     calc = _Calc(pattern)
     best = -math.inf
@@ -397,8 +396,6 @@ def lagrangian_grid(pattern: Pattern, resolution: int) -> float:
 def phi_grid(pattern: Pattern, resolution: int) -> float:
     """Grid-search lower bound on the maximin of the weight polynomial's
     partial derivatives."""
-    from .lagrangian import _Calc
-
     _grid_guard(resolution, pattern.num_vertices)
     calc = _Calc(pattern)
     best = -math.inf

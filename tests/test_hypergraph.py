@@ -276,6 +276,36 @@ class TestHammingDistance:
             expected = 0 if u == 2 else g.hamming_distance(u, 2)
             assert d[u] == expected
 
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("block", [1, 3, 7, 1 << 18])
+    def test_distances_with_empty_links(self, monkeypatch, r, block):
+        # vertex 0 and the trailing vertices 8, 9 have empty links, so their
+        # segments of the link codes are empty and the last owner of a code
+        # is not the last vertex; small blocks split the links mid-segment
+        monkeypatch.setattr(hypergraph_module, "LINK_BLOCK", block)
+        rng = np.random.default_rng(r)
+        pool = list(itertools.combinations(range(1, 8), r))
+        edges = [e for e in pool if rng.random() < 0.5]
+        g = Hypergraph(r, 10, edges)
+        links = [{tuple(u for u in e if u != v) for e in edges if v in e} for v in range(10)]
+        assert not links[0] and not links[8] and not links[9]
+        for v in range(10):
+            assert g.distances_from(v).tolist() == [len(links[u] ^ links[v]) for u in range(10)]
+
+    def test_distances_peak_memory(self):
+        # the membership marks go a block of link codes at a time; marking
+        # the whole code array at once peaked at 3.7x its size
+        host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
+        link_bytes = host.r * len(host) * np.dtype(np.int32).itemsize  # 6.1 MB
+        tracemalloc.start()
+        try:
+            d = host.distances_from(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d[5] == 0 and d.max() == 2 * host.degree(5)
+        assert peak <= link_bytes
+
 
 class TestInduced:
     def test_complete_graph_restriction(self):

@@ -1,11 +1,14 @@
 """Optimization layer tests: fixture values, minimality, rigidity."""
 
+import importlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from linkclust import (
     InvalidInput,
+    NumericFailure,
     OptConfig,
     Pattern,
     SimplexPoint,
@@ -18,6 +21,9 @@ from linkclust import (
     phi_grid,
     rigidity_report,
 )
+
+# the module, not the function of the same name that the package exports
+lagrangian_module = importlib.import_module("linkclust.lagrangian")
 
 CFG = OptConfig()
 NUMERIC = OptConfig(closed_forms=False)
@@ -162,3 +168,52 @@ class TestRigidity:
     def test_empty_pattern_is_not_rigid(self):
         rep = rigidity_report(Pattern(2, 3, []), CFG)
         assert not rep.rigid
+
+
+class _ConstantCalc:
+    """Partials (1/64, -1/128, -1/128) and Hessian I at every point.
+
+    On the full face the Newton system is never solved: each step moves
+    y by (-1/64, 1/128, 1/128), and the 40 steps from (5/8, 3/16, 3/16) end
+    exactly on (0, 1/2, 1/2).  On the face {1, 2} the partials are equal,
+    so only the retry there can return a point.
+    """
+
+    def grad(self, X):
+        return np.tile([1 / 64, -1 / 128, -1 / 128], (X.shape[0], 1))
+
+    def hess(self, X):
+        return np.tile(np.eye(3), (X.shape[0], 1, 1))
+
+
+class TestOptimizerBranches:
+    def test_face_polish_retries_on_the_smaller_face(self):
+        x = np.array([5 / 8, 3 / 16, 3 / 16])
+        got = lagrangian_module._polish_face_max(_ConstantCalc(), x)
+        assert got is not None
+        np.testing.assert_allclose(got, [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "solve, polish, score, name",
+        [
+            (lagrangian, "_polish_face_max", lagrange_eval, "simplex"),
+            (phi, "_polish_maximin", lambda p, x: min(lagrange_grad(p, x)), "maximin"),
+        ],
+        ids=["lagrangian", "phi"],
+    )
+    def test_ascent_that_never_converges_raises(self, monkeypatch, solve, polish, score, name):
+        # no ascent converges and no polish succeeds: the run must refuse
+        # and report the best start; a config no other test uses keeps the
+        # result caches out of it
+        monkeypatch.setattr(
+            lagrangian_module,
+            "_ascend",
+            lambda value_fn, grad_fn, X, *limits: (X, np.zeros(X.shape[0], dtype=bool)),
+        )
+        monkeypatch.setattr(lagrangian_module, polish, lambda calc, x: None)
+        cfg = OptConfig(restarts=3, seed=97, closed_forms=False)
+        pattern = Pattern.cycle(5)
+        with pytest.raises(NumericFailure, match=f"{name} ascent did not converge") as info:
+            solve(pattern, cfg)
+        starts = lagrangian_module._starts(5, cfg.restarts, cfg.seed)
+        assert info.value.best_value == max(score(pattern, x) for x in starts)
