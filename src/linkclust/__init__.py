@@ -5,7 +5,12 @@ r-uniform hypergraphs by clustering vertices with similar links, computes
 the simplex optimization quantities that calibrate those deciders, generates
 reproducible instance corpora, and cross-checks everything against built-in
 exhaustive oracles.
+
+The ``linkclust`` logger is silent unless the application configures
+logging; at DEBUG the optimizer reports one record per run.
 """
+
+import logging
 
 from .bench import SCENARIOS, bench
 from .corpus import (
@@ -81,6 +86,8 @@ from .patterns import (
     lagrange_eval,
     lagrange_grad,
 )
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "__version__",

@@ -11,6 +11,10 @@ one stage and polishes on a face of the simplex; φ climbs a soft minimum of
 the partials with annealed sharpness (one stage per sharpness) and polishes
 on the active set of the least partials.
 
+Every value, gradient and Hessian comes from :class:`_Calc`: monomials are
+products of gathered columns of one power table per call, and partials are
+summed in term order by index plans fixed at construction.
+
 Complete graphs and single-transversal-edge patterns bypass the numerics
 entirely through one table of exact rational closed forms, so the deciders
 built on them are float-free.  Everything else is certified only numerically
@@ -24,6 +28,7 @@ read against them, and nothing calls for other values.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -52,6 +57,8 @@ __all__ = [
 ]
 
 _NUMERICAL_NOTE = "numerical estimate, not a proof"
+_log = logging.getLogger(__name__)
+_RUN_RECORD = "%s of %r: %s path, %d restarts, %d converged, %d polished"
 
 # Ascent: iterations in all (the φ stages share them equally), the first
 # step length, and the displacement per unit step under which a row counts
@@ -133,66 +140,88 @@ class RigidityReport:
 
 
 class _Calc:
-    """Vectorized value/gradient/Hessian of a pattern's weight polynomial."""
+    """Batched value, gradient and Hessian of a pattern's weight polynomial.
+
+    A call raises X to the powers 0..max multiplicity once, in one power
+    table.  Each monomial is a row of at most r table columns (its factors
+    in vertex order, padded with power 0), multiplied left to right: the
+    pow calls and product order of ``prod(X ** M)``, so the terms keep their
+    bits.  Each partial sums its terms in term order, one column of an
+    index plan (padded with a zero term) at a time from zero: the order of
+    ``terms[:, sel].sum(axis=1)`` on two or more rows.  On one row numpy
+    sums 8 or more terms pairwise, so there a partial that long (K7^(3),
+    K10 with a loop) may differ from that sum by an ulp or two; here a row
+    gets the same bits in any batch.
+    """
 
     def __init__(self, pattern: Pattern):
-        self.dim = pattern.num_vertices
-        M = pattern.multiplicity_matrix().astype(np.float64)
-        coeffs = pattern.monomial_coeffs()
-        self._M = M
-        self._c = coeffs
-        g_rows, g_cols, g_coef = [], [], []
-        h_rows, h_idx, h_coef = [], [], []
-        for e in range(M.shape[0]):
-            for k in range(self.dim):
-                if M[e, k] >= 1:
-                    row = M[e].copy()
-                    row[k] -= 1
-                    g_rows.append(row)
-                    g_cols.append(k)
-                    g_coef.append(coeffs[e] * M[e, k])
-                    for k2 in range(self.dim):
-                        if row[k2] >= 1:
-                            row2 = row.copy()
-                            row2[k2] -= 1
-                            h_rows.append(row2)
-                            h_idx.append((k, k2))
-                            h_coef.append(coeffs[e] * M[e, k] * row[k2])
-        self._g_rows = np.array(g_rows, dtype=np.float64).reshape(-1, self.dim)
-        self._g_cols = np.array(g_cols, dtype=np.int64)
-        self._g_coef = np.array(g_coef, dtype=np.float64)
-        self._h_rows = np.array(h_rows, dtype=np.float64).reshape(-1, self.dim)
-        self._h_idx = np.array(h_idx, dtype=np.int64).reshape(-1, 2)
-        self._h_coef = np.array(h_coef, dtype=np.float64)
+        self.dim = dim = pattern.num_vertices
+        M = pattern.multiplicity_matrix()
+        self._c = pattern.monomial_coeffs()
+        self._pows = np.arange(int(M.max(initial=0)) + 1, dtype=np.float64)
+        unit = np.eye(dim, dtype=np.int64)
+        # one gradient term per (edge, vertex of the edge), one Hessian term
+        # per (gradient term, vertex left in it), both in row-major order
+        e, k = np.nonzero(M)
+        g_rows = M[e] - unit[k]
+        g_coef = self._c[e] * M[e, k]
+        t, k2 = np.nonzero(g_rows)
+        self._v_idx = self._monomials(M)
+        self._g = self._partials(g_rows, g_coef, k, dim)
+        self._h = self._partials(
+            g_rows[t] - unit[k2], g_coef[t] * g_rows[t, k2], k[t] * dim + k2, dim * dim
+        )
+
+    def _monomials(self, rows: np.ndarray) -> np.ndarray:
+        nz = rows > 0
+        width = max(1, int(nz.sum(axis=1).max(initial=0)))
+        idx = np.zeros((rows.shape[0], width), dtype=np.intp)
+        t, k = np.nonzero(nz)
+        idx[t, np.cumsum(nz, axis=1)[t, k] - 1] = k * len(self._pows) + rows[t, k]
+        return idx
+
+    def _partials(
+        self, rows: np.ndarray, coef: np.ndarray, targets: np.ndarray, count: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Monomial indices and coefficients of the terms, a zero term
+        appended, and the plan whose row i lists the terms of partial i."""
+        n = np.bincount(targets, minlength=count)
+        order = np.argsort(targets, kind="stable")
+        slot = np.arange(len(order)) - np.repeat(np.cumsum(n) - n, n)
+        plan = np.full((count, int(n.max(initial=0))), len(targets), dtype=np.intp)
+        plan[targets[order], slot] = order
+        rows = np.concatenate([rows, np.zeros((1, self.dim), dtype=np.int64)])
+        return self._monomials(rows), np.append(coef, 0.0), plan
+
+    def _table(self, X: np.ndarray) -> np.ndarray:
+        return (X[:, :, None] ** self._pows).reshape(X.shape[0], -1)
+
+    @staticmethod
+    def _product(T: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        out = T.take(idx[:, 0], axis=1)
+        for col in idx.T[1:]:
+            out *= T.take(col, axis=1)
+        return out
+
+    def _sum(self, T: np.ndarray, partials: tuple[np.ndarray, ...]) -> np.ndarray:
+        idx, coef, plan = partials
+        terms = self._product(T, idx)
+        terms *= coef
+        out = np.zeros((T.shape[0], plan.shape[0]))
+        for col in plan.T:
+            out += terms.take(col, axis=1)
+        return out
 
     def value(self, X: np.ndarray) -> np.ndarray:
-        if self._M.shape[0] == 0:
-            return np.zeros(X.shape[0])
-        mono = np.prod(X[:, None, :] ** self._M[None, :, :], axis=2)
-        return mono @ self._c
+        return self._product(self._table(X), self._v_idx) @ self._c
 
     def grad(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros((X.shape[0], self.dim))
-        if self._g_rows.shape[0] == 0:
-            return out
-        terms = np.prod(X[:, None, :] ** self._g_rows[None, :, :], axis=2)
-        terms *= self._g_coef[None, :]
-        for k in range(self.dim):
-            sel = self._g_cols == k
-            if np.any(sel):
-                out[:, k] = terms[:, sel].sum(axis=1)
-        return out
+        return self._sum(self._table(X), self._g)
 
-    def hess(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros((X.shape[0], self.dim, self.dim))
-        if self._h_rows.shape[0] == 0:
-            return out
-        terms = np.prod(X[:, None, :] ** self._h_rows[None, :, :], axis=2)
-        terms *= self._h_coef[None, :]
-        for t in range(self._h_idx.shape[0]):
-            k, k2 = self._h_idx[t]
-            out[:, k, k2] += terms[:, t]
-        return out
+    def grad_hess(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian from one power table."""
+        T = self._table(X)
+        return self._sum(T, self._g), self._sum(T, self._h).reshape(-1, self.dim, self.dim)
 
 
 def _project_rows(Y: np.ndarray) -> np.ndarray:
@@ -262,10 +291,10 @@ def _softmin_stages(calc: _Calc) -> list[_Stage]:
             return m - np.log(np.exp(-b * (g - m[:, None])).sum(axis=1)) / b
 
         def grad_fn(Z: np.ndarray, b: float = beta) -> np.ndarray:
-            g = calc.grad(Z)
+            g, H = calc.grad_hess(Z)
             w = np.exp(-b * (g - g.min(axis=1, keepdims=True)))
             w /= w.sum(axis=1, keepdims=True)
-            return np.einsum("rk,rkj->rj", w, calc.hess(Z))
+            return np.einsum("rk,rkj->rj", w, H)
 
         stages.append((value_fn, grad_fn, MAX_ITER // len(SOFTMIN_BETAS)))
     return stages
@@ -299,8 +328,8 @@ def _newton(
     for _ in range(40):
         full = np.zeros_like(x)
         full[support] = y
-        g = calc.grad(full[None, :])[0][active]
-        H = calc.hess(full[None, :])[0][np.ix_(active, support)]
+        g, H = calc.grad_hess(full[None, :])
+        g, H = g[0][active], H[0][np.ix_(active, support)]
         F = np.concatenate([g - g.mean(), [y.sum() - 1.0]])
         if np.max(np.abs(F)) < 1e-13:
             solved = True
@@ -413,9 +442,11 @@ def _optimize(
     point."""
     u = SimplexPoint.uniform(pattern.num_vertices)
     if not pattern.edges:
+        _log.debug(_RUN_RECORD, _NAMES[which], pattern, "empty", 0, 0, 0)
         return OptReport(0.0, u, 0, True, (u,), Fraction(0))
     closed = _closed_form(pattern) if cfg.closed_forms else None
     if closed is not None:
+        _log.debug(_RUN_RECORD, _NAMES[which], pattern, "closed-form", 0, 0, 0)
         return OptReport(float(closed[which]), u, 0, True, (u,), closed[which])
 
     calc = _Calc(pattern)
@@ -423,6 +454,9 @@ def _optimize(
     for value_fn, grad_fn, max_iter in stages(calc):
         X, conv = _ascend(value_fn, grad_fn, X, max_iter)
     polished = [p for p in (polish(calc, x) for x in X) if p is not None]
+    _log.debug(
+        _RUN_RECORD, _NAMES[which], pattern, "numeric", len(X), conv.sum(), len(polished)
+    )
     best_val, best_arg, witnesses = _select(
         [*X, *polished], lambda c: score(pattern, c)
     )

@@ -10,7 +10,6 @@ hang.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from typing import Optional
@@ -343,25 +342,28 @@ def find_homomorphism(
 
 def _grid_chunks(resolution: int, dim: int, chunk: int = 200_000):
     """Yield (B, dim) arrays of grid weights with denominator ``resolution``,
-    in lexicographic order of the compositions."""
-    if dim == 1:
-        yield np.array([[1.0]])
-        return
-    bars = itertools.combinations(range(resolution + dim - 1), dim - 1)
-    while True:
-        block = list(itertools.islice(bars, chunk))
-        if not block:
-            return
-        b = np.array(block, dtype=np.int64)
-        padded = np.concatenate(
-            [
-                np.full((b.shape[0], 1), -1, dtype=np.int64),
-                b,
-                np.full((b.shape[0], 1), resolution + dim - 1, dtype=np.int64),
-            ],
-            axis=1,
-        )
-        counts = np.diff(padded, axis=1) - 1
+    in lexicographic order of the compositions.
+
+    Each rank is unranked part by part: with q the number of compositions
+    from it to the last one sharing its leading parts, part j is rest - u
+    for the least u with ways[j][1 + u] >= q, the count of compositions of
+    u into the dim - j parts from j on (ways[j][0] = 0).
+    """
+    total = math.comb(resolution + dim - 1, dim - 1)
+    ways = [
+        np.array([0] + [math.comb(u + dim - j - 1, u) for u in range(resolution + 1)])
+        for j in range(dim - 1)
+    ]
+    for start in range(0, total, chunk):
+        q = total - np.arange(start, min(start + chunk, total), dtype=np.int64)
+        counts = np.empty((len(q), dim), dtype=np.int64)
+        rest = resolution
+        for j in range(dim - 1):
+            u = np.searchsorted(ways[j], q) - 1
+            counts[:, j] = rest - u
+            q -= ways[j][u]
+            rest = u
+        counts[:, dim - 1] = rest
         yield counts / resolution
 
 

@@ -176,3 +176,77 @@ def reference_signature_verdict(hypergraph: Hypergraph, pattern: Pattern, labels
     for cluster, img in mapping.items():
         remap[cluster] = img
     return remap[labels], None
+
+
+# -- reference polynomial evaluator ----------------------------------------------
+# The evaluator the optimizer used before the power table and index plans:
+# each monomial as the product over all coordinates of X ** M, each partial
+# summed by numpy (boolean column selection for the gradient, one += per
+# term for the Hessian).
+
+
+class _ReferenceCalc:
+    def __init__(self, pattern: Pattern):
+        self.dim = pattern.num_vertices
+        M = pattern.multiplicity_matrix().astype(np.float64)
+        coeffs = pattern.monomial_coeffs()
+        self._M = M
+        self._c = coeffs
+        g_rows, g_cols, g_coef = [], [], []
+        h_rows, h_idx, h_coef = [], [], []
+        for e in range(M.shape[0]):
+            for k in range(self.dim):
+                if M[e, k] >= 1:
+                    row = M[e].copy()
+                    row[k] -= 1
+                    g_rows.append(row)
+                    g_cols.append(k)
+                    g_coef.append(coeffs[e] * M[e, k])
+                    for k2 in range(self.dim):
+                        if row[k2] >= 1:
+                            row2 = row.copy()
+                            row2[k2] -= 1
+                            h_rows.append(row2)
+                            h_idx.append((k, k2))
+                            h_coef.append(coeffs[e] * M[e, k] * row[k2])
+        self._g_rows = np.array(g_rows, dtype=np.float64).reshape(-1, self.dim)
+        self._g_cols = np.array(g_cols, dtype=np.int64)
+        self._g_coef = np.array(g_coef, dtype=np.float64)
+        self._h_rows = np.array(h_rows, dtype=np.float64).reshape(-1, self.dim)
+        self._h_idx = np.array(h_idx, dtype=np.int64).reshape(-1, 2)
+        self._h_coef = np.array(h_coef, dtype=np.float64)
+
+    def value(self, X: np.ndarray) -> np.ndarray:
+        if self._M.shape[0] == 0:
+            return np.zeros(X.shape[0])
+        mono = np.prod(X[:, None, :] ** self._M[None, :, :], axis=2)
+        return mono @ self._c
+
+    def grad(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros((X.shape[0], self.dim))
+        if self._g_rows.shape[0] == 0:
+            return out
+        terms = np.prod(X[:, None, :] ** self._g_rows[None, :, :], axis=2)
+        terms *= self._g_coef[None, :]
+        for k in range(self.dim):
+            sel = self._g_cols == k
+            if np.any(sel):
+                out[:, k] = terms[:, sel].sum(axis=1)
+        return out
+
+    def hess(self, X: np.ndarray) -> np.ndarray:
+        out = np.zeros((X.shape[0], self.dim, self.dim))
+        if self._h_rows.shape[0] == 0:
+            return out
+        terms = np.prod(X[:, None, :] ** self._h_rows[None, :, :], axis=2)
+        terms *= self._h_coef[None, :]
+        for t in range(self._h_idx.shape[0]):
+            k, k2 = self._h_idx[t]
+            out[:, k, k2] += terms[:, t]
+        return out
+
+
+def reference_calc(pattern: Pattern) -> _ReferenceCalc:
+    """Value, gradient and Hessian evaluator with ``value``, ``grad`` and
+    ``hess`` methods, computed the direct way."""
+    return _ReferenceCalc(pattern)

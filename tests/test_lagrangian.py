@@ -1,10 +1,19 @@
 """Optimization layer tests: fixture values, minimality, rigidity."""
 
 import importlib
+import itertools
+import json
+import logging
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linkclust import (
     InvalidInput,
@@ -20,7 +29,9 @@ from linkclust import (
     phi,
     phi_grid,
     rigidity_report,
+    serialize_pattern,
 )
+from helpers import interior_points, reference_calc
 
 # the module, not the function of the same name that the package exports
 lagrangian_module = importlib.import_module("linkclust.lagrangian")
@@ -182,8 +193,8 @@ class _ConstantCalc:
     def grad(self, X):
         return np.tile([1 / 64, -1 / 128, -1 / 128], (X.shape[0], 1))
 
-    def hess(self, X):
-        return np.tile(np.eye(3), (X.shape[0], 1, 1))
+    def grad_hess(self, X):
+        return self.grad(X), np.tile(np.eye(3), (X.shape[0], 1, 1))
 
 
 class TestOptimizerBranches:
@@ -217,3 +228,133 @@ class TestOptimizerBranches:
             solve(pattern, cfg)
         starts = lagrangian_module._starts(5, cfg.restarts, cfg.seed)
         assert info.value.best_value == max(score(pattern, x) for x in starts)
+
+
+# -- the batched evaluator --------------------------------------------------------
+
+
+@st.composite
+def calc_cases(draw):
+    """A pattern (loops and multiplicities up to r allowed) and a batch of
+    points, some of their coordinates exactly zero and, as in Newton steps,
+    some slightly negative."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    dim = draw(st.integers(1, 5))
+    multisets = list(itertools.combinations_with_replacement(range(dim), r))
+    edges = draw(st.lists(st.sampled_from(multisets), min_size=1, max_size=12, unique=True))
+    rows = draw(st.sampled_from([1, 64, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.dirichlet(np.ones(dim), size=rows)
+    X[rng.random(X.shape) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = 0.0
+    X[rng.random(X.shape) < draw(st.sampled_from([0.0, 0.1]))] *= -1e-3
+    return Pattern.from_multisets(r, dim, edges), X
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 too
+
+
+def _numeric_hessian(calc, X, h=1e-5):
+    cols = []
+    for j in range(X.shape[1]):
+        step = np.zeros(X.shape[1])
+        step[j] = h
+        cols.append((calc.grad(X + step) - calc.grad(X - step)) / (2 * h))
+    return np.stack(cols, axis=2)
+
+
+def _k7_3():
+    return Pattern.from_multisets(3, 7, list(itertools.combinations(range(7), 3)))
+
+
+class TestCalc:
+    @given(case=calc_cases())
+    @example(case=(Pattern.from_multisets(2, 2, [(0, 0), (0, 1)]), np.array([[0.25, 0.75]])))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_direct_evaluation(self, case):
+        pattern, X = case
+        calc, ref = lagrangian_module._Calc(pattern), reference_calc(pattern)
+        _assert_same_bits(calc.value(X), ref.value(X))
+        grad, hess = calc.grad_hess(X)
+        _assert_same_bits(hess, ref.hess(X))
+        _assert_same_bits(grad, calc.grad(X))
+        # the reference sums each partial sequentially on two or more rows;
+        # on one row numpy sums a partial of 8 or more terms pairwise
+        _assert_same_bits(grad, ref.grad(np.concatenate([X, X]))[: len(X)])
+        np.testing.assert_allclose(grad, ref.grad(X), rtol=0, atol=1e-14)
+        if len(X) > 1:
+            _assert_same_bits(grad, ref.grad(X))
+        for x, v, g in zip(X[:3], calc.value(X[:3]), grad[:3]):
+            assert abs(v - lagrange_eval(pattern, x)) <= 1e-12
+            np.testing.assert_allclose(g, lagrange_grad(pattern, x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(hess[:3], _numeric_hessian(calc, X[:3]), rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            _k7_3(),
+            Pattern.from_multisets(
+                2, 10, [*itertools.combinations(range(10), 2), (0, 0)]
+            ),
+        ],
+        ids=["K7^(3)", "K10+loop"],
+    )
+    def test_single_row_partials_of_8_terms_are_summed_in_order(self, pattern):
+        # every vertex of K7^(3) is in 15 edges, and vertex 0 of K10 plus a
+        # loop in 10: the direct single-row evaluation sums these pairwise
+        # and may differ by an ulp; here every row keeps its batch bits
+        calc, ref = lagrangian_module._Calc(pattern), reference_calc(pattern)
+        X = interior_points(pattern.num_vertices, 64, seed=2)
+        batch = calc.grad(X)
+        assert np.array_equal(batch, ref.grad(X))
+        for i, x in enumerate(X):
+            single = calc.grad(x[None, :])[0]
+            assert np.array_equal(single, batch[i])
+            np.testing.assert_array_max_ulp(single, ref.grad(x[None, :])[0], maxulp=2)
+
+    def test_gradient_memory_is_proportional_to_the_batch(self):
+        # one float per point and gradient term plus the power table: the
+        # direct evaluation's (points, terms, dim) power array is 1.18 GB
+        pattern = _k7_3()
+        calc = lagrangian_module._Calc(pattern)
+        X = interior_points(7, 200_000, seed=3)
+        terms = int(np.count_nonzero(pattern.multiplicity_matrix()))
+        per_batch = X.shape[0] * (terms + 7 * 2) * 8
+        tracemalloc.start()
+        try:
+            calc.grad(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * per_batch
+
+
+class TestDebugLog:
+    def test_one_record_per_run_names_the_path(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="linkclust")
+        cfg = OptConfig(restarts=4, seed=60_013)
+        lagrangian(Pattern.cycle(5), cfg)
+        phi(Pattern.complete_graph(3), cfg)
+        lagrangian(Pattern(2, 3, []), cfg)
+        lagrangian(Pattern.cycle(5), cfg)  # cached: no new run
+        records = [r for r in caplog.records if r.name.startswith("linkclust")]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 3
+        numeric, closed, empty = (r.getMessage() for r in records)
+        assert numeric.startswith("simplex of Pattern(r=2, num_vertices=5, edges=5): ")
+        assert "numeric path, 4 restarts, " in numeric
+        assert closed.endswith("closed-form path, 0 restarts, 0 converged, 0 polished")
+        assert empty.endswith("empty path, 0 restarts, 0 converged, 0 polished")
+
+    def test_cli_is_silent_by_default(self, tmp_path):
+        path = tmp_path / "c5.txt"
+        path.write_text(serialize_pattern(Pattern.cycle(5)))
+        src = os.path.dirname(os.path.dirname(lagrangian_module.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from linkclust.cli import main; main()",
+             "lagrangian", "--pattern", str(path), "--restarts", "4"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["results"]["value"] == pytest.approx(0.25)

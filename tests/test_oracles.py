@@ -1,5 +1,6 @@
 """Reference-implementation tests: searches, exact counts, grid bounds."""
 
+import importlib
 import itertools
 import math
 
@@ -23,6 +24,9 @@ from linkclust import (
     turan_number,
 )
 from helpers import brute_force_max_edges_without, is_valid_coloring, is_valid_embedding
+
+# the module, not the package's function of the same name
+oracles_module = importlib.import_module("linkclust.oracles")
 
 K3 = catalog("complete", n=3)
 C5 = catalog("cycle", k=5)
@@ -153,6 +157,19 @@ class TestGridSearch:
         ):
             assert lagrangian_grid(pattern, 60) <= lagrangian(pattern, cfg).value + 1e-9
             assert phi_grid(pattern, 60) <= phi(pattern, cfg).value + 1e-9
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    @pytest.mark.parametrize("resolution", [1, 2, 5, 12])
+    def test_chunks_enumerate_the_compositions_in_order(self, dim, resolution):
+        # the stars-and-bars enumeration: bar positions in lexicographic order
+        expected = []
+        for bars in itertools.combinations(range(resolution + dim - 1), dim - 1):
+            ends = (-1, *bars, resolution + dim - 1)
+            expected.append(tuple((b - a - 1) / resolution for a, b in zip(ends, ends[1:])))
+        for chunk in (1, 7, 200_000):
+            blocks = list(oracles_module._grid_chunks(resolution, dim, chunk))
+            assert [len(b) for b in blocks[:-1]] == [chunk] * (len(blocks) - 1)
+            assert [tuple(row) for b in blocks for row in b.tolist()] == expected
 
     def test_point_cap(self):
         with pytest.raises(InvalidInput):
