@@ -5,7 +5,8 @@ simplex, the maximin φ of its partial derivatives, and the minimality and
 rigidity certificates derived from them.  Both values come from one driver,
 :func:`_optimize`: the uniform point plus Dirichlet samples, all restarts
 batched as rows of a numpy array, climb by projected-gradient ascent in
-stages, each row is polished by Newton steps, and the best candidate wins.
+stages, are polished together by Newton steps (the rows on one face share
+each step's evaluation and stacked solve), and the best candidate wins.
 The two problems differ only in what they pass: λ climbs the polynomial in
 one stage and polishes on a face of the simplex; φ climbs a soft minimum of
 the partials with annealed sharpness (one stage per sharpness) and polishes
@@ -78,6 +79,9 @@ STRICT_GAP = 1e-7
 # of φ.
 POS_GAP = 1e-6
 TOL = 1e-6
+# The largest batch of restart Hessians (restarts x dim x dim floats) a run
+# may ask for, the cap ``Hypergraph`` puts on its vertex tables.
+MAX_BATCH_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -87,12 +91,19 @@ class OptConfig:
     ``restarts`` counts independent starting points (the uniform point plus
     Dirichlet samples drawn from ``seed``); ``closed_forms`` lets patterns
     with a known exact value skip the numerics.  The tolerances are the
-    module constants above.
+    module constants above.  A seed below 0 or fewer than one restart is
+    refused with :class:`InvalidInput`.
     """
 
     restarts: int = 64
     seed: int = 1729
     closed_forms: bool = True
+
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise InvalidInput(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise InvalidInput(f"the optimizer seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -218,6 +229,11 @@ class _Calc:
     def grad(self, X: np.ndarray) -> np.ndarray:
         return self._sum(self._table(X), self._g)
 
+    def value_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Value and gradient from one power table."""
+        T = self._table(X)
+        return self._product(T, self._v_idx) @ self._c, self._sum(T, self._g)
+
     def grad_hess(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian from one power table."""
         T = self._table(X)
@@ -237,34 +253,45 @@ def _project_rows(Y: np.ndarray) -> np.ndarray:
 
 
 def _starts(dim: int, restarts: int, seed: int) -> np.ndarray:
+    """The uniform point and ``restarts - 1`` Dirichlet samples, refused
+    when a batch of their Hessians would pass ``MAX_BATCH_BYTES``."""
+    batch_bytes = restarts * dim * dim * 8
+    if batch_bytes > MAX_BATCH_BYTES:
+        raise InvalidInput(
+            f"{restarts} restarts in dimension {dim} need {batch_bytes} bytes of "
+            f"Hessians, above MAX_BATCH_BYTES = {MAX_BATCH_BYTES}"
+        )
     rng = np.random.Generator(np.random.Philox(seed))
-    X = np.empty((max(restarts, 1), dim))
+    X = np.empty((restarts, dim))
     X[0] = 1.0 / dim
     if restarts > 1:
         X[1:] = rng.dirichlet(np.ones(dim), size=restarts - 1)
     return X
 
 
-def _ascend(
-    value_fn: Callable[[np.ndarray], np.ndarray],
-    grad_fn: Callable[[np.ndarray], np.ndarray],
-    X: np.ndarray,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Projected-gradient ascent on all rows of X; returns (X, converged)."""
+_Evaluate = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+_Stage = tuple[_Evaluate, int]
+
+
+def _ascend(evaluate: _Evaluate, X: np.ndarray, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projected-gradient ascent on all rows of X; returns (X, converged).
+
+    ``evaluate`` gives the objective and the ascent direction at each row,
+    so every trial point is evaluated once: an accepted row carries both on.
+    """
     R = X.shape[0]
     step = np.full(R, STEP_INIT)
-    f = value_fn(X)
+    f, G = evaluate(X)
     converged = np.zeros(R, dtype=bool)
     for _ in range(max_iter):
-        G = grad_fn(X)
         Y = _project_rows(X + step[:, None] * G)
-        fY = value_fn(Y)
+        fY, GY = evaluate(Y)
         disp = np.max(np.abs(Y - X), axis=1)
         converged |= disp <= GRAD_TOL * np.maximum(step, 1e-300)
         better = fY > f
         X = np.where(better[:, None], Y, X)
         f = np.where(better, fY, f)
+        G = np.where(better[:, None], GY, G)
         step = np.where(better, np.minimum(step * 1.25, 4.0), step * 0.5)
         converged |= step < 1e-13
         if converged.all():
@@ -272,121 +299,162 @@ def _ascend(
     return X, converged
 
 
-_Stage = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray], int]
-
-
 def _value_stages(calc: _Calc) -> list[_Stage]:
     """λ: one ascent on the polynomial itself."""
-    return [(calc.value, calc.grad, MAX_ITER)]
+    return [(calc.value_grad, MAX_ITER)]
 
 
 def _softmin_stages(calc: _Calc) -> list[_Stage]:
-    """φ: one ascent per sharpness on the soft minimum of the partials."""
+    """φ: one ascent per sharpness on the soft minimum of the partials, whose
+    gradient weighs the Hessian rows by the soft-min weights."""
     stages = []
     for beta in SOFTMIN_BETAS:
 
-        def value_fn(Z: np.ndarray, b: float = beta) -> np.ndarray:
-            g = calc.grad(Z)
-            m = g.min(axis=1)
-            return m - np.log(np.exp(-b * (g - m[:, None])).sum(axis=1)) / b
-
-        def grad_fn(Z: np.ndarray, b: float = beta) -> np.ndarray:
+        def evaluate(Z: np.ndarray, b: float = beta) -> tuple[np.ndarray, np.ndarray]:
             g, H = calc.grad_hess(Z)
-            w = np.exp(-b * (g - g.min(axis=1, keepdims=True)))
-            w /= w.sum(axis=1, keepdims=True)
-            return np.einsum("rk,rkj->rj", w, H)
+            m = g.min(axis=1)
+            w = np.exp(-b * (g - m[:, None]))
+            total = w.sum(axis=1)
+            return m - np.log(total) / b, np.einsum("rk,rkj->rj", w / total[:, None], H)
 
-        stages.append((value_fn, grad_fn, MAX_ITER // len(SOFTMIN_BETAS)))
+        stages.append((evaluate, MAX_ITER // len(SOFTMIN_BETAS)))
     return stages
 
 
 # -- Newton polish -----------------------------------------------------------
+# Every row is polished on its own system, but the rows that share a face
+# (support and active set) take their Newton steps together.  Row sums and
+# means reduce C-contiguous rows, which numpy sums as it sums one vector, so
+# each row gets the bits it would get alone.
 
 
-def _feasible(x: np.ndarray) -> Optional[np.ndarray]:
-    if np.min(x) < -1e-9:
-        return None
-    x = np.maximum(x, 0.0)
-    s = x.sum()
-    if s <= 0 or abs(s - 1.0) > 1e-6:
-        return None
-    return x / s
+def _feasible(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row clipped at zero and rescaled to sum one, and whether it was
+    close enough to the simplex for that."""
+    ok = ~(X.min(axis=1) < -1e-9)
+    X = np.maximum(X, 0.0)
+    s = X.sum(axis=1)
+    ok &= ~((s <= 0) | (np.abs(s - 1.0) > 1e-6))
+    return np.divide(X, s[:, None], out=np.zeros_like(X), where=ok[:, None]), ok
+
+
+def _solve_one(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a square system directly, falling back to least squares when it
+    is singular; solve any other in the least-squares sense."""
+    if J.shape[0] == J.shape[1]:
+        try:
+            return np.linalg.solve(J, b)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(J, b, rcond=None)[0]
 
 
 def _newton(
-    calc: _Calc, x: np.ndarray, support: np.ndarray, active: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Newton on the system: the ``active`` partials all equal a common
-    level, the ``support`` coordinates (the only ones that move) sum to one.
+    calc: _Calc, X: np.ndarray, support: np.ndarray, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on every row of X for one system: the ``active`` partials all
+    equal a common level, the ``support`` coordinates (the only ones that
+    move) sum to one.
 
-    Returns the last iterate and whether the system was solved.  Square
-    systems are solved directly, others in the least-squares sense.
+    Returns the last iterates and which rows solved the system.  A row stops
+    when it is solved, when a step is not finite or longer than 10 (the step
+    is not taken), when a coordinate drops below -1e-6, or after 40 steps.
+    Square systems of the live rows are solved in one stacked call, each row
+    on its own when one of them is singular; others row by row in the
+    least-squares sense.
     """
     a, s = len(active), len(support)
-    y = x[support]
-    solved = False
+    Y = X.take(support, axis=1)
+    solved = np.zeros(len(X), dtype=bool)
+    live = np.arange(len(X))
+    full = np.zeros((len(X), X.shape[1]))
     for _ in range(40):
-        full = np.zeros_like(x)
-        full[support] = y
-        g, H = calc.grad_hess(full[None, :])
-        g, H = g[0][active], H[0][np.ix_(active, support)]
-        F = np.concatenate([g - g.mean(), [y.sum() - 1.0]])
-        if np.max(np.abs(F)) < 1e-13:
-            solved = True
+        full[:, support] = Y
+        g, H = calc.grad_hess(full[live])
+        g = g.take(active, axis=1)
+        F = np.empty((len(live), a + 1))
+        F[:, :a] = g - g.mean(axis=1, keepdims=True)
+        F[:, a] = Y[live].sum(axis=1) - 1.0
+        done = np.abs(F).max(axis=1) < 1e-13
+        solved[live[done]] = True
+        live, rhs, H = live[~done], -F[~done], H[~done]
+        if not live.size:
             break
-        J = np.zeros((a + 1, s + 1))
-        J[:a, :s] = H
-        J[:a, s] = -1.0
-        J[a, :s] = 1.0
+        J = np.zeros((len(live), a + 1, s + 1))
+        J[:, :a, :s] = H[:, active[:, None], support]
+        J[:, :a, s] = -1.0
+        J[:, a, :s] = 1.0
         try:
-            if a == s:
-                delta = np.linalg.solve(J, -F)
-            else:
-                delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
+            delta = np.linalg.solve(J, rhs[:, :, None])[:, :, 0] if a == s else None
         except np.linalg.LinAlgError:
-            delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 10.0:
+            delta = None
+        if delta is None:
+            delta = np.array([_solve_one(j, b) for j, b in zip(J, rhs)])
+        ok = np.isfinite(delta).all(axis=1) & ~(np.abs(delta).max(axis=1) > 10.0)
+        live, delta = live[ok], delta[ok]
+        Y[live] = Y[live] + delta[:, :s]
+        live = live[~(Y[live].min(axis=1) < -1e-6)]
+        if not live.size:
             break
-        y = y + delta[:s]
-        if np.min(y) < -1e-6:
-            break
-    full = np.zeros_like(x)
-    full[support] = y
+    full[:, support] = Y
     return full, solved
 
 
-def _polish_face_max(calc: _Calc, x: np.ndarray) -> Optional[np.ndarray]:
+def _newton_by_face(
+    calc: _Calc, X: np.ndarray, support: np.ndarray, active: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_newton` on every row of X, with its own ``support`` and
+    ``active`` masks; rows with equal masks are batched."""
+    full = np.empty_like(X)
+    solved = np.empty(len(X), dtype=bool)
+    faces, inverse = np.unique(np.hstack([support, active]), axis=0, return_inverse=True)
+    dim = X.shape[1]
+    for f, face in enumerate(faces):
+        rows = np.nonzero(inverse == f)[0]
+        full[rows], solved[rows] = _newton(
+            calc, X[rows], np.nonzero(face[:dim])[0], np.nonzero(face[dim:])[0]
+        )
+    return full, solved
+
+
+def _polish_face_max(calc: _Calc, X: np.ndarray) -> list[Optional[np.ndarray]]:
     """Newton on the first-order system of a maximum restricted to the face
-    of x's support (all support partials equal).  When Newton fails but
-    ends on a smaller face, it is retried there, at most three times in
-    all."""
+    of each row's support (all support partials equal).  When Newton fails
+    but ends on a smaller face, the row is retried there, at most three
+    times in all.  Returns each row's polished point, or None."""
+    out: list[Optional[np.ndarray]] = [None] * len(X)
+    rows = np.arange(len(X))
     for _ in range(3):
-        support = np.nonzero(x > 1e-9)[0]
-        full, solved = _newton(calc, x, support, support)
-        nxt = _feasible(full)
-        if solved:
-            return nxt
-        if nxt is None or np.array_equal(nxt > 1e-9, x > 1e-9):
-            return None
-        x = nxt
-    return None
+        support = X > 1e-9
+        full, solved = _newton_by_face(calc, X, support, support)
+        nxt, ok = _feasible(full)
+        for i in np.nonzero(solved & ok)[0]:
+            out[rows[i]] = nxt[i]
+        retry = ~solved & ok & ((nxt > 1e-9) != support).any(axis=1)
+        if not retry.any():
+            break
+        X, rows = nxt[retry], rows[retry]
+    return out
 
 
-def _polish_maximin(calc: _Calc, x: np.ndarray) -> Optional[np.ndarray]:
+def _polish_maximin(calc: _Calc, X: np.ndarray) -> list[Optional[np.ndarray]]:
     """Newton on the maximin first-order system: the active partials (the
     ones within a tolerance of the least) all equal a common level.  Both
-    tolerances are tried; the result with the larger least partial wins."""
-    g0 = calc.grad(x[None, :])[0]
-    support = np.nonzero(x > 1e-9)[0]
-    best = None
+    tolerances are tried on every row; per row, the result with the larger
+    least partial wins.  Returns each row's polished point, or None."""
+    g0 = calc.grad(X)
+    support = X > 1e-9
+    best = np.zeros_like(X)
+    best_val = np.zeros(len(X))
+    have = np.zeros(len(X), dtype=bool)
     for active_tol in (1e-8, 1e-4):
-        active = np.nonzero(g0 <= g0.min() + active_tol)[0]
-        cand = _feasible(_newton(calc, x, support, active)[0])
-        if cand is not None:
-            val = calc.grad(cand[None, :])[0].min()
-            if best is None or val > best[0]:
-                best = (val, cand)
-    return None if best is None else best[1]
+        active = g0 <= g0.min(axis=1, keepdims=True) + active_tol
+        cand, ok = _feasible(_newton_by_face(calc, X, support, active)[0])
+        val = calc.grad(cand).min(axis=1)
+        take = ok & (~have | (val > best_val))
+        best[take], best_val[take] = cand[take], val[take]
+        have |= take
+    return [b if h else None for b, h in zip(best, have)]
 
 
 # -- the driver ----------------------------------------------------------------
@@ -405,22 +473,26 @@ def _closed_form(pattern: Pattern) -> Optional[tuple[Fraction, Fraction, Fractio
 
 
 def _select(
-    candidates: list[np.ndarray], score: Callable[[np.ndarray], float]
+    candidates: np.ndarray, score: Callable[[np.ndarray], float]
 ) -> tuple[float, tuple[float, ...], list[tuple[float, ...]]]:
-    scored = sorted(
-        ((score(c), tuple(float(v) for v in c)) for c in candidates),
-        key=lambda t: (-t[0], t[1]),
-    )
-    best_val, best_arg = scored[0]
-    witnesses: list[tuple[float, ...]] = []
-    for val, arg in scored:
-        if val < best_val - VALUE_WINDOW:
+    """The best score, its point (ties go to the lexicographically smallest)
+    and, best first, the distinct points scoring within ``VALUE_WINDOW`` of
+    it: a point is distinct when it lies more than ``WITNESS_TOL`` (max norm)
+    from every distinct point before it."""
+    vals = [score(c) for c in candidates]
+    args = [tuple(c) for c in candidates.tolist()]
+    order = sorted(range(len(vals)), key=lambda i: (-vals[i], args[i]))
+    best_val = vals[order[0]]
+    witnesses = np.empty_like(candidates)
+    kept: list[int] = []
+    for i in order:
+        if vals[i] < best_val - VALUE_WINDOW:
             break
-        if all(
-            max(abs(a - b) for a, b in zip(arg, w)) > WITNESS_TOL for w in witnesses
-        ):
-            witnesses.append(arg)
-    return best_val, best_arg, witnesses
+        dist = np.abs(witnesses[: len(kept)] - candidates[i]).max(axis=1)
+        if (dist > WITNESS_TOL).all():
+            witnesses[len(kept)] = candidates[i]
+            kept.append(i)
+    return best_val, args[order[0]], [args[i] for i in kept]
 
 
 _LAMBDA, _PHI = 0, 1  # which entry of the closed-form table a run reports
@@ -433,11 +505,11 @@ def _optimize(
     cfg: OptConfig,
     which: int,
     stages: Callable[[_Calc], list[_Stage]],
-    polish: Callable[[_Calc, np.ndarray], Optional[np.ndarray]],
+    polish: Callable[[_Calc, np.ndarray], list[Optional[np.ndarray]]],
     score: Callable[[Pattern, np.ndarray], float],
 ) -> OptReport:
     """One multistart run: ascend all restarts through ``stages``, polish
-    each, and report the best ``score`` with its distinct near-optimal
+    them all, and report the best ``score`` with its distinct near-optimal
     points as witnesses, ties broken toward the lexicographically smallest
     point."""
     u = SimplexPoint.uniform(pattern.num_vertices)
@@ -451,14 +523,14 @@ def _optimize(
 
     calc = _Calc(pattern)
     X = _starts(pattern.num_vertices, cfg.restarts, cfg.seed)
-    for value_fn, grad_fn, max_iter in stages(calc):
-        X, conv = _ascend(value_fn, grad_fn, X, max_iter)
-    polished = [p for p in (polish(calc, x) for x in X) if p is not None]
+    for evaluate, max_iter in stages(calc):
+        X, conv = _ascend(evaluate, X, max_iter)
+    polished = [p for p in polish(calc, X) if p is not None]
     _log.debug(
         _RUN_RECORD, _NAMES[which], pattern, "numeric", len(X), conv.sum(), len(polished)
     )
     best_val, best_arg, witnesses = _select(
-        [*X, *polished], lambda c: score(pattern, c)
+        np.vstack([X, *polished]), lambda c: score(pattern, c)
     )
     if not (bool(conv.any()) or polished):
         raise NumericFailure(f"{_NAMES[which]} ascent did not converge", best_val)

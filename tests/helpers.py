@@ -250,3 +250,190 @@ def reference_calc(pattern: Pattern) -> _ReferenceCalc:
     """Value, gradient and Hessian evaluator with ``value``, ``grad`` and
     ``hess`` methods, computed the direct way."""
     return _ReferenceCalc(pattern)
+
+
+# -- reference optimizer driver ----------------------------------------------------
+# The simplex optimizer as it ran before its stages were batched: an ascent
+# that evaluates the objective at every trial point and its gradient again at
+# every accepted one, a Newton polish of one restart at a time with a
+# single-row evaluation and solve per step, and witness selection by Python
+# comparisons.  It shares the evaluator, the starts, the projection, the
+# closed forms and the tolerances with ``linkclust.lagrangian``.
+
+
+def _reference_ascend(value_fn, grad_fn, X, max_iter):
+    from linkclust.lagrangian import GRAD_TOL, STEP_INIT, _project_rows
+
+    R = X.shape[0]
+    step = np.full(R, STEP_INIT)
+    f = value_fn(X)
+    converged = np.zeros(R, dtype=bool)
+    for _ in range(max_iter):
+        G = grad_fn(X)
+        Y = _project_rows(X + step[:, None] * G)
+        fY = value_fn(Y)
+        disp = np.max(np.abs(Y - X), axis=1)
+        converged |= disp <= GRAD_TOL * np.maximum(step, 1e-300)
+        better = fY > f
+        X = np.where(better[:, None], Y, X)
+        f = np.where(better, fY, f)
+        step = np.where(better, np.minimum(step * 1.25, 4.0), step * 0.5)
+        converged |= step < 1e-13
+        if converged.all():
+            break
+    return X, converged
+
+
+def _reference_stages(calc, which):
+    from linkclust.lagrangian import MAX_ITER, SOFTMIN_BETAS
+
+    if which == 0:
+        return [(calc.value, calc.grad, MAX_ITER)]
+    stages = []
+    for beta in SOFTMIN_BETAS:
+
+        def value_fn(Z, b=beta):
+            g = calc.grad(Z)
+            m = g.min(axis=1)
+            return m - np.log(np.exp(-b * (g - m[:, None])).sum(axis=1)) / b
+
+        def grad_fn(Z, b=beta):
+            g, H = calc.grad_hess(Z)
+            w = np.exp(-b * (g - g.min(axis=1, keepdims=True)))
+            w /= w.sum(axis=1, keepdims=True)
+            return np.einsum("rk,rkj->rj", w, H)
+
+        stages.append((value_fn, grad_fn, MAX_ITER // len(SOFTMIN_BETAS)))
+    return stages
+
+
+def _reference_feasible(x):
+    if np.min(x) < -1e-9:
+        return None
+    x = np.maximum(x, 0.0)
+    s = x.sum()
+    if s <= 0 or abs(s - 1.0) > 1e-6:
+        return None
+    return x / s
+
+
+def reference_newton(calc, x, support, active):
+    """Newton on one row: the ``active`` partials equal, the ``support``
+    coordinates sum to one.  Returns (last iterate, solved)."""
+    a, s = len(active), len(support)
+    y = x[support]
+    solved = False
+    for _ in range(40):
+        full = np.zeros_like(x)
+        full[support] = y
+        g, H = calc.grad_hess(full[None, :])
+        g, H = g[0][active], H[0][np.ix_(active, support)]
+        F = np.concatenate([g - g.mean(), [y.sum() - 1.0]])
+        if np.max(np.abs(F)) < 1e-13:
+            solved = True
+            break
+        J = np.zeros((a + 1, s + 1))
+        J[:a, :s] = H
+        J[:a, s] = -1.0
+        J[a, :s] = 1.0
+        try:
+            if a == s:
+                delta = np.linalg.solve(J, -F)
+            else:
+                delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        except np.linalg.LinAlgError:
+            delta, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 10.0:
+            break
+        y = y + delta[:s]
+        if np.min(y) < -1e-6:
+            break
+    full = np.zeros_like(x)
+    full[support] = y
+    return full, solved
+
+
+def reference_polish_face_max(calc, x):
+    """One row's face polish with up to three passes, or None."""
+    for _ in range(3):
+        support = np.nonzero(x > 1e-9)[0]
+        full, solved = reference_newton(calc, x, support, support)
+        nxt = _reference_feasible(full)
+        if solved:
+            return nxt
+        if nxt is None or np.array_equal(nxt > 1e-9, x > 1e-9):
+            return None
+        x = nxt
+    return None
+
+
+def reference_polish_maximin(calc, x):
+    """One row's maximin polish at both active tolerances, or None."""
+    g0 = calc.grad(x[None, :])[0]
+    support = np.nonzero(x > 1e-9)[0]
+    best = None
+    for active_tol in (1e-8, 1e-4):
+        active = np.nonzero(g0 <= g0.min() + active_tol)[0]
+        cand = _reference_feasible(reference_newton(calc, x, support, active)[0])
+        if cand is not None:
+            val = calc.grad(cand[None, :])[0].min()
+            if best is None or val > best[0]:
+                best = (val, cand)
+    return None if best is None else best[1]
+
+
+def reference_select(candidates, score):
+    """(best score, its point, witnesses) by sorting and Python comparisons."""
+    from linkclust.lagrangian import VALUE_WINDOW, WITNESS_TOL
+
+    scored = sorted(
+        ((score(c), tuple(float(v) for v in c)) for c in candidates),
+        key=lambda t: (-t[0], t[1]),
+    )
+    best_val, best_arg = scored[0]
+    witnesses = []
+    for val, arg in scored:
+        if val < best_val - VALUE_WINDOW:
+            break
+        if all(max(abs(a - b) for a, b in zip(arg, w)) > WITNESS_TOL for w in witnesses):
+            witnesses.append(arg)
+    return best_val, best_arg, witnesses
+
+
+def reference_optimize(pattern, cfg, which, *_ignored):
+    """Drop-in for ``linkclust.lagrangian._optimize`` (uncached) built on the
+    per-row references above; ``which`` 0 is λ, 1 is φ."""
+    from fractions import Fraction
+
+    from linkclust import NumericFailure, OptReport, SimplexPoint
+    from linkclust.lagrangian import _Calc, _closed_form, _starts
+    from linkclust.patterns import lagrange_eval, lagrange_grad
+
+    u = SimplexPoint.uniform(pattern.num_vertices)
+    if not pattern.edges:
+        return OptReport(0.0, u, 0, True, (u,), Fraction(0))
+    closed = _closed_form(pattern) if cfg.closed_forms else None
+    if closed is not None:
+        return OptReport(float(closed[which]), u, 0, True, (u,), closed[which])
+    calc = _Calc(pattern)
+    X = _starts(pattern.num_vertices, cfg.restarts, cfg.seed)
+    for value_fn, grad_fn, max_iter in _reference_stages(calc, which):
+        X, conv = _reference_ascend(value_fn, grad_fn, X, max_iter)
+    polish = reference_polish_maximin if which else reference_polish_face_max
+    polished = [p for p in (polish(calc, x) for x in X) if p is not None]
+    if which:
+        score = lambda c: min(lagrange_grad(pattern, c))  # noqa: E731
+    else:
+        score = lambda c: lagrange_eval(pattern, c)  # noqa: E731
+    best_val, best_arg, witnesses = reference_select([*X, *polished], score)
+    if not (bool(conv.any()) or polished):
+        name = ("simplex", "maximin")[which]
+        raise NumericFailure(f"{name} ascent did not converge", best_val)
+    return OptReport(
+        value=best_val,
+        argmax=SimplexPoint.normalized(best_arg),
+        restarts_used=X.shape[0],
+        converged=True,
+        witness_set=tuple(SimplexPoint.normalized(w) for w in witnesses),
+        value_exact=None,
+    )

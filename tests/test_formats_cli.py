@@ -403,6 +403,36 @@ class TestCli:
         assert run_cli(["decide", "kcolor", "--host", str(bad), "--l", "3"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "option", [["--opt-seed", "-1"], ["--restarts", "0"], ["--restarts", "-3"]]
+    )
+    @pytest.mark.parametrize("command", ["lagrangian", "phi", "rigidity", "decide shom"])
+    def test_invalid_optimizer_options_are_3(self, tmp_path, capsys, command, option):
+        path = tmp_path / "c5.txt"
+        path.write_text(serialize_pattern(Pattern.cycle(5)))
+        argv = [*command.split(), "--pattern", str(path), *option]
+        if command == "decide shom":
+            host = tmp_path / "host.txt"
+            host.write_text(serialize_hypergraph(pattern_blowup(Pattern.cycle(5), [2] * 5)))
+            argv += ["--host", str(host)]
+        assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("linkclust: error: ")
+        assert "Traceback" not in captured.err
+
+    def test_restarts_above_the_memory_cap_are_3(self, tmp_path, capsys, monkeypatch):
+        import importlib
+
+        monkeypatch.setattr(importlib.import_module("linkclust.lagrangian"), "MAX_BATCH_BYTES", 800)
+        path = tmp_path / "c5.txt"
+        path.write_text(serialize_pattern(Pattern.cycle(5)))
+        argv = ["lagrangian", "--pattern", str(path), "--opt-seed", "70003", "--restarts"]
+        assert run_cli(argv + ["5"]) == 3
+        assert "MAX_BATCH_BYTES = 800" in capsys.readouterr().err
+        assert run_cli(argv + ["4"]) == 0
+        capsys.readouterr()
+
     def test_report_is_reproducible(self, turan_file, capsys):
         argv = ["decide", "kcolor", "--host", turan_file, "--l", "3"]
         run_cli(argv)

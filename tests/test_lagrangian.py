@@ -31,7 +31,14 @@ from linkclust import (
     rigidity_report,
     serialize_pattern,
 )
-from helpers import interior_points, reference_calc
+from helpers import (
+    interior_points,
+    reference_calc,
+    reference_optimize,
+    reference_polish_face_max,
+    reference_polish_maximin,
+    reference_select,
+)
 
 # the module, not the function of the same name that the package exports
 lagrangian_module = importlib.import_module("linkclust.lagrangian")
@@ -181,6 +188,10 @@ class TestRigidity:
         assert not rep.rigid
 
 
+def _k4_3_pattern():
+    return Pattern.from_multisets(3, 4, list(itertools.combinations(range(4), 3)))
+
+
 class _ConstantCalc:
     """Partials (1/64, -1/128, -1/128) and Hessian I at every point.
 
@@ -197,12 +208,107 @@ class _ConstantCalc:
         return self.grad(X), np.tile(np.eye(3), (X.shape[0], 1, 1))
 
 
+class _SingularRowCalc(_ConstantCalc):
+    """:class:`_ConstantCalc`, except that at a point with x0 = 1/2 the
+    Hessian's first two rows are equal, so that point's Newton system is
+    exactly singular."""
+
+    def grad_hess(self, X):
+        g, H = super().grad_hess(X)
+        H[X[:, 0] == 0.5, 1] = H[X[:, 0] == 0.5, 0]
+        return g, H
+
+
+def _assert_rows_match(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            _assert_same_bits(g, w)
+
+
+def _counting(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 class TestOptimizerBranches:
     def test_face_polish_retries_on_the_smaller_face(self):
         x = np.array([5 / 8, 3 / 16, 3 / 16])
-        got = lagrangian_module._polish_face_max(_ConstantCalc(), x)
+        got = lagrangian_module._polish_face_max(_ConstantCalc(), x[None, :])[0]
         assert got is not None
         np.testing.assert_allclose(got, [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
+
+    def test_retry_pass_in_a_batch(self, monkeypatch):
+        # row 0 retries on the face {1, 2} and solves there; row 1 steps
+        # below -1e-6 and is infeasible; row 2 ends unsolved on its own face
+        X = np.array([[5 / 8, 3 / 16, 3 / 16], [1 / 2, 1 / 4, 1 / 4], [3 / 4, 1 / 8, 1 / 8]])
+        calc = _ConstantCalc()
+        counts = {}
+        _counting(monkeypatch, lagrangian_module, "_newton_by_face", counts)
+        got = lagrangian_module._polish_face_max(calc, X)
+        assert counts["_newton_by_face"] == 2
+        _assert_rows_match(got, [reference_polish_face_max(calc, x) for x in X])
+        assert got[0] is not None and got[1] is None and got[2] is None
+        _assert_rows_match(lagrangian_module._polish_face_max(calc, X[1:]), got[1:])
+
+    def test_singular_row_falls_back_to_per_row_solves(self, monkeypatch):
+        # one face, three rows; the stacked solve of the first step raises on
+        # row 1, so every row of that step is solved alone
+        X = np.array([[5 / 8, 3 / 16, 3 / 16], [1 / 2, 1 / 4, 1 / 4], [3 / 4, 1 / 8, 1 / 8]])
+        calc = _SingularRowCalc()
+        counts = {}
+        _counting(monkeypatch, lagrangian_module, "_solve_one", counts)
+        got = lagrangian_module._polish_face_max(calc, X)
+        assert counts["_solve_one"] >= 3
+        _assert_rows_match(got, [reference_polish_face_max(calc, x) for x in X])
+        alone = lagrangian_module._polish_face_max(calc, X[[0, 2]])
+        _assert_rows_match([got[0], got[2]], alone)
+
+    def test_twin_pattern_batch_matches_the_per_row_polish(self, monkeypatch):
+        # vertices 2 and 3 are twins: their Jacobian rows are equal, so the
+        # stacked solve raises at some steps of this batch
+        pattern = Pattern.from_multisets(3, 4, [(1, 1, 1), (0, 0, 0), (1, 1, 2), (1, 1, 3)])
+        calc = lagrangian_module._Calc(pattern)
+        rng = np.random.default_rng(5)
+        X = np.array([0.3, 1e-7, 0.1, 0.6]) * (1 + 1e-10 * rng.standard_normal((24, 4)))
+        X /= X.sum(axis=1, keepdims=True)
+        X = np.vstack([X, interior_points(4, 8, seed=6)])
+        counts = {}
+        _counting(monkeypatch, lagrangian_module, "_solve_one", counts)
+        got = lagrangian_module._polish_face_max(calc, X)
+        assert counts.get("_solve_one", 0) > 0
+        _assert_rows_match(got, [reference_polish_face_max(calc, x) for x in X])
+        _assert_rows_match(lagrangian_module._polish_face_max(calc, X[24:]), got[24:])
+
+    def test_non_square_systems_are_solved_row_by_row(self, monkeypatch):
+        # near (a, .15, .1, .2, .25) the least partials of C5, x1 + x3 and
+        # x2 + x4, are within 1e-8 but not equal: two active against a
+        # support of five, a least-squares system; at the random points one
+        # partial is active, which is solved at once
+        pattern = Pattern.cycle(5)
+        calc = lagrangian_module._Calc(pattern)
+        tied = np.array(
+            [[a, 0.15 + 1e-9 * k, 0.1, 0.2, 0.25] for k, a in enumerate(np.linspace(0.25, 0.35, 8))]
+        )
+        X = np.vstack([tied / tied.sum(axis=1, keepdims=True), interior_points(5, 8, seed=7)])
+        shapes = []
+        original = lagrangian_module._solve_one
+
+        def spy(J, b):
+            shapes.append(J.shape)
+            return original(J, b)
+
+        monkeypatch.setattr(lagrangian_module, "_solve_one", spy)
+        got = lagrangian_module._polish_maximin(calc, X)
+        assert any(rows != cols for rows, cols in shapes)
+        _assert_rows_match(got, [reference_polish_maximin(calc, x) for x in X])
+        _assert_rows_match(lagrangian_module._polish_maximin(calc, X[1::2]), got[1::2])
 
     @pytest.mark.parametrize(
         "solve, polish, score, name",
@@ -219,15 +325,118 @@ class TestOptimizerBranches:
         monkeypatch.setattr(
             lagrangian_module,
             "_ascend",
-            lambda value_fn, grad_fn, X, *limits: (X, np.zeros(X.shape[0], dtype=bool)),
+            lambda evaluate, X, *limits: (X, np.zeros(X.shape[0], dtype=bool)),
         )
-        monkeypatch.setattr(lagrangian_module, polish, lambda calc, x: None)
+        monkeypatch.setattr(lagrangian_module, polish, lambda calc, X: [None] * len(X))
         cfg = OptConfig(restarts=3, seed=97, closed_forms=False)
         pattern = Pattern.cycle(5)
         with pytest.raises(NumericFailure, match=f"{name} ascent did not converge") as info:
             solve(pattern, cfg)
         starts = lagrangian_module._starts(5, cfg.restarts, cfg.seed)
         assert info.value.best_value == max(score(pattern, x) for x in starts)
+
+
+# -- the batched optimizer against the per-row reference --------------------------
+
+
+@st.composite
+def polish_cases(draw):
+    """A pattern (up to 10 vertices for r = 2, so that row sums of 9 or more
+    terms occur) and simplex points: random ones, some coordinates zero, and
+    the same points after a short ascent."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    dim = draw(st.integers(2, 10 if r == 2 else 5))
+    multisets = list(itertools.combinations_with_replacement(range(dim), r))
+    edges = draw(st.lists(st.sampled_from(multisets), min_size=1, max_size=14, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.dirichlet(np.ones(dim), size=8)
+    X[rng.random(X.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    X[:, 0] += X.sum(axis=1) == 0
+    return Pattern.from_multisets(r, dim, edges), X / X.sum(axis=1, keepdims=True)
+
+
+class TestBatchedOptimizer:
+    @given(case=polish_cases())
+    @example(
+        # full support of 9 vertices: each row's mean adds 9 partials, which
+        # numpy sums pairwise in one vector and in a C-contiguous row alike
+        case=(
+            Pattern.from_multisets(3, 9, list(itertools.combinations(range(9), 3))),
+            interior_points(9, 16, seed=4),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_polish_matches_the_per_row_reference(self, case):
+        pattern, X = case
+        calc = lagrangian_module._Calc(pattern)
+        lam = lagrangian_module._value_stages(calc)[0][0]
+        soft = lagrangian_module._softmin_stages(calc)[1][0]
+        for polish, reference, evaluate in (
+            (lagrangian_module._polish_face_max, reference_polish_face_max, lam),
+            (lagrangian_module._polish_maximin, reference_polish_maximin, soft),
+        ):
+            Y = np.vstack([X, lagrangian_module._ascend(evaluate, X, 200)[0]])
+            _assert_rows_match(polish(calc, Y), [reference(calc, y) for y in Y])
+
+    @given(
+        points=st.lists(
+            st.tuples(st.sampled_from([0.0, 1e-6, 2e-6, 0.5]), st.sampled_from([0.0, 1e-6, 0.25])),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example(points=[(0.0, 0.5), (1e-6, 0.5)])  # exactly WITNESS_TOL apart: not distinct
+    @settings(max_examples=60, deadline=None)
+    def test_select_matches_the_reference(self, points):
+        # scores 1e-9 apart sit exactly on the VALUE_WINDOW edge; equal
+        # scores fall back to the lexicographic order of the points
+        def score(c):
+            return float(-(c[0] + c[1]) * 1e-3)
+
+        C = np.array(points)
+        assert lagrangian_module._select(C, score) == reference_select(list(C), score)
+
+    def test_each_trial_point_is_evaluated_once(self, monkeypatch):
+        # a λ step costs one power table; a φ step one grad_hess (and its
+        # table); the ascent evaluates its start and each of its 6 steps
+        calc = lagrangian_module._Calc(Pattern.cycle(5))
+        X = lagrangian_module._starts(5, 8, seed=3)
+        counts = {}
+        for name in ("_table", "value", "grad", "grad_hess"):
+            _counting(monkeypatch, calc, name, counts)
+        for stages, want in (
+            (lagrangian_module._value_stages, {"_table": 7}),
+            (lagrangian_module._softmin_stages, {"_table": 7, "grad_hess": 7}),
+        ):
+            counts.clear()
+            _, converged = lagrangian_module._ascend(stages(calc)[0][0], X, 6)
+            assert not converged.all()  # no early stop: all 6 steps ran
+            assert counts == want
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            Pattern.cycle(5),
+            Pattern.cycle(4),
+            Pattern.path(3),
+            Pattern.complete_graph(4),
+            _k4_3_pattern(),
+            Pattern.from_multisets(3, 3, [(0, 0, 2), (0, 1, 2), (1, 1, 2)]),
+            Pattern.from_multisets(2, 3, [(0, 0), (0, 1), (1, 2)]),
+            Pattern.from_multisets(3, 2, [(0, 0, 1), (0, 1, 1)]),
+            Pattern.from_multisets(4, 3, [(0, 0, 0, 1), (1, 1, 2, 2), (0, 1, 2, 2)]),
+            Pattern.from_multisets(3, 4, [(1, 1, 1), (0, 0, 0), (1, 1, 2), (1, 1, 3)]),
+        ],
+        ids=["C5", "C4", "P3", "K4", "K4^(3)", "twins", "loop", "r3-loops", "r4", "twins-r3"],
+    )
+    def test_reports_match_the_per_row_driver(self, monkeypatch, pattern):
+        # the numeric path of every pattern, three seeds each; the per-row
+        # driver also ascends as before, evaluating each point twice
+        calls = (lagrangian, phi, is_minimal, rigidity_report)
+        cfgs = [OptConfig(seed=seed, closed_forms=False) for seed in (1729, 1, 2)]
+        got = [repr(call(pattern, cfg)) for cfg in cfgs for call in calls]
+        monkeypatch.setattr(lagrangian_module, "_optimize", reference_optimize)
+        assert got == [repr(call(pattern, cfg)) for cfg in cfgs for call in calls]
 
 
 # -- the batched evaluator --------------------------------------------------------
@@ -328,6 +537,30 @@ class TestCalc:
         finally:
             tracemalloc.stop()
         assert peak < 3 * per_batch
+
+
+class TestOptionLimits:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"seed": -1}, "seed"), ({"restarts": 0}, "restarts"), ({"restarts": -3}, "restarts")],
+    )
+    def test_invalid_options_are_refused(self, kwargs, match):
+        with pytest.raises(InvalidInput, match=match):
+            OptConfig(**kwargs)
+
+    def test_hessian_batch_above_the_cap_is_refused(self, monkeypatch):
+        # 4 restarts of C5 need 4 * 5 * 5 * 8 = 800 bytes of Hessians; the
+        # cap is lowered instead of asking for a real huge batch
+        monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", 800)
+        with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES = 800"):
+            lagrangian(Pattern.cycle(5), OptConfig(restarts=5, seed=70_001))
+        with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES"):
+            lagrangian_module._starts(5, 5, 70_001)
+        assert lagrangian(Pattern.cycle(5), OptConfig(restarts=4, seed=70_001)).restarts_used == 4
+
+    def test_closed_forms_need_no_batch(self, monkeypatch):
+        monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", 0)
+        assert phi(Pattern.complete_graph(3), OptConfig(seed=70_002)).value_exact == Fraction(2, 3)
 
 
 class TestDebugLog:
