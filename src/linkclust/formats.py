@@ -7,15 +7,19 @@ with repetition denoting multiplicity.  ``#`` starts a comment anywhere on a
 line; blank lines are ignored.  Serialization is canonical, so parse and
 serialize round-trip exactly.
 
-Well-formed hypergraph text is parsed in bulk: numpy counts the tokens of
-each line from the bytes, one ``np.array(text.split(), dtype=np.int64)``
-converts every token, and the ``Hypergraph`` constructor checks ranges,
-repeated vertices and duplicate edges on the whole array.  The line loop
-``_parse_hypergraph_lines`` is the reference parser.  It runs only when the
-bulk path declines an input (any error, and the rare texts the bulk path
-does not handle: non-ASCII text, line breaks other than LF and CRLF, and
-integers beyond int64), and it locates the offending line.  Serialization
-formats the whole edge array at once.
+Hypergraph text is parsed in bulk, on its bytes.  One ``bytes.translate``
+looks up the class of every byte (digit, ``+``, ``_``, blank, LF, a rare
+separator, or other); the tokens of each line are counted from the class
+array, and one ``np.fromstring`` converts every token, with no Python
+string per token.  The ``Hypergraph`` constructor checks ranges, repeated
+vertices and duplicate edges on the whole array.  When a check fails, the
+lines the arrays mark as possibly bad are checked one by one in order, so
+the error names the same line, with the same message, as the line loop
+``_parse_hypergraph_lines``.  That loop is the reference parser.  It reads
+only the texts whose bytes the bulk path declines: non-ASCII text, line
+breaks other than LF and CRLF, blanks other than space and tab, and any
+other byte outside a comment (``-`` among them), or a ``+`` or ``_`` where
+``int()`` rejects it.  Serialization formats the whole edge array at once.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Sequence
 from typing import IO
 
 import numpy as np
@@ -60,7 +65,7 @@ def _content_lines(source: str | IO[str]) -> list[tuple[int, str]]:
     return out
 
 
-def _parse_header(lines: list[tuple[int, str]], kind: str) -> tuple[int, int, int]:
+def _parse_header(lines: Sequence[tuple[int, str]], kind: str) -> tuple[int, int, int]:
     if not lines:
         raise ParseError(1, f"empty {kind} input")
     lineno, header = lines[0]
@@ -81,91 +86,210 @@ def _parse_header(lines: list[tuple[int, str]], kind: str) -> tuple[int, int, in
     return a, b, m
 
 
+def _hypergraph_header(lines: Sequence[tuple[int, str]]) -> tuple[int, int, int]:
+    r, n, m = _parse_header(lines, "hypergraph")
+    if r < 2:
+        raise ParseError(lines[0][0], f"uniformity must be at least 2, got {r}")
+    if n < 0:
+        raise ParseError(lines[0][0], "vertex count must be nonnegative")
+    return r, n, m
+
+
+def _edge_key(
+    lineno: int, line: str, r: int, n: int, seen: dict[tuple[int, ...], int]
+) -> tuple[int, ...]:
+    """The sorted vertices of one edge line, entered in ``seen``; raises the
+    line's error (token count, integer, range, repeated vertex, duplicate
+    of an earlier line in ``seen``, in that order)."""
+    parts = line.split()
+    if len(parts) != r:
+        raise ParseError(lineno, f"expected {r} vertices, got {len(parts)}")
+    try:
+        verts = tuple(int(p) for p in parts)
+    except ValueError:
+        raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
+    for v in verts:
+        if v < 0 or v >= n:
+            raise IndexOutOfRange(lineno, f"vertex {v} outside [0, {n})")
+    key = tuple(sorted(verts))
+    if len(set(key)) != r:
+        raise ParseError(lineno, f"repeated vertex in edge {line!r}")
+    if key in seen:
+        raise DuplicateEdge(lineno, f"edge {line!r} duplicates line {seen[key]}")
+    seen[key] = lineno
+    return key
+
+
 def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     """Parse the edge-list format; malformed lines raise with line numbers."""
     text = source if isinstance(source, str) else source.read()
-    hypergraph = _parse_hypergraph_bulk(text)
+    hypergraph = _parse_hypergraph_bytes(text)
     return hypergraph if hypergraph is not None else _parse_hypergraph_lines(text)
 
 
-# Line breaks of ``str.splitlines`` and whitespace of ``str.split`` in ASCII
-# other than LF, CRLF, space and tab: a text holding one is left to the line
-# loop, so the bulk path never has to agree with Python on them.
-_RARE_SEPARATORS = re.compile(r"[\r\x0b\x0c\x1c-\x1f]")
-_COMMENT = re.compile(r"#[^\n]*")
+# Byte classes of the bulk path, looked up for every byte with one
+# ``bytes.translate``.  Tokens are made of the first three.  RARE holds the
+# line breaks of ``str.splitlines`` in ASCII other than LF and CRLF, and the
+# ASCII whitespace of ``str.split`` other than space and tab; OTHER holds
+# ``#`` (comments are cut out first) and every byte ``int()`` rejects, ``-``
+# among them.
+_DIGIT, _PLUS, _UNDERSCORE, _BLANK, _LF, _RARE, _OTHER = range(7)
+_CLASS_OF = {
+    **dict.fromkeys(b"0123456789", _DIGIT),
+    ord("+"): _PLUS,
+    ord("_"): _UNDERSCORE,
+    **dict.fromkeys(b" \t", _BLANK),
+    ord("\n"): _LF,
+    **dict.fromkeys(b"\r\x0b\x0c\x1c\x1d\x1e\x1f", _RARE),
+}
+_BYTE_CLASS = bytes(_CLASS_OF.get(b, _OTHER) for b in range(256))
+_COMMENT = re.compile(rb"#[^\n]*")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _byte_classes(data: bytes) -> np.ndarray:
+    return np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
+
+
+def _neighbours(cls: np.ndarray, kind: int) -> tuple[np.ndarray, np.ndarray]:
+    """The classes of the bytes before and after each byte of class
+    ``kind``, blank beyond either end of the text."""
+    at = np.flatnonzero(cls == kind)
+    last = cls.size - 1
+    before = np.where(at > 0, cls[at - 1], _BLANK)
+    after = np.where(at < last, cls[np.minimum(at + 1, last)], _BLANK)
+    return before, after
+
+
+def _plain_tokens(cls: np.ndarray, data: bytes) -> bool:
+    """Whether every byte is a token byte, a blank or LF, and every token is
+    an integer as ``int()`` spells it in ASCII: a ``+`` opens a token and
+    precedes a digit, an ``_`` lies between two digits."""
+    if cls.size and cls.max() > _LF:
+        return False
+    if b"+" in data:
+        before, after = _neighbours(cls, _PLUS)
+        if (before < _BLANK).any() or (after != _DIGIT).any():
+            return False
+    if b"_" in data:
+        before, after = _neighbours(cls, _UNDERSCORE)
+        if (before != _DIGIT).any() or (after != _DIGIT).any():
+            return False
+    return True
+
+
+class _Lines(Sequence[tuple[int, str]]):
+    """The content lines of a comment-free text: ``(line number, stripped
+    text)`` for each line that holds a token, made on demand."""
+
+    def __init__(self, data: bytes, breaks: np.ndarray, content: np.ndarray):
+        self._data = data
+        self._breaks = breaks  # offsets of the LF bytes
+        self._content = content  # 0-based indices of the lines with tokens
+
+    def __len__(self) -> int:
+        return self._content.size
+
+    def __getitem__(self, j):
+        i = int(self._content[j])
+        start = int(self._breaks[i - 1]) + 1 if i else 0
+        end = int(self._breaks[i]) if i < self._breaks.size else len(self._data)
+        return i + 1, self._data[start:end].decode("ascii").strip()
+
+
+def _suspect_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Indices, in order, of the edge rows the line loop might reject: a
+    superset of the bad rows that holds every row equal (as a sorted key) to
+    another.  Tokens beyond int64 read as ``2**63 - 1``, so a row holding
+    that value may be in range when n is larger, and such rows may compare
+    equal here while their texts differ; the exact checks sort that out."""
+    keys = np.sort(rows, axis=1)
+    suspect = keys[:, -1] >= min(n, _INT64_MAX)
+    suspect |= (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    same = (keys[1:] == keys[:-1]).all(axis=1)
+    suspect[order[1:][same]] = True
+    suspect[order[:-1][same]] = True
+    return np.flatnonzero(suspect)
+
+
+def _parse_hypergraph_bytes(text: str) -> Hypergraph | None:
+    """The graph of a text, raising the line loop's error (class, line and
+    message) when it has one; None, to defer to the line loop, when a byte
+    is not plain (see ``_plain_tokens``).  Python objects are made only for
+    the header and for the lines that may be bad."""
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    cls = _byte_classes(data)
+    if b"#" in data:
+        if (cls == _RARE).any():  # a rare line break ends a comment too
+            return None
+        data = _COMMENT.sub(b"", data)
+        cls = _byte_classes(data)
+    if not _plain_tokens(cls, data):
+        return None
+    # tokens per line, counted from the bytes: a token starts at byte 0
+    # (unless it is blank) and at each token byte after a blank one
+    blank = cls >= _BLANK
+    first = int(cls.size > 0 and not blank[0])
+    blank_before_token = np.flatnonzero(blank[:-1] & ~blank[1:])
+    breaks = np.flatnonzero(cls == _LF)
+    del cls, blank
+    before = np.searchsorted(blank_before_token, breaks) + first
+    tokens = blank_before_token.size + first
+    per_line = np.diff(before, prepend=0, append=tokens)
+    del blank_before_token, before
+    content = np.flatnonzero(per_line)
+    lines = _Lines(data, breaks, content)
+    r, n, m = _hypergraph_header(lines)  # raises on an empty text
+    wrong = np.flatnonzero(per_line[content[1:]] != r)
+    del per_line
+    good = int(wrong[0]) if wrong.size else m  # edge lines before a miscounted one
+    # "  " would read as [0]: an empty text never gets here
+    values = np.fromstring(
+        data.replace(b"_", b"") if b"_" in data else data, dtype=np.int64, sep=" "
+    )
+    if values.size != tokens:  # cannot happen once the bytes are plain
+        return None
+    rows = values[3 : 3 + good * r].reshape(good, r) if good else values[3:3]
+    error = None
+    if good == m:
+        try:
+            return Hypergraph(r, n, rows)
+        except InvalidInput as exc:
+            error = exc
+    suspects = _suspect_rows(rows, n).tolist() if good else []
+    if good < m:
+        suspects.append(good)  # the first miscounted line, which raises
+    seen: dict[tuple[int, ...], int] = {}
+    for j in suspects:
+        _edge_key(*lines[j + 1], r, n, seen)
+    raise error  # no line is bad: the line loop's constructor raises it too
 
 
 def _parse_hypergraph_bulk(text: str) -> Hypergraph | None:
-    """The graph of a well-formed text, or None to defer to the line loop.
+    """The graph of a text whose bytes the bulk path takes, else None.
 
     Returns a graph exactly when ``_parse_hypergraph_lines`` returns the
-    same graph; every error, and every text it does not handle, is None.
+    same graph; every error, and every text the bulk path declines, is None.
     """
-    if not text.isascii():
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    if _RARE_SEPARATORS.search(text):
-        return None
-    if "#" in text:
-        text = _COMMENT.sub("", text)
-    # tokens per line, counted from the bytes: a token starts at byte 0
-    # (unless it is blank) and at each non-blank byte after a blank one
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    blank = (raw == 32) | (raw == 9) | (raw == 10)
-    first = int(raw.size > 0 and not blank[0])
-    blank_before_token = np.flatnonzero(blank[:-1] & ~blank[1:])
-    before = np.searchsorted(blank_before_token, np.flatnonzero(raw == 10)) + first
-    per_line = np.diff(before, prepend=0, append=blank_before_token.size + first)
-    per_line = per_line[per_line > 0]
-    del raw, blank, blank_before_token, before  # freed before the token list exists
-    if per_line.size == 0 or per_line[0] != 3:
-        return None
     try:
-        values = np.array(text.split(), dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    r, n, m = (int(v) for v in values[:3])
-    # r < 2 and r > 62 (past the 64-bit encoding) are the constructor's errors
-    # too, but a reshape to r <= 0 or to 2**60 or more columns fails first
-    if not 2 <= r <= 62 or m != per_line.size - 1 or np.any(per_line[1:] != r):
-        return None
-    try:
-        return Hypergraph(r, n, values[3:].reshape(m, r))
+        return _parse_hypergraph_bytes(text)
     except InvalidInput:
         return None
 
 
 def _parse_hypergraph_lines(source: str | IO[str]) -> Hypergraph:
-    """The reference parser: one line at a time, naming the first bad line."""
+    """The reference parser: one line at a time, naming the first bad line.
+    It reads the texts whose bytes the bulk path declines."""
     lines = _content_lines(source)
-    r, n, _ = _parse_header(lines, "hypergraph")
-    if r < 2:
-        raise ParseError(lines[0][0], f"uniformity must be at least 2, got {r}")
-    if n < 0:
-        raise ParseError(lines[0][0], "vertex count must be nonnegative")
+    r, n, _ = _hypergraph_header(lines)
     seen: dict[tuple[int, ...], int] = {}
-    edges = []
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != r:
-            raise ParseError(lineno, f"expected {r} vertices, got {len(parts)}")
-        try:
-            verts = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError(lineno, f"non-integer vertex in {line!r}") from None
-        for v in verts:
-            if v < 0 or v >= n:
-                raise IndexOutOfRange(lineno, f"vertex {v} outside [0, {n})")
-        key = tuple(sorted(verts))
-        if len(set(key)) != r:
-            raise ParseError(lineno, f"repeated vertex in edge {line!r}")
-        if key in seen:
-            raise DuplicateEdge(
-                lineno, f"edge {line!r} duplicates line {seen[key]}"
-            )
-        seen[key] = lineno
-        edges.append(key)
+    edges = [_edge_key(lineno, line, r, n, seen) for lineno, line in lines[1:]]
     return Hypergraph(r, n, edges)
 
 

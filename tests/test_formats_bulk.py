@@ -4,8 +4,10 @@ references: the same graphs, the same errors, the same bytes."""
 import io
 import itertools
 import json
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,11 @@ from linkclust import (
     turan_graph,
 )
 from linkclust.cli import run_cli
-from linkclust.formats import _parse_hypergraph_bulk, _parse_hypergraph_lines
+from linkclust.formats import (
+    _parse_hypergraph_bulk,
+    _parse_hypergraph_bytes,
+    _parse_hypergraph_lines,
+)
 
 # Line breaks and token separators the bulk path handles, and the ones it
 # leaves to the line loop (a rare separator may be a line break inside an
@@ -163,6 +169,24 @@ def _outcome(parse, text):
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
+def _peak_per_byte(text: str) -> float:
+    """The ``tracemalloc`` peak of parsing ``text`` (graph or error), per
+    byte of the text."""
+    tracemalloc.start()
+    try:
+        try:
+            parse_hypergraph(text)
+        except ParseError:
+            pass
+        return tracemalloc.get_traced_memory()[1] / len(text)
+    finally:
+        tracemalloc.stop()
+
+
+T600 = serialize_hypergraph(turan_graph(600, 3))  # 120 000 edges on 600 vertices
+INT64_BEYOND = ["9223372036854775808", "99999999999999999999", "1" + "0" * 30]
+
+
 class TestBulkParser:
     @given(edge_list_texts())
     @settings(max_examples=400, deadline=None)
@@ -226,6 +250,153 @@ class TestBulkParser:
             tracemalloc.stop()
         assert len(graph) == 120_000
         assert peak <= 30 * len(text)
+
+    @given(edge_list_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_names_the_line_loops_error_itself(self, case):
+        # a text of plain bytes never reaches the line loop: the bulk path
+        # returns the graph or raises the error with its class, line and message
+        text, _, plain = case
+        outside_comments = re.sub(r"#[^\n]*", "", text)
+        if plain and not re.search(r"[^0-9+_ \t\r\n]", outside_comments):
+            expected = _outcome(_parse_hypergraph_lines, text)
+            assert _outcome(_parse_hypergraph_bytes, text) == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # the first bad line wins, whatever its fault
+            "2 4 4\n0 1\n1 2\n0 1 2\n2 2\n",
+            "2 4 4\n0 1\n1 2\n2 2\n0 1 2\n",
+            "2 4 4\n0 1\n3 3\n1 0\n0 9\n",
+            "2 4 4\n0 1\n0 9\n1 0\n3 3\n",
+            "2 4 3\n0 1\n1 2\n0 1 2\n",
+            "2 4 3\n0 1 2\n0 1\n1 0\n",
+            # within a line: range (first such vertex) before repetition
+            "3 4 2\n0 1 2\n7 7 5\n",
+            "3 4 2\n0 1 2\n0 0 5\n",
+            "3 4 2\n0 1 2\n5 9 0\n",
+            # range before duplication; the duplicate names its first copy
+            "2 4 4\n0 1\n1 2\n2 1\n1 0\n",
+            "2 4 4\n# c\n\n0 1\n\t1 2 # x\n 2   1\n1 0\n",
+            "2 4 3\n0 1\n1 2\n1 4\n",
+            "2 4 3\n0 1\n1 2\n01 +0\n",
+            "2 4 2\r\n1_0 1\r\n0 1\r\n",
+        ],
+    )
+    def test_locates_errors_from_its_own_arrays(self, text):
+        expected = _outcome(_parse_hypergraph_lines, text)
+        assert isinstance(expected, tuple)
+        assert _outcome(_parse_hypergraph_bytes, text) == expected
+
+    @pytest.mark.parametrize("big", INT64_BEYOND)
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "{big} 3 1\n0 1\n",  # r: a line cannot have that many vertices
+            "{big} 3 0\n",  # r: too wide to encode
+            "2 {big} 1\n0 1\n",  # n: too many vertices to tabulate
+            "2 3 {big}\n0 1\n",  # m: not the number of edge lines
+            "2 3 1\n0 {big}\n",  # an edge: out of range
+            "2 3 1\n{big} +{big}\n",
+            "2 {big} 1\n0 {big}\n",  # a vertex equal to n
+            "2 {big} 1\n{big}0 {big}\n",
+            "2 {big}0 1\n{big} {big}\n",  # in range, and repeated
+            "2 {big}0 2\n1 {big}\n1 {big}1\n",  # read alike, and still distinct
+            "2 {big}0 3\n1 {big}\n1 {big}1\n{big} 1\n",  # a duplicate among them
+            "2 {big}0 2\n1 {big}0\n1 {big}\n",
+        ],
+    )
+    def test_tokens_beyond_int64_fail_as_in_the_line_loop(self, template, big):
+        # np.fromstring reads every one of them as 2**63 - 1, without an error
+        text = template.format(big=big)
+        expected = _outcome(_parse_hypergraph_lines, text)
+        assert isinstance(expected, tuple)
+        assert _outcome(_parse_hypergraph_bytes, text) == expected
+
+    def test_int64_max_itself_is_a_vertex_like_any_other(self):
+        big = 2**63 - 1
+        assert _outcome(_parse_hypergraph_bytes, f"2 3 1\n0 {big}\n") == (
+            IndexOutOfRange,
+            2,
+            f"line 2: vertex {big} outside [0, 3)",
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", " ", "  \t \n\t\n   ", "# only\n#comments\n", "\n# a\n  # b", "\r\n\r\n\r\n"],
+    )
+    def test_a_text_without_tokens_is_empty(self, text, monkeypatch):
+        # np.fromstring reads blanks as [0]: such a text must never reach it
+        def no_conversion(*args, **kwargs):
+            raise AssertionError("np.fromstring called on a text without tokens")
+
+        monkeypatch.setattr(np, "fromstring", no_conversion)
+        expected = (ParseError, 1, "line 1: empty hypergraph input")
+        assert _outcome(_parse_hypergraph_lines, text) == expected
+        assert _outcome(_parse_hypergraph_bytes, text) == expected
+
+    @pytest.mark.parametrize(
+        "token, plain",
+        [
+            ("++1", False),
+            ("1+2", False),
+            ("+_1", False),
+            ("_1", False),
+            ("1_", False),
+            ("0__1", False),
+            ("+0", True),
+            ("0_2", True),
+            ("1_0", True),
+            ("-0", False),
+        ],
+    )
+    def test_signs_and_underscores_as_int_reads_them(self, token, plain):
+        texts = [f"2 11 1\n{token} 1\n", f"2 11 1\n1 {token}\n", f"2 11 1\n1\t{token}"]
+        for text in texts:
+            expected = _outcome(_parse_hypergraph_lines, text)
+            assert _outcome(parse_hypergraph, text) == expected
+            if plain:
+                assert isinstance(expected, Hypergraph)
+                assert _parse_hypergraph_bulk(text) == expected
+            else:
+                assert _parse_hypergraph_bytes(text) is None
+
+    @pytest.mark.parametrize("text", ["2 3 1\n0 1 +", "2 3 1\n0 1\n+", "+"])
+    def test_a_plus_at_the_end_of_the_text_is_declined(self, text):
+        assert _parse_hypergraph_bytes(text) is None
+        assert _outcome(parse_hypergraph, text) == _outcome(_parse_hypergraph_lines, text)
+
+    @pytest.mark.parametrize("brk", ["\r", "\x0c", "\x1e"])
+    def test_a_rare_line_break_inside_a_comment_is_declined(self, brk):
+        # the line loop ends the comment there and reads a second edge line
+        text = f"2 3 1\n0 1 # x{brk}1 2\n"
+        assert _parse_hypergraph_bytes(text) is None
+        assert _outcome(parse_hypergraph, text) == _outcome(_parse_hypergraph_lines, text)
+
+    def test_declines_when_the_conversion_misses_a_token(self, monkeypatch):
+        convert = np.fromstring
+        monkeypatch.setattr(np, "fromstring", lambda *a, **k: convert(*a, **k)[:-1])
+        text = "2 3 1\n0 1\n"
+        assert _parse_hypergraph_bytes(text) is None
+        assert parse_hypergraph(text) == Hypergraph(2, 3, [(0, 1)])
+
+    def test_memory_of_the_fast_path(self):
+        # the class array, the values and the constructor's arrays, and no
+        # Python object per token: about 9x, against 18.8x with one Python
+        # string per token
+        assert _peak_per_byte(T600) <= 12
+
+    @pytest.mark.parametrize("last", ["200 0", "0 600"], ids=["duplicate", "out_of_range"])
+    def test_memory_of_an_error_on_the_last_line(self, last):
+        # "0 200" is the first edge; the line loop peaked at 38.8x the text
+        # on its duplicate
+        assert T600.split("\n")[1] == "0 200"
+        text = T600.replace(" 120000\n", " 120001\n", 1) + last + "\n"
+        with pytest.raises(ParseError) as exc:
+            parse_hypergraph(text)
+        assert exc.value.line == 120_002
+        assert _peak_per_byte(text) <= 30
 
 
 def _joined(hypergraph: Hypergraph) -> str:
