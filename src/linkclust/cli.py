@@ -64,8 +64,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):  # not on an io.StringIO
+            sys.stdin.reconfigure(encoding="utf-8")  # as files, whatever the locale
         return sys.stdin.read()
-    return Path(path).read_text()
+    return Path(path).read_text(encoding="utf-8")
+
+
+# argparse ``type=`` converters: a ValueError is a usage error (exit 64)
+def fraction(text: str) -> str:
+    try:
+        Fraction(text)  # reports echo the text as given
+    except ZeroDivisionError:
+        raise ValueError(text) from None
+    return text
+
+
+def integers(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def classes(text: str) -> list[list[int]]:
+    chunks = text.split(";") if text else []  # no classes, as without the option
+    return [[int(v) for v in chunk.split(",") if v != ""] for chunk in chunks]
 
 
 def _read_inputs(args, keys: tuple[str, ...]) -> tuple[dict[str, str], dict]:
@@ -284,9 +304,8 @@ def _cmd_gen_turan(args) -> int:
 
 def _cmd_gen_blowup(args) -> int:
     pattern = formats.parse_pattern(_read_text(args.pattern))
-    sizes = [int(s) for s in args.sizes.split(",")]
-    host = pattern_blowup(pattern, sizes)
-    return _write_instance(args, _postprocess(args, host, contiguous_classes(sizes)))
+    host = pattern_blowup(pattern, args.sizes)
+    return _write_instance(args, _postprocess(args, host, contiguous_classes(args.sizes)))
 
 
 def _cmd_gen_join(args) -> int:
@@ -307,13 +326,7 @@ def _cmd_gen_catalog(args) -> int:
 
 def _cmd_gen_perturb(args) -> int:
     host = formats.parse_hypergraph(_read_text(args.host))
-    parts = None
-    if args.classes:
-        groups = [
-            [int(v) for v in chunk.split(",") if v != ""]
-            for chunk in args.classes.split(";")
-        ]
-        parts = Partition(groups, host.n)
+    parts = Partition(args.classes, host.n) if args.classes else None
     return _write_instance(args, _postprocess(args, host, parts))
 
 
@@ -355,12 +368,11 @@ def _cmd_oracle_hom(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = bench(args.scenario, sizes, args.seed or 0, args.num_classes, args.k)
+    rows = bench(args.scenario, args.sizes, args.seed or 0, args.num_classes, args.k)
     if args.format == "json":
         report = formats.build_report(
             command="bench",
-            params={"scenario": args.scenario, "sizes": sizes, "l": args.num_classes},
+            params={"scenario": args.scenario, "sizes": args.sizes, "l": args.num_classes},
             inputs={},
             results={"rows": rows},
             seed=args.seed,
@@ -447,7 +459,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("cluster", help="ball clustering of the vertex set")
     p.add_argument("--host", default="-")
     p.add_argument("--l", type=int, required=True, dest="num_classes")
-    p.add_argument("--delta", required=True, help="radius fraction, e.g. 2/5")
+    p.add_argument("--delta", required=True, type=fraction, help="radius fraction, e.g. 2/5")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(handler=_cmd_cluster)
 
@@ -476,7 +488,7 @@ def build_parser() -> _Parser:
 
     p = gsub.add_parser("blowup", help="pattern blow-up")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated class sizes")
+    p.add_argument("--sizes", required=True, type=integers, help="comma-separated class sizes")
     _gen_common(p)
     p.set_defaults(handler=_cmd_gen_blowup)
 
@@ -499,7 +511,7 @@ def build_parser() -> _Parser:
 
     p = gsub.add_parser("perturb", help="delete or plant edges in a host")
     p.add_argument("--host", required=True)
-    p.add_argument("--classes", help="semicolon-separated classes, e.g. 0,1;2,3")
+    p.add_argument("--classes", type=classes, help="semicolon-separated classes, e.g. 0,1;2,3")
     _gen_common(p)
     p.set_defaults(handler=_cmd_gen_perturb)
 
@@ -523,7 +535,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="scaling measurements on fresh instances")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    p.add_argument("--sizes", required=True, help="comma-separated vertex counts")
+    p.add_argument("--sizes", required=True, type=integers, help="comma-separated vertex counts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--l", type=int, default=3, dest="num_classes")
     p.add_argument("--k", type=int, default=2)
@@ -542,10 +554,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(code) if code is not None else 0
     try:
         return args.handler(args)
-    except LinkclustError as exc:
-        print(f"linkclust: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except (LinkclustError, OSError, UnicodeDecodeError) as exc:
         print(f"linkclust: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

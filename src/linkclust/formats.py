@@ -7,19 +7,20 @@ with repetition denoting multiplicity.  ``#`` starts a comment anywhere on a
 line; blank lines are ignored.  Serialization is canonical, so parse and
 serialize round-trip exactly.
 
-Hypergraph text is parsed in bulk, on its bytes.  One ``bytes.translate``
-looks up the class of every byte (digit, ``+``, ``_``, blank, LF, a rare
-separator, or other); the tokens of each line are counted from the class
-array, and one ``np.fromstring`` converts every token, with no Python
-string per token.  The ``Hypergraph`` constructor checks ranges, repeated
-vertices and duplicate edges on the whole array.  When a check fails, the
-lines the arrays mark as possibly bad are checked one by one in order, so
-the error names the same line, with the same message, as the line loop
-``_parse_hypergraph_lines``.  That loop is the reference parser.  It reads
-only the texts whose bytes the bulk path declines: non-ASCII text, line
-breaks other than LF and CRLF, blanks other than space and tab, and any
-other byte outside a comment (``-`` among them), or a ``+`` or ``_`` where
-``int()`` rejects it.  Serialization formats the whole edge array at once.
+Hypergraph text is parsed in bulk, on its bytes, one byte per character:
+CRLF becomes `` \\n``, the other line breaks and whitespace of ``str`` become
+LF and space, and any other non-ASCII character ``?``, so offsets and line
+numbers stay the text's.  One ``bytes.translate`` looks up the class of
+every byte; the tokens of each line are counted from the class array, and
+one ``np.fromstring`` converts every token, with no Python string per
+token.  An odd line, one with a byte ``int()`` rejects in ASCII (a ``-``, a
+``?``, a misplaced ``+`` or ``_``), is read by ``int()`` from the text and
+its values spliced into the array.  The ``Hypergraph`` constructor checks
+ranges, repeated vertices and duplicate edges on the whole array.  When a
+check fails, the lines the arrays mark as possibly bad are checked one by
+one in order, so the error names the same line, with the same message, as
+the reference line loop in ``tests/helpers.py``.  Serialization formats the
+whole edge array at once.
 """
 
 from __future__ import annotations
@@ -120,20 +121,12 @@ def _edge_key(
     return key
 
 
-def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
-    """Parse the edge-list format; malformed lines raise with line numbers."""
-    text = source if isinstance(source, str) else source.read()
-    hypergraph = _parse_hypergraph_bytes(text)
-    return hypergraph if hypergraph is not None else _parse_hypergraph_lines(text)
-
-
-# Byte classes of the bulk path, looked up for every byte with one
-# ``bytes.translate``.  Tokens are made of the first three.  RARE holds the
-# line breaks of ``str.splitlines`` in ASCII other than LF and CRLF, and the
-# ASCII whitespace of ``str.split`` other than space and tab; OTHER holds
-# ``#`` (comments are cut out first) and every byte ``int()`` rejects, ``-``
-# among them.
-_DIGIT, _PLUS, _UNDERSCORE, _BLANK, _LF, _RARE, _OTHER = range(7)
+# Byte classes, looked up for every byte with one ``bytes.translate``.
+# Tokens are made of the first three.  ``_ascii_bytes`` rewrites RARE: the
+# ASCII line breaks of ``str.splitlines`` other than LF and CRLF, and the
+# ASCII whitespace of ``str.split`` other than space and tab.  OTHER holds
+# ``#`` (comments are cut out first) and every byte ``int()`` rejects.
+_DIGIT, _PLUS, _UNDERSCORE, _BLANK, _LF, _OTHER, _RARE = range(7)
 _CLASS_OF = {
     **dict.fromkeys(b"0123456789", _DIGIT),
     ord("+"): _PLUS,
@@ -143,48 +136,67 @@ _CLASS_OF = {
     **dict.fromkeys(b"\r\x0b\x0c\x1c\x1d\x1e\x1f", _RARE),
 }
 _BYTE_CLASS = bytes(_CLASS_OF.get(b, _OTHER) for b in range(256))
+# The line breaks of ``str.splitlines`` other than LF and CRLF, and the
+# whitespace of ``str.split`` that is neither a line break, a space nor a tab.
+_BREAK = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_SPACE = re.compile("[\x1f\xa0\u1680\u2000-\u200a\u202f\u205f\u3000]")
 _COMMENT = re.compile(rb"#[^\n]*")
-_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN, _INT64_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
 
 
 def _byte_classes(data: bytes) -> np.ndarray:
     return np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
 
 
-def _neighbours(cls: np.ndarray, kind: int) -> tuple[np.ndarray, np.ndarray]:
-    """The classes of the bytes before and after each byte of class
-    ``kind``, blank beyond either end of the text."""
+def _ascii_bytes(text: str) -> tuple[bytes, np.ndarray]:
+    """The text as one byte per character, and the class of each byte.
+
+    CRLF becomes `` \\n``, every other line break of ``str.splitlines`` LF,
+    every other whitespace of ``str.split`` a space, and every other
+    non-ASCII character ``?``.  Offsets and line numbers stay the text's."""
+    if text.isascii():
+        data = text.encode("ascii")
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b" \n")
+        cls = _byte_classes(data)
+        if cls.max(initial=0) < _RARE:
+            return data, cls
+    text = _BREAK.sub("\n", text.replace("\r\n", " \n"))
+    data = _SPACE.sub(" ", text).encode("ascii", "replace")
+    return data, _byte_classes(data)
+
+
+def _neighbours(cls: np.ndarray, kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The offsets of the bytes of class ``kind``, and the classes of the
+    bytes before and after each, blank beyond either end of the text."""
     at = np.flatnonzero(cls == kind)
     last = cls.size - 1
     before = np.where(at > 0, cls[at - 1], _BLANK)
     after = np.where(at < last, cls[np.minimum(at + 1, last)], _BLANK)
-    return before, after
+    return at, before, after
 
 
-def _plain_tokens(cls: np.ndarray, data: bytes) -> bool:
-    """Whether every byte is a token byte, a blank or LF, and every token is
-    an integer as ``int()`` spells it in ASCII: a ``+`` opens a token and
-    precedes a digit, an ``_`` lies between two digits."""
-    if cls.size and cls.max() > _LF:
-        return False
+def _odd_bytes(cls: np.ndarray, data: bytes) -> np.ndarray:
+    """Offsets of the bytes that keep a token of a comment-free text from
+    being an integer as ``int()`` spells it in ASCII: OTHER bytes, a ``+``
+    that does not open a token before a digit, an ``_`` not between digits."""
+    odd = [np.flatnonzero(cls == _OTHER)] if cls.max(initial=0) == _OTHER else []
     if b"+" in data:
-        before, after = _neighbours(cls, _PLUS)
-        if (before < _BLANK).any() or (after != _DIGIT).any():
-            return False
+        at, before, after = _neighbours(cls, _PLUS)
+        odd.append(at[np.isin(before, (_BLANK, _LF), invert=True) | (after != _DIGIT)])
     if b"_" in data:
-        before, after = _neighbours(cls, _UNDERSCORE)
-        if (before != _DIGIT).any() or (after != _DIGIT).any():
-            return False
-    return True
+        at, before, after = _neighbours(cls, _UNDERSCORE)
+        odd.append(at[(before != _DIGIT) | (after != _DIGIT)])
+    return np.concatenate(odd) if odd else np.empty(0, dtype=np.intp)
 
 
 class _Lines(Sequence[tuple[int, str]]):
-    """The content lines of a comment-free text: ``(line number, stripped
-    text)`` for each line that holds a token, made on demand."""
+    """The ``_content_lines`` of a text, made on demand: ``(line number,
+    stripped text)`` for each line that holds a token."""
 
-    def __init__(self, data: bytes, breaks: np.ndarray, content: np.ndarray):
-        self._data = data
-        self._breaks = breaks  # offsets of the LF bytes
+    def __init__(self, text: str, breaks: np.ndarray, content: np.ndarray):
+        self._text = text
+        self._breaks = breaks  # offsets of the line breaks
         self._content = content  # 0-based indices of the lines with tokens
 
     def __len__(self) -> int:
@@ -193,18 +205,18 @@ class _Lines(Sequence[tuple[int, str]]):
     def __getitem__(self, j):
         i = int(self._content[j])
         start = int(self._breaks[i - 1]) + 1 if i else 0
-        end = int(self._breaks[i]) if i < self._breaks.size else len(self._data)
-        return i + 1, self._data[start:end].decode("ascii").strip()
+        end = int(self._breaks[i]) if i < self._breaks.size else len(self._text)
+        return i + 1, self._text[start:end].split("#", 1)[0].strip()
 
 
 def _suspect_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Indices, in order, of the edge rows the line loop might reject: a
     superset of the bad rows that holds every row equal (as a sorted key) to
-    another.  Tokens beyond int64 read as ``2**63 - 1``, so a row holding
-    that value may be in range when n is larger, and such rows may compare
+    another.  Values beyond int64 read as its bounds, so a row holding
+    ``2**63 - 1`` may be in range when n is larger, and such rows may compare
     equal here while their texts differ; the exact checks sort that out."""
     keys = np.sort(rows, axis=1)
-    suspect = keys[:, -1] >= min(n, _INT64_MAX)
+    suspect = (keys[:, 0] < 0) | (keys[:, -1] >= min(n, _INT64_MAX))
     suspect |= (keys[:, 1:] == keys[:, :-1]).any(axis=1)
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
@@ -214,37 +226,39 @@ def _suspect_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(suspect)
 
 
-def _parse_hypergraph_bytes(text: str) -> Hypergraph | None:
-    """The graph of a text, raising the line loop's error (class, line and
-    message) when it has one; None, to defer to the line loop, when a byte
-    is not plain (see ``_plain_tokens``).  Python objects are made only for
-    the header and for the lines that may be bad."""
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    cls = _byte_classes(data)
+def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
+    """Parse the edge-list format; malformed lines raise with line numbers.
+
+    A bad text raises the error of its first bad line, with the class, line
+    and message of the line loop in ``tests/helpers.py``.  Python objects
+    are made only for the header, for the lines ``int()`` must read, and for
+    the lines that may be bad."""
+    text = source if isinstance(source, str) else source.read()
+    data, cls = _ascii_bytes(text)
+    text_breaks = breaks = np.flatnonzero(cls == _LF)
     if b"#" in data:
-        if (cls == _RARE).any():  # a rare line break ends a comment too
-            return None
         data = _COMMENT.sub(b"", data)
         cls = _byte_classes(data)
-    if not _plain_tokens(cls, data):
-        return None
+        breaks = np.flatnonzero(cls == _LF)
+    odd = _odd_bytes(cls, data)
+    if odd.size:  # converted as zeros, and read by int() from the text below
+        data = bytearray(data)
+        np.frombuffer(data, dtype=np.uint8)[odd] = ord("0")
+        data = bytes(data)
+        cls = _byte_classes(data)
+        odd = np.flatnonzero(np.bincount(np.searchsorted(breaks, odd)))  # their lines
     # tokens per line, counted from the bytes: a token starts at byte 0
     # (unless it is blank) and at each token byte after a blank one
     blank = cls >= _BLANK
     first = int(cls.size > 0 and not blank[0])
     blank_before_token = np.flatnonzero(blank[:-1] & ~blank[1:])
-    breaks = np.flatnonzero(cls == _LF)
     del cls, blank
     before = np.searchsorted(blank_before_token, breaks) + first
     tokens = blank_before_token.size + first
     per_line = np.diff(before, prepend=0, append=tokens)
     del blank_before_token, before
     content = np.flatnonzero(per_line)
-    lines = _Lines(data, breaks, content)
+    lines = _Lines(text, text_breaks, content)
     r, n, m = _hypergraph_header(lines)  # raises on an empty text
     wrong = np.flatnonzero(per_line[content[1:]] != r)
     del per_line
@@ -253,44 +267,30 @@ def _parse_hypergraph_bytes(text: str) -> Hypergraph | None:
     values = np.fromstring(
         data.replace(b"_", b"") if b"_" in data else data, dtype=np.int64, sep=" "
     )
-    if values.size != tokens:  # cannot happen once the bytes are plain
-        return None
     rows = values[3 : 3 + good * r].reshape(good, r) if good else values[3:3]
+    failed = []  # the odd rows int() rejects
+    for j in (np.searchsorted(content, odd) - 1).tolist():  # the header is row -1
+        try:
+            if 0 <= j < good:
+                ints = [int(v) for v in lines[j + 1][1].split()]
+                rows[j] = ints
+        except ValueError:
+            failed.append(j)
+        except OverflowError:  # beyond int64: clipped, as np.fromstring saturates
+            rows[j] = [min(max(v, _INT64_MIN), _INT64_MAX) for v in ints]
     error = None
-    if good == m:
+    if good == m and not failed:
         try:
             return Hypergraph(r, n, rows)
         except InvalidInput as exc:
             error = exc
-    suspects = _suspect_rows(rows, n).tolist() if good else []
+    suspects = sorted({*_suspect_rows(rows, n).tolist(), *failed}) if good else []
     if good < m:
         suspects.append(good)  # the first miscounted line, which raises
     seen: dict[tuple[int, ...], int] = {}
     for j in suspects:
         _edge_key(*lines[j + 1], r, n, seen)
     raise error  # no line is bad: the line loop's constructor raises it too
-
-
-def _parse_hypergraph_bulk(text: str) -> Hypergraph | None:
-    """The graph of a text whose bytes the bulk path takes, else None.
-
-    Returns a graph exactly when ``_parse_hypergraph_lines`` returns the
-    same graph; every error, and every text the bulk path declines, is None.
-    """
-    try:
-        return _parse_hypergraph_bytes(text)
-    except InvalidInput:
-        return None
-
-
-def _parse_hypergraph_lines(source: str | IO[str]) -> Hypergraph:
-    """The reference parser: one line at a time, naming the first bad line.
-    It reads the texts whose bytes the bulk path declines."""
-    lines = _content_lines(source)
-    r, n, _ = _hypergraph_header(lines)
-    seen: dict[tuple[int, ...], int] = {}
-    edges = [_edge_key(lineno, line, r, n, seen) for lineno, line in lines[1:]]
-    return Hypergraph(r, n, edges)
 
 
 def serialize_hypergraph(hypergraph: Hypergraph) -> str:

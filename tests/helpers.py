@@ -9,6 +9,18 @@ import numpy as np
 from linkclust import Hypergraph, Pattern, rng_from_seed
 
 
+def reference_parse_hypergraph(source) -> Hypergraph:
+    """The reference edge-list parser: one line at a time, a tuple and a
+    ``seen`` entry per edge, naming the first bad line."""
+    from linkclust.formats import _content_lines, _edge_key, _hypergraph_header
+
+    lines = _content_lines(source)
+    r, n, _ = _hypergraph_header(lines)
+    seen: dict[tuple[int, ...], int] = {}
+    edges = [_edge_key(lineno, line, r, n, seen) for lineno, line in lines[1:]]
+    return Hypergraph(r, n, edges)
+
+
 def is_valid_embedding(small: Hypergraph, host: Hypergraph, mapping: dict) -> bool:
     if len(set(mapping.values())) != small.n:
         return False

@@ -23,17 +23,13 @@ from linkclust import (
     turan_graph,
 )
 from linkclust.cli import run_cli
-from linkclust.formats import (
-    _parse_hypergraph_bulk,
-    _parse_hypergraph_bytes,
-    _parse_hypergraph_lines,
-)
+from helpers import reference_parse_hypergraph
 
-# Line breaks and token separators the bulk path handles, and the ones it
-# leaves to the line loop (a rare separator may be a line break inside an
-# edge line).
+# Line breaks and token separators as the writers of edge lists use them, and
+# the rarer ones of ``str.splitlines`` and ``str.split`` (a rare separator may
+# be a line break inside an edge line).
 PLAIN_BREAKS = ["\n", "\r\n"]
-RARE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2029"]
+RARE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"]
 PLAIN_BLANKS = [" ", "  ", "\t", " \t"]
 RARE_BLANKS = ["\x1f", "\xa0", "\u3000", "\r", "\x0c"]
 NON_ASCII_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
@@ -91,7 +87,7 @@ def _corrupt(draw, rows: list[list], fault: str | None) -> bool:
         elif fault == "repeated":
             rows[i][j] = rows[i][j - 1]
         elif fault == "non_integer":
-            rows[i][j] = draw(st.sampled_from(["x", "1.0", "1e0", "0x1", "--1"]))
+            rows[i][j] = draw(st.sampled_from(["x", "1.0", "1e0", "0x1", "--1", "1?2"]))
         elif fault == "duplicate":
             at = draw(st.integers(i + 1, len(rows)))
             rows.insert(at, list(draw(st.permutations(rows[i]))))
@@ -102,12 +98,12 @@ def _corrupt(draw, rows: list[list], fault: str | None) -> bool:
 @st.composite
 def edge_list_texts(draw):
     """A text in the edge-list format spelled in the ways the format allows
-    (comments, blank lines, CRLF and rarer line breaks, tabs, ``+`` and
-    leading zeros, non-ASCII digits), possibly with one fault.
+    (comments, blank lines, CRLF and rarer line breaks, tabs, ``+``, ``-0``
+    and leading zeros, non-ASCII digits, non-ASCII comments), possibly with
+    one fault.
 
-    Returns ``(text, graph, plain)``: ``graph`` is the encoded hypergraph
-    when the text has no fault, else None; ``plain`` says the text uses
-    only the spellings the bulk parser handles itself.
+    Returns ``(text, graph)``: ``graph`` is the encoded hypergraph when the
+    text has no fault, else None.
     """
     n = draw(st.integers(0, 7))
     r = draw(st.integers(2, max(2, min(4, n))))
@@ -116,12 +112,10 @@ def edge_list_texts(draw):
     rows = [[r, n, len(edges)]] + [list(draw(st.permutations(e))) for e in edges]
     faulty = _corrupt(draw, rows, draw(st.sampled_from(FAULTS)))
     rare = draw(st.booleans())  # whether rare spellings may occur at all
-    plain = True
 
     def spell(token) -> str:
-        nonlocal plain
         text = str(token)
-        ways = ["plain", "plain", "plus", "zero", "underscore"] + ["non_ascii"] * rare
+        ways = ["plain", "plain", "plus", "zero", "underscore", "minus"] + ["non_ascii"] * rare
         how = draw(st.sampled_from(ways))
         if how == "plus":
             return "+" + text
@@ -129,15 +123,14 @@ def edge_list_texts(draw):
             return "0" + text
         if how == "underscore":
             return "0_" + text
+        if how == "minus" and token == 0:
+            return "-0"
         if how == "non_ascii":
-            plain = False
             return text.translate(NON_ASCII_DIGITS)
         return text
 
     def pick(usual: list[str], unusual: list[str]) -> str:
-        nonlocal plain
         if rare and draw(st.integers(0, 4)) == 4:
-            plain = False
             return draw(st.sampled_from(unusual))
         return draw(st.sampled_from(usual))
 
@@ -151,15 +144,14 @@ def edge_list_texts(draw):
         if draw(st.booleans()):
             line = draw(st.sampled_from(["", " ", "\t"])) + line + " "
         if draw(st.integers(0, 3)) == 3:
-            comment = draw(st.sampled_from(["# edge", "#1 2 3", "##"] + ["# \xe9"] * rare))
-            plain = plain and comment.isascii()
-            line += comment
+            rare_comments = ["# \xe9", "# \U0001f600"] * rare  # UCS-1 and UCS-4 text
+            line += draw(st.sampled_from(["# edge", "#1 2 3", "##", *rare_comments]))
         lines.append(line)
     text = "".join(line + pick(PLAIN_BREAKS, RARE_BREAKS) for line in lines)
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
     graph = None if faulty else Hypergraph(r, n, edges)
-    return text, graph, plain
+    return text, graph
 
 
 def _outcome(parse, text):
@@ -184,6 +176,8 @@ def _peak_per_byte(text: str) -> float:
 
 
 T600 = serialize_hypergraph(turan_graph(600, 3))  # 120 000 edges on 600 vertices
+# a byte that keeps a text from being plain: non-ASCII, a rare break or blank
+NOT_PLAIN = re.compile(r"[^\x00-\x7f]|[\x0b\x0c\x1c-\x1f]|\r(?!\n)")
 INT64_BEYOND = ["9223372036854775808", "99999999999999999999", "1" + "0" * 30]
 
 
@@ -191,17 +185,15 @@ class TestBulkParser:
     @given(edge_list_texts())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_line_loop(self, case):
-        text, graph, plain = case
+        text, graph = case
         outcome = _outcome(parse_hypergraph, text)
-        assert outcome == _outcome(_parse_hypergraph_lines, text)
+        assert outcome == _outcome(reference_parse_hypergraph, text)
         if graph is not None:
             assert outcome == graph
-        if graph is not None and plain:
-            assert _parse_hypergraph_bulk(text) == graph
 
     def test_takes_plain_text_with_comments_crlf_and_signs(self):
         text = "# K3\r\n2 3 3\r\n\r\n+0\t1  # first\r\n00 2\r\n1 0_2\r\n"
-        assert _parse_hypergraph_bulk(text) == catalog("complete", n=3)
+        assert parse_hypergraph(text) == catalog("complete", n=3)
 
     @pytest.mark.parametrize(
         "text",
@@ -215,8 +207,17 @@ class TestBulkParser:
             "2 3 1\n0 0\n",  # an error
         ],
     )
-    def test_declines_what_the_line_loop_must_read(self, text):
-        assert _parse_hypergraph_bulk(text) is None
+    def test_rare_spellings_read_as_in_the_line_loop(self, text):
+        assert _outcome(parse_hypergraph, text) == _outcome(reference_parse_hypergraph, text)
+
+    @pytest.mark.parametrize(
+        "space", [chr(c) for c in range(0x110000) if chr(c).isspace()], ids=ascii
+    )
+    def test_every_line_break_and_blank_of_str(self, space):
+        # the line breaks of str.splitlines are whitespace of str.split too
+        for text in [f"2 3 1{space}0{space}1{space}", f"2 3 1\n0 1 #{space}1 2\n"]:
+            expected = _outcome(reference_parse_hypergraph, text)
+            assert _outcome(parse_hypergraph, text) == expected
 
     @pytest.mark.parametrize(
         "text, error, line, reason",
@@ -254,13 +255,15 @@ class TestBulkParser:
     @given(edge_list_texts())
     @settings(max_examples=400, deadline=None)
     def test_names_the_line_loops_error_itself(self, case):
-        # a text of plain bytes never reaches the line loop: the bulk path
-        # returns the graph or raises the error with its class, line and message
-        text, _, plain = case
+        # a text of plain bytes (ASCII, LF or CRLF breaks, and only digits,
+        # signs, underscores and blanks outside comments) is read from the
+        # arrays alone: the graph, or the error with its class, line and message
+        text, _ = case
         outside_comments = re.sub(r"#[^\n]*", "", text)
+        plain = not NOT_PLAIN.search(text)
         if plain and not re.search(r"[^0-9+_ \t\r\n]", outside_comments):
-            expected = _outcome(_parse_hypergraph_lines, text)
-            assert _outcome(_parse_hypergraph_bytes, text) == expected
+            expected = _outcome(reference_parse_hypergraph, text)
+            assert _outcome(parse_hypergraph, text) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -285,9 +288,9 @@ class TestBulkParser:
         ],
     )
     def test_locates_errors_from_its_own_arrays(self, text):
-        expected = _outcome(_parse_hypergraph_lines, text)
+        expected = _outcome(reference_parse_hypergraph, text)
         assert isinstance(expected, tuple)
-        assert _outcome(_parse_hypergraph_bytes, text) == expected
+        assert _outcome(parse_hypergraph, text) == expected
 
     @pytest.mark.parametrize("big", INT64_BEYOND)
     @pytest.mark.parametrize(
@@ -305,18 +308,21 @@ class TestBulkParser:
             "2 {big}0 2\n1 {big}\n1 {big}1\n",  # read alike, and still distinct
             "2 {big}0 3\n1 {big}\n1 {big}1\n{big} 1\n",  # a duplicate among them
             "2 {big}0 2\n1 {big}0\n1 {big}\n",
+            "2 3 1\n0 -{big}\n",  # read by int(): below int64
+            "2 {big}0 1\n-0 {big}\n",  # read by int(): in range
+            "2 3 1\n1 {wide}\n",  # read by int(): out of range, not the zeros converted
         ],
     )
     def test_tokens_beyond_int64_fail_as_in_the_line_loop(self, template, big):
         # np.fromstring reads every one of them as 2**63 - 1, without an error
-        text = template.format(big=big)
-        expected = _outcome(_parse_hypergraph_lines, text)
+        text = template.format(big=big, wide=big.translate(NON_ASCII_DIGITS))
+        expected = _outcome(reference_parse_hypergraph, text)
         assert isinstance(expected, tuple)
-        assert _outcome(_parse_hypergraph_bytes, text) == expected
+        assert _outcome(parse_hypergraph, text) == expected
 
     def test_int64_max_itself_is_a_vertex_like_any_other(self):
         big = 2**63 - 1
-        assert _outcome(_parse_hypergraph_bytes, f"2 3 1\n0 {big}\n") == (
+        assert _outcome(parse_hypergraph, f"2 3 1\n0 {big}\n") == (
             IndexOutOfRange,
             2,
             f"line 2: vertex {big} outside [0, 3)",
@@ -333,11 +339,11 @@ class TestBulkParser:
 
         monkeypatch.setattr(np, "fromstring", no_conversion)
         expected = (ParseError, 1, "line 1: empty hypergraph input")
-        assert _outcome(_parse_hypergraph_lines, text) == expected
-        assert _outcome(_parse_hypergraph_bytes, text) == expected
+        assert _outcome(reference_parse_hypergraph, text) == expected
+        assert _outcome(parse_hypergraph, text) == expected
 
     @pytest.mark.parametrize(
-        "token, plain",
+        "token, valid",
         [
             ("++1", False),
             ("1+2", False),
@@ -348,38 +354,27 @@ class TestBulkParser:
             ("+0", True),
             ("0_2", True),
             ("1_0", True),
-            ("-0", False),
+            ("-0", True),
+            ("x+1", False),
+            ("-+1", False),
         ],
     )
-    def test_signs_and_underscores_as_int_reads_them(self, token, plain):
+    def test_signs_and_underscores_as_int_reads_them(self, token, valid):
         texts = [f"2 11 1\n{token} 1\n", f"2 11 1\n1 {token}\n", f"2 11 1\n1\t{token}"]
         for text in texts:
-            expected = _outcome(_parse_hypergraph_lines, text)
+            expected = _outcome(reference_parse_hypergraph, text)
             assert _outcome(parse_hypergraph, text) == expected
-            if plain:
-                assert isinstance(expected, Hypergraph)
-                assert _parse_hypergraph_bulk(text) == expected
-            else:
-                assert _parse_hypergraph_bytes(text) is None
+            assert isinstance(expected, Hypergraph) == valid
 
     @pytest.mark.parametrize("text", ["2 3 1\n0 1 +", "2 3 1\n0 1\n+", "+"])
-    def test_a_plus_at_the_end_of_the_text_is_declined(self, text):
-        assert _parse_hypergraph_bytes(text) is None
-        assert _outcome(parse_hypergraph, text) == _outcome(_parse_hypergraph_lines, text)
+    def test_a_plus_at_the_end_of_the_text(self, text):
+        assert _outcome(parse_hypergraph, text) == _outcome(reference_parse_hypergraph, text)
 
-    @pytest.mark.parametrize("brk", ["\r", "\x0c", "\x1e"])
-    def test_a_rare_line_break_inside_a_comment_is_declined(self, brk):
+    @pytest.mark.parametrize("brk", ["\r", "\x0c", "\x1e", "\u2028"])
+    def test_a_rare_line_break_ends_a_comment(self, brk):
         # the line loop ends the comment there and reads a second edge line
         text = f"2 3 1\n0 1 # x{brk}1 2\n"
-        assert _parse_hypergraph_bytes(text) is None
-        assert _outcome(parse_hypergraph, text) == _outcome(_parse_hypergraph_lines, text)
-
-    def test_declines_when_the_conversion_misses_a_token(self, monkeypatch):
-        convert = np.fromstring
-        monkeypatch.setattr(np, "fromstring", lambda *a, **k: convert(*a, **k)[:-1])
-        text = "2 3 1\n0 1\n"
-        assert _parse_hypergraph_bytes(text) is None
-        assert parse_hypergraph(text) == Hypergraph(2, 3, [(0, 1)])
+        assert _outcome(parse_hypergraph, text) == _outcome(reference_parse_hypergraph, text)
 
     def test_memory_of_the_fast_path(self):
         # the class array, the values and the constructor's arrays, and no
@@ -387,16 +382,34 @@ class TestBulkParser:
         # string per token
         assert _peak_per_byte(T600) <= 12
 
-    @pytest.mark.parametrize("last", ["200 0", "0 600"], ids=["duplicate", "out_of_range"])
+    @pytest.mark.parametrize(
+        "last",
+        ["200 0", "0 600", "0 x", "0 -1", "0 1.0"],
+        ids=["duplicate", "out_of_range", "letter", "negative", "decimal"],
+    )
     def test_memory_of_an_error_on_the_last_line(self, last):
         # "0 200" is the first edge; the line loop peaked at 38.8x the text
-        # on its duplicate
+        # on its duplicate, and at 38.7x on the other bytes
         assert T600.split("\n")[1] == "0 200"
         text = T600.replace(" 120000\n", " 120001\n", 1) + last + "\n"
         with pytest.raises(ParseError) as exc:
             parse_hypergraph(text)
         assert exc.value.line == 120_002
-        assert _peak_per_byte(text) <= 30
+        assert _peak_per_byte(text) <= 12
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# \xe9\n" + T600,
+            T600.replace("\n1 599\n", "\n", 1) + "\u0661 599\n",
+            T600.replace("\n", "\r", 5),
+        ],
+        ids=["accented_comment", "non_ascii_digit", "lone_carriage_returns"],
+    )
+    def test_memory_of_rare_spellings(self, text):
+        # the line loop peaked at 45x the text on each
+        assert parse_hypergraph(text) == turan_graph(600, 3)
+        assert _peak_per_byte(text) <= 12
 
 
 def _joined(hypergraph: Hypergraph) -> str:

@@ -393,9 +393,61 @@ class TestCli:
         assert run_cli(["nonsense"]) == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cluster", "--l", "3", "--delta", "abc"],
+            ["cluster", "--l", "3", "--delta", "1/0"],
+            ["gen", "blowup", "--pattern", "p.txt", "--sizes", "a,b"],
+            ["bench", "--scenario", "kcolor", "--sizes", "x"],
+            ["gen", "perturb", "--host", "h.txt", "--classes", "x"],
+        ],
+        ids=["delta", "delta_zero_denominator", "blowup_sizes", "bench_sizes", "classes"],
+    )
+    def test_malformed_arguments_are_64(self, capsys, argv):
+        assert run_cli(argv) == 64
+        err = capsys.readouterr().err
+        assert "linkclust" in err and "error: argument" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_3(self, capsys):
         assert run_cli(["decide", "kcolor", "--host", "/no/such/file", "--l", "3"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("content", [None, b"2 3 1\n0 1 # caf\xe9\n"], ids=["directory", "latin1"])
+    def test_unreadable_input_is_3(self, tmp_path, capsys, content):
+        host = tmp_path / "host"
+        if content is None:
+            host.mkdir()
+        else:
+            host.write_bytes(content)
+        assert run_cli(["decide", "kcolor", "--host", str(host), "--l", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("linkclust: error: ")
+        assert "Traceback" not in captured.err
+
+    def test_stdin_is_read_as_utf8_like_a_file(self, tmp_path, capsys, monkeypatch):
+        import io
+
+        # stdin opened in Latin-1, as under a Latin-1 locale
+        def stdin(data: bytes):
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "latin-1"))
+
+        data = "2 3 1\r\n0 1 # caf\xe9\r\n".encode("utf-8")
+        host = tmp_path / "host.txt"
+        host.write_bytes(data)
+        argv = ["decide", "kcolor", "--l", "3", "--host"]
+        code = run_cli([*argv, str(host)])
+        from_file = json.loads(capsys.readouterr().out)["input_digests"]
+        stdin(data)
+        assert run_cli([*argv, "-"]) == code
+        assert json.loads(capsys.readouterr().out)["input_digests"] == from_file
+        stdin(b"2 3 1\n0 1 # caf\xe9\n")
+        assert run_cli([*argv, "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("linkclust: error: ")
+        assert "Traceback" not in captured.err
 
     def test_parse_error_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
