@@ -19,8 +19,11 @@ its values spliced into the array.  The ``Hypergraph`` constructor checks
 ranges, repeated vertices and duplicate edges on the whole array.  When a
 check fails, the lines the arrays mark as possibly bad are checked one by
 one in order, so the error names the same line, with the same message, as
-the reference line loop in ``tests/helpers.py``.  Serialization formats the
-whole edge array at once.
+the reference line loop in ``tests/helpers.py``.  Serialization gathers
+the text from a byte table: each vertex that occurs in an edge gets its
+digits followed by a space and by a newline, and one ``take`` by the edge
+array, ``tobytes`` and the removal of the NUL padding write every line, with
+no Python object per edge, value or vertex.
 """
 
 from __future__ import annotations
@@ -295,9 +298,32 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
 
 def serialize_hypergraph(hypergraph: Hypergraph) -> str:
     edges = hypergraph.edge_array
-    header = f"{hypergraph.r} {hypergraph.n} {len(edges)}\n"
-    line = " ".join(["%d"] * hypergraph.r) + "\n"
-    return header + (line * len(edges)) % tuple(edges.ravel().tolist())
+    header = f"{hypergraph.r} {hypergraph.n} {len(edges)}\n".encode("ascii")
+    used = np.flatnonzero(hypergraph.degrees())
+    if not used.size:
+        return header.decode("ascii")
+    # Two NUL-padded entries per used vertex: its digits, then " " in the
+    # first half of the table and "\n" in the second.  The digits are right
+    # aligned, one divmod pass per column; a column left of the leading digit
+    # sums to 0 + 0, a NUL, and the units column shows even for vertex 0.
+    u, d = used.size, len(str(int(used[-1])))
+    table = np.zeros((2, u, d + 1), dtype=np.uint8)
+    x = used
+    for col in range(d - 1, -1, -1):
+        lead = 48 * (x > 0) if col < d - 1 else 48
+        x, digit = np.divmod(x, 10)
+        table[0, :, col] = digit + lead
+    table[1] = table[0]
+    table[0, :, d] = ord(" ")
+    table[1, :, d] = ord("\n")
+    rank = np.zeros(hypergraph.n, dtype=edges.dtype)  # 2u fits the edge dtype
+    rank[used] = np.arange(u, dtype=edges.dtype)
+    idx = rank[edges]
+    del rank
+    idx[:, -1] += u
+    body = table.view(f"S{d + 1}").reshape(2 * u).take(idx)
+    del idx
+    return (header + body.data).translate(None, b"\0").decode("ascii")
 
 
 def parse_pattern(source: str | IO[str]) -> Pattern:

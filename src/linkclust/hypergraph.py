@@ -182,10 +182,12 @@ class Hypergraph:
         self._edges.setflags(write=False)
         self._edge_codes = codes
         self._deg = np.bincount(arr.ravel(), minlength=self.n)
+        self._deg.setflags(write=False)
         self._hash = None
 
         if self.r == 2:
             self._rows = self._build_rows(arr, codes)
+            self._rows.setflags(write=False)
             self._link_codes = None
             self._link_off = None
         else:
@@ -269,7 +271,8 @@ class Hypergraph:
 
     @property
     def packed_adjacency(self) -> np.ndarray:
-        """Packed adjacency bit-rows (graphs only): ``(n, ceil(n/8))`` uint8."""
+        """Packed adjacency bit-rows (graphs only): ``(n, ceil(n/8))`` uint8,
+        read-only."""
         if self.r != 2:
             raise InvalidInput("packed adjacency rows exist only for r = 2")
         return self._rows
@@ -303,6 +306,7 @@ class Hypergraph:
         return int(self._deg[self._check_vertex(v)])
 
     def degrees(self) -> np.ndarray:
+        """The degree of every vertex, as a read-only array."""
         return self._deg
 
     def min_degree(self) -> int:

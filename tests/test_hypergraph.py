@@ -228,6 +228,21 @@ class TestDegree:
             with pytest.raises(InvalidInput):
                 op()
 
+    @pytest.mark.parametrize(
+        "graph",
+        [turan_graph(6, 2), Hypergraph(2, 9000, [(0, 8999)]), TRIPLE],
+        ids=["dense_rows", "scattered_rows", "r3"],
+    )
+    def test_degrees_and_rows_are_read_only(self, graph):
+        # a caller's write would change min_degree and the serialized text
+        low = graph.min_degree()
+        with pytest.raises(ValueError):
+            graph.degrees()[graph.n - 1] = 0
+        if graph.r == 2:
+            with pytest.raises(ValueError):
+                graph.packed_adjacency[0, 0] = 0
+        assert graph.min_degree() == low
+
 
 class TestLink:
     def test_triangle_link(self):
