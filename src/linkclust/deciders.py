@@ -15,7 +15,7 @@ class for independence on the packed adjacency rows.
 
 All degree and radius comparisons are exact integer or rational arithmetic.
 The thresholds they compare against are exact only where a closed form
-exists (K_l and the single transversal edge); every other threshold is
+exists (the complete r-graphs K_l^(r)); every other threshold is
 ``Fraction(float)`` of the numeric optimizer's estimate, so a host within a
 rounding of the threshold can fall on either side of it.
 """

@@ -16,10 +16,10 @@ Every value, gradient and Hessian comes from :class:`_Calc`: monomials are
 products of gathered columns of one power table per call, and partials are
 summed in term order by index plans fixed at construction.
 
-Complete graphs and single-transversal-edge patterns bypass the numerics
-entirely through one table of exact rational closed forms, so the deciders
-built on them are float-free.  Everything else is certified only numerically
-and the reports say so.
+Complete r-graphs K_l^(r) (complete graphs and the single transversal edge
+among them) bypass the numerics entirely through one exact rational closed
+form, so the deciders built on them are float-free.  Everything else is
+certified only numerically and the reports say so.
 
 Only the restart count, the seed and the closed-form switch are options
 (:class:`OptConfig`).  The iteration budget, step size and tolerances below
@@ -33,6 +33,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -89,10 +90,11 @@ class OptConfig:
     """Options of the simplex optimizer.
 
     ``restarts`` counts independent starting points (the uniform point plus
-    Dirichlet samples drawn from ``seed``); ``closed_forms`` lets patterns
-    with a known exact value skip the numerics.  The tolerances are the
-    module constants above.  A seed below 0 or fewer than one restart is
-    refused with :class:`InvalidInput`.
+    Dirichlet samples drawn from ``seed``); ``closed_forms`` lets complete
+    r-graphs K_l^(r) skip the numerics for their exact values, and turned
+    off forces the numeric path on them too.  The tolerances are the module
+    constants above.  A seed below 0 or fewer than one restart is refused
+    with :class:`InvalidInput`.
     """
 
     restarts: int = 64
@@ -461,15 +463,15 @@ def _polish_maximin(calc: _Calc, X: np.ndarray) -> list[Optional[np.ndarray]]:
 
 
 def _closed_form(pattern: Pattern) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """(λ, φ, smallest optimal coordinate) when known exactly; the uniform
-    point is optimal for both problems."""
-    if pattern.is_complete_graph():
-        l = pattern.num_vertices
-        return Fraction(l - 1, 2 * l), Fraction(l - 1, l), Fraction(1, l)
-    if pattern.is_single_transversal_edge():
-        r = pattern.r
-        return Fraction(1, r**r), Fraction(1, r ** (r - 1)), Fraction(1, r)
-    return None
+    """(λ, φ, smallest optimal coordinate) of a complete r-graph K_l^(r) with
+    r >= 2, else None.  The uniform point is the unique optimum of both
+    problems: λ = C(l,r)/l^r by Maclaurin's inequality, and as the weighted
+    partials sum to Σ x_i ∂_i p = r·p <= r·λ, the least partial is at most
+    r·λ = C(l-1,r-1)/l^(r-1) = φ."""
+    if pattern.r < 2 or not pattern.is_complete():
+        return None
+    l, r = pattern.num_vertices, pattern.r
+    return Fraction(comb(l, r), l**r), Fraction(comb(l - 1, r - 1), l ** (r - 1)), Fraction(1, l)
 
 
 def _select(
@@ -652,12 +654,9 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
                 "partials": lagrange_grad(pattern, bad),
             }
 
-    smallest_exact: Optional[Fraction] = None
-    if rep.value_exact is not None and not pairs:
-        closed = _closed_form(pattern) if cfg.closed_forms else None
-        if closed is not None:
-            smallest_exact = closed[2]
-
+    # an exact φ without twins comes from the closed form, whose unique
+    # optimum is the uniform point
+    exact_uniform = rep.value_exact is not None and not pairs
     return RigidityReport(
         maximin=rep.value,
         smallest_coordinate=smallest,
@@ -665,5 +664,5 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
         certificate=certificate,
         witness_set=tuple(witnesses),
         maximin_exact=rep.value_exact,
-        smallest_exact=smallest_exact,
+        smallest_exact=Fraction(1, pattern.num_vertices) if exact_uniform else None,
     )

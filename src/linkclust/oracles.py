@@ -332,7 +332,7 @@ def find_homomorphism(
     if host.r != pattern.r:
         raise InvalidInput(f"uniformity mismatch: {host.r} vs {pattern.r}")
     deadline = _Deadline(budget_s)
-    if pattern.is_complete_graph():
+    if pattern.r == 2 and pattern.is_complete():
         return _hom_complete(host, pattern.num_vertices, surjective, deadline)
     return _hom_general(host, pattern, surjective, deadline)
 

@@ -221,21 +221,14 @@ class Pattern:
             return (0,) * self.num_vertices
         return tuple(int(x) for x in self._mult.max(axis=0))
 
-    def is_complete_graph(self) -> bool:
+    def is_complete(self) -> bool:
+        """The complete r-graph K_l^(r) on l >= r vertices: every edge uses
+        distinct vertices, and all C(l, r) such edges are present."""
         l = self.num_vertices
         return (
-            self.r == 2
-            and l >= 2
-            and len(self.edges) == l * (l - 1) // 2
-            and all(max(e) <= 1 for e in self.edges)
-        )
-
-    def is_single_transversal_edge(self) -> bool:
-        """One edge using every vertex exactly once (forces l == r)."""
-        return (
-            self.num_vertices == self.r
-            and len(self.edges) == 1
-            and self.edges[0] == (1,) * self.r
+            l >= self.r
+            and len(self.edges) == math.comb(l, self.r)
+            and int(self._mult.max()) <= 1
         )
 
     def link_multisets(self, i: int) -> tuple[tuple[int, ...], ...]:

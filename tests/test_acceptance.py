@@ -284,7 +284,7 @@ def test_criterion_7_rigidity_classification():
                 top - lagrangian_grid(pattern.vertex_deleted(i), 60) > 1e-7
                 for i in range(n)
             )
-            complete = pattern.is_complete_graph()
+            complete = pattern.is_complete()
             assert by_optimizer == by_grid == complete
             checked += 1
     _report("C7", f"{checked} graphs classified; minimal iff complete")

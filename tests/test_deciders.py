@@ -1,5 +1,6 @@
 """Decider tests: spec-level examples, fallbacks, witnesses, work counters."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -106,6 +107,21 @@ class TestDecideHomMinimal:
         d = decide_hom_minimal(bad, Pattern.single_edge(3))
         assert d.verdict is Verdict.NO
         assert d.violating_edge == planted_edge(base, bad)
+
+    def test_k4_3_blowup_at_the_exact_boundary(self):
+        # min degree 1875 = (3 * 1/16) * 100^2: refused while the threshold
+        # was Fraction(float) of a numeric λ that rounds up
+        k4_3 = Pattern.from_multisets(3, 4, list(itertools.combinations(range(4), 3)))
+        parts = contiguous_classes((25,) * 4)
+        host = pattern_blowup(k4_3, (25,) * 4)
+        assert host.min_degree() == 1875
+        d = decide_hom_minimal(host, k4_3)
+        assert d.verdict is Verdict.YES
+        assert d.partition.nonempty_class_sets() == parts.nonempty_class_sets()
+        bad = plant_violation(host, parts, 4)
+        d = decide_hom_minimal(bad, k4_3)
+        assert d.verdict is Verdict.NO
+        assert d.violating_edge == planted_edge(host, bad)
 
     def test_small_host_fallback(self):
         host = pattern_blowup(Pattern.single_edge(3), (2, 2, 2))

@@ -220,6 +220,16 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "yes"
 
+    def test_decide_hom_k4_3_blowup(self, tmp_path, capsys):
+        k4_3 = Pattern.from_multisets(3, 4, list(itertools.combinations(range(4), 3)))
+        hpath, ppath = tmp_path / "host.txt", tmp_path / "k4_3.txt"
+        hpath.write_text(serialize_hypergraph(pattern_blowup(k4_3, (25,) * 4)))
+        ppath.write_text(serialize_pattern(k4_3))
+        assert run_cli(["decide", "hom", "--host", str(hpath), "--pattern", str(ppath)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "yes"
+        assert report["params"]["eps"] == 0.0
+
     @pytest.mark.parametrize(
         "host, code",
         [

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -46,13 +47,26 @@ lagrangian_module = importlib.import_module("linkclust.lagrangian")
 CFG = OptConfig()
 NUMERIC = OptConfig(closed_forms=False)
 
+# the complete r-graphs K_l^(r) for r = 2..5 and l = r..r+2: complete graphs
+# for r = 2, the single transversal edge for l = r
+COMPLETE = [(r, l) for r in range(2, 6) for l in range(r, r + 3)]
+
+
+def _complete(r, l):
+    return Pattern.from_multisets(r, l, list(itertools.combinations(range(l), r)))
+
 
 class TestLagrangian:
-    @pytest.mark.parametrize("num", [2, 3, 4, 5, 6])
-    def test_complete_graph_closed_form(self, num):
-        rep = lagrangian(Pattern.complete_graph(num), CFG)
-        assert rep.value_exact == Fraction(num - 1, 2 * num)
-        assert rep.value == pytest.approx((num - 1) / (2 * num), abs=1e-12)
+    @pytest.mark.parametrize("r, l", COMPLETE, ids=[f"r{r}-l{l}" for r, l in COMPLETE])
+    def test_complete_graph_closed_form(self, r, l):
+        pattern = _complete(r, l)
+        exact = Fraction(math.comb(l, r), l**r)
+        rep = lagrangian(pattern, CFG)
+        assert rep.value_exact == exact and rep.value == float(exact)
+        assert rep.argmax == SimplexPoint.uniform(l) and rep.witness_set == (rep.argmax,)
+        assert abs(lagrangian(pattern, NUMERIC).value - exact) <= 1e-9
+        # the grid of resolution 2l contains the uniform point
+        assert lagrangian_grid(pattern, 2 * l) == pytest.approx(float(exact), abs=1e-15)
 
     @pytest.mark.parametrize("num", [2, 3, 4, 5, 6])
     def test_optimizer_agrees_with_closed_form(self, num):
@@ -61,9 +75,35 @@ class TestLagrangian:
         assert abs(rep.value - (num - 1) / (2 * num)) <= 1e-6
         assert rep.converged and rep.restarts_used == NUMERIC.restarts
 
-    def test_single_transversal(self):
-        assert lagrangian(Pattern.single_edge(3), CFG).value_exact == Fraction(1, 27)
-        assert abs(lagrangian(Pattern.single_edge(3), NUMERIC).value - 1 / 27) <= 1e-6
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            # every point of the simplex is optimal, so 1/l is no smallest coordinate
+            Pattern.from_multisets(1, 3, [(0,), (1,), (2,)]),
+            Pattern.from_multisets(3, 5, list(itertools.combinations(range(5), 3))[1:]),
+            Pattern.from_multisets(2, 3, [(0, 1), (0, 2), (1, 2), (0, 0)]),
+            # as many edges as K3, but one of them a loop
+            Pattern.from_multisets(2, 3, [(0, 0), (0, 1), (0, 2)]),
+            Pattern.from_multisets(3, 4, [*itertools.combinations(range(4), 3), (0, 0, 1)]),
+            # fewer vertices than the uniformity: empty, so exactly 0
+            Pattern(3, 2, []),
+            Pattern(4, 3, []),
+        ],
+        ids=[
+            "r1",
+            "K5^(3)-minus-an-edge",
+            "K3-plus-a-loop",
+            "K3-loop-for-an-edge",
+            "K4^(3)-plus-001",
+            "r3-l2",
+            "r4-l3",
+        ],
+    )
+    def test_patterns_off_the_closed_form(self, pattern):
+        expected = None if pattern.edges else 0
+        assert lagrangian(pattern, CFG).value_exact == expected
+        assert phi(pattern, CFG).value_exact == expected
+        assert rigidity_report(pattern, CFG).smallest_exact is None
 
     def test_empty_pattern(self):
         rep = lagrangian(Pattern(2, 4, []), CFG)
@@ -85,10 +125,16 @@ class TestLagrangian:
 
 
 class TestPhi:
-    @pytest.mark.parametrize("num", [2, 3, 4, 5, 6])
-    def test_complete_graph_closed_form(self, num):
-        rep = phi(Pattern.complete_graph(num), CFG)
-        assert rep.value_exact == Fraction(num - 1, num)
+    @pytest.mark.parametrize("r, l", COMPLETE, ids=[f"r{r}-l{l}" for r, l in COMPLETE])
+    def test_complete_graph_closed_form(self, r, l):
+        pattern = _complete(r, l)
+        exact = Fraction(math.comb(l - 1, r - 1), l ** (r - 1))
+        rep = phi(pattern, CFG)
+        assert rep.value_exact == exact and rep.value == float(exact)
+        assert abs(phi(pattern, NUMERIC).value - exact) <= 1e-9
+        rig = rigidity_report(pattern, CFG)
+        assert rig.rigid and rig.maximin_exact == exact and rig.smallest_exact == Fraction(1, l)
+        assert phi_grid(pattern, l) == pytest.approx(float(exact), abs=1e-15)
 
     def test_optimizer_matches_closed_forms(self):
         assert abs(phi(Pattern.complete_graph(3), NUMERIC).value - 2 / 3) <= 1e-6
@@ -569,14 +615,19 @@ class TestDebugLog:
         cfg = OptConfig(restarts=4, seed=60_013)
         lagrangian(Pattern.cycle(5), cfg)
         phi(Pattern.complete_graph(3), cfg)
+        lagrangian(_k4_3_pattern(), cfg)
         lagrangian(Pattern(2, 3, []), cfg)
         lagrangian(Pattern.cycle(5), cfg)  # cached: no new run
         records = [r for r in caplog.records if r.name.startswith("linkclust")]
-        assert [r.levelno for r in records] == [logging.DEBUG] * 3
-        numeric, closed, empty = (r.getMessage() for r in records)
+        assert [r.levelno for r in records] == [logging.DEBUG] * 4
+        numeric, closed, closed_k4_3, empty = (r.getMessage() for r in records)
         assert numeric.startswith("simplex of Pattern(r=2, num_vertices=5, edges=5): ")
         assert "numeric path, 4 restarts, " in numeric
         assert closed.endswith("closed-form path, 0 restarts, 0 converged, 0 polished")
+        assert closed_k4_3 == (
+            "simplex of Pattern(r=3, num_vertices=4, edges=4): "
+            "closed-form path, 0 restarts, 0 converged, 0 polished"
+        )
         assert empty.endswith("empty path, 0 restarts, 0 converged, 0 polished")
 
     def test_cli_is_silent_by_default(self, tmp_path):

@@ -84,10 +84,13 @@ class TestPatternType:
         assert mid_removed.edges == ()
 
     def test_structure_predicates(self):
-        assert Pattern.complete_graph(3).is_complete_graph()
-        assert not Pattern.cycle(4).is_complete_graph()
-        assert Pattern.single_edge(4).is_single_transversal_edge()
-        assert not MULTI.is_single_transversal_edge()
+        assert Pattern.complete_graph(3).is_complete()
+        assert not Pattern.cycle(4).is_complete()
+        assert Pattern.single_edge(4).is_complete()
+        assert not MULTI.is_complete()
+        assert not Pattern(3, 2, []).is_complete()
+        assert not Pattern.from_multisets(2, 3, [(0, 0), (0, 1), (0, 2)]).is_complete()
+        assert Pattern.from_multisets(1, 3, [(0,), (1,), (2,)]).is_complete() is True
         assert MULTI.max_multiplicities() == (2, 1)
 
 
