@@ -166,6 +166,10 @@ def _finish_decision(
     return _VERDICT_EXIT[decision.verdict.value]
 
 
+def _oracle_cfg(args) -> DeciderConfig:
+    return DeciderConfig(strict=args.strict, oracle_budget_s=args.oracle_budget)
+
+
 def _decider_cfg(args) -> DeciderConfig:
     return DeciderConfig(
         eps=args.eps,
@@ -176,23 +180,26 @@ def _decider_cfg(args) -> DeciderConfig:
     )
 
 
-def _add_common(p: argparse.ArgumentParser, pattern: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, oracle: bool = True, calibrated: bool = True) -> None:
+    """Options of a ``decide`` subcommand: I/O, then those of the oracle
+    fallback and those of a pattern and its calibration, if it reads them."""
     p.add_argument("--host", default="-", help="host hypergraph file, '-' for stdin")
-    if pattern:
-        p.add_argument("--pattern", required=True, help="pattern file")
-    p.add_argument("--eps", type=float, default=0.0, help="accepted threshold slack")
-    p.add_argument("--n-small", type=int, default=None, dest="n_small")
-    p.add_argument(
-        "--strict",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="refuse sub-threshold inputs instead of falling back to the oracle",
-    )
-    p.add_argument("--oracle-budget", type=float, default=60.0, dest="oracle_budget")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--opt-seed", type=int, default=1729, dest="opt_seed")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--seed", type=int, default=None, help="recorded in the report")
+    if oracle:
+        p.add_argument(
+            "--strict",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="refuse sub-threshold inputs instead of falling back to the oracle",
+        )
+        p.add_argument("--oracle-budget", type=float, default=60.0, dest="oracle_budget")
+    if calibrated:
+        p.add_argument("--pattern", required=True, help="pattern file")
+        p.add_argument("--eps", type=float, default=0.0, help="accepted threshold slack")
+        p.add_argument("--n-small", type=int, default=None, dest="n_small")
+        p.add_argument("--restarts", type=int, default=64)
+        p.add_argument("--opt-seed", type=int, default=1729, dest="opt_seed")
 
 
 # -- decide ----------------------------------------------------------------------
@@ -400,18 +407,18 @@ def build_parser() -> _Parser:
     dsub = decide.add_subparsers(dest="decider", required=True)
 
     p = dsub.add_parser("kcolor", help="colorability under minimum degree")
-    _add_common(p)
+    _add_common(p, calibrated=False)
     p.add_argument("--l", type=int, required=True, dest="num_classes")
     p.set_defaults(
         decide=_Decide(
             ("host",),
-            lambda a: {"l": a.num_classes, "eps": a.eps, "strict": a.strict},
-            lambda a, x: decide_k_colorable(x["host"], a.num_classes, _decider_cfg(a)),
+            lambda a: {"l": a.num_classes, "strict": a.strict},
+            lambda a, x: decide_k_colorable(x["host"], a.num_classes, _oracle_cfg(a)),
         )
     )
 
     p = dsub.add_parser("hom", help="pattern colorability (minimal pattern)")
-    _add_common(p, pattern=True)
+    _add_common(p)
     p.set_defaults(
         decide=_Decide(
             ("host", "pattern"),
@@ -421,7 +428,7 @@ def build_parser() -> _Parser:
     )
 
     p = dsub.add_parser("shom", help="surjective pattern colorability (rigid pattern)")
-    _add_common(p, pattern=True)
+    _add_common(p)
     p.set_defaults(
         decide=_Decide(
             ("host", "pattern"),
@@ -431,7 +438,7 @@ def build_parser() -> _Parser:
     )
 
     p = dsub.add_parser("kfree", help="freeness from a forbidden subgraph")
-    _add_common(p, pattern=True)
+    _add_common(p)
     p.add_argument("--f", required=True, dest="forbidden", help="forbidden hypergraph file")
     p.set_defaults(
         decide=_Decide(
@@ -444,7 +451,7 @@ def build_parser() -> _Parser:
     )
 
     p = dsub.add_parser("avg", help="clique freeness near the extremal edge count")
-    _add_common(p)
+    _add_common(p, oracle=False, calibrated=False)
     p.add_argument("--l", type=int, required=True, dest="num_classes")
     p.add_argument("--k", type=int, required=True, help="edge slack below the extremal count")
     p.set_defaults(

@@ -16,6 +16,10 @@ Two derived representations back the distance queries:
   vertex v to all others come from one membership count: mark the codes
   that lie in v's link, and count the marks per owner.
 
+Both back the completion rows: for an (r-1)-face, the packed bit row of the
+vertices that complete it to an edge (a graph's adjacency row, or for
+r >= 3 the link tuples of the face's first vertex that hold the rest).
+
 Instances are immutable after construction and safe to share across threads.
 """
 
@@ -293,6 +297,24 @@ class Hypergraph:
         # 208 us per call on 480 000 int32 codes
         i = int(codes.searchsorted(codes.dtype.type(code)))
         return i < len(codes) and int(codes[i]) == code
+
+    def completions(self, face: Sequence[int]) -> np.ndarray:
+        """Packed ``ceil(n/8)`` uint8 row of the vertices w for which
+        ``face + (w,)`` is an edge; ``face`` holds r - 1 vertices."""
+        if len(face) != self.r - 1:
+            raise InvalidInput(f"face {tuple(face)!r} does not have {self.r - 1} vertices")
+        v, *rest = (self._check_vertex(u) for u in face)
+        if self.r == 2:
+            return self._rows[v]
+        # the link tuples of v holding all of ``rest`` (none if it repeats a
+        # vertex); each has one vertex left, the completion
+        codes = self._link_codes[self._link_off[v] : self._link_off[v + 1]]
+        rows = _decode_codes(codes, max(self.n, 2), self.r - 1)
+        hits = np.isin(rows, rest)
+        keep = hits.sum(axis=1) == self.r - 2
+        bits = np.zeros(self.n, dtype=bool)
+        bits[rows[keep][~hits[keep]]] = True
+        return np.packbits(bits)
 
     def _check_vertex(self, v: int) -> int:
         if not isinstance(v, (int, np.integer)) or v < 0 or v >= self.n:

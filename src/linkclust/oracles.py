@@ -6,11 +6,17 @@ decider in the library is tested against these on instances small enough to
 enumerate.  Search orders are fixed so failures reproduce exactly; searches
 carry a wall-clock budget and abort with :class:`OracleTimeout` rather than
 hang.
+
+The embedding search is one iterative loop for every uniformity: the host
+candidates at each depth are a packed bit row, the unused vertices of large
+enough degree ANDed with the completion rows of the small edges that close
+there, each row made once per search and face.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from typing import Optional
 
@@ -61,37 +67,38 @@ def turan_number(n: int, parts: int) -> int:
 # -- embedding search ----------------------------------------------------------
 
 
-def _unpack_candidates(packed: np.ndarray, n: int) -> np.ndarray:
-    return np.nonzero(np.unpackbits(packed, count=n))[0]
-
-
-def _embed_graph(
+def _embed(
     small: Hypergraph, host: Hypergraph, deadline: _Deadline
 ) -> Optional[dict[int, int]]:
     n = host.n
-    width = (n + 7) // 8
-    rows = host.packed_adjacency
     order = sorted(range(small.n), key=lambda v: (-small.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
-    earlier = [
-        [pos[u] for (u,) in small.link(v) if pos[u] < i] for i, v in enumerate(order)
-    ]
-    deg_mask = [
-        np.packbits(host.degrees() >= small.degree(v)) for v in order
-    ]
-    base = np.packbits(np.ones(n, dtype=bool)) if n else np.zeros(0, dtype=np.uint8)
+    # each small edge closes at the depth of its last vertex; the images of
+    # its other positions (its face) pick the host row that filters there
+    closing: list[list[operator.itemgetter]] = [[] for _ in order]
+    for e in small:
+        *face, last = sorted(pos[v] for v in e)
+        closing[last].append(operator.itemgetter(*face))
+    deg_mask = [np.packbits(host.degrees() >= small.degree(v)) for v in order]
+    # completion rows by face; a graph's faces are single vertices, whose
+    # one-item itemgetter keys are ints
+    rows = dict(enumerate(host.packed_adjacency)) if host.r == 2 else {}
 
     images = [-1] * small.n
-    used = np.zeros(width, dtype=np.uint8)
+    used = np.zeros((n + 7) // 8, dtype=np.uint8)
     iters: list = [None] * small.n
 
     depth = 0
     while True:
         if iters[depth] is None:
-            cand = base & deg_mask[depth] & ~used
-            for j in earlier[depth]:
-                cand = cand & rows[images[j]]
-            iters[depth] = iter(_unpack_candidates(cand, n))
+            cand = deg_mask[depth] & ~used
+            for face in closing[depth]:
+                key = face(images)
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = host.completions(key)
+                cand &= row
+            iters[depth] = iter(np.flatnonzero(np.unpackbits(cand, count=n)).tolist())
         deadline.check()
         w = next(iters[depth], None)
         if w is None:
@@ -103,52 +110,11 @@ def _embed_graph(
             used[prev >> 3] &= ~(128 >> (prev & 7)) & 0xFF
             images[depth] = -1
             continue
-        w = int(w)
         images[depth] = w
         if depth == small.n - 1:
             return {order[i]: images[i] for i in range(small.n)}
         used[w >> 3] |= 128 >> (w & 7)
         depth += 1
-
-
-def _embed_general(
-    small: Hypergraph, host: Hypergraph, deadline: _Deadline
-) -> Optional[dict[int, int]]:
-    order = sorted(range(small.n), key=lambda v: (-small.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    # edges of the small graph that become fully mapped at each depth
-    closing: list[list[tuple[int, ...]]] = [[] for _ in order]
-    for e in small:
-        d = max(pos[v] for v in e)
-        closing[d].append(tuple(pos[v] for v in e))
-    host_degs = host.degrees()
-    small_degs = [small.degree(v) for v in order]
-
-    images = [-1] * small.n
-    used = set()
-
-    def rec(depth: int) -> bool:
-        if depth == small.n:
-            return True
-        for w in range(host.n):
-            deadline.check()
-            if w in used or host_degs[w] < small_degs[depth]:
-                continue
-            images[depth] = w
-            ok = all(
-                host.has_edge(tuple(images[p] for p in e)) for e in closing[depth]
-            )
-            if ok:
-                used.add(w)
-                if rec(depth + 1):
-                    return True
-                used.discard(w)
-        images[depth] = -1
-        return False
-
-    if rec(0):
-        return {order[i]: images[i] for i in range(small.n)}
-    return None
 
 
 def find_embedding(
@@ -159,20 +125,21 @@ def find_embedding(
     """Injective vertex map sending every edge of ``small`` to an edge of
     ``host``, or ``None``.
 
-    Vertices of ``small`` are tried in descending-degree order and host
-    candidates in ascending index, so the returned embedding is the first one
-    in that fixed search order.
+    One search serves every uniformity.  Vertices of ``small`` are mapped in
+    descending-degree order; at each depth the candidates are the unused
+    host vertices of large enough degree, ANDed with the completion row
+    (:meth:`Hypergraph.completions`) of each small edge that closes there,
+    and are tried in ascending index.  So the returned embedding is the
+    first one in that fixed search order.  An empty ``small`` embeds as
+    ``{}``.
     """
     if small.r != host.r:
-        raise InvalidInput(
-            f"uniformity mismatch: {small.r} vs {host.r}"
-        )
+        raise InvalidInput(f"uniformity mismatch: {small.r} vs {host.r}")
+    if small.n == 0:
+        return {}
     if small.n > host.n or len(small) > len(host):
         return None
-    deadline = _Deadline(budget_s)
-    if small.r == 2:
-        return _embed_graph(small, host, deadline)
-    return _embed_general(small, host, deadline)
+    return _embed(small, host, _Deadline(budget_s))
 
 
 # -- homomorphism search -------------------------------------------------------

@@ -21,6 +21,49 @@ def reference_parse_hypergraph(source) -> Hypergraph:
     return Hypergraph(r, n, edges)
 
 
+def reference_find_embedding(small: Hypergraph, host: Hypergraph):
+    """The reference embedding search: recursive, every host vertex tried at
+    every depth, one ``has_edge`` call per edge closing there.  Same order as
+    ``find_embedding``: small vertices by descending degree, host vertices
+    ascending."""
+    if small.n > host.n or len(small) > len(host):
+        return None
+    order = sorted(range(small.n), key=lambda v: (-small.degree(v), v))
+    pos = {v: i for i, v in enumerate(order)}
+    # edges of the small graph that become fully mapped at each depth
+    closing: list[list[tuple[int, ...]]] = [[] for _ in order]
+    for e in small:
+        d = max(pos[v] for v in e)
+        closing[d].append(tuple(pos[v] for v in e))
+    host_degs = host.degrees()
+    small_degs = [small.degree(v) for v in order]
+
+    images = [-1] * small.n
+    used = set()
+
+    def rec(depth: int) -> bool:
+        if depth == small.n:
+            return True
+        for w in range(host.n):
+            if w in used or host_degs[w] < small_degs[depth]:
+                continue
+            images[depth] = w
+            ok = all(
+                host.has_edge(tuple(images[p] for p in e)) for e in closing[depth]
+            )
+            if ok:
+                used.add(w)
+                if rec(depth + 1):
+                    return True
+                used.discard(w)
+        images[depth] = -1
+        return False
+
+    if rec(0):
+        return {order[i]: images[i] for i in range(small.n)}
+    return None
+
+
 def is_valid_embedding(small: Hypergraph, host: Hypergraph, mapping: dict) -> bool:
     if len(set(mapping.values())) != small.n:
         return False

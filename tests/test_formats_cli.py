@@ -157,6 +157,7 @@ class TestCli:
         assert code == 0
         assert report["verdict"] == "yes"
         assert [len(c) for c in report["witness"]["classes"]] == [10, 10, 10]
+        assert report["params"] == {"l": 3, "strict": True}
 
     def test_decide_kcolor_no(self, tmp_path, capsys):
         code = run_cli(
@@ -354,6 +355,14 @@ class TestCli:
         assert run_cli(["oracle", "embed", "--f", str(k3), "--host", str(k4)]) == 0
         capsys.readouterr()
 
+    def test_oracle_embed_empty_forbidden(self, tmp_path, capsys):
+        empty, k4 = tmp_path / "empty.txt", tmp_path / "k4.txt"
+        empty.write_text("2 0 0\n")
+        k4.write_text(serialize_hypergraph(catalog("complete", n=4)))
+        assert run_cli(["oracle", "embed", "--f", str(empty), "--host", str(k4)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"] == {"found": True, "embedding": {}}
+
     def test_oracle_hom_surjective(self, tmp_path, capsys):
         c5p = tmp_path / "c5p.txt"
         c5p.write_text(serialize_pattern(Pattern.cycle(5)))
@@ -402,6 +411,18 @@ class TestCli:
         assert run_cli(["decide", "kcolor", "--l"]) == 64
         assert run_cli(["nonsense"]) == 64
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decide", "kcolor", "--l", "3", "--eps", "0.5"],
+            ["decide", "avg", "--l", "2", "--k", "2", "--restarts", "3"],
+        ],
+        ids=["kcolor_eps", "avg_restarts"],
+    )
+    def test_options_a_decider_does_not_read_are_64(self, turan_file, capsys, argv):
+        assert run_cli([*argv, "--host", turan_file]) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -260,6 +260,37 @@ class TestLink:
         with pytest.raises(InvalidVertex):
             K3.link(5)
 
+    def test_completions(self):
+        assert np.unpackbits(K3.completions((1,)), count=3).tolist() == [1, 0, 1]
+        assert np.unpackbits(TRIPLE.completions((2, 0)), count=4).tolist() == [0, 1, 0, 0]
+        quad = Hypergraph(4, 5, [(0, 1, 2, 3)])
+        assert np.unpackbits(quad.completions((3, 1, 0)), count=5).tolist() == [0, 0, 1, 0, 0]
+        # a face with a repeated vertex completes to no edge
+        assert not quad.completions((0, 1, 1)).any()
+        for r in (2, 3, 4):
+            for n in (0, 1, r):
+                g = Hypergraph(r, n, [])
+                for face in itertools.combinations(range(n), r - 1):
+                    assert g.completions(face).tolist() == [0] * ((n + 7) // 8)
+
+    @pytest.mark.parametrize(
+        "g, face, error",
+        [
+            (K3, (), InvalidInput),
+            (K3, (0, 1), InvalidInput),
+            (TRIPLE, (0,), InvalidInput),
+            (TRIPLE, (0, 1, 2), InvalidInput),
+            (K3, (3,), InvalidVertex),
+            (TRIPLE, (0, 4), InvalidVertex),
+            (TRIPLE, (-1, 0), InvalidVertex),
+            (Hypergraph(2, 0, []), (0,), InvalidVertex),
+            (Hypergraph(3, 0, []), (0, 1), InvalidVertex),
+        ],
+    )
+    def test_completions_reject_bad_faces(self, g, face, error):
+        with pytest.raises(error):
+            g.completions(face)
+
 
 class TestHammingDistance:
     def test_same_side_twins(self):
@@ -362,6 +393,9 @@ class TestCanonicalization:
             assert g.distances_from(v).tolist() == [len(links[u] ^ links[v]) for u in range(n)]
         for sub in itertools.combinations(range(n), r):
             assert g.has_edge(sub[::-1]) == (sub in ref)
+        for face in itertools.combinations(range(n), r - 1):
+            row = np.unpackbits(g.completions(face[::-1]), count=n).tolist()
+            assert row == [tuple(sorted(face + (w,))) in ref for w in range(n)]
 
 
 class TestInvariants:

@@ -20,10 +20,16 @@ from linkclust import (
     pattern_blowup,
     phi,
     phi_grid,
+    rng_from_seed,
     turan_graph,
     turan_number,
 )
-from helpers import brute_force_max_edges_without, is_valid_coloring, is_valid_embedding
+from helpers import (
+    brute_force_max_edges_without,
+    is_valid_coloring,
+    is_valid_embedding,
+    reference_find_embedding,
+)
 
 # the module, not the package's function of the same name
 oracles_module = importlib.import_module("linkclust.oracles")
@@ -59,6 +65,44 @@ class TestFindEmbedding:
 
     def test_too_large_pattern(self):
         assert find_embedding(catalog("complete", n=5), catalog("complete", n=4)) is None
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("host_n", [0, 6])
+    def test_empty_small_embeds_as_empty_map(self, r, host_n):
+        host = Hypergraph(r, host_n, itertools.combinations(range(host_n), r))
+        assert find_embedding(Hypergraph(r, 0, []), host) == {}
+
+    def test_matches_the_reference_search(self):
+        rng = rng_from_seed(14)
+
+        def random_hypergraph(r, n, p):
+            tuples = list(itertools.combinations(range(n), r))
+            return Hypergraph(r, n, [e for e in tuples if rng.random() < p])
+
+        missing = 0
+        for _ in range(300):
+            r = int(rng.integers(2, 6))
+            host_n = int(rng.integers(r, 11))
+            small_n = int(rng.integers(r, min(host_n, 6) + 1))
+            small = random_hypergraph(r, small_n, rng.uniform(0.2, 0.9))
+            host = random_hypergraph(r, host_n, rng.uniform(0.3, 1.0))
+            emb = find_embedding(small, host)
+            assert emb == reference_find_embedding(small, host)
+            missing += emb is None
+        # 33 of the 300 smalls do not embed
+        assert missing == 33
+
+    @pytest.mark.parametrize(
+        "small, host",
+        [
+            (catalog("generalized_triangle", r=3), pattern_blowup(Pattern.single_edge(3), (8,) * 3)),
+            (catalog("complete", n=4), turan_graph(30, 3)),
+        ],
+        ids=["generalized_triangle", "k4"],
+    )
+    def test_timeout(self, small, host):
+        with pytest.raises(OracleTimeout):
+            find_embedding(small, host, budget_s=0.0)
 
 
 class TestFindHomomorphism:
