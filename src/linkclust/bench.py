@@ -51,8 +51,7 @@ def _build(
     if scenario == "shom":
         n_eff = 5 * (n // 5)
         host = pattern_blowup(Pattern.cycle(5), balanced_sizes(n_eff, 5))
-        cfg = DeciderConfig(eps=1e-9)
-        return host, lambda g: decide_shom_rigid(g, Pattern.cycle(5), cfg), 5
+        return host, lambda g: decide_shom_rigid(g, Pattern.cycle(5)), 5
     if scenario == "avg":
         base = turan_graph(n, 2)
         host = delete_random_edges(base, min(slack, len(base)), seed)

@@ -14,8 +14,8 @@ graph deciders (k-colorability and the clique decider) instead test each
 class for independence on the packed adjacency rows.
 
 All degree and radius comparisons are exact integer or rational arithmetic.
-The thresholds they compare against are exact only where a closed form
-exists (the complete r-graphs K_l^(r)); every other threshold is
+The thresholds they compare against are exact for the complete r-graphs
+K_l^(r) and for every pattern with r = 2; every other threshold is
 ``Fraction(float)`` of the numeric optimizer's estimate, so a host within a
 rounding of the threshold can fall on either side of it.
 """

@@ -16,10 +16,12 @@ Every value, gradient and Hessian comes from :class:`_Calc`: monomials are
 products of gathered columns of one power table per call, and partials are
 summed in term order by index plans fixed at construction.
 
-Complete r-graphs K_l^(r) (complete graphs and the single transversal edge
-among them) bypass the numerics entirely through one exact rational closed
-form, so the deciders built on them are float-free.  Everything else is
-certified only numerically and the reports say so.
+Two kinds of pattern bypass the numerics and get exact rational records
+(:func:`_exact`), so the deciders built on them are float-free: complete
+r-graphs K_l^(r) through one closed form, and every pattern with r = 2
+(graphs, loops allowed) through Motzkin–Straus for λ and an exact
+matrix-game LP for φ and rigidity.  Only patterns with r >= 3 that are not
+complete are certified numerically, and their reports say so.
 
 Only the restart count, the seed and the closed-form switch are options
 (:class:`OptConfig`).  The iteration budget, step size and tolerances below
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,6 +61,7 @@ __all__ = [
 ]
 
 _NUMERICAL_NOTE = "numerical estimate, not a proof"
+_EXACT_NOTE = "exact rational result"
 _log = logging.getLogger(__name__)
 _RUN_RECORD = "%s of %r: %s path, %d restarts, %d converged, %d polished"
 
@@ -91,10 +94,10 @@ class OptConfig:
 
     ``restarts`` counts independent starting points (the uniform point plus
     Dirichlet samples drawn from ``seed``); ``closed_forms`` lets complete
-    r-graphs K_l^(r) skip the numerics for their exact values, and turned
-    off forces the numeric path on them too.  The tolerances are the module
-    constants above.  A seed below 0 or fewer than one restart is refused
-    with :class:`InvalidInput`.
+    r-graphs K_l^(r) and every pattern with r = 2 skip the numerics for
+    their exact records, and turned off forces the numeric path on them
+    too.  The tolerances are the module constants above.  A seed below 0 or
+    fewer than one restart is refused with :class:`InvalidInput`.
     """
 
     restarts: int = 64
@@ -132,11 +135,13 @@ class MinimalityReport:
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """Numerical rigidity classification of a pattern.
+    """Rigidity classification of a pattern.
 
     ``maximin`` is the best guaranteed level of all partials, ``smallest_
-    coordinate`` the least coordinate seen across the sampled optimal set.
-    ``certificate`` describes the obstruction when ``rigid`` is false.
+    coordinate`` the least coordinate over the optimal set (seen across the
+    sampled optimal set when numerical).  ``certificate`` describes the
+    obstruction when ``rigid`` is false.  ``note`` says whether the result
+    is exact.
     """
 
     maximin: float
@@ -462,16 +467,168 @@ def _polish_maximin(calc: _Calc, X: np.ndarray) -> list[Optional[np.ndarray]]:
 # -- the driver ----------------------------------------------------------------
 
 
-def _closed_form(pattern: Pattern) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-    """(λ, φ, smallest optimal coordinate) of a complete r-graph K_l^(r) with
-    r >= 2, else None.  The uniform point is the unique optimum of both
-    problems: λ = C(l,r)/l^r by Maclaurin's inequality, and as the weighted
-    partials sum to Σ x_i ∂_i p = r·p <= r·λ, the least partial is at most
+class _Exact(NamedTuple):
+    """The exact results of a pattern: λ and φ with an optimal point of
+    each, the least coordinate over φ's optimal set, whether that set is one
+    strictly positive point (rigidity), and the name of the path."""
+
+    path: str
+    values: tuple[Fraction, Fraction]
+    points: tuple[tuple[Fraction, ...], tuple[Fraction, ...]]
+    smallest: Fraction
+    rigid: bool
+
+
+@lru_cache(maxsize=1024)
+def _exact(pattern: Pattern) -> Optional[_Exact]:
+    """The exact record of a complete r-graph K_l^(r) with r >= 2 or of any
+    pattern with r = 2, else None."""
+    if pattern.r >= 2 and pattern.is_complete():
+        return _complete(pattern)
+    if pattern.r == 2:
+        return _graph(pattern)
+    return None
+
+
+def _complete(pattern: Pattern) -> _Exact:
+    """K_l^(r): the uniform point is the unique optimum of both problems.
+    λ = C(l,r)/l^r by Maclaurin's inequality, and as the weighted partials
+    sum to Σ x_i ∂_i p = r·p <= r·λ, the least partial is at most
     r·λ = C(l-1,r-1)/l^(r-1) = φ."""
-    if pattern.r < 2 or not pattern.is_complete():
-        return None
     l, r = pattern.num_vertices, pattern.r
-    return Fraction(comb(l, r), l**r), Fraction(comb(l - 1, r - 1), l ** (r - 1)), Fraction(1, l)
+    u = (Fraction(1, l),) * l
+    values = Fraction(comb(l, r), l**r), Fraction(comb(l - 1, r - 1), l ** (r - 1))
+    return _Exact("closed-form", values, (u, u), Fraction(1, l), True)
+
+
+def _graph(pattern: Pattern) -> _Exact:
+    """A pattern with r = 2.  Let A be its 0/1 matrix with a 1 on the
+    diagonal for a loop, so that p = ½xᵀAx and ∇p = Ax.
+
+    λ: with a loop at v, xᵀAx <= (Σx)² = 1 is attained at e_v, so λ = ½;
+    otherwise λ = ½(1 - 1/ω) on the uniform point of a maximum clique
+    (Motzkin–Straus).
+
+    φ is the value of the symmetric matrix game A: max t with Ax >= t·1 on
+    the simplex Δ.  An isolated vertex v has (Ax)_v = 0 everywhere, so φ = 0
+    and every point is optimal; otherwise :func:`_game` solves it exactly.
+
+    Rigidity: let x* be the game's optimum.  If x* > 0 and Ax* = φ·1, x*
+    also solves the minimizer's side (min over y of max_j (Ay)_j), so
+    complementary slackness gives Ax = φ·1 at every optimum x; a
+    nonsingular bordered matrix [[A, -1], [1ᵀ, 0]] then leaves x* as the
+    only one, and the pattern is rigid.  (For the basic x* of :func:`_game`,
+    x* > 0 makes A its basis, so the other two conditions follow; they are
+    checked so that the verdict does not rest on that.)  Conversely, if every optimum is
+    positive, slackness with one of them gives Ay = φ·1 at every optimum y
+    of the minimizer's side; such a y is an optimum here, so positive, and
+    slackness with it gives Ax = φ·1 at every optimum x.  The optimal set
+    {x ∈ Δ : Ax = φ·1} is then one point, as a longer one would reach the
+    boundary of Δ, and the bordered matrix is nonsingular: along a kernel
+    vector (d, s), s ≠ 0 would raise φ and s = 0 would stay optimal.  So a
+    pattern that is not rigid has an optimum on the boundary, and its
+    smallest coordinate is 0.
+    """
+    n = pattern.num_vertices
+    A = [[0] * n for _ in range(n)]
+    for e in pattern.edges:
+        i, j = (v for v, m in enumerate(e) for _ in range(m))
+        A[i][j] = A[j][i] = 1
+
+    def unit(v: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(int(w == v)) for w in range(n))
+
+    loops = [v for v in range(n) if A[v][v]]
+    if loops:
+        lam, lam_point = Fraction(1, 2), unit(loops[0])
+    else:
+        clique = _max_clique([sum(a << j for j, a in enumerate(row)) for row in A])
+        k = clique.bit_count()
+        lam = Fraction(k - 1, 2 * k)
+        lam_point = tuple(Fraction(clique >> v & 1, k) for v in range(n))
+    isolated = [v for v in range(n) if not any(A[v])]
+    if isolated:
+        points = lam_point, unit(isolated[0])
+        return _Exact("exact-graph", (lam, Fraction(0)), points, Fraction(0), False)
+    value, x = _game(A)
+    rigid = (
+        min(x) > 0
+        and all(sum(a * c for a, c in zip(row, x)) == value for row in A)
+        and _nonsingular([row + [-1] for row in A] + [[1] * n + [0]])
+    )
+    smallest = min(x) if rigid else Fraction(0)
+    return _Exact("exact-graph", (lam, value), (lam_point, x), smallest, rigid)
+
+
+def _max_clique(adj: list[int]) -> int:
+    """Bitmask of a maximum clique of the loopless graph with neighbour
+    masks ``adj``: branch and bound on the lowest candidate, taken first."""
+    best = 0
+    stack = [(0, (1 << len(adj)) - 1)]
+    while stack:
+        clique, cand = stack.pop()
+        if clique.bit_count() + cand.bit_count() <= best.bit_count():
+            continue
+        if not cand:
+            best = clique
+            continue
+        v = cand & -cand
+        stack.append((clique, cand & ~v))
+        stack.append((clique | v, cand & adj[v.bit_length() - 1]))
+    return best
+
+
+def _pivot(rows: list[list[Fraction]], r: int, c: int) -> None:
+    """Scale row r to 1 in column c and clear column c from the other rows."""
+    p = rows[r]
+    p[:] = [v / p[c] for v in p]
+    for row in rows:
+        if row is not p and row[c]:
+            f = row[c]
+            row[:] = [a - f * b for a, b in zip(row, p)]
+
+
+def _game(A: list[list[int]]) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """Value φ and an optimal point of the maximizer of the game A, which
+    has no zero row or column.
+
+    Solves max Σy subject to Ay <= 1, y >= 0 from the slack basis by the
+    simplex method under Bland's rule (the least improving column enters;
+    ties in the ratio test go to the least basic variable), which always
+    terminates.  Each y_j has a 1 in some row, so the LP is bounded.  Its
+    optimum is 1/φ, and the row prices u (minus the final reduced costs of
+    the slacks) solve the dual min Σu subject to Au >= 1, u >= 0: the
+    maximizer's side scaled by 1/φ, so x* = u / Σu.
+    """
+    n = len(A)
+    rows = [
+        [Fraction(a) for a in A[i]] + [Fraction(int(i == j)) for j in range(n)] + [Fraction(1)]
+        for i in range(n)
+    ]
+    cost = [Fraction(1)] * n + [Fraction(0)] * (n + 1)
+    basis = list(range(n, 2 * n))
+    while (enter := next((j for j in range(2 * n) if cost[j] > 0), None)) is not None:
+        leave = min(
+            (i for i in range(n) if rows[i][enter] > 0),
+            key=lambda i: (rows[i][-1] / rows[i][enter], basis[i]),
+        )
+        _pivot([*rows, cost], leave, enter)
+        basis[leave] = enter
+    u = [-c for c in cost[n : 2 * n]]
+    total = sum(u)
+    return 1 / total, tuple(c / total for c in u)
+
+
+def _nonsingular(M: list[list[int]]) -> bool:
+    """Whether a square integer matrix is nonsingular, by exact elimination."""
+    rows = [[Fraction(v) for v in row] for row in M]
+    for c in range(len(rows)):
+        r = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if r is None:
+            return False
+        rows[c], rows[r] = rows[r], rows[c]
+        _pivot(rows, c, c)
+    return True
 
 
 def _select(
@@ -497,7 +654,7 @@ def _select(
     return best_val, args[order[0]], [args[i] for i in kept]
 
 
-_LAMBDA, _PHI = 0, 1  # which entry of the closed-form table a run reports
+_LAMBDA, _PHI = 0, 1  # which entry of an exact record a run reports
 _NAMES = ("simplex", "maximin")
 
 
@@ -514,14 +671,15 @@ def _optimize(
     them all, and report the best ``score`` with its distinct near-optimal
     points as witnesses, ties broken toward the lexicographically smallest
     point."""
-    u = SimplexPoint.uniform(pattern.num_vertices)
     if not pattern.edges:
         _log.debug(_RUN_RECORD, _NAMES[which], pattern, "empty", 0, 0, 0)
+        u = SimplexPoint.uniform(pattern.num_vertices)
         return OptReport(0.0, u, 0, True, (u,), Fraction(0))
-    closed = _closed_form(pattern) if cfg.closed_forms else None
-    if closed is not None:
-        _log.debug(_RUN_RECORD, _NAMES[which], pattern, "closed-form", 0, 0, 0)
-        return OptReport(float(closed[which]), u, 0, True, (u,), closed[which])
+    exact = _exact(pattern) if cfg.closed_forms else None
+    if exact is not None:
+        _log.debug(_RUN_RECORD, _NAMES[which], pattern, exact.path, 0, 0, 0)
+        point = SimplexPoint(float(c) for c in exact.points[which])
+        return OptReport(float(exact.values[which]), point, 0, True, (point,), exact.values[which])
 
     calc = _Calc(pattern)
     X = _starts(pattern.num_vertices, cfg.restarts, cfg.seed)
@@ -553,9 +711,10 @@ def _min_partial(pattern: Pattern, x: np.ndarray) -> float:
 def lagrangian(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
     """Maximum of the pattern's weight polynomial over the simplex.
 
-    Returns the best value across all restarts, with ties broken toward the
-    lexicographically smallest maximizer.  ``value_exact`` is set when a
-    rational closed form applies.
+    Numerically, returns the best value across all restarts, with ties
+    broken toward the lexicographically smallest maximizer.  ``value_exact``
+    is set when the value is exact; the report then has one witness, the
+    exact optimal point.
     """
     return _optimize(pattern, cfg, _LAMBDA, _value_stages, _polish_face_max, lagrange_eval)
 
@@ -563,8 +722,9 @@ def lagrangian(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
 def phi(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
     """Maximin of the weight polynomial's partials over the simplex.
 
-    The witness set collects the distinct near-optimal points found across
-    restarts; it samples the optimal set of the maximin problem.
+    Numerically, the witness set collects the distinct near-optimal points
+    found across restarts; it samples the optimal set of the maximin
+    problem.  An exact report has one witness, an exact optimal point.
     """
     return _optimize(pattern, cfg, _PHI, _softmin_stages, _polish_maximin, _min_partial)
 
@@ -597,11 +757,14 @@ def _slide_to_twin(w: SimplexPoint, i: int, j: int) -> SimplexPoint:
 
 
 def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityReport:
-    """Numerical rigidity classification.
+    """Rigidity classification: whether the optimal set of the maximin
+    problem is one point with every coordinate positive.
 
-    Rigid means: the sampled optimal set of the maximin problem stays away
-    from the simplex boundary (smallest coordinate above ``POS_GAP``) and
-    every sampled optimum has all partials equal to the maximin level within
+    With an exact record (see :class:`OptConfig`) the verdict and the
+    smallest coordinate over the optimal set are exact.  Otherwise they are
+    numerical: rigid means the sampled optimal set stays away from the
+    simplex boundary (smallest coordinate above ``POS_GAP``) and every
+    sampled optimum has all partials equal to the maximin level within
     ``TOL``.  Twin vertices defeat both conditions, because mass can be
     shifted freely between twins without leaving the optimal set; when twins
     exist the slid witnesses are added explicitly, which drives the smallest
@@ -610,6 +773,7 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
     if pattern.num_vertices < 2:
         raise InvalidInput("rigidity needs at least 2 vertices")
     rep = phi(pattern, cfg)
+    exact = _exact(pattern) if cfg.closed_forms else None
     witnesses = list(rep.witness_set)
     pairs = twin_pairs(pattern)
     if pairs:
@@ -620,12 +784,14 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
                 slid.append(_slide_to_twin(w, j, i))
         witnesses.extend(slid)
 
-    smallest = min(min(w.coords) for w in witnesses)
-    worst_dev = max(
-        max(abs(g - rep.value) for g in lagrange_grad(pattern, w)) for w in witnesses
-    )
-    equal_partials = worst_dev <= TOL
-    rigid = (not pairs) and smallest > POS_GAP and equal_partials
+    if exact is None:
+        smallest = min(min(w.coords) for w in witnesses)
+        worst_dev = max(
+            max(abs(g - rep.value) for g in lagrange_grad(pattern, w)) for w in witnesses
+        )
+        rigid = (not pairs) and smallest > POS_GAP and worst_dev <= TOL
+    else:
+        smallest, rigid = float(exact.smallest), exact.rigid
 
     certificate: Optional[dict] = None
     if not rigid:
@@ -654,9 +820,6 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
                 "partials": lagrange_grad(pattern, bad),
             }
 
-    # an exact φ without twins comes from the closed form, whose unique
-    # optimum is the uniform point
-    exact_uniform = rep.value_exact is not None and not pairs
     return RigidityReport(
         maximin=rep.value,
         smallest_coordinate=smallest,
@@ -664,5 +827,6 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
         certificate=certificate,
         witness_set=tuple(witnesses),
         maximin_exact=rep.value_exact,
-        smallest_exact=Fraction(1, pattern.num_vertices) if exact_uniform else None,
+        smallest_exact=None if exact is None else exact.smallest,
+        note=_NUMERICAL_NOTE if rep.value_exact is None else _EXACT_NOTE,
     )

@@ -461,15 +461,16 @@ def reference_optimize(pattern, cfg, which, *_ignored):
     from fractions import Fraction
 
     from linkclust import NumericFailure, OptReport, SimplexPoint
-    from linkclust.lagrangian import _Calc, _closed_form, _starts
+    from linkclust.lagrangian import _Calc, _exact, _starts
     from linkclust.patterns import lagrange_eval, lagrange_grad
 
-    u = SimplexPoint.uniform(pattern.num_vertices)
     if not pattern.edges:
+        u = SimplexPoint.uniform(pattern.num_vertices)
         return OptReport(0.0, u, 0, True, (u,), Fraction(0))
-    closed = _closed_form(pattern) if cfg.closed_forms else None
-    if closed is not None:
-        return OptReport(float(closed[which]), u, 0, True, (u,), closed[which])
+    exact = _exact(pattern) if cfg.closed_forms else None
+    if exact is not None:
+        point = SimplexPoint(float(c) for c in exact.points[which])
+        return OptReport(float(exact.values[which]), point, 0, True, (point,), exact.values[which])
     calc = _Calc(pattern)
     X = _starts(pattern.num_vertices, cfg.restarts, cfg.seed)
     for value_fn, grad_fn, max_iter in _reference_stages(calc, which):

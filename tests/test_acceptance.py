@@ -295,7 +295,7 @@ def test_criterion_7_rigidity_classification():
 
 def test_criterion_8_surjective_suite():
     target = Pattern.cycle(5)
-    cfg = DeciderConfig(eps=1e-9, n_small=15)
+    cfg = DeciderConfig(n_small=15)
     mismatches = 0
     for m in (3, 4, 5, 6):
         host = pattern_blowup(target, (m,) * 5)

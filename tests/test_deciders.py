@@ -36,7 +36,7 @@ from linkclust import (
 )
 
 K3 = catalog("complete", n=3)
-SHOM_CFG = DeciderConfig(eps=1e-9, n_small=15)
+SHOM_CFG = DeciderConfig(n_small=15)
 
 
 def planted_edge(before: Hypergraph, after: Hypergraph) -> tuple:
@@ -160,6 +160,19 @@ class TestDecideShomRigid:
         assert d.partition.nonempty_class_sets() == contiguous_classes(
             (5,) * 5
         ).nonempty_class_sets()
+
+    @pytest.mark.parametrize("length, size", [(5, 30), (7, 21)], ids=["C5", "C7"])
+    def test_blowup_at_the_exact_threshold(self, length, size):
+        # at eps 0: every vertex has degree exactly φ(C_l)·n, 2/5·150 or 2/7·147
+        pattern, sizes = Pattern.cycle(length), (size,) * length
+        host = pattern_blowup(pattern, sizes)
+        d = decide_shom_rigid(host, pattern)
+        assert d.verdict is Verdict.YES
+        assert d.partition.nonempty_class_sets() == contiguous_classes(sizes).nonempty_class_sets()
+        planted = plant_violation(host, contiguous_classes(sizes), 11)
+        d = decide_shom_rigid(planted, pattern)
+        assert d.verdict is Verdict.NO
+        assert d.violating_edge == planted_edge(host, planted)
 
     def test_internal_edge_kills_it(self):
         base = pattern_blowup(Pattern.cycle(5), (5,) * 5)

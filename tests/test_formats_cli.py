@@ -258,6 +258,16 @@ class TestCli:
         assert report["params"] == {"eps": 1e-9, "n_small": 15, "strict": True}
         assert sorted(report["input_digests"]) == ["host", "pattern"]
 
+    def test_decide_shom_at_the_exact_threshold(self, tmp_path, capsys):
+        # at the default eps 0: every vertex of C7's blow-up has degree
+        # exactly φ(C7)·n = 2/7·147
+        hpath, ppath = tmp_path / "host.txt", tmp_path / "c7.txt"
+        hpath.write_text(serialize_hypergraph(pattern_blowup(Pattern.cycle(7), (21,) * 7)))
+        ppath.write_text(serialize_pattern(Pattern.cycle(7)))
+        assert run_cli(["decide", "shom", "--host", str(hpath), "--pattern", str(ppath)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "yes" and report["params"]["eps"] == 0.0
+
     @pytest.mark.parametrize(
         "host, code",
         [
@@ -508,8 +518,11 @@ class TestCli:
         import importlib
 
         monkeypatch.setattr(importlib.import_module("linkclust.lagrangian"), "MAX_BATCH_BYTES", 800)
-        path = tmp_path / "c5.txt"
-        path.write_text(serialize_pattern(Pattern.cycle(5)))
+        # five vertices, so 4 restarts need 800 bytes of Hessians; r = 3 and
+        # not complete, so the CLI runs the numeric optimizer on it
+        k5_3_minus = Pattern.from_multisets(3, 5, list(itertools.combinations(range(5), 3))[1:])
+        path = tmp_path / "k5_3_minus.txt"
+        path.write_text(serialize_pattern(k5_3_minus))
         argv = ["lagrangian", "--pattern", str(path), "--opt-seed", "70003", "--restarts"]
         assert run_cli(argv + ["5"]) == 3
         assert "MAX_BATCH_BYTES = 800" in capsys.readouterr().err
