@@ -9,6 +9,7 @@ edge-list text format.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 from fractions import Fraction
@@ -563,6 +564,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (LinkclustError, OSError, UnicodeDecodeError) as exc:
         print(f"linkclust: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # a fault must not exit with a verdict's code
+        logging.getLogger(__name__).debug("internal error", exc_info=exc)
+        print(f"linkclust: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

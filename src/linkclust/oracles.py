@@ -11,10 +11,16 @@ The embedding search is one iterative loop for every uniformity: the host
 candidates at each depth are a packed bit row, the unused vertices of large
 enough degree ANDed with the completion rows of the small edges that close
 there, each row made once per search and face.
+
+The homomorphism search is likewise one iterative loop for every pattern:
+bitmask color domains cut by forward checking through one table of the
+colors that extend each part of a pattern edge, the most constrained vertex
+first, and symmetry broken within the pattern's transposition classes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import time
@@ -145,138 +151,120 @@ def find_embedding(
 # -- homomorphism search -------------------------------------------------------
 
 
-def _hom_complete(
-    host: Hypergraph,
-    colors: int,
-    surjective: bool,
-    deadline: _Deadline,
-) -> Optional[list[int]]:
-    """Proper coloring search for complete targets.
-
-    Any bijection of a complete pattern's vertices is an automorphism, so
-    colors may canonically be introduced in first-use order; vertices are
-    picked most-constrained-first (fewest available colors, then lowest
-    index) with forward checking.  This keeps dense instances tractable
-    while remaining a deterministic exhaustive search.
-    """
-    n = host.n
-    if n == 0:
-        return None if surjective and colors > 0 else []
-    neigh = [[] for _ in range(n)]
-    for u, v in host.edge_array:
-        neigh[int(u)].append(int(v))
-        neigh[int(v)].append(int(u))
-    full = (1 << colors) - 1
-    avail = [full] * n
-    color = [-1] * n
-    uncolored = set(range(n))
-    trail: list[list[int]] = []
-
-    def choose() -> int:
-        return min(uncolored, key=lambda v: (bin(avail[v]).count("1"), v))
-
-    def assign(v: int, c: int) -> bool:
-        color[v] = c
-        uncolored.discard(v)
-        touched = []
-        ok = True
-        bit = 1 << c
-        for u in neigh[v]:
-            if color[u] == -1 and avail[u] & bit:
-                avail[u] ^= bit
-                touched.append(u)
-                if avail[u] == 0:
-                    ok = False
-                    break
-        trail.append(touched)
-        return ok
-
-    def undo(v: int) -> None:
-        bit = 1 << color[v]
-        for u in trail.pop():
-            avail[u] |= bit
-        color[v] = -1
-        uncolored.add(v)
-
-    def rec(used: int) -> bool:
-        if not uncolored:
-            return not surjective or used == colors
-        if surjective and len(uncolored) < colors - used:
-            return False
-        v = choose()
-        cap = min(used + 1, colors)  # canonical color introduction
-        mask = avail[v]
-        for c in range(cap):
-            deadline.check()
-            if not (mask >> c) & 1:
-                continue
-            if assign(v, c):
-                if rec(max(used, c + 1)):
-                    return True
-            undo(v)
-        return False
-
-    if rec(0):
-        return color
-    return None
-
-
-def _hom_general(
+def _hom(
     host: Hypergraph,
     pattern: Pattern,
     surjective: bool,
     deadline: _Deadline,
 ) -> Optional[list[int]]:
-    n, colors = host.n, pattern.num_vertices
+    n, k, r = host.n, pattern.num_vertices, pattern.r
+    # a color multiset is coded as the sum of weight[c] over its members,
+    # unique since no multiplicity reaches r + 1; ext maps each sub-multiset
+    # of a pattern edge to the colors that extend it inside some pattern
+    # edge (for a graph: weight[c] -> the neighbors of c)
+    weight = [(r + 1) ** c for c in range(k)]
+    ext: dict[int, int] = {}
+    for e in pattern.edges:
+        colors = [c for c, m in enumerate(e) for _ in range(m)]
+        for taken in itertools.product((False, True), repeat=r):
+            code = rest = 0
+            for c, t in zip(colors, taken):
+                if t:
+                    code += weight[c]
+                else:
+                    rest |= 1 << c
+            ext[code] = ext.get(code, 0) | rest
+    # transposition classes: color j opens once the next-lower member i of
+    # its class (the largest i < j whose swap with j maps the edges onto
+    # themselves) is in use
+    edge_set = set(pattern.edges)
+    opens = [0] * k
+    locked = 0
+    for j in range(k):
+        for i in range(j - 1, -1, -1):
+            if all(
+                e[:i] + (e[j],) + e[i + 1 : j] + (e[i],) + e[j + 1 :] in edge_set
+                for e in pattern.edges
+            ):
+                opens[i] = 1 << j
+                locked |= 1 << j
+                break
+
+    # flat lists: many small lists cost more in allocation and collection
+    members = host.edge_array.ravel().tolist()
+    flat = (np.argsort(host.edge_array, axis=None, kind="stable") // r).tolist()
+    ends = np.cumsum(host.degrees()).tolist()
+    incident = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    dom = [ext.get(0, 0) if incident[v] else (1 << k) - 1 for v in range(n)]
+    size = [d.bit_count() for d in dom]
+    if 0 in size or (surjective and n < k):
+        return None
     if n == 0:
-        return None if surjective and colors > 0 else []
-    allowed = [np.array(e, dtype=np.int64) for e in pattern.edges]
-    edges = host.edge_list()
-    touching: list[list[int]] = [[] for _ in range(n)]
-    for idx, e in enumerate(edges):
-        for v in e:
-            touching[v].append(idx)
-    counts = [np.zeros(colors, dtype=np.int64) for _ in edges]
-    filled = [0] * len(edges)
+        return []
+    colored = k + 1  # the size of a colored vertex, above every domain's
     color = [-1] * n
-    used_count = [0] * colors
-
-    def edge_ok(idx: int) -> bool:
-        c = counts[idx]
-        if filled[idx] == host.r:
-            return any(np.array_equal(c, a) for a in allowed)
-        return any(np.all(c <= a) for a in allowed)
-
-    def rec(v: int, used: int) -> bool:
-        if v == n:
-            return not surjective or used == colors
-        if surjective and n - v < colors - used:
-            return False
-        for c in range(colors):
-            deadline.check()
-            color[v] = c
-            ok = True
-            for idx in touching[v]:
-                counts[idx][c] += 1
-                filled[idx] += 1
-            for idx in touching[v]:
-                if not edge_ok(idx):
-                    ok = False
-                    break
-            if ok:
-                used_count[c] += 1
-                nxt = used + 1 if used_count[c] == 1 else used
-                if rec(v + 1, nxt):
-                    return True
-                used_count[c] -= 1
-            for idx in touching[v]:
-                counts[idx][c] -= 1
-                filled[idx] -= 1
+    state = [0] * len(host)
+    used = [0] * k
+    trail: list[tuple[int, int]] = []
+    left, unused = n, k
+    v = size.index(min(size))
+    # each frame: the vertex, the colors it has still to try, the trail mark
+    stack = [[v, dom[v] & ~locked, 0]]
+    while stack:
+        frame = stack[-1]
+        v, todo, mark = frame
+        c = color[v]
+        if c >= 0:  # take back the color tried last
             color[v] = -1
-        return False
-
-    if rec(0, 0):
-        return color
+            left += 1
+            used[c] -= 1
+            if not used[c]:
+                unused += 1
+                locked |= opens[c]
+            w = weight[c]
+            for idx in incident[v]:
+                state[idx] -= w
+            while len(trail) > mark:
+                u, d = trail.pop()
+                dom[u] = d
+                size[u] = d.bit_count()
+            size[v] = dom[v].bit_count()
+        if not todo:
+            stack.pop()
+            continue
+        deadline.check()
+        bit = todo & -todo
+        frame[1] = todo ^ bit
+        c = bit.bit_length() - 1
+        color[v] = c
+        size[v] = colored
+        left -= 1
+        used[c] += 1
+        if used[c] == 1:
+            unused -= 1
+            locked &= ~opens[c]
+        w = weight[c]
+        ok = True
+        for idx in incident[v]:
+            s = state[idx] = state[idx] + w
+            if ok:
+                m = ext[s]
+                for u in members[idx * r : idx * r + r]:
+                    d = dom[u]
+                    if d & ~m and color[u] < 0:
+                        trail.append((u, d))
+                        d &= m
+                        dom[u] = d
+                        size[u] = d.bit_count()
+                        if not d:
+                            ok = False
+                            break
+        if not ok or (surjective and left < unused):
+            continue
+        if not left:
+            return color
+        v = size.index(min(size))
+        stack.append([v, dom[v] & ~locked, len(trail)])
     return None
 
 
@@ -290,18 +278,22 @@ def find_homomorphism(
     edge (as a multiset), or ``None``; with ``surjective`` every pattern
     vertex must be hit.
 
-    Host vertices are assigned in ascending index for general patterns; for
-    complete graph targets a deterministic most-constrained-first order with
-    canonical color introduction is used instead, which is equivalent up to
-    the target's automorphisms and exponentially faster on dense hosts.
-    Returns the color list indexed by host vertex.
+    One iterative search serves every pattern.  Each host vertex keeps a
+    bitmask domain of colors (pattern vertices).  Coloring a vertex narrows
+    the domain of every uncolored vertex sharing a host edge with it to the
+    colors that extend that edge's colored part inside some pattern edge.
+    The next vertex is the one with the fewest colors left, lowest index on
+    ties, and its colors are tried in ascending order.  Two colors whose
+    swap maps the pattern's edges onto themselves are interchangeable, so
+    within each such transposition class a color is tried only once the
+    next-lower member of its class is in use; for K_l this is canonical
+    color introduction.  The returned map is the first found in that order.
+    Isolated host vertices may take any color.  Returns the color list
+    indexed by host vertex.
     """
     if host.r != pattern.r:
         raise InvalidInput(f"uniformity mismatch: {host.r} vs {pattern.r}")
-    deadline = _Deadline(budget_s)
-    if pattern.r == 2 and pattern.is_complete():
-        return _hom_complete(host, pattern.num_vertices, surjective, deadline)
-    return _hom_general(host, pattern, surjective, deadline)
+    return _hom(host, pattern, surjective, _Deadline(budget_s))
 
 
 # -- grid search over the simplex ---------------------------------------------

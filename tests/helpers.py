@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from linkclust import Hypergraph, Pattern, rng_from_seed
+from linkclust import (
+    Hypergraph,
+    Pattern,
+    contiguous_classes,
+    pattern_blowup,
+    plant_violation,
+    rng_from_seed,
+)
+from linkclust.corpus import _sample_without_replacement
 
 
 def reference_parse_hypergraph(source) -> Hypergraph:
@@ -71,14 +80,68 @@ def is_valid_embedding(small: Hypergraph, host: Hypergraph, mapping: dict) -> bo
 
 
 def is_valid_coloring(host: Hypergraph, pattern: Pattern, colors) -> bool:
+    """Every host edge's color multiset is a pattern edge; checked once per
+    distinct multiset, so hosts with many edges stay cheap."""
+    colors = np.asarray(colors, dtype=np.int64)
+    if len(colors) != host.n or ((colors < 0) | (colors >= pattern.num_vertices)).any():
+        return False
+    if not len(host):
+        return True
     allowed = set(pattern.edges)
-    for e in host:
+    for row in np.unique(np.sort(colors[host.edge_array], axis=1), axis=0).tolist():
         vec = [0] * pattern.num_vertices
-        for v in e:
-            vec[colors[v]] += 1
+        for c in row:
+            vec[c] += 1
         if tuple(vec) not in allowed:
             return False
     return True
+
+
+def brute_force_homomorphism(host: Hypergraph, pattern: Pattern, surjective: bool = False):
+    """The lexicographically first of all k**n color lists that sends every
+    host edge onto a pattern edge (and hits every color, if ``surjective``),
+    or None."""
+    k = pattern.num_vertices
+    allowed = {tuple(c for c, m in enumerate(e) for _ in range(m)) for e in pattern.edges}
+    edges = host.edge_list()
+    for colors in itertools.product(range(k), repeat=host.n):
+        if surjective and len(set(colors)) < k:
+            continue
+        if all(tuple(sorted(colors[v] for v in e)) in allowed for e in edges):
+            return list(colors)
+    return None
+
+
+def coloring_instance(num_colors: int, seed: int):
+    """A complete-multipartite-based instance meeting the strict degree
+    precondition by construction; odd seeds get a planted internal edge."""
+    rng = rng_from_seed(seed)
+    n = int(rng.integers(20, 81))
+    l = num_colors
+    min_req = (3 * l - 4) * n // (3 * l - 1) + 1
+    if n - math.ceil(n / l) < min_req:
+        # balanced bases off a multiple of l can miss the strict bound;
+        # multiples always satisfy it
+        n = (n // l) * l
+        min_req = (3 * l - 4) * n // (3 * l - 1) + 1
+    q, s = divmod(n, l)
+    sizes = [q + 1 if i < s else q for i in range(l)]
+    # optionally unbalance by one vertex while keeping the degree budget
+    if rng.integers(2) and n - (max(sizes) + 1) >= min_req and min(sizes) > 2:
+        sizes[sizes.index(min(sizes))] -= 1
+        sizes[sizes.index(max(sizes))] += 1
+    base = pattern_blowup(Pattern.complete_graph(l), sizes)
+    budget = (n - max(sizes)) - min_req
+    drop = int(rng.integers(0, max(budget, 0) + 1)) if budget > 0 else 0
+    drop = min(drop, 10)
+    host = base
+    if drop:
+        pick = _sample_without_replacement(rng, len(base), drop)
+        keep = np.setdiff1d(np.arange(len(base)), pick, assume_unique=True)
+        host = Hypergraph(2, n, base.edge_array[keep])
+    if seed % 2 == 1:
+        host = plant_violation(host, contiguous_classes(sizes), int(rng.integers(2**32)))
+    return host
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Hypergraph:

@@ -41,7 +41,7 @@ from linkclust import (
     turan_number,
 )
 from linkclust.corpus import _sample_without_replacement
-from helpers import erdos_renyi, graphs_up_to_iso, interior_points
+from helpers import coloring_instance, erdos_renyi, graphs_up_to_iso, interior_points
 
 K3 = catalog("complete", n=3)
 
@@ -54,45 +54,13 @@ def _report(criterion: str, detail: str = "") -> None:
 # -- criteria 1-3: coloring decider vs exhaustive search -------------------------
 
 
-def _coloring_instance(num_colors: int, seed: int):
-    """A complete-multipartite-based instance meeting the strict degree
-    precondition by construction; odd seeds get a planted internal edge."""
-    rng = rng_from_seed(seed)
-    n = int(rng.integers(20, 81))
-    l = num_colors
-    min_req = (3 * l - 4) * n // (3 * l - 1) + 1
-    if n - math.ceil(n / l) < min_req:
-        # balanced bases off a multiple of l can miss the strict bound;
-        # multiples always satisfy it
-        n = (n // l) * l
-        min_req = (3 * l - 4) * n // (3 * l - 1) + 1
-    q, s = divmod(n, l)
-    sizes = [q + 1 if i < s else q for i in range(l)]
-    # optionally unbalance by one vertex while keeping the degree budget
-    if rng.integers(2) and n - (max(sizes) + 1) >= min_req and min(sizes) > 2:
-        sizes[sizes.index(min(sizes))] -= 1
-        sizes[sizes.index(max(sizes))] += 1
-    base = pattern_blowup(Pattern.complete_graph(l), sizes)
-    budget = (n - max(sizes)) - min_req
-    drop = int(rng.integers(0, max(budget, 0) + 1)) if budget > 0 else 0
-    drop = min(drop, 10)
-    host = base
-    if drop:
-        pick = _sample_without_replacement(rng, len(base), drop)
-        keep = np.setdiff1d(np.arange(len(base)), pick, assume_unique=True)
-        host = Hypergraph(2, n, base.edge_array[keep])
-    if seed % 2 == 1:
-        host = plant_violation(host, contiguous_classes(sizes), int(rng.integers(2**32)))
-    return host
-
-
 @pytest.fixture(scope="module")
 def coloring_runs():
     records = []
     t0 = time.perf_counter()
     for num_colors in (2, 3, 4):
         for seed in range(500):
-            host = _coloring_instance(num_colors, seed * 3 + num_colors)
+            host = coloring_instance(num_colors, seed * 3 + num_colors)
             decision = decide_k_colorable(host, num_colors)
             assert decision.verdict is not Verdict.PRECONDITION_VIOLATED
             oracle = find_homomorphism(host, Pattern.complete_graph(num_colors))

@@ -28,6 +28,7 @@ from linkclust import (
 from linkclust.cli import run_cli
 from linkclust.formats import build_report, partition_classes_sorted
 from linkclust.hypergraph import Partition
+from helpers import is_valid_coloring
 
 
 class TestHypergraphFormat:
@@ -450,6 +451,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "linkclust" in err and "error: argument" in err
         assert "Traceback" not in err
+
+    def test_internal_error_is_3(self, turan_file, capsys, caplog, monkeypatch):
+        import linkclust.cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(linkclust.cli, "_cmd_cluster", broken)
+        caplog.set_level("DEBUG", logger="linkclust.cli")
+        assert run_cli(["cluster", "--host", turan_file, "--l", "3", "--delta", "1/4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "linkclust: internal error: RuntimeError: boom\n"
+        # the traceback goes to the debug log
+        assert [r.exc_info[0] for r in caplog.records] == [RuntimeError]
+
+    def test_decide_kcolor_below_the_threshold(self, tmp_path, capsys):
+        # the 5 x 250 pentagon blow-up is 3-colorable but far below the
+        # degree bound, so the exhaustive fallback answers
+        host = pattern_blowup(Pattern.cycle(5), (250,) * 5)
+        path = tmp_path / "c5x250.txt"
+        path.write_text(serialize_hypergraph(host))
+        assert run_cli(["decide", "kcolor", "--host", str(path), "--l", "3", "--no-strict"]) == 0
+        classes = json.loads(capsys.readouterr().out)["witness"]["classes"]
+        colors = [-1] * host.n
+        for c, members in enumerate(classes):
+            for v in members:
+                colors[v] = c
+        assert is_valid_coloring(host, Pattern.complete_graph(3), colors)
 
     def test_missing_file_is_3(self, capsys):
         assert run_cli(["decide", "kcolor", "--host", "/no/such/file", "--l", "3"]) == 3

@@ -25,7 +25,10 @@ from linkclust import (
     turan_number,
 )
 from helpers import (
+    brute_force_homomorphism,
     brute_force_max_edges_without,
+    coloring_instance,
+    graphs_up_to_iso,
     is_valid_coloring,
     is_valid_embedding,
     reference_find_embedding,
@@ -105,6 +108,11 @@ class TestFindEmbedding:
             find_embedding(small, host, budget_s=0.0)
 
 
+@pytest.fixture(scope="module")
+def c5_blowup():
+    return pattern_blowup(Pattern.cycle(5), (250,) * 5)
+
+
 class TestFindHomomorphism:
     def test_pentagon_needs_three_colors(self):
         assert find_homomorphism(C5, Pattern.complete_graph(2)) is None
@@ -138,10 +146,116 @@ class TestFindHomomorphism:
             find_homomorphism(catalog("fano"), Pattern.complete_graph(3))
 
     def test_timeout(self):
-        # ten unconstrained vertices in front of an unsatisfiable edge
-        host = Hypergraph(2, 12, [(10, 11)])
+        # two pentagons in front of a K4: the K4 fails under each of the
+        # pentagons' 3-colorings, 2 638 steps in all
+        pentagons = [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(2) for j in range(5)]
+        host = Hypergraph(2, 14, pentagons + list(itertools.combinations(range(10, 14), 2)))
+        assert find_homomorphism(host, Pattern.complete_graph(3)) is None
         with pytest.raises(OracleTimeout):
-            find_homomorphism(host, Pattern(2, 5, []), budget_s=0.0)
+            find_homomorphism(host, Pattern.complete_graph(3), budget_s=0.0)
+
+    def test_edgeless_pattern_colors_only_isolated_vertices(self):
+        assert find_homomorphism(Hypergraph(2, 12, [(10, 11)]), Pattern(2, 5, [])) is None
+        assert find_homomorphism(Hypergraph(2, 3, []), Pattern(2, 2, [])) == [0, 0, 0]
+        assert find_homomorphism(Hypergraph(2, 3, []), Pattern(2, 2, []), surjective=True) == [0, 0, 1]
+
+    # dense hosts: the search must not recurse once per vertex
+
+    def test_dense_turan_graph(self):
+        host = turan_graph(1200, 3)
+        colors = find_homomorphism(host, Pattern.complete_graph(3))
+        assert colors is not None
+        assert is_valid_coloring(host, Pattern.complete_graph(3), colors)
+
+    @pytest.mark.parametrize("surjective", [False, True])
+    def test_dense_pentagon_blowup_into_pentagon(self, c5_blowup, surjective):
+        colors = find_homomorphism(c5_blowup, Pattern.cycle(5), surjective)
+        assert colors is not None
+        assert is_valid_coloring(c5_blowup, Pattern.cycle(5), colors)
+        assert set(colors) == set(range(5))
+
+    def test_dense_pentagon_blowup_into_triangle(self, c5_blowup):
+        colors = find_homomorphism(c5_blowup, Pattern.complete_graph(3))
+        assert colors is not None
+        assert is_valid_coloring(c5_blowup, Pattern.complete_graph(3), colors)
+
+
+@pytest.fixture(scope="module")
+def small_graphs():
+    return [Hypergraph(2, n, edges) for n in range(6) for edges in graphs_up_to_iso(n)]
+
+
+def _agrees_with_brute_force(host, pattern):
+    for surjective in (False, True):
+        colors = find_homomorphism(host, pattern, surjective)
+        expected = brute_force_homomorphism(host, pattern, surjective)
+        assert (colors is None) == (expected is None), (host.edge_list(), surjective)
+        if colors is not None:
+            assert is_valid_coloring(host, pattern, colors)
+            assert not surjective or set(colors) == set(range(pattern.num_vertices))
+
+
+class TestHomomorphismReference:
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            Pattern.complete_graph(2),
+            Pattern.complete_graph(3),
+            Pattern.cycle(5),
+            Pattern.path(3),
+            Pattern.from_multisets(2, 3, [(0, 0), (0, 1), (1, 2)]),
+        ],
+        ids=["K2", "K3", "C5", "P3", "looped"],
+    )
+    def test_every_small_graph(self, small_graphs, pattern):
+        for host in small_graphs:
+            _agrees_with_brute_force(host, pattern)
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            Pattern.single_edge(3),
+            Pattern.from_multisets(3, 2, [(0, 0, 1), (0, 1, 1)]),
+            Pattern.from_multisets(3, 4, itertools.combinations(range(4), 3)),
+            Pattern.from_multisets(3, 3, [(0, 0, 1), (0, 1, 2)]),
+        ],
+        ids=["E3", "001-011", "K4^(3)", "001-012"],
+    )
+    def test_three_uniform_hosts(self, pattern):
+        rng = rng_from_seed(16)
+        for n in (3, 4, 5, 6):
+            triples = list(itertools.combinations(range(n), 3))
+            for p in (0.3, 0.6, 0.9):
+                host = Hypergraph(3, n, [t for t in triples if rng.random() < p])
+                _agrees_with_brute_force(host, pattern)
+
+
+class TestHomomorphismWork:
+    """Exact step counts, independent of the machine: the symmetry breaking
+    within transposition classes must keep pruning."""
+
+    @staticmethod
+    def _steps(monkeypatch, host, pattern):
+        deadlines = []
+
+        class Counting(oracles_module._Deadline):
+            def __init__(self, budget_s):
+                super().__init__(budget_s)
+                deadlines.append(self)
+
+        monkeypatch.setattr(oracles_module, "_Deadline", Counting)
+        assert find_homomorphism(host, pattern) is None
+        return deadlines[0].ticks
+
+    def test_k5_into_k4(self, monkeypatch):
+        # 4 steps; 36 without symmetry breaking
+        assert self._steps(monkeypatch, catalog("complete", n=5), Pattern.complete_graph(4)) <= 8
+
+    def test_planted_four_partite_instance(self, monkeypatch):
+        # a non-4-colorable instance of acceptance criterion 1: 73 steps;
+        # 864 without symmetry breaking
+        host = coloring_instance(4, 103 * 3 + 4)
+        assert self._steps(monkeypatch, host, Pattern.complete_graph(4)) <= 150
 
 
 class TestTuranNumber:
