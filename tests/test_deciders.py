@@ -1,5 +1,6 @@
 """Decider tests: spec-level examples, fallbacks, witnesses, work counters."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -282,6 +283,221 @@ def test_refusal_names_the_exact_threshold(decide):
     assert d.verdict is Verdict.PRECONDITION_VIOLATED
     assert d.details["threshold"] in d.reason
     assert Fraction(d.details["threshold"]) > d.details["min_degree"]
+
+
+# -- every branch of the calibrated deciders, pinned whole ------------------------
+
+C5 = Pattern.cycle(5)
+K2, P_K3 = Pattern.complete_graph(2), Pattern.complete_graph(3)
+RELAXED = DeciderConfig(strict=False)
+
+
+def blocks(*sizes: int) -> tuple:
+    """The classes of a contiguous partition with the given class sizes."""
+    return contiguous_classes(sizes).classes
+
+
+def zero_stats(**stats) -> dict:
+    return {"distance_evals": 0, "edges_scanned": 0, "work_units": 0, "z": None, **stats}
+
+
+def small_host_refused(n, n_small):
+    return dict(
+        verdict="precondition_violated",
+        reason=f"host has {n} vertices, below the small-instance cutoff {n_small}",
+        details={"n": n, "n_small": n_small},
+    )
+
+
+def below_threshold(dmin, threshold):
+    return dict(
+        verdict="precondition_violated",
+        reason=f"minimum degree {dmin} below the threshold {threshold}",
+        details={"min_degree": dmin, "threshold": str(threshold)},
+    )
+
+
+def no_signature(edge, **stats):
+    return dict(
+        verdict="no",
+        reason=f"edge {edge} has no legal class signature",
+        violating_edge=edge,
+        stats=zero_stats(**stats),
+    )
+
+
+K4_IN_K3 = dict(
+    verdict="no",
+    reason="exhaustive embedding search found a copy (small host)",
+    details={"embedding": {0: 0, 1: 1, 2: 2}},
+)
+
+BRANCHES = {
+    "hom-small-strict": (
+        lambda: decide_hom_minimal(turan_graph(12, 3), P_K3),
+        small_host_refused(12, 18),
+    ),
+    "hom-small-relaxed": (
+        lambda: decide_hom_minimal(turan_graph(12, 3), P_K3, RELAXED),
+        dict(verdict="yes", reason="exhaustive search (small host)", classes=blocks(4, 4, 4)),
+    ),
+    "hom-sub-threshold-strict": (
+        lambda: decide_hom_minimal(turan_graph(30, 2), P_K3),
+        below_threshold(15, 20),
+    ),
+    "hom-sub-threshold-relaxed": (
+        lambda: decide_hom_minimal(turan_graph(30, 2), P_K3, RELAXED),
+        dict(
+            verdict="yes",
+            reason="exhaustive search (sub-threshold fallback)",
+            classes=blocks(15, 15) + ((),),
+        ),
+    ),
+    "hom-yes": (
+        lambda: decide_hom_minimal(turan_graph(30, 3), P_K3),
+        dict(
+            verdict="yes",
+            classes=blocks(10, 10, 10),
+            stats=zero_stats(distance_evals=58, edges_scanned=300, work_units=2340),
+        ),
+    ),
+    "hom-planted": (
+        lambda: decide_hom_minimal(
+            plant_violation(turan_graph(30, 3), turan_classes(30, 3), 7), P_K3
+        ),
+        no_signature((4, 9), distance_evals=58, edges_scanned=301, work_units=2342),
+    ),
+    "hom-r3-yes": (
+        lambda: decide_hom_minimal(
+            pattern_blowup(Pattern.single_edge(3), (10, 10, 10)), Pattern.single_edge(3)
+        ),
+        dict(
+            verdict="yes",
+            classes=blocks(10, 10, 10),
+            stats=zero_stats(distance_evals=58, edges_scanned=1000, work_units=55200),
+        ),
+    ),
+    "shom-small-strict": (
+        lambda: decide_shom_rigid(pattern_blowup(C5, (2,) * 5), C5),
+        small_host_refused(10, 30),
+    ),
+    "shom-small-relaxed": (
+        lambda: decide_shom_rigid(pattern_blowup(C5, (2,) * 5), C5, RELAXED),
+        dict(verdict="yes", reason="exhaustive search (small host)", classes=blocks(*(2,) * 5)),
+    ),
+    "shom-sub-threshold-strict": (
+        lambda: decide_shom_rigid(pattern_blowup(C5, (6, 14, 14, 6, 10)), C5),
+        below_threshold(12, 20),
+    ),
+    "shom-sub-threshold-relaxed": (
+        lambda: decide_shom_rigid(pattern_blowup(C5, (6, 14, 14, 6, 10)), C5, RELAXED),
+        dict(
+            verdict="yes",
+            reason="exhaustive search (sub-threshold fallback)",
+            classes=blocks(6, 14, 14, 6, 10),
+        ),
+    ),
+    "shom-yes": (
+        lambda: decide_shom_rigid(pattern_blowup(C5, (6,) * 5), C5),
+        dict(
+            verdict="yes",
+            classes=blocks(*(6,) * 5),
+            stats=zero_stats(distance_evals=116, edges_scanned=180, work_units=3840),
+        ),
+    ),
+    "shom-planted": (
+        lambda: decide_shom_rigid(
+            plant_violation(pattern_blowup(C5, (6,) * 5), contiguous_classes((6,) * 5), 11), C5
+        ),
+        no_signature((12, 15), distance_evals=116, edges_scanned=181, work_units=3842),
+    ),
+    "shom-empty-class": (
+        lambda: decide_shom_rigid(turan_graph(40, 2), C5),
+        dict(
+            verdict="no",
+            reason="class 2 is empty; no surjective coloring exists",
+            details={"empty_class": 2},
+            stats=zero_stats(distance_evals=78, edges_scanned=400, work_units=3920),
+        ),
+    ),
+    # a small kfree host goes to the embedding search whatever strict says
+    "kfree-small-strict": (
+        lambda: embed_min_decide(catalog("complete", n=4), K3, K2),
+        K4_IN_K3,
+    ),
+    "kfree-small-relaxed": (
+        lambda: embed_min_decide(catalog("complete", n=4), K3, K2, RELAXED),
+        K4_IN_K3,
+    ),
+    "kfree-small-yes": (
+        lambda: embed_min_decide(turan_graph(8, 2), K3, K2),
+        dict(verdict="yes", reason="exhaustive embedding search found none (small host)"),
+    ),
+    "kfree-sub-threshold-strict": (
+        lambda: embed_min_decide(pattern_blowup(K2, (10, 30)), K3, K2),
+        below_threshold(10, 20),
+    ),
+    "kfree-sub-threshold-relaxed": (
+        lambda: embed_min_decide(pattern_blowup(K2, (10, 30)), K3, K2, RELAXED),
+        dict(verdict="yes", reason="exhaustive embedding search found none (sub-threshold)"),
+    ),
+    "kfree-yes": (
+        lambda: embed_min_decide(turan_graph(40, 2), K3, K2),
+        dict(
+            verdict="yes",
+            classes=blocks(20, 20),
+            stats=zero_stats(distance_evals=39, edges_scanned=400, work_units=2360),
+        ),
+    ),
+    "kfree-planted": (
+        lambda: embed_min_decide(
+            plant_violation(turan_graph(40, 2), turan_classes(40, 2), 5), K3, K2
+        ),
+        no_signature((23, 37), distance_evals=39, edges_scanned=401, work_units=2362),
+    ),
+}
+
+
+@pytest.mark.parametrize("decide, expected", BRANCHES.values(), ids=BRANCHES.keys())
+def test_calibrated_decider_branches(decide, expected):
+    d = decide()
+    got = dict(
+        verdict=d.verdict.value,
+        reason=d.reason,
+        details=d.details,
+        violating_edge=d.violating_edge,
+        classes=None if d.partition is None else d.partition.classes,
+        stats=dataclasses.asdict(d.stats),
+    )
+    want = dict(
+        reason=None, details={}, violating_edge=None, classes=None, stats=zero_stats()
+    ) | expected
+    assert got == want
+
+
+def test_degenerate_kfree_radius_is_refused():
+    # K3 does not map into the path, but the path's optimum drops a vertex
+    with pytest.raises(InvalidInput, match="^pattern admits no positive clustering radius"):
+        embed_min_decide(turan_graph(40, 2), K3, Pattern.path(3))
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda: decide_hom_minimal(catalog("fano"), Pattern.path(3)),
+        lambda: decide_shom_rigid(catalog("fano"), Pattern.cycle(4)),
+    ],
+    ids=["hom-before-minimal", "shom-before-rigid"],
+)
+def test_uniformity_is_checked_before_the_pattern(decide):
+    with pytest.raises(InvalidInput, match="^uniformity mismatch between host and pattern$"):
+        decide()
+
+
+def test_small_kfree_host_is_searched_before_the_pairing_is_checked():
+    # K3 is K3-colorable, an unusable pairing, but K4 is below the cutoff
+    d = embed_min_decide(catalog("complete", n=4), K3, P_K3)
+    assert (d.verdict, d.reason, d.details) == (Verdict.NO, K4_IN_K3["reason"], K4_IN_K3["details"])
 
 
 class TestPeel:
