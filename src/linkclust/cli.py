@@ -254,13 +254,13 @@ def _cmd_numeric(args, which: str) -> int:
     cfg = OptConfig(seed=args.opt_seed, restarts=args.restarts)
     if which == "rigidity":
         rig = rigidity_report(pattern, cfg)
-        mrep = is_minimal(pattern, cfg) if pattern.num_vertices >= 2 else None
+        mrep = is_minimal(pattern, cfg)
         results = {
             "rigid": rig.rigid,
             "maximin": rig.maximin,
             "smallest_coordinate": rig.smallest_coordinate,
-            "minimal": None if mrep is None else mrep.minimal,
-            "minimality_margin": None if mrep is None else mrep.margin,
+            "minimal": mrep.minimal,
+            "minimality_margin": mrep.margin,
             "certificate": rig.certificate,
             "note": rig.note,
         }

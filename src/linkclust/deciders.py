@@ -103,12 +103,15 @@ class Decision:
 
 @dataclass(frozen=True)
 class DeciderConfig:
-    """Caller-supplied slack constants for the deciders.
+    """Caller-supplied constants for the deciders.
 
-    ``eps`` is the accepted slack below the theoretical degree threshold,
-    ``n_small`` the host size under which the exhaustive oracle takes over,
-    and ``strict`` controls whether sub-threshold inputs refuse or silently
-    fall back to the oracle (exponential worst case).
+    ``eps`` is the accepted slack below the calibrated degree threshold; it
+    must be finite and nonnegative.  A host with fewer than ``n_small``
+    vertices, or with minimum degree below the slackened threshold, is
+    refused when ``strict`` and otherwise handed to the exhaustive oracle
+    (exponential worst case), which gives up after ``oracle_budget_s``
+    seconds.  ``opt`` configures the calibration.  :func:`decide_k_colorable`
+    reads only ``strict`` and ``oracle_budget_s``.
 
     ``n_small`` defaults per decider: ``3 * l * r`` for an l-vertex pattern
     in :func:`decide_hom_minimal` and :func:`decide_shom_rigid`, and
@@ -126,6 +129,8 @@ class DeciderConfig:
     def __post_init__(self):
         if self.eps < 0:
             raise InvalidInput("eps must be nonnegative")
+        if not math.isfinite(self.eps):
+            raise InvalidInput(f"eps must be finite, got {self.eps!r}")
         if self.n_small is not None and self.n_small < 1:
             raise InvalidInput("n_small must be positive")
 
@@ -230,10 +235,7 @@ def _edge_signatures(
     cols = [lab[col] for col in hypergraph.edge_array.T]
     _sort_columns(cols)
     codes = _encode_rows(cols, base)
-    distinct = np.unique(codes)
-    # one pass per distinct code: at most the number of label multisets
-    reps = np.array([int(np.argmax(codes == c)) for c in distinct], dtype=np.int64)
-    return distinct, reps
+    return np.unique(codes, return_index=True)
 
 
 def _match_to_pattern(
@@ -258,18 +260,11 @@ def _match_to_pattern(
             for cnt in counts
         )
 
-    def complete() -> bool:
-        for cnt in counts:
-            target = [0] * num
-            for c, k in cnt.items():
-                target[assignment[c]] = k
-            if tuple(target) not in allowed:
-                return False
-        return True
-
     def search(i: int) -> bool:
+        # with every cluster placed, feasible() has put each signature's
+        # image under a pattern edge, and both have r members: they are equal
         if i == len(active):
-            return complete()
+            return True
         for img in [p for p in range(num) if p not in assignment.values()]:
             assignment[active[i]] = img
             if feasible() and search(i + 1):
@@ -439,29 +434,45 @@ def _exact_fraction(value: float, exact: Optional[Fraction]) -> Fraction:
     return exact if exact is not None else Fraction(value)
 
 
-def _clustering_radius(smallest_coord: Fraction, r: int) -> Fraction:
-    return (smallest_coord / 2) ** (r - 1) / math.factorial(r - 1)
-
-
 def _decide_core(
     hypergraph: Hypergraph,
     pattern: Pattern,
     cfg: DeciderConfig,
-    threshold: Fraction,
-    smallest_coord: Fraction,
-    fallback: Callable[[], Decision],
-    degenerate: Exception,
+    oracle: Callable[[str], Decision],
+    n_small: int,
+    degenerate: Optional[Exception] = None,
     surjective: bool = False,
 ) -> Decision:
     """The criterion's decision procedure, shared by the pattern deciders.
 
-    The minimum degree must reach ``(threshold - eps) * n**(r-1)``; below it
-    the decision is refused, or ``fallback()`` answers it when ``cfg.strict``
-    is false.  Above it the vertices are clustered at the radius that
-    ``smallest_coord`` gives (``degenerate`` is raised when that is not
-    positive) and the class signatures of the edges decide.
+    Calibrate: the threshold is r·λ of the pattern, or its maximin level φ
+    when ``surjective``, and c is the least coordinate of the maximin
+    optimum; both are exact where the calibration has a closed form.  Gate:
+    a host with fewer than ``n_small`` vertices, then one with minimum
+    degree below ``(threshold - eps) * n**(r-1)``, is refused when
+    ``cfg.strict`` and else answered by ``oracle(note)``.  Decide: raise
+    ``degenerate`` (a :class:`NumericFailure` by default) unless c > 0,
+    cluster at radius ``(c/2)**(r-1) / (r-1)!``, and read the class
+    signatures of the edges; when ``surjective`` every class must be
+    nonempty.
     """
     n, r = hypergraph.n, hypergraph.r
+    if surjective:
+        rig = rigidity_report(pattern, cfg.opt)
+        threshold = _exact_fraction(rig.maximin, rig.maximin_exact)
+    else:
+        lam = lagrangian(pattern, cfg.opt)
+        threshold = r * _exact_fraction(lam.value, lam.value_exact)
+        rig = rigidity_report(pattern, cfg.opt)
+    smallest = _exact_fraction(rig.smallest_coordinate, rig.smallest_exact)
+
+    if n < n_small:
+        if cfg.strict:
+            return _precondition(
+                f"host has {n} vertices, below the small-instance cutoff {n_small}",
+                {"n": n, "n_small": n_small},
+            )
+        return oracle("small host")
     dmin = hypergraph.min_degree()
     bound = (threshold - Fraction(cfg.eps)) * Fraction(n) ** (r - 1)
     if not Fraction(dmin) >= bound:
@@ -470,11 +481,11 @@ def _decide_core(
                 f"minimum degree {dmin} below the threshold {bound}",
                 {"min_degree": dmin, "threshold": str(bound)},
             )
-        return fallback()
+        return oracle("sub-threshold fallback")
 
-    if smallest_coord <= 0:
-        raise degenerate
-    radius = _clustering_radius(smallest_coord, r)
+    if smallest <= 0:
+        raise degenerate or NumericFailure("clustering radius degenerated to zero", float(smallest))
+    radius = (smallest / 2) ** (r - 1) / math.factorial(r - 1)
     labels, evals = _cluster(hypergraph, pattern.num_vertices, radius)
     stats = DecideStats(distance_evals=evals)
     relabeled, bad_edge = _signature_verdict(hypergraph, pattern, labels, stats)
@@ -498,44 +509,6 @@ def _decide_core(
     return Decision(Verdict.YES, partition=part, stats=stats)
 
 
-def _hom_core(
-    hypergraph: Hypergraph,
-    pattern: Pattern,
-    cfg: DeciderConfig,
-    threshold: Fraction,
-    smallest_coord: Fraction,
-    surjective: bool,
-) -> Decision:
-    """Small hosts refuse or go to the coloring oracle; the rest go to
-    :func:`_decide_core`."""
-    oracle = functools.partial(
-        _oracle_hom_decision, hypergraph, pattern, surjective, cfg.oracle_budget_s
-    )
-    n = hypergraph.n
-    n_small = (
-        cfg.n_small
-        if cfg.n_small is not None
-        else 3 * pattern.num_vertices * hypergraph.r
-    )
-    if n < n_small:
-        if cfg.strict:
-            return _precondition(
-                f"host has {n} vertices, below the small-instance cutoff {n_small}",
-                {"n": n, "n_small": n_small},
-            )
-        return oracle("small host")
-    return _decide_core(
-        hypergraph,
-        pattern,
-        cfg,
-        threshold,
-        smallest_coord,
-        functools.partial(oracle, "sub-threshold fallback"),
-        NumericFailure("clustering radius degenerated to zero", float(smallest_coord)),
-        surjective,
-    )
-
-
 def decide_hom_minimal(
     hypergraph: Hypergraph, pattern: Pattern, cfg: DeciderConfig = DeciderConfig()
 ) -> Decision:
@@ -554,11 +527,13 @@ def decide_hom_minimal(
             f"pattern is not minimal (margin {mrep.margin:.3g}); "
             "this decider requires a minimal pattern"
         )
-    lam = lagrangian(pattern, cfg.opt)
-    rig = rigidity_report(pattern, cfg.opt)
-    threshold = hypergraph.r * _exact_fraction(lam.value, lam.value_exact)
-    smallest = _exact_fraction(rig.smallest_coordinate, rig.smallest_exact)
-    return _hom_core(hypergraph, pattern, cfg, threshold, smallest, surjective=False)
+    return _decide_core(
+        hypergraph,
+        pattern,
+        cfg,
+        functools.partial(_oracle_hom_decision, hypergraph, pattern, False, cfg.oracle_budget_s),
+        cfg.n_small if cfg.n_small is not None else 3 * pattern.num_vertices * pattern.r,
+    )
 
 
 def decide_shom_rigid(
@@ -577,9 +552,14 @@ def decide_shom_rigid(
             f"pattern is not rigid ({(rig.certificate or {}).get('kind', 'unknown')}); "
             "this decider requires a rigid pattern"
         )
-    threshold = _exact_fraction(rig.maximin, rig.maximin_exact)
-    smallest = _exact_fraction(rig.smallest_coordinate, rig.smallest_exact)
-    return _hom_core(hypergraph, pattern, cfg, threshold, smallest, surjective=True)
+    return _decide_core(
+        hypergraph,
+        pattern,
+        cfg,
+        functools.partial(_oracle_hom_decision, hypergraph, pattern, True, cfg.oracle_budget_s),
+        cfg.n_small if cfg.n_small is not None else 3 * pattern.num_vertices * pattern.r,
+        surjective=True,
+    )
 
 
 # -- freeness under minimum degree ----------------------------------------------
@@ -609,9 +589,7 @@ def embed_min_decide(
     """
     if hypergraph.r != small.r or hypergraph.r != pattern.r:
         raise InvalidInput("uniformity mismatch")
-    oracle = functools.partial(
-        _oracle_embed_decision, hypergraph, small, cfg.oracle_budget_s
-    )
+    oracle = functools.partial(_oracle_embed_decision, hypergraph, small, cfg.oracle_budget_s)
     n_small = cfg.n_small if cfg.n_small is not None else 3 * small.n
     if hypergraph.n < n_small:
         return oracle("small host")
@@ -620,16 +598,12 @@ def embed_min_decide(
             "the forbidden hypergraph is colorable by the pattern, so the "
             "pattern's blow-ups contain it; unusable pairing"
         )
-
-    lam = lagrangian(pattern, cfg.opt)
-    rig = rigidity_report(pattern, cfg.opt)
     return _decide_core(
         hypergraph,
         pattern,
         cfg,
-        hypergraph.r * _exact_fraction(lam.value, lam.value_exact),
-        _exact_fraction(rig.smallest_coordinate, rig.smallest_exact),
-        functools.partial(oracle, "sub-threshold"),
+        oracle,
+        0,
         InvalidInput("pattern admits no positive clustering radius; unusable pairing"),
     )
 

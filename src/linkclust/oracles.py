@@ -24,7 +24,7 @@ import itertools
 import math
 import operator
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,6 +51,9 @@ class _Deadline:
     __slots__ = ("t_end", "ticks")
 
     def __init__(self, budget_s: float):
+        # NaN compares false with every time, so it would never run out
+        if not budget_s < math.inf:
+            raise InvalidInput(f"oracle budget {budget_s!r} never runs out")
         self.t_end = time.monotonic() + budget_s
         self.ticks = 0
 
@@ -141,11 +144,12 @@ def find_embedding(
     """
     if small.r != host.r:
         raise InvalidInput(f"uniformity mismatch: {small.r} vs {host.r}")
+    deadline = _Deadline(budget_s)
     if small.n == 0:
         return {}
     if small.n > host.n or len(small) > len(host):
         return None
-    return _embed(small, host, _Deadline(budget_s))
+    return _embed(small, host, deadline)
 
 
 # -- homomorphism search -------------------------------------------------------
@@ -326,14 +330,20 @@ def _grid_chunks(resolution: int, dim: int, chunk: int = 200_000):
         yield counts / resolution
 
 
-def _grid_guard(resolution: int, dim: int) -> None:
+def _grid_max(
+    pattern: Pattern, resolution: int, objective: Callable[[_Calc, np.ndarray], np.ndarray]
+) -> float:
+    """Maximum of ``objective(calc, X)`` over the simplex points whose
+    coordinates are multiples of ``1/resolution``, at most
+    ``GRID_POINT_LIMIT`` of them."""
     if resolution < 1:
         raise InvalidInput("grid resolution must be at least 1")
+    dim = pattern.num_vertices
     points = math.comb(resolution + dim - 1, dim - 1)
     if points > GRID_POINT_LIMIT:
-        raise InvalidInput(
-            f"grid would have {points} points, above the {GRID_POINT_LIMIT} cap"
-        )
+        raise InvalidInput(f"grid would have {points} points, above the {GRID_POINT_LIMIT} cap")
+    calc = _Calc(pattern)
+    return max(float(objective(calc, X).max()) for X in _grid_chunks(resolution, dim))
 
 
 def lagrangian_grid(pattern: Pattern, resolution: int) -> float:
@@ -343,26 +353,10 @@ def lagrangian_grid(pattern: Pattern, resolution: int) -> float:
     Always a lower bound on the true maximum, converging as the resolution
     grows.
     """
-    _grid_guard(resolution, pattern.num_vertices)
-    calc = _Calc(pattern)
-    best = -math.inf
-    for X in _grid_chunks(resolution, pattern.num_vertices):
-        vals = calc.value(X)
-        m = float(vals.max())
-        if m > best:
-            best = m
-    return best
+    return _grid_max(pattern, resolution, _Calc.value)
 
 
 def phi_grid(pattern: Pattern, resolution: int) -> float:
     """Grid-search lower bound on the maximin of the weight polynomial's
     partial derivatives."""
-    _grid_guard(resolution, pattern.num_vertices)
-    calc = _Calc(pattern)
-    best = -math.inf
-    for X in _grid_chunks(resolution, pattern.num_vertices):
-        vals = calc.grad(X).min(axis=1)
-        m = float(vals.max())
-        if m > best:
-            best = m
-    return best
+    return _grid_max(pattern, resolution, lambda calc, X: calc.grad(X).min(axis=1))

@@ -439,7 +439,10 @@ BRANCHES = {
     ),
     "kfree-sub-threshold-relaxed": (
         lambda: embed_min_decide(pattern_blowup(K2, (10, 30)), K3, K2, RELAXED),
-        dict(verdict="yes", reason="exhaustive embedding search found none (sub-threshold)"),
+        dict(
+            verdict="yes",
+            reason="exhaustive embedding search found none (sub-threshold fallback)",
+        ),
     ),
     "kfree-yes": (
         lambda: embed_min_decide(turan_graph(40, 2), K3, K2),

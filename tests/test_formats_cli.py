@@ -544,6 +544,29 @@ class TestCli:
         assert captured.err.startswith("linkclust: error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_is_3(self, turan_file, k3_pattern_file, capsys, eps):
+        argv = ["decide", "hom", "--host", turan_file, "--pattern", k3_pattern_file]
+        assert run_cli(argv + ["--eps", eps]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"linkclust: error: eps must be finite, got {eps}\n"
+
+    def test_oracle_budget_nan_is_3(self, turan_file, k3_pattern_file, capsys):
+        argv = ["oracle", "hom", "--pattern", k3_pattern_file, "--host", turan_file]
+        assert run_cli(argv + ["--oracle-budget", "nan"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "linkclust: error: oracle budget nan never runs out\n"
+
+    def test_rigidity_of_a_single_vertex_is_3(self, tmp_path, capsys):
+        path = tmp_path / "k1.txt"
+        path.write_text("2 1 0\n")
+        assert run_cli(["rigidity", "--pattern", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "linkclust: error: rigidity needs at least 2 vertices\n"
+
     def test_restarts_above_the_memory_cap_are_3(self, tmp_path, capsys, monkeypatch):
         import importlib
 

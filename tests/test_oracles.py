@@ -107,6 +107,13 @@ class TestFindEmbedding:
         with pytest.raises(OracleTimeout):
             find_embedding(small, host, budget_s=0.0)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_a_budget_that_never_runs_out_is_refused(self, budget):
+        # refused whatever the input, even where no search is needed
+        for small in (catalog("complete", n=3), Hypergraph(2, 0, [])):
+            with pytest.raises(InvalidInput, match="never runs out"):
+                find_embedding(small, catalog("complete", n=4), budget_s=budget)
+
 
 @pytest.fixture(scope="module")
 def c5_blowup():
@@ -153,6 +160,13 @@ class TestFindHomomorphism:
         assert find_homomorphism(host, Pattern.complete_graph(3)) is None
         with pytest.raises(OracleTimeout):
             find_homomorphism(host, Pattern.complete_graph(3), budget_s=0.0)
+        with pytest.raises(OracleTimeout):  # a negative budget is spent already
+            find_homomorphism(host, Pattern.complete_graph(3), budget_s=-math.inf)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_a_budget_that_never_runs_out_is_refused(self, budget):
+        with pytest.raises(InvalidInput, match="never runs out"):
+            find_homomorphism(C5, Pattern.complete_graph(3), budget_s=budget)
 
     def test_edgeless_pattern_colors_only_isolated_vertices(self):
         assert find_homomorphism(Hypergraph(2, 12, [(10, 11)]), Pattern(2, 5, [])) is None
