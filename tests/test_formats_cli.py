@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from linkclust import (
     Pattern,
     catalog,
     contiguous_classes,
+    delete_random_edges,
     parse_hypergraph,
     parse_pattern,
     pattern_blowup,
@@ -148,6 +150,262 @@ def k3_pattern_file(tmp_path):
     path = tmp_path / "k3p.txt"
     path.write_text(serialize_pattern(Pattern.complete_graph(3)))
     return str(path)
+
+
+@pytest.fixture()
+def report_files(tmp_path):
+    """Input files of the report characterization, by placeholder name."""
+    files = {
+        "t30": serialize_hypergraph(turan_graph(30, 3)),
+        "bad30": serialize_hypergraph(plant_violation(turan_graph(30, 3), turan_classes(30, 3), 4)),
+        "c5": serialize_hypergraph(catalog("cycle", k=5)),
+        "c5x2": serialize_hypergraph(pattern_blowup(Pattern.cycle(5), (2,) * 5)),
+        "t12": serialize_hypergraph(turan_graph(12, 2)),
+        "t120": serialize_hypergraph(delete_random_edges(turan_graph(120, 2), 2, 3)),
+        "t24": serialize_hypergraph(delete_random_edges(turan_graph(24, 2), 2, 3)),
+        "k3": serialize_hypergraph(catalog("complete", n=3)),
+        "k4": serialize_hypergraph(catalog("complete", n=4)),
+        "k33": serialize_hypergraph(turan_graph(6, 2)),
+        "k2p": serialize_pattern(Pattern.complete_graph(2)),
+        "k3p": serialize_pattern(Pattern.complete_graph(3)),
+        "c4p": serialize_pattern(Pattern.cycle(4)),
+        "c5p": serialize_pattern(Pattern.cycle(5)),
+    }
+    paths = {}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
+    return paths
+
+
+_T30_CLASSES = f"classes: {[list(range(i, i + 10)) for i in (0, 10, 20)]}"
+_BASE_KEYS = ["command", "input_digests", "params", "schema_version", "tool", "tool_version"]
+_OPT_PARAMS = {"opt_seed": 1729, "restarts": 64}
+
+# One request per report subcommand and per verdict branch whose report
+# fields differ: (argv, exit code, command, params, the report's keys beyond
+# the six every report has, its input names, its text form line by line).
+# ``wall_time_s=*`` masks the one timing.
+_REPORTS = {
+    "kcolor_yes": (
+        ["decide", "kcolor", "--host", "{t30}", "--l", "3", "--seed", "7"],
+        0,
+        "decide kcolor",
+        {"l": 3, "strict": True},
+        ["seed", "stats", "verdict", "witness"],
+        ["host"],
+        [
+            "verdict: yes",
+            _T30_CLASSES,
+            "stats: distance_evals=58 edges_scanned=300 wall_time_s=* work_units=2340",
+        ],
+    ),
+    "kcolor_no": (
+        ["decide", "kcolor", "--host", "{bad30}", "--l", "3"],
+        1,
+        "decide kcolor",
+        {"l": 3, "strict": True},
+        ["results", "stats", "verdict"],
+        ["host"],
+        [
+            "verdict: no",
+            "reason: edge (24, 28) lies inside class 2",
+            "violating_edge: [24, 28]",
+            "stats: distance_evals=58 edges_scanned=301 wall_time_s=* work_units=2342",
+        ],
+    ),
+    "kcolor_refused": (
+        ["decide", "kcolor", "--host", "{c5}", "--l", "2"],
+        2,
+        "decide kcolor",
+        {"l": 2, "strict": True},
+        ["results", "stats", "verdict"],
+        ["host"],
+        [
+            "verdict: precondition_violated",
+            "reason: minimum degree 2 is not above 2/5 of 5",
+            "details: {'min_degree': 2, 'bound': [2, 5], 'n': 5}",
+            "stats: distance_evals=0 edges_scanned=0 wall_time_s=* work_units=0",
+        ],
+    ),
+    "hom": (
+        ["decide", "hom", "--host", "{t30}", "--pattern", "{k3p}"],
+        0,
+        "decide hom",
+        {"eps": 0.0, "n_small": None, "strict": True},
+        ["stats", "verdict", "witness"],
+        ["host", "pattern"],
+        [
+            "verdict: yes",
+            _T30_CLASSES,
+            "stats: distance_evals=58 edges_scanned=300 wall_time_s=* work_units=2340",
+        ],
+    ),
+    "shom": (
+        ["decide", "shom", "--host", "{c5x2}", "--pattern", "{c5p}", "--eps", "1e-9", "--n-small", "5"],
+        0,
+        "decide shom",
+        {"eps": 1e-9, "n_small": 5, "strict": True},
+        ["stats", "verdict", "witness"],
+        ["host", "pattern"],
+        [
+            "verdict: yes",
+            "classes: [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]",
+            "stats: distance_evals=36 edges_scanned=20 wall_time_s=* work_units=400",
+        ],
+    ),
+    "kfree": (
+        ["decide", "kfree", "--host", "{t12}", "--f", "{k3}", "--pattern", "{k2p}"],
+        0,
+        "decide kfree",
+        {"eps": 0.0, "n_small": None, "strict": True},
+        ["stats", "verdict", "witness"],
+        ["forbidden", "host", "pattern"],
+        [
+            "verdict: yes",
+            "classes: [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]]",
+            "stats: distance_evals=11 edges_scanned=36 wall_time_s=* work_units=204",
+        ],
+    ),
+    "avg_yes": (
+        ["decide", "avg", "--host", "{t120}", "--l", "2", "--k", "2"],
+        0,
+        "decide avg",
+        {"l": 2, "k": 2},
+        ["stats", "verdict", "witness"],
+        ["host"],
+        [
+            "verdict: yes",
+            f"classes: {[list(range(60)), list(range(60, 120))]}",
+            "stats: distance_evals=119 edges_scanned=7196 wall_time_s=* work_units=28672 z=0",
+        ],
+    ),
+    "avg_refused": (
+        ["decide", "avg", "--host", "{t24}", "--l", "2", "--k", "2"],
+        2,
+        "decide avg",
+        {"l": 2, "k": 2},
+        ["results", "stats", "verdict"],
+        ["host"],
+        [
+            "verdict: precondition_violated",
+            "reason: 24 vertices, below the size gate 120",
+            "details: {'n': 24, 'gate': 120}",
+            "stats: distance_evals=0 edges_scanned=0 wall_time_s=* work_units=0",
+        ],
+    ),
+    "cluster": (
+        ["cluster", "--host", "{t30}", "--l", "3", "--delta", "1/4"],
+        0,
+        "cluster",
+        {"l": 3, "delta": "1/4"},
+        ["witness"],
+        ["host"],
+        [_T30_CLASSES],
+    ),
+    "lagrangian": (
+        ["lagrangian", "--pattern", "{k3p}"],
+        0,
+        "lagrangian",
+        _OPT_PARAMS,
+        ["results"],
+        ["pattern"],
+        [
+            "value: 0.3333333333333333",
+            "argmax: [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]",
+            "converged: True",
+            "witnesses: 1",
+        ],
+    ),
+    "phi": (
+        ["phi", "--pattern", "{k3p}"],
+        0,
+        "phi",
+        _OPT_PARAMS,
+        ["results"],
+        ["pattern"],
+        [
+            "value: 0.6666666666666666",
+            "argmax: [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]",
+            "converged: True",
+            "witnesses: 1",
+        ],
+    ),
+    "rigidity": (
+        ["rigidity", "--pattern", "{c4p}"],
+        0,
+        "rigidity",
+        _OPT_PARAMS,
+        ["results"],
+        ["pattern"],
+        [
+            "rigid: False",
+            "maximin: 0.5",
+            "smallest_coordinate: 0.0",
+            "minimal: False",
+            "minimality_margin: 0.0",
+            "certificate: {'kind': 'twins', 'pair': (0, 2), 'witness': (0.0, 0.5, 0.5, 0.0)}",
+            "note: exact rational result",
+        ],
+    ),
+    "oracle_embed_found": (
+        ["oracle", "embed", "--f", "{k3}", "--host", "{k4}"],
+        0,
+        "oracle embed",
+        {},
+        ["results"],
+        ["forbidden", "host"],
+        ["found: True", "embedding: {0: 0, 1: 1, 2: 2}"],
+    ),
+    "oracle_embed_none": (
+        ["oracle", "embed", "--f", "{k3}", "--host", "{c5}"],
+        1,
+        "oracle embed",
+        {},
+        ["results"],
+        ["forbidden", "host"],
+        ["found: False", "embedding: None"],
+    ),
+    "oracle_hom_yes": (
+        ["oracle", "hom", "--pattern", "{c5p}", "--host", "{k33}"],
+        0,
+        "oracle hom",
+        {"surjective": False},
+        ["verdict", "witness"],
+        ["host", "pattern"],
+        ["verdict: yes", "classes: [[0, 1, 2], [3, 4, 5], [], [], []]"],
+    ),
+    "oracle_hom_no": (
+        ["oracle", "hom", "--pattern", "{c5p}", "--host", "{k33}", "--surjective"],
+        1,
+        "oracle hom",
+        {"surjective": True},
+        ["verdict"],
+        ["host", "pattern"],
+        ["verdict: no"],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", list(_REPORTS))
+def test_report_characterization(report_files, capsys, case, fmt):
+    argv, code, command, params, keys, inputs, lines = _REPORTS[case]
+    argv = [a.format(**report_files) for a in argv]
+    assert run_cli([*argv, "--format", fmt]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "json":
+        report = json.loads(captured.out)
+        assert report["command"] == command
+        assert report["params"] == params
+        assert sorted(report) == sorted(_BASE_KEYS + keys)
+        assert sorted(report["input_digests"]) == inputs
+        if "seed" in keys:
+            assert report["seed"] == 7
+    else:
+        masked = re.sub(r"wall_time_s=\S+", "wall_time_s=*", captured.out)
+        assert masked.splitlines() == lines
 
 
 class TestCli:
@@ -303,28 +561,61 @@ class TestCli:
         assert captured.err.startswith("linkclust: error: ")
         assert "colorable by the pattern" in captured.err
 
-    def test_decide_runs_the_current_module_globals(self, turan_file, capsys, monkeypatch):
-        # tracing tools patch these names; the decide table must not hold
-        # the functions it saw at import
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (
+                ["decide", "kcolor", "--host", "{t30}", "--l", "3"],
+                ["parse_hypergraph", "decide_k_colorable", "build_report"],
+            ),
+            (
+                ["cluster", "--host", "{t30}", "--l", "3", "--delta", "1/4"],
+                ["parse_hypergraph", "hamming_clustering", "build_report"],
+            ),
+            (["lagrangian", "--pattern", "{k3p}"], ["parse_pattern", "lagrangian", "build_report"]),
+            (["phi", "--pattern", "{k3p}"], ["parse_pattern", "phi", "build_report"]),
+            (
+                ["rigidity", "--pattern", "{c4p}"],
+                ["parse_pattern", "rigidity_report", "is_minimal", "build_report"],
+            ),
+            (
+                ["oracle", "embed", "--f", "{k3}", "--host", "{k4}"],
+                ["parse_hypergraph", "parse_hypergraph", "find_embedding", "build_report"],
+            ),
+            (
+                ["oracle", "hom", "--pattern", "{c5p}", "--host", "{k33}"],
+                ["parse_pattern", "parse_hypergraph", "find_homomorphism", "build_report"],
+            ),
+        ],
+        ids=["kcolor", "cluster", "lagrangian", "phi", "rigidity", "oracle_embed", "oracle_hom"],
+    )
+    def test_reports_run_the_current_module_globals(
+        self, report_files, capsys, monkeypatch, argv, calls
+    ):
+        # tracing tools patch these names; the subcommand table must not
+        # hold the functions it saw at import
         import linkclust.cli
         import linkclust.formats
 
-        calls = []
+        seen = []
 
         def counting(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                seen.append(name)
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counting(linkclust.cli, "decide_k_colorable")
-        counting(linkclust.formats, "parse_hypergraph")
-        assert run_cli(["decide", "kcolor", "--host", turan_file, "--l", "3"]) == 0
+        for name in ("parse_hypergraph", "parse_pattern", "build_report"):
+            counting(linkclust.formats, name)
+        for name in calls:
+            if not hasattr(linkclust.formats, name):
+                counting(linkclust.cli, name)
+        assert run_cli([a.format(**report_files) for a in argv]) in (0, 1)
         capsys.readouterr()
-        assert calls == ["parse_hypergraph", "decide_k_colorable"]
+        assert seen == calls
 
     def test_cluster_command(self, turan_file, capsys):
         code = run_cli(
@@ -455,10 +746,10 @@ class TestCli:
     def test_internal_error_is_3(self, turan_file, capsys, caplog, monkeypatch):
         import linkclust.cli
 
-        def broken(args):
+        def broken(*args):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(linkclust.cli, "_cmd_cluster", broken)
+        monkeypatch.setattr(linkclust.cli, "hamming_clustering", broken)
         caplog.set_level("DEBUG", logger="linkclust.cli")
         assert run_cli(["cluster", "--host", turan_file, "--l", "3", "--delta", "1/4"]) == 3
         captured = capsys.readouterr()
