@@ -102,14 +102,14 @@ def _read_inputs(args, keys: tuple[str, ...]) -> tuple[dict[str, str], dict]:
     return texts, parsed
 
 
-def _emit_text(report: dict) -> None:
-    for key in ("verdict", "results"):
-        if key in report:
-            if key == "results":
-                for k, v in report["results"].items():
-                    print(f"{k}: {v}")
-            else:
-                print(f"{key}: {report[key]}")
+def _emit(report: dict, fmt: str) -> None:
+    if fmt == "json":
+        sys.stdout.write(formats.dump_report(report))
+        return
+    if "verdict" in report:
+        print(f"verdict: {report['verdict']}")
+    for k, v in report.get("results", {}).items():
+        print(f"{k}: {v}")
     if "witness" in report:
         print(f"classes: {report['witness']['classes']}")
     if "stats" in report:
@@ -117,54 +117,65 @@ def _emit_text(report: dict) -> None:
         print(f"stats: {parts}")
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(formats.dump_report(report))
-    else:
-        _emit_text(report)
+# -- reports -----------------------------------------------------------------------
 
 
-def _decision_stats(decision: Decision, wall: float) -> dict:
-    stats = {
-        "distance_evals": decision.stats.distance_evals,
-        "edges_scanned": decision.stats.edges_scanned,
-        "work_units": decision.stats.work_units,
-        "wall_time_s": wall,
-    }
-    if decision.stats.z is not None:
-        stats["z"] = decision.stats.z
-    return stats
+class _Report(NamedTuple):
+    """One report-writing subcommand: its command string, the input files
+    it reads (in order), its report params (report key -> option dest), and
+    its run on the parsed inputs, which returns the exit code and the
+    report's other fields.  The runs name the library functions at call
+    time, so a patched module global is the one that runs."""
+
+    command: str
+    inputs: tuple[str, ...]
+    params: dict[str, str]
+    run: Callable[[argparse.Namespace, dict], tuple[int, dict]]
 
 
-def _decision_results(decision: Decision) -> dict:
-    results: dict = {}
-    if decision.reason:
-        results["reason"] = decision.reason
-    if decision.violating_edge is not None:
-        results["violating_edge"] = list(decision.violating_edge)
-    if decision.details:
-        results["details"] = {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in decision.details.items()
-        }
-    return results
-
-
-def _finish_decision(
-    args, command: str, params: dict, inputs: dict[str, str], decision: Decision, wall: float
-) -> int:
+def _cmd_report(args) -> int:
+    spec: _Report = args.report
+    texts, parsed = _read_inputs(args, spec.inputs)
+    code, fields = spec.run(args, parsed)
     report = formats.build_report(
-        command=command,
-        params=params,
-        inputs=inputs,
-        verdict=decision.verdict.value,
-        witness=decision.partition,
-        stats=_decision_stats(decision, wall),
-        results=_decision_results(decision) or None,
-        seed=getattr(args, "seed", None),
+        command=spec.command,
+        params={key: getattr(args, dest) for key, dest in spec.params.items()},
+        inputs=texts,
+        **fields,
     )
     _emit(report, args.format)
-    return _VERDICT_EXIT[decision.verdict.value]
+    return code
+
+
+def _decision(call: Callable[[argparse.Namespace, dict], Decision]):
+    """The run of a ``decide`` subcommand; ``wall_time_s`` times ``call`` alone."""
+
+    def run(args, parsed) -> tuple[int, dict]:
+        t0 = time.perf_counter()
+        decision = call(args, parsed)
+        wall = time.perf_counter() - t0
+        stats = {k: v for k, v in vars(decision.stats).items() if v is not None}
+        results = {
+            "reason": decision.reason,
+            "violating_edge": decision.violating_edge and list(decision.violating_edge),
+            "details": {
+                k: (list(v) if isinstance(v, tuple) else v) for k, v in decision.details.items()
+            },
+        }
+        verdict = decision.verdict.value
+        return _VERDICT_EXIT[verdict], {
+            "verdict": verdict,
+            "witness": decision.partition,
+            "stats": {**stats, "wall_time_s": wall},
+            "results": {k: v for k, v in results.items() if v} or None,
+            "seed": args.seed,
+        }
+
+    return run
+
+
+def _opt_cfg(args) -> OptConfig:
+    return OptConfig(seed=args.opt_seed, restarts=args.restarts)
 
 
 def _oracle_cfg(args) -> DeciderConfig:
@@ -176,110 +187,88 @@ def _decider_cfg(args) -> DeciderConfig:
         eps=args.eps,
         n_small=args.n_small,
         strict=args.strict,
-        opt=OptConfig(seed=args.opt_seed, restarts=args.restarts),
+        opt=_opt_cfg(args),
         oracle_budget_s=args.oracle_budget,
     )
 
 
-def _add_common(p: argparse.ArgumentParser, oracle: bool = True, calibrated: bool = True) -> None:
-    """Options of a ``decide`` subcommand: I/O, then those of the oracle
-    fallback and those of a pattern and its calibration, if it reads them."""
-    p.add_argument("--host", default="-", help="host hypergraph file, '-' for stdin")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=None, help="recorded in the report")
-    if oracle:
-        p.add_argument(
-            "--strict",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="refuse sub-threshold inputs instead of falling back to the oracle",
-        )
-        p.add_argument("--oracle-budget", type=float, default=60.0, dest="oracle_budget")
-    if calibrated:
-        p.add_argument("--pattern", required=True, help="pattern file")
-        p.add_argument("--eps", type=float, default=0.0, help="accepted threshold slack")
-        p.add_argument("--n-small", type=int, default=None, dest="n_small")
-        p.add_argument("--restarts", type=int, default=64)
-        p.add_argument("--opt-seed", type=int, default=1729, dest="opt_seed")
+def _run_optimum(args, parsed) -> tuple[int, dict]:
+    rep = (lagrangian if args.command == "lagrangian" else phi)(parsed["pattern"], _opt_cfg(args))
+    results = {
+        "value": rep.value,
+        "argmax": list(rep.argmax.coords),
+        "converged": rep.converged,
+        "witnesses": len(rep.witness_set),
+    }
+    return EXIT_YES, {"results": results}
 
 
-# -- decide ----------------------------------------------------------------------
+def _run_rigidity(args, parsed) -> tuple[int, dict]:
+    cfg = _opt_cfg(args)
+    rig = rigidity_report(parsed["pattern"], cfg)
+    mrep = is_minimal(parsed["pattern"], cfg)
+    results = {
+        "rigid": rig.rigid,
+        "maximin": rig.maximin,
+        "smallest_coordinate": rig.smallest_coordinate,
+        "minimal": mrep.minimal,
+        "minimality_margin": mrep.margin,
+        "certificate": rig.certificate,
+        "note": rig.note,
+    }
+    return EXIT_YES, {"results": results}
 
 
-class _Decide(NamedTuple):
-    """One ``decide`` subcommand: the input files it reads (in the order
-    host, forbidden, pattern), its report params, and its decider call on
-    the parsed inputs.  The calls name the deciders at call time, so a
-    patched module global is the one that runs."""
-
-    inputs: tuple[str, ...]
-    params: Callable[[argparse.Namespace], dict]
-    call: Callable[[argparse.Namespace, dict], Decision]
+def _run_embed(args, parsed) -> tuple[int, dict]:
+    emb = find_embedding(parsed["forbidden"], parsed["host"], args.oracle_budget)
+    found = emb is not None
+    return (EXIT_YES if found else EXIT_NO), {"results": {"found": found, "embedding": emb}}
 
 
-def _calibrated_params(args) -> dict:
-    return {"eps": args.eps, "n_small": args.n_small, "strict": args.strict}
-
-
-def _cmd_decide(args) -> int:
-    spec: _Decide = args.decide
-    texts, parsed = _read_inputs(args, spec.inputs)
-    t0 = time.perf_counter()
-    decision = spec.call(args, parsed)
-    wall = time.perf_counter() - t0
-    return _finish_decision(
-        args, f"decide {args.decider}", spec.params(args), texts, decision, wall
-    )
-
-
-# -- cluster / numerics ------------------------------------------------------------
-
-
-def _cmd_cluster(args) -> int:
-    texts, parsed = _read_inputs(args, ("host",))
-    part = hamming_clustering(parsed["host"], args.num_classes, Fraction(args.delta))
-    report = formats.build_report(
-        command="cluster",
-        params={"l": args.num_classes, "delta": args.delta},
-        inputs=texts,
-        witness=part,
-    )
-    _emit(report, args.format)
-    return EXIT_YES
-
-
-def _cmd_numeric(args, which: str) -> int:
-    texts, parsed = _read_inputs(args, ("pattern",))
+def _run_hom(args, parsed) -> tuple[int, dict]:
     pattern = parsed["pattern"]
-    cfg = OptConfig(seed=args.opt_seed, restarts=args.restarts)
-    if which == "rigidity":
-        rig = rigidity_report(pattern, cfg)
-        mrep = is_minimal(pattern, cfg)
-        results = {
-            "rigid": rig.rigid,
-            "maximin": rig.maximin,
-            "smallest_coordinate": rig.smallest_coordinate,
-            "minimal": mrep.minimal,
-            "minimality_margin": mrep.margin,
-            "certificate": rig.certificate,
-            "note": rig.note,
-        }
-    else:
-        rep = (lagrangian if which == "lagrangian" else phi)(pattern, cfg)
-        results = {
-            "value": rep.value,
-            "argmax": list(rep.argmax.coords),
-            "converged": rep.converged,
-            "witnesses": len(rep.witness_set),
-        }
-    report = formats.build_report(
-        command=which,
-        params={"restarts": args.restarts, "opt_seed": args.opt_seed},
-        inputs=texts,
-        results=results,
-    )
-    _emit(report, args.format)
-    return EXIT_YES
+    coloring = find_homomorphism(parsed["host"], pattern, args.surjective, args.oracle_budget)
+    if coloring is None:
+        return EXIT_NO, {"verdict": "no"}
+    witness = Partition.from_labels(np.array(coloring), pattern.num_vertices)
+    return EXIT_YES, {"verdict": "yes", "witness": witness}
+
+
+# Every option of a report subcommand, declared once; each subcommand lists
+# its own in the order of its usage line.
+_OPTIONS = {
+    "--host": {"default": "-", "help": "host hypergraph file, '-' for stdin"},
+    "--pattern": {"required": True, "help": "pattern file"},
+    "--f": {"required": True, "dest": "forbidden", "help": "forbidden hypergraph file"},
+    "--format": {"choices": ("json", "text"), "default": "json"},
+    "--seed": {"type": int, "default": None, "help": "recorded in the report"},
+    "--strict": {
+        "action": argparse.BooleanOptionalAction,
+        "default": True,
+        "help": "refuse sub-threshold inputs instead of falling back to the oracle",
+    },
+    "--oracle-budget": {"type": float, "default": 60.0},
+    "--eps": {"type": float, "default": 0.0, "help": "accepted threshold slack"},
+    "--n-small": {"type": int, "default": None},
+    "--restarts": {"type": int, "default": 64},
+    "--opt-seed": {"type": int, "default": 1729},
+    "--l": {"type": int, "required": True, "dest": "num_classes"},
+    "--k": {"type": int, "required": True, "help": "edge slack below the extremal count"},
+    "--delta": {"required": True, "type": fraction, "help": "radius fraction, e.g. 2/5"},
+    "--surjective": {"action": "store_true"},
+}
+_DECIDE_FLAGS = ("--host", "--format", "--seed")
+_OPTIMIZER_FLAGS = ("--restarts", "--opt-seed")
+_ORACLE_FLAGS = (*_DECIDE_FLAGS, "--strict", "--oracle-budget")
+_CALIBRATED_FLAGS = (*_ORACLE_FLAGS, "--pattern", "--eps", "--n-small", *_OPTIMIZER_FLAGS)
+_CALIBRATED_PARAMS = {"eps": "eps", "n_small": "n_small", "strict": "strict"}
+
+
+def _add_report(sub, spec: _Report, summary: str, *flags: str) -> None:
+    p = sub.add_parser(spec.command.split()[-1], help=summary)
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONS[flag])
+    p.set_defaults(handler=_cmd_report, report=spec)
 
 
 # -- generators ---------------------------------------------------------------------
@@ -338,40 +327,6 @@ def _cmd_gen_perturb(args) -> int:
     return _write_instance(args, _postprocess(args, host, parts))
 
 
-# -- oracles --------------------------------------------------------------------------
-
-
-def _cmd_oracle_embed(args) -> int:
-    texts, parsed = _read_inputs(args, ("forbidden", "host"))
-    emb = find_embedding(parsed["forbidden"], parsed["host"], args.oracle_budget)
-    report = formats.build_report(
-        command="oracle embed",
-        params={},
-        inputs=texts,
-        results={"found": emb is not None, "embedding": emb},
-    )
-    _emit(report, args.format)
-    return EXIT_YES if emb is not None else EXIT_NO
-
-
-def _cmd_oracle_hom(args) -> int:
-    texts, parsed = _read_inputs(args, ("pattern", "host"))
-    pattern = parsed["pattern"]
-    coloring = find_homomorphism(parsed["host"], pattern, args.surjective, args.oracle_budget)
-    witness = None
-    if coloring is not None:
-        witness = Partition.from_labels(np.array(coloring), pattern.num_vertices)
-    report = formats.build_report(
-        command="oracle hom",
-        params={"surjective": args.surjective},
-        inputs=texts,
-        verdict="yes" if coloring is not None else "no",
-        witness=witness,
-    )
-    _emit(report, args.format)
-    return EXIT_YES if coloring is not None else EXIT_NO
-
-
 # -- bench ----------------------------------------------------------------------------
 
 
@@ -406,78 +361,64 @@ def build_parser() -> _Parser:
 
     decide = sub.add_parser("decide", help="run a decider")
     dsub = decide.add_subparsers(dest="decider", required=True)
-
-    p = dsub.add_parser("kcolor", help="colorability under minimum degree")
-    _add_common(p, calibrated=False)
-    p.add_argument("--l", type=int, required=True, dest="num_classes")
-    p.set_defaults(
-        decide=_Decide(
-            ("host",),
-            lambda a: {"l": a.num_classes, "strict": a.strict},
-            lambda a, x: decide_k_colorable(x["host"], a.num_classes, _oracle_cfg(a)),
-        )
+    kcolor = _Report(
+        "decide kcolor",
+        ("host",),
+        {"l": "num_classes", "strict": "strict"},
+        _decision(lambda a, x: decide_k_colorable(x["host"], a.num_classes, _oracle_cfg(a))),
+    )
+    _add_report(dsub, kcolor, "colorability under minimum degree", *_ORACLE_FLAGS, "--l")
+    hom = _Report(
+        "decide hom",
+        ("host", "pattern"),
+        _CALIBRATED_PARAMS,
+        _decision(lambda a, x: decide_hom_minimal(x["host"], x["pattern"], _decider_cfg(a))),
+    )
+    _add_report(dsub, hom, "pattern colorability (minimal pattern)", *_CALIBRATED_FLAGS)
+    shom = _Report(
+        "decide shom",
+        ("host", "pattern"),
+        _CALIBRATED_PARAMS,
+        _decision(lambda a, x: decide_shom_rigid(x["host"], x["pattern"], _decider_cfg(a))),
+    )
+    _add_report(dsub, shom, "surjective pattern colorability (rigid pattern)", *_CALIBRATED_FLAGS)
+    kfree = _Report(
+        "decide kfree",
+        ("host", "forbidden", "pattern"),
+        _CALIBRATED_PARAMS,
+        _decision(
+            lambda a, x: embed_min_decide(x["host"], x["forbidden"], x["pattern"], _decider_cfg(a))
+        ),
+    )
+    _add_report(dsub, kfree, "freeness from a forbidden subgraph", *_CALIBRATED_FLAGS, "--f")
+    avg = _Report(
+        "decide avg",
+        ("host",),
+        {"l": "num_classes", "k": "k"},
+        _decision(lambda a, x: clique_avg_decide(x["host"], a.num_classes, a.k)),
+    )
+    _add_report(
+        dsub, avg, "clique freeness near the extremal edge count", *_DECIDE_FLAGS, "--l", "--k"
     )
 
-    p = dsub.add_parser("hom", help="pattern colorability (minimal pattern)")
-    _add_common(p)
-    p.set_defaults(
-        decide=_Decide(
-            ("host", "pattern"),
-            _calibrated_params,
-            lambda a, x: decide_hom_minimal(x["host"], x["pattern"], _decider_cfg(a)),
-        )
+    cluster = _Report(
+        "cluster",
+        ("host",),
+        {"l": "num_classes", "delta": "delta"},
+        lambda a, x: (
+            EXIT_YES,
+            {"witness": hamming_clustering(x["host"], a.num_classes, Fraction(a.delta))},
+        ),
     )
-
-    p = dsub.add_parser("shom", help="surjective pattern colorability (rigid pattern)")
-    _add_common(p)
-    p.set_defaults(
-        decide=_Decide(
-            ("host", "pattern"),
-            _calibrated_params,
-            lambda a, x: decide_shom_rigid(x["host"], x["pattern"], _decider_cfg(a)),
-        )
+    _add_report(
+        sub, cluster, "ball clustering of the vertex set", "--host", "--l", "--delta", "--format"
     )
-
-    p = dsub.add_parser("kfree", help="freeness from a forbidden subgraph")
-    _add_common(p)
-    p.add_argument("--f", required=True, dest="forbidden", help="forbidden hypergraph file")
-    p.set_defaults(
-        decide=_Decide(
-            ("host", "forbidden", "pattern"),
-            _calibrated_params,
-            lambda a, x: embed_min_decide(
-                x["host"], x["forbidden"], x["pattern"], _decider_cfg(a)
-            ),
-        )
-    )
-
-    p = dsub.add_parser("avg", help="clique freeness near the extremal edge count")
-    _add_common(p, oracle=False, calibrated=False)
-    p.add_argument("--l", type=int, required=True, dest="num_classes")
-    p.add_argument("--k", type=int, required=True, help="edge slack below the extremal count")
-    p.set_defaults(
-        decide=_Decide(
-            ("host",),
-            lambda a: {"l": a.num_classes, "k": a.k},
-            lambda a, x: clique_avg_decide(x["host"], a.num_classes, a.k),
-        )
-    )
-    decide.set_defaults(handler=_cmd_decide)
-
-    p = sub.add_parser("cluster", help="ball clustering of the vertex set")
-    p.add_argument("--host", default="-")
-    p.add_argument("--l", type=int, required=True, dest="num_classes")
-    p.add_argument("--delta", required=True, type=fraction, help="radius fraction, e.g. 2/5")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(handler=_cmd_cluster)
-
-    for which in ("lagrangian", "phi", "rigidity"):
-        p = sub.add_parser(which, help=f"{which} of a pattern")
-        p.add_argument("--pattern", required=True)
-        p.add_argument("--restarts", type=int, default=64)
-        p.add_argument("--opt-seed", type=int, default=1729, dest="opt_seed")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(handler=lambda a, w=which: _cmd_numeric(a, w))
+    numerics = (("lagrangian", _run_optimum), ("phi", _run_optimum), ("rigidity", _run_rigidity))
+    params = {"restarts": "restarts", "opt_seed": "opt_seed"}
+    for which, run in numerics:
+        numeric = _Report(which, ("pattern",), params, run)
+        flags = ("--pattern", *_OPTIMIZER_FLAGS, "--format")
+        _add_report(sub, numeric, f"{which} of a pattern", *flags)
 
     gen = sub.add_parser("gen", help="generate instances")
     gsub = gen.add_subparsers(dest="generator", required=True)
@@ -525,21 +466,12 @@ def build_parser() -> _Parser:
 
     oracle = sub.add_parser("oracle", help="exhaustive reference searches")
     osub = oracle.add_subparsers(dest="oracle", required=True)
-
-    p = osub.add_parser("embed", help="injective subgraph embedding")
-    p.add_argument("--f", required=True, dest="forbidden")
-    p.add_argument("--host", default="-")
-    p.add_argument("--oracle-budget", type=float, default=60.0, dest="oracle_budget")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(handler=_cmd_oracle_embed)
-
-    p = osub.add_parser("hom", help="(surjective) pattern coloring")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", default="-")
-    p.add_argument("--surjective", action="store_true")
-    p.add_argument("--oracle-budget", type=float, default=60.0, dest="oracle_budget")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.set_defaults(handler=_cmd_oracle_hom)
+    embed = _Report("oracle embed", ("forbidden", "host"), {}, _run_embed)
+    flags = ("--f", "--host", "--oracle-budget", "--format")
+    _add_report(osub, embed, "injective subgraph embedding", *flags)
+    hom = _Report("oracle hom", ("pattern", "host"), {"surjective": "surjective"}, _run_hom)
+    flags = ("--pattern", "--host", "--surjective", "--oracle-budget", "--format")
+    _add_report(osub, hom, "(surjective) pattern coloring", *flags)
 
     p = sub.add_parser("bench", help="scaling measurements on fresh instances")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)

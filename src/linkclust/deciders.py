@@ -133,6 +133,8 @@ class DeciderConfig:
             raise InvalidInput(f"eps must be finite, got {self.eps!r}")
         if self.n_small is not None and self.n_small < 1:
             raise InvalidInput("n_small must be positive")
+        if not self.oracle_budget_s < math.inf:  # NaN compares false with every time
+            raise InvalidInput(f"oracle budget {self.oracle_budget_s!r} never runs out")
 
 
 # -- the clustering core -------------------------------------------------------

@@ -12,6 +12,7 @@ from linkclust import (
     DeciderConfig,
     Hypergraph,
     InvalidInput,
+    OracleTimeout,
     Partition,
     Pattern,
     PatternNotMinimal,
@@ -501,6 +502,21 @@ def test_small_kfree_host_is_searched_before_the_pairing_is_checked():
     # K3 is K3-colorable, an unusable pairing, but K4 is below the cutoff
     d = embed_min_decide(catalog("complete", n=4), K3, P_K3)
     assert (d.verdict, d.reason, d.details) == (Verdict.NO, K4_IN_K3["reason"], K4_IN_K3["details"])
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_an_unbounded_oracle_budget_is_refused_up_front(budget):
+    with pytest.raises(InvalidInput, match=f"^oracle budget {budget} never runs out$"):
+        DeciderConfig(oracle_budget_s=budget)
+
+
+def test_a_negative_oracle_budget_times_out_at_the_first_check():
+    # two pentagons in front of a K4: the oracle needs 2 638 steps to refute
+    pentagons = [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(2) for j in range(5)]
+    host = Hypergraph(2, 14, pentagons + list(itertools.combinations(range(10, 14), 2)))
+    cfg = DeciderConfig(strict=False, oracle_budget_s=-1.0)
+    with pytest.raises(OracleTimeout):
+        decide_k_colorable(host, 3, cfg)
 
 
 class TestPeel:

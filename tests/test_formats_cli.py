@@ -850,6 +850,24 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "linkclust: error: oracle budget nan never runs out\n"
 
+    @pytest.mark.parametrize(
+        "argv, budget",
+        [
+            (["decide", "hom", "--pattern", "{k3p}", "--no-strict"], "nan"),
+            (["decide", "kcolor", "--l", "3"], "inf"),
+        ],
+        ids=["hom_nan", "kcolor_inf"],
+    )
+    def test_unbounded_oracle_budget_is_3_above_the_threshold(
+        self, report_files, capsys, argv, budget
+    ):
+        # T(30,3) never reaches the oracle, and the budget is still refused
+        argv = [a.format(**report_files) for a in argv] + ["--host", report_files["t30"]]
+        assert run_cli(argv + ["--oracle-budget", budget]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"linkclust: error: oracle budget {budget} never runs out\n"
+
     def test_rigidity_of_a_single_vertex_is_3(self, tmp_path, capsys):
         path = tmp_path / "k1.txt"
         path.write_text("2 1 0\n")
