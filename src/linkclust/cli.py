@@ -148,7 +148,8 @@ def _cmd_report(args) -> int:
 
 
 def _decision(call: Callable[[argparse.Namespace, dict], Decision]):
-    """The run of a ``decide`` subcommand; ``wall_time_s`` times ``call`` alone."""
+    """The run of a ``decide`` subcommand.  Its stats are the decision's
+    counters and ``wall_time_s``, which times ``call`` alone."""
 
     def run(args, parsed) -> tuple[int, dict]:
         t0 = time.perf_counter()
@@ -469,9 +470,9 @@ def build_parser() -> _Parser:
     embed = _Report("oracle embed", ("forbidden", "host"), {}, _run_embed)
     flags = ("--f", "--host", "--oracle-budget", "--format")
     _add_report(osub, embed, "injective subgraph embedding", *flags)
-    hom = _Report("oracle hom", ("pattern", "host"), {"surjective": "surjective"}, _run_hom)
+    coloring = _Report("oracle hom", ("pattern", "host"), {"surjective": "surjective"}, _run_hom)
     flags = ("--pattern", "--host", "--surjective", "--oracle-budget", "--format")
-    _add_report(osub, hom, "(surjective) pattern coloring", *flags)
+    _add_report(osub, coloring, "(surjective) pattern coloring", *flags)
 
     p = sub.add_parser("bench", help="scaling measurements on fresh instances")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
