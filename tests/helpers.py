@@ -30,6 +30,22 @@ def reference_parse_hypergraph(source) -> Hypergraph:
     return Hypergraph(r, n, edges)
 
 
+def reference_blowup(pattern: Pattern, sizes) -> Hypergraph:
+    """The blow-up of ``pattern`` with the given class sizes, from its edge
+    set: per pattern edge, one edge per element of the ``itertools.product``
+    over each class's ``combinations`` of the edge's multiplicity there."""
+    starts = [0, *itertools.accumulate(sizes)]
+    edges = set()
+    for mult in pattern.edges:
+        choices = [
+            itertools.combinations(range(starts[i], starts[i + 1]), m)
+            for i, m in enumerate(mult)
+        ]
+        for pick in itertools.product(*choices):
+            edges.add(tuple(sorted(itertools.chain.from_iterable(pick))))
+    return Hypergraph(pattern.r, starts[-1], sorted(edges))
+
+
 def reference_find_embedding(small: Hypergraph, host: Hypergraph):
     """The reference embedding search: recursive, every host vertex tried at
     every depth, one ``has_edge`` call per edge closing there.  Same order as

@@ -25,7 +25,7 @@ from linkclust import (
     turan_graph,
     turan_number,
 )
-from helpers import erdos_renyi
+from helpers import erdos_renyi, reference_blowup
 
 K3 = catalog("complete", n=3)
 K4 = catalog("complete", n=4)
@@ -86,6 +86,133 @@ class TestPatternBlowup:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             pattern_blowup(Pattern.complete_graph(3), (2, 2))
+
+
+def _complete_pattern(k):
+    return Pattern.from_multisets(2, k, itertools.combinations(range(k), 2))
+
+
+def _join_pattern(base, q):
+    """``base`` as a pattern, joined to q new vertices that are adjacent to
+    every other vertex: the join is its blow-up with sizes (1, ..., 1, s, ..., s)."""
+    n = base.n + q
+    added = [(u, v) for u, v in itertools.combinations(range(n), 2) if v >= base.n]
+    return Pattern.from_multisets(2, n, [*base, *added])
+
+
+_JOIN_BASES = {
+    "n0": Hypergraph(2, 0, []),
+    "n1": Hypergraph(2, 1, []),
+    "K2": Hypergraph(2, 2, [(0, 1)]),
+    "C5": Hypergraph(2, 5, [(i, (i + 1) % 5) for i in range(5)]),
+    "T9_3": Hypergraph(
+        2, 9, [(u, v) for u, v in itertools.combinations(range(9), 2) if u // 3 != v // 3]
+    ),
+}
+
+_MULTIPLICITY_BLOWUPS = [
+    (Pattern.from_multisets(3, 2, [(0, 0, 1), (0, 1, 1)]), [(2, 2), (3, 4), (5, 2), (4, 3)]),
+    (
+        Pattern.from_multisets(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+        [(1, 1, 1, 1), (3, 2, 2, 2), (2, 4, 1, 3)],
+    ),
+    (Pattern.from_multisets(2, 2, [(0, 0), (0, 1)]), [(2, 1), (5, 3), (4, 1)]),
+    (Pattern.from_multisets(2, 3, [(0, 1)]), [(2, 3, 0), (2, 3, 4), (1, 1, 0)]),
+    (Pattern.from_multisets(4, 2, [(0, 0, 0, 1), (0, 0, 1, 1)]), [(3, 2), (5, 4)]),
+]
+
+
+class TestBlowupReference:
+    """Every generated host against ``reference_blowup``."""
+
+    @pytest.mark.parametrize("parts", range(1, 7))
+    def test_turan_graph(self, parts):
+        pattern = _complete_pattern(parts)
+        for n in range(parts, 41):
+            expected = reference_blowup(pattern, balanced_sizes(n, parts))
+            assert turan_graph(n, parts) == expected
+            assert pattern_blowup(pattern, balanced_sizes(n, parts)) == expected
+
+    @pytest.mark.parametrize("base", list(_JOIN_BASES))
+    def test_join_construction(self, base):
+        graph = _JOIN_BASES[base]
+        for q in (1, 2, 3):
+            for s in (1, 2, 4):
+                sizes = (1,) * graph.n + (s,) * q
+                expected = reference_blowup(_join_pattern(graph, q), sizes)
+                assert join_construction(graph, q, s) == expected
+
+    @pytest.mark.parametrize("case", range(len(_MULTIPLICITY_BLOWUPS)))
+    def test_patterns_with_multiplicities(self, case):
+        pattern, all_sizes = _MULTIPLICITY_BLOWUPS[case]
+        for sizes in all_sizes:
+            assert pattern_blowup(pattern, sizes) == reference_blowup(pattern, sizes)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: turan_graph(2, 3), "need n >= parts >= 1"),
+            (lambda: turan_graph(3, 0), "need n >= parts >= 1"),
+            (lambda: join_construction(K3, 0, 3), "need at least one added part"),
+            (lambda: join_construction(K3, 2, 0), "added parts must be nonempty"),
+            (
+                lambda: join_construction(catalog("fano"), 1, 2),
+                "join construction is defined for graphs",
+            ),
+            (
+                lambda: pattern_blowup(Pattern(3, 2, [(2, 1)]), (1, 5)),
+                "class 0 has size 1, below the required multiplicity 2",
+            ),
+            (
+                lambda: pattern_blowup(Pattern.complete_graph(3), (2, 2)),
+                "2 sizes given for a pattern on 3 vertices",
+            ),
+            (
+                lambda: pattern_blowup(Pattern.complete_graph(2), (2, -1)),
+                "class sizes must be nonnegative",
+            ),
+        ],
+        ids=[
+            "turan_n_below_parts",
+            "turan_no_parts",
+            "join_no_parts",
+            "join_empty_parts",
+            "join_r3",
+            "size_below_multiplicity",
+            "size_count",
+            "negative_size",
+        ],
+    )
+    def test_precondition_messages(self, make, message):
+        with pytest.raises(InvalidInput) as err:
+            make()
+        assert type(err.value) is InvalidInput
+        assert str(err.value) == message
+
+
+def _c5_join_pattern(extra):
+    """C5 joined to K_extra: the pattern of the Andrasfai-Erdos-Sos host."""
+    n = 5 + extra
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(u, v) for u, v in itertools.combinations(range(n), 2) if v >= 5]
+    return Pattern.from_multisets(2, n, edges)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_aes_extremal_host_is_one_blowup(l, s):
+    """The host that makes the (3l-4)/(3l-1) bound sharp: the C5 blow-up
+    joined to l-2 parts of size 3s is one blow-up of C5 joined to K_{l-2}.
+    It is (3l-4)s-regular on (3l-1)s vertices, K_{l+1}-free and not
+    l-colorable."""
+    host = pattern_blowup(Pattern.cycle(5), [s] * 5)
+    if l > 2:
+        host = join_construction(host, l - 2, 3 * s)
+    assert host == pattern_blowup(_c5_join_pattern(l - 2), [s] * 5 + [3 * s] * (l - 2))
+    assert host.n == (3 * l - 1) * s
+    assert set(host.degrees().tolist()) == {(3 * l - 4) * s}
+    assert find_embedding(catalog("complete", n=l + 1), host) is None
+    assert find_homomorphism(host, Pattern.complete_graph(l)) is None
 
 
 class TestDeleteRandomEdges:

@@ -1,8 +1,11 @@
 """Text format and command-line tests."""
 
+import argparse
+import hashlib
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -406,6 +409,239 @@ def test_report_characterization(report_files, capsys, case, fmt):
     else:
         masked = re.sub(r"wall_time_s=\S+", "wall_time_s=*", captured.out)
         assert masked.splitlines() == lines
+
+
+@pytest.fixture()
+def gen_files(tmp_path):
+    """Input files of the generator transcript, by placeholder name; the
+    hosts are written out edge by edge, not by a generator."""
+    t12 = [(u, v) for u, v in itertools.combinations(range(12), 2) if u % 3 != v % 3]
+    files = {
+        "c5p": serialize_pattern(Pattern.cycle(5)),
+        "k4mp": "3 4 3\n1 2 3\n1 2 4\n1 3 4\n",
+        "k2": "2 2 1\n0 1\n",
+        "c5": "2 5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
+        "t12": serialize_hypergraph(Hypergraph(2, 12, t12)),
+    }
+    paths = {"tmp": str(tmp_path), "out": str(tmp_path / "out.txt")}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.txt")
+        (tmp_path / f"{name}.txt").write_text(text)
+    return paths
+
+
+# argv -> (the produced text's header line, the first 16 hex digits of its
+# SHA-256).  Each exits 0 with an empty stderr; the produced text is the
+# --out file when {out} is given (stdout is then empty), else stdout.
+_GEN_OUTPUT = {
+    "turan": ("gen turan --n 7 --l 3", "2 7 16", "33b37e86468ba356"),
+    "turan_one_part": ("gen turan --n 5 --l 1", "2 5 0", "4f677b5492140adc"),
+    "turan_delete": (
+        "gen turan --n 30 --l 3 --delete-edges 5 --seed 2",
+        "2 30 295",
+        "3205696fd3093258",
+    ),
+    "turan_plant": ("gen turan --n 12 --l 3 --plant --seed 4", "2 12 49", "89eb8dc2198a0826"),
+    "turan_delete_plant_out": (
+        "gen turan --n 12 --l 3 --delete-edges 3 --plant --seed 1 --out {out}",
+        "2 12 46",
+        "a63372fd5a0a5fc5",
+    ),
+    "blowup": ("gen blowup --pattern {c5p} --sizes 2,1,2,1,1", "2 7 9", "0108b6cfec96b556"),
+    "blowup_delete_plant": (
+        "gen blowup --pattern {c5p} --sizes 3,3,3,3,3 --delete-edges 2 --plant --seed 3",
+        "2 15 44",
+        "cc605121c486152d",
+    ),
+    "blowup_r3_out": (
+        "gen blowup --pattern {k4mp} --sizes 3,2,2,2 --out {out}",
+        "3 9 36",
+        "5cb8c1fe4d042f35",
+    ),
+    "join": ("gen join --g {c5} --q 2 --part-size 3", "2 11 44", "034cb435ad4e9c85"),
+    "join_out": ("gen join --g {k2} --q 1 --part-size 2 --out {out}", "2 4 5", "b29c2ab2d89b3b30"),
+    "catalog_fano": ("gen catalog --name fano", "3 7 7", "a5082f5383281bd2"),
+    "catalog_complete": ("gen catalog --name complete --n 5", "2 5 10", "60f5443cc7ed0c7e"),
+    "catalog_complete_blowup": (
+        "gen catalog --name complete_blowup --n 3 --t 2",
+        "2 6 12",
+        "77803290889b8773",
+    ),
+    "catalog_expansion_out": (
+        "gen catalog --name expansion --g {c5} --r 3 --out {out}",
+        "3 10 5",
+        "5a9cb28ca00cc6bd",
+    ),
+    "perturb_delete": (
+        "gen perturb --host {t12} --delete-edges 4 --seed 9",
+        "2 12 44",
+        "0b7aad99cc839e0d",
+    ),
+    "perturb_plant": (
+        "gen perturb --host {t12} --classes 0,3,6,9;1,4,7,10;2,5,8,11 --plant --seed 2",
+        "2 12 49",
+        "151733b0815e7cc5",
+    ),
+    "perturb_no_change": ("gen perturb --host {t12}", "2 12 48", "b5e06f5aff2451e2"),
+}
+
+# argv -> (exit code, stderr) for requests that produce no text.  A usage
+# error (64) pins only the start of the last line of stderr, below the usage.
+_GEN_ERRORS = {
+    "turan_n_below_l": ("gen turan --n 2 --l 3", 3, "linkclust: error: need n >= parts >= 1\n"),
+    "turan_missing_l": (
+        "gen turan --n 5",
+        64,
+        "linkclust gen turan: error: the following arguments are required: --l",
+    ),
+    "blowup_size_count": (
+        "gen blowup --pattern {c5p} --sizes 2,2",
+        3,
+        "linkclust: error: 2 sizes given for a pattern on 5 vertices\n",
+    ),
+    "blowup_size_below": (
+        "gen blowup --pattern {k4mp} --sizes 0,2,2,2",
+        3,
+        "linkclust: error: class 0 has size 0, below the required multiplicity 1\n",
+    ),
+    "blowup_bad_sizes": (
+        "gen blowup --pattern {c5p} --sizes a,b",
+        64,
+        "linkclust gen blowup: error: argument --sizes: invalid integers value: 'a,b'",
+    ),
+    "join_no_parts": (
+        "gen join --g {k2} --q 0 --part-size 2",
+        3,
+        "linkclust: error: need at least one added part\n",
+    ),
+    "join_plant": (
+        "gen join --g {k2} --q 1 --part-size 2 --plant",
+        64,
+        "linkclust: error: unrecognized arguments: --plant",
+    ),
+    "join_missing_file": (
+        "gen join --g {tmp}/missing.txt --q 1 --part-size 2",
+        3,
+        "linkclust: error: [Errno 2] No such file or directory: '{tmp}/missing.txt'\n",
+    ),
+    "catalog_bad_params": (
+        "gen catalog --name matching --k 2",
+        3,
+        "linkclust: error: bad parameters for 'matching': "
+        "_matching() missing 1 required positional argument: 'r'\n",
+    ),
+    "catalog_unknown": (
+        "gen catalog --name petersen",
+        64,
+        "linkclust gen catalog: error: argument --name: invalid choice: 'petersen'",
+    ),
+    "catalog_delete": (
+        "gen catalog --name fano --delete-edges 1",
+        64,
+        "linkclust: error: unrecognized arguments: --delete-edges 1",
+    ),
+    "perturb_plant_no_classes": (
+        "gen perturb --host {t12} --plant",
+        3,
+        "linkclust: error: this generator cannot plant without --classes\n",
+    ),
+    "perturb_too_many": (
+        "gen perturb --host {t12} --delete-edges 100",
+        3,
+        "linkclust: error: cannot delete 100 edges from a hypergraph with 48\n",
+    ),
+    "perturb_bad_classes": (
+        "gen perturb --host {t12} --classes x",
+        64,
+        "linkclust gen perturb: error: argument --classes: invalid classes value: 'x'",
+    ),
+    "no_generator": (
+        "gen",
+        64,
+        "linkclust gen: error: the following arguments are required: generator",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_GEN_OUTPUT))
+def test_gen_output(gen_files, capsys, case):
+    argv, header, digest = _GEN_OUTPUT[case]
+    assert run_cli([word.format(**gen_files) for word in argv.split()]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    text = captured.out
+    if "{out}" in argv:
+        assert text == ""
+        text = Path(gen_files["out"]).read_text()
+    assert text.splitlines()[0] == header
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("case", list(_GEN_ERRORS))
+def test_gen_errors(gen_files, capsys, case):
+    argv, code, err = _GEN_ERRORS[case]
+    assert run_cli([word.format(**gen_files) for word in argv.split()]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if code == 64:
+        assert captured.err.splitlines()[-1].startswith(err)
+    else:
+        assert captured.err.replace(gen_files["tmp"], "{tmp}") == err
+
+
+def _gen_options():
+    """(generator, option strings, dest, type, default, choices, required)
+    for every option of every ``gen`` subcommand, in declaration order."""
+    from linkclust.cli import build_parser
+
+    def subcommands(parser):
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    rows = []
+    for name, parser in subcommands(subcommands(build_parser())["gen"]).items():
+        for a in parser._actions:
+            if a.dest != "help":
+                kind = getattr(a.type, "__name__", a.type)
+                row = (name, tuple(a.option_strings), a.dest, kind, a.default, a.choices)
+                rows.append((*row, a.required))
+    return rows
+
+
+def test_gen_options_are_pinned():
+    from linkclust.corpus import CATALOG_NAMES
+
+    assert _gen_options() == [
+        ("turan", ("--n",), "n", "int", None, None, True),
+        ("turan", ("--l",), "num_classes", "int", None, None, True),
+        ("turan", ("--out",), "out", None, "-", None, False),
+        ("turan", ("--seed",), "seed", "int", 0, None, False),
+        ("turan", ("--delete-edges",), "delete_edges", "int", 0, None, False),
+        ("turan", ("--plant",), "plant", None, False, None, False),
+        ("blowup", ("--pattern",), "pattern", None, None, None, True),
+        ("blowup", ("--sizes",), "sizes", "integers", None, None, True),
+        ("blowup", ("--out",), "out", None, "-", None, False),
+        ("blowup", ("--seed",), "seed", "int", 0, None, False),
+        ("blowup", ("--delete-edges",), "delete_edges", "int", 0, None, False),
+        ("blowup", ("--plant",), "plant", None, False, None, False),
+        ("join", ("--g",), "graph", None, None, None, True),
+        ("join", ("--q",), "q", "int", None, None, True),
+        ("join", ("--part-size",), "part_size", "int", None, None, True),
+        ("join", ("--out",), "out", None, "-", None, False),
+        ("catalog", ("--name",), "name", None, None, CATALOG_NAMES, True),
+        ("catalog", ("--n",), "n", "int", None, None, False),
+        ("catalog", ("--k",), "k", "int", None, None, False),
+        ("catalog", ("--r",), "r", "int", None, None, False),
+        ("catalog", ("--t",), "t", "int", None, None, False),
+        ("catalog", ("--g",), "graph", None, None, None, False),
+        ("catalog", ("--out",), "out", None, "-", None, False),
+        ("perturb", ("--host",), "host", None, None, None, True),
+        ("perturb", ("--classes",), "classes", "classes", None, None, False),
+        ("perturb", ("--out",), "out", None, "-", None, False),
+        ("perturb", ("--seed",), "seed", "int", 0, None, False),
+        ("perturb", ("--delete-edges",), "delete_edges", "int", 0, None, False),
+        ("perturb", ("--plant",), "plant", None, False, None, False),
+    ]
 
 
 class TestCli:
