@@ -275,7 +275,14 @@ def _add_report(sub, spec: _Report, summary: str, *flags: str) -> None:
 # -- generators ---------------------------------------------------------------------
 
 
-def _write_instance(args, hypergraph: Hypergraph) -> int:
+def _cmd_gen(args) -> int:
+    hypergraph, parts = args.build(args)
+    if getattr(args, "delete_edges", 0):
+        hypergraph = delete_random_edges(hypergraph, args.delete_edges, args.seed)
+    if getattr(args, "plant", False):
+        if parts is None:
+            raise LinkclustError("this generator cannot plant without --classes")
+        hypergraph = plant_violation(hypergraph, parts, args.seed)
     text = formats.serialize_hypergraph(hypergraph)
     if args.out and args.out != "-":
         Path(args.out).write_text(text)
@@ -284,48 +291,32 @@ def _write_instance(args, hypergraph: Hypergraph) -> int:
     return EXIT_YES
 
 
-def _postprocess(args, hypergraph: Hypergraph, parts: Partition | None) -> Hypergraph:
-    if args.delete_edges:
-        hypergraph = delete_random_edges(hypergraph, args.delete_edges, args.seed)
-    if args.plant:
-        if parts is None:
-            raise LinkclustError("this generator cannot plant without --classes")
-        hypergraph = plant_violation(hypergraph, parts, args.seed)
-    return hypergraph
+# the builds of ``gen``: (the instance, the classes that --plant plants in)
+def _build_turan(args) -> tuple[Hypergraph, Partition]:
+    return turan_graph(args.n, args.num_classes), turan_classes(args.n, args.num_classes)
 
 
-def _cmd_gen_turan(args) -> int:
-    host = turan_graph(args.n, args.num_classes)
-    parts = turan_classes(args.n, args.num_classes)
-    return _write_instance(args, _postprocess(args, host, parts))
-
-
-def _cmd_gen_blowup(args) -> int:
+def _build_blowup(args) -> tuple[Hypergraph, Partition]:
     pattern = formats.parse_pattern(_read_text(args.pattern))
-    host = pattern_blowup(pattern, args.sizes)
-    return _write_instance(args, _postprocess(args, host, contiguous_classes(args.sizes)))
+    return pattern_blowup(pattern, args.sizes), contiguous_classes(args.sizes)
 
 
-def _cmd_gen_join(args) -> int:
+def _build_join(args) -> tuple[Hypergraph, None]:
     base = formats.parse_hypergraph(_read_text(args.graph))
-    return _write_instance(args, join_construction(base, args.q, args.part_size))
+    return join_construction(base, args.q, args.part_size), None
 
 
-def _cmd_gen_catalog(args) -> int:
-    params: dict = {}
-    for key in ("n", "k", "r", "t"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+def _build_catalog(args) -> tuple[Hypergraph, None]:
+    keys = ("n", "k", "r", "t")
+    params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if args.graph is not None:
         params["graph"] = formats.parse_hypergraph(_read_text(args.graph))
-    return _write_instance(args, catalog(args.name, **params))
+    return catalog(args.name, **params), None
 
 
-def _cmd_gen_perturb(args) -> int:
+def _build_perturb(args) -> tuple[Hypergraph, Partition | None]:
     host = formats.parse_hypergraph(_read_text(args.host))
-    parts = Partition(args.classes, host.n) if args.classes else None
-    return _write_instance(args, _postprocess(args, host, parts))
+    return host, Partition(args.classes, host.n) if args.classes else None
 
 
 # -- bench ----------------------------------------------------------------------------
@@ -422,6 +413,7 @@ def build_parser() -> _Parser:
         _add_report(sub, numeric, f"{which} of a pattern", *flags)
 
     gen = sub.add_parser("gen", help="generate instances")
+    gen.set_defaults(handler=_cmd_gen)
     gsub = gen.add_subparsers(dest="generator", required=True)
 
     def _gen_common(p):
@@ -434,20 +426,20 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True, dest="num_classes")
     _gen_common(p)
-    p.set_defaults(handler=_cmd_gen_turan)
+    p.set_defaults(build=_build_turan)
 
     p = gsub.add_parser("blowup", help="pattern blow-up")
     p.add_argument("--pattern", required=True)
     p.add_argument("--sizes", required=True, type=integers, help="comma-separated class sizes")
     _gen_common(p)
-    p.set_defaults(handler=_cmd_gen_blowup)
+    p.set_defaults(build=_build_blowup)
 
     p = gsub.add_parser("join", help="complete join with fresh independent parts")
     p.add_argument("--g", required=True, dest="graph")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--part-size", type=int, required=True, dest="part_size")
     p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_gen_join)
+    p.set_defaults(build=_build_join)
 
     p = gsub.add_parser("catalog", help="named fixture hypergraphs")
     p.add_argument("--name", required=True, choices=CATALOG_NAMES)
@@ -457,13 +449,13 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int)
     p.add_argument("--g", dest="graph", help="base graph file (expansion)")
     p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_gen_catalog)
+    p.set_defaults(build=_build_catalog)
 
     p = gsub.add_parser("perturb", help="delete or plant edges in a host")
     p.add_argument("--host", required=True)
     p.add_argument("--classes", type=classes, help="semicolon-separated classes, e.g. 0,1;2,3")
     _gen_common(p)
-    p.set_defaults(handler=_cmd_gen_perturb)
+    p.set_defaults(build=_build_perturb)
 
     oracle = sub.add_parser("oracle", help="exhaustive reference searches")
     osub = oracle.add_subparsers(dest="oracle", required=True)

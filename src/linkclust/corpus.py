@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import InvalidInput
 from .hypergraph import Hypergraph, Partition
-from .oracles import turan_number
 from .patterns import Pattern
 
 __all__ = [
@@ -73,43 +72,38 @@ def contiguous_classes(sizes: Sequence[int]) -> Partition:
     return Partition(classes, int(bounds[-1]))
 
 
-def _cross_pairs(block_a: np.ndarray, block_b: np.ndarray) -> np.ndarray:
-    u = np.repeat(block_a, len(block_b))
-    v = np.tile(block_b, len(block_a))
-    return np.column_stack([u, v])
+# Bytes of the edge array a generator may allocate (8 per vertex of each
+# edge).  A larger request is refused before anything is allocated, so
+# ``turan_graph(10**7, 2)`` cannot ask for 364 TiB.
+MAX_EDGE_ARRAY_BYTES = 1 << 30
+
+
+def _check_edge_array(m: int, r: int) -> None:
+    if 8 * r * m > MAX_EDGE_ARRAY_BYTES:
+        raise InvalidInput(
+            f"{m} edges of {r} vertices need {8 * r * m} bytes, above "
+            f"MAX_EDGE_ARRAY_BYTES = {MAX_EDGE_ARRAY_BYTES}"
+        )
 
 
 def turan_graph(n: int, parts: int) -> Hypergraph:
     """Balanced complete multipartite graph on ``n`` vertices."""
     if parts < 1 or n < parts:
         raise InvalidInput("need n >= parts >= 1")
-    sizes = balanced_sizes(n, parts)
-    bounds = np.cumsum([0, *sizes])
-    blocks = [np.arange(bounds[i], bounds[i + 1], dtype=np.int64) for i in range(parts)]
-    chunks = [
-        _cross_pairs(blocks[a], blocks[b])
-        for a in range(parts)
-        for b in range(a + 1, parts)
-        if len(blocks[a]) and len(blocks[b])
-    ]
-    edges = (
-        np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 2), dtype=np.int64)
-    )
-    graph = Hypergraph(2, n, edges)
-    assert len(graph) == turan_number(n, parts)
-    return graph
+    return pattern_blowup(Pattern.complete_graph(parts), balanced_sizes(n, parts))
 
 
 def turan_classes(n: int, parts: int) -> Partition:
     return contiguous_classes(balanced_sizes(n, parts))
 
 
-def pattern_blowup(pattern: Pattern, sizes: Sequence[int]) -> Hypergraph:
-    """Replace pattern vertices by disjoint classes of the given sizes.
+def _blowup_edges(pattern: Pattern, sizes: Sequence[int]) -> tuple[int, np.ndarray]:
+    """Vertex count and edge rows of :func:`pattern_blowup`.
 
-    For each pattern edge, every set using exactly the edge's multiplicity
-    from each class (as distinct vertices) becomes an edge, so the class map
-    is a homomorphism onto the pattern.
+    The rows are counted first and written into one array: each pattern
+    edge's block, viewed as an ``(n_1, ..., n_k, r)`` array over the
+    classes it uses, gets each class's member tuples broadcast along that
+    class's axis, so the first class varies slowest.
     """
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) != pattern.num_vertices:
@@ -124,37 +118,36 @@ def pattern_blowup(pattern: Pattern, sizes: Sequence[int]) -> Hypergraph:
             raise InvalidInput(
                 f"class {i} has size {s}, below the required multiplicity {m}"
             )
-    bounds = np.cumsum([0, *sizes])
-    n = int(bounds[-1])
-    chunks: list[np.ndarray] = []
-    for mult in pattern.edges:
-        per_class = []
-        for i, m in enumerate(mult):
-            if m == 0:
-                continue
-            members = np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
-            combos = np.array(
-                list(itertools.combinations(members, m)), dtype=np.int64
-            ).reshape(-1, m)
-            per_class.append(combos)
-        counts = [c.shape[0] for c in per_class]
-        total = int(np.prod(counts))
-        if total == 0:
-            continue
-        parts = []
-        rep = total
-        for c, cnt in zip(per_class, counts):
-            rep //= cnt
-            tiled = np.repeat(c, rep, axis=0)
-            tiled = np.tile(tiled, (total // (rep * cnt), 1))
-            parts.append(tiled)
-        chunks.append(np.concatenate(parts, axis=1))
-    edges = (
-        np.concatenate(chunks, axis=0)
-        if chunks
-        else np.zeros((0, pattern.r), dtype=np.int64)
-    )
-    return Hypergraph(pattern.r, n, edges)
+    starts = [0, *itertools.accumulate(sizes)]
+    counts = [math.prod(map(math.comb, sizes, mult)) for mult in pattern.edges]
+    _check_edge_array(sum(counts), pattern.r)
+    edges = np.empty((sum(counts), pattern.r), dtype=np.int64)
+    row = 0
+    for mult, count in zip(pattern.edges, counts):
+        used = [(i, m) for i, m in enumerate(mult) if m]
+        shape = [math.comb(sizes[i], m) for i, m in used]
+        block = edges[row : row + count].reshape(*shape, pattern.r)
+        col = 0
+        for axis, (i, m) in enumerate(used):
+            members = itertools.combinations(range(starts[i], starts[i + 1]), m)
+            flat = itertools.chain.from_iterable(members)
+            combos = np.fromiter(flat, dtype=np.int64, count=shape[axis] * m)
+            view = [1] * len(used) + [m]
+            view[axis] = shape[axis]
+            block[..., col : col + m] = combos.reshape(view)
+            col += m
+        row += count
+    return starts[-1], edges
+
+
+def pattern_blowup(pattern: Pattern, sizes: Sequence[int]) -> Hypergraph:
+    """Replace pattern vertices by disjoint classes of the given sizes.
+
+    For each pattern edge, every set using exactly the edge's multiplicity
+    from each class (as distinct vertices) becomes an edge, so the class map
+    is a homomorphism onto the pattern.
+    """
+    return Hypergraph(pattern.r, *_blowup_edges(pattern, sizes))
 
 
 def delete_random_edges(
@@ -232,18 +225,11 @@ def join_construction(graph: Hypergraph, q: int, part_size: int) -> Hypergraph:
         raise InvalidInput("need at least one added part")
     if part_size < 1:
         raise InvalidInput("added parts must be nonempty")
-    n0 = graph.n
-    blocks = [np.arange(n0, dtype=np.int64)]
-    for j in range(q):
-        start = n0 + j * part_size
-        blocks.append(np.arange(start, start + part_size, dtype=np.int64))
-    chunks = [graph.edge_array]
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            if len(blocks[a]) and len(blocks[b]):
-                chunks.append(_cross_pairs(blocks[a], blocks[b]))
-    edges = np.concatenate(chunks, axis=0)
-    return Hypergraph(2, n0 + q * part_size, edges)
+    # the added edges blow up K_{q+1} over the graph's vertex set and the q
+    # new parts, or K_q when the graph has no vertex
+    sizes = (graph.n, *[part_size] * q) if graph.n else (part_size,) * q
+    n, added = _blowup_edges(Pattern.complete_graph(len(sizes)), sizes)
+    return Hypergraph(2, n, np.concatenate([graph.edge_array, added]))
 
 
 # -- fixture catalog -----------------------------------------------------------
@@ -252,6 +238,7 @@ def join_construction(graph: Hypergraph, q: int, part_size: int) -> Hypergraph:
 def _complete_graph(n: int) -> Hypergraph:
     if n < 1:
         raise InvalidInput("need at least one vertex")
+    _check_edge_array(math.comb(n, 2), 2)
     return Hypergraph(2, n, itertools.combinations(range(n), 2))
 
 
@@ -272,6 +259,7 @@ def _generalized_triangle(r: int) -> Hypergraph:
 def _matching(k: int, r: int) -> Hypergraph:
     if k < 1 or r < 2:
         raise InvalidInput("need k >= 1 edges of uniformity >= 2")
+    _check_edge_array(k, r)
     edges = [tuple(range(i * r, (i + 1) * r)) for i in range(k)]
     return Hypergraph(r, k * r, edges)
 
@@ -279,6 +267,7 @@ def _matching(k: int, r: int) -> Hypergraph:
 def _sunflower(k: int, r: int) -> Hypergraph:
     if k < 1 or r < 2:
         raise InvalidInput("need k >= 1 edges of uniformity >= 2")
+    _check_edge_array(k, r)
     edges = [
         (0,) + tuple(range(1 + i * (r - 1), 1 + (i + 1) * (r - 1))) for i in range(k)
     ]

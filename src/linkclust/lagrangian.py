@@ -426,22 +426,12 @@ def _newton_by_face(
 
 def _polish_face_max(calc: _Calc, X: np.ndarray) -> list[Optional[np.ndarray]]:
     """Newton on the first-order system of a maximum restricted to the face
-    of each row's support (all support partials equal).  When Newton fails
-    but ends on a smaller face, the row is retried there, at most three
-    times in all.  Returns each row's polished point, or None."""
-    out: list[Optional[np.ndarray]] = [None] * len(X)
-    rows = np.arange(len(X))
-    for _ in range(3):
-        support = X > 1e-9
-        full, solved = _newton_by_face(calc, X, support, support)
-        nxt, ok = _feasible(full)
-        for i in np.nonzero(solved & ok)[0]:
-            out[rows[i]] = nxt[i]
-        retry = ~solved & ok & ((nxt > 1e-9) != support).any(axis=1)
-        if not retry.any():
-            break
-        X, rows = nxt[retry], rows[retry]
-    return out
+    of each row's support (all support partials equal).  Returns each row's
+    polished point, or None."""
+    support = X > 1e-9
+    full, solved = _newton_by_face(calc, X, support, support)
+    polished, ok = _feasible(full)
+    return [p if good else None for p, good in zip(polished, solved & ok)]
 
 
 def _polish_maximin(calc: _Calc, X: np.ndarray) -> list[Optional[np.ndarray]]:

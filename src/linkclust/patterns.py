@@ -167,8 +167,8 @@ class Pattern:
 
     @classmethod
     def complete_graph(cls, num_vertices: int) -> "Pattern":
-        if num_vertices < 2:
-            raise InvalidInput("a complete graph pattern needs at least 2 vertices")
+        if num_vertices < 1:
+            raise InvalidInput("a complete graph pattern needs at least 1 vertex")
         edges = [
             (i, j) for i in range(num_vertices) for j in range(i + 1, num_vertices)
         ]

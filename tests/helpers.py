@@ -488,17 +488,10 @@ def reference_newton(calc, x, support, active):
 
 
 def reference_polish_face_max(calc, x):
-    """One row's face polish with up to three passes, or None."""
-    for _ in range(3):
-        support = np.nonzero(x > 1e-9)[0]
-        full, solved = reference_newton(calc, x, support, support)
-        nxt = _reference_feasible(full)
-        if solved:
-            return nxt
-        if nxt is None or np.array_equal(nxt > 1e-9, x > 1e-9):
-            return None
-        x = nxt
-    return None
+    """One row's face polish, or None."""
+    support = np.nonzero(x > 1e-9)[0]
+    full, solved = reference_newton(calc, x, support, support)
+    return _reference_feasible(full) if solved else None
 
 
 def reference_polish_maximin(calc, x):

@@ -1,6 +1,8 @@
 """Generator and fixture-catalog tests."""
 
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +190,48 @@ class TestBlowupReference:
             make()
         assert type(err.value) is InvalidInput
         assert str(err.value) == message
+
+
+class TestEdgeArrayCap:
+    """A generator refuses, before allocating, an edge array of more than
+    MAX_EDGE_ARRAY_BYTES (8 bytes per vertex of each edge)."""
+
+    @pytest.mark.parametrize(
+        "make, m, r",
+        [
+            (lambda: turan_graph(10**7, 2), 25 * 10**12, 2),
+            (lambda: pattern_blowup(Pattern.single_edge(3), (10**5,) * 3), 10**15, 3),
+            (lambda: join_construction(K3, 3, 10**5), 3 * 10**10 + 9 * 10**5, 2),
+            (lambda: catalog("complete_blowup", n=3, t=10**5), 3 * 10**10, 2),
+            (lambda: catalog("complete", n=90000), math.comb(90000, 2), 2),
+            (lambda: catalog("matching", k=10**8, r=3), 10**8, 3),
+            (lambda: catalog("sunflower", k=10**8, r=3), 10**8, 3),
+        ],
+        ids=["turan", "blowup", "join", "complete_blowup", "complete", "matching", "sunflower"],
+    )
+    def test_refused_before_allocating(self, make, m, r):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput) as err:
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"{m} edges of {r} vertices need {8 * r * m} bytes, "
+            "above MAX_EDGE_ARRAY_BYTES = 1073741824"
+        )
+        assert peak < 1 << 20
+
+    def test_the_bound_itself_is_allowed(self, monkeypatch):
+        import linkclust.corpus
+
+        assert len(turan_graph(6, 3)) == 12
+        monkeypatch.setattr(linkclust.corpus, "MAX_EDGE_ARRAY_BYTES", 8 * 2 * 12)
+        assert turan_graph(6, 3) == reference_blowup(_complete_pattern(3), (2, 2, 2))
+        monkeypatch.setattr(linkclust.corpus, "MAX_EDGE_ARRAY_BYTES", 8 * 2 * 12 - 1)
+        with pytest.raises(InvalidInput, match="12 edges of 2 vertices need 192 bytes"):
+            turan_graph(6, 3)
 
 
 def _c5_join_pattern(extra):

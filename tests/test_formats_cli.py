@@ -945,6 +945,16 @@ class TestCli:
         host = parse_hypergraph(capsys.readouterr().out)
         assert host.n == 10 and len(host) == 20
 
+    def test_oversized_generator_request_is_3(self, capsys):
+        # refused before the 400 TB edge array is asked for
+        assert run_cli(["gen", "turan", "--n", "10000000", "--l", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "linkclust: error: 25000000000000 edges of 2 vertices need 400000000000000 "
+            "bytes, above MAX_EDGE_ARRAY_BYTES = 1073741824\n"
+        )
+
     def test_usage_error_is_64(self, capsys):
         assert run_cli(["decide", "kcolor", "--l"]) == 64
         assert run_cli(["nonsense"]) == 64

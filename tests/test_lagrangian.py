@@ -379,8 +379,7 @@ class _ConstantCalc:
 
     On the full face the Newton system is never solved: each step moves
     y by (-1/64, 1/128, 1/128), and the 40 steps from (5/8, 3/16, 3/16) end
-    exactly on (0, 1/2, 1/2).  On the face {1, 2} the partials are equal,
-    so only the retry there can return a point.
+    exactly on (0, 1/2, 1/2), so the face polish returns no point.
     """
 
     def grad(self, X):
@@ -420,25 +419,6 @@ def _counting(monkeypatch, owner, name, counts):
 
 
 class TestOptimizerBranches:
-    def test_face_polish_retries_on_the_smaller_face(self):
-        x = np.array([5 / 8, 3 / 16, 3 / 16])
-        got = lagrangian_module._polish_face_max(_ConstantCalc(), x[None, :])[0]
-        assert got is not None
-        np.testing.assert_allclose(got, [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
-
-    def test_retry_pass_in_a_batch(self, monkeypatch):
-        # row 0 retries on the face {1, 2} and solves there; row 1 steps
-        # below -1e-6 and is infeasible; row 2 ends unsolved on its own face
-        X = np.array([[5 / 8, 3 / 16, 3 / 16], [1 / 2, 1 / 4, 1 / 4], [3 / 4, 1 / 8, 1 / 8]])
-        calc = _ConstantCalc()
-        counts = {}
-        _counting(monkeypatch, lagrangian_module, "_newton_by_face", counts)
-        got = lagrangian_module._polish_face_max(calc, X)
-        assert counts["_newton_by_face"] == 2
-        _assert_rows_match(got, [reference_polish_face_max(calc, x) for x in X])
-        assert got[0] is not None and got[1] is None and got[2] is None
-        _assert_rows_match(lagrangian_module._polish_face_max(calc, X[1:]), got[1:])
-
     def test_singular_row_falls_back_to_per_row_solves(self, monkeypatch):
         # one face, three rows; the stacked solve of the first step raises on
         # row 1, so every row of that step is solved alone
