@@ -68,6 +68,11 @@ class TestPatternType:
         p = Pattern.from_multisets(3, 2, [(0, 0, 1)])
         assert p == MULTI
 
+    def test_complete_graph_on_one_vertex_has_no_edges(self):
+        assert Pattern.complete_graph(1) == Pattern(2, 1, [])
+        with pytest.raises(InvalidInput, match="needs at least 1 vertex"):
+            Pattern.complete_graph(0)
+
     def test_hypergraph_round_trip(self):
         k4 = Pattern.complete_graph(4)
         assert Pattern.from_hypergraph(k4.to_hypergraph()) == k4
