@@ -9,6 +9,7 @@ edge-list text format.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 import time
@@ -345,6 +346,17 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """A fresh argparse tree of the whole command line.
+
+    :func:`run_cli` parses with one tree per process, built on its first
+    call, so the tree must hold no per-request state: each subcommand's
+    ``handler``, ``report`` and ``build`` defaults are fixed, no option has a
+    mutable default, and the handlers look the library functions up at
+    call time, so a patched module global is the one that runs.  Usage,
+    ``--help`` and ``--version`` write to ``sys.stdout``/``sys.stderr`` as
+    they are at call time.  Tests and introspection build their own tree
+    here.
+    """
     parser = _Parser(prog="linkclust", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"{formats.TOOL_NAME} {formats.TOOL_VERSION}"
@@ -478,10 +490,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    return build_parser()
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    Every call in a process parses with the same tree, built by
+    :func:`build_parser` on the first call (building it costs far more than
+    parsing); see there for what keeps that tree free of per-request state.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .hypergraph import Hypergraph, Partition
+from .hypergraph import Hypergraph, Partition, _check_size
 from .patterns import Pattern
 
 __all__ = [
@@ -248,9 +248,15 @@ def _cycle(k: int) -> Hypergraph:
     return Hypergraph(2, k, [(i, (i + 1) % k) for i in range(k)])
 
 
+# The entries below whose tuples grow with r refuse, by ``_check_size``, the
+# vertex count and uniformity ``Hypergraph`` would refuse before they build
+# any tuple, so a refusal costs no memory that grows with r.
+
+
 def _generalized_triangle(r: int) -> Hypergraph:
     if r < 2:
         raise InvalidInput("uniformity must be at least 2")
+    _check_size(r, 2 * r - 1)
     stem = tuple(range(r - 1))
     edges = [stem + (r - 1,), stem + (r,), tuple(range(r - 1, 2 * r - 1))]
     return Hypergraph(r, 2 * r - 1, edges)
@@ -260,6 +266,7 @@ def _matching(k: int, r: int) -> Hypergraph:
     if k < 1 or r < 2:
         raise InvalidInput("need k >= 1 edges of uniformity >= 2")
     _check_edge_array(k, r)
+    _check_size(r, k * r)
     edges = [tuple(range(i * r, (i + 1) * r)) for i in range(k)]
     return Hypergraph(r, k * r, edges)
 
@@ -268,6 +275,7 @@ def _sunflower(k: int, r: int) -> Hypergraph:
     if k < 1 or r < 2:
         raise InvalidInput("need k >= 1 edges of uniformity >= 2")
     _check_edge_array(k, r)
+    _check_size(r, 1 + k * (r - 1))
     edges = [
         (0,) + tuple(range(1 + i * (r - 1), 1 + (i + 1) * (r - 1))) for i in range(k)
     ]
@@ -316,6 +324,7 @@ def _expansion(graph: Hypergraph, r: int) -> Hypergraph:
         raise InvalidInput("expansion starts from a graph")
     if r < 2:
         raise InvalidInput("uniformity must be at least 2")
+    _check_size(r, graph.n + len(graph) * (r - 2))
     fresh = graph.n
     edges = []
     for u, v in graph:

@@ -60,6 +60,18 @@ def _code_dtype(base: int, k: int) -> type:
     return np.int32 if base**k < 2**31 else np.int64
 
 
+def _check_size(r: int, n: int) -> None:
+    """Refuse an r-uniform hypergraph on n vertices whose per-vertex tables
+    or edge codes do not fit, whatever its edges."""
+    table_bytes = 16 * (n + 1) + (n * ((n + 7) // 8) if r == 2 else 0)
+    if table_bytes > MAX_VERTEX_TABLE_BYTES:
+        raise InvalidInput(
+            f"vertex count {n} needs {table_bytes} bytes of per-vertex "
+            f"tables, above MAX_VERTEX_TABLE_BYTES = {MAX_VERTEX_TABLE_BYTES}"
+        )
+    _code_dtype(max(n, 2), r)
+
+
 def _sort_columns(cols: list[np.ndarray]) -> None:
     """Sort the rows with columns `cols` in place, by compare-exchange of
     whole columns (k passes of odd-even transposition; for k = 2 one
@@ -128,14 +140,7 @@ class Hypergraph:
             raise InvalidInput(f"vertex count must be a nonnegative integer, got {n!r}")
         self.r = int(r)
         self.n = int(n)
-        table_bytes = 16 * (self.n + 1) + (
-            self.n * ((self.n + 7) // 8) if self.r == 2 else 0
-        )
-        if table_bytes > MAX_VERTEX_TABLE_BYTES:
-            raise InvalidInput(
-                f"vertex count {self.n} needs {table_bytes} bytes of per-vertex "
-                f"tables, above MAX_VERTEX_TABLE_BYTES = {MAX_VERTEX_TABLE_BYTES}"
-            )
+        _check_size(self.r, self.n)
 
         base = max(self.n, 2)
         dtype = _code_dtype(base, self.r)

@@ -234,6 +234,63 @@ class TestEdgeArrayCap:
             turan_graph(6, 3)
 
 
+class TestUniformityCap:
+    """A catalog entry whose r-tuples grow with r refuses a vertex count and
+    uniformity that ``Hypergraph`` cannot encode before it builds them, with
+    the message ``Hypergraph`` gives."""
+
+    @pytest.mark.parametrize(
+        "make, n",
+        [
+            (lambda r: catalog("matching", k=1, r=r), 10**6),
+            (lambda r: catalog("sunflower", k=1, r=r), 10**6),
+            (lambda r: catalog("generalized_triangle", r=r), 2 * 10**6 - 1),
+            (lambda r: catalog("expansion", graph=K3, r=r), 3 * 10**6 - 3),
+        ],
+        ids=["matching", "sunflower", "generalized_triangle", "expansion"],
+    )
+    def test_refused_before_building_the_tuples(self, make, n):
+        r = 10**6
+        with pytest.raises(InvalidInput) as direct:
+            Hypergraph(r, n, np.empty((0, r), dtype=np.int64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput) as err:
+                make(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == str(direct.value) == (
+            f"vertex count {n} too large to encode {r}-tuples in 64 bits"
+        )
+        assert peak < 1 << 20
+
+    def test_the_vertex_tables_are_refused_first(self, monkeypatch):
+        # a smaller table cap stands in for r = 10**8 (n = 2 * 10**8 - 1),
+        # whose tuples would take about 10 GB if they were built first
+        import linkclust.hypergraph
+
+        monkeypatch.setattr(linkclust.hypergraph, "MAX_VERTEX_TABLE_BYTES", 16 * 10**5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInput) as err:
+                catalog("generalized_triangle", r=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "vertex count 199999 needs 3200000 bytes of per-vertex tables, "
+            "above MAX_VERTEX_TABLE_BYTES = 1600000"
+        )
+        assert peak < 1 << 20
+
+    def test_the_largest_encodable_uniformity_is_built(self):
+        # 25**13 < 2**62 <= 27**14: the check refuses no more than Hypergraph
+        assert catalog("generalized_triangle", r=13).edge_array.shape == (3, 13)
+        with pytest.raises(InvalidInput, match="vertex count 27 too large to encode 14-tuples"):
+            catalog("generalized_triangle", r=14)
+
+
 def _c5_join_pattern(extra):
     """C5 joined to K_extra: the pattern of the Andrasfai-Erdos-Sos host."""
     n = 5 + extra

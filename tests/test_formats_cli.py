@@ -644,6 +644,101 @@ def test_gen_options_are_pinned():
     ]
 
 
+def _parsers(parser):
+    """The parser and every subcommand parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_the_parser_tree_has_no_mutable_default():
+    # run_cli parses every request with one tree: a list, dict or set
+    # default (an ``action="append"`` with ``default=[]``) would carry one
+    # request's values into the next
+    from linkclust.cli import build_parser
+
+    mutable = (list, dict, set)
+    for parser in _parsers(build_parser()):
+        for action in parser._actions:
+            assert not isinstance(action.default, mutable), (parser.prog, action.dest)
+        for dest, value in parser._defaults.items():
+            assert not isinstance(value, mutable), (parser.prog, dest)
+
+
+def test_run_cli_builds_the_parser_once(report_files, capsys, monkeypatch):
+    import linkclust.cli
+
+    build, built = linkclust.cli.build_parser, []
+
+    def counting():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(linkclust.cli, "build_parser", counting)
+    linkclust.cli._shared_parser.cache_clear()
+    for _ in range(3):
+        assert run_cli(["lagrangian", "--pattern", report_files["k3p"]]) == 0
+        assert run_cli(["--version"]) == 0
+        assert run_cli(["nonsense"]) == 64
+    capsys.readouterr()
+    assert len(built) == 1
+    assert linkclust.cli._shared_parser() is built[0]
+
+
+def _run_captured(monkeypatch, argv, stdin):
+    """(exit code, stdout, stderr) of one ``run_cli`` call, each stream a
+    fresh object, with ``wall_time_s`` masked."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    mask = re.compile(r'("wall_time_s": |wall_time_s=)[^,}\s]+')
+    return code, mask.sub(r"\1*", out.getvalue()), err.getvalue()
+
+
+def test_the_shared_parser_leaks_no_state(report_files, monkeypatch):
+    """One process-long sequence of requests on the shared parser, each
+    compared with the same request on a freshly built one."""
+    import linkclust.cli
+
+    f = report_files
+    hom = ["decide", "hom", "--host", f["t30"], "--pattern", f["k3p"]]
+    perturb = ["gen", "perturb", "--host", f["t12"], "--plant", "--seed", "2"]
+    sequence = [
+        ["decide", "kcolor", "--l"],
+        ["decide", "kcolor", "--host", f["t30"], "--l", "3"],
+        ["--help"],
+        ["decide", "--help"],
+        ["--version"],
+        ["--help"],
+        ["--version"],
+        [*hom, "--no-strict"],
+        hom,
+        ["gen", "turan", "--n", "12", "--l", "3", "--plant", "--seed", "4"],
+        [*perturb, "--classes", "0,1,2,3,4,5;6,7,8,9,10,11"],
+        perturb,
+        ["decide", "kcolor", "--l", "3"],  # the host from stdin
+        *(
+            [*[a.format(**f) for a in argv], "--format", fmt]
+            for argv, *_ in _REPORTS.values()
+            for fmt in ("json", "text")
+        ),
+    ]
+    stdin = serialize_hypergraph(turan_graph(30, 3))
+    for argv in sequence:
+        shared = _run_captured(monkeypatch, argv, stdin)
+        with monkeypatch.context() as m:
+            m.setattr(linkclust.cli, "_shared_parser", linkclust.cli.build_parser)
+            fresh = _run_captured(monkeypatch, argv, stdin)
+        assert shared == fresh, argv
+        assert shared[1] or shared[2], argv
+
+
 class TestCli:
     def test_decide_kcolor_yes(self, turan_file, capsys):
         code = run_cli(["decide", "kcolor", "--host", turan_file, "--l", "3"])
