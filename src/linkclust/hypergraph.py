@@ -18,7 +18,9 @@ Two derived representations back the distance queries:
 
 Both back the completion rows: for an (r-1)-face, the packed bit row of the
 vertices that complete it to an edge (a graph's adjacency row, or for
-r >= 3 the link tuples of the face's first vertex that hold the rest).
+r >= 3 the link tuples of the face's first vertex that hold the rest).  They
+also back the twin classes, the vertices with equal links: equal adjacency
+rows, or for r >= 3 equal link-code slices.
 
 Instances are immutable after construction and safe to share across threads.
 """
@@ -93,6 +95,12 @@ def _encode_rows(cols: Sequence[np.ndarray], base: int) -> np.ndarray:
         codes *= base
         codes += col
     return codes
+
+
+def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
+    """For each row of a 2-d array, the index of the first row equal to it."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first[inverse.reshape(-1)]
 
 
 def _decode_codes(codes: np.ndarray, base: int, k: int) -> np.ndarray:
@@ -392,6 +400,29 @@ class Hypergraph:
             hits = np.flatnonzero(np.isin(codes[lo : lo + LINK_BLOCK], seed)) + lo
             common += np.bincount(off.searchsorted(hits, side="right") - 1, minlength=self.n)
         return self._deg + self._deg[v] - 2 * common
+
+    def twin_classes(self) -> np.ndarray:
+        """For every vertex, the least vertex with the same link (itself when
+        no lower vertex has it).
+
+        Vertices with equal links are twins.  No edge holds two twins u and
+        v, since the rest of such an edge would lie in the link of u and hold
+        v.  So swapping two twins maps the edges onto themselves.  Graphs
+        compare their packed adjacency rows; for r >= 3 the link-code slices
+        of vertices of equal degree are compared, one degree at a time.
+        """
+        if self.r == 2:
+            return _first_equal_rows(self._rows)
+        roots = np.arange(self.n)
+        by_degree = np.argsort(self._deg, kind="stable")
+        degs = self._deg[by_degree]
+        bounds = np.flatnonzero(np.diff(degs, prepend=-1, append=-1))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if b - a > 1:
+                group = by_degree[a:b]
+                links = self._link_codes[self._link_off[group, None] + np.arange(degs[a])]
+                roots[group] = group[_first_equal_rows(links)]
+        return roots
 
     # -- induced subgraphs ---------------------------------------------------
 

@@ -10,7 +10,13 @@ hang.
 The embedding search is one iterative loop for every uniformity: the host
 candidates at each depth are a packed bit row, the unused vertices of large
 enough degree ANDed with the completion rows of the small edges that close
-there, each row made once per search and face.
+there, each row made once per search and face.  Two symmetry rules prune it
+without changing its answer.  A host twin (a vertex with the same link as a
+lower one) is a candidate only once the next-lower member of its class is in
+use, and within each transposition class of the small hypergraph the images
+increase in search order.  The search returns the lexicographically first
+embedding, which obeys both rules: swapping twins in an embedding that breaks
+one gives a smaller embedding.
 
 The homomorphism search is likewise one iterative loop for every pattern:
 bitmask color domains cut by forward checking through one table of the
@@ -24,7 +30,7 @@ import itertools
 import math
 import operator
 import time
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -76,37 +82,75 @@ def turan_number(n: int, parts: int) -> int:
 # -- embedding search ----------------------------------------------------------
 
 
+def _twin_before(vectors: Iterable[tuple[int, ...]], k: int) -> list[int]:
+    """For each coordinate j < k, the largest i < j whose transposition with
+    j maps the set of k-tuples ``vectors`` onto itself, or -1.
+
+    Two such transpositions sharing a coordinate conjugate to a third, so
+    they split the coordinates into classes, and this is the next-lower
+    member of each coordinate's class.
+    """
+    vecs = set(vectors)
+    before = [-1] * k
+    for j in range(k):
+        for i in range(j - 1, -1, -1):
+            if all(e[:i] + (e[j],) + e[i + 1 : j] + (e[i],) + e[j + 1 :] in vecs for e in vecs):
+                before[j] = i
+                break
+    return before
+
+
 def _embed(
     small: Hypergraph, host: Hypergraph, deadline: _Deadline
 ) -> Optional[dict[int, int]]:
-    n = host.n
-    order = sorted(range(small.n), key=lambda v: (-small.degree(v), v))
+    n, k = host.n, small.n
+    order = sorted(range(k), key=lambda v: (-small.degree(v), v))
     pos = {v: i for i, v in enumerate(order)}
     # each small edge closes at the depth of its last vertex; the images of
     # its other positions (its face) pick the host row that filters there
     closing: list[list[operator.itemgetter]] = [[] for _ in order]
+    incidence = []
     for e in small:
-        *face, last = sorted(pos[v] for v in e)
+        depths = sorted(pos[v] for v in e)
+        *face, last = depths
         closing[last].append(operator.itemgetter(*face))
+        incidence.append(tuple(int(d in depths) for d in range(k)))
+    # twins in small: a depth's image lies above that of the next-lower depth
+    # of its transposition class
+    above = _twin_before(incidence, k)
     deg_mask = [np.packbits(host.degrees() >= small.degree(v)) for v in order]
     # completion rows by face; a graph's faces are single vertices, whose
     # one-item itemgetter keys are ints
     rows = dict(enumerate(host.packed_adjacency)) if host.r == 2 else {}
+    # host twins: a twin is closed off until the next-lower member of its
+    # class is in use; ``off`` holds the used vertices and the closed twins
+    roots = host.twin_classes()
+    by_class = np.argsort(roots, kind="stable")
+    lower, upper = by_class[:-1], by_class[1:]
+    twin = roots[lower] == roots[upper]
+    nxt = np.full(n, -1)
+    nxt[lower[twin]] = upper[twin]
+    nxt = nxt.tolist()
+    off = np.packbits(roots != np.arange(n))
 
-    images = [-1] * small.n
-    used = np.zeros((n + 7) // 8, dtype=np.uint8)
-    iters: list = [None] * small.n
+    images = [-1] * k
+    iters: list = [None] * k
 
     depth = 0
     while True:
         if iters[depth] is None:
-            cand = deg_mask[depth] & ~used
+            cand = deg_mask[depth] & ~off
             for face in closing[depth]:
                 key = face(images)
                 row = rows.get(key)
                 if row is None:
                     row = rows[key] = host.completions(key)
                 cand &= row
+            if above[depth] >= 0:
+                lo = images[above[depth]] + 1
+                cand[: lo >> 3] = 0
+                if lo & 7:
+                    cand[lo >> 3] &= 0xFF >> (lo & 7)
             iters[depth] = iter(np.flatnonzero(np.unpackbits(cand, count=n)).tolist())
         deadline.check()
         w = next(iters[depth], None)
@@ -116,13 +160,17 @@ def _embed(
                 return None
             depth -= 1
             prev = images[depth]
-            used[prev >> 3] &= ~(128 >> (prev & 7)) & 0xFF
+            off[prev >> 3] &= ~(128 >> (prev & 7)) & 0xFF
+            if (t := nxt[prev]) >= 0:
+                off[t >> 3] |= 128 >> (t & 7)
             images[depth] = -1
             continue
         images[depth] = w
-        if depth == small.n - 1:
-            return {order[i]: images[i] for i in range(small.n)}
-        used[w >> 3] |= 128 >> (w & 7)
+        if depth == k - 1:
+            return {order[i]: images[i] for i in range(k)}
+        off[w >> 3] |= 128 >> (w & 7)
+        if (t := nxt[w]) >= 0:
+            off[t >> 3] &= ~(128 >> (t & 7)) & 0xFF
         depth += 1
 
 
@@ -141,6 +189,16 @@ def find_embedding(
     and are tried in ascending index.  So the returned embedding is the
     first one in that fixed search order.  An empty ``small`` embeds as
     ``{}``.
+
+    Two symmetry rules cut the candidates.  Host vertices with equal links
+    (:meth:`Hypergraph.twin_classes`) share no edge, so swapping two of them
+    maps the host onto itself; such a twin is a candidate only once the
+    next-lower member of its class is in use.  Two vertices of ``small``
+    whose swap maps its edges onto themselves are in one transposition
+    class, and their images must increase in search order.  Neither rule
+    changes the answer: in an embedding that breaks one, swapping the twins
+    concerned gives an embedding earlier in the search order, so the first
+    embedding obeys both.
     """
     if small.r != host.r:
         raise InvalidInput(f"uniformity mismatch: {small.r} vs {host.r}")
@@ -179,20 +237,13 @@ def _hom(
                     rest |= 1 << c
             ext[code] = ext.get(code, 0) | rest
     # transposition classes: color j opens once the next-lower member i of
-    # its class (the largest i < j whose swap with j maps the edges onto
-    # themselves) is in use
-    edge_set = set(pattern.edges)
+    # its class is in use
     opens = [0] * k
     locked = 0
-    for j in range(k):
-        for i in range(j - 1, -1, -1):
-            if all(
-                e[:i] + (e[j],) + e[i + 1 : j] + (e[i],) + e[j + 1 :] in edge_set
-                for e in pattern.edges
-            ):
-                opens[i] = 1 << j
-                locked |= 1 << j
-                break
+    for j, i in enumerate(_twin_before(pattern.edges, k)):
+        if i >= 0:
+            opens[i] = 1 << j
+            locked |= 1 << j
 
     # flat lists: many small lists cost more in allocation and collection
     members = host.edge_array.ravel().tolist()

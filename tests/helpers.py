@@ -15,6 +15,7 @@ from linkclust import (
     plant_violation,
     rng_from_seed,
 )
+from linkclust import oracles
 from linkclust.corpus import _sample_without_replacement
 
 
@@ -160,10 +161,33 @@ def coloring_instance(num_colors: int, seed: int):
     return host
 
 
-def erdos_renyi(n: int, p: float, seed: int) -> Hypergraph:
+def erdos_renyi(n: int, p: float, seed: int, r: int = 2) -> Hypergraph:
+    """The random r-graph on n vertices keeping each r-set with probability p."""
     rng = rng_from_seed(seed)
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Hypergraph(2, n, edges)
+    edges = [e for e in itertools.combinations(range(n), r) if rng.random() < p]
+    return Hypergraph(r, n, edges)
+
+
+class CountingDeadline(oracles._Deadline):
+    """The oracles' search deadline, keeping every instance made so that a
+    test can read a search's tick count, which does not depend on the
+    machine.  Patch it in with :func:`count_ticks`."""
+
+    made: list["CountingDeadline"] = []
+
+    def __init__(self, budget_s):
+        super().__init__(budget_s)
+        self.made.append(self)
+
+
+def count_ticks(monkeypatch, search, *args, **kwargs):
+    """Run the oracle ``search`` under a :class:`CountingDeadline`; return its
+    result and the ticks it took."""
+    monkeypatch.setattr(oracles, "_Deadline", CountingDeadline)
+    CountingDeadline.made.clear()
+    result = search(*args, **kwargs)
+    (deadline,) = CountingDeadline.made
+    return result, deadline.ticks
 
 
 def graphs_up_to_iso(n: int) -> list[tuple[tuple[int, int], ...]]:

@@ -292,6 +292,28 @@ class TestLink:
             g.completions(face)
 
 
+class TestTwinClasses:
+    def test_named_hosts(self):
+        assert turan_graph(5, 2).twin_classes().tolist() == [0, 0, 0, 3, 3]
+        assert K3.twin_classes().tolist() == [0, 1, 2]
+        # the three vertices outside the edge have the same (empty) link
+        assert TRIPLE.twin_classes().tolist() == [0, 1, 2, 3]
+        assert Hypergraph(3, 6, [(0, 1, 2)]).twin_classes().tolist() == [0, 1, 2, 3, 3, 3]
+        blowup = pattern_blowup(Pattern.single_edge(3), (2, 3, 1))
+        assert blowup.twin_classes().tolist() == [0, 0, 2, 2, 2, 5]
+        for r in (2, 3):
+            assert Hypergraph(r, 0, []).twin_classes().tolist() == []
+
+    @given(hypergraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_the_least_vertex_with_the_same_link(self, g):
+        links = [g.link(v) for v in range(g.n)]
+        roots = g.twin_classes().tolist()
+        assert roots == [links.index(link) for link in links]
+        # no edge holds two twins
+        assert all(len({roots[v] for v in e}) == g.r for e in g)
+
+
 class TestHammingDistance:
     def test_same_side_twins(self):
         k23 = turan_graph(5, 2)  # sides {0,1,2} and {3,4}

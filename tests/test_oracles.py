@@ -15,6 +15,7 @@ from linkclust import (
     catalog,
     find_embedding,
     find_homomorphism,
+    join_construction,
     lagrangian,
     lagrangian_grid,
     pattern_blowup,
@@ -28,6 +29,8 @@ from helpers import (
     brute_force_homomorphism,
     brute_force_max_edges_without,
     coloring_instance,
+    count_ticks,
+    erdos_renyi,
     graphs_up_to_iso,
     is_valid_coloring,
     is_valid_embedding,
@@ -98,12 +101,16 @@ class TestFindEmbedding:
     @pytest.mark.parametrize(
         "small, host",
         [
-            (catalog("generalized_triangle", r=3), pattern_blowup(Pattern.single_edge(3), (8,) * 3)),
-            (catalog("complete", n=4), turan_graph(30, 3)),
+            (catalog("complete", n=6), erdos_renyi(40, 0.4, 2)),
+            (Hypergraph(3, 5, itertools.combinations(range(5), 3)), erdos_renyi(24, 0.3, 3, r=3)),
         ],
-        ids=["generalized_triangle", "k4"],
+        ids=["k6", "k5^(3)"],
     )
-    def test_timeout(self, small, host):
+    def test_timeout(self, monkeypatch, small, host):
+        # random hosts have no twins to prune, so these searches outlast the
+        # 1 024 ticks before the deadline first reads the clock
+        _, ticks = count_ticks(monkeypatch, find_embedding, small, host)
+        assert ticks > 1024
         with pytest.raises(OracleTimeout):
             find_embedding(small, host, budget_s=0.0)
 
@@ -113,6 +120,93 @@ class TestFindEmbedding:
         for small in (catalog("complete", n=3), Hypergraph(2, 0, [])):
             with pytest.raises(InvalidInput, match="never runs out"):
                 find_embedding(small, catalog("complete", n=4), budget_s=budget)
+
+
+def _relabelled(host, seed):
+    perm = rng_from_seed(seed).permutation(host.n)
+    return Hypergraph(host.r, host.n, perm[host.edge_array])
+
+
+def _aes_host(l, s):
+    """The Andrasfai-Erdos-Sos extremal host: the C5 blow-up with parts of
+    size s joined to l - 2 parts of size 3s.  K_{l+1}-free, and almost all
+    of its vertices are twins."""
+    host = pattern_blowup(Pattern.cycle(5), (s,) * 5)
+    return join_construction(host, l - 2, 3 * s) if l > 2 else host
+
+
+def _twin_rich_cases():
+    gt = catalog("generalized_triangle", r=3)
+    e3 = pattern_blowup(Pattern.single_edge(3), (3, 3, 3))
+    planted = Hypergraph(3, 9, [*e3.edge_list(), (0, 1, 3)])
+    cases = {
+        "gt-in-E3-blowup": (gt, _relabelled(e3, 1)),
+        "gt-in-planted-E3-blowup": (gt, _relabelled(planted, 2)),
+        "K5^(4)-in-E4-blowup": (
+            Hypergraph(4, 5, itertools.combinations(range(5), 4)),
+            _relabelled(pattern_blowup(Pattern.single_edge(4), (2,) * 4), 3),
+        ),
+        "C5-in-C5-blowup": (C5, _relabelled(pattern_blowup(Pattern.cycle(5), (3,) * 5), 4)),
+        "K2,2-in-C5-blowup": (
+            catalog("complete_blowup", n=2, t=2),
+            _relabelled(pattern_blowup(Pattern.cycle(5), (3,) * 5), 8),
+        ),
+        "K3-in-C5-blowup": (K3, _relabelled(pattern_blowup(Pattern.cycle(5), (3,) * 5), 5)),
+        "K4-in-T(12,3)": (catalog("complete", n=4), _relabelled(turan_graph(12, 3), 6)),
+        "K3-in-T(12,3)": (K3, _relabelled(turan_graph(12, 3), 7)),
+    }
+    for l, s in ((2, 2), (3, 2), (4, 1)):
+        host = _relabelled(_aes_host(l, s), 10 * l + s)
+        cases[f"K{l + 1}-in-AES({l},{s})"] = (catalog("complete", n=l + 1), host)
+        cases[f"K{l}-in-AES({l},{s})"] = (catalog("complete", n=l), host)
+    for seed in range(3):
+        base = erdos_renyi(7, 0.5, 20 + seed)
+        for q in (1, 2):
+            joined = _relabelled(join_construction(base, q, 3), seed)
+            for size in (3 + q, 4 + q):
+                cases[f"K{size}-in-join{seed}-{q}"] = (catalog("complete", n=size), joined)
+    return cases
+
+
+TWIN_RICH = _twin_rich_cases()
+
+
+class TestTwinRichHosts:
+    """The symmetry rules prune twins on both sides; the embedding found must
+    still be the reference search's first one."""
+
+    @pytest.mark.parametrize("name", list(TWIN_RICH))
+    def test_matches_the_reference_search(self, name):
+        small, host = TWIN_RICH[name]
+        assert len(set(host.twin_classes().tolist())) < host.n  # twins to prune
+        assert find_embedding(small, host) == reference_find_embedding(small, host)
+
+    def test_both_answers_occur(self):
+        found = {find_embedding(*case) is not None for case in TWIN_RICH.values()}
+        assert found == {True, False}
+
+
+class TestEmbeddingWork:
+    """Exact tick counts, independent of the machine: the twin rules must
+    keep pruning."""
+
+    @pytest.mark.parametrize(
+        "l, bound",
+        # 21, 43 and 87 ticks; 2 101, 188 161 and over 6 million without the
+        # twin rules
+        [(2, 40), (3, 80), (4, 160)],
+    )
+    def test_clique_into_the_aes_host(self, monkeypatch, l, bound):
+        host = _aes_host(l, 10)
+        emb, ticks = count_ticks(monkeypatch, find_embedding, catalog("complete", n=l + 1), host)
+        assert emb is None and ticks <= bound
+
+    def test_generalized_triangle_into_a_relabelled_blowup(self, monkeypatch):
+        # 31 ticks; 7 951 without the twin rules
+        host = _relabelled(pattern_blowup(Pattern.single_edge(3), (5,) * 3), 2021)
+        gt = catalog("generalized_triangle", r=3)
+        emb, ticks = count_ticks(monkeypatch, find_embedding, gt, host)
+        assert emb is None and ticks <= 60
 
 
 @pytest.fixture(scope="module")
@@ -250,16 +344,9 @@ class TestHomomorphismWork:
 
     @staticmethod
     def _steps(monkeypatch, host, pattern):
-        deadlines = []
-
-        class Counting(oracles_module._Deadline):
-            def __init__(self, budget_s):
-                super().__init__(budget_s)
-                deadlines.append(self)
-
-        monkeypatch.setattr(oracles_module, "_Deadline", Counting)
-        assert find_homomorphism(host, pattern) is None
-        return deadlines[0].ticks
+        colors, ticks = count_ticks(monkeypatch, find_homomorphism, host, pattern)
+        assert colors is None
+        return ticks
 
     def test_k5_into_k4(self, monkeypatch):
         # 4 steps; 36 without symmetry breaking
