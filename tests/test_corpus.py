@@ -341,6 +341,28 @@ class TestDeleteRandomEdges:
         with pytest.raises(InvalidInput):
             delete_random_edges(K3, 4, 0)
 
+    @pytest.mark.parametrize(
+        "host, seed, gone",
+        [
+            ("t30", 0, [(0, 15), (2, 10), (3, 29), (5, 28), (18, 21)]),
+            ("t30", 1, [(0, 16), (1, 10), (1, 16), (2, 23), (6, 16)]),
+            ("t30", 2, [(9, 10), (10, 23), (14, 20), (14, 24), (14, 25)]),
+            ("t30", 3, [(0, 24), (2, 10), (4, 12), (8, 24), (9, 27)]),
+            ("k3_333", 0, [(0, 3, 7), (0, 4, 6), (1, 3, 6), (1, 4, 6), (2, 5, 7)]),
+            ("k3_333", 1, [(0, 3, 8), (0, 4, 6), (0, 4, 7), (0, 5, 6), (1, 3, 8)]),
+            ("k3_333", 2, [(0, 3, 6), (1, 5, 8), (2, 3, 6), (2, 4, 6), (2, 4, 7)]),
+            ("k3_333", 3, [(0, 3, 6), (0, 3, 8), (0, 5, 6), (0, 5, 8), (1, 5, 8)]),
+        ],
+    )
+    def test_pinned_rows(self, host, seed, gone):
+        g = {
+            "t30": turan_graph(30, 3),
+            "k3_333": pattern_blowup(Pattern.single_edge(3), (3, 3, 3)),
+        }[host]
+        out = delete_random_edges(g, 5, seed)
+        kept = [e for e in g.edge_list() if e not in set(gone)]
+        assert out.edge_list() == kept and out.n == g.n
+
 
 class TestPlantViolation:
     def test_planting_in_turan_creates_next_clique(self):

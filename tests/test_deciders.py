@@ -629,6 +629,41 @@ class TestCliqueAvgDecide:
         assert d.reason == "peeled vertex 50 has neighbors in every class"
         assert d.details == {"vertex": 50}
 
+    def test_merged_class_edge_is_reported(self, monkeypatch):
+        # 5 and 6 each rejoin their own class; the edge between them is
+        # seen only by the final scan of the merged partition
+        g = Hypergraph(2, 120, turan_graph(120, 4).edge_list() + [(5, 6)])
+        self._forced_peel(monkeypatch, (5, 6))
+        d = clique_avg_decide(g, 4, 1)
+        assert d.verdict is Verdict.NO and d.partition is None
+        assert d.violating_edge == (5, 6)
+        assert d.reason == "merged class contains edge (5, 6)"
+        assert d.details == {}
+        assert d.stats == deciders.DecideStats(
+            distance_evals=351, edges_scanned=10621, work_units=63362, z=2
+        )
+
+    @pytest.fixture(scope="class")
+    def t1200_2(self):
+        return turan_graph(1200, 2), turan_classes(1200, 2).nonempty_class_sets()
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_graph_text_hosts(self, t1200_2, k):
+        # the hosts of the benchmark's `decide avg` request: T(1200, 2)
+        # minus k edges, decided with slack k; both steps scan every edge
+        base, sides = t1200_2
+        for seed in (0, 1, 7):
+            d = clique_avg_decide(delete_random_edges(base, k, seed), 2, k)
+            assert d.verdict is Verdict.YES
+            assert d.partition.nonempty_class_sets() == sides
+            assert (d.violating_edge, d.reason, d.details) == (None, None, {})
+            assert d.stats == deciders.DecideStats(
+                distance_evals=1199,
+                edges_scanned=2 * (360000 - k),
+                work_units=1199 * 1200 + 4 * (360000 - k),
+                z=0,
+            )
+
     def test_z_bound_on_yes(self):
         for seed in range(5):
             g = delete_random_edges(turan_graph(132, 2), 1, seed)

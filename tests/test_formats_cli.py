@@ -112,6 +112,20 @@ class TestPatternFormat:
         with pytest.raises(DuplicateEdge):
             parse_pattern("2 3 2\n1 2\n2 1\n")
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("0 2 1\n1 2\n", 1, "uniformity must be positive, got 0"),
+            ("2 0 0\n", 1, "vertex count must be positive"),
+            ("2 3 1\n1 2 3\n", 2, "expected 2 labels, got 3"),
+            ("2 3 1\n1 x\n", 2, "non-integer label in '1 x'"),
+        ],
+    )
+    def test_malformed(self, text, line, reason):
+        with pytest.raises(ParseError) as err:
+            parse_pattern(text)
+        assert (err.value.line, err.value.reason) == (line, reason)
+
     def test_round_trip(self):
         for p in (
             Pattern.complete_graph(4),

@@ -398,6 +398,32 @@ class TestInduced:
         with pytest.raises(InvalidVertex):
             K3.induced([0, 7])
 
+    @staticmethod
+    def _reference(g, subset):
+        keep = sorted(set(subset))
+        new = {v: i for i, v in enumerate(keep)}
+        rows = [tuple(new[v] for v in e) for e in g.edge_list() if all(v in new for v in e)]
+        return Hypergraph(g.r, len(keep), rows), new
+
+    def test_matches_a_python_reference(self):
+        # seeded random hosts with unsorted subsets that repeat entries, plus
+        # the empty subset, an edgeless host and the empty vertex set
+        rng = np.random.default_rng(2024)
+        hosts = [Hypergraph(2, 0, []), Hypergraph(3, 6, [])]
+        for r in (2, 3, 4):
+            for n in (r, 7, 12):
+                pool = list(itertools.combinations(range(n), r))
+                hosts.append(Hypergraph(r, n, [e for e in pool if rng.random() < 0.6]))
+        for g in hosts:
+            subsets = [[], list(range(g.n))[::-1]]
+            for size in (1, g.n // 2, g.n + 3):
+                subsets.append(rng.integers(0, g.n, size).tolist() if g.n else [])
+            for subset in subsets:
+                sub, mapping = g.induced(subset)
+                ref, ref_mapping = self._reference(g, subset)
+                assert sub == ref and sub.n == ref.n
+                assert mapping == ref_mapping
+
 
 class TestCanonicalization:
     @given(edge_sets(), st.sampled_from(EDGE_FORMS))
