@@ -160,8 +160,7 @@ def delete_random_edges(
         )
     rng = rng_from_seed(seed)
     drop = _sample_without_replacement(rng, len(hypergraph), k)
-    keep = np.setdiff1d(np.arange(len(hypergraph)), drop, assume_unique=True)
-    return Hypergraph(hypergraph.r, hypergraph.n, hypergraph.edge_array[keep])
+    return Hypergraph(hypergraph.r, hypergraph.n, np.delete(hypergraph.edge_array, drop, axis=0))
 
 
 def plant_violation(

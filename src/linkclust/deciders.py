@@ -703,18 +703,17 @@ def clique_avg_decide(
     sub, _ = graph.induced(survivors)
     labels_sub, evals = _cluster(sub, k, Fraction(1, 3 * k + 1))
     stats.distance_evals = evals
-    if len(sub):
-        stats.edges_scanned += len(sub)
-        idx = _first_internal_edge(sub, labels_sub, k)
-        if idx is not None:
-            edge = tuple(int(survivors[v]) for v in sub.edge_array[idx])
-            _finish_work(stats, graph)
-            return Decision(
-                Verdict.NO,
-                violating_edge=edge,
-                reason=f"survivor edge {edge} lies inside a class",
-                stats=stats,
-            )
+    stats.edges_scanned += len(sub)
+    idx = _first_internal_edge(sub, labels_sub, k)
+    if idx is not None:
+        edge = tuple(int(survivors[v]) for v in sub.edge_array[idx])
+        _finish_work(stats, graph)
+        return Decision(
+            Verdict.NO,
+            violating_edge=edge,
+            reason=f"survivor edge {edge} lies inside a class",
+            stats=stats,
+        )
 
     # step 3: reinsert each peeled vertex into the first class where it has
     # no neighbor: one (z, k, width) AND of its row against the class masks

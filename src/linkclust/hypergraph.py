@@ -431,16 +431,17 @@ class Hypergraph:
 
         Returns the subgraph together with the old-to-new relabeling map.
         Vertices are relabeled in increasing order of their original index.
+        The edge rows are relabeled through one index array (-1 for a
+        dropped vertex) and the rows free of -1 are kept; the constructor
+        is their only validation.
         """
         keep = np.unique(np.fromiter((int(x) for x in subset), dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
             raise InvalidVertex(f"subset contains a vertex outside [0, {self.n})")
-        if len(self) and keep.size:
-            mask = np.all(np.isin(self._edges, keep), axis=1)
-            sub_edges = np.searchsorted(keep, self._edges[mask])
-        else:
-            sub_edges = np.zeros((0, self.r), dtype=np.int64)
-        sub = Hypergraph(self.r, int(keep.size), sub_edges)
+        new = np.full(self.n, -1, dtype=self._edges.dtype)
+        new[keep] = np.arange(keep.size)
+        rows = new[self._edges]
+        sub = Hypergraph(self.r, int(keep.size), rows[(rows >= 0).all(axis=1)])
         mapping = {int(old): i for i, old in enumerate(keep)}
         return sub, mapping
 
