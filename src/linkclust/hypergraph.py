@@ -391,14 +391,17 @@ class Hypergraph:
             xored = self._rows ^ self._rows[v]
             return np.bitwise_count(xored).sum(axis=1).astype(np.int64)
         # deg(u) + deg(v) - 2 |L(u) & L(v)|: mark the link codes that lie in
-        # L(v) and count the marks per owner (the last u with off[u] <= i
-        # owns code i, so empty links own nothing).
+        # L(v); u owns the marks between its link offsets, so a running count
+        # of a block's marks, read at the offsets clipped to the block, gives
+        # each owner's share as a difference (an empty link owns nothing).
         codes, off = self._link_codes, self._link_off
         seed = codes[off[v] : off[v + 1]]
         common = np.zeros(self.n, dtype=np.int64)
         for lo in range(0, len(codes), LINK_BLOCK):
-            hits = np.flatnonzero(np.isin(codes[lo : lo + LINK_BLOCK], seed)) + lo
-            common += np.bincount(off.searchsorted(hits, side="right") - 1, minlength=self.n)
+            marks = np.isin(codes[lo : lo + LINK_BLOCK], seed)
+            running = np.zeros(marks.size + 1, dtype=np.int32)
+            np.cumsum(marks, out=running[1:])
+            common += np.diff(running[np.clip(off - lo, 0, marks.size)])
         return self._deg + self._deg[v] - 2 * common
 
     def twin_classes(self) -> np.ndarray:
