@@ -1,5 +1,6 @@
 """Generator and fixture-catalog tests."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -149,6 +150,23 @@ class TestBlowupReference:
         pattern, all_sizes = _MULTIPLICITY_BLOWUPS[case]
         for sizes in all_sizes:
             assert pattern_blowup(pattern, sizes) == reference_blowup(pattern, sizes)
+
+    @pytest.mark.parametrize("case", range(len(_MULTIPLICITY_BLOWUPS)))
+    def test_patterns_with_multiplicities_are_pinned(self, case):
+        # the first 16 hex digits of the sha256 of each edge array's bytes
+        pinned = [
+            ["d208dd4e199c9a16", "869101eca40fbacd", "aee6d9f5485947f1", "9af9d0a86b19b62e"],
+            ["c43133413e96303e", "ea1e43b1506dc6c2", "be586c3ade279b5c"],
+            ["72373165deffec74", "7cac0d7dbd8dcc26", "aea45204ea3dad36"],
+            ["bfe82f8f65fee624", "bfe82f8f65fee624", "01acecb507abfe1a"],
+            ["01c6a535483e471a", "f306dfd278a2cfd0"],
+        ][case]
+        pattern, all_sizes = _MULTIPLICITY_BLOWUPS[case]
+        digests = [
+            hashlib.sha256(pattern_blowup(pattern, sizes).edge_array.tobytes()).hexdigest()[:16]
+            for sizes in all_sizes
+        ]
+        assert digests == pinned
 
     @pytest.mark.parametrize(
         "make, message",

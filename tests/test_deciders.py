@@ -291,6 +291,9 @@ def test_refusal_names_the_exact_threshold(decide):
 C5 = Pattern.cycle(5)
 K2, P_K3 = Pattern.complete_graph(2), Pattern.complete_graph(3)
 RELAXED = DeciderConfig(strict=False)
+EPS_005 = DeciderConfig(eps=0.05)
+P_001_011 = Pattern.from_multisets(3, 2, [(0, 0, 1), (0, 1, 1)])
+P_K4_3_MINUS = Pattern.from_multisets(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
 
 
 def blocks(*sizes: int) -> tuple:
@@ -458,6 +461,35 @@ BRANCHES = {
             plant_violation(turan_graph(40, 2), turan_classes(40, 2), 5), K3, K2
         ),
         no_signature((23, 37), distance_evals=39, edges_scanned=401, work_units=2362),
+    ),
+    # patterns that use a vertex more than once, or are numeric with r = 3
+    "hom-multiset-yes": (
+        lambda: decide_hom_minimal(pattern_blowup(P_001_011, (20, 20)), P_001_011, EPS_005),
+        dict(
+            verdict="yes",
+            classes=blocks(20, 20),
+            stats=zero_stats(distance_evals=39, edges_scanned=7600, work_units=85200),
+        ),
+    ),
+    "hom-multiset-planted": (
+        lambda: decide_hom_minimal(
+            plant_violation(pattern_blowup(P_001_011, (20, 20)), contiguous_classes((20, 20)), 5),
+            P_001_011,
+            EPS_005,
+        ),
+        no_signature((23, 37, 38), distance_evals=39, edges_scanned=7601, work_units=85203),
+    ),
+    "hom-multiset-sub-threshold-strict": (
+        lambda: decide_hom_minimal(pattern_blowup(P_001_011, (20, 20)), P_001_011),
+        below_threshold(570, "337769972052787425/562949953421312"),
+    ),
+    "hom-multiset-small-relaxed": (
+        lambda: decide_hom_minimal(pattern_blowup(P_001_011, (4, 5)), P_001_011, RELAXED),
+        dict(verdict="yes", reason="exhaustive search (small host)", classes=blocks(4, 5)),
+    ),
+    "hom-k4-3-minus-sub-threshold-strict": (
+        lambda: decide_hom_minimal(pattern_blowup(P_K4_3_MINUS, (12, 8, 8, 8)), P_K4_3_MINUS),
+        below_threshold(192, "864691128455136399/4503599627370496"),
     ),
 }
 

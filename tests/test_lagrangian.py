@@ -601,6 +601,38 @@ class TestBatchedOptimizer:
         assert got == [repr(call(pattern, cfg)) for cfg in cfgs for call in calls]
 
 
+    @pytest.mark.parametrize(
+        "pattern, lam, phi_value, smallest",
+        [
+            (
+                Pattern.from_multisets(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+                "0x1.948b0fcd6e9eap-5",
+                "0x1.2f684bda12f68p-3",
+                "0x1.c71c71c71c71ep-3",
+            ),
+            (
+                Pattern.from_multisets(3, 2, [(0, 0, 1), (0, 1, 1)]),
+                "0x1.0000000000003p-3",
+                "0x1.8000000000001p-2",
+                "0x1.0000000000000p-1",
+            ),
+            (
+                Pattern.from_multisets(2, 3, [(0, 0), (0, 1), (1, 2)]),
+                "0x1.0000000000000p-1",
+                "0x1.0000000000000p-1",
+                "0x0.0p+0",
+            ),
+        ],
+        ids=["K4^(3)-", "001-011", "loop"],
+    )
+    def test_numeric_bits_are_pinned(self, pattern, lam, phi_value, smallest):
+        # the driver test above compares two evaluators that share the
+        # pattern's term order; these bits also catch a change of that order
+        assert lagrangian(pattern, NUMERIC).value.hex() == lam
+        assert phi(pattern, NUMERIC).value.hex() == phi_value
+        assert rigidity_report(pattern, NUMERIC).smallest_coordinate.hex() == smallest
+
+
 # -- the batched evaluator --------------------------------------------------------
 
 

@@ -338,6 +338,47 @@ class TestHomomorphismReference:
                 _agrees_with_brute_force(host, pattern)
 
 
+def _random_host(r, n, p, seed):
+    rng = rng_from_seed(seed)
+    return Hypergraph(r, n, [t for t in itertools.combinations(range(n), r) if rng.random() < p])
+
+
+_MULTISET_PATTERNS = {
+    "001-011": Pattern.from_multisets(3, 2, [(0, 0, 1), (0, 1, 1)]),
+    "001-012": Pattern.from_multisets(3, 3, [(0, 0, 1), (0, 1, 2)]),
+    "K4^(3)-": Pattern.from_multisets(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)]),
+    "looped": Pattern.from_multisets(2, 3, [(0, 0), (0, 1), (1, 2)]),
+}
+
+# (pattern, n, first coloring, first surjective coloring) on the random host
+# with n vertices drawn from seed n: each r-set with probability 0.4 (r = 2)
+# or 0.15 (r = 3)
+_HOM_WITNESSES = [
+    ("001-011", 6, [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]),
+    ("001-011", 8, [0, 1, 1, 1, 0, 1, 0, 0], [0, 1, 1, 1, 0, 1, 0, 0]),
+    ("001-011", 10, [0, 0, 1, 0, 0, 1, 1, 0, 1, 1], [0, 0, 1, 0, 0, 1, 1, 0, 1, 1]),
+    ("001-012", 6, [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 2]),
+    ("001-012", 8, None, None),
+    ("001-012", 10, [0, 0, 1, 0, 0, 1, 1, 1, 0, 0], [0, 0, 1, 0, 0, 1, 1, 1, 0, 2]),
+    ("K4^(3)-", 6, [0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 2, 3]),
+    ("K4^(3)-", 8, None, None),
+    ("K4^(3)-", 10, [1, 2, 0, 1, 1, 0, 0, 0, 3, 3], [1, 2, 0, 1, 1, 0, 0, 0, 3, 3]),
+    ("looped", 6, [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 2]),
+    ("looped", 8, [0] * 8, [0, 0, 1, 0, 2, 0, 0, 1]),
+    ("looped", 10, [0] * 10, [0, 0, 2, 0, 0, 0, 1, 0, 0, 0]),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, first, first_onto", _HOM_WITNESSES, ids=[f"{c[0]}-n{c[1]}" for c in _HOM_WITNESSES]
+)
+def test_multiset_pattern_witnesses_are_pinned(name, n, first, first_onto):
+    pattern = _MULTISET_PATTERNS[name]
+    host = _random_host(pattern.r, n, 0.4 if pattern.r == 2 else 0.15, n)
+    assert find_homomorphism(host, pattern) == first
+    assert find_homomorphism(host, pattern, surjective=True) == first_onto
+
+
 class TestHomomorphismWork:
     """Exact step counts, independent of the machine: the symmetry breaking
     within transposition classes must keep pruning."""
