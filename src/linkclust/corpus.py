@@ -119,12 +119,13 @@ def _blowup_edges(pattern: Pattern, sizes: Sequence[int]) -> tuple[int, np.ndarr
                 f"class {i} has size {s}, below the required multiplicity {m}"
             )
     starts = [0, *itertools.accumulate(sizes)]
-    counts = [math.prod(map(math.comb, sizes, mult)) for mult in pattern.edges]
+    # each pattern edge as its (class, multiplicity) pairs, in class order
+    uses = [[(i, e.count(i)) for i in dict.fromkeys(e)] for e in pattern.edges]
+    counts = [math.prod(math.comb(sizes[i], m) for i, m in used) for used in uses]
     _check_edge_array(sum(counts), pattern.r)
     edges = np.empty((sum(counts), pattern.r), dtype=np.int64)
     row = 0
-    for mult, count in zip(pattern.edges, counts):
-        used = [(i, m) for i, m in enumerate(mult) if m]
+    for used, count in zip(uses, counts):
         shape = [math.comb(sizes[i], m) for i, m in used]
         block = edges[row : row + count].reshape(*shape, pattern.r)
         col = 0

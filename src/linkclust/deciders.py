@@ -249,7 +249,7 @@ def _match_to_pattern(
     Cluster indices come from seed discovery order, so the identity need
     not work even when some relabeling does.
     """
-    allowed = set(pattern.edges)
+    allowed = set(map(tuple, pattern.multiplicity_matrix().tolist()))
     num = pattern.num_vertices
     counts = [Counter(sig) for sig in sigs]
     active = sorted({c for sig in sigs for c in sig})
@@ -299,7 +299,9 @@ def _signature_verdict(
 
     # A class-count profile that no pattern edge has cannot be fixed by any
     # relabeling; report the earliest offending edge.
-    allowed_profiles = {tuple(sorted(x for x in e if x)) for e in pattern.edges}
+    allowed_profiles = {
+        tuple(sorted(x for x in e if x)) for e in pattern.multiplicity_matrix().tolist()
+    }
     profiles = [tuple(sorted(Counter(sig).values())) for sig in sigs]
     bad = [int(rep) for p, rep in zip(profiles, reps) if p not in allowed_profiles]
     if bad:

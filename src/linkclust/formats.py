@@ -352,16 +352,14 @@ def parse_pattern(source: str | IO[str]) -> Pattern:
             raise DuplicateEdge(lineno, f"edge {line!r} duplicates line {seen[key]}")
         seen[key] = lineno
         multisets.append(tuple(v - 1 for v in labels))
-    return Pattern.from_multisets(r, num_vertices, multisets)
+    return Pattern(r, num_vertices, multisets)
 
 
 def serialize_pattern(pattern: Pattern) -> str:
+    """The pattern format: the header, then one line per edge in increasing
+    edge order, each listing its 1-based labels in increasing order."""
     lines = [f"{pattern.r} {pattern.num_vertices} {len(pattern.edges)}"]
-    for mult in pattern.edges:
-        labels = []
-        for v, count in enumerate(mult):
-            labels.extend([v + 1] * count)
-        lines.append(" ".join(str(v) for v in labels))
+    lines.extend(" ".join(str(v + 1) for v in e) for e in pattern.edges)
     return "\n".join(lines) + "\n"
 
 

@@ -521,8 +521,7 @@ def _graph(pattern: Pattern) -> _Exact:
     """
     n = pattern.num_vertices
     A = [[0] * n for _ in range(n)]
-    for e in pattern.edges:
-        i, j = (v for v, m in enumerate(e) for _ in range(m))
+    for i, j in pattern.edges:
         A[i][j] = A[j][i] = 1
 
     def unit(v: int) -> tuple[Fraction, ...]:

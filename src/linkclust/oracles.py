@@ -82,19 +82,21 @@ def turan_number(n: int, parts: int) -> int:
 # -- embedding search ----------------------------------------------------------
 
 
-def _twin_before(vectors: Iterable[tuple[int, ...]], k: int) -> list[int]:
-    """For each coordinate j < k, the largest i < j whose transposition with
-    j maps the set of k-tuples ``vectors`` onto itself, or -1.
+def _twin_before(multisets: Iterable[tuple[int, ...]], k: int) -> list[int]:
+    """For each element j < k, the largest i < j whose transposition with j
+    maps the set ``multisets`` of sorted tuples over ``range(k)`` onto
+    itself, or -1.
 
-    Two such transpositions sharing a coordinate conjugate to a third, so
-    they split the coordinates into classes, and this is the next-lower
-    member of each coordinate's class.
+    Two such transpositions sharing an element conjugate to a third, so
+    they split the elements into classes, and this is the next-lower member
+    of each element's class.
     """
-    vecs = set(vectors)
+    edges = set(multisets)
     before = [-1] * k
     for j in range(k):
         for i in range(j - 1, -1, -1):
-            if all(e[:i] + (e[j],) + e[i + 1 : j] + (e[i],) + e[j + 1 :] in vecs for e in vecs):
+            swap = {i: j, j: i}
+            if all(tuple(sorted(swap.get(v, v) for v in e)) in edges for e in edges):
                 before[j] = i
                 break
     return before
@@ -109,15 +111,15 @@ def _embed(
     # each small edge closes at the depth of its last vertex; the images of
     # its other positions (its face) pick the host row that filters there
     closing: list[list[operator.itemgetter]] = [[] for _ in order]
-    incidence = []
+    edge_depths = []
     for e in small:
-        depths = sorted(pos[v] for v in e)
+        depths = tuple(sorted(pos[v] for v in e))
         *face, last = depths
         closing[last].append(operator.itemgetter(*face))
-        incidence.append(tuple(int(d in depths) for d in range(k)))
+        edge_depths.append(depths)
     # twins in small: a depth's image lies above that of the next-lower depth
     # of its transposition class
-    above = _twin_before(incidence, k)
+    above = _twin_before(edge_depths, k)
     deg_mask = [np.packbits(host.degrees() >= small.degree(v)) for v in order]
     # completion rows by face; a graph's faces are single vertices, whose
     # one-item itemgetter keys are ints
@@ -227,10 +229,9 @@ def _hom(
     weight = [(r + 1) ** c for c in range(k)]
     ext: dict[int, int] = {}
     for e in pattern.edges:
-        colors = [c for c, m in enumerate(e) for _ in range(m)]
         for taken in itertools.product((False, True), repeat=r):
             code = rest = 0
-            for c, t in zip(colors, taken):
+            for c, t in zip(e, taken):
                 if t:
                     code += weight[c]
                 else:

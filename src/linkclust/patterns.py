@@ -1,14 +1,18 @@
 """Coloring targets: edge collections with multiplicities, and simplex points.
 
 A pattern generalizes an r-uniform hypergraph by allowing an edge to use a
-vertex more than once.  Each edge is stored as a multiplicity vector over the
-pattern's vertices, summing to the uniformity r.  The weight polynomial of a
-pattern sums, over its edges, the monomials ``prod_i x_i**e(i) / e(i)!``;
-its gradient drives both the optimization layer and the twin test here.
+vertex more than once.  Each edge is stored as a multiset of r vertices, the
+tuple of its vertices in increasing order, as :class:`Hypergraph` stores its
+edges.  The weight polynomial of a pattern sums, over its edges, the
+monomials ``prod_i x_i**m(i) / m(i)!``, where m(i) is the multiplicity of
+vertex i in the edge; its gradient drives both the optimization layer and
+the twin test here.  The dense multiplicity matrix is built only on demand,
+for the batched evaluator of the optimization layer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
@@ -91,18 +95,19 @@ class SimplexPoint:
 class Pattern:
     """An immutable coloring target on vertices ``0..num_vertices-1``.
 
-    Edges are multiplicity vectors: length-``num_vertices`` tuples of
-    nonnegative integers summing to ``r``.  A pattern whose multiplicities
-    are all at most 1 round-trips to a :class:`Hypergraph`.
+    Each edge is a multiset of ``r`` vertices, stored as the tuple of its
+    vertices in increasing order, so ``(0, 0, 1)`` uses vertex 0 twice and
+    vertex 1 once; ``edges`` is the sorted tuple of these tuples.  A pattern
+    with no repeated vertex in an edge round-trips to a :class:`Hypergraph`.
     """
 
-    __slots__ = ("r", "num_vertices", "edges", "_mult", "_coeffs")
+    __slots__ = ("r", "num_vertices", "edges")
 
     def __init__(
         self,
         r: int,
         num_vertices: int,
-        edges: Iterable[Sequence[int]],
+        edges: Iterable[Iterable[int]],
     ):
         if not isinstance(r, (int, np.integer)) or r < 1:
             raise InvalidInput(f"uniformity must be a positive integer, got {r!r}")
@@ -114,34 +119,16 @@ class Pattern:
         self.num_vertices = int(num_vertices)
         canon = set()
         for e in edges:
-            vec = tuple(int(x) for x in e)
-            if len(vec) != self.num_vertices:
-                raise InvalidInput(
-                    f"multiplicity vector {vec!r} has length {len(vec)}, "
-                    f"expected {self.num_vertices}"
-                )
-            if any(x < 0 for x in vec):
-                raise InvalidInput(f"negative multiplicity in {vec!r}")
-            if sum(vec) != self.r:
-                raise InvalidInput(
-                    f"multiplicities of {vec!r} sum to {sum(vec)}, expected {self.r}"
-                )
-            if vec in canon:
-                raise InvalidInput(f"duplicate edge {vec!r}")
-            canon.add(vec)
+            ms = tuple(sorted(int(v) for v in e))
+            if len(ms) != self.r:
+                raise InvalidInput(f"edge {ms!r} has {len(ms)} vertices, expected {self.r}")
+            if ms[0] < 0 or ms[-1] >= self.num_vertices:
+                bad = ms[0] if ms[0] < 0 else ms[-1]
+                raise InvalidInput(f"vertex {bad} outside [0, {self.num_vertices})")
+            if ms in canon:
+                raise InvalidInput(f"duplicate edge {ms!r}")
+            canon.add(ms)
         self.edges = tuple(sorted(canon))
-        self._mult = (
-            np.array(self.edges, dtype=np.int64)
-            if self.edges
-            else np.zeros((0, self.num_vertices), dtype=np.int64)
-        )
-        self._mult.setflags(write=False)
-        # 1 / prod e(i)!  with exact integer factorials
-        self._coeffs = np.array(
-            [1.0 / math.prod(math.factorial(x) for x in e) for e in self.edges],
-            dtype=np.float64,
-        )
-        self._coeffs.setflags(write=False)
 
     # -- constructors --------------------------------------------------------
 
@@ -149,62 +136,48 @@ class Pattern:
     def from_multisets(
         cls, r: int, num_vertices: int, multisets: Iterable[Iterable[int]]
     ) -> "Pattern":
-        """Build from edges given as vertex lists with repetition (0-based)."""
-        vecs = []
-        for ms in multisets:
-            vec = [0] * num_vertices
-            for v in ms:
-                v = int(v)
-                if v < 0 or v >= num_vertices:
-                    raise InvalidInput(f"vertex {v} outside [0, {num_vertices})")
-                vec[v] += 1
-            vecs.append(vec)
-        return cls(r, num_vertices, vecs)
+        """The constructor under the name of its edge format."""
+        return cls(r, num_vertices, multisets)
 
     @classmethod
     def from_hypergraph(cls, hypergraph: Hypergraph) -> "Pattern":
-        return cls.from_multisets(hypergraph.r, hypergraph.n, iter(hypergraph))
+        return cls(hypergraph.r, hypergraph.n, iter(hypergraph))
 
     @classmethod
     def complete_graph(cls, num_vertices: int) -> "Pattern":
         if num_vertices < 1:
             raise InvalidInput("a complete graph pattern needs at least 1 vertex")
-        edges = [
-            (i, j) for i in range(num_vertices) for j in range(i + 1, num_vertices)
-        ]
-        return cls.from_multisets(2, num_vertices, edges)
+        return cls(2, num_vertices, itertools.combinations(range(num_vertices), 2))
 
     @classmethod
     def cycle(cls, length: int) -> "Pattern":
         if length < 3:
             raise InvalidInput("a cycle pattern needs at least 3 vertices")
-        return cls.from_multisets(
-            2, length, [(i, (i + 1) % length) for i in range(length)]
-        )
+        return cls(2, length, [(i, (i + 1) % length) for i in range(length)])
 
     @classmethod
     def path(cls, num_vertices: int) -> "Pattern":
         if num_vertices < 2:
             raise InvalidInput("a path pattern needs at least 2 vertices")
-        return cls.from_multisets(
-            2, num_vertices, [(i, i + 1) for i in range(num_vertices - 1)]
-        )
+        return cls(2, num_vertices, [(i, i + 1) for i in range(num_vertices - 1)])
 
     @classmethod
     def single_edge(cls, r: int) -> "Pattern":
         """The pattern on r vertices whose only edge uses each vertex once."""
-        return cls.from_multisets(r, r, [tuple(range(r))])
+        return cls(r, r, [tuple(range(r))])
 
     # -- structure -----------------------------------------------------------
 
+    def _has_repeats(self) -> bool:
+        return any(a == b for e in self.edges for a, b in zip(e, e[1:]))
+
     def to_hypergraph(self) -> Hypergraph:
         """Round-trip to a hypergraph; requires all multiplicities <= 1."""
-        if any(x > 1 for e in self.edges for x in e):
+        if self._has_repeats():
             raise InvalidInput(
                 "pattern has a repeated vertex in an edge; no hypergraph form"
             )
-        plain = [tuple(i for i, x in enumerate(e) if x) for e in self.edges]
-        return Hypergraph(self.r, self.num_vertices, plain)
+        return Hypergraph(self.r, self.num_vertices, self.edges)
 
     def vertex_deleted(self, i: int) -> "Pattern":
         """Remove vertex ``i`` and every edge using it; reindex the rest."""
@@ -212,14 +185,16 @@ class Pattern:
             raise InvalidInput(f"vertex {i} outside [0, {self.num_vertices})")
         if self.num_vertices == 1:
             raise InvalidInput("cannot delete the only vertex")
-        kept = [e[:i] + e[i + 1 :] for e in self.edges if e[i] == 0]
+        kept = [[v - (v > i) for v in e] for e in self.edges if i not in e]
         return Pattern(self.r, self.num_vertices - 1, kept)
 
     def max_multiplicities(self) -> tuple[int, ...]:
         """Per-vertex maximum multiplicity over all edges (0 if isolated)."""
-        if not self.edges:
-            return (0,) * self.num_vertices
-        return tuple(int(x) for x in self._mult.max(axis=0))
+        out = [0] * self.num_vertices
+        for e in self.edges:
+            for v in dict.fromkeys(e):
+                out[v] = max(out[v], e.count(v))
+        return tuple(out)
 
     def is_complete(self) -> bool:
         """The complete r-graph K_l^(r) on l >= r vertices: every edge uses
@@ -228,24 +203,42 @@ class Pattern:
         return (
             l >= self.r
             and len(self.edges) == math.comb(l, self.r)
-            and int(self._mult.max()) <= 1
+            and not self._has_repeats()
         )
 
     def link_multisets(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """Reduced multiplicity vectors of the edges using vertex ``i``."""
+        """The edges using vertex ``i``, each with one copy of ``i`` removed."""
         out = []
         for e in self.edges:
-            if e[i] >= 1:
-                reduced = list(e)
-                reduced[i] -= 1
-                out.append(tuple(reduced))
+            if i in e:
+                k = e.index(i)
+                out.append(e[:k] + e[k + 1 :])
         return tuple(sorted(out))
 
     def multiplicity_matrix(self) -> np.ndarray:
-        return self._mult
+        """The ``(m, num_vertices)`` matrix of edge multiplicities, built on
+        each call, one row per edge in reverse edge order.
+
+        For two multisets of one size, the larger sorted tuple has the
+        lexicographically smaller multiplicity vector, so the rows ascend as
+        vectors.  Polynomial evaluators sum their terms in row order, and
+        this order keeps their floats what they were when edges were stored
+        as those vectors.
+        """
+        M = np.zeros((len(self.edges), self.num_vertices), dtype=np.int64)
+        cols = np.array(self.edges[::-1], dtype=np.intp).reshape(-1, self.r)
+        np.add.at(M, (np.arange(len(self.edges)).repeat(self.r), cols.ravel()), 1)
+        return M
 
     def monomial_coeffs(self) -> np.ndarray:
-        return self._coeffs
+        """``1 / prod_i m(i)!`` per row of :meth:`multiplicity_matrix`."""
+        return np.array(
+            [
+                1.0 / math.prod(map(math.factorial, map(e.count, dict.fromkeys(e))))
+                for e in reversed(self.edges)
+            ],
+            dtype=np.float64,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Pattern):
@@ -276,23 +269,26 @@ def _check_dim(pattern: Pattern, x: SimplexPoint | Sequence[float]) -> tuple[flo
     return coords
 
 
+def _monomial(coords: tuple[float, ...], e: tuple[int, ...]) -> float:
+    """``prod_i x_i**m(i) / m(i)!`` over the vertices i of the multiset
+    ``e`` with their multiplicities m(i), the factors in vertex order."""
+    mono = 1.0
+    denom = 1
+    for v in dict.fromkeys(e):
+        m = e.count(v)
+        mono *= coords[v] ** m
+        denom *= math.factorial(m)
+    return mono / denom
+
+
 def lagrange_eval(pattern: Pattern, x: SimplexPoint | Sequence[float]) -> float:
     """Weight polynomial of the pattern at ``x``.
 
-    Each edge contributes ``prod_i x_i**e(i) / e(i)!`` with exact integer
+    Each edge contributes ``prod_i x_i**m(i) / m(i)!`` with exact integer
     factorials; the terms are combined with compensated summation.
     """
     coords = _check_dim(pattern, x)
-    terms = []
-    for e in pattern.edges:
-        mono = 1.0
-        denom = 1
-        for xi, mult in zip(coords, e):
-            if mult:
-                mono *= xi**mult
-                denom *= math.factorial(mult)
-        terms.append(mono / denom)
-    return math.fsum(terms)
+    return math.fsum(_monomial(coords, e) for e in pattern.edges)
 
 
 def lagrange_grad(pattern: Pattern, x: SimplexPoint | Sequence[float]) -> tuple[float, ...]:
@@ -300,22 +296,13 @@ def lagrange_grad(pattern: Pattern, x: SimplexPoint | Sequence[float]) -> tuple[
 
     The partial for vertex ``i`` is the weight polynomial of the reduced
     edges that use ``i``, i.e. each such edge contributes the monomial of
-    its multiplicity vector with one copy of ``i`` removed.
+    the edge with one copy of ``i`` removed.
     """
     coords = _check_dim(pattern, x)
-    out = []
-    for i in range(pattern.num_vertices):
-        terms = []
-        for reduced in pattern.link_multisets(i):
-            mono = 1.0
-            denom = 1
-            for xj, mult in zip(coords, reduced):
-                if mult:
-                    mono *= xj**mult
-                    denom *= math.factorial(mult)
-            terms.append(mono / denom)
-        out.append(math.fsum(terms))
-    return tuple(out)
+    return tuple(
+        math.fsum(_monomial(coords, e) for e in pattern.link_multisets(i))
+        for i in range(pattern.num_vertices)
+    )
 
 
 def twin_pairs(pattern: Pattern) -> list[tuple[int, int]]:

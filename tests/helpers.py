@@ -37,7 +37,7 @@ def reference_blowup(pattern: Pattern, sizes) -> Hypergraph:
     over each class's ``combinations`` of the edge's multiplicity there."""
     starts = [0, *itertools.accumulate(sizes)]
     edges = set()
-    for mult in pattern.edges:
+    for mult in pattern.multiplicity_matrix().tolist():
         choices = [
             itertools.combinations(range(starts[i], starts[i + 1]), m)
             for i, m in enumerate(mult)
@@ -104,7 +104,7 @@ def is_valid_coloring(host: Hypergraph, pattern: Pattern, colors) -> bool:
         return False
     if not len(host):
         return True
-    allowed = set(pattern.edges)
+    allowed = set(map(tuple, pattern.multiplicity_matrix().tolist()))
     for row in np.unique(np.sort(colors[host.edge_array], axis=1), axis=0).tolist():
         vec = [0] * pattern.num_vertices
         for c in row:
@@ -119,7 +119,10 @@ def brute_force_homomorphism(host: Hypergraph, pattern: Pattern, surjective: boo
     host edge onto a pattern edge (and hits every color, if ``surjective``),
     or None."""
     k = pattern.num_vertices
-    allowed = {tuple(c for c, m in enumerate(e) for _ in range(m)) for e in pattern.edges}
+    allowed = {
+        tuple(c for c, m in enumerate(e) for _ in range(m))
+        for e in pattern.multiplicity_matrix().tolist()
+    }
     edges = host.edge_list()
     for colors in itertools.product(range(k), repeat=host.n):
         if surjective and len(set(colors)) < k:
@@ -252,7 +255,7 @@ def _reference_edge_signatures(hypergraph: Hypergraph, labels, num_classes: int)
 
 
 def _reference_match(distinct: np.ndarray, pattern: Pattern):
-    allowed = set(pattern.edges)
+    allowed = set(map(tuple, pattern.multiplicity_matrix().tolist()))
     num = pattern.num_vertices
     active = sorted({int(c) for sig in distinct for c in np.nonzero(sig)[0]})
     sigs = [tuple(int(x) for x in sig) for sig in distinct]
@@ -314,7 +317,9 @@ def reference_signature_verdict(hypergraph: Hypergraph, pattern: Pattern, labels
     ``_signature_verdict`` returns them, by the count-matrix method."""
     num = pattern.num_vertices
     distinct, reps = _reference_edge_signatures(hypergraph, labels, num)
-    allowed_profiles = {tuple(sorted(x for x in e if x)) for e in pattern.edges}
+    allowed_profiles = {
+        tuple(sorted(x for x in e if x)) for e in pattern.multiplicity_matrix().tolist()
+    }
     bad = [
         int(reps[i])
         for i in range(distinct.shape[0])

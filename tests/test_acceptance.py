@@ -193,7 +193,7 @@ FIXTURE_PATTERNS = (
     + [Pattern.single_edge(3), Pattern.cycle(4), Pattern.cycle(5), Pattern.cycle(7)]
     + [
         Pattern.path(3),
-        Pattern(3, 2, [(2, 1)]),
+        Pattern(3, 2, [(0, 0, 1)]),
         Pattern.from_hypergraph(catalog("generalized_triangle", r=3)),
     ]
 )

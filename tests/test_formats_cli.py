@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -100,7 +101,7 @@ class TestPatternFormat:
 
     def test_multiplicity_via_repetition(self):
         p = parse_pattern("3 2 1\n1 1 2\n")
-        assert p == Pattern(3, 2, [(2, 1)])
+        assert p == Pattern(3, 2, [(0, 0, 1)])
 
     def test_label_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -130,9 +131,23 @@ class TestPatternFormat:
         for p in (
             Pattern.complete_graph(4),
             Pattern.cycle(5),
-            Pattern(3, 2, [(2, 1), (1, 2)]),
+            Pattern(3, 2, [(0, 0, 1), (0, 1, 1)]),
         ):
             assert parse_pattern(serialize_pattern(p)) == p
+
+    def test_lines_follow_the_edge_order(self):
+        text = serialize_pattern(Pattern(3, 2, [(0, 1, 1), (0, 0, 1)]))
+        assert text == "3 2 2\n1 1 2\n1 2 2\n"
+
+    def test_memory_follows_the_text_not_the_vertex_count(self):
+        tracemalloc.start()
+        try:
+            p = parse_pattern("2 10000000 1\n1 2\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.edges == ((0, 1),)
+        assert peak < 1 << 20
 
 
 class TestReport:

@@ -453,7 +453,7 @@ class TestGridSearch:
             Pattern.cycle(5),
             Pattern.path(3),
             Pattern.single_edge(3),
-            Pattern(3, 2, [(2, 1)]),
+            Pattern(3, 2, [(0, 0, 1)]),
         ):
             assert lagrangian_grid(pattern, 60) <= lagrangian(pattern, cfg).value + 1e-9
             assert phi_grid(pattern, 60) <= phi(pattern, cfg).value + 1e-9

@@ -17,7 +17,7 @@ from linkclust import (
 )
 from helpers import interior_points
 
-MULTI = Pattern(3, 2, [(2, 1)])  # one edge using vertex 0 twice, vertex 1 once
+MULTI = Pattern(3, 2, [(0, 0, 1)])  # one edge using vertex 0 twice, vertex 1 once
 
 FIXTURES = [
     Pattern.complete_graph(2),
@@ -27,7 +27,7 @@ FIXTURES = [
     Pattern.path(3),
     Pattern.single_edge(3),
     MULTI,
-    Pattern(3, 3, [(2, 1, 0), (1, 2, 0), (0, 2, 1)]),
+    Pattern(3, 3, [(0, 0, 1), (0, 1, 1), (1, 1, 2)]),
 ]
 
 
@@ -56,13 +56,27 @@ class TestSimplexPoint:
 
 
 class TestPatternType:
-    def test_multiplicities_validated(self):
-        with pytest.raises(InvalidInput):
-            Pattern(3, 2, [(1, 1)])  # sums to 2, not 3
-        with pytest.raises(InvalidInput):
-            Pattern(2, 2, [(1, -1)])
-        with pytest.raises(InvalidInput):
-            Pattern(2, 2, [(1, 1), (1, 1)])
+    def test_edges_are_vertex_multisets(self):
+        # for r = l a multiplicity vector is also a valid multiset: (1, 1)
+        # is the loop at vertex 1, not the edge {0, 1}
+        loop = Pattern(2, 2, [(1, 1)])
+        assert loop.edges == ((1, 1),)
+        assert loop.max_multiplicities() == (0, 2)
+        assert Pattern(3, 2, [(1, 0, 0), (1, 1, 0)]).edges == ((0, 0, 1), (0, 1, 1))
+
+    @pytest.mark.parametrize(
+        "r, l, edges, message",
+        [
+            (3, 2, [(0, 1)], r"^edge \(0, 1\) has 2 vertices, expected 3$"),
+            (2, 2, [(0, 2)], r"^vertex 2 outside \[0, 2\)$"),
+            (2, 2, [(1, -1)], r"^vertex -1 outside \[0, 2\)$"),
+            (2, 2, [(0, 1), (1, 0)], r"^duplicate edge \(0, 1\)$"),
+        ],
+        ids=["length", "above", "negative", "duplicate"],
+    )
+    def test_edges_validated(self, r, l, edges, message):
+        with pytest.raises(InvalidInput, match=message):
+            Pattern(r, l, edges)
 
     def test_from_multisets(self):
         p = Pattern.from_multisets(3, 2, [(0, 0, 1)])
@@ -84,7 +98,7 @@ class TestPatternType:
     def test_vertex_deleted(self):
         p3 = Pattern.path(3)
         end_removed = p3.vertex_deleted(2)
-        assert end_removed.edges == ((1, 1),)
+        assert end_removed.edges == ((0, 1),)
         mid_removed = p3.vertex_deleted(1)
         assert mid_removed.edges == ()
 
