@@ -7,7 +7,8 @@ edges.  The weight polynomial of a pattern sums, over its edges, the
 monomials ``prod_i x_i**m(i) / m(i)!``, where m(i) is the multiplicity of
 vertex i in the edge; its gradient drives both the optimization layer and
 the twin test here.  The dense multiplicity matrix is built only on demand,
-for the batched evaluator of the optimization layer.
+for the batched evaluator of the optimization layer and the deciders'
+signature match.
 """
 
 from __future__ import annotations

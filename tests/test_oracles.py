@@ -338,11 +338,6 @@ class TestHomomorphismReference:
                 _agrees_with_brute_force(host, pattern)
 
 
-def _random_host(r, n, p, seed):
-    rng = rng_from_seed(seed)
-    return Hypergraph(r, n, [t for t in itertools.combinations(range(n), r) if rng.random() < p])
-
-
 _MULTISET_PATTERNS = {
     "001-011": Pattern.from_multisets(3, 2, [(0, 0, 1), (0, 1, 1)]),
     "001-012": Pattern.from_multisets(3, 3, [(0, 0, 1), (0, 1, 2)]),
@@ -374,7 +369,7 @@ _HOM_WITNESSES = [
 )
 def test_multiset_pattern_witnesses_are_pinned(name, n, first, first_onto):
     pattern = _MULTISET_PATTERNS[name]
-    host = _random_host(pattern.r, n, 0.4 if pattern.r == 2 else 0.15, n)
+    host = erdos_renyi(n, 0.4 if pattern.r == 2 else 0.15, n, pattern.r)
     assert find_homomorphism(host, pattern) == first
     assert find_homomorphism(host, pattern, surjective=True) == first_onto
 
