@@ -2,15 +2,19 @@
 
 Vertices are dense 0-based indices; edges are strictly sorted r-tuples of
 distinct vertices.  Every uniformity is canonicalized by one pipeline: each
-row is sorted by compare-exchange of whole columns, coded as a base-n
-integer, and the sorted codes are checked for duplicates and decoded back
-into the lexicographically sorted edge array.  Codes of k-tuples, and so the
+row is sorted by compare-exchange of whole columns and coded as a base-n
+integer.  Strictly increasing codes mean the rows are already canonical and
+distinct, and they are kept as they are; otherwise the sorted codes are
+checked for duplicates and decoded back into the lexicographically sorted
+edge array.  Codes of k-tuples, and so the
 edges, are int32 when ``max(n, 2)**k < 2**31`` and int64 otherwise; past 62
 bits they are rejected.  Edge membership is a binary search in the codes.
 Two derived representations back the distance queries:
 
 * ``r == 2``: packed adjacency bit-rows, so the link distance of a pair is a
-  popcount over XORed rows.
+  popcount over XORed rows.  They are built on the first query that reads
+  them, so a graph that is only parsed, generated or written never pays for
+  them.
 * ``r >= 3``: per-vertex links as sorted base-n codes of (r-1)-tuples, built
   by one sort of owner-first ``(v, rest...)`` codes.  The distances from a
   vertex v to all others come from one membership count: mark the codes
@@ -22,7 +26,9 @@ r >= 3 the link tuples of the face's first vertex that hold the rest).  They
 also back the twin classes, the vertices with equal links: equal adjacency
 rows, or for r >= 3 equal link-code slices.
 
-Instances are immutable after construction and safe to share across threads.
+Instances are immutable after construction and safe to share across threads:
+two threads whose first queries race build equal adjacency rows, and either
+may be kept.
 """
 
 from __future__ import annotations
@@ -182,18 +188,24 @@ class Hypergraph:
             edge = tuple(int(col[at]) for col in cols)
             raise InvalidInput(f"edge {edge} has a repeated vertex")
         codes = _encode_rows(cols, base)
-        del cols
-        # The default sort kind: ``kind="stable"`` took 66 ms on 540 000
-        # shuffled codes, against 2.9 ms.
-        codes.sort()
-        dup = codes[1:] == codes[:-1]
-        if dup.any():
-            at = int(dup.argmax())
-            edge = tuple(int(x) for x in _decode_codes(codes[at : at + 1], base, self.r)[0])
-            raise InvalidInput(f"duplicate edge {edge}; multi-edges are rejected")
-        # canonical lexicographic order, recovered arithmetically from the
-        # sorted codes (cheaper than permuting the row array)
-        arr = _decode_codes(codes, base, self.r)
+        if (codes[1:] > codes[:-1]).all():
+            # strictly increasing codes: the rows are already canonical and
+            # distinct (every parsed file, thinned host and induced subgraph)
+            arr = np.column_stack(cols)
+            del cols
+        else:
+            del cols
+            # The default sort kind: ``kind="stable"`` took 66 ms on 540 000
+            # shuffled codes, against 2.9 ms.
+            codes.sort()
+            dup = codes[1:] == codes[:-1]
+            if dup.any():
+                at = int(dup.argmax())
+                edge = tuple(int(x) for x in _decode_codes(codes[at : at + 1], base, self.r)[0])
+                raise InvalidInput(f"duplicate edge {edge}; multi-edges are rejected")
+            # canonical lexicographic order, recovered arithmetically from the
+            # sorted codes (cheaper than permuting the row array)
+            arr = _decode_codes(codes, base, self.r)
 
         self._edges = arr
         self._edges.setflags(write=False)
@@ -201,18 +213,24 @@ class Hypergraph:
         self._deg = np.bincount(arr.ravel(), minlength=self.n)
         self._deg.setflags(write=False)
         self._hash = None
-
+        self._rows = None
         if self.r == 2:
-            self._rows = self._build_rows(arr, codes)
-            self._rows.setflags(write=False)
             self._link_codes = None
             self._link_off = None
         else:
-            self._rows = None
             self._link_codes, self._link_off = self._build_links(arr)
 
-    def _build_rows(self, arr: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        n = self.n
+    def _adjacency(self) -> np.ndarray:
+        """The packed adjacency rows of a graph, built on the first call."""
+        rows = self._rows
+        if rows is None:
+            rows = self._build_rows()
+            rows.setflags(write=False)
+            self._rows = rows
+        return rows
+
+    def _build_rows(self) -> np.ndarray:
+        n, arr, codes = self.n, self._edges, self._edge_codes
         packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
         if n > 8192:
             for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):
@@ -292,7 +310,7 @@ class Hypergraph:
         read-only."""
         if self.r != 2:
             raise InvalidInput("packed adjacency rows exist only for r = 2")
-        return self._rows
+        return self._adjacency()
 
     def edge_list(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row) for row in self._edges]
@@ -318,7 +336,7 @@ class Hypergraph:
             raise InvalidInput(f"face {tuple(face)!r} does not have {self.r - 1} vertices")
         v, *rest = (self._check_vertex(u) for u in face)
         if self.r == 2:
-            return self._rows[v]
+            return self._adjacency()[v]
         # the link tuples of v holding all of ``rest`` (none if it repeats a
         # vertex); each has one vertex left, the completion
         codes = self._link_codes[self._link_off[v] : self._link_off[v + 1]]
@@ -365,7 +383,7 @@ class Hypergraph:
         """The set of (r-1)-tuples completing ``v`` to an edge."""
         v = self._check_vertex(v)
         if self.r == 2:
-            bits = np.unpackbits(self._rows[v], count=self.n)
+            bits = np.unpackbits(self._adjacency()[v], count=self.n)
             return {(int(u),) for u in np.nonzero(bits)[0]}
         codes = self._link_codes[self._link_off[v] : self._link_off[v + 1]]
         rows = _decode_codes(codes, max(self.n, 2), self.r - 1)
@@ -388,7 +406,8 @@ class Hypergraph:
         """Link distances from every vertex to ``v`` (entry ``v`` is 0)."""
         v = self._check_vertex(v)
         if self.r == 2:
-            xored = self._rows ^ self._rows[v]
+            rows = self._adjacency()
+            xored = rows ^ rows[v]
             return np.bitwise_count(xored).sum(axis=1).astype(np.int64)
         # deg(u) + deg(v) - 2 |L(u) & L(v)|: mark the link codes that lie in
         # L(v); u owns the marks between its link offsets, so a running count
@@ -415,7 +434,7 @@ class Hypergraph:
         of vertices of equal degree are compared, one degree at a time.
         """
         if self.r == 2:
-            return _first_equal_rows(self._rows)
+            return _first_equal_rows(self._adjacency())
         roots = np.arange(self.n)
         by_degree = np.argsort(self._deg, kind="stable")
         degs = self._deg[by_degree]
@@ -434,11 +453,16 @@ class Hypergraph:
 
         Returns the subgraph together with the old-to-new relabeling map.
         Vertices are relabeled in increasing order of their original index.
-        Edge rows are relabeled through one index array and validated only by the constructor.
+        On every vertex the subgraph is this instance itself, which is
+        immutable, with the identity map.  Otherwise edge rows are relabeled
+        through one index array; an increasing relabeling keeps them in
+        canonical order, so the constructor only checks them.
         """
         keep = np.unique(np.fromiter((int(x) for x in subset), dtype=np.int64))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
             raise InvalidVertex(f"subset contains a vertex outside [0, {self.n})")
+        if keep.size == self.n:
+            return self, {v: v for v in range(self.n)}
         new = np.full(self.n, -1, dtype=self._edges.dtype)
         new[keep] = np.arange(keep.size)
         rows = new[self._edges]

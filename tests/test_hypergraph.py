@@ -18,6 +18,7 @@ from linkclust import (
     Pattern,
     catalog,
     pattern_blowup,
+    serialize_hypergraph,
     turan_graph,
 )
 
@@ -104,6 +105,49 @@ class TestConstruction:
         with pytest.raises(InvalidInput, match="64 bits"):
             Hypergraph(r, n, [])
 
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_every_row_order_gives_the_canonical_host(self, r):
+        # canonical rows skip the sort; reversed, shuffled and column-permuted
+        # rows take it, and every order must build the same host
+        rng = np.random.default_rng(r)
+        n = 12
+        pool = np.array(list(itertools.combinations(range(n), r)))
+        canon = pool[rng.random(len(pool)) < 0.4]
+        orders = {
+            "canonical": canon,
+            "reversed": canon[::-1],
+            "shuffled": canon[rng.permutation(len(canon))],
+            "columns": canon[:, np.roll(np.arange(r), 1)],
+        }
+        ref = Hypergraph(r, n, [tuple(e) for e in canon.tolist()[::-1]])
+        for name, rows in orders.items():
+            for form in EDGE_FORMS:
+                g = Hypergraph(r, n, as_form(rows.tolist(), r, form))
+                assert g.edge_array.dtype == ref.edge_array.dtype == np.int32, name
+                np.testing.assert_array_equal(g.edge_array, canon)
+                np.testing.assert_array_equal(g.degrees(), ref.degrees())
+                for e in itertools.combinations(range(n), r):
+                    assert g.has_edge(e) == ref.has_edge(e)
+                if r == 2:
+                    np.testing.assert_array_equal(g.packed_adjacency, ref.packed_adjacency)
+                for v in range(n):
+                    np.testing.assert_array_equal(g.distances_from(v), ref.distances_from(v))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0, 1, 2), (0, 1, 2), (1, 2, 3)], "duplicate edge (0, 1, 2); multi-edges are rejected"),
+            ([(0, 1, 2), (1, 1, 3), (1, 2, 3)], "edge (1, 1, 3) has a repeated vertex"),
+        ],
+        ids=["duplicate", "repeated"],
+    )
+    def test_faults_in_canonical_order_read_as_in_any_order(self, rows, message):
+        for order in (rows, rows[::-1], [rows[1], rows[2], rows[0]]):
+            for form in EDGE_FORMS:
+                with pytest.raises(InvalidInput) as err:
+                    Hypergraph(3, 4, as_form(order, 3, form))
+                assert str(err.value) == message
+
     def test_errors_name_edges_with_plain_ints(self):
         with pytest.raises(InvalidInput) as err:
             Hypergraph(3, 4, np.array([(0, 1, 2), (2, 3, 2)]))
@@ -124,9 +168,11 @@ class TestConstruction:
             assert (max(n, 2) ** r < 2**31) == (dtype == np.int32)
         assert Hypergraph(r, r, []).edge_array.dtype == np.int32
 
-    def test_build_peak_memory(self):
+    @pytest.mark.parametrize("canonical", [False, True], ids=["reversed", "canonical"])
+    def test_build_peak_memory(self, canonical):
         host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
-        edges = np.ascontiguousarray(host.edge_array[::-1, ::-1], dtype=np.int64)
+        rows = host.edge_array if canonical else host.edge_array[::-1, ::-1]
+        edges = np.ascontiguousarray(rows, dtype=np.int64)
         tracemalloc.start()
         try:
             g = Hypergraph(3, host.n, edges)
@@ -144,12 +190,28 @@ class TestConstruction:
         n = 8192
         tracemalloc.start()
         try:
-            g = Hypergraph(2, n, [(0, 1)])
+            rows = Hypergraph(2, n, [(0, 1)]).packed_adjacency
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert g.packed_adjacency.nbytes == n * n // 8
-        assert peak < 3.5 * g.packed_adjacency.nbytes
+        assert rows.nbytes == n * n // 8
+        assert peak < 3.5 * rows.nbytes
+
+    def test_packed_rows_wait_for_their_first_query(self):
+        # writing a one-edge graph read no adjacency row, yet building them
+        # eagerly peaked at 26.9 MB
+        tracemalloc.start()
+        try:
+            g = Hypergraph(2, 8000, [(0, 1)])
+            text = serialize_hypergraph(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "2 8000 1\n0 1\n"
+        assert peak < 1 << 20
+        expected = np.zeros((8000, 1000), dtype=np.uint8)
+        expected[0, 0], expected[1, 0] = 0b01000000, 0b10000000
+        np.testing.assert_array_equal(g.packed_adjacency, expected)
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, 7, 23])
     def test_dense_rows_match_across_block_boundaries(self, monkeypatch, rows_per_block):
@@ -465,7 +527,7 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     def test_induced_on_everything_is_identity(self, g):
         sub, mapping = g.induced(range(g.n))
-        assert sub == g
+        assert sub is g
         assert mapping == {v: v for v in range(g.n)}
 
 
