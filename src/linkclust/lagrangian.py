@@ -520,25 +520,27 @@ def _graph(pattern: Pattern) -> _Exact:
     smallest coordinate is 0.
     """
     n = pattern.num_vertices
-    A = [[0] * n for _ in range(n)]
+    adj = [0] * n  # neighbour bitmasks, a loop at v setting bit v of adj[v]
     for i, j in pattern.edges:
-        A[i][j] = A[j][i] = 1
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
 
     def unit(v: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(int(w == v)) for w in range(n))
 
-    loops = [v for v in range(n) if A[v][v]]
+    loops = [v for v in range(n) if adj[v] >> v & 1]
     if loops:
         lam, lam_point = Fraction(1, 2), unit(loops[0])
     else:
-        clique = _max_clique([sum(a << j for j, a in enumerate(row)) for row in A])
+        clique = _max_clique(adj)
         k = clique.bit_count()
         lam = Fraction(k - 1, 2 * k)
         lam_point = tuple(Fraction(clique >> v & 1, k) for v in range(n))
-    isolated = [v for v in range(n) if not any(A[v])]
+    isolated = [v for v in range(n) if not adj[v]]
     if isolated:
         points = lam_point, unit(isolated[0])
         return _Exact("exact-graph", (lam, Fraction(0)), points, Fraction(0), False)
+    A = [[mask >> j & 1 for j in range(n)] for mask in adj]
     value, x = _game(A)
     rigid = (
         min(x) > 0

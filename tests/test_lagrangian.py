@@ -366,6 +366,19 @@ class TestExactGraph:
         if rig.rigid:
             assert phi(pattern, CFG).argmax == SimplexPoint.uniform(pattern.num_vertices)
 
+    def test_memory_follows_the_edges_not_the_vertex_count(self):
+        # an l x l list-of-lists matrix took 32.4 MB at l = 2000 for one edge
+        pattern = Pattern.from_multisets(2, 2000, [(1, 2)])
+        tracemalloc.start()
+        try:
+            record = lagrangian_module._graph(pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.values == (Fraction(1, 4), 0) and not record.rigid
+        assert record.points[0][1:3] == (Fraction(1, 2),) * 2
+        assert peak < 2 << 20
+
 
 def _k4_3_pattern():
     return Pattern.from_multisets(3, 4, list(itertools.combinations(range(4), 3)))
