@@ -6,10 +6,10 @@ row is sorted by compare-exchange of whole columns and coded as a base-n
 integer.  Strictly increasing codes mean the rows are already canonical and
 distinct, and they are kept as they are; otherwise the sorted codes are
 checked for duplicates and decoded back into the lexicographically sorted
-edge array.  Codes of k-tuples, and so the
-edges, are int32 when ``max(n, 2)**k < 2**31`` and int64 otherwise; past 62
-bits they are rejected.  Edge membership is a binary search in the codes.
-Two derived representations back the distance queries:
+edge array.  Codes of k-tuples, and so the edges, are int32 when
+``max(n, 2)**k < 2**31`` and int64 otherwise; past 62 bits they are rejected.
+Edge membership is a binary search in the codes.  Two derived
+representations back the distance queries:
 
 * ``r == 2``: packed adjacency bit-rows, so the link distance of a pair is a
   popcount over XORed rows.  They are built on the first query that reads
@@ -43,7 +43,7 @@ __all__ = ["Hypergraph", "Partition"]
 
 # Upper bound on the per-vertex tables one instance allocates whatever its
 # edge count: the degree and link-offset arrays and, for graphs, the packed
-# adjacency bit rows (n * ceil(n/8) bytes).  A larger request is rejected
+# adjacency bit rows (n * ceil(n/8) bytes, on their first query).  A larger request is rejected
 # before anything is allocated, so a header such as ``2 1000000 0`` cannot
 # ask for ~125 GB.
 MAX_VERTEX_TABLE_BYTES = 1 << 30
@@ -213,11 +213,8 @@ class Hypergraph:
         self._deg = np.bincount(arr.ravel(), minlength=self.n)
         self._deg.setflags(write=False)
         self._hash = None
-        self._rows = None
-        if self.r == 2:
-            self._link_codes = None
-            self._link_off = None
-        else:
+        self._rows = self._link_codes = self._link_off = None
+        if self.r > 2:
             self._link_codes, self._link_off = self._build_links(arr)
 
     def _adjacency(self) -> np.ndarray:
