@@ -107,7 +107,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_every_row_order_gives_the_canonical_host(self, r):
-        # canonical rows skip the sort; reversed, shuffled and column-permuted
+        # canonical rows skip the sort; reversed, shuffled and column-rotated
         # rows take it, and every order must build the same host
         rng = np.random.default_rng(r)
         n = 12
