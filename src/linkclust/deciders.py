@@ -665,6 +665,11 @@ def clique_avg_decide(
     dense survivor graph, reinserts the peeled vertices into classes they
     have no neighbors in, and accepts when the merged classes are all
     independent.
+
+    Steps 3-4 (reinsert and merge) have been seen to run only from k = 8
+    under these gates: an exact count over k <= 12, slack < 40 and every
+    allowed (n, z) found no instance for k <= 7, the first being k = 8,
+    slack 2, n = 481, z = 1.  This is evidence, not a proof.
     """
     if graph.r != 2:
         raise InvalidInput("clique decider expects a graph (r = 2)")

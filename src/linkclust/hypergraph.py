@@ -103,6 +103,19 @@ def _encode_rows(cols: Sequence[np.ndarray], base: int) -> np.ndarray:
     return codes
 
 
+def _integer_edge(edge: Iterable, r: int) -> tuple:
+    """The vertices of ``edge`` as a tuple, refusing an edge without r of them
+    or with one that is not an integer (a Python or numpy integer, or a bool)
+    rather than truncating or parsing it."""
+    e = tuple(edge)
+    if len(e) != r:
+        raise InvalidInput(f"edge {e!r} has {len(e)} vertices, expected {r}")
+    for v in e:
+        if not isinstance(v, (int, np.integer, np.bool_)):
+            raise InvalidInput(f"edge {e!r} has a vertex {v!r} that is not an integer")
+    return e
+
+
 def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
     """For each row of a 2-d array, the index of the first row equal to it."""
     _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
@@ -160,19 +173,24 @@ class Hypergraph:
         dtype = _code_dtype(base, self.r)
 
         if isinstance(edges, np.ndarray):
-            arr = edges if edges.dtype.kind == "i" else edges.astype(np.int64)
-            if arr.size == 0:
-                arr = arr.reshape(0, self.r)
+            arr = edges.reshape(0, self.r) if edges.size == 0 else edges
             if arr.ndim != 2 or arr.shape[1] != self.r:
                 raise InvalidInput(
                     f"edge array must have shape (m, {self.r}), got {arr.shape}"
                 )
+            rows = arr.tolist() if arr.dtype.kind not in "iub" else []
         else:
             rows = [tuple(e) for e in edges]
             if any(len(e) != self.r for e in rows):
                 bad = next(e for e in rows if len(e) != self.r)
                 raise InvalidInput(f"edge {bad!r} does not have {self.r} vertices")
-            arr = np.array(rows, dtype=np.int64).reshape(len(rows), self.r)
+            arr = np.array(rows).reshape(len(rows), self.r)
+        if arr.dtype.kind not in "iub":
+            # numpy infers an integer or bool dtype when every vertex is one;
+            # other rows (floats, strings, objects, integers past int64) are
+            # checked vertex by vertex, so none is truncated or parsed
+            rows = [_integer_edge(e, self.r) for e in rows]
+            arr = np.array(rows, dtype=np.int64).reshape(arr.shape)
 
         if arr.size:
             lo, hi = int(arr.min()), int(arr.max())
@@ -313,8 +331,11 @@ class Hypergraph:
         return [tuple(int(x) for x in row) for row in self._edges]
 
     def has_edge(self, edge: Iterable[int]) -> bool:
-        e = sorted(int(x) for x in edge)
-        if len(e) != self.r or len(set(e)) != self.r or e[0] < 0 or e[-1] >= self.n:
+        try:
+            e = sorted(map(int, _integer_edge(edge, self.r)))
+        except InvalidInput:
+            return False
+        if len(set(e)) != self.r or e[0] < 0 or e[-1] >= self.n:
             return False
         base = max(self.n, 2)
         code = 0

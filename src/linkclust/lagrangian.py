@@ -41,13 +41,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidInput, NumericFailure
-from .patterns import (
-    Pattern,
-    SimplexPoint,
-    lagrange_eval,
-    lagrange_grad,
-    twin_pairs,
-)
+from .patterns import Pattern, SimplexPoint, lagrange_eval, lagrange_grad
 
 __all__ = [
     "OptConfig",
@@ -140,7 +134,9 @@ class RigidityReport:
     ``maximin`` is the best guaranteed level of all partials, ``smallest_
     coordinate`` the least coordinate over the optimal set (seen across the
     sampled optimal set when numerical).  ``certificate`` describes the
-    obstruction when ``rigid`` is false.  ``note`` says whether the result
+    obstruction when ``rigid`` is false.  ``witness_set`` is the maximin
+    run's witnesses, plus, when the pattern has twins, the first of them
+    slid along the least twin pair only.  ``note`` says whether the result
     is exact.
     """
 
@@ -740,13 +736,6 @@ def is_minimal(pattern: Pattern, cfg: OptConfig = OptConfig()) -> MinimalityRepo
     return MinimalityReport(minimal=margin > STRICT_GAP, margin=margin, gaps=tuple(gaps))
 
 
-def _slide_to_twin(w: SimplexPoint, i: int, j: int) -> SimplexPoint:
-    coords = list(w.coords)
-    coords[j] += coords[i]
-    coords[i] = 0.0
-    return SimplexPoint.normalized(coords)
-
-
 def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityReport:
     """Rigidity classification: whether the optimal set of the maximin
     problem is one point with every coordinate positive.
@@ -757,42 +746,36 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
     simplex boundary (smallest coordinate above ``POS_GAP``) and every
     sampled optimum has all partials equal to the maximin level within
     ``TOL``.  Twin vertices defeat both conditions, because mass can be
-    shifted freely between twins without leaving the optimal set; when twins
-    exist the slid witnesses are added explicitly, which drives the smallest
-    coordinate to zero.
+    shifted freely between twins without leaving the optimal set; for the
+    least twin pair (i, j) only, the first witness with its mass at i slid
+    onto j is added, which drives the smallest coordinate to exactly zero.
     """
     if pattern.num_vertices < 2:
         raise InvalidInput("rigidity needs at least 2 vertices")
     rep = phi(pattern, cfg)
     exact = _exact(pattern) if cfg.closed_forms else None
     witnesses = list(rep.witness_set)
-    pairs = twin_pairs(pattern)
-    if pairs:
-        slid = []
-        for i, j in pairs:
-            for w in witnesses:
-                slid.append(_slide_to_twin(w, i, j))
-                slid.append(_slide_to_twin(w, j, i))
-        witnesses.extend(slid)
+    roots = pattern.twin_classes()
+    pair = min(((root, v) for v, root in enumerate(roots) if root != v), default=None)
+    if pair is not None:
+        i, j = pair
+        slid = list(witnesses[0].coords)
+        slid[i], slid[j] = 0.0, slid[j] + slid[i]
+        witnesses.append(SimplexPoint.normalized(slid))
 
     if exact is None:
         smallest = min(min(w.coords) for w in witnesses)
         worst_dev = max(
             max(abs(g - rep.value) for g in lagrange_grad(pattern, w)) for w in witnesses
         )
-        rigid = (not pairs) and smallest > POS_GAP and worst_dev <= TOL
+        rigid = pair is None and smallest > POS_GAP and worst_dev <= TOL
     else:
         smallest, rigid = float(exact.smallest), exact.rigid
 
     certificate: Optional[dict] = None
     if not rigid:
-        if pairs:
-            i, j = pairs[0]
-            certificate = {
-                "kind": "twins",
-                "pair": (i, j),
-                "witness": _slide_to_twin(witnesses[0], i, j).coords,
-            }
+        if pair is not None:
+            certificate = {"kind": "twins", "pair": pair, "witness": witnesses[-1].coords}
         elif smallest <= POS_GAP:
             bad = min(witnesses, key=lambda w: min(w.coords))
             certificate = {

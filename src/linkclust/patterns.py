@@ -5,10 +5,10 @@ vertex more than once.  Each edge is stored as a multiset of r vertices, the
 tuple of its vertices in increasing order, as :class:`Hypergraph` stores its
 edges.  The weight polynomial of a pattern sums, over its edges, the
 monomials ``prod_i x_i**m(i) / m(i)!``, where m(i) is the multiplicity of
-vertex i in the edge; its gradient drives both the optimization layer and
-the twin test here.  The dense multiplicity matrix is built only on demand,
-for the batched evaluator of the optimization layer and the deciders'
-signature match.
+vertex i in the edge.  One pass over the edges builds the links, which give
+the gradient and the twin classes; rigidity slides mass along the least twin
+pair only.  The dense multiplicity matrix is built only on demand, for the
+batched evaluator of the optimization layer and the deciders' signature match.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _integer_edge
 
 __all__ = [
     "Pattern",
@@ -120,9 +120,7 @@ class Pattern:
         self.num_vertices = int(num_vertices)
         canon = set()
         for e in edges:
-            ms = tuple(sorted(int(v) for v in e))
-            if len(ms) != self.r:
-                raise InvalidInput(f"edge {ms!r} has {len(ms)} vertices, expected {self.r}")
+            ms = tuple(sorted(map(int, _integer_edge(e, self.r))))
             if ms[0] < 0 or ms[-1] >= self.num_vertices:
                 bad = ms[0] if ms[0] < 0 else ms[-1]
                 raise InvalidInput(f"vertex {bad} outside [0, {self.num_vertices})")
@@ -207,14 +205,22 @@ class Pattern:
             and not self._has_repeats()
         )
 
-    def link_multisets(self, i: int) -> tuple[tuple[int, ...], ...]:
-        """The edges using vertex ``i``, each with one copy of ``i`` removed."""
-        out = []
+    def links(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For every vertex, the sorted edges through it, each with one copy
+        of the vertex removed, from one pass over the sorted edges (removing
+        one copy of a vertex keeps the order of the edges that hold it)."""
+        out: list[list[tuple[int, ...]]] = [[] for _ in range(self.num_vertices)]
         for e in self.edges:
-            if i in e:
-                k = e.index(i)
-                out.append(e[:k] + e[k + 1 :])
-        return tuple(sorted(out))
+            for v in dict.fromkeys(e):
+                k = e.index(v)
+                out[v].append(e[:k] + e[k + 1 :])
+        return tuple(map(tuple, out))
+
+    def twin_classes(self) -> tuple[int, ...]:
+        """For every vertex, the least vertex with the same link (itself when
+        no lower vertex has it), as :meth:`Hypergraph.twin_classes`."""
+        first: dict[tuple[tuple[int, ...], ...], int] = {}
+        return tuple(first.setdefault(link, v) for v, link in enumerate(self.links()))
 
     def multiplicity_matrix(self) -> np.ndarray:
         """The ``(m, num_vertices)`` matrix of edge multiplicities, built on
@@ -295,33 +301,17 @@ def lagrange_eval(pattern: Pattern, x: SimplexPoint | Sequence[float]) -> float:
 def lagrange_grad(pattern: Pattern, x: SimplexPoint | Sequence[float]) -> tuple[float, ...]:
     """Analytic gradient of the weight polynomial at ``x``.
 
-    The partial for vertex ``i`` is the weight polynomial of the reduced
-    edges that use ``i``, i.e. each such edge contributes the monomial of
-    the edge with one copy of ``i`` removed.
+    The partial for vertex ``i`` is the weight polynomial of the link of
+    ``i`` (:meth:`Pattern.links`): each edge through ``i`` contributes the
+    monomial of the edge with one copy of ``i`` removed.
     """
     coords = _check_dim(pattern, x)
     return tuple(
-        math.fsum(_monomial(coords, e) for e in pattern.link_multisets(i))
-        for i in range(pattern.num_vertices)
+        math.fsum(_monomial(coords, e) for e in link) for link in pattern.links()
     )
 
 
-def twin_pairs(pattern: Pattern) -> list[tuple[int, int]]:
-    """All pairs of vertices whose links are identical.
-
-    Two vertices are twins when the reduced edge collections through them
-    coincide, which is the same as their weight-polynomial partials being
-    identical as formal polynomials.
-    """
-    links = [pattern.link_multisets(i) for i in range(pattern.num_vertices)]
-    out = []
-    for i in range(pattern.num_vertices):
-        for j in range(i + 1, pattern.num_vertices):
-            if links[i] == links[j]:
-                out.append((i, j))
-    return out
-
-
 def has_twins(pattern: Pattern) -> bool:
-    """True when two vertices have identical links."""
-    return bool(twin_pairs(pattern))
+    """True when two vertices have identical links, which is the same as
+    their partials being identical as formal polynomials."""
+    return any(root != v for v, root in enumerate(pattern.twin_classes()))

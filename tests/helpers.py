@@ -233,6 +233,33 @@ def interior_points(dim: int, count: int, seed: int) -> np.ndarray:
     return rng.dirichlet(np.full(dim, 1.5), size=count)
 
 
+# -- reference twins ------------------------------------------------------------
+# The links one vertex at a time and the twins as a list of every pair: the
+# direct definitions that the one-pass links and twin classes must match.
+
+
+def reference_link(pattern: Pattern, i: int) -> tuple[tuple[int, ...], ...]:
+    """The edges using vertex ``i``, each with one copy of ``i`` removed."""
+    out = []
+    for e in pattern.edges:
+        if i in e:
+            k = e.index(i)
+            out.append(e[:k] + e[k + 1 :])
+    return tuple(sorted(out))
+
+
+def reference_twin_pairs(pattern: Pattern) -> list[tuple[int, int]]:
+    """All pairs ``i < j`` of vertices whose links are identical, in
+    increasing order."""
+    links = [reference_link(pattern, i) for i in range(pattern.num_vertices)]
+    out = []
+    for i in range(pattern.num_vertices):
+        for j in range(i + 1, pattern.num_vertices):
+            if links[i] == links[j]:
+                out.append((i, j))
+    return out
+
+
 # -- reference signature verdict ------------------------------------------------
 # The count-matrix implementation the deciders used before signatures became
 # codes of sorted label tuples: an (m, l) class-count matrix, its distinct

@@ -1006,6 +1006,20 @@ class TestCli:
         assert report["results"]["rigid"] is False
         assert report["results"]["minimal"] is False
 
+    def test_rigidity_of_many_isolated_twins(self, tmp_path, capsys):
+        # 1 998 isolated vertices, about two million twin pairs
+        path = tmp_path / "isolated.txt"
+        path.write_text("2 2000 1\n1 2\n")
+        tracemalloc.start()
+        try:
+            code = run_cli(["rigidity", "--pattern", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 8 << 20
+        certificate = json.loads(capsys.readouterr().out)["results"]["certificate"]
+        assert (certificate["kind"], certificate["pair"]) == ("twins", [2, 3])
+
     def test_oracle_embed_exit_codes(self, tmp_path, capsys):
         k3 = tmp_path / "k3.txt"
         k3.write_text(serialize_hypergraph(catalog("complete", n=3)))

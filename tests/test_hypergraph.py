@@ -80,6 +80,46 @@ class TestConstruction:
         with pytest.raises(InvalidInput):
             Hypergraph(1, 3, [])
 
+    # truncating or parsing any of these vertices would build a wrong edge
+    @pytest.mark.parametrize(
+        "build, edge",
+        [
+            (lambda: Hypergraph(2, 3, [(0.5, 1.7)]), "(0.5, 1.7)"),
+            (lambda: Hypergraph(2, 3, np.array([[0.5, 2.2]])), "(0.5, 2.2)"),
+            (lambda: Hypergraph(2, 3, [("1", "2")]), "('1', '2')"),
+            (lambda: Hypergraph(2, 3, np.array([["1", "2"]])), "('1', '2')"),
+            (lambda: Hypergraph(2, 3, [(1.0, 2)]), "(1.0, 2)"),
+            (lambda: Pattern(2, 3, [(0.5, 1.7)]), "(0.5, 1.7)"),
+            (lambda: Pattern(3, 3, [(0, 0, None)]), "(0, 0, None)"),
+        ],
+        ids=["floats", "float-array", "strings", "string-array", "integral-float",
+             "pattern-floats", "pattern-none"],
+    )
+    def test_rejects_vertices_that_are_not_integers(self, build, edge):
+        with pytest.raises(InvalidInput, match="not an integer") as err:
+            build()
+        assert f"edge {edge}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(np.int64(0), np.int32(2))],
+            [(False, 2)],
+            [(np.False_, 2)],
+            np.array([[0, 2]], dtype=np.uint8),
+            np.array([[0, 2]], dtype=object),
+            np.empty((0, 2)),
+        ],
+        ids=["numpy-ints", "bool", "numpy-bool", "uint8-array", "object-array", "empty-floats"],
+    )
+    def test_integer_vertices_of_every_type_are_accepted(self, edges):
+        g = Hypergraph(2, 3, edges)
+        assert g.edge_list() == ([] if len(edges) == 0 else [(0, 2)])
+
+    @pytest.mark.parametrize("edge", [(0.5, 1.7), (0.0, 1.0), ("0", "1"), (0, None)])
+    def test_has_edge_is_false_for_a_vertex_that_is_not_an_integer(self, edge):
+        assert not K3.has_edge(edge) and not TRIPLE.has_edge(edge + (2,))
+
     def test_equality_and_hash(self):
         a = Hypergraph(2, 3, [(0, 1)])
         b = Hypergraph(2, 3, [(1, 0)])

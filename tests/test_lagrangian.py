@@ -28,6 +28,7 @@ from linkclust import (
     lagrange_grad,
     lagrangian,
     lagrangian_grid,
+    parse_pattern,
     phi,
     phi_grid,
     rigidity_report,
@@ -233,6 +234,21 @@ class TestRigidity:
         rep = rigidity_report(Pattern(2, 3, []), CFG)
         assert not rep.rigid
 
+    def test_isolated_twins_cost_one_slid_witness(self):
+        # the 98 isolated vertices make 4 753 twin pairs; two slid witnesses
+        # per pair would be 9 507 witnesses and a 31.7 MB peak
+        pattern = parse_pattern("2 100 1\n1 2\n")
+        tracemalloc.start()
+        try:
+            rep = rigidity_report(pattern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert len(rep.witness_set) == 2 and not rep.rigid
+        assert {k: rep.certificate[k] for k in ("kind", "pair")} == {"kind": "twins", "pair": (2, 3)}
+        assert rep.certificate["witness"][2] == 0.0 and rep.smallest_coordinate == 0.0
+
 
 # -- the exact path of r = 2 patterns ----------------------------------------------
 
@@ -270,7 +286,7 @@ def _exact_monomial(e, x):
 
 def _exact_partials(pattern, x):
     return [
-        sum(_exact_monomial(e, x) for e in pattern.link_multisets(i))
+        sum(_exact_monomial(e, x) for e in pattern.links()[i])
         for i in range(pattern.num_vertices)
     ]
 

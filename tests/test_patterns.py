@@ -1,5 +1,6 @@
 """Pattern type, weight polynomial, gradient, and twin tests."""
 
+import itertools
 import math
 
 import pytest
@@ -15,7 +16,9 @@ from linkclust import (
     lagrange_eval,
     lagrange_grad,
 )
+from linkclust.patterns import _monomial
 from helpers import interior_points
+from helpers import reference_link, reference_twin_pairs
 
 MULTI = Pattern(3, 2, [(0, 0, 1)])  # one edge using vertex 0 twice, vertex 1 once
 
@@ -204,3 +207,36 @@ class TestTwins:
         a = lagrange_eval(p, (0.3, 0.2, 0.5))
         b = lagrange_eval(p, (0.1, 0.4, 0.5))
         assert a == pytest.approx(b, abs=1e-15)
+
+
+@st.composite
+def twin_patterns(draw):
+    """Patterns with r in {2, 3} whose edges may repeat a vertex, on l <= 7
+    vertices of which the last few, before a random relabeling, are isolated."""
+    r = draw(st.sampled_from([2, 3]))
+    l = draw(st.integers(min_value=1, max_value=7))
+    used = draw(st.integers(min_value=1, max_value=l))
+    pool = list(itertools.combinations_with_replacement(range(used), r))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    perm = draw(st.permutations(range(l)))
+    return Pattern(r, l, [[perm[v] for v in e] for e in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_patterns(), st.lists(st.floats(0.01, 1.0), min_size=7, max_size=7))
+def test_twin_classes_and_gradient_match_the_per_vertex_reference(pattern, weights):
+    l = pattern.num_vertices
+    assert pattern.links() == tuple(reference_link(pattern, i) for i in range(l))
+    pairs = reference_twin_pairs(pattern)
+    roots = pattern.twin_classes()
+    # the classes group exactly the reference pairs, each under its least vertex
+    assert {(i, j) for i, j in itertools.combinations(range(l), 2) if roots[i] == roots[j]} == set(pairs)
+    assert list(roots) == [min([v] + [i for i, j in pairs if j == v]) for v in range(l)]
+    assert has_twins(pattern) == bool(pairs)
+    least = min(((root, v) for v, root in enumerate(roots) if root != v), default=None)
+    assert least == (pairs[0] if pairs else None)
+    # the partials from the one-pass links are the per-vertex sums, bit for bit
+    x = tuple(w / math.fsum(weights[:l]) for w in weights[:l])
+    assert lagrange_grad(pattern, x) == tuple(
+        math.fsum(_monomial(x, e) for e in reference_link(pattern, i)) for i in range(l)
+    )
