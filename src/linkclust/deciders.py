@@ -9,7 +9,9 @@ mode) or fall back to the exhaustive oracles.
 The pattern deciders check an edge through its signature, the sorted tuple
 of its vertices' class labels.  Signatures are canonicalized and coded by
 the helpers that canonicalize the edges of a :class:`Hypergraph`, so only
-the few distinct codes are decoded and matched against the pattern.  The
+the few distinct codes are decoded.  The embedding search of
+:mod:`linkclust.oracles` matches their quotient, the active classes with one
+edge per signature, to the pattern's edges.  The
 graph deciders (k-colorability and the clique decider) instead test each
 class for independence on the packed adjacency rows.
 
@@ -110,7 +112,8 @@ class DeciderConfig:
     vertices, or with minimum degree below the slackened threshold, is
     refused when ``strict`` and otherwise handed to the exhaustive oracle
     (exponential worst case), which gives up after ``oracle_budget_s``
-    seconds.  ``opt`` configures the calibration.  :func:`decide_k_colorable`
+    seconds.  Each search that matches the clusters to the pattern runs
+    under the same budget.  ``opt`` configures the calibration.  :func:`decide_k_colorable`
     reads only ``strict`` and ``oracle_budget_s``.
 
     ``n_small`` defaults per decider: ``3 * l * r`` for an l-vertex pattern
@@ -240,45 +243,36 @@ def _edge_signatures(
     return np.unique(codes, return_index=True)
 
 
-def _match_to_pattern(
-    sigs: list[tuple[int, ...]], pattern: Pattern
-) -> Optional[dict[int, int]]:
+def _relabel(
+    sigs: list[tuple[int, ...]], pattern: Pattern, budget_s: float
+) -> Optional[np.ndarray]:
     """An injective relabeling of clusters to pattern vertices under which
-    every signature (a sorted label tuple) is a pattern edge, or ``None``.
+    every signature (a sorted label tuple) is a pattern edge, as an array
+    indexed by cluster, or ``None``.
 
     Cluster indices come from seed discovery order, so the identity need
-    not work even when some relabeling does.
+    not work even when some relabeling does.  The relabeling embeds the
+    signature quotient (the active clusters, one edge per signature) into
+    the pattern under ``budget_s``.  The quotient numbers the clusters
+    breadth-first, so that the search, which takes vertices of equal degree
+    in index order, runs along connected clusters.  The inactive clusters
+    take the unused pattern vertices in order.
     """
-    allowed = set(map(tuple, pattern.multiplicity_matrix().tolist()))
-    num = pattern.num_vertices
-    counts = [Counter(sig) for sig in sigs]
-    active = sorted({c for sig in sigs for c in sig})
-
-    assignment: dict[int, int] = {}
-
-    def feasible() -> bool:
-        return all(
-            any(all(a[img] >= cnt[c] for c, img in assignment.items()) for a in allowed)
-            for cnt in counts
-        )
-
-    def search(i: int) -> bool:
-        # with every cluster placed, feasible() has put each signature's
-        # image under a pattern edge, and both have r members: they are equal
-        if i == len(active):
-            return True
-        for img in [p for p in range(num) if p not in assignment.values()]:
-            assignment[active[i]] = img
-            if feasible() and search(i + 1):
-                return True
-            del assignment[active[i]]
-        return False
-
-    if len(active) > num or not search(0):
+    number: dict[int, int] = {}
+    for root in sorted({c for sig in sigs for c in sig}):
+        queue = [root]
+        for c in queue:
+            if c not in number:
+                number[c] = len(number)
+                queue += sorted({d for sig in sigs if c in sig for d in sig})
+    edges = [[number[c] for c in sig] for sig in sigs]
+    # an edgeless host has no active cluster; a pattern needs one vertex
+    emb = find_embedding(Pattern(pattern.r, max(len(number), 1), edges), pattern, budget_s)
+    if emb is None:
         return None
-    unused = [p for p in range(num) if p not in assignment.values()]
-    assignment.update(zip([c for c in range(num) if c not in assignment], unused))
-    return assignment
+    images = [emb[number[c]] if c in number else -1 for c in range(pattern.num_vertices)]
+    unused = iter(sorted(set(range(pattern.num_vertices)) - set(images)))
+    return np.array([next(unused) if p < 0 else p for p in images], dtype=np.int64)
 
 
 def _signature_verdict(
@@ -286,9 +280,11 @@ def _signature_verdict(
     pattern: Pattern,
     labels: np.ndarray,
     stats: DecideStats,
+    budget_s: float = DEFAULT_BUDGET_S,
 ) -> tuple[Optional[np.ndarray], Optional[tuple[int, ...]]]:
     """Relabel clusters onto pattern vertices so the class map colors every
-    edge, or return a violating edge.
+    edge, or return a violating edge.  Each relabeling search runs under
+    ``budget_s``.
 
     Returns (relabeled labels, None) on success, (None, edge) otherwise.
     """
@@ -299,16 +295,14 @@ def _signature_verdict(
 
     # A class-count profile that no pattern edge has cannot be fixed by any
     # relabeling; report the earliest offending edge.
-    allowed_profiles = {
-        tuple(sorted(x for x in e if x)) for e in pattern.multiplicity_matrix().tolist()
-    }
+    allowed_profiles = {tuple(sorted(Counter(e).values())) for e in pattern.edges}
     profiles = [tuple(sorted(Counter(sig).values())) for sig in sigs]
     bad = [int(rep) for p, rep in zip(profiles, reps) if p not in allowed_profiles]
     if bad:
         return None, tuple(int(v) for v in hypergraph.edge_array[min(bad)])
 
-    mapping = _match_to_pattern(sigs, pattern)
-    if mapping is None:
+    remap = _relabel(sigs, pattern, budget_s)
+    if remap is None:
         # No single profile is wrong, but the signatures are jointly
         # unmatchable.  Report the edge whose signature completes the shortest
         # unmatchable prefix in representative order.  A relabeling that works
@@ -320,10 +314,9 @@ def _signature_verdict(
         t = 1 + bisect.bisect_left(
             range(1, len(ordered)),
             True,
-            key=lambda length: _match_to_pattern(ordered[:length], pattern) is None,
+            key=lambda length: _relabel(ordered[:length], pattern, budget_s) is None,
         )
         return None, tuple(int(v) for v in hypergraph.edge_array[reps[order[t - 1]]])
-    remap = np.array([mapping[c] for c in range(num)], dtype=np.int64)
     return remap[labels], None
 
 
@@ -492,7 +485,9 @@ def _decide_core(
     radius = (smallest / 2) ** (r - 1) / math.factorial(r - 1)
     labels, evals = _cluster(hypergraph, pattern.num_vertices, radius)
     stats = DecideStats(distance_evals=evals)
-    relabeled, bad_edge = _signature_verdict(hypergraph, pattern, labels, stats)
+    relabeled, bad_edge = _signature_verdict(
+        hypergraph, pattern, labels, stats, cfg.oracle_budget_s
+    )
     _finish_work(stats, hypergraph)
     if bad_edge is not None:
         return Decision(

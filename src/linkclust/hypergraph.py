@@ -188,9 +188,9 @@ class Hypergraph:
         if arr.dtype.kind not in "iub":
             # numpy infers an integer or bool dtype when every vertex is one;
             # other rows (floats, strings, objects, integers past int64) are
-            # checked vertex by vertex, so none is truncated or parsed
+            # checked vertex by vertex, never truncated, and range-checked as objects
             rows = [_integer_edge(e, self.r) for e in rows]
-            arr = np.array(rows, dtype=np.int64).reshape(arr.shape)
+            arr = np.array(rows, dtype=object).reshape(arr.shape)
 
         if arr.size:
             lo, hi = int(arr.min()), int(arr.max())

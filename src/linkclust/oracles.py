@@ -7,16 +7,18 @@ enumerate.  Search orders are fixed so failures reproduce exactly; searches
 carry a wall-clock budget and abort with :class:`OracleTimeout` rather than
 hang.
 
-The embedding search is one iterative loop for every uniformity: the host
+The embedding search is one iterative loop for every uniformity, and either
+side may be a hypergraph or a pattern whose edges repeat a vertex; the
+pattern deciders match their clusters to the pattern with it.  The host
 candidates at each depth are a packed bit row, the unused vertices of large
 enough degree ANDed with the completion rows of the small edges that close
 there, each row made once per search and face.  Two symmetry rules prune it
 without changing its answer.  A host twin (a vertex with the same link as a
-lower one) is a candidate only once the next-lower member of its class is in
-use, and within each transposition class of the small hypergraph the images
-increase in search order.  The search returns the lexicographically first
-embedding, which obeys both rules: swapping twins in an embedding that breaks
-one gives a smaller embedding.
+lower one, in a pattern too) is a candidate only once the next-lower member
+of its class is in use, and within each transposition class of the small
+side the images increase in search order.  The search returns the
+lexicographically first embedding, which obeys both rules: swapping twins
+in an embedding that breaks one gives a smaller embedding.
 
 The homomorphism search is likewise one iterative loop for every pattern:
 bitmask color domains cut by forward checking through one table of the
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import time
 from typing import Callable, Iterable, Optional
 
@@ -103,30 +104,28 @@ def _twin_before(multisets: Iterable[tuple[int, ...]], k: int) -> list[int]:
 
 
 def _embed(
-    small: Hypergraph, host: Hypergraph, deadline: _Deadline
+    small: Pattern, host: Hypergraph | Pattern, deadline: _Deadline
 ) -> Optional[dict[int, int]]:
-    n, k = host.n, small.n
-    order = sorted(range(k), key=lambda v: (-small.degree(v), v))
+    small_deg, host_deg = small.degrees(), np.asarray(host.degrees())
+    n, k = len(host_deg), small.num_vertices
+    order = sorted(range(k), key=lambda v: (-small_deg[v], v))
     pos = {v: i for i, v in enumerate(order)}
     # each small edge closes at the depth of its last vertex; the images of
-    # its other positions (its face) pick the host row that filters there
-    closing: list[list[operator.itemgetter]] = [[] for _ in order]
+    # its other vertices (its face) pick the host row that filters there
+    closing: list[list[tuple[int, ...]]] = [[] for _ in order]
     edge_depths = []
-    for e in small:
+    for e in small.edges:
         depths = tuple(sorted(pos[v] for v in e))
-        *face, last = depths
-        closing[last].append(operator.itemgetter(*face))
+        closing[depths[-1]].append(depths[: depths.index(depths[-1])])
         edge_depths.append(depths)
     # twins in small: a depth's image lies above that of the next-lower depth
     # of its transposition class
     above = _twin_before(edge_depths, k)
-    deg_mask = [np.packbits(host.degrees() >= small.degree(v)) for v in order]
-    # completion rows by face; a graph's faces are single vertices, whose
-    # one-item itemgetter keys are ints
-    rows = dict(enumerate(host.packed_adjacency)) if host.r == 2 else {}
+    deg_mask = [np.packbits(host_deg >= small_deg[v]) for v in order]
+    rows: dict[tuple[int, ...], np.ndarray] = {}  # completion rows by face
     # host twins: a twin is closed off until the next-lower member of its
     # class is in use; ``off`` holds the used vertices and the closed twins
-    roots = host.twin_classes()
+    roots = np.asarray(host.twin_classes())
     by_class = np.argsort(roots, kind="stable")
     lower, upper = by_class[:-1], by_class[1:]
     twin = roots[lower] == roots[upper]
@@ -143,7 +142,7 @@ def _embed(
         if iters[depth] is None:
             cand = deg_mask[depth] & ~off
             for face in closing[depth]:
-                key = face(images)
+                key = tuple([images[d] for d in face])
                 row = rows.get(key)
                 if row is None:
                     row = rows[key] = host.completions(key)
@@ -177,25 +176,31 @@ def _embed(
 
 
 def find_embedding(
-    small: Hypergraph,
-    host: Hypergraph,
+    small: Hypergraph | Pattern,
+    host: Hypergraph | Pattern,
     budget_s: float = DEFAULT_BUDGET_S,
 ) -> Optional[dict[int, int]]:
     """Injective vertex map sending every edge of ``small`` to an edge of
     ``host``, or ``None``.
 
-    One search serves every uniformity.  Vertices of ``small`` are mapped in
-    descending-degree order; at each depth the candidates are the unused
-    host vertices of large enough degree, ANDed with the completion row
-    (:meth:`Hypergraph.completions`) of each small edge that closes there,
-    and are tried in ascending index.  So the returned embedding is the
-    first one in that fixed search order.  An empty ``small`` embeds as
-    ``{}``.
+    Either side may be a :class:`Pattern`, whose edges may repeat a vertex
+    and map to the multisets of their images; the pattern deciders match
+    their clusters to the pattern this way.  One search serves every
+    uniformity.  Vertices of ``small`` are mapped in descending order of
+    degree (the edges through a vertex), then ascending index.  An edge
+    closes at the depth of its last vertex, and its face is the images of
+    its other vertices.  At each depth the candidates are the unused host
+    vertices of large enough degree, ANDed with the completion row
+    (``host.completions``) of each face closing there, and are tried in
+    ascending index.  So the returned embedding is the first one in that
+    fixed search order.  An empty ``small`` embeds as ``{}``.
 
-    Two symmetry rules cut the candidates.  Host vertices with equal links
-    (:meth:`Hypergraph.twin_classes`) share no edge, so swapping two of them
-    maps the host onto itself; such a twin is a candidate only once the
-    next-lower member of its class is in use.  Two vertices of ``small``
+    Two symmetry rules cut the candidates.  Host vertices u and v with equal
+    links (``host.twin_classes``) are twins, and swapping them maps the
+    edges onto themselves: if u^a v^b R is an edge with a > 0, dropping one
+    u leaves u^(a-1) v^b R in link(u) = link(v), so u^(a-1) v^(b+1) R is an
+    edge, and so is every u^i v^(a+b-i) R.  A twin is a candidate only once
+    the next-lower member of its class is in use.  Two vertices of ``small``
     whose swap maps its edges onto themselves are in one transposition
     class, and their images must increase in search order.  Neither rule
     changes the answer: in an embedding that breaks one, swapping the twins
@@ -205,9 +210,14 @@ def find_embedding(
     if small.r != host.r:
         raise InvalidInput(f"uniformity mismatch: {small.r} vs {host.r}")
     deadline = _Deadline(budget_s)
-    if small.n == 0:
-        return {}
-    if small.n > host.n or len(small) > len(host):
+    if isinstance(small, Hypergraph):
+        if small.n == 0:
+            return {}
+        small = Pattern.from_hypergraph(small)
+    if small.num_vertices > len(host.degrees()):
+        return None
+    # a hypergraph has no edge for a repeated vertex, nor more edges than it has
+    if isinstance(host, Hypergraph) and (small._has_repeats() or len(small.edges) > len(host)):
         return None
     return _embed(small, host, deadline)
 

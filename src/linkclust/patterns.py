@@ -6,9 +6,11 @@ tuple of its vertices in increasing order, as :class:`Hypergraph` stores its
 edges.  The weight polynomial of a pattern sums, over its edges, the
 monomials ``prod_i x_i**m(i) / m(i)!``, where m(i) is the multiplicity of
 vertex i in the edge.  One pass over the edges builds the links, which give
-the gradient and the twin classes; rigidity slides mass along the least twin
-pair only.  The dense multiplicity matrix is built only on demand, for the
-batched evaluator of the optimization layer and the deciders' signature match.
+the gradient, the degrees and the twin classes; rigidity slides mass along
+the least twin pair only.  The degrees, twin classes and completion rows let
+a pattern be either side of the embedding search, which matches the
+deciders' clusters to their pattern.  The dense multiplicity matrix is built
+only on demand, for the batched evaluator of the optimization layer.
 """
 
 from __future__ import annotations
@@ -221,6 +223,24 @@ class Pattern:
         no lower vertex has it), as :meth:`Hypergraph.twin_classes`."""
         first: dict[tuple[tuple[int, ...], ...], int] = {}
         return tuple(first.setdefault(link, v) for v, link in enumerate(self.links()))
+
+    def degrees(self) -> np.ndarray:
+        """The number of edges through each vertex (:meth:`Hypergraph.degrees`)."""
+        return np.array([len(link) for link in self.links()], dtype=np.int64)
+
+    def completions(self, face: Sequence[int]) -> np.ndarray:
+        """:meth:`Hypergraph.completions` for a face of any length below r:
+        the packed ``ceil(num_vertices/8)`` uint8 row of the vertices c outside
+        ``face`` for which ``face`` plus r - len(face) copies of c is an edge."""
+        face = tuple(face)
+        if len(face) >= self.r:
+            raise InvalidInput(f"face {face!r} does not have fewer than {self.r} vertices")
+        fill = self.r - len(face)
+        bits = np.zeros(self.num_vertices, dtype=bool)
+        for e in self.edges:
+            for c in set(e).difference(face):
+                bits[c] |= e == tuple(sorted(face + (c,) * fill))
+        return np.packbits(bits)
 
     def multiplicity_matrix(self) -> np.ndarray:
         """The ``(m, num_vertices)`` matrix of edge multiplicities, built on

@@ -6,6 +6,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from linkclust import (
     Hypergraph,
@@ -162,6 +163,26 @@ def coloring_instance(num_colors: int, seed: int):
     if seed % 2 == 1:
         host = plant_violation(host, contiguous_classes(sizes), int(rng.integers(2**32)))
     return host
+
+
+@st.composite
+def multiset_patterns(draw, r: int, max_vertices: int, max_edges: int) -> Pattern:
+    """Patterns of uniformity ``r`` on at most ``max_vertices`` vertices with
+    at most ``max_edges`` edges, each of which may repeat a vertex."""
+    l = draw(st.integers(min_value=1, max_value=max_vertices))
+    pool = list(itertools.combinations_with_replacement(range(l), r))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=min(max_edges, len(pool))))
+    return Pattern(r, l, edges)
+
+
+def brute_force_embeddings(small: Pattern, host: Pattern):
+    """Every injective map of the vertices of ``small`` into those of
+    ``host`` under which each edge of ``small`` is an edge of ``host``, as
+    tuples of images."""
+    allowed = set(host.edges)
+    for images in itertools.permutations(range(host.num_vertices), small.num_vertices):
+        if all(tuple(sorted(images[v] for v in e)) in allowed for e in small.edges):
+            yield images
 
 
 def erdos_renyi(n: int, p: float, seed: int, r: int = 2) -> Hypergraph:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from linkclust import deciders
+from linkclust import deciders, oracles
 from linkclust import (
     DeciderConfig,
     Hypergraph,
@@ -32,12 +32,16 @@ from linkclust import (
     pattern_blowup,
     peel,
     plant_violation,
+    rng_from_seed,
     turan_classes,
     turan_graph,
     turan_number,
 )
 
+from helpers import CountingDeadline, count_ticks, erdos_renyi, reference_signature_verdict
+
 K3 = catalog("complete", n=3)
+K6 = catalog("complete", n=6)
 SHOM_CFG = DeciderConfig(n_small=15)
 
 
@@ -152,6 +156,16 @@ class TestDecideHomMinimal:
         assert d.verdict is Verdict.YES
 
 
+def relabelled_cycle_blowup(length: int, size: int, chord: bool = False) -> Hypergraph:
+    """The blow-up of C_length with parts of ``size``, plus a chord between
+    parts 0 and 2 if asked, with its vertices relabelled at random."""
+    host = pattern_blowup(Pattern.cycle(length), (size,) * length)
+    if chord:
+        host = Hypergraph(2, host.n, [*host.edge_list(), (0, 2 * size)])
+    perm = rng_from_seed(7).permutation(host.n)
+    return Hypergraph(2, host.n, perm[host.edge_array])
+
+
 class TestDecideShomRigid:
     def test_cycle_blowup(self):
         host = pattern_blowup(Pattern.cycle(5), (5,) * 5)
@@ -207,6 +221,47 @@ class TestDecideShomRigid:
         shrunk_base = pattern_blowup(Pattern.cycle(5), (2,) * 5)
         shrunk = Hypergraph(2, 10, shrunk_base.edge_list() + [(0, 4)])
         assert find_homomorphism(shrunk, Pattern.cycle(5)) is None
+
+    @pytest.mark.parametrize("length", [17, 21])
+    def test_long_cycle_blowups_match_without_backtracking(self, monkeypatch, length):
+        # one search of one tick per cluster: the quotient is the cycle,
+        # numbered along it
+        host = relabelled_cycle_blowup(length, 12)
+        d, ticks = count_ticks(monkeypatch, decide_shom_rigid, host, Pattern.cycle(length))
+        assert d.verdict is Verdict.YES and ticks <= 2 * length
+        assert d.partition.sizes() == (12,) * length
+        assert all(abs(int(a) - int(b)) in (1, length - 1) for a, b in d.partition.labels[host.edge_array])
+
+    def test_chord_in_a_long_cycle_blowup_takes_few_searches(self, monkeypatch):
+        # 4 searches of 0, 8, 35 and 13 ticks; the count-matrix reference
+        # reports the same edge
+        monkeypatch.setattr(oracles, "_Deadline", CountingDeadline)
+        CountingDeadline.made.clear()
+        d = decide_shom_rigid(relabelled_cycle_blowup(13, 12, chord=True), Pattern.cycle(13))
+        assert d.verdict is Verdict.NO and d.violating_edge == (36, 127)
+        assert len(CountingDeadline.made) <= 5
+        assert sum(deadline.ticks for deadline in CountingDeadline.made) <= 4 * 26
+
+    def test_chord_gives_the_reference_edge(self, monkeypatch):
+        verdict = deciders._signature_verdict
+        edges = []
+
+        def with_reference(host, pattern, labels, stats, budget_s):
+            got = verdict(host, pattern, labels, stats, budget_s)
+            edges.append((got[1], reference_signature_verdict(host, pattern, labels)[1]))
+            return got
+
+        monkeypatch.setattr(deciders, "_signature_verdict", with_reference)
+        d = decide_shom_rigid(relabelled_cycle_blowup(9, 12, chord=True), Pattern.cycle(9))
+        assert d.verdict is Verdict.NO and edges == [(d.violating_edge, d.violating_edge)]
+
+    def test_the_cluster_match_runs_under_the_oracle_budget(self):
+        # the signatures of K6 against a random 40-vertex graph: the search
+        # outlasts the 1 024 ticks before its deadline first reads the clock
+        pattern = Pattern.from_hypergraph(erdos_renyi(40, 0.4, 2))
+        labels = np.arange(6)
+        with pytest.raises(OracleTimeout):
+            deciders._signature_verdict(K6, pattern, labels, deciders.DecideStats(), 0.0)
 
 
 class TestEmbedMinDecide:

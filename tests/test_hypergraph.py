@@ -100,6 +100,16 @@ class TestConstruction:
             build()
         assert f"edge {edge}" in str(err.value)
 
+    # past int64, where a cast to int64 would overflow
+    @pytest.mark.parametrize("vertex", [2**63, 2**64, -(2**63) - 1])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "object-array"])
+    def test_rejects_integers_past_int64_as_out_of_range(self, vertex, as_array):
+        edges = [(vertex, 1)]
+        if as_array:
+            edges = np.array(edges, dtype=object)
+        with pytest.raises(InvalidInput, match=rf"^edge vertex {vertex} outside \[0, 3\)$"):
+            Hypergraph(2, 3, edges)
+
     @pytest.mark.parametrize(
         "edges",
         [

@@ -5,6 +5,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkclust import (
     Hypergraph,
@@ -26,6 +28,7 @@ from linkclust import (
     turan_number,
 )
 from helpers import (
+    brute_force_embeddings,
     brute_force_homomorphism,
     brute_force_max_edges_without,
     coloring_instance,
@@ -34,6 +37,7 @@ from helpers import (
     graphs_up_to_iso,
     is_valid_coloring,
     is_valid_embedding,
+    multiset_patterns,
     reference_find_embedding,
 )
 
@@ -120,6 +124,50 @@ class TestFindEmbedding:
         for small in (catalog("complete", n=3), Hypergraph(2, 0, [])):
             with pytest.raises(InvalidInput, match="never runs out"):
                 find_embedding(small, catalog("complete", n=4), budget_s=budget)
+
+
+@st.composite
+def pattern_embedding_cases(draw):
+    """``(small, host)`` patterns of one uniformity r in {2, 3, 4}, whose edges
+    may repeat a vertex.  Half the smalls are random; the others read some
+    host edges back through a random injection, so that they embed."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    host = draw(multiset_patterns(r, 6, 24))
+    if draw(st.booleans()):
+        return draw(multiset_patterns(r, 4, 6)), host
+    k = draw(st.integers(min_value=1, max_value=min(host.num_vertices, 4)))
+    back = {w: v for v, w in enumerate(draw(st.permutations(range(host.num_vertices)))[:k])}
+    inside = [[back[w] for w in e] for e in host.edges if back.keys() >= set(e)]
+    edges = draw(st.lists(st.sampled_from(inside), max_size=6)) if inside else []
+    return Pattern(r, k, set(map(tuple, edges))), host
+
+
+class TestPatternEmbedding:
+    """The embedding search with patterns on both sides, as the deciders'
+    cluster match uses it."""
+
+    @given(pattern_embedding_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_a_brute_force_over_injections(self, case):
+        small, host = case
+        emb = find_embedding(small, host)
+        assert (emb is None) == (next(brute_force_embeddings(small, host), None) is None)
+        if emb is not None:
+            assert sorted(emb) == list(range(small.num_vertices))
+            assert len(set(emb.values())) == small.num_vertices
+            images = tuple(emb[v] for v in range(small.num_vertices))
+            assert images in set(brute_force_embeddings(small, host))
+
+    def test_a_repeated_vertex_has_no_image_in_a_hypergraph(self):
+        host = catalog("complete", n=4)
+        assert find_embedding(Pattern(2, 2, [(0, 0), (0, 1)]), host) is None
+        assert find_embedding(Pattern.cycle(3), host) == find_embedding(K3, host)
+
+    def test_a_hypergraph_embeds_into_a_pattern(self):
+        host = Pattern(2, 4, [(0, 0), (0, 1), (1, 2), (0, 2), (2, 3)])
+        emb = find_embedding(K3, host)
+        assert emb is not None and sorted(emb.values()) == [0, 1, 2]
+        assert find_embedding(catalog("complete", n=4), host) is None
 
 
 def _relabelled(host, seed):

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from linkclust import (
 )
 from linkclust.patterns import _monomial
 from helpers import interior_points
-from helpers import reference_link, reference_twin_pairs
+from helpers import multiset_patterns, reference_link, reference_twin_pairs
 
 MULTI = Pattern(3, 2, [(0, 0, 1)])  # one edge using vertex 0 twice, vertex 1 once
 
@@ -240,3 +242,23 @@ def test_twin_classes_and_gradient_match_the_per_vertex_reference(pattern, weigh
     assert lagrange_grad(pattern, x) == tuple(
         math.fsum(_monomial(x, e) for e in reference_link(pattern, i)) for i in range(l)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(lambda r: multiset_patterns(r, 6, 30)))
+def test_completions_and_degrees_match_a_direct_scan(pattern):
+    r, l = pattern.r, pattern.num_vertices
+    assert pattern.degrees().tolist() == [sum(v in e for e in pattern.edges) for v in range(l)]
+    counts = {frozenset(Counter(e).items()) for e in pattern.edges}
+    for size in range(r):
+        for face in itertools.combinations_with_replacement(range(l), size):
+            want = [
+                c not in face
+                and frozenset((Counter(face) + Counter({c: r - size})).items()) in counts
+                for c in range(l)
+            ]
+            # a face is read in any order
+            for given_face in (face, face[::-1]):
+                assert np.unpackbits(pattern.completions(given_face), count=l).tolist() == want
+    with pytest.raises(InvalidInput):
+        pattern.completions((0,) * r)

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkclust import Hypergraph, Pattern, deciders
+from linkclust import Hypergraph, Pattern, oracles
 from linkclust.deciders import DecideStats, _signature_verdict
 
-from helpers import reference_signature_verdict
+from helpers import CountingDeadline, is_valid_coloring, reference_signature_verdict
 
 
 @st.composite
@@ -65,7 +65,21 @@ def _assert_same(got, want):
 @given(signature_cases())
 @settings(max_examples=300, deadline=None)
 def test_matches_the_count_matrix_reference(case):
-    _assert_same(*_verdicts(*case))
+    host, pattern, labels = case
+    got, want = _verdicts(*case)
+    if want[0] is None:
+        _assert_same(got, want)
+        return
+    # a pattern with automorphisms may give another first relabeling: any
+    # permutation of the classes that colors every edge onto a pattern edge
+    relabeled, edge = got
+    assert edge is None and relabeled is not None
+    perm: dict[int, int] = {}
+    for c, image in zip(labels.tolist(), relabeled.tolist()):
+        assert perm.setdefault(c, image) == image
+    assert len(set(perm.values())) == len(perm)
+    assert set(perm.values()) <= set(range(pattern.num_vertices))
+    assert is_valid_coloring(host, pattern, relabeled)
 
 
 # Signatures whose profiles are all allowed but which no relabeling maps into
@@ -108,15 +122,10 @@ def test_bad_prefix_takes_logarithmically_many_searches(monkeypatch):
     host = Hypergraph(2, 9, [(v, v + 1) for v in range(8)])
     labels = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0])
     pattern = Pattern.path(8)
-    calls = []
-    original = deciders._match_to_pattern
-
-    def counting(sigs, pat):
-        calls.append(len(sigs))
-        return original(sigs, pat)
-
-    monkeypatch.setattr(deciders, "_match_to_pattern", counting)
+    # each embedding search makes one deadline
+    monkeypatch.setattr(oracles, "_Deadline", CountingDeadline)
+    CountingDeadline.made.clear()
     got, want = _verdicts(host, pattern, labels)
     _assert_same(got, want)
     assert got == (None, (7, 8))
-    assert len(calls) <= math.ceil(math.log2(8)) + 1
+    assert len(CountingDeadline.made) <= math.ceil(math.log2(8)) + 1
