@@ -16,9 +16,16 @@ representations back the distance queries:
   them, so a graph that is only parsed, generated or written never pays for
   them.
 * ``r >= 3``: per-vertex links as sorted base-n codes of (r-1)-tuples, built
-  by one sort of owner-first ``(v, rest...)`` codes.  The distances from a
-  vertex v to all others come from one membership count: mark the codes
-  that lie in v's link, and count the marks per owner.
+  by one sort of owner-first ``(v, rest...)`` codes; a binary search of the
+  sorted keys at each owner's first key gives the link offsets, and their
+  differences are the degrees.  The distances from a vertex v to all others
+  come from one membership count: mark the codes that lie in v's link, and
+  count the marks per owner.  The marks are read from a bool table over the
+  (r-1)-tuple code space, set at v's link, when that space has no more
+  entries than there are link codes, that is when the average degree is at
+  least n**(r-2) (a 3 x 80 complete 3-partite host has 6400 against 240).
+  Sparser hosts mark by ``np.isin``, whose cost follows the codes rather
+  than the code space.
 
 Both back the completion rows: for an (r-1)-face, the packed bit row of the
 vertices that complete it to an edge (a graph's adjacency row, or for
@@ -33,6 +40,7 @@ may be kept.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -53,10 +61,14 @@ MAX_VERTEX_TABLE_BYTES = 1 << 30
 # is the packed rows plus this buffer instead of an n*n matrix.
 DENSE_BLOCK_BYTES = 1 << 24
 
-# Link codes marked per block by the r >= 3 ``distances_from``, so that its
-# temporaries stay below the link codes themselves: marking all 1.5M codes
-# of a 3 x 80 host at once peaked at 3.7x their bytes.
-LINK_BLOCK = 1 << 18
+# Link codes marked and counted per block by the r >= 3 ``distances_from``,
+# so that its temporaries stay well below the link codes themselves: the
+# block's bool marks and the int64 sums that ``reduceat`` casts them to, plus
+# the per-call mark table of at most one byte per link code.  Marking all
+# 1.5M codes of a 3 x 80 host at once by ``np.isin`` peaked at 3.7x their
+# bytes; 2**16 codes a block timed as fast as 2**18 there, with a quarter of
+# the temporaries.
+LINK_BLOCK = 1 << 16
 
 
 def _code_dtype(base: int, k: int) -> type:
@@ -228,12 +240,15 @@ class Hypergraph:
         self._edges = arr
         self._edges.setflags(write=False)
         self._edge_codes = codes
-        self._deg = np.bincount(arr.ravel(), minlength=self.n)
-        self._deg.setflags(write=False)
         self._hash = None
         self._rows = self._link_codes = self._link_off = None
-        if self.r > 2:
+        if self.r == 2:
+            self._deg = np.bincount(arr.ravel(), minlength=self.n)
+        else:
+            # a vertex's degree is the length of its link
             self._link_codes, self._link_off = self._build_links(arr)
+            self._deg = np.diff(self._link_off)
+        self._deg.setflags(write=False)
 
     def _adjacency(self) -> np.ndarray:
         """The packed adjacency rows of a graph, built on the first call."""
@@ -270,15 +285,17 @@ class Hypergraph:
         # One owner-first key per edge member, ``(v, rest...)`` coded base n,
         # so one sort orders the links by owner and then by link code; the
         # keys span base**r like the edge codes, so no new encoding limit.
+        # The keys of owner u fill [u * span, (u + 1) * span), so the sorted
+        # keys give the link offsets by one binary search per vertex.
         base = max(self.n, 2)
-        off = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self._deg, out=off[1:])
+        span = base ** (self.r - 1)
         cols = list(arr.T)
         keys = np.concatenate(
             [_encode_rows([c] + cols[:j] + cols[j + 1 :], base) for j, c in enumerate(cols)]
         )
         keys.sort()
-        keys %= base ** (self.r - 1)
+        off = keys.searchsorted(np.arange(self.n + 1, dtype=keys.dtype) * span)
+        keys %= span
         return keys.astype(_code_dtype(base, self.r - 1), copy=False), off
 
     # -- basic accessors ---------------------------------------------------
@@ -428,17 +445,28 @@ class Hypergraph:
             xored = rows ^ rows[v]
             return np.bitwise_count(xored).sum(axis=1).astype(np.int64)
         # deg(u) + deg(v) - 2 |L(u) & L(v)|: mark the link codes that lie in
-        # L(v); u owns the marks between its link offsets, so a running count
-        # of a block's marks, read at the offsets clipped to the block, gives
-        # each owner's share as a difference (an empty link owns nothing).
+        # L(v), a block at a time, by a lookup in a bool table over the
+        # (r-1)-tuple code space set at L(v).  The table is built only when
+        # it has no more entries than there are link codes; a sparser host
+        # (few edges on many vertices) marks by ``np.isin`` instead.  u owns
+        # the marks between its offsets clipped to the block; ``reduceat``
+        # sums each owner's nonempty share (it would read one mark for an
+        # empty one).
         codes, off = self._link_codes, self._link_off
         seed = codes[off[v] : off[v + 1]]
+        space = max(self.n, 2) ** (self.r - 1)
+        if space <= len(codes):
+            table = np.zeros(space, dtype=bool)
+            table[seed] = True
+            mark = table.take
+        else:
+            mark = functools.partial(np.isin, test_elements=seed)
         common = np.zeros(self.n, dtype=np.int64)
         for lo in range(0, len(codes), LINK_BLOCK):
-            marks = np.isin(codes[lo : lo + LINK_BLOCK], seed)
-            running = np.zeros(marks.size + 1, dtype=np.int32)
-            np.cumsum(marks, out=running[1:])
-            common += np.diff(running[np.clip(off - lo, 0, marks.size)])
+            marks = mark(codes[lo : lo + LINK_BLOCK])
+            start = np.clip(off - lo, 0, marks.size)
+            owns = start[:-1] < start[1:]
+            common[owns] += np.add.reduceat(marks, start[:-1][owns], dtype=np.int64)
         return self._deg + self._deg[v] - 2 * common
 
     def twin_classes(self) -> np.ndarray:

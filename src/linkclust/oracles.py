@@ -90,14 +90,24 @@ def _twin_before(multisets: Iterable[tuple[int, ...]], k: int) -> list[int]:
 
     Two such transpositions sharing an element conjugate to a third, so
     they split the elements into classes, and this is the next-lower member
-    of each element's class.
+    of each element's class.  The transposition fixes every tuple that holds
+    neither i nor j.  When as many tuples hold i as hold j, it maps those
+    through i onto those through j exactly when each image lies in the set,
+    and then it maps those through j back onto those through i; so only the
+    tuples through i are checked.
     """
     edges = set(multisets)
+    through: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
+    for e in edges:
+        for v in set(e):
+            through[v].append(e)
     before = [-1] * k
     for j in range(k):
         for i in range(j - 1, -1, -1):
+            if len(through[i]) != len(through[j]):
+                continue
             swap = {i: j, j: i}
-            if all(tuple(sorted(swap.get(v, v) for v in e)) in edges for e in edges):
+            if all(tuple(sorted(swap.get(v, v) for v in e)) in edges for e in through[i]):
                 before[j] = i
                 break
     return before

@@ -185,6 +185,19 @@ def brute_force_embeddings(small: Pattern, host: Pattern):
             yield images
 
 
+def reference_twin_before(multisets, k: int) -> list[int]:
+    """``oracles._twin_before`` by remapping every tuple for every pair."""
+    edges = set(multisets)
+    before = [-1] * k
+    for j in range(k):
+        for i in range(j - 1, -1, -1):
+            swap = {i: j, j: i}
+            if all(tuple(sorted(swap.get(v, v) for v in e)) in edges for e in edges):
+                before[j] = i
+                break
+    return before
+
+
 def erdos_renyi(n: int, p: float, seed: int, r: int = 2) -> Hypergraph:
     """The random r-graph on n vertices keeping each r-set with probability p."""
     rng = rng_from_seed(seed)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +155,23 @@ class TestDecideHomMinimal:
         )
         d = decide_hom_minimal(shuffled, Pattern.single_edge(3))
         assert d.verdict is Verdict.YES
+
+    def test_peak_memory_of_one_decision(self):
+        # a decision of the hyper-array benchmark: 17.4 MB traced, against
+        # 18.4 MB allowed; gathering the edge signatures' labels by
+        # ``lab.take(edge_array)`` in one (m, 3) block peaked at 21.5 MB
+        host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
+        bad = plant_violation(host, contiguous_classes((80, 80, 80)), 7)
+        edge_bytes = bad.edge_array.size * np.dtype(np.int32).itemsize
+        tracemalloc.start()
+        try:
+            d = decide_hom_minimal(bad, Pattern.single_edge(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.verdict is Verdict.NO
+        assert d.violating_edge == planted_edge(host, bad)
+        assert peak <= 3 * edge_bytes
 
 
 def relabelled_cycle_blowup(length: int, size: int, chord: bool = False) -> Hypergraph:

@@ -300,6 +300,28 @@ class TestConstruction:
             TRIPLE.packed_adjacency
 
 
+def _sampled_edges(r, vertices, count, seed):
+    pool = list(itertools.combinations(vertices, r))
+    pick = np.random.default_rng(seed).choice(len(pool), count, replace=False)
+    return [pool[i] for i in sorted(pick)]
+
+
+def _half_of_the_edges(r, vertices, seed):
+    rng = np.random.default_rng(seed)
+    return [e for e in itertools.combinations(vertices, r) if rng.random() < 0.5]
+
+
+# hosts whose vertex 0 and two top vertices have empty links, by the way the
+# r >= 3 distances mark link codes: a mark table of n**(r-1) entries when
+# that is at most the r * m link codes, np.isin otherwise
+EMPTY_LINK_HOSTS = {
+    "table-r3": (3, 11, _sampled_edges(3, range(1, 9), 45, 0)),  # 135 codes, 121 entries
+    "exact-r3": (3, 12, _sampled_edges(3, range(1, 10), 48, 1)),  # 144 codes, 144 entries
+    "isin-r3": (3, 10, _half_of_the_edges(3, range(1, 8), 3)),  # 57 codes, 100 entries
+    "isin-r4": (4, 10, _half_of_the_edges(4, range(1, 8), 4)),  # 52 codes, 1000 entries
+}
+
+
 class TestDegree:
     def test_triangle_degrees(self):
         assert all(K3.degree(v) == 2 for v in range(3))
@@ -456,21 +478,32 @@ class TestHammingDistance:
             expected = 0 if u == 2 else g.hamming_distance(u, 2)
             assert d[u] == expected
 
-    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("case", list(EMPTY_LINK_HOSTS))
     @pytest.mark.parametrize("block", [1, 3, 7, 1 << 18])
-    def test_distances_with_empty_links(self, monkeypatch, r, block):
-        # vertex 0 and the trailing vertices 8, 9 have empty links, so their
-        # segments of the link codes are empty and the last owner of a code
-        # is not the last vertex; small blocks split the links mid-segment
+    def test_distances_with_empty_links(self, monkeypatch, case, block):
+        # vertex 0 and the top vertices have empty links, so their segments
+        # of the link codes are empty and the last owner of a code is not the
+        # last vertex; small blocks split the links mid-segment
+        r, n, edges = EMPTY_LINK_HOSTS[case]
         monkeypatch.setattr(hypergraph_module, "LINK_BLOCK", block)
-        rng = np.random.default_rng(r)
-        pool = list(itertools.combinations(range(1, 8), r))
-        edges = [e for e in pool if rng.random() < 0.5]
-        g = Hypergraph(r, 10, edges)
-        links = [{tuple(u for u in e if u != v) for e in edges if v in e} for v in range(10)]
-        assert not links[0] and not links[8] and not links[9]
-        for v in range(10):
-            assert g.distances_from(v).tolist() == [len(links[u] ^ links[v]) for u in range(10)]
+        isin_calls = []
+        real_isin = np.isin
+
+        def isin(*args, **kwargs):
+            isin_calls.append(args)
+            return real_isin(*args, **kwargs)
+
+        monkeypatch.setattr(np, "isin", isin)
+        g = Hypergraph(r, n, edges)
+        links = [{tuple(u for u in e if u != v) for e in edges if v in e} for v in range(n)]
+        assert not links[0] and not links[n - 2] and not links[n - 1]
+        for v in range(n):
+            assert g.distances_from(v).tolist() == [len(links[u] ^ links[v]) for u in range(n)]
+        by_table = n ** (r - 1) <= r * len(edges)
+        assert by_table == case.startswith(("table", "exact"))
+        assert bool(isin_calls) != by_table
+        if case.startswith("exact"):
+            assert n ** (r - 1) == r * len(edges)
 
     def test_distances_peak_memory(self):
         # the membership marks go a block of link codes at a time; marking
@@ -485,6 +518,38 @@ class TestHammingDistance:
             tracemalloc.stop()
         assert d[5] == 0 and d.max() == 2 * host.degree(5)
         assert peak <= link_bytes
+
+
+class TestDegreesFromLinkOffsets:
+    """For r >= 3 the degrees are the differences of the link offsets; they
+    must equal a count of the edge array's entries."""
+
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["canonical", "shuffled"])
+    def test_match_a_count_of_the_edge_array(self, r, shuffled):
+        # vertices 0, 1 and 9, 10 are isolated
+        rng = np.random.default_rng(r)
+        pool = np.array(list(itertools.combinations(range(2, 9), r)))
+        edges = pool[rng.random(len(pool)) < 0.6]
+        if shuffled:
+            edges = rng.permuted(edges[rng.permutation(len(edges))], axis=1)
+        self._check(Hypergraph(r, 11, edges))
+
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_without_edges(self, r, n):
+        self._check(Hypergraph(r, n, []))
+
+    @staticmethod
+    def _check(g):
+        expected = np.bincount(g.edge_array.ravel(), minlength=g.n)
+        deg = g.degrees()
+        assert deg.dtype == expected.dtype
+        np.testing.assert_array_equal(deg, expected)
+        assert [g.degree(v) for v in range(g.n)] == expected.tolist()
+        if g.n:
+            with pytest.raises(ValueError):
+                deg[0] = 1
 
 
 class TestInduced:

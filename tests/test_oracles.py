@@ -39,6 +39,7 @@ from helpers import (
     is_valid_embedding,
     multiset_patterns,
     reference_find_embedding,
+    reference_twin_before,
 )
 
 # the module, not the package's function of the same name
@@ -217,6 +218,37 @@ def _twin_rich_cases():
 
 
 TWIN_RICH = _twin_rich_cases()
+
+
+@st.composite
+def multiset_families(draw):
+    """``(edges, k)``: a set of sorted r-tuples over ``range(k)`` that may
+    repeat a vertex, r in {2, 3, 4}.  Half are random; the others are
+    blow-ups of a random family, whose classes have twins to find."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    if draw(st.booleans()):
+        pattern = draw(multiset_patterns(r, 7, 30))
+        return pattern.edges, pattern.num_vertices
+    base = set(draw(multiset_patterns(r, 3, 8)).edges)
+    k = draw(st.integers(min_value=1, max_value=7))
+    part = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    edges = [
+        e
+        for e in itertools.combinations_with_replacement(range(k), r)
+        if tuple(sorted(part[v] for v in e)) in base
+    ]
+    return edges, k
+
+
+class TestTwinBefore:
+    """The transposition classes of the small side, read from the tuples
+    through each pair, against remapping every tuple for every pair."""
+
+    @given(multiset_families())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_remapping_reference(self, family):
+        edges, k = family
+        assert oracles_module._twin_before(edges, k) == reference_twin_before(edges, k)
 
 
 class TestTwinRichHosts:
