@@ -17,8 +17,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import formats
 from .bench import SCENARIOS, bench
 from .corpus import (
@@ -45,7 +43,7 @@ from .deciders import (
 from .errors import LinkclustError
 from .hypergraph import Hypergraph, Partition
 from .lagrangian import OptConfig, is_minimal, lagrangian, phi, rigidity_report
-from .oracles import find_embedding, find_homomorphism
+from .oracles import DEFAULT_BUDGET_S, find_embedding, find_homomorphism
 from .patterns import Pattern
 
 EXIT_YES = 0
@@ -232,7 +230,7 @@ def _run_hom(args, parsed) -> tuple[int, dict]:
     coloring = find_homomorphism(parsed["host"], pattern, args.surjective, args.oracle_budget)
     if coloring is None:
         return EXIT_NO, {"verdict": "no"}
-    witness = Partition.from_labels(np.array(coloring), pattern.num_vertices)
+    witness = Partition.from_labels(coloring, pattern.num_vertices)
     return EXIT_YES, {"verdict": "yes", "witness": witness}
 
 
@@ -249,11 +247,11 @@ _OPTIONS = {
         "default": True,
         "help": "refuse sub-threshold inputs instead of falling back to the oracle",
     },
-    "--oracle-budget": {"type": float, "default": 60.0},
+    "--oracle-budget": {"type": float, "default": DEFAULT_BUDGET_S},
     "--eps": {"type": float, "default": 0.0, "help": "accepted threshold slack"},
     "--n-small": {"type": int, "default": None},
-    "--restarts": {"type": int, "default": 64},
-    "--opt-seed": {"type": int, "default": 1729},
+    "--restarts": {"type": int, "default": OptConfig.restarts},
+    "--opt-seed": {"type": int, "default": OptConfig.seed},
     "--l": {"type": int, "required": True, "dest": "num_classes"},
     "--k": {"type": int, "required": True, "help": "edge slack below the extremal count"},
     "--delta": {"required": True, "type": fraction, "help": "radius fraction, e.g. 2/5"},

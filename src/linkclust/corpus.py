@@ -61,6 +61,8 @@ def _sample_without_replacement(
 def balanced_sizes(n: int, parts: int) -> tuple[int, ...]:
     """Class sizes differing by at most one; the first ``n mod parts``
     classes get the extra vertex."""
+    if n < 0 or parts < 1:
+        raise InvalidInput(f"need n >= 0 and parts >= 1, got n = {n} and parts = {parts}")
     q, s = divmod(n, parts)
     return tuple(q + 1 if i < s else q for i in range(parts))
 

@@ -10,10 +10,12 @@ The pattern deciders check an edge through its signature, the sorted tuple
 of its vertices' class labels.  Signatures are canonicalized and coded by
 the helpers that canonicalize the edges of a :class:`Hypergraph`, so only
 the few distinct codes are decoded.  The embedding search of
-:mod:`linkclust.oracles` matches their quotient, the active classes with one
-edge per signature, to the pattern's edges.  The
-graph deciders (k-colorability and the clique decider) instead test each
-class for independence on the packed adjacency rows.
+:mod:`linkclust.oracles` matches their quotient, every class with one edge
+per signature, to the pattern's edges; the classes that no edge touches are
+isolated, so the search maps them last, to the unused pattern vertices in
+ascending order.  The graph deciders (k-colorability and the clique
+decider) instead test each class for independence on the packed adjacency
+rows.
 
 All degree and radius comparisons are exact integer or rational arithmetic.
 The thresholds they compare against are exact for the complete r-graphs
@@ -243,38 +245,6 @@ def _edge_signatures(
     return np.unique(codes, return_index=True)
 
 
-def _relabel(
-    sigs: list[tuple[int, ...]], pattern: Pattern, budget_s: float
-) -> Optional[np.ndarray]:
-    """An injective relabeling of clusters to pattern vertices under which
-    every signature (a sorted label tuple) is a pattern edge, as an array
-    indexed by cluster, or ``None``.
-
-    Cluster indices come from seed discovery order, so the identity need
-    not work even when some relabeling does.  The relabeling embeds the
-    signature quotient (the active clusters, one edge per signature) into
-    the pattern under ``budget_s``.  The quotient numbers the clusters
-    breadth-first, so that the search, which takes vertices of equal degree
-    in index order, runs along connected clusters.  The inactive clusters
-    take the unused pattern vertices in order.
-    """
-    number: dict[int, int] = {}
-    for root in sorted({c for sig in sigs for c in sig}):
-        queue = [root]
-        for c in queue:
-            if c not in number:
-                number[c] = len(number)
-                queue += sorted({d for sig in sigs if c in sig for d in sig})
-    edges = [[number[c] for c in sig] for sig in sigs]
-    # an edgeless host has no active cluster; a pattern needs one vertex
-    emb = find_embedding(Pattern(pattern.r, max(len(number), 1), edges), pattern, budget_s)
-    if emb is None:
-        return None
-    images = [emb[number[c]] if c in number else -1 for c in range(pattern.num_vertices)]
-    unused = iter(sorted(set(range(pattern.num_vertices)) - set(images)))
-    return np.array([next(unused) if p < 0 else p for p in images], dtype=np.int64)
-
-
 def _signature_verdict(
     hypergraph: Hypergraph,
     pattern: Pattern,
@@ -283,8 +253,9 @@ def _signature_verdict(
     budget_s: float = DEFAULT_BUDGET_S,
 ) -> tuple[Optional[np.ndarray], Optional[tuple[int, ...]]]:
     """Relabel clusters onto pattern vertices so the class map colors every
-    edge, or return a violating edge.  Each relabeling search runs under
-    ``budget_s``.
+    edge, or return a violating edge.  Cluster indices come from seed
+    discovery order, so the identity need not work even when some
+    relabeling does.  Each search for a relabeling runs under ``budget_s``.
 
     Returns (relabeled labels, None) on success, (None, edge) otherwise.
     """
@@ -301,8 +272,9 @@ def _signature_verdict(
     if bad:
         return None, tuple(int(v) for v in hypergraph.edge_array[min(bad)])
 
-    remap = _relabel(sigs, pattern, budget_s)
-    if remap is None:
+    quotient = functools.partial(Pattern, pattern.r, num)
+    emb = find_embedding(quotient(sigs), pattern, budget_s)
+    if emb is None:
         # No single profile is wrong, but the signatures are jointly
         # unmatchable.  Report the edge whose signature completes the shortest
         # unmatchable prefix in representative order.  A relabeling that works
@@ -314,10 +286,10 @@ def _signature_verdict(
         t = 1 + bisect.bisect_left(
             range(1, len(ordered)),
             True,
-            key=lambda length: _relabel(ordered[:length], pattern, budget_s) is None,
+            key=lambda m: find_embedding(quotient(ordered[:m]), pattern, budget_s) is None,
         )
         return None, tuple(int(v) for v in hypergraph.edge_array[reps[order[t - 1]]])
-    return remap[labels], None
+    return np.array([emb[c] for c in range(num)])[labels], None
 
 
 # -- oracle fallbacks ----------------------------------------------------------
@@ -335,7 +307,7 @@ def _oracle_hom_decision(
         return Decision(
             Verdict.NO, reason=f"exhaustive search found no coloring ({note})"
         )
-    part = Partition.from_labels(np.array(coloring), pattern.num_vertices)
+    part = Partition.from_labels(coloring, pattern.num_vertices)
     return Decision(
         Verdict.YES, partition=part, reason=f"exhaustive search ({note})"
     )

@@ -128,6 +128,17 @@ def _integer_edge(edge: Iterable, r: int) -> tuple:
     return e
 
 
+def _integer_values(values: Iterable, what: str) -> np.ndarray:
+    """``values`` as an array, refusing a value that is not an integer as
+    :func:`_integer_edge` does; an empty one, as ``np.array([])``, has none."""
+    arr = values if isinstance(values, np.ndarray) else np.array(list(values))
+    if arr.dtype.kind not in "iub":
+        for v in arr.flat:
+            if not isinstance(v, (int, np.integer, np.bool_)):
+                raise InvalidInput(f"{what} has a value {v!r} that is not an integer")
+    return arr
+
+
 def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
     """For each row of a 2-d array, the index of the first row equal to it."""
     _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
@@ -530,18 +541,16 @@ class Partition:
     __slots__ = ("n", "_num_classes", "_labels", "_classes_cache")
 
     def __init__(self, classes: Sequence[Iterable[int]], n: int):
-        if n < 0:
-            raise InvalidInput("vertex count must be nonnegative")
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise InvalidInput(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = int(n)
         labels = np.full(self.n, -1, dtype=np.int64)
         count = 0
         for i, cls in enumerate(classes):
-            if isinstance(cls, np.ndarray):
-                idx = np.unique(cls.astype(np.int64, copy=False))
-            else:
-                idx = np.unique(np.fromiter((int(x) for x in cls), dtype=np.int64))
+            idx = np.unique(_integer_values(cls, f"class {i}"))
             if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
                 raise InvalidVertex(f"class {i} contains a vertex outside [0, {self.n})")
+            idx = idx.astype(np.int64, copy=False)
             if np.any(labels[idx] != -1):
                 clash = int(idx[labels[idx] != -1][0])
                 raise InvalidInput(f"vertex {clash} appears in more than one class")
@@ -557,13 +566,14 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, num_classes: int) -> "Partition":
-        """Build from a per-vertex class-index array (disjointness and
-        coverage hold by construction, so only the index range is checked)."""
-        labels = np.ascontiguousarray(labels, dtype=np.int64)
-        if num_classes < 0:
-            raise InvalidInput("class count must be nonnegative")
+        """Build from per-vertex class indices (disjointness and coverage
+        hold by construction, so only the index range is checked)."""
+        if not isinstance(num_classes, (int, np.integer)) or num_classes < 0:
+            raise InvalidInput(f"class count must be a nonnegative integer, got {num_classes!r}")
+        labels = _integer_values(labels, "the label array")
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise InvalidInput("label outside [0, num_classes)")
+        labels = np.ascontiguousarray(labels, dtype=np.int64)
         self = cls.__new__(cls)
         self.n = int(labels.size)
         self._num_classes = int(num_classes)

@@ -9,16 +9,18 @@ hang.
 
 The embedding search is one iterative loop for every uniformity, and either
 side may be a hypergraph or a pattern whose edges repeat a vertex; the
-pattern deciders match their clusters to the pattern with it.  The host
-candidates at each depth are a packed bit row, the unused vertices of large
-enough degree ANDed with the completion rows of the small edges that close
-there, each row made once per search and face.  Two symmetry rules prune it
-without changing its answer.  A host twin (a vertex with the same link as a
-lower one, in a pattern too) is a candidate only once the next-lower member
-of its class is in use, and within each transposition class of the small
-side the images increase in search order.  The search returns the
-lexicographically first embedding, which obeys both rules: swapping twins
-in an embedding that breaks one gives a smaller embedding.
+pattern deciders match their clusters to the pattern with it.  Each next
+small vertex has the most neighbours already mapped, so a path or cycle is
+mapped along its edges.  The host candidates at each depth are a packed bit
+row, the unused vertices of large enough degree ANDed with the completion
+rows of the small edges that close there, each row made once per search and
+face.  Two symmetry rules prune it without changing its answer.  A host
+twin (a vertex with the same link as a lower one, in a pattern too) is a
+candidate only once the next-lower member of its class is in use, and
+within each transposition class of the small side the images increase in
+search order.  The search returns the lexicographically first embedding,
+which obeys both rules: swapping twins in an embedding that breaks one
+gives a smaller embedding.
 
 The homomorphism search is likewise one iterative loop for every pattern:
 bitmask color domains cut by forward checking through one table of the
@@ -28,6 +30,7 @@ first, and symmetry broken within the pattern's transposition classes.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import time
@@ -118,8 +121,20 @@ def _embed(
 ) -> Optional[dict[int, int]]:
     small_deg, host_deg = small.degrees(), np.asarray(host.degrees())
     n, k = len(host_deg), small.num_vertices
-    order = sorted(range(k), key=lambda v: (-small_deg[v], v))
-    pos = {v: i for i, v in enumerate(order)}
+    # connected order (see find_embedding); a vertex's newest key is its
+    # least, so it pops first and the stale ones after it are skipped
+    nbrs = [set(itertools.chain.from_iterable(link)) for link in small.links()]
+    placed = [0] * k
+    heap = sorted((0, -small_deg[v], v) for v in range(k))
+    pos: dict[int, int] = {}
+    while heap:
+        v = heapq.heappop(heap)[2]
+        if v not in pos:
+            pos[v] = len(pos)
+            for u in nbrs[v] - pos.keys():
+                placed[u] += 1
+                heapq.heappush(heap, (-placed[u], -small_deg[u], u))
+    order = list(pos)
     # each small edge closes at the depth of its last vertex; the images of
     # its other vertices (its face) pick the host row that filters there
     closing: list[list[tuple[int, ...]]] = [[] for _ in order]
@@ -196,14 +211,15 @@ def find_embedding(
     Either side may be a :class:`Pattern`, whose edges may repeat a vertex
     and map to the multisets of their images; the pattern deciders match
     their clusters to the pattern this way.  One search serves every
-    uniformity.  Vertices of ``small`` are mapped in descending order of
-    degree (the edges through a vertex), then ascending index.  An edge
-    closes at the depth of its last vertex, and its face is the images of
-    its other vertices.  At each depth the candidates are the unused host
-    vertices of large enough degree, ANDed with the completion row
-    (``host.completions``) of each face closing there, and are tried in
-    ascending index.  So the returned embedding is the first one in that
-    fixed search order.  An empty ``small`` embeds as ``{}``.
+    uniformity.  Vertices of ``small`` are mapped in a connected order, as
+    in VF2: next the one with the most neighbours (vertices sharing an edge)
+    already mapped, then the highest degree (edges through it), then the
+    lowest index.  An edge closes at the depth of its last vertex, and its
+    face is the images of its other vertices.  At each depth the candidates
+    are the unused host vertices of large enough degree, ANDed with the
+    completion row (``host.completions``) of each face closing there, and
+    are tried in ascending index.  So the returned embedding is the first
+    one in that fixed search order.  An empty ``small`` embeds as ``{}``.
 
     Two symmetry rules cut the candidates.  Host vertices u and v with equal
     links (``host.twin_classes``) are twins, and swapping them maps the

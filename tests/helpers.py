@@ -51,11 +51,16 @@ def reference_blowup(pattern: Pattern, sizes) -> Hypergraph:
 def reference_find_embedding(small: Hypergraph, host: Hypergraph):
     """The reference embedding search: recursive, every host vertex tried at
     every depth, one ``has_edge`` call per edge closing there.  Same order as
-    ``find_embedding``: small vertices by descending degree, host vertices
+    ``find_embedding``: next the small vertex with the most neighbours already
+    placed, then the highest degree, then the lowest index; host vertices
     ascending."""
     if small.n > host.n or len(small) > len(host):
         return None
-    order = sorted(range(small.n), key=lambda v: (-small.degree(v), v))
+    order: list[int] = []
+    for _ in range(small.n):
+        placed = [len({u for e in small if v in e for u in e} & set(order)) for v in range(small.n)]
+        left = [v for v in range(small.n) if v not in order]
+        order.append(min(left, key=lambda v: (-placed[v], -small.degree(v), v)))
     pos = {v: i for i, v in enumerate(order)}
     # edges of the small graph that become fully mapped at each depth
     closing: list[list[tuple[int, ...]]] = [[] for _ in order]

@@ -55,6 +55,14 @@ class TestTuranGraph:
         with pytest.raises(InvalidInput):
             turan_graph(2, 3)
 
+    @pytest.mark.parametrize("n, parts", [(5, 0), (5, -1), (-3, 2), (0, 0)])
+    def test_balanced_sizes_refuses_bad_counts(self, n, parts):
+        with pytest.raises(InvalidInput, match="need n >= 0 and parts >= 1"):
+            balanced_sizes(n, parts)
+
+    def test_balanced_sizes_takes_no_vertices(self):
+        assert balanced_sizes(0, 3) == (0, 0, 0)
+
 
 class TestPatternBlowup:
     def test_identity_blowup(self):
@@ -426,6 +434,19 @@ class TestPlantViolation:
         g = turan_graph(12, 3)
         parts = turan_classes(12, 3)
         assert plant_violation(g, parts, 3) == plant_violation(g, parts, 3)
+
+    def test_exhaustive_fallback_after_64_present_samples(self, monkeypatch):
+        # K20 minus one edge in a single class: seed 0 draws 64 pairs that
+        # are all present, so the exhaustive pass over all 190 pairs finds it
+        g = Hypergraph(2, 20, [e for e in itertools.combinations(range(20), 2) if e != (3, 17)])
+        calls = []
+        has_edge = Hypergraph.has_edge
+        monkeypatch.setattr(
+            Hypergraph, "has_edge", lambda self, e: calls.append(e) or has_edge(self, e)
+        )
+        planted = plant_violation(g, contiguous_classes((20,)), 0)
+        assert len(calls) == 64 + 190
+        assert set(planted.edge_list()) - set(g.edge_list()) == {(3, 17)}
 
 
 class TestJoinConstruction:

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from linkclust import (
     turan_graph,
 )
 from linkclust.cli import run_cli
-from linkclust.formats import build_report, partition_classes_sorted
+from linkclust.formats import build_report, dump_report, partition_classes_sorted
 from linkclust.hypergraph import Partition
 from helpers import is_valid_coloring
 
@@ -168,6 +169,14 @@ class TestReport:
         assert rep["schema_version"] == 1
         assert rep["tool"] == "linkclust"
         assert len(rep["input_digests"]["host"]) == 64
+
+    def test_numpy_scalars_and_sets_are_written_as_json(self):
+        text = dump_report(
+            {"count": np.int64(3), "ratio": np.float32(0.5), "seen": {7}, "pair": frozenset({2})}
+        )
+        assert json.loads(text) == {"count": 3, "ratio": 0.5, "seen": [7], "pair": [2]}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dump_report({"x": object()})
 
 
 @pytest.fixture()
@@ -696,6 +705,25 @@ def test_the_parser_tree_has_no_mutable_default():
             assert not isinstance(value, mutable), (parser.prog, dest)
 
 
+def test_the_parser_takes_its_defaults_from_the_library():
+    from linkclust.cli import build_parser
+    from linkclust.lagrangian import OptConfig
+    from linkclust.oracles import DEFAULT_BUDGET_S
+
+    library = {
+        "oracle_budget": DEFAULT_BUDGET_S,
+        "restarts": OptConfig().restarts,
+        "opt_seed": OptConfig().seed,
+    }
+    seen = set()
+    for parser in _parsers(build_parser()):
+        for action in parser._actions:
+            if action.dest in library:
+                assert action.default == library[action.dest], (parser.prog, action.dest)
+                seen.add(action.dest)
+    assert seen == set(library)
+
+
 def test_run_cli_builds_the_parser_once(report_files, capsys, monkeypatch):
     import linkclust.cli
 
@@ -1038,6 +1066,17 @@ class TestCli:
         assert run_cli(["oracle", "embed", "--f", str(empty), "--host", str(k4)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["results"] == {"found": True, "embedding": {}}
+
+    @pytest.mark.parametrize(
+        "command", [["oracle", "hom"], ["decide", "hom", "--no-strict"]], ids=["oracle", "fallback"]
+    )
+    def test_hom_coloring_of_an_empty_host(self, tmp_path, capsys, command):
+        # the search colors no vertex, and np.array of that empty list is float
+        empty, k3p = tmp_path / "empty.txt", tmp_path / "k3p.txt"
+        empty.write_text("2 0 0\n")
+        k3p.write_text(serialize_pattern(Pattern.complete_graph(3)))
+        assert run_cli([*command, "--pattern", str(k3p), "--host", str(empty)]) == 0
+        assert json.loads(capsys.readouterr().out)["witness"] == {"classes": [[], [], []]}
 
     def test_oracle_hom_surjective(self, tmp_path, capsys):
         c5p = tmp_path / "c5p.txt"

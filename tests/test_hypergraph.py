@@ -675,3 +675,35 @@ class TestPartition:
         p = Partition([[1], [0, 2], []], 3)
         q = Partition([[0, 2], [], [1]], 3)
         assert p.nonempty_class_sets() == q.nonempty_class_sets()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Partition([[0.5, 1.7]], 2),
+            lambda: Partition([["0", "1"]], 2),
+            lambda: Partition([np.array([0.0, 1.0])], 2),
+            lambda: Partition([[0, 1]], 2.0),
+            lambda: Partition.from_labels(np.array([0.5, 1.2]), 2),
+            lambda: Partition.from_labels(["0", "1"], 2),
+            lambda: Partition.from_labels(np.array([0, 1]), 2.0),
+        ],
+        ids=["floats", "strings", "float-array", "float-n", "float-labels", "string-labels",
+             "float-count"],
+    )
+    def test_non_integers_are_refused_not_truncated(self, build):
+        with pytest.raises(InvalidInput, match="integer"):
+            build()
+
+    def test_integer_kinds_and_empty_float_arrays_are_accepted(self):
+        p = Partition([np.array([2], dtype=np.uint8), [np.int32(0), True]], 3)
+        assert p.classes == ((2,), (0, 1))
+        # np.array([]) is float: the coloring of a 0-vertex host
+        assert Partition.from_labels(np.array([]), 3).sizes() == (0, 0, 0)
+        assert Partition([np.array([]), []], 0).classes == ((), ())
+        assert Partition.from_labels([0, 1, 1], 2).labels.dtype == np.int64
+
+    def test_a_vertex_past_int64_is_out_of_range(self):
+        with pytest.raises(InvalidVertex):
+            Partition([[0, 2**70]], 2)
+        with pytest.raises(InvalidInput, match="label outside"):
+            Partition.from_labels([0, 2**70], 2)

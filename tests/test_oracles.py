@@ -288,6 +288,17 @@ class TestEmbeddingWork:
         emb, ticks = count_ticks(monkeypatch, find_embedding, gt, host)
         assert emb is None and ticks <= 60
 
+    @pytest.mark.parametrize("k", [9, 11, 13, 17, 21])
+    def test_relabelled_cycle_into_a_relabelled_cycle(self, monkeypatch, k):
+        # the connected order maps the cycle along its edges, so each vertex
+        # takes its first candidate: k ticks; the static degree order took
+        # 13 to 10 666 267 ticks on these cases
+        for seed in range(3):
+            cycle = _relabelled(catalog("cycle", k=k), seed)
+            host = _relabelled(pattern_blowup(Pattern.cycle(k), (1,) * k), 1000 + seed)
+            emb, ticks = count_ticks(monkeypatch, find_embedding, cycle, host)
+            assert is_valid_embedding(cycle, host, emb) and ticks <= 2 * k
+
 
 @pytest.fixture(scope="module")
 def c5_blowup():
