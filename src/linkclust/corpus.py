@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .hypergraph import Hypergraph, Partition, _check_size
+from .oracles import turan_number
 from .patterns import Pattern
 
 __all__ = [
@@ -76,7 +77,8 @@ def contiguous_classes(sizes: Sequence[int]) -> Partition:
 
 # Bytes of the edge array a generator may allocate (8 per vertex of each
 # edge).  A larger request is refused before anything is allocated, so
-# ``turan_graph(10**7, 2)`` cannot ask for 364 TiB.
+# ``turan_graph(10**7, 2)`` cannot ask for 364 TiB; the generators that blow
+# up K_l check the closed-form edge count before they build K_l itself.
 MAX_EDGE_ARRAY_BYTES = 1 << 30
 
 
@@ -92,6 +94,7 @@ def turan_graph(n: int, parts: int) -> Hypergraph:
     """Balanced complete multipartite graph on ``n`` vertices."""
     if parts < 1 or n < parts:
         raise InvalidInput("need n >= parts >= 1")
+    _check_edge_array(turan_number(n, parts), 2)
     return pattern_blowup(Pattern.complete_graph(parts), balanced_sizes(n, parts))
 
 
@@ -229,6 +232,7 @@ def join_construction(graph: Hypergraph, q: int, part_size: int) -> Hypergraph:
         raise InvalidInput("added parts must be nonempty")
     # the added edges blow up K_{q+1} over the graph's vertex set and the q
     # new parts, or K_q when the graph has no vertex
+    _check_edge_array(graph.n * q * part_size + math.comb(q, 2) * part_size**2, 2)
     sizes = (graph.n, *[part_size] * q) if graph.n else (part_size,) * q
     n, added = _blowup_edges(Pattern.complete_graph(len(sizes)), sizes)
     return Hypergraph(2, n, np.concatenate([graph.edge_array, added]))
@@ -316,6 +320,8 @@ def _k4_k3_disjoint() -> Hypergraph:
 def _complete_blowup(n: int, t: int) -> Hypergraph:
     if t < 1:
         raise InvalidInput("blow-up factor must be positive")
+    if n > 1:  # math.comb refuses a negative n, which complete_graph reports
+        _check_edge_array(math.comb(n, 2) * t * t, 2)
     return pattern_blowup(Pattern.complete_graph(n), [t] * n)
 
 

@@ -13,9 +13,9 @@ LF and space, and any other non-ASCII character ``?``, so offsets and line
 numbers stay the text's.  One ``bytes.translate`` looks up the class of
 every byte; the tokens of each line are counted from the class array, and
 one ``np.fromstring`` converts every token, with no Python string per
-token.  An odd line, one with a byte ``int()`` rejects in ASCII (a ``-``, a
-``?``, a misplaced ``+`` or ``_``), is read by ``int()`` from the text and
-its values spliced into the array.  The ``Hypergraph`` constructor checks
+token.  An odd line, one with a byte that is neither a digit nor a blank
+(a ``+``, ``-``, ``_`` or ``?``), is read by ``int()`` from the text and its
+values spliced into the array.  The ``Hypergraph`` constructor checks
 ranges, repeated vertices and duplicate edges on the whole array.  When a
 check fails, the lines the arrays mark as possibly bad are checked one by
 one in order, so the error names the same line, with the same message, as
@@ -125,15 +125,15 @@ def _edge_key(
 
 
 # Byte classes, looked up for every byte with one ``bytes.translate``.
-# Tokens are made of the first three.  ``_ascii_bytes`` rewrites RARE: the
-# ASCII line breaks of ``str.splitlines`` other than LF and CRLF, and the
-# ASCII whitespace of ``str.split`` other than space and tab.  OTHER holds
-# ``#`` (comments are cut out first) and every byte ``int()`` rejects.
-_DIGIT, _PLUS, _UNDERSCORE, _BLANK, _LF, _OTHER, _RARE = range(7)
+# ``_ascii_bytes`` rewrites RARE: the ASCII line breaks of ``str.splitlines``
+# other than LF and CRLF, and the ASCII whitespace of ``str.split`` other
+# than space and tab.  OTHER holds every remaining byte: ``#`` (comments
+# are cut out first) and the signs, underscores and bad bytes that make a
+# line odd, since a line with a byte that is neither a digit nor a blank is
+# read by ``int()``.
+_DIGIT, _BLANK, _LF, _OTHER, _RARE = range(5)
 _CLASS_OF = {
     **dict.fromkeys(b"0123456789", _DIGIT),
-    ord("+"): _PLUS,
-    ord("_"): _UNDERSCORE,
     **dict.fromkeys(b" \t", _BLANK),
     ord("\n"): _LF,
     **dict.fromkeys(b"\r\x0b\x0c\x1c\x1d\x1e\x1f", _RARE),
@@ -167,30 +167,6 @@ def _ascii_bytes(text: str) -> tuple[bytes, np.ndarray]:
     text = _BREAK.sub("\n", text.replace("\r\n", " \n"))
     data = _SPACE.sub(" ", text).encode("ascii", "replace")
     return data, _byte_classes(data)
-
-
-def _neighbours(cls: np.ndarray, kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The offsets of the bytes of class ``kind``, and the classes of the
-    bytes before and after each, blank beyond either end of the text."""
-    at = np.flatnonzero(cls == kind)
-    last = cls.size - 1
-    before = np.where(at > 0, cls[at - 1], _BLANK)
-    after = np.where(at < last, cls[np.minimum(at + 1, last)], _BLANK)
-    return at, before, after
-
-
-def _odd_bytes(cls: np.ndarray, data: bytes) -> np.ndarray:
-    """Offsets of the bytes that keep a token of a comment-free text from
-    being an integer as ``int()`` spells it in ASCII: OTHER bytes, a ``+``
-    that does not open a token before a digit, an ``_`` not between digits."""
-    odd = [np.flatnonzero(cls == _OTHER)] if cls.max(initial=0) == _OTHER else []
-    if b"+" in data:
-        at, before, after = _neighbours(cls, _PLUS)
-        odd.append(at[np.isin(before, (_BLANK, _LF), invert=True) | (after != _DIGIT)])
-    if b"_" in data:
-        at, before, after = _neighbours(cls, _UNDERSCORE)
-        odd.append(at[(before != _DIGIT) | (after != _DIGIT)])
-    return np.concatenate(odd) if odd else np.empty(0, dtype=np.intp)
 
 
 class _Lines(Sequence[tuple[int, str]]):
@@ -243,7 +219,7 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
         data = _COMMENT.sub(b"", data)
         cls = _byte_classes(data)
         breaks = np.flatnonzero(cls == _LF)
-    odd = _odd_bytes(cls, data)
+    odd = np.flatnonzero(cls == _OTHER)
     if odd.size:  # converted as zeros, and read by int() from the text below
         data = bytearray(data)
         np.frombuffer(data, dtype=np.uint8)[odd] = ord("0")
@@ -267,9 +243,7 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     del per_line
     good = int(wrong[0]) if wrong.size else m  # edge lines before a miscounted one
     # "  " would read as [0]: an empty text never gets here
-    values = np.fromstring(
-        data.replace(b"_", b"") if b"_" in data else data, dtype=np.int64, sep=" "
-    )
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
     rows = values[3 : 3 + good * r].reshape(good, r) if good else values[3:3]
     failed = []  # the odd rows int() rejects
     for j in (np.searchsorted(content, odd) - 1).tolist():  # the header is row -1
@@ -415,7 +389,7 @@ def dump_report(report: dict) -> str:
 
 
 def _shim(obj):
-    if isinstance(obj, (tuple, set, frozenset)):
+    if isinstance(obj, (set, frozenset)):
         return list(obj)
     if hasattr(obj, "item"):
         return obj.item()

@@ -207,6 +207,23 @@ class TestBlowupReference:
                 lambda: pattern_blowup(Pattern.complete_graph(2), (2, -1)),
                 "class sizes must be nonnegative",
             ),
+            (
+                lambda: plant_violation(K3, contiguous_classes((2, 2)), 0),
+                "partition covers a different vertex count",
+            ),
+            (lambda: catalog("complete", n=0), "need at least one vertex"),
+            (lambda: catalog("cycle", k=2), "cycles need at least 3 vertices"),
+            (lambda: catalog("generalized_triangle", r=1), "uniformity must be at least 2"),
+            (lambda: catalog("matching", k=0, r=3), "need k >= 1 edges of uniformity >= 2"),
+            (lambda: catalog("matching", k=2, r=1), "need k >= 1 edges of uniformity >= 2"),
+            (lambda: catalog("sunflower", k=0, r=3), "need k >= 1 edges of uniformity >= 2"),
+            (lambda: catalog("sunflower", k=2, r=1), "need k >= 1 edges of uniformity >= 2"),
+            (lambda: catalog("complete_blowup", n=3, t=0), "blow-up factor must be positive"),
+            (
+                lambda: catalog("expansion", graph=catalog("fano"), r=4),
+                "expansion starts from a graph",
+            ),
+            (lambda: catalog("expansion", graph=K3, r=1), "uniformity must be at least 2"),
         ],
         ids=[
             "turan_n_below_parts",
@@ -217,6 +234,17 @@ class TestBlowupReference:
             "size_below_multiplicity",
             "size_count",
             "negative_size",
+            "plant_vertex_count",
+            "complete_empty",
+            "cycle_short",
+            "triangle_r1",
+            "matching_k0",
+            "matching_r1",
+            "sunflower_k0",
+            "sunflower_r1",
+            "blowup_t0",
+            "expansion_of_r3",
+            "expansion_to_r1",
         ],
     )
     def test_precondition_messages(self, make, message):
@@ -266,6 +294,39 @@ class TestEdgeArrayCap:
         monkeypatch.setattr(linkclust.corpus, "MAX_EDGE_ARRAY_BYTES", 8 * 2 * 12 - 1)
         with pytest.raises(InvalidInput, match="12 edges of 2 vertices need 192 bytes"):
             turan_graph(6, 3)
+
+    @pytest.mark.parametrize(
+        "make, m",
+        [
+            (lambda: turan_graph(7, 3), 16),
+            (lambda: turan_graph(1000, 1000), math.comb(1000, 2)),
+            (lambda: join_construction(Hypergraph(2, 2, []), 3, 4), 2 * 3 * 4 + 3 * 16),
+            (lambda: join_construction(Hypergraph(2, 0, []), 2000, 1), math.comb(2000, 2)),
+            (lambda: catalog("complete_blowup", n=4, t=3), 6 * 9),
+            (lambda: catalog("complete_blowup", n=2000, t=2), math.comb(2000, 2) * 4),
+        ],
+        ids=[
+            "turan",
+            "turan_large_l",
+            "join",
+            "join_large_q",
+            "complete_blowup",
+            "complete_blowup_large_n",
+        ],
+    )
+    def test_k_l_blowups_are_refused_before_k_l_is_built(self, make, m, monkeypatch):
+        import linkclust.corpus
+
+        def refuse(*args):
+            raise AssertionError("K_l built for a request that is refused")
+
+        monkeypatch.setattr(linkclust.corpus, "MAX_EDGE_ARRAY_BYTES", 16)
+        monkeypatch.setattr(Pattern, "complete_graph", refuse)
+        with pytest.raises(InvalidInput) as err:
+            make()
+        assert str(err.value) == (
+            f"{m} edges of 2 vertices need {16 * m} bytes, above MAX_EDGE_ARRAY_BYTES = 16"
+        )
 
 
 class TestUniformityCap:

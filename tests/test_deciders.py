@@ -624,6 +624,43 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         decide_k_colorable(host, 3, cfg)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DeciderConfig(eps=-0.1), "eps must be nonnegative"),
+        (lambda: DeciderConfig(n_small=0), "n_small must be positive"),
+        (lambda: decide_k_colorable(K3, 1), "need at least 2 colors"),
+        (lambda: decide_k_colorable(Hypergraph(2, 0, []), 2), "empty vertex set"),
+        (lambda: embed_min_decide(catalog("fano"), K3, P_K3), "uniformity mismatch"),
+        (lambda: peel(catalog("fano"), 2), "peeling expects a graph (r = 2)"),
+        (lambda: peel(K3, 1), "need at least 2 parts"),
+        (
+            lambda: clique_avg_decide(catalog("fano"), 2, 0),
+            "clique decider expects a graph (r = 2)",
+        ),
+        (lambda: clique_avg_decide(K3, 1, 0), "need at least 2 parts"),
+        (lambda: clique_avg_decide(K3, 2, -1), "edge slack must be nonnegative"),
+    ],
+    ids=[
+        "negative_eps",
+        "n_small_zero",
+        "one_color",
+        "no_vertex",
+        "embed_uniformity",
+        "peel_r3",
+        "peel_one_part",
+        "clique_r3",
+        "clique_one_part",
+        "negative_slack",
+    ],
+)
+def test_argument_refusals(make, message):
+    with pytest.raises(InvalidInput) as err:
+        make()
+    assert type(err.value) is InvalidInput
+    assert str(err.value) == message
+
+
 class TestPeel:
     def test_dense_graph_never_peels(self):
         res = peel(turan_graph(120, 2), 2)

@@ -53,6 +53,28 @@ def hypergraphs(draw):
     return Hypergraph(r, n, as_form(edges, r, draw(st.sampled_from(EDGE_FORMS))))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Hypergraph(2, -1, []), "vertex count must be a nonnegative integer, got -1"),
+        (
+            lambda: Hypergraph(2, 3, np.zeros((2, 3), dtype=np.int64)),
+            "edge array must have shape (m, 2), got (2, 3)",
+        ),
+        (
+            lambda: Hypergraph(2, 3, np.array([0, 1])),
+            "edge array must have shape (m, 2), got (2,)",
+        ),
+    ],
+    ids=["negative_n", "wrong_width", "one_dimensional"],
+)
+def test_argument_refusals(make, message):
+    with pytest.raises(InvalidInput) as err:
+        make()
+    assert type(err.value) is InvalidInput
+    assert str(err.value) == message
+
+
 class TestConstruction:
     def test_canonicalizes_edge_order(self):
         g = Hypergraph(2, 3, [(2, 0), (1, 2), (1, 0)])

@@ -36,6 +36,38 @@ FIXTURES = [
 ]
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SimplexPoint([]), "a simplex point needs at least one coordinate"),
+        (lambda: SimplexPoint.uniform(0), "dimension must be positive"),
+        (lambda: Pattern(0, 2, []), "uniformity must be a positive integer, got 0"),
+        (lambda: Pattern(2, 0, []), "vertex count must be a positive integer, got 0"),
+        (lambda: Pattern.cycle(2), "a cycle pattern needs at least 3 vertices"),
+        (lambda: Pattern.path(1), "a path pattern needs at least 2 vertices"),
+        (lambda: Pattern.path(3).vertex_deleted(3), "vertex 3 outside [0, 3)"),
+        (lambda: Pattern.path(3).vertex_deleted(-1), "vertex -1 outside [0, 3)"),
+        (lambda: Pattern(2, 1, []).vertex_deleted(0), "cannot delete the only vertex"),
+    ],
+    ids=[
+        "empty_point",
+        "uniform_zero",
+        "r_zero",
+        "l_zero",
+        "cycle_two",
+        "path_one",
+        "delete_above",
+        "delete_negative",
+        "delete_only_vertex",
+    ],
+)
+def test_argument_refusals(make, message):
+    with pytest.raises(InvalidInput) as err:
+        make()
+    assert type(err.value) is InvalidInput
+    assert str(err.value) == message
+
+
 class TestSimplexPoint:
     def test_valid(self):
         p = SimplexPoint([0.25, 0.75])
