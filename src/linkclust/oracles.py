@@ -251,6 +251,20 @@ def find_embedding(
 # -- homomorphism search -------------------------------------------------------
 
 
+def _incidence(host: Hypergraph) -> tuple[list[int], list[list[int]]]:
+    """The vertices of the edges, edge by edge, and for every vertex the
+    increasing indices of the edges through it, cut from one flat list
+    (many small lists cost more in allocation and collection)."""
+    # Both flatten the edge array in C (row) order, the defaults of
+    # ``ravel`` and ``argsort(axis=None)``.  The array is stored
+    # column-major, so an ``order="K"`` shortcut would list the vertices
+    # column by column and silently reorder the incidence lists.
+    members = host.edge_array.ravel().tolist()
+    flat = (np.argsort(host.edge_array, axis=None, kind="stable") // host.r).tolist()
+    ends = np.cumsum(host.degrees()).tolist()
+    return members, [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def _hom(
     host: Hypergraph,
     pattern: Pattern,
@@ -282,11 +296,7 @@ def _hom(
             opens[i] = 1 << j
             locked |= 1 << j
 
-    # flat lists: many small lists cost more in allocation and collection
-    members = host.edge_array.ravel().tolist()
-    flat = (np.argsort(host.edge_array, axis=None, kind="stable") // r).tolist()
-    ends = np.cumsum(host.degrees()).tolist()
-    incident = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    members, incident = _incidence(host)
     dom = [ext.get(0, 0) if incident[v] else (1 << k) - 1 for v in range(n)]
     size = [d.bit_count() for d in dom]
     if 0 in size or (surjective and n < k):

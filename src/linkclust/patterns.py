@@ -104,7 +104,7 @@ class Pattern:
     with no repeated vertex in an edge round-trips to a :class:`Hypergraph`.
     """
 
-    __slots__ = ("r", "num_vertices", "edges")
+    __slots__ = ("r", "num_vertices", "edges", "_links")
 
     def __init__(
         self,
@@ -130,6 +130,7 @@ class Pattern:
                 raise InvalidInput(f"duplicate edge {ms!r}")
             canon.add(ms)
         self.edges = tuple(sorted(canon))
+        self._links = None
 
     # -- constructors --------------------------------------------------------
 
@@ -210,13 +211,16 @@ class Pattern:
     def links(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For every vertex, the sorted edges through it, each with one copy
         of the vertex removed, from one pass over the sorted edges (removing
-        one copy of a vertex keeps the order of the edges that hold it)."""
-        out: list[list[tuple[int, ...]]] = [[] for _ in range(self.num_vertices)]
-        for e in self.edges:
-            for v in dict.fromkeys(e):
-                k = e.index(v)
-                out[v].append(e[:k] + e[k + 1 :])
-        return tuple(map(tuple, out))
+        one copy of a vertex keeps the order of the edges that hold it).
+        Built on the first call and kept: the pattern is immutable."""
+        if self._links is None:
+            out: list[list[tuple[int, ...]]] = [[] for _ in range(self.num_vertices)]
+            for e in self.edges:
+                for v in dict.fromkeys(e):
+                    k = e.index(v)
+                    out[v].append(e[:k] + e[k + 1 :])
+            self._links = tuple(map(tuple, out))
+        return self._links
 
     def twin_classes(self) -> tuple[int, ...]:
         """For every vertex, the least vertex with the same link (itself when
@@ -231,15 +235,25 @@ class Pattern:
     def completions(self, face: Sequence[int]) -> np.ndarray:
         """:meth:`Hypergraph.completions` for a face of any length below r:
         the packed ``ceil(num_vertices/8)`` uint8 row of the vertices c outside
-        ``face`` for which ``face`` plus r - len(face) copies of c is an edge."""
+        ``face`` for which ``face`` plus r - len(face) copies of c is an edge.
+
+        Such an edge holds the face's first vertex v, and removing one copy
+        of v leaves the rest of the face plus the copies of c; so a nonempty
+        face reads only the link of v.  The empty face scans every edge."""
         face = tuple(face)
         if len(face) >= self.r:
             raise InvalidInput(f"face {face!r} does not have fewer than {self.r} vertices")
         fill = self.r - len(face)
         bits = np.zeros(self.num_vertices, dtype=bool)
-        for e in self.edges:
+        if not face:
+            candidates, rest = self.edges, ()
+        elif 0 <= face[0] < self.num_vertices:
+            candidates, rest = self.links()[face[0]], face[1:]
+        else:
+            candidates = rest = ()  # no edge holds a vertex outside the pattern
+        for e in candidates:
             for c in set(e).difference(face):
-                bits[c] |= e == tuple(sorted(face + (c,) * fill))
+                bits[c] |= e == tuple(sorted(rest + (c,) * fill))
         return np.packbits(bits)
 
     def multiplicity_matrix(self) -> np.ndarray:

@@ -287,6 +287,17 @@ def reference_link(pattern: Pattern, i: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def reference_completions(pattern: Pattern, face) -> np.ndarray:
+    """:meth:`Pattern.completions` by a scan of every edge for the face."""
+    face = tuple(face)
+    fill = pattern.r - len(face)
+    bits = np.zeros(pattern.num_vertices, dtype=bool)
+    for e in pattern.edges:
+        for c in set(e).difference(face):
+            bits[c] |= e == tuple(sorted(face + (c,) * fill))
+    return np.packbits(bits)
+
+
 def reference_twin_pairs(pattern: Pattern) -> list[tuple[int, int]]:
     """All pairs ``i < j`` of vertices whose links are identical, in
     increasing order."""

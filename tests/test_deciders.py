@@ -158,8 +158,9 @@ class TestDecideHomMinimal:
 
     def test_peak_memory_of_one_decision(self):
         # a decision of the hyper-array benchmark: 17.4 MB traced, against
-        # 18.4 MB allowed; gathering the edge signatures' labels by
-        # ``lab.take(edge_array)`` in one (m, 3) block peaked at 21.5 MB
+        # 18.4 MB allowed; the edge signatures gather their labels by
+        # ``lab.take(col)``, one contiguous edge column at a time, while one
+        # ``lab.take(edge_array)`` of the whole (m, 3) block peaked at 21.5 MB
         host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
         bad = plant_violation(host, contiguous_classes((80, 80, 80)), 7)
         edge_bytes = bad.edge_array.size * np.dtype(np.int32).itemsize

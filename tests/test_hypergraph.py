@@ -17,10 +17,14 @@ from linkclust import (
     Partition,
     Pattern,
     catalog,
+    delete_random_edges,
     pattern_blowup,
+    rng_from_seed,
     serialize_hypergraph,
     turan_graph,
 )
+from linkclust.corpus import _sample_without_replacement
+from linkclust.oracles import _incidence
 
 K3 = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
 TRIPLE = Hypergraph(3, 4, [(0, 1, 2)])
@@ -642,6 +646,65 @@ class TestCanonicalization:
         for face in itertools.combinations(range(n), r - 1):
             row = np.unpackbits(g.completions(face[::-1]), count=n).tolist()
             assert row == [tuple(sorted(face + (w,))) in ref for w in range(n)]
+
+
+class TestColumnLayout:
+    """The edge array is stored column-major; nothing a caller reads of it
+    may differ from the row-major array of the same edges."""
+
+    BUILDS = ["list", "c_int64", "f_int32", "shuffled", "induced", "delete_random_edges"]
+
+    @staticmethod
+    def _built(r, n, build):
+        """A host on n vertices (edges on 9 of them) made by ``build``, and
+        the C-ordered reference array of its canonical edges."""
+        rng = np.random.default_rng(100 * r + n % 97)
+        used = np.sort(rng.choice(n, 9, replace=False)).tolist()
+        rows = [e for e in itertools.combinations(used, r) if rng.random() < 0.6]
+        dtype = np.int32 if max(n, 2) ** r < 2**31 else np.int64
+        ref = np.array(rows, dtype=dtype).reshape(len(rows), r)
+        scrambled = [tuple(rng.permutation(e).tolist()) for e in rows]
+        if build == "list":
+            return Hypergraph(r, n, scrambled), ref
+        if build == "c_int64":
+            return Hypergraph(r, n, np.array(scrambled, dtype=np.int64)), ref
+        if build == "f_int32":
+            return Hypergraph(r, n, np.asfortranarray(scrambled, dtype=np.int32)), ref
+        if build == "shuffled":
+            order = rng.permutation(len(rows))
+            return Hypergraph(r, n, np.array(scrambled, dtype=np.int64)[order]), ref
+        host = Hypergraph(r, n, rows)
+        if build == "induced":
+            keep = used[1:]
+            new = {v: i for i, v in enumerate(keep)}
+            sub = [[new[v] for v in e] for e in rows if all(v in new for v in e)]
+            dtype = np.int32 if max(len(keep), 2) ** r < 2**31 else np.int64
+            return host.induced(keep)[0], np.array(sub, dtype=dtype).reshape(len(sub), r)
+        k = len(rows) // 3
+        drop = _sample_without_replacement(rng_from_seed(5), len(rows), k)
+        return delete_random_edges(host, k, 5), np.delete(ref, drop, axis=0)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize(
+        "r, n", [(2, 9), (2, 50_000), (3, 9), (3, 1_300), (4, 9), (4, 216)]
+    )
+    def test_layout_is_invisible(self, r, n, build):
+        g, ref = self._built(r, n, build)
+        assert ref.flags.c_contiguous and len(g) == len(ref) > 0
+        edges = g.edge_array
+        # the contract the column passes rely on
+        assert edges.T.flags.c_contiguous
+        np.testing.assert_array_equal(edges, ref)
+        assert edges.dtype == ref.dtype and not edges.flags.writeable
+        assert edges.tobytes() == ref.tobytes()
+        assert g == Hypergraph(r, g.n, ref) and hash(g) == hash((r, g.n, ref.tobytes()))
+        rows = ref.tolist()
+        assert serialize_hypergraph(g) == f"{r} {g.n} {len(rows)}\n" + "".join(
+            " ".join(map(str, e)) + "\n" for e in rows
+        )
+        members, incident = _incidence(g)
+        assert members == ref.ravel().tolist()
+        assert incident == [[i for i, e in enumerate(rows) if v in e] for v in range(g.n)]
 
 
 class TestInvariants:

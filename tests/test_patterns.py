@@ -20,7 +20,12 @@ from linkclust import (
 )
 from linkclust.patterns import _monomial
 from helpers import interior_points
-from helpers import multiset_patterns, reference_link, reference_twin_pairs
+from helpers import (
+    multiset_patterns,
+    reference_completions,
+    reference_link,
+    reference_twin_pairs,
+)
 
 MULTI = Pattern(3, 2, [(0, 0, 1)])  # one edge using vertex 0 twice, vertex 1 once
 
@@ -294,3 +299,21 @@ def test_completions_and_degrees_match_a_direct_scan(pattern):
                 assert np.unpackbits(pattern.completions(given_face), count=l).tolist() == want
     with pytest.raises(InvalidInput):
         pattern.completions((0,) * r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 4])
+    .flatmap(lambda r: multiset_patterns(r, 7, 40))
+    .flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.integers(0, p.num_vertices - 1), max_size=p.r - 1),
+        )
+    )
+)
+def test_completions_from_the_first_vertex_link_match_the_edge_scan(drawn):
+    # any face below r vertices: empty, repeating a vertex, in any order
+    pattern, face = drawn
+    assert pattern.completions(face).tolist() == reference_completions(pattern, face).tolist()
+    assert pattern.links() is pattern.links()  # built once and kept
