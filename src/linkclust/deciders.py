@@ -13,9 +13,9 @@ the few distinct codes are decoded.  The embedding search of
 :mod:`linkclust.oracles` matches their quotient, every class with one edge
 per signature, to the pattern's edges; the classes that no edge touches are
 isolated, so the search maps them last, to the unused pattern vertices in
-ascending order.  The graph deciders (k-colorability and the clique
-decider) instead test each class for independence on the packed adjacency
-rows.
+ascending order.  A complete graph K_k needs no match: the core's K_k row,
+which k-colorability is, and the clique decider test each class for
+independence on the packed adjacency rows.
 
 All degree and radius comparisons are exact integer or rational arithmetic.
 The thresholds they compare against are exact for the complete r-graphs
@@ -29,8 +29,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
@@ -110,13 +111,16 @@ class DeciderConfig:
     """Caller-supplied constants for the deciders.
 
     ``eps`` is the accepted slack below the calibrated degree threshold; it
-    must be finite and nonnegative.  A host with fewer than ``n_small``
-    vertices, or with minimum degree below the slackened threshold, is
-    refused when ``strict`` and otherwise handed to the exhaustive oracle
-    (exponential worst case), which gives up after ``oracle_budget_s``
-    seconds.  Each search that matches the clusters to the pattern runs
-    under the same budget.  ``opt`` configures the calibration.  :func:`decide_k_colorable`
-    reads only ``strict`` and ``oracle_budget_s``.
+    must be finite and nonnegative.  A ``Fraction`` is compared exactly, and
+    a float by its binary value, so ``0.09`` is a little below ``9/100``.  A
+    host with fewer than ``n_small`` vertices, or with minimum degree below
+    the slackened threshold, is refused when ``strict`` and otherwise handed
+    to the exhaustive oracle (exponential worst case), which gives up after
+    ``oracle_budget_s`` seconds.  Each search that matches the clusters to
+    the pattern runs under the same budget.  ``opt`` configures the
+    calibration.  For K_k, eps >= 1/(k(3k-1)) gates by the strict bound of
+    :func:`decide_k_colorable`, which reads only ``strict`` and
+    ``oracle_budget_s``.
 
     ``n_small`` defaults per decider: ``3 * l * r`` for an l-vertex pattern
     in :func:`decide_hom_minimal` and :func:`decide_shom_rigid`, and
@@ -125,7 +129,7 @@ class DeciderConfig:
     ``strict`` says; ``strict`` governs only its sub-threshold hosts.
     """
 
-    eps: float = 0.0
+    eps: float | Fraction = 0.0
     n_small: Optional[int] = None
     strict: bool = True
     opt: OptConfig = OptConfig()
@@ -134,7 +138,7 @@ class DeciderConfig:
     def __post_init__(self):
         if self.eps < 0:
             raise InvalidInput("eps must be nonnegative")
-        if not math.isfinite(self.eps):
+        if not isinstance(self.eps, numbers.Rational) and not math.isfinite(self.eps):
             raise InvalidInput(f"eps must be finite, got {self.eps!r}")
         if self.n_small is not None and self.n_small < 1:
             raise InvalidInput("n_small must be positive")
@@ -206,15 +210,15 @@ def _class_masks(
 
 def _first_internal_edge(
     graph: Hypergraph, labels: np.ndarray, num_classes: int
-) -> Optional[int]:
-    """Index of the first edge with both ends in one class, or ``None``.
+) -> Optional[tuple[int, ...]]:
+    """The first edge with both ends in one class, or ``None``.
 
     The existence check is one AND of each packed row with its own class's
-    mask; the index is located only when a violation exists.  This path
-    stays beside the signature codes because it is much cheaper on graphs:
-    after clustering T(4000, 3) it took 0.5-0.6 ms, against 137-150 ms for
-    the signature verdict with K_3, and 0.05-0.08 ms against 11-13 ms on
-    T(1200, 3) (best of 7, three sessions, 2 cores).
+    mask; the edge is located only when a violation exists.  It is the
+    verdict of the K_k row because it is much cheaper than the signature
+    codes on graphs: after clustering T(4000, 3) it took 0.5-0.6 ms, against
+    137-150 ms for the signature verdict with K_3, and 0.05-0.08 ms against
+    11-13 ms on T(1200, 3) (best of 7, three separate runs, 2 cores).
     """
     rows = graph.packed_adjacency
     masks = _class_masks(graph.n, np.arange(graph.n), labels, num_classes)
@@ -227,7 +231,7 @@ def _first_internal_edge(
         lab = labels[block]
         hits = np.nonzero(lab[:, 0] == lab[:, 1])[0]
         if hits.size:
-            return start + int(hits[0])
+            return tuple(int(v) for v in block[hits[0]])
     return None
 
 
@@ -350,11 +354,11 @@ def decide_k_colorable(
 ) -> Decision:
     """Decide proper ``num_colors``-colorability of a dense graph.
 
-    Requires minimum degree strictly above ``(3k-4)/(3k-1) * n`` (checked by
-    exact cross-multiplication); above it the ball clustering recovers the
-    unique coloring when one exists, so the answer is the independence of
-    all classes.  Below it the decision is refused, or delegated to the
-    exhaustive oracle when ``cfg.strict`` is false.
+    As :func:`decide_hom_minimal` with K_k at eps = 1/(k(3k-1)) and no
+    small-host cutoff: requires minimum degree strictly above
+    ``(3k-4)/(3k-1) * n``, where the ball clustering recovers the unique
+    coloring when one exists.  Below it the decision is refused, or
+    delegated to the exhaustive oracle when ``cfg.strict`` is false.
     """
     if graph.r != 2:
         raise InvalidInput("colorability decider expects a graph (r = 2)")
@@ -362,40 +366,13 @@ def decide_k_colorable(
         raise InvalidInput("need at least 2 colors")
     if graph.n == 0:
         raise InvalidInput("empty vertex set")
-    n, k = graph.n, num_colors
-    dmin = graph.min_degree()
-    if not (3 * k - 1) * dmin > (3 * k - 4) * n:
-        if cfg.strict:
-            return _precondition(
-                f"minimum degree {dmin} is not above {3 * k - 4}/{3 * k - 1} of {n}",
-                {"min_degree": dmin, "bound": (3 * k - 4, 3 * k - 1), "n": n},
-            )
-        return _oracle_hom_decision(
-            graph,
-            Pattern.complete_graph(k),
-            False,
-            cfg.oracle_budget_s,
-            "sub-threshold fallback",
-        )
-
-    labels, evals = _cluster(graph, k, Fraction(2, 3 * k - 1))
-    stats = DecideStats(distance_evals=evals)
-    idx = _first_internal_edge(graph, labels, k)
-    if idx is not None:
-        stats.edges_scanned = idx + 1
-        _finish_work(stats, graph)
-        edge = tuple(int(v) for v in graph.edge_array[idx])
-        return Decision(
-            Verdict.NO,
-            violating_edge=edge,
-            reason=f"edge {edge} lies inside class {int(labels[edge[0]])}",
-            stats=stats,
-        )
-    stats.edges_scanned = len(graph)
-    _finish_work(stats, graph)
-    return Decision(
-        Verdict.YES, partition=Partition.from_labels(labels, k), stats=stats
-    )
+    k = num_colors
+    # the core's gate would refuse too; a refused host pays no C(k, 2) edges
+    if cfg.strict and (refusal := _clique_refusal(graph, k)) is not None:
+        return _precondition(*refusal)
+    clique = Pattern.complete_graph(k)
+    oracle = functools.partial(_oracle_hom_decision, graph, clique, False, cfg.oracle_budget_s)
+    return _decide_core(graph, clique, replace(cfg, eps=Fraction(1, k * (3 * k - 1))), oracle, 0)
 
 
 # -- pattern colorability under minimum degree -----------------------------------
@@ -403,6 +380,16 @@ def decide_k_colorable(
 
 def _exact_fraction(value: float, exact: Optional[Fraction]) -> Fraction:
     return exact if exact is not None else Fraction(value)
+
+
+def _clique_refusal(graph: Hypergraph, k: int) -> Optional[tuple[str, dict]]:
+    """The K_k row's gate: reason and details unless the minimum degree is
+    strictly above ``(3k-4)/(3k-1) * n``."""
+    n, dmin, (a, b) = graph.n, graph.min_degree(), (3 * k - 4, 3 * k - 1)
+    if b * dmin > a * n:
+        return None
+    reason = f"minimum degree {dmin} is not above {a}/{b} of {n}"
+    return reason, {"min_degree": dmin, "bound": (a, b), "n": n}
 
 
 def _decide_core(
@@ -414,7 +401,7 @@ def _decide_core(
     degenerate: Optional[Exception] = None,
     surjective: bool = False,
 ) -> Decision:
-    """The criterion's decision procedure, shared by the pattern deciders.
+    """The criterion's decision procedure, shared by all but the clique decider.
 
     Calibrate: the threshold is r·λ of the pattern, or its maximin level φ
     when ``surjective``, and c is the least coordinate of the maximin
@@ -426,16 +413,28 @@ def _decide_core(
     cluster at radius ``(c/2)**(r-1) / (r-1)!``, and read the class
     signatures of the edges; when ``surjective`` every class must be
     nonempty.
+
+    The K_k row (r = 2, complete on k vertices) is k-colorability, with the
+    closed forms r·λ = φ = 1 - 1/k and c = 1/k.  From eps = 1/(k(3k-1)) on,
+    the λ bound admits hosts at (3k-4)/(3k-1)·n, which the Andrásfai–Erdős–Sós
+    theorem excludes, so the row gates strictly above that bound.  There
+    radius 2/(3k-1) separates the parts of a k-partite host, and no
+    relabeling is needed: the row looks for the first edge inside a class.
     """
-    n, r = hypergraph.n, hypergraph.r
-    if surjective:
-        rig = rigidity_report(pattern, cfg.opt)
-        threshold = _exact_fraction(rig.maximin, rig.maximin_exact)
+    n, r, k = hypergraph.n, hypergraph.r, pattern.num_vertices
+    clique = r == 2 and pattern.is_complete()
+    if clique:
+        threshold, smallest, radius = Fraction(k - 1, k), Fraction(1, k), Fraction(2, 3 * k - 1)
     else:
-        lam = lagrangian(pattern, cfg.opt)
-        threshold = r * _exact_fraction(lam.value, lam.value_exact)
-        rig = rigidity_report(pattern, cfg.opt)
-    smallest = _exact_fraction(rig.smallest_coordinate, rig.smallest_exact)
+        if surjective:
+            rig = rigidity_report(pattern, cfg.opt)
+            threshold = _exact_fraction(rig.maximin, rig.maximin_exact)
+        else:
+            lam = lagrangian(pattern, cfg.opt)
+            threshold = r * _exact_fraction(lam.value, lam.value_exact)
+            rig = rigidity_report(pattern, cfg.opt)
+        smallest = _exact_fraction(rig.smallest_coordinate, rig.smallest_exact)
+        radius = (smallest / 2) ** (r - 1) / math.factorial(r - 1)
 
     if n < n_small:
         if cfg.strict:
@@ -444,24 +443,31 @@ def _decide_core(
                 {"n": n, "n_small": n_small},
             )
         return oracle("small host")
-    dmin = hypergraph.min_degree()
-    bound = (threshold - Fraction(cfg.eps)) * Fraction(n) ** (r - 1)
-    if not Fraction(dmin) >= bound:
+    if clique and Fraction(cfg.eps) >= Fraction(1, k * (3 * k - 1)):
+        refusal = _clique_refusal(hypergraph, k)
+    else:
+        dmin = hypergraph.min_degree()
+        bound = (threshold - Fraction(cfg.eps)) * Fraction(n) ** (r - 1)
+        refusal = None if Fraction(dmin) >= bound else (
+            f"minimum degree {dmin} below the threshold {bound}",
+            {"min_degree": dmin, "threshold": str(bound)},
+        )
+    if refusal is not None:
         if cfg.strict:
-            return _precondition(
-                f"minimum degree {dmin} below the threshold {bound}",
-                {"min_degree": dmin, "threshold": str(bound)},
-            )
+            return _precondition(*refusal)
         return oracle("sub-threshold fallback")
 
     if smallest <= 0:
         raise degenerate or NumericFailure("clustering radius degenerated to zero", float(smallest))
-    radius = (smallest / 2) ** (r - 1) / math.factorial(r - 1)
-    labels, evals = _cluster(hypergraph, pattern.num_vertices, radius)
+    labels, evals = _cluster(hypergraph, k, radius)
     stats = DecideStats(distance_evals=evals)
-    relabeled, bad_edge = _signature_verdict(
-        hypergraph, pattern, labels, stats, cfg.oracle_budget_s
-    )
+    if clique:  # every relabeling of a proper coloring is one: test the identity
+        stats.edges_scanned = len(hypergraph)
+        relabeled, bad_edge = labels, _first_internal_edge(hypergraph, labels, k)
+    else:
+        relabeled, bad_edge = _signature_verdict(
+            hypergraph, pattern, labels, stats, cfg.oracle_budget_s
+        )
     _finish_work(stats, hypergraph)
     if bad_edge is not None:
         return Decision(
@@ -680,9 +686,9 @@ def clique_avg_decide(
     labels_sub, evals = _cluster(sub, k, Fraction(1, 3 * k + 1))
     stats.distance_evals = evals
     stats.edges_scanned += len(sub)
-    idx = _first_internal_edge(sub, labels_sub, k)
-    if idx is not None:
-        edge = tuple(int(survivors[v]) for v in sub.edge_array[idx])
+    edge = _first_internal_edge(sub, labels_sub, k)
+    if edge is not None:
+        edge = tuple(int(survivors[v]) for v in edge)
         _finish_work(stats, graph)
         return Decision(
             Verdict.NO,
@@ -713,10 +719,9 @@ def clique_avg_decide(
 
     # step 4: the merged partition must be proper
     stats.edges_scanned += len(graph)
-    idx = _first_internal_edge(graph, full_labels, k)
+    edge = _first_internal_edge(graph, full_labels, k)
     _finish_work(stats, graph)
-    if idx is not None:
-        edge = tuple(int(v) for v in graph.edge_array[idx])
+    if edge is not None:
         return Decision(
             Verdict.NO,
             violating_edge=edge,

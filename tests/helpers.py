@@ -12,6 +12,7 @@ from linkclust import (
     Hypergraph,
     Pattern,
     contiguous_classes,
+    join_construction,
     pattern_blowup,
     plant_violation,
     rng_from_seed,
@@ -201,6 +202,15 @@ def reference_twin_before(multisets, k: int) -> list[int]:
                 before[j] = i
                 break
     return before
+
+
+def aes_host(l: int, s: int) -> Hypergraph:
+    """The Andrasfai-Erdos-Sos extremal host: the C5 blow-up with parts of
+    size s joined to l - 2 parts of size 3s.  K_{l+1}-free, not
+    l-colorable, with minimum degree exactly (3l-4)/(3l-1) of its
+    (3l-1)s vertices; almost all of its vertices are twins."""
+    host = pattern_blowup(Pattern.cycle(5), (s,) * 5)
+    return join_construction(host, l - 2, 3 * s) if l > 2 else host
 
 
 def erdos_renyi(n: int, p: float, seed: int, r: int = 2) -> Hypergraph:

@@ -332,6 +332,10 @@ def test_criterion_10_scaling_smoke():
         assert 3.0 <= ratio <= 6.0
     for row in rows:
         assert row["distance_evals"] <= 3 * row["n"]
+        # two balls of n - 1 evaluations each, then one scan of T(n, 3)'s edges
+        n = row["n"]
+        assert row["distance_evals"] == 2 * (n - 1)
+        assert row["work_units"] == 2 * (n - 1) * n + 2 * turan_number(n, 3)
     _report(
         "C10",
         f"total {total:.1f}s, ratios "

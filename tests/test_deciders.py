@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from linkclust import (
     PatternNotRigid,
     PeelResult,
     Verdict,
+    balanced_sizes,
     catalog,
     clique_avg_decide,
     contiguous_classes,
@@ -39,7 +41,13 @@ from linkclust import (
     turan_number,
 )
 
-from helpers import CountingDeadline, count_ticks, erdos_renyi, reference_signature_verdict
+from helpers import (
+    CountingDeadline,
+    aes_host,
+    count_ticks,
+    erdos_renyi,
+    reference_signature_verdict,
+)
 
 K3 = catalog("complete", n=3)
 K6 = catalog("complete", n=6)
@@ -660,6 +668,147 @@ def test_argument_refusals(make, message):
         make()
     assert type(err.value) is InvalidInput
     assert str(err.value) == message
+
+
+# -- the K_k row: kcolor, hom(K_k) and kfree(K_{k+1}, K_k) ask one question -----
+
+
+def aes_eps(l: int) -> Fraction:
+    """ε of K_{l+1} in the Andrásfai–Erdős–Sós theorem, 1/(3l² - l)."""
+    return Fraction(1, l * (3 * l - 1))
+
+
+def two_missing_stars() -> Hypergraph:
+    """Bipartite, P = 0..41 and Q = 42..99, all P-Q edges present but those
+    from vertex 0 to 42..58 and from vertex 1 to 59..75.  Minimum degree
+    41; the link distance from 0 to 1 is 34, more than n/4."""
+    missing = {(0, q) for q in range(42, 59)} | {(1, q) for q in range(59, 76)}
+    edges = [(p, q) for p in range(42) for q in range(42, 100) if (p, q) not in missing]
+    return Hypergraph(2, 100, edges)
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda g, cfg: decide_hom_minimal(g, K2, cfg),
+        lambda g, cfg: embed_min_decide(g, K3, K2, cfg),
+    ],
+    ids=["hom", "kfree"],
+)
+def test_the_k_k_row_keeps_a_part_whole_below_eps(decide):
+    # at 9/100 < 1/10 the λ gate admits the host exactly (41 >= (1/2 - 9/100)
+    # * 100); a radius of n/4 split P and answered "no" with edge (1, 42)
+    host = two_missing_stars()
+    d = decide(host, DeciderConfig(eps=Fraction(9, 100)))
+    assert d.verdict is Verdict.YES
+    assert d.partition == decide_k_colorable(host, 2).partition
+    assert d.partition.nonempty_class_sets() == {frozenset(range(42)), frozenset(range(42, 100))}
+
+
+def test_a_float_eps_is_compared_by_its_binary_value():
+    # Fraction(0.09) is below 9/100, so the bound comes out just above 41
+    assert Fraction(0.09) < Fraction(9, 100)
+    host = two_missing_stars()
+    d = decide_hom_minimal(host, K2, DeciderConfig(eps=0.09))
+    assert d.verdict is Verdict.PRECONDITION_VIOLATED
+    assert Fraction(d.details["threshold"]) > 41
+    assert decide_hom_minimal(host, K2, DeciderConfig(eps=Fraction(9, 100))).is_yes
+
+
+def test_an_exact_eps_beyond_the_float_range_is_accepted():
+    # an exact eps is finite whatever its size; converting it to a float
+    # to check raised OverflowError.  K_2 still gates by dmin > 2/5 of n.
+    huge = Fraction(10**400)
+    host = two_missing_stars()
+    d = decide_hom_minimal(host, K2, DeciderConfig(eps=huge))
+    assert d == decide_k_colorable(host, 2)
+    sparse = pattern_blowup(K2, (30, 70))
+    d = decide_hom_minimal(sparse, K2, DeciderConfig(eps=huge))
+    assert d.reason == "minimum degree 30 is not above 2/5 of 100"
+
+
+def test_an_infinite_decimal_eps_is_refused():
+    with pytest.raises(InvalidInput) as err:
+        DeciderConfig(eps=Decimal("Infinity"))
+    assert str(err.value) == "eps must be finite, got Decimal('Infinity')"
+
+
+@pytest.mark.parametrize("k", [3, 41, 10**5])
+def test_kcolor_refuses_before_building_k_k(k, monkeypatch):
+    # T(40, 2) is not above the bound for any k >= 3, and no host is for
+    # k > n; K_k has C(k, 2) edges, 5·10^9 at k = 10^5
+    def refuse(*args):
+        raise AssertionError("K_k built for a host that is refused")
+
+    host = turan_graph(40, 2)
+    monkeypatch.setattr(Pattern, "complete_graph", refuse)
+    d = decide_k_colorable(host, k)
+    assert d.verdict is Verdict.PRECONDITION_VIOLATED
+    assert d.reason == f"minimum degree 20 is not above {3 * k - 4}/{3 * k - 1} of 40"
+    assert d.details == {"min_degree": 20, "bound": (3 * k - 4, 3 * k - 1), "n": 40}
+
+
+def test_the_k_k_row_does_not_calibrate(monkeypatch):
+    # its threshold 1 - 1/k and radius 2/(3k - 1) are closed forms
+    def refuse(*args):
+        raise AssertionError("K_k calibrated")
+
+    monkeypatch.setattr(deciders, "lagrangian", refuse)
+    monkeypatch.setattr(deciders, "rigidity_report", refuse)
+    host = turan_graph(60, 3)
+    assert decide_k_colorable(host, 3).is_yes
+    planted = plant_violation(host, contiguous_classes(balanced_sizes(60, 3)), 0)
+    assert decide_k_colorable(planted, 3).is_no
+    assert decide_k_colorable(host, 4, DeciderConfig(strict=False)).is_yes
+
+
+@pytest.mark.parametrize("s", [2, 4, 10])
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_aes_hosts_at_eps_are_refused_or_searched(l, s):
+    # minimum degree exactly (3l-4)/(3l-1) of n, the bound the theorem
+    # excludes; the λ gate at eps admitted them and answered a wrong "no"
+    host = aes_host(l, s)
+    small, pattern = catalog("complete", n=l + 1), Pattern.complete_graph(l)
+    d = embed_min_decide(host, small, pattern, DeciderConfig(eps=aes_eps(l)))
+    refused = decide_k_colorable(host, l)
+    assert d.verdict is Verdict.PRECONDITION_VIOLATED
+    assert (d.reason, d.details) == (refused.reason, refused.details)
+    bound = f"{3 * l - 4}/{3 * l - 1} of {host.n}"
+    assert d.reason == f"minimum degree {(3 * l - 4) * s} is not above {bound}"
+    relaxed = embed_min_decide(host, small, pattern, DeciderConfig(eps=aes_eps(l), strict=False))
+    assert relaxed.verdict is Verdict.YES
+    assert relaxed.reason == "exhaustive embedding search found none (sub-threshold fallback)"
+
+
+def k_k_row_corpus():
+    """l-partite hosts above the Andrásfai–Erdős–Sós bound, five per l, each
+    also with one edge planted inside a part; unbalanced by one vertex on odd
+    seeds, with up to two random edges deleted, and relabelled."""
+    for l in (2, 3, 4):
+        for seed in range(5):
+            n = 2 * l * (3 * l - 1) + l * seed
+            sizes = list(balanced_sizes(n, l))
+            if seed % 2:
+                sizes[0], sizes[-1] = sizes[0] + 1, sizes[-1] - 1
+            host = pattern_blowup(Pattern.complete_graph(l), sizes)
+            host = delete_random_edges(host, seed // 2, seed)
+            planted = plant_violation(host, contiguous_classes(sizes), seed)
+            perm = rng_from_seed(seed).permutation(n)
+            for kind, g in (("host", host), ("planted", planted)):
+                relabelled = Hypergraph(2, n, perm[g.edge_array])
+                yield pytest.param(l, relabelled, id=f"l{l}-seed{seed}-{kind}")
+
+
+@pytest.mark.parametrize("l, host", k_k_row_corpus())
+def test_kcolor_is_the_k_k_row_of_kfree(l, host):
+    assert (3 * l - 1) * host.min_degree() > (3 * l - 4) * host.n
+    d = decide_k_colorable(host, l)
+    assert d.verdict is not Verdict.PRECONDITION_VIOLATED
+    kfree = embed_min_decide(
+        host, catalog("complete", n=l + 1), Pattern.complete_graph(l), DeciderConfig(eps=aes_eps(l))
+    )
+    assert kfree == d
+    assert d.stats.edges_scanned == len(host)
 
 
 class TestPeel:

@@ -250,7 +250,7 @@ _REPORTS = {
         ["host"],
         [
             "verdict: no",
-            "reason: edge (24, 28) lies inside class 2",
+            "reason: edge (24, 28) has no legal class signature",
             "violating_edge: [24, 28]",
             "stats: distance_evals=58 edges_scanned=301 wall_time_s=* work_units=2342",
         ],

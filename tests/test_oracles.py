@@ -28,6 +28,7 @@ from linkclust import (
     turan_number,
 )
 from helpers import (
+    aes_host,
     brute_force_embeddings,
     brute_force_homomorphism,
     brute_force_max_edges_without,
@@ -176,14 +177,6 @@ def _relabelled(host, seed):
     return Hypergraph(host.r, host.n, perm[host.edge_array])
 
 
-def _aes_host(l, s):
-    """The Andrasfai-Erdos-Sos extremal host: the C5 blow-up with parts of
-    size s joined to l - 2 parts of size 3s.  K_{l+1}-free, and almost all
-    of its vertices are twins."""
-    host = pattern_blowup(Pattern.cycle(5), (s,) * 5)
-    return join_construction(host, l - 2, 3 * s) if l > 2 else host
-
-
 def _twin_rich_cases():
     gt = catalog("generalized_triangle", r=3)
     e3 = pattern_blowup(Pattern.single_edge(3), (3, 3, 3))
@@ -205,7 +198,7 @@ def _twin_rich_cases():
         "K3-in-T(12,3)": (K3, _relabelled(turan_graph(12, 3), 7)),
     }
     for l, s in ((2, 2), (3, 2), (4, 1)):
-        host = _relabelled(_aes_host(l, s), 10 * l + s)
+        host = _relabelled(aes_host(l, s), 10 * l + s)
         cases[f"K{l + 1}-in-AES({l},{s})"] = (catalog("complete", n=l + 1), host)
         cases[f"K{l}-in-AES({l},{s})"] = (catalog("complete", n=l), host)
     for seed in range(3):
@@ -277,7 +270,7 @@ class TestEmbeddingWork:
         [(2, 40), (3, 80), (4, 160)],
     )
     def test_clique_into_the_aes_host(self, monkeypatch, l, bound):
-        host = _aes_host(l, 10)
+        host = aes_host(l, 10)
         emb, ticks = count_ticks(monkeypatch, find_embedding, catalog("complete", n=l + 1), host)
         assert emb is None and ticks <= bound
 
