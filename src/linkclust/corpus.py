@@ -165,8 +165,12 @@ def delete_random_edges(
             f"cannot delete {k} edges from a hypergraph with {len(hypergraph)}"
         )
     rng = rng_from_seed(seed)
-    drop = _sample_without_replacement(rng, len(hypergraph), k)
-    return Hypergraph(hypergraph.r, hypergraph.n, np.delete(hypergraph.edge_array, drop, axis=0))
+    keep = np.ones(len(hypergraph), dtype=bool)
+    keep[_sample_without_replacement(rng, len(hypergraph), k)] = False
+    # compressing the (r, m) columns keeps the kept edges column-major and
+    # in order, so the constructor reads contiguous columns and does not sort
+    edges = hypergraph.edge_array.T.compress(keep, axis=1).T
+    return Hypergraph(hypergraph.r, hypergraph.n, edges)
 
 
 def plant_violation(

@@ -11,19 +11,22 @@ Hypergraph text is parsed in bulk, on its bytes, one byte per character:
 CRLF becomes `` \\n``, the other line breaks and whitespace of ``str`` become
 LF and space, and any other non-ASCII character ``?``, so offsets and line
 numbers stay the text's.  One ``bytes.translate`` looks up the class of
-every byte; the tokens of each line are counted from the class array, and
-one ``np.fromstring`` converts every token, with no Python string per
+every byte.  A byte is an event when it is an LF, or a token byte at byte 0
+or after a blank: the LF events are the line breaks, the events between two
+of them are the tokens of one line, so one array of event offsets gives
+both.  One ``np.fromstring`` converts every token, with no Python string per
 token.  An odd line, one with a byte that is neither a digit nor a blank
 (a ``+``, ``-``, ``_`` or ``?``), is read by ``int()`` from the text and its
-values spliced into the array.  The ``Hypergraph`` constructor checks
-ranges, repeated vertices and duplicate edges on the whole array.  When a
-check fails, the lines the arrays mark as possibly bad are checked one by
-one in order, so the error names the same line, with the same message, as
-the reference line loop in ``tests/helpers.py``.  Serialization gathers
-the text from a byte table: each vertex that occurs in an edge gets its
-digits followed by a space and by a newline, and one ``take`` by the edge
-array, ``tobytes`` and the removal of the NUL padding write every line, with
-no Python object per edge, value or vertex.
+values spliced into the array; the bytes are searched for such a line only
+when the largest byte class shows one may be there.  The ``Hypergraph``
+constructor checks ranges, repeated vertices and duplicate edges on the
+whole array.  When a check fails, the lines the arrays mark as possibly bad
+are checked one by one in order, so the error names the same line, with the
+same message, as the reference line loop in ``tests/helpers.py``.
+Serialization gathers the text from a byte table: each vertex that occurs
+in an edge gets its digits followed by a space and by a newline, and one
+``take`` by the edge array, ``tobytes`` and the removal of the NUL padding
+write every line, with no Python object per edge, value or vertex.
 """
 
 from __future__ import annotations
@@ -151,8 +154,9 @@ def _byte_classes(data: bytes) -> np.ndarray:
     return np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
 
 
-def _ascii_bytes(text: str) -> tuple[bytes, np.ndarray]:
-    """The text as one byte per character, and the class of each byte.
+def _ascii_bytes(text: str) -> tuple[bytes, np.ndarray, int]:
+    """The text as one byte per character, the class of each byte, and the
+    largest class.
 
     CRLF becomes `` \\n``, every other line break of ``str.splitlines`` LF,
     every other whitespace of ``str.split`` a space, and every other
@@ -162,11 +166,13 @@ def _ascii_bytes(text: str) -> tuple[bytes, np.ndarray]:
         if b"\r" in data:
             data = data.replace(b"\r\n", b" \n")
         cls = _byte_classes(data)
-        if cls.max(initial=0) < _RARE:
-            return data, cls
+        top = int(cls.max(initial=0))
+        if top < _RARE:
+            return data, cls, top
     text = _BREAK.sub("\n", text.replace("\r\n", " \n"))
     data = _SPACE.sub(" ", text).encode("ascii", "replace")
-    return data, _byte_classes(data)
+    cls = _byte_classes(data)
+    return data, cls, int(cls.max(initial=0))
 
 
 class _Lines(Sequence[tuple[int, str]]):
@@ -213,31 +219,35 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     are made only for the header, for the lines ``int()`` must read, and for
     the lines that may be bad."""
     text = source if isinstance(source, str) else source.read()
-    data, cls = _ascii_bytes(text)
-    text_breaks = breaks = np.flatnonzero(cls == _LF)
-    if b"#" in data:
+    data, cls, top = _ascii_bytes(text)
+    text_breaks = None  # the breaks of the text itself, when comments are cut
+    if top >= _OTHER and b"#" in data:
+        text_breaks = np.flatnonzero(cls == _LF)
         data = _COMMENT.sub(b"", data)
         cls = _byte_classes(data)
-        breaks = np.flatnonzero(cls == _LF)
-    odd = np.flatnonzero(cls == _OTHER)
+    odd = np.flatnonzero(cls == _OTHER) if top >= _OTHER else np.empty(0, np.intp)
     if odd.size:  # converted as zeros, and read by int() from the text below
         data = bytearray(data)
         np.frombuffer(data, dtype=np.uint8)[odd] = ord("0")
         data = bytes(data)
         cls = _byte_classes(data)
-        odd = np.flatnonzero(np.bincount(np.searchsorted(breaks, odd)))  # their lines
-    # tokens per line, counted from the bytes: a token starts at byte 0
-    # (unless it is blank) and at each token byte after a blank one
-    blank = cls >= _BLANK
-    first = int(cls.size > 0 and not blank[0])
-    blank_before_token = np.flatnonzero(blank[:-1] & ~blank[1:])
-    del cls, blank
-    before = np.searchsorted(blank_before_token, breaks) + first
-    tokens = blank_before_token.size + first
-    per_line = np.diff(before, prepend=0, append=tokens)
-    del blank_before_token, before
+    # the events: the LFs, and each token byte at byte 0 or after a blank;
+    # the tokens of a line are the events between its two LF events
+    token = cls == _DIGIT
+    events = cls == _LF
+    events[:1] |= token[:1]
+    events[1:] |= token[1:] > token[:-1]
+    del token
+    events = np.flatnonzero(events)
+    lf = np.flatnonzero(cls.take(events) == _LF)
+    del cls
+    breaks = events.take(lf)
+    per_line = np.diff(lf, prepend=-1, append=events.size) - 1
+    del events, lf
+    if odd.size:  # the lines of the odd bytes
+        odd = np.flatnonzero(np.bincount(np.searchsorted(breaks, odd)))
     content = np.flatnonzero(per_line)
-    lines = _Lines(text, text_breaks, content)
+    lines = _Lines(text, breaks if text_breaks is None else text_breaks, content)
     r, n, m = _hypergraph_header(lines)  # raises on an empty text
     wrong = np.flatnonzero(per_line[content[1:]] != r)
     del per_line

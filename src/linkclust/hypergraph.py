@@ -267,8 +267,10 @@ class Hypergraph:
         self._hash = None
         self._rows = self._link_codes = self._link_off = None
         if self.r == 2:
-            # ``block.ravel()`` is a view; the F-ordered edge array's would copy
-            self._deg = np.bincount(block.ravel(), minlength=self.n)
+            # the first column is nondecreasing on both branches, so its
+            # counts are the gaps between the first indices of 0..n
+            first = block[0].searchsorted(np.arange(self.n + 1, dtype=block.dtype))
+            self._deg = np.diff(first) + np.bincount(block[1], minlength=self.n)
         else:
             # a vertex's degree is the length of its link
             self._link_codes, self._link_off = self._build_links(block)
@@ -291,18 +293,23 @@ class Hypergraph:
             for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):
                 np.bitwise_or.at(packed, (a, b >> 3), (128 >> (b & 7)).astype(np.uint8))
             return packed
-        # Pair codes u*n + v (u < v) and the sorted reverse codes are flat
-        # adjacency indices: each block of rows is set from a slice of both in
-        # a dense bool buffer, then packed.
-        rev = np.sort(arr[:, 1] * n + arr[:, 0])
+        # Pair codes u*n + v (u < v) and the reverse codes v*n + u are flat
+        # adjacency indices: each block of rows is set from both in a dense
+        # bool buffer, then packed.  One block (n <= 4096) takes all of them;
+        # only several blocks slice the codes, and need the reverse ones sorted.
+        rev = arr[:, 1] * n + arr[:, 0]
         step = DENSE_BLOCK_BYTES // max(n, 1)
+        if step < n:
+            rev.sort()
         dense = np.empty(min(step, n) * n, dtype=bool)
         for lo in range(0, n, step):
             block = dense[: (min(n, lo + step) - lo) * n]
             block[:] = False
             for keys in (codes, rev):
-                a, b = keys.searchsorted(np.array([lo, lo + step], keys.dtype) * n)
-                block[keys[a:b] - lo * n] = True
+                if step < n:
+                    a, b = keys.searchsorted(np.array([lo, lo + step], keys.dtype) * n)
+                    keys = keys[a:b] - lo * n
+                block[keys] = True
             packed[lo : lo + step] = np.packbits(block.reshape(-1, n), axis=1)
         return packed
 

@@ -388,6 +388,36 @@ class TestBulkParser:
         text = f"2 3 1\n0 1 # x{brk}1 2\n"
         assert _outcome(parse_hypergraph, text) == _outcome(reference_parse_hypergraph, text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2 3 1\n0 1\n",  # a token at byte 0
+            " 2 3 1\n0 1\n",  # a blank at byte 0
+            "\n2 3 1\n0 1\n",  # a line break at byte 0
+            "2 3 1\n0 1",  # a last line without a line break
+            "2 3 1\n0 1 2",
+            "7",  # a one-byte text
+            "\n\n\n",  # only line breaks
+            "2 3 0\n",  # only a header
+            "2 3 0",
+            "2 3 0\n\n",
+            "2 3 2\n0 1\n   \n1 2\n",  # blank-only, tab-only and comment-only lines
+            "2 3 2\n0 1\n\t\n1 2\n",
+            "2 3 2\n0 1\n# c\n1 2\n",
+            "2 3 3\n0 1\n \t \n\t# c\n#\n\n1 2\n  0 2\t\n",
+            "2 3 2\n0 1\n# c\n \n1 1\n",
+            "2 3 2\n# c\n+1 2\n0 1\n",  # an odd line after a comment line
+            "2 3 2\n0 1\n# c\n# d\n1 +2\n",
+            "2 3 2\n0 1\n# c\n1 +0_1\n",
+            "2 3 2\n# c +1\n0 1\n# d\n-1 2\n",
+            "#\n2 3 1\n# c\n+0 1",
+        ],
+    )
+    def test_event_stream_boundaries(self, text):
+        # tokens and line breaks are counted from one stream of events; the
+        # odd lines are found on the breaks left after comments are cut
+        assert _outcome(parse_hypergraph, text) == _outcome(reference_parse_hypergraph, text)
+
     def test_memory_of_the_fast_path(self):
         # the class array, the values and the constructor's arrays, and no
         # Python object per token: about 9x, against 18.8x with one Python

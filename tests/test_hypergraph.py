@@ -388,6 +388,22 @@ class TestDegree:
             with pytest.raises(InvalidInput):
                 op()
 
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["canonical", "shuffled"])
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (6, 0), (6, 10), (50, 400), (50_000, 1000)])
+    def test_graph_degrees_count_every_endpoint(self, n, m, shuffled):
+        # r = 2 degrees come from the sorted first column's offsets and a
+        # count of the second, on both constructor branches (n = 50 000
+        # codes the edges in int64)
+        rng = np.random.default_rng(n + m)
+        pairs = np.sort(rng.integers(0, max(n, 1), size=(4 * m, 2)), axis=1)
+        pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+        edges = pairs[np.sort(rng.permutation(len(pairs))[:m])].reshape(m, 2)
+        if shuffled:
+            edges = edges[rng.permutation(m), ::-1]
+        assert len(edges) == m
+        g = Hypergraph(2, n, edges)
+        np.testing.assert_array_equal(g.degrees(), np.bincount(edges.ravel(), minlength=n))
+
     @pytest.mark.parametrize(
         "graph",
         [turan_graph(6, 2), Hypergraph(2, 9000, [(0, 8999)]), TRIPLE],
