@@ -117,7 +117,8 @@ class DeciderConfig:
     the slackened threshold, is refused when ``strict`` and otherwise handed
     to the exhaustive oracle (exponential worst case), which gives up after
     ``oracle_budget_s`` seconds.  Each search that matches the clusters to
-    the pattern runs under the same budget.  ``opt`` configures the
+    the pattern, and the pairing check of :func:`embed_min_decide`, runs
+    under the same budget.  ``opt`` configures the
     calibration.  For K_k, eps >= 1/(k(3k-1)) gates by the strict bound of
     :func:`decide_k_colorable`, which reads only ``strict`` and
     ``oracle_budget_s``.
@@ -545,9 +546,10 @@ def decide_shom_rigid(
 
 
 @functools.lru_cache(maxsize=512)
-def _colorable_by(small: Hypergraph, pattern: Pattern) -> bool:
-    """Whether ``small`` maps into ``pattern``; cached per pairing."""
-    return find_homomorphism(small, pattern) is not None
+def _colorable_by(small: Hypergraph, pattern: Pattern, budget_s: float) -> bool:
+    """Whether ``small`` maps into ``pattern``, searched under ``budget_s``;
+    cached per pairing and budget."""
+    return find_homomorphism(small, pattern, False, budget_s) is not None
 
 
 def embed_min_decide(
@@ -572,7 +574,7 @@ def embed_min_decide(
     n_small = cfg.n_small if cfg.n_small is not None else 3 * small.n
     if hypergraph.n < n_small:
         return oracle("small host")
-    if _colorable_by(small, pattern):
+    if _colorable_by(small, pattern, cfg.oracle_budget_s):
         raise InvalidInput(
             "the forbidden hypergraph is colorable by the pattern, so the "
             "pattern's blow-ups contain it; unusable pairing"

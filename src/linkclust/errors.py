@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "LinkclustError",
+    "InvalidInput",
+    "InvalidVertex",
+    "ParseError",
+    "DuplicateEdge",
+    "IndexOutOfRange",
+    "NumericFailure",
+    "PatternNotMinimal",
+    "PatternNotRigid",
+    "OracleTimeout",
+]
+
 
 class LinkclustError(Exception):
     """Base class for all library errors."""

@@ -48,17 +48,11 @@ TOOL_VERSION = "0.1.0"
 REPORT_SCHEMA_VERSION = 1
 
 __all__ = [
-    "TOOL_NAME",
-    "TOOL_VERSION",
-    "REPORT_SCHEMA_VERSION",
     "parse_hypergraph",
     "serialize_hypergraph",
     "parse_pattern",
     "serialize_pattern",
-    "partition_classes_sorted",
     "build_report",
-    "dump_report",
-    "sha256_digest",
 ]
 
 

@@ -49,8 +49,6 @@ __all__ = [
     "turan_number",
     "lagrangian_grid",
     "phi_grid",
-    "DEFAULT_BUDGET_S",
-    "GRID_POINT_LIMIT",
 ]
 
 DEFAULT_BUDGET_S = 60.0

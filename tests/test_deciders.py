@@ -336,6 +336,15 @@ class TestEmbedMinDecide:
             assert d.verdict is Verdict.YES
         assert searched == [K3]
 
+    def test_the_pairing_check_runs_under_the_oracle_budget(self):
+        # the C7 blow-up with parts of 10 maps onto C7, but the search for the
+        # map outlasts 0.01 s many times over (ROADMAP item 3); the check
+        # searched under the 60 s default whatever the budget
+        small = pattern_blowup(Pattern.cycle(7), [10] * 7)
+        cfg = DeciderConfig(oracle_budget_s=0.01)
+        with pytest.raises(OracleTimeout):
+            embed_min_decide(turan_graph(240, 2), small, Pattern.cycle(7), cfg)
+
     def test_generalized_triangle_pair(self):
         host = pattern_blowup(Pattern.single_edge(3), (9, 9, 9))
         t3 = catalog("generalized_triangle", r=3)
@@ -811,6 +820,53 @@ def test_kcolor_is_the_k_k_row_of_kfree(l, host):
     assert d.stats.edges_scanned == len(host)
 
 
+def near_aes_host(l: int, seed: int):
+    """An unbalanced l-partite host on 60-200 vertices, relabelled, with
+    minimum degree strictly above (3l-4)/(3l-1) of n, and its parts: the
+    balanced parts trade vertices while each stays below 3n/(3l-1), then up
+    to 8 % of the edges are deleted, skipping any that would take an
+    endpoint down to the bound."""
+    rng = rng_from_seed(seed)
+    n = int(rng.integers(60, 201))
+    cap = (3 * n - 1) // (3 * l - 1)
+    sizes = list(balanced_sizes(n, l))
+    for _ in range(4 * l):
+        a, b = rng.choice(l, 2, replace=False)
+        if sizes[a] > 1 and sizes[b] < cap:
+            sizes[a], sizes[b] = sizes[a] - 1, sizes[b] + 1
+    host = pattern_blowup(Pattern.complete_graph(l), sizes)
+    edges = host.edge_array
+    deg = host.degrees().astype(np.int64)
+    keep = np.ones(len(host), dtype=bool)
+    target = int(rng.integers(0, 8 * len(host) // 100 + 1))
+    for i in rng.permutation(len(host)):
+        if target == 0:
+            break
+        u, v = edges[i]
+        if (3 * l - 1) * (min(deg[u], deg[v]) - 1) > (3 * l - 4) * n:
+            keep[i] = False
+            deg[u] -= 1
+            deg[v] -= 1
+            target -= 1
+    perm = rng.permutation(n)
+    parts = contiguous_classes(sizes).nonempty_class_sets()
+    parts = {frozenset(perm[list(c)].tolist()) for c in parts}
+    return Hypergraph(2, n, perm[edges[keep]]), parts
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_kfree_answers_yes_just_above_the_aes_bound(l, seed):
+    # inside the theorem's range a "no" would be wrong: the host is
+    # K_{l+1}-free with minimum degree above (1 - 1/l - ε_F)·n
+    host, parts = near_aes_host(l, 1000 * l + seed)
+    assert (3 * l - 1) * host.min_degree() > (3 * l - 4) * host.n
+    cfg = DeciderConfig(eps=aes_eps(l) - Fraction(1, 10**6))
+    d = embed_min_decide(host, catalog("complete", n=l + 1), Pattern.complete_graph(l), cfg)
+    assert d.verdict is Verdict.YES
+    assert d.partition.nonempty_class_sets() == parts
+
+
 class TestPeel:
     def test_dense_graph_never_peels(self):
         res = peel(turan_graph(120, 2), 2)
@@ -955,6 +1011,35 @@ class TestCliqueAvgDecide:
                 work_units=1199 * 1200 + 4 * (360000 - k),
                 z=0,
             )
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_agrees_with_the_oracle_beyond_k_2(self, k):
+        # C4's check for k = 3..8: T(n, k) minus at most slack edges, T(n, k)
+        # plus one edge inside a part, and T(n, k) with one vertex stripped
+        # below the peel threshold and its edges repaid inside another part
+        for slack in (0, 1, 2):
+            n = max(6 * k * k, 30 * slack * k)
+            base, classes = turan_graph(n, k), turan_classes(n, k)
+            for seed in range(3):
+                rng = rng_from_seed(seed)
+                thin = delete_random_edges(base, int(rng.integers(slack + 1)), seed)
+                planted = plant_violation(base, classes, seed)
+                v = int(rng.integers(n))
+                own = classes.labels[v]
+                others = np.flatnonzero(classes.labels != own)
+                cut = rng.choice(others, others.size - (3 * k - 4) * n // (3 * k - 1), False)
+                edges = base.edge_array
+                kept = edges[~((edges == v).any(axis=1) & np.isin(edges, cut).any(axis=1))]
+                part = np.flatnonzero(classes.labels == (own + 1 + rng.integers(k - 1)) % k)
+                inside = np.array(list(itertools.combinations(part, 2)))
+                repaid = rng.choice(len(inside), len(base) - len(kept), replace=False)
+                stripped = Hypergraph(2, n, np.concatenate([kept, inside[repaid]]))
+                for host, kind in ((thin, "thin"), (planted, "planted"), (stripped, "stripped")):
+                    d = clique_avg_decide(host, k, slack)
+                    assert d.is_yes == (find_embedding(catalog("complete", n=k + 1), host) is None)
+                    assert d.is_yes == (kind == "thin"), (slack, seed, kind)
+                    if kind == "stripped":
+                        assert d.stats.z >= 1
 
     def test_z_bound_on_yes(self):
         for seed in range(5):
