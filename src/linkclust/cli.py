@@ -184,7 +184,7 @@ def _oracle_cfg(args) -> DeciderConfig:
 
 def _decider_cfg(args) -> DeciderConfig:
     return DeciderConfig(
-        eps=args.eps,
+        eps=Fraction(args.eps),
         n_small=args.n_small,
         strict=args.strict,
         opt=_opt_cfg(args),
@@ -248,7 +248,7 @@ _OPTIONS = {
         "help": "refuse sub-threshold inputs instead of falling back to the oracle",
     },
     "--oracle-budget": {"type": float, "default": DEFAULT_BUDGET_S},
-    "--eps": {"type": float, "default": 0.0, "help": "accepted threshold slack"},
+    "--eps": {"type": fraction, "default": "0", "help": "accepted threshold slack, e.g. 1/24"},
     "--n-small": {"type": int, "default": None},
     "--restarts": {"type": int, "default": OptConfig.restarts},
     "--opt-seed": {"type": int, "default": OptConfig.seed},

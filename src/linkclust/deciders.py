@@ -643,10 +643,12 @@ def clique_avg_decide(
     have no neighbors in, and accepts when the merged classes are all
     independent.
 
-    Steps 3-4 (reinsert and merge) have been seen to run only from k = 8
-    under these gates: an exact count over k <= 12, slack < 40 and every
-    allowed (n, z) found no instance for k <= 7, the first being k = 8,
-    slack 2, n = 481, z = 1.  This is evidence, not a proof.
+    Steps 3-4 (reinsert and merge) need a peeled vertex and k-partite
+    survivors.  An exact count of the gates over k <= 15, slack < 40 and
+    every allowed (n, z) first allows z = 1 at k = 8, slack 2, n = 481 (as
+    T(481, 8) with vertex 0 cut from 61 and 62, which reaches step 4), and
+    z = 2, which a no at step 4 needs, at k = 15, slack 4, n = 1802.  This
+    is evidence, not a proof.
     """
     if graph.r != 2:
         raise InvalidInput("clique decider expects a graph (r = 2)")

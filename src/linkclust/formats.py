@@ -45,7 +45,7 @@ from .patterns import Pattern
 
 TOOL_NAME = "linkclust"
 TOOL_VERSION = "0.1.0"
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 __all__ = [
     "parse_hypergraph",

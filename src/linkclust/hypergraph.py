@@ -144,10 +144,10 @@ def _integer_values(values: Iterable, what: str) -> np.ndarray:
     return arr
 
 
-def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
-    """For each row of a 2-d array, the index of the first row equal to it."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return first[inverse.reshape(-1)]
+def _first_by_key(keys: Iterable) -> list[int]:
+    """For each position, the first position with an equal key, in one dict pass."""
+    first: dict = {}
+    return [first.setdefault(key, i) for i, key in enumerate(keys)]
 
 
 def _decode_codes(codes: np.ndarray, base: int, k: int) -> np.ndarray:
@@ -516,22 +516,17 @@ class Hypergraph:
 
         Vertices with equal links are twins.  No edge holds two twins u and
         v, since the rest of such an edge would lie in the link of u and hold
-        v.  So swapping two twins maps the edges onto themselves.  Graphs
-        compare their packed adjacency rows; for r >= 3 the link-code slices
-        of vertices of equal degree are compared, one degree at a time.
+        v.  So swapping two twins maps the edges onto themselves.  A link's
+        key is the bytes of its packed adjacency row (graphs) or of its
+        link-code slice (r >= 3), and one dict pass over the keys finds the
+        first vertex of each.
         """
         if self.r == 2:
-            return _first_equal_rows(self._adjacency())
-        roots = np.arange(self.n)
-        by_degree = np.argsort(self._deg, kind="stable")
-        degs = self._deg[by_degree]
-        bounds = np.flatnonzero(np.diff(degs, prepend=-1, append=-1))
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if b - a > 1:
-                group = by_degree[a:b]
-                links = self._link_codes[self._link_off[group, None] + np.arange(degs[a])]
-                roots[group] = group[_first_equal_rows(links)]
-        return roots
+            keys = (row.tobytes() for row in self._adjacency())
+        else:
+            codes, off = self._link_codes, self._link_off.tolist()
+            keys = (codes[a:b].tobytes() for a, b in zip(off, off[1:]))
+        return np.array(_first_by_key(keys), dtype=np.int64)
 
     # -- induced subgraphs ---------------------------------------------------
 

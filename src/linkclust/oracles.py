@@ -147,14 +147,14 @@ def _embed(
     deg_mask = [np.packbits(host_deg >= small_deg[v]) for v in order]
     rows: dict[tuple[int, ...], np.ndarray] = {}  # completion rows by face
     # host twins: a twin is closed off until the next-lower member of its
-    # class is in use; ``off`` holds the used vertices and the closed twins
+    # class is in use; ``off`` holds the used vertices and the closed twins,
+    # and ``nxt`` each vertex's next-higher class member (or -1)
     roots = np.asarray(host.twin_classes())
-    by_class = np.argsort(roots, kind="stable")
-    lower, upper = by_class[:-1], by_class[1:]
-    twin = roots[lower] == roots[upper]
-    nxt = np.full(n, -1)
-    nxt[lower[twin]] = upper[twin]
-    nxt = nxt.tolist()
+    nxt, last = [-1] * n, list(range(n))
+    for v, root in enumerate(roots.tolist()):
+        if root != v:
+            nxt[last[root]] = v
+            last[root] = v
     off = np.packbits(roots != np.arange(n))
 
     images = [-1] * k

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidInput
-from .hypergraph import Hypergraph, _integer_edge
+from .hypergraph import Hypergraph, _first_by_key, _integer_edge
 
 __all__ = [
     "Pattern",
@@ -225,8 +225,7 @@ class Pattern:
     def twin_classes(self) -> tuple[int, ...]:
         """For every vertex, the least vertex with the same link (itself when
         no lower vertex has it), as :meth:`Hypergraph.twin_classes`."""
-        first: dict[tuple[tuple[int, ...], ...], int] = {}
-        return tuple(first.setdefault(link, v) for v, link in enumerate(self.links()))
+        return tuple(_first_by_key(self.links()))
 
     def degrees(self) -> np.ndarray:
         """The number of edges through each vertex (:meth:`Hypergraph.degrees`)."""

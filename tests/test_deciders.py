@@ -941,8 +941,8 @@ class TestCliqueAvgDecide:
 
     def _forced_peel(self, monkeypatch, order):
         # For k <= 7 a vertex that peels under the gates leaves a survivor
-        # graph with too many edges to be k-partite, so step 3 is reached
-        # only with a forced peel order.
+        # graph with too many edges to be k-partite, so these small hosts
+        # reach step 3 only with a forced peel order.
         def forced(graph, num_parts):
             rest = tuple(v for v in range(graph.n) if v not in order)
             return PeelResult(order=tuple(order), z=len(order), survivors=rest)
@@ -1040,6 +1040,51 @@ class TestCliqueAvgDecide:
                     assert d.is_yes == (kind == "thin"), (slack, seed, kind)
                     if kind == "stripped":
                         assert d.stats.z >= 1
+
+    @pytest.mark.parametrize("seed", [None, 34])
+    def test_steps_3_and_4_run_unforced(self, seed):
+        # Each host has n = max(6k^2, 30*slack*k) + 1 or 2 and ex(n, k) -
+        # slack edges; the peeled vertices have no edge inside one class of
+        # the survivors.  k = 8, slack 2: vertex 0 of T(481, 8) (part 0..60)
+        # loses its edges to 61 and 62 and peels at degree 418 <= 20/23 *
+        # 481.  Then it rejoins its part (yes), or, after also losing 63 and
+        # gaining 1, has neighbors in every class (no at step 3).  k = 15,
+        # slack 4: T(1800, 15) plus u = 1800 and v = 1801, adjacent to each
+        # other and to all but two vertices outside the last part; both peel
+        # into that part, and the merged partition holds uv (no at step 4).
+        def near_turan(n, k, cut, add):
+            edges = turan_graph(n, k).edge_array
+            keep = ~np.isin(edges[:, 0] * n + edges[:, 1], [a * n + b for a, b in cut])
+            return edges[keep], np.array(add, dtype=np.int64).reshape(-1, 2)
+
+        rest = np.arange(1680)
+        u, v = np.setdiff1d(rest, [1, 121]), np.setdiff1d(rest, [241, 361])
+        step_4 = np.concatenate(
+            [np.stack([u, np.full(u.size, 1800)], 1), np.stack([v, np.full(v.size, 1801)], 1)]
+        )
+        hosts = [
+            (481, 8, 2, near_turan(481, 8, [(0, 61), (0, 62)], [])),
+            (481, 8, 2, near_turan(481, 8, [(0, 61), (0, 62), (0, 63)], [(0, 1)])),
+            (1802, 15, 4, near_turan(1800, 15, [], [(1800, 1801)]) + (step_4,)),
+        ]
+        decisions = []
+        for n, k, slack, parts in hosts:
+            perm = np.arange(n) if seed is None else rng_from_seed(seed).permutation(n)
+            host = Hypergraph(2, n, perm[np.concatenate(parts)])
+            assert len(host) == turan_number(n, k) - slack
+            d = clique_avg_decide(host, k, slack)
+            assert d.is_yes == (find_embedding(catalog("complete", n=k + 1), host) is None)
+            decisions.append((d, perm))
+        (yes, perm), (stuck, perm_b), (merged, perm_c) = decisions
+        assert yes.is_yes and yes.stats.z == 1
+        parts = {frozenset(perm[sorted(c)].tolist()) for c in turan_classes(481, 8).classes}
+        assert yes.partition.nonempty_class_sets() == parts
+        assert stuck.is_no and stuck.stats.z == 1
+        assert stuck.reason == f"peeled vertex {perm_b[0]} has neighbors in every class"
+        assert merged.is_no and merged.stats.z == 2
+        edge = tuple(sorted(perm_c[[1800, 1801]].tolist()))
+        assert merged.violating_edge == edge
+        assert merged.reason == f"merged class contains edge {edge}"
 
     def test_z_bound_on_yes(self):
         for seed in range(5):

@@ -35,7 +35,7 @@ from linkclust import (
 from linkclust.cli import run_cli
 from linkclust.formats import build_report, dump_report, partition_classes_sorted
 from linkclust.hypergraph import Partition
-from helpers import is_valid_coloring
+from helpers import aes_host, is_valid_coloring
 
 
 class TestHypergraphFormat:
@@ -166,7 +166,7 @@ class TestReport:
             verdict="yes",
             stats={"distance_evals": 5},
         )
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == 2
         assert rep["tool"] == "linkclust"
         assert len(rep["input_digests"]["host"]) == 64
 
@@ -273,7 +273,7 @@ _REPORTS = {
         ["decide", "hom", "--host", "{t30}", "--pattern", "{k3p}"],
         0,
         "decide hom",
-        {"eps": 0.0, "n_small": None, "strict": True},
+        {"eps": "0", "n_small": None, "strict": True},
         ["stats", "verdict", "witness"],
         ["host", "pattern"],
         [
@@ -286,7 +286,7 @@ _REPORTS = {
         ["decide", "shom", "--host", "{c5x2}", "--pattern", "{c5p}", "--eps", "1e-9", "--n-small", "5"],
         0,
         "decide shom",
-        {"eps": 1e-9, "n_small": 5, "strict": True},
+        {"eps": "1e-9", "n_small": 5, "strict": True},
         ["stats", "verdict", "witness"],
         ["host", "pattern"],
         [
@@ -299,7 +299,7 @@ _REPORTS = {
         ["decide", "kfree", "--host", "{t12}", "--f", "{k3}", "--pattern", "{k2p}"],
         0,
         "decide kfree",
-        {"eps": 0.0, "n_small": None, "strict": True},
+        {"eps": "0", "n_small": None, "strict": True},
         ["stats", "verdict", "witness"],
         ["forbidden", "host", "pattern"],
         [
@@ -876,7 +876,7 @@ class TestCli:
         assert run_cli(["decide", "hom", "--host", str(hpath), "--pattern", str(ppath)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "yes"
-        assert report["params"]["eps"] == 0.0
+        assert report["params"]["eps"] == "0"
 
     @pytest.mark.parametrize(
         "host, code",
@@ -902,7 +902,7 @@ class TestCli:
         assert run_cli(argv + ["--eps", "1e-9", "--n-small", "15"]) == code
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == "decide shom"
-        assert report["params"] == {"eps": 1e-9, "n_small": 15, "strict": True}
+        assert report["params"] == {"eps": "1e-9", "n_small": 15, "strict": True}
         assert sorted(report["input_digests"]) == ["host", "pattern"]
 
     def test_decide_shom_at_the_exact_threshold(self, tmp_path, capsys):
@@ -913,7 +913,7 @@ class TestCli:
         ppath.write_text(serialize_pattern(Pattern.cycle(7)))
         assert run_cli(["decide", "shom", "--host", str(hpath), "--pattern", str(ppath)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["verdict"] == "yes" and report["params"]["eps"] == 0.0
+        assert report["verdict"] == "yes" and report["params"]["eps"] == "0"
 
     @pytest.mark.parametrize(
         "host, code",
@@ -933,8 +933,30 @@ class TestCli:
         assert run_cli(argv + ["--f", str(paths["k3"]), "--pattern", str(paths["k2"])]) == code
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == "decide kfree"
-        assert report["params"] == {"eps": 0.0, "n_small": None, "strict": True}
+        assert report["params"] == {"eps": "0", "n_small": None, "strict": True}
         assert sorted(report["input_digests"]) == ["forbidden", "host", "pattern"]
+
+    @pytest.mark.parametrize("s", [2, 4, 10])
+    def test_decide_kfree_reads_an_exact_eps(self, tmp_path, capsys, s):
+        # the AES host has minimum degree exactly 5/8 of n: at eps = ε_F(K4)
+        # = 1/24 the K_k row refuses it, and the decimal just below 1/24 is
+        # read exactly, so the λ gate refuses it
+        host = aes_host(3, s)
+        paths = {name: tmp_path / f"{name}.txt" for name in ("host", "k4", "k3")}
+        paths["host"].write_text(serialize_hypergraph(host))
+        paths["k4"].write_text(serialize_hypergraph(catalog("complete", n=4)))
+        paths["k3"].write_text(serialize_pattern(Pattern.complete_graph(3)))
+        argv = ["decide", "kfree", "--host", str(paths["host"])]
+        argv += ["--f", str(paths["k4"]), "--pattern", str(paths["k3"]), "--eps"]
+        assert run_cli(argv + ["1/24"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["params"]["eps"] == "1/24"
+        assert report["results"]["reason"] == f"minimum degree {5 * s} is not above 5/8 of {host.n}"
+        assert report["results"]["details"]["bound"] == [5, 8]
+        assert run_cli(argv + ["0.041666666666666664"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["params"]["eps"] == "0.041666666666666664"
+        assert f"minimum degree {5 * s} below the threshold " in report["results"]["reason"]
 
     def test_decide_kfree_refuses_a_colorable_pairing(self, tmp_path, capsys):
         # K3 is K3-colorable: the pairing is an input error, not a verdict
@@ -1259,12 +1281,13 @@ class TestCli:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
-    def test_non_finite_eps_is_3(self, turan_file, k3_pattern_file, capsys, eps):
+    def test_non_finite_eps_is_64(self, turan_file, k3_pattern_file, capsys, eps):
+        # --eps is read as an exact fraction, as --delta is
         argv = ["decide", "hom", "--host", turan_file, "--pattern", k3_pattern_file]
-        assert run_cli(argv + ["--eps", eps]) == 3
+        assert run_cli(argv + ["--eps", eps]) == 64
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"linkclust: error: eps must be finite, got {eps}\n"
+        assert captured.err.endswith(f"error: argument --eps: invalid fraction value: '{eps}'\n")
 
     def test_oracle_budget_nan_is_3(self, turan_file, k3_pattern_file, capsys):
         argv = ["oracle", "hom", "--pattern", k3_pattern_file, "--host", turan_file]

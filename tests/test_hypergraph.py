@@ -25,6 +25,7 @@ from linkclust import (
 )
 from linkclust.corpus import _sample_without_replacement
 from linkclust.oracles import _incidence
+from helpers import erdos_renyi
 
 K3 = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])
 TRIPLE = Hypergraph(3, 4, [(0, 1, 2)])
@@ -479,6 +480,40 @@ class TestTwinClasses:
         assert blowup.twin_classes().tolist() == [0, 0, 2, 2, 2, 5]
         for r in (2, 3):
             assert Hypergraph(r, 0, []).twin_classes().tolist() == []
+
+    @pytest.mark.parametrize("r, n, p", [(2, 40, 0.2), (2, 12, 0.05), (3, 14, 0.1), (4, 11, 0.1)])
+    def test_hypergraphs_and_patterns_share_one_twin_rule(self, r, n, p):
+        # packed rows or link codes against the pattern's link tuples, on
+        # random hosts and relabelled blow-ups of K_{r+1}^(r); a pattern
+        # has at least one vertex
+        hosts = [erdos_renyi(n, p, seed, r) for seed in range(5)]
+        clique = Pattern(r, r + 1, itertools.combinations(range(r + 1), r))
+        for seed in range(5):
+            rng = rng_from_seed(seed)
+            blowup = pattern_blowup(clique, rng.integers(1, 5, size=r + 1).tolist())
+            hosts.append(Hypergraph(r, blowup.n, rng.permutation(blowup.n)[blowup.edge_array]))
+        for h in hosts:
+            roots = h.twin_classes()
+            assert roots.dtype == np.int64
+            assert roots.tolist() == list(Pattern.from_hypergraph(h).twin_classes())
+        assert Hypergraph(r, 0, []).twin_classes().dtype == np.int64
+
+    def test_twin_classes_peak_near_the_packed_rows(self):
+        # one bytes key per distinct row; np.unique(axis=0) on the rows
+        # peaked at about 3x their bytes
+        n = 8192
+        pairs = rng_from_seed(8192).integers(0, n, size=(60000, 2))
+        pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
+        g = Hypergraph(2, n, pairs)
+        rows = g.packed_adjacency
+        tracemalloc.start()
+        try:
+            roots = g.twin_classes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert roots.tolist() == list(range(n))  # no two rows are equal
+        assert peak < 1.5 * rows.nbytes
 
     @given(hypergraphs())
     @settings(max_examples=60, deadline=None)
