@@ -13,34 +13,46 @@ one ``(r, m)`` block, the stacked sorted columns or the digits of the sorted
 codes, and the ``(m, r)`` array is that block's transpose.  Every linear
 pass (the link keys, the graph degrees, the deciders' signature scan) reads
 one column at a time, and a contiguous column reads about twice as fast as
-a strided one.  Edge membership is a binary search in the codes.  Two derived
-representations back the distance queries:
+a strided one.  Edge membership is a binary search in the codes.  Every
+uniformity counts degrees one way: the first column is nondecreasing, so a
+binary search of 0..n in it gives its counts, and a ``bincount`` of each
+other column adds theirs.
 
-* ``r == 2``: packed adjacency bit-rows, so the link distance of a pair is a
-  popcount over XORed rows.  They are built on the first query that reads
-  them, so a graph that is only parsed, generated or written never pays for
-  them.
-* ``r >= 3``: per-vertex links as sorted base-n codes of (r-1)-tuples, built
-  by one sort of owner-first ``(v, rest...)`` codes; a binary search of the
-  sorted keys at each owner's first key gives the link offsets, and their
-  differences are the degrees.  The distances from a vertex v to all others
-  come from one membership count: mark the codes that lie in v's link, and
-  count the marks per owner.  The marks are read from a bool table over the
-  (r-1)-tuple code space, set at v's link, when that space has no more
-  entries than there are link codes, that is when the average degree is at
-  least n**(r-2) (a 3 x 80 complete 3-partite host has 6400 against 240).
-  Sparser hosts mark by ``np.isin``, whose cost follows the codes rather
+The links are built on the first query that reads them, so a host that is
+only parsed, generated, written or asked for its degrees never pays for
+them.  Each member v of an edge has one owner-first key, the edge coded
+base n with v moved first, ``(v, rest...)``: owner v's keys fill [v * span,
+(v + 1) * span) with span = n**(r-1), and their rests are the codes of the
+(r-1)-tuples of the link L(v).  The first members' keys are the edge codes.
+The links take one of two forms:
+
+* Packed link rows: row v marks the codes of L(v), so a key is the flat
+  index of its bit in the (n, span) matrix of rows, and the link distance
+  of a pair is a popcount over XORed rows.  Graphs (r == 2) always keep
+  these, their adjacency rows, ``ceil(n/8)`` bytes each.  An r >= 3 host
+  keeps them, padded to whole 64-bit words so that the XOR is counted a
+  word at a time, when their ``n * 8 * ceil(n**(r-1)/64)`` bytes are no
+  more than the bytes of its link codes: the 3 x 80 complete 3-partite host
+  has 1.73 MB of rows against 6.14 MB of codes.
+* Sorted link codes, for a sparser r >= 3 host: one sort of the owner-first
+  keys orders them by owner and then by link code, and a binary search of
+  the sorted keys at each owner's first key gives the link offsets.  The
+  distances from a vertex v to all others come from one membership count:
+  mark the codes that lie in v's link, and count the marks per owner.  The
+  marks are read from a bool table over the (r-1)-tuple code space, set at
+  v's link, when that space has no more entries than there are link codes;
+  sparser hosts mark by ``np.isin``, whose cost follows the codes rather
   than the code space.
 
-Both back the completion rows: for an (r-1)-face, the packed bit row of the
-vertices that complete it to an edge (a graph's adjacency row, or for
-r >= 3 the link tuples of the face's first vertex that hold the rest).  They
-also back the twin classes, the vertices with equal links: equal adjacency
-rows, or for r >= 3 equal link-code slices.
+Either form backs the completion rows: for an (r-1)-face, the packed bit
+row of the vertices that complete it to an edge (a graph's adjacency row,
+or for r >= 3 the link tuples of the face's first vertex that hold the
+rest).  They also back the twin classes, the vertices with equal links:
+equal rows, or equal link-code slices.
 
 Instances are immutable after construction and safe to share across threads:
-two threads whose first queries race build equal adjacency rows, and either
-may be kept.
+two threads whose first queries race build equal links, and either may be
+kept.
 """
 
 from __future__ import annotations
@@ -61,18 +73,19 @@ __all__ = ["Hypergraph", "Partition"]
 # ask for ~125 GB.
 MAX_VERTEX_TABLE_BYTES = 1 << 30
 
-# Bytes of the dense bool buffer that builds graph adjacency rows (n <= 8192)
-# a block of rows at a time: one block up to n = 4096, so the n = 8192 peak
-# is the packed rows plus this buffer instead of an n*n matrix.
+# Bytes of the dense bool buffer that builds packed link rows (for graphs,
+# n <= 8192) a block of rows at a time: one block up to n = 4096 for graphs
+# and n = 256 for r = 3, so the peak of a larger host is the packed rows plus
+# this buffer instead of the whole bool matrix.
 DENSE_BLOCK_BYTES = 1 << 24
 
-# Link codes marked and counted per block by the r >= 3 ``distances_from``,
-# so that its temporaries stay well below the link codes themselves: the
-# block's bool marks and the int64 sums that ``reduceat`` casts them to, plus
-# the per-call mark table of at most one byte per link code.  Marking all
-# 1.5M codes of a 3 x 80 host at once by ``np.isin`` peaked at 3.7x their
-# bytes; 2**16 codes a block timed as fast as 2**18 there, with a quarter of
-# the temporaries.
+# Link codes marked and counted per block by ``distances_from`` on an r >= 3
+# host that keeps link codes, so that its temporaries stay well below the
+# codes themselves: the block's bool marks and the int64 sums that
+# ``reduceat`` casts them to, plus the per-call mark table of at most one byte
+# per link code.  Marking all 1.5M codes of a 3 x 80 host at once by
+# ``np.isin`` peaked at 3.7x their bytes; 2**16 codes a block timed as fast as
+# 2**18 there, with a quarter of the temporaries (that host keeps rows now).
 LINK_BLOCK = 1 << 16
 
 
@@ -182,17 +195,7 @@ class Hypergraph:
         edge is rejected.
     """
 
-    __slots__ = (
-        "r",
-        "n",
-        "_edges",
-        "_deg",
-        "_rows",
-        "_edge_codes",
-        "_link_codes",
-        "_link_off",
-        "_hash",
-    )
+    __slots__ = ("r", "n", "_edges", "_deg", "_edge_codes", "_links", "_hash")
 
     def __init__(self, r: int, n: int, edges: Iterable[Iterable[int]] | np.ndarray):
         if not isinstance(r, (int, np.integer)) or r < 2:
@@ -265,74 +268,111 @@ class Hypergraph:
         self._edges = block.T
         self._edge_codes = codes
         self._hash = None
-        self._rows = self._link_codes = self._link_off = None
-        if self.r == 2:
-            # the first column is nondecreasing on both branches, so its
-            # counts are the gaps between the first indices of 0..n
-            first = block[0].searchsorted(np.arange(self.n + 1, dtype=block.dtype))
-            self._deg = np.diff(first) + np.bincount(block[1], minlength=self.n)
-        else:
-            # a vertex's degree is the length of its link
-            self._link_codes, self._link_off = self._build_links(block)
-            self._deg = np.diff(self._link_off)
+        self._links = None
+        # the first column is nondecreasing on both branches, so its counts
+        # are the gaps between the first indices of 0..n; the other columns
+        # are one contiguous run of the block
+        first = block[0].searchsorted(np.arange(self.n + 1, dtype=block.dtype))
+        self._deg = np.diff(first) + np.bincount(block[1:].ravel(), minlength=self.n)
         self._deg.setflags(write=False)
 
-    def _adjacency(self) -> np.ndarray:
-        """The packed adjacency rows of a graph, built on the first call."""
-        rows = self._rows
-        if rows is None:
-            rows = self._build_rows()
-            rows.setflags(write=False)
-            self._rows = rows
-        return rows
+    def _link_store(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+        """The links, built on the first call: the packed link rows, or the
+        sorted link codes and their offsets when the rows would take more
+        bytes (see the module docstring).  Graphs always keep rows."""
+        links = self._links
+        if links is None:
+            code_bytes = np.dtype(_code_dtype(max(self.n, 2), self.r - 1)).itemsize
+            if self.r == 2 or self.n * self._row_bytes() <= self.r * len(self) * code_bytes:
+                links = self._build_rows()
+            else:
+                links = self._build_links()
+            for arr in links if isinstance(links, tuple) else (links,):
+                arr.setflags(write=False)
+            self._links = links
+        return links
+
+    def _row_bytes(self) -> int:
+        """Bytes of one packed link row: ``ceil(n/8)`` for a graph, whole
+        64-bit words of n**(r-1) bits for r >= 3."""
+        if self.r == 2:
+            return (self.n + 7) // 8
+        return (self.n ** (self.r - 1) + 63) // 64 * 8
+
+    def _owner_keys(self) -> Iterator[np.ndarray]:
+        """The owner-first keys of each edge column in turn: the edge codes,
+        then the edges coded with column j moved first, ``(v, rest...)``."""
+        cols = list(self._edges.T)
+        yield self._edge_codes
+        for j in range(1, self.r):
+            yield _encode_rows([cols[j]] + cols[:j] + cols[j + 1 :], max(self.n, 2))
 
     def _build_rows(self) -> np.ndarray:
-        n, arr, codes = self.n, self._edges, self._edge_codes
-        packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-        if n > 8192:
-            for a, b in ((arr[:, 0], arr[:, 1]), (arr[:, 1], arr[:, 0])):
+        n, r, width = self.n, self.r, self._row_bytes()
+        if r == 2 and n > 8192:
+            packed = np.zeros((n, width), dtype=np.uint8)
+            cols = self._edges.T
+            for a, b in ((cols[0], cols[1]), (cols[1], cols[0])):
                 np.bitwise_or.at(packed, (a, b >> 3), (128 >> (b & 7)).astype(np.uint8))
             return packed
-        # Pair codes u*n + v (u < v) and the reverse codes v*n + u are flat
-        # adjacency indices: each block of rows is set from both in a dense
-        # bool buffer, then packed.  One block (n <= 4096) takes all of them;
-        # only several blocks slice the codes, and need the reverse ones sorted.
-        rev = arr[:, 1] * n + arr[:, 0]
-        step = DENSE_BLOCK_BYTES // max(n, 1)
-        if step < n:
-            rev.sort()
-        dense = np.empty(min(step, n) * n, dtype=bool)
+        # The owner-first keys are flat indices into the (n, span) bool matrix
+        # of the rows: a block of rows is set from them in a dense buffer,
+        # then packed.  One block takes the keys of one edge column at a
+        # time, made as they are set, and its packed bits are the rows,
+        # padded once the buffer is freed.  Several blocks slice the keys, and
+        # need the non-first ones sorted (the edge codes already are).
+        span = n ** (r - 1)
+        step = max(1, DENSE_BLOCK_BYTES // max(span, 1))
+        if step >= n:
+            dense = np.zeros(n * span, dtype=bool)
+            for owned in self._owner_keys():
+                dense[owned] = True
+                del owned  # before the next column's keys are made
+            bits = np.packbits(dense.reshape(n, span), axis=1)
+            del dense
+            if width > bits.shape[1]:
+                bits = np.pad(bits, ((0, 0), (0, width - bits.shape[1])))
+            return bits
+        keys = list(self._owner_keys())
+        for others in keys[1:]:
+            others.sort()
+        packed = np.zeros((n, width), dtype=np.uint8)
+        dense = np.empty(step * span, dtype=bool)
         for lo in range(0, n, step):
-            block = dense[: (min(n, lo + step) - lo) * n]
+            hi = min(n, lo + step)
+            block = dense[: (hi - lo) * span]
             block[:] = False
-            for keys in (codes, rev):
-                if step < n:
-                    a, b = keys.searchsorted(np.array([lo, lo + step], keys.dtype) * n)
-                    keys = keys[a:b] - lo * n
-                block[keys] = True
-            packed[lo : lo + step] = np.packbits(block.reshape(-1, n), axis=1)
+            for owned in keys:
+                a, b = owned.searchsorted(np.array([lo, hi], owned.dtype) * span)
+                block[owned[a:b] - lo * span] = True
+            packed[lo:hi, : (span + 7) // 8] = np.packbits(block.reshape(-1, span), axis=1)
         return packed
 
-    def _build_links(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # One owner-first key per edge member, ``(v, rest...)`` coded base n
-        # from the contiguous edge columns (rows of ``block``), so one sort
-        # orders the links by owner and then by link code; the keys span
-        # base**r like the edge codes, so no new encoding limit.  The keys of
-        # owner u fill [u * span, (u + 1) * span), so the sorted keys give
-        # the link offsets by one binary search per vertex.  ``keys %= span``
-        # stays in place: subtracting ``np.repeat(arange(n) * span, deg)``
-        # was no faster and its temporary the size of the keys lifted the
-        # hyper-array benchmark's peak RSS by 6 MB (4.8 %).
+    def _build_links(self) -> tuple[np.ndarray, np.ndarray]:
+        # One sort of the owner-first keys orders the links by owner and then
+        # by link code; the keys span base**r like the edge codes, so no new
+        # encoding limit.  The keys of owner u fill [u * span, (u + 1) *
+        # span), so the sorted keys give the link offsets by one binary
+        # search per vertex.  ``keys %= span`` stays in place: subtracting
+        # ``np.repeat(arange(n) * span, deg)`` was no faster and its
+        # temporary the size of the keys lifted the hyper-array benchmark's
+        # peak RSS by 6 MB (4.8 %), when its host still kept link codes.
         base = max(self.n, 2)
         span = base ** (self.r - 1)
-        cols = list(block)
-        keys = np.concatenate(
-            [_encode_rows([c] + cols[:j] + cols[j + 1 :], base) for j, c in enumerate(cols)]
-        )
+        keys = np.concatenate(list(self._owner_keys()))
         keys.sort()
         off = keys.searchsorted(np.arange(self.n + 1, dtype=keys.dtype) * span)
         keys %= span
         return keys.astype(_code_dtype(base, self.r - 1), copy=False), off
+
+    def _link_codes(self, v: int) -> np.ndarray:
+        """The sorted codes of the (r-1)-tuples of L(v): the set bits of its
+        row, or its slice of the link codes."""
+        links = self._link_store()
+        if isinstance(links, tuple):
+            codes, off = links
+            return codes[off[v] : off[v + 1]]
+        return np.flatnonzero(np.unpackbits(links[v], count=self.n ** (self.r - 1)))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -383,7 +423,7 @@ class Hypergraph:
         read-only."""
         if self.r != 2:
             raise InvalidInput("packed adjacency rows exist only for r = 2")
-        return self._adjacency()
+        return self._link_store()
 
     def edge_list(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row) for row in self._edges]
@@ -412,11 +452,10 @@ class Hypergraph:
             raise InvalidInput(f"face {tuple(face)!r} does not have {self.r - 1} vertices")
         v, *rest = (self._check_vertex(u) for u in face)
         if self.r == 2:
-            return self._adjacency()[v]
+            return self._link_store()[v]
         # the link tuples of v holding all of ``rest`` (none if it repeats a
         # vertex); each has one vertex left, the completion
-        codes = self._link_codes[self._link_off[v] : self._link_off[v + 1]]
-        rows = _decode_codes(codes, max(self.n, 2), self.r - 1).T
+        rows = _decode_codes(self._link_codes(v), max(self.n, 2), self.r - 1).T
         hits = np.isin(rows, rest)
         keep = hits.sum(axis=1) == self.r - 2
         bits = np.zeros(self.n, dtype=bool)
@@ -458,11 +497,7 @@ class Hypergraph:
     def link(self, v: int) -> set[tuple[int, ...]]:
         """The set of (r-1)-tuples completing ``v`` to an edge."""
         v = self._check_vertex(v)
-        if self.r == 2:
-            bits = np.unpackbits(self._adjacency()[v], count=self.n)
-            return {(int(u),) for u in np.nonzero(bits)[0]}
-        codes = self._link_codes[self._link_off[v] : self._link_off[v + 1]]
-        rows = _decode_codes(codes, max(self.n, 2), self.r - 1).T
+        rows = _decode_codes(self._link_codes(v), max(self.n, 2), self.r - 1).T
         return {tuple(int(x) for x in row) for row in rows}
 
     def hamming_distance(self, u: int, v: int) -> int:
@@ -481,9 +516,11 @@ class Hypergraph:
     def distances_from(self, v: int) -> np.ndarray:
         """Link distances from every vertex to ``v`` (entry ``v`` is 0)."""
         v = self._check_vertex(v)
-        if self.r == 2:
-            rows = self._adjacency()
-            xored = rows ^ rows[v]
+        links = self._link_store()
+        if not isinstance(links, tuple):
+            xored = links ^ links[v]
+            if self.r > 2:  # rows of whole words: a popcount per word is 6x faster
+                xored = xored.view(np.uint64)
             return np.bitwise_count(xored).sum(axis=1).astype(np.int64)
         # deg(u) + deg(v) - 2 |L(u) & L(v)|: mark the link codes that lie in
         # L(v), a block at a time, by a lookup in a bool table over the
@@ -493,7 +530,7 @@ class Hypergraph:
         # the marks between its offsets clipped to the block; ``reduceat``
         # sums each owner's nonempty share (it would read one mark for an
         # empty one).
-        codes, off = self._link_codes, self._link_off
+        codes, off = links
         seed = codes[off[v] : off[v + 1]]
         space = max(self.n, 2) ** (self.r - 1)
         if space <= len(codes):
@@ -517,15 +554,15 @@ class Hypergraph:
         Vertices with equal links are twins.  No edge holds two twins u and
         v, since the rest of such an edge would lie in the link of u and hold
         v.  So swapping two twins maps the edges onto themselves.  A link's
-        key is the bytes of its packed adjacency row (graphs) or of its
-        link-code slice (r >= 3), and one dict pass over the keys finds the
-        first vertex of each.
+        key is the bytes of its packed link row or of its link-code slice,
+        and one dict pass over the keys finds the first vertex of each.
         """
-        if self.r == 2:
-            keys = (row.tobytes() for row in self._adjacency())
-        else:
-            codes, off = self._link_codes, self._link_off.tolist()
+        links = self._link_store()
+        if isinstance(links, tuple):
+            codes, off = links[0], links[1].tolist()
             keys = (codes[a:b].tobytes() for a, b in zip(off, off[1:]))
+        else:
+            keys = (row.tobytes() for row in links)
         return np.array(_first_by_key(keys), dtype=np.int64)
 
     # -- induced subgraphs ---------------------------------------------------

@@ -172,6 +172,9 @@ class TestDecideHomMinimal:
         host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
         bad = plant_violation(host, contiguous_classes((80, 80, 80)), 7)
         edge_bytes = bad.edge_array.size * np.dtype(np.int32).itemsize
+        # the links are built on the first query; when this bound was set the
+        # constructor built them, so they are built before the trace here too
+        bad.distances_from(0)
         tracemalloc.start()
         try:
             d = decide_hom_minimal(bad, Pattern.single_edge(3))

@@ -253,12 +253,14 @@ class TestConstruction:
         tracemalloc.start()
         try:
             g = Hypergraph(3, host.n, edges)
+            d = g.distances_from(0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert g == host
-        # about 2x: the build works in int32 columns; int64 (m, r)
-        # temporaries and a lexsort of the links take it past 4x
+        assert g == host and d.max() == 2 * g.degree(0)
+        # about 2x: the build works in int32 columns, and the first distance
+        # query builds the link rows from one 13.8 MB dense block; int64
+        # (m, r) temporaries and a lexsort of the links take it past 4x
         assert peak < 4 * edges.nbytes
 
     def test_dense_rows_peak_near_the_packed_output(self):
@@ -338,15 +340,29 @@ def _half_of_the_edges(r, vertices, seed):
     return [e for e in itertools.combinations(vertices, r) if rng.random() < 0.5]
 
 
-# hosts whose vertex 0 and two top vertices have empty links, by the way the
-# r >= 3 distances mark link codes: a mark table of n**(r-1) entries when
-# that is at most the r * m link codes, np.isin otherwise
+# hosts whose vertex 0 and two top vertices have empty links, by the form of
+# their r >= 3 links: packed rows when their n * 8 * ceil(n**(r-1)/64) bytes
+# are at most those of the r * m int32 link codes; otherwise link codes,
+# marked by a table of n**(r-1) entries when that is at most r * m, and by
+# np.isin past it
 EMPTY_LINK_HOSTS = {
-    "table-r3": (3, 11, _sampled_edges(3, range(1, 9), 45, 0)),  # 135 codes, 121 entries
-    "exact-r3": (3, 12, _sampled_edges(3, range(1, 10), 48, 1)),  # 144 codes, 144 entries
-    "isin-r3": (3, 10, _half_of_the_edges(3, range(1, 8), 3)),  # 57 codes, 100 entries
+    "rows-r3": (3, 11, _sampled_edges(3, range(1, 9), 45, 0)),  # 176 bytes of rows, 540 of codes
+    "rows-exact-r3": (3, 12, _sampled_edges(3, range(1, 10), 24, 2)),  # 288 of rows, 288 of codes
+    "rows-r4": (4, 16, _sampled_edges(4, range(1, 14), 600, 5)),  # 8192 of rows, 9600 of codes
+    "table-r3": (3, 40, _sampled_edges(3, range(1, 38), 600, 0)),  # 1800 codes, 1600 entries
+    "table-exact-r3": (3, 42, _sampled_edges(3, range(1, 39), 588, 1)),  # 1764 codes, 1764 entries
+    "isin-r3": (3, 10, _sampled_edges(3, range(1, 8), 10, 3)),  # 30 codes, 100 entries
     "isin-r4": (4, 10, _half_of_the_edges(4, range(1, 8), 4)),  # 52 codes, 1000 entries
 }
+
+
+def _row_bytes(r, n):
+    """Bytes of the packed link rows of an r >= 3 host on n vertices."""
+    return n * 8 * -(-(n ** (r - 1)) // 64)
+
+
+def _links_by_brute_force(n, edges):
+    return [{tuple(u for u in sorted(e) if u != v) for e in edges if v in e} for v in range(n)]
 
 
 class TestDegree:
@@ -558,9 +574,10 @@ class TestHammingDistance:
     @pytest.mark.parametrize("case", list(EMPTY_LINK_HOSTS))
     @pytest.mark.parametrize("block", [1, 3, 7, 1 << 18])
     def test_distances_with_empty_links(self, monkeypatch, case, block):
-        # vertex 0 and the top vertices have empty links, so their segments
-        # of the link codes are empty and the last owner of a code is not the
-        # last vertex; small blocks split the links mid-segment
+        # vertex 0 and the top vertices have empty links: their rows are
+        # zero, or their segments of the link codes are empty and the last
+        # owner of a code is not the last vertex; small blocks split the
+        # link codes mid-segment
         r, n, edges = EMPTY_LINK_HOSTS[case]
         monkeypatch.setattr(hypergraph_module, "LINK_BLOCK", block)
         isin_calls = []
@@ -572,34 +589,136 @@ class TestHammingDistance:
 
         monkeypatch.setattr(np, "isin", isin)
         g = Hypergraph(r, n, edges)
-        links = [{tuple(u for u in e if u != v) for e in edges if v in e} for v in range(n)]
+        links = _links_by_brute_force(n, edges)
         assert not links[0] and not links[n - 2] and not links[n - 1]
         for v in range(n):
             assert g.distances_from(v).tolist() == [len(links[u] ^ links[v]) for u in range(n)]
-        by_table = n ** (r - 1) <= r * len(edges)
-        assert by_table == case.startswith(("table", "exact"))
-        assert bool(isin_calls) != by_table
-        if case.startswith("exact"):
-            assert n ** (r - 1) == r * len(edges)
+        code_bytes = 4 * r * len(edges)
+        if _row_bytes(r, n) <= code_bytes:
+            branch, exact = "rows", _row_bytes(r, n) == code_bytes
+        else:
+            branch = "table" if n ** (r - 1) <= r * len(edges) else "isin"
+            exact = n ** (r - 1) == r * len(edges)
+        assert case.split("-")[0] == branch
+        assert exact == ("-exact-" in case)
+        assert isinstance(g._links, np.ndarray) == (branch == "rows")
+        assert bool(isin_calls) == (branch == "isin")
 
-    def test_distances_peak_memory(self):
-        # the membership marks go a block of link codes at a time; marking
-        # the whole code array at once peaked at 3.7x its size
-        host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
-        link_bytes = host.r * len(host) * np.dtype(np.int32).itemsize  # 6.1 MB
+    @pytest.mark.parametrize("form", ["rows", "table"])
+    def test_distances_peak_memory(self, form):
+        # a query's temporaries once the links are built: the XOR of the
+        # rows, or the membership marks of one block of link codes at a time
+        # (marking the whole code array at once peaked at 3.7x its size)
+        if form == "rows":
+            host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
+        else:
+            triples = np.sort(rng_from_seed(1000).integers(0, 1000, size=(450_000, 3)), axis=1)
+            triples = triples[(triples[:, 0] < triples[:, 1]) & (triples[:, 1] < triples[:, 2])]
+            host = Hypergraph(3, 1000, np.unique(triples, axis=0)[:400_000])
+        link_bytes = host.r * len(host) * np.dtype(np.int32).itemsize  # 6.1 and 4.8 MB
+        host.distances_from(0)
+        assert isinstance(host._links, np.ndarray) == (form == "rows")
         tracemalloc.start()
         try:
             d = host.distances_from(5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert d[5] == 0 and d.max() == 2 * host.degree(5)
+        assert d[5] == 0
+        link = host.link(5)
+        assert [d[u] for u in (0, 1, 239)] == [len(host.link(u) ^ link) for u in (0, 1, 239)]
         assert peak <= link_bytes
 
+    def test_a_sparse_host_builds_no_rows(self):
+        # its rows would take n * n**2 / 8 = 1 GB; its link codes are 12 bytes
+        g = Hypergraph(3, 2000, [(0, 1, 2)])
+        tracemalloc.start()
+        try:
+            d = g.distances_from(1)
+            roots = g.twin_classes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d[:3].tolist() == [2, 0, 2] and (d[3:] == 1).all()
+        assert roots[:4].tolist() == [0, 1, 2, 3] and (roots[4:] == 3).all()
+        assert peak < 1 << 20
 
-class TestDegreesFromLinkOffsets:
-    """For r >= 3 the degrees are the differences of the link offsets; they
-    must equal a count of the edge array's entries."""
+
+class TestLinkForms:
+    """Both forms of the r >= 3 links, on either side of the row rule and
+    with the rows built several dense blocks at a time, answer every query
+    as the links of a brute-force count do."""
+
+    @staticmethod
+    def _hosts(r):
+        rng = rng_from_seed(r)
+        n = 14 if r == 3 else 16
+        pool = np.array(list(itertools.combinations(range(n), r)))
+        dense = pool[rng.random(len(pool)) < 0.6]
+        sparse = pool[rng.random(len(pool)) < 0.02]
+        clique = Pattern(r, r + 1, itertools.combinations(range(r + 1), r))
+        blowup = pattern_blowup(clique, rng.integers(1, 4, size=r + 1).tolist())
+        twins = rng.permutation(blowup.n)[blowup.edge_array]
+        return [
+            ("dense", n, dense),
+            ("sparse", n, sparse),
+            ("blowup", blowup.n, twins),
+            ("padded-blowup", 3 * blowup.n, twins),
+        ]
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, None])
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_queries_match_brute_force_links(self, monkeypatch, r, rows_per_block):
+        forms = []
+        for name, n, edges in self._hosts(r):
+            if rows_per_block:
+                block_bytes = rows_per_block * n ** (r - 1)
+                monkeypatch.setattr(hypergraph_module, "DENSE_BLOCK_BYTES", block_bytes)
+            g = Hypergraph(r, n, edges[rng_from_seed(n).permutation(len(edges))])
+            edge_set = {tuple(sorted(e)) for e in edges.tolist()}
+            links = _links_by_brute_force(n, edge_set)
+            np.testing.assert_array_equal(g.degrees(), [len(link) for link in links])
+            for v in range(n):
+                assert g.distances_from(v).tolist() == [len(links[u] ^ links[v]) for u in range(n)]
+                assert g.link(v) == links[v]
+            assert g.twin_classes().tolist() == [links.index(link) for link in links]
+            for face in itertools.product(range(n), repeat=r - 1):
+                row = np.unpackbits(g.completions(face), count=n).tolist()
+                assert row == [
+                    len(set(face) | {w}) == r and tuple(sorted(face + (w,))) in edge_set
+                    for w in range(n)
+                ], (name, face)
+            rows = isinstance(g._links, np.ndarray)
+            assert rows == (_row_bytes(r, n) <= 4 * r * len(edges))
+            forms.append(rows)
+        # the dense hosts keep rows, the sparse and the padded ones link codes
+        assert forms[:2] == [True, False] and forms[3] is False
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_links_wait_for_their_first_query(self, r):
+        # build, degrees and serialization read no link; the eager link
+        # codes took the build's peak from 2.4x to 3.4x the edge bytes
+        host = pattern_blowup(Pattern.single_edge(r), (40, 40, 40) if r == 3 else (12,) * 4)
+        edges = np.ascontiguousarray(host.edge_array)
+        tracemalloc.start()
+        try:
+            g = Hypergraph(r, host.n, edges)
+            deg = g.degrees()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert serialize_hypergraph(g) == serialize_hypergraph(host)
+        np.testing.assert_array_equal(deg, np.bincount(edges.ravel(), minlength=host.n))
+        assert g._links is None
+        assert peak < 3 * edges.nbytes
+        assert g.twin_classes().tolist() == host.twin_classes().tolist()
+        assert g._links is not None
+
+
+class TestDegreesByColumn:
+    """For r >= 3 the degrees are the first column's offsets plus a count of
+    every other column; they must equal a count of the edge array's entries,
+    and reading them builds no link."""
 
     @pytest.mark.parametrize("r", [3, 4])
     @pytest.mark.parametrize("shuffled", [False, True], ids=["canonical", "shuffled"])
@@ -624,6 +743,7 @@ class TestDegreesFromLinkOffsets:
         assert deg.dtype == expected.dtype
         np.testing.assert_array_equal(deg, expected)
         assert [g.degree(v) for v in range(g.n)] == expected.tolist()
+        assert g._links is None
         if g.n:
             with pytest.raises(ValueError):
                 deg[0] = 1
