@@ -33,7 +33,9 @@ The links take one of two forms:
   keeps them, padded to whole 64-bit words so that the XOR is counted a
   word at a time, when their ``n * 8 * ceil(n**(r-1)/64)`` bytes are no
   more than the bytes of its link codes: the 3 x 80 complete 3-partite host
-  has 1.73 MB of rows against 6.14 MB of codes.
+  has 1.73 MB of rows against 6.14 MB of codes.  Every n and r builds them
+  one way: a block of rows at a time is set in a dense bool buffer at the
+  owner-first keys, then packed.
 * Sorted link codes, for a sparser r >= 3 host: one sort of the owner-first
   keys orders them by owner and then by link code, and a binary search of
   the sorted keys at each owner's first key gives the link offsets.  The
@@ -73,10 +75,10 @@ __all__ = ["Hypergraph", "Partition"]
 # ask for ~125 GB.
 MAX_VERTEX_TABLE_BYTES = 1 << 30
 
-# Bytes of the dense bool buffer that builds packed link rows (for graphs,
-# n <= 8192) a block of rows at a time: one block up to n = 4096 for graphs
-# and n = 256 for r = 3, so the peak of a larger host is the packed rows plus
-# this buffer instead of the whole bool matrix.
+# Bytes of the dense bool buffer that builds packed link rows, for every n
+# and r, a block of rows at a time: one block up to n = 4096 for graphs and
+# n = 256 for r = 3, so the peak of a larger host is the packed rows plus this
+# buffer instead of the whole bool matrix.
 DENSE_BLOCK_BYTES = 1 << 24
 
 # Link codes marked and counted per block by ``distances_from`` on an r >= 3
@@ -309,12 +311,6 @@ class Hypergraph:
 
     def _build_rows(self) -> np.ndarray:
         n, r, width = self.n, self.r, self._row_bytes()
-        if r == 2 and n > 8192:
-            packed = np.zeros((n, width), dtype=np.uint8)
-            cols = self._edges.T
-            for a, b in ((cols[0], cols[1]), (cols[1], cols[0])):
-                np.bitwise_or.at(packed, (a, b >> 3), (128 >> (b & 7)).astype(np.uint8))
-            return packed
         # The owner-first keys are flat indices into the (n, span) bool matrix
         # of the rows: a block of rows is set from them in a dense buffer,
         # then packed.  One block takes the keys of one edge column at a
@@ -424,6 +420,15 @@ class Hypergraph:
         if self.r != 2:
             raise InvalidInput("packed adjacency rows exist only for r = 2")
         return self._link_store()
+
+    @property
+    def link_rows(self) -> np.ndarray | None:
+        """The packed link rows, ``(n, row bytes)`` uint8 and read-only, or
+        ``None`` when the host keeps sorted link codes (see the module
+        docstring).  Row v marks the base-n codes of the (r-1)-tuples of
+        L(v), most significant bit first; a graph's are its adjacency rows."""
+        links = self._link_store()
+        return None if isinstance(links, tuple) else links
 
     def edge_list(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row) for row in self._edges]

@@ -36,10 +36,14 @@ from linkclust import (
     peel,
     plant_violation,
     rng_from_seed,
+    serialize_hypergraph,
+    serialize_pattern,
     turan_classes,
     turan_graph,
     turan_number,
 )
+
+from linkclust.cli import run_cli
 
 from helpers import (
     CountingDeadline,
@@ -772,6 +776,47 @@ def test_the_k_k_row_does_not_calibrate(monkeypatch):
     planted = plant_violation(host, contiguous_classes(balanced_sizes(60, 3)), 0)
     assert decide_k_colorable(planted, 3).is_no
     assert decide_k_colorable(host, 4, DeciderConfig(strict=False)).is_yes
+
+
+def test_complete_patterns_answer_without_the_signature_path(monkeypatch, tmp_path, capsys):
+    # the single 3-edge is K_3^(3): both deciders of the hyper-array
+    # benchmark, the CLI's K4^(3) decision and kcolor take the complete row,
+    # while C5 is not complete and still reads the signatures
+    def refuse(*args):
+        raise AssertionError("the signature path was reached")
+
+    monkeypatch.setattr(deciders, "_signature_verdict", refuse)
+    single = Pattern.single_edge(3)
+    host = pattern_blowup(single, (10, 10, 10))
+    assert decide_hom_minimal(host, single).is_yes
+    assert embed_min_decide(host, catalog("generalized_triangle", r=3), single).is_yes
+    k4_3 = Pattern.from_multisets(3, 4, list(itertools.combinations(range(4), 3)))
+    (tmp_path / "host.txt").write_text(serialize_hypergraph(pattern_blowup(k4_3, (25,) * 4)))
+    (tmp_path / "k4_3.pat").write_text(serialize_pattern(k4_3))
+    argv = ["decide", "hom", "--host", str(tmp_path / "host.txt"), "--pattern", str(tmp_path / "k4_3.pat")]
+    assert run_cli(argv) == 0
+    assert decide_k_colorable(turan_graph(30, 3), 3).is_yes
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="signature path"):
+        decide_shom_rigid(pattern_blowup(Pattern.cycle(5), (5,) * 5), Pattern.cycle(5), SHOM_CFG)
+
+
+def test_the_complete_verdict_peaks_below_the_link_rows():
+    # one class's share of the rows at a time, with no (n, width) gather of
+    # the class masks: 0.77 MB traced against 1.73 MB of rows on the
+    # hyper-array benchmark's host, one edge planted
+    base = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
+    parts = contiguous_classes((80, 80, 80))
+    host = plant_violation(base, parts, 7)
+    rows = host.link_rows
+    tracemalloc.start()
+    try:
+        edge = deciders._complete_verdict(host, parts.labels, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edge == planted_edge(base, host)
+    assert peak < rows.nbytes
 
 
 @pytest.mark.parametrize("s", [2, 4, 10])

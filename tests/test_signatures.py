@@ -1,16 +1,18 @@
 """Edge signature tests: the coded signature verdict against the count-matrix
-reference, and the number of relabeling searches it makes."""
+reference, the number of relabeling searches it makes, and the complete
+pattern's verdict against both."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkclust import Hypergraph, Pattern, oracles
-from linkclust.deciders import DecideStats, _signature_verdict
+from linkclust import Hypergraph, Pattern, oracles, pattern_blowup
+from linkclust.deciders import DecideStats, _cluster, _complete_verdict, _signature_verdict
 
 from helpers import CountingDeadline, is_valid_coloring, reference_signature_verdict
 
@@ -129,3 +131,86 @@ def test_bad_prefix_takes_logarithmically_many_searches(monkeypatch):
     _assert_same(got, want)
     assert got == (None, (7, 8))
     assert len(CountingDeadline.made) <= math.ceil(math.log2(8)) + 1
+
+
+# -- the complete pattern's verdict ---------------------------------------------
+
+
+def complete_pattern(r: int, l: int) -> Pattern:
+    return Pattern(r, l, itertools.combinations(range(l), r))
+
+
+def _sample_edges(rng, n: int, r: int, count: int) -> np.ndarray:
+    pool = np.array(list(itertools.combinations(range(n), r)), dtype=np.int64).reshape(-1, r)
+    return pool[rng.choice(len(pool), count, replace=False)]
+
+
+@st.composite
+def complete_cases(draw):
+    """``(host, l, labels)`` for K_l^(r) with r in {2, 3, 4} and l in
+    {r, r+1, r+2}: a random host that keeps link rows or link codes, as drawn,
+    under random labels that may leave classes empty; or a relabelled blow-up
+    of K_l^(r) with parts of 1-3 vertices, some edges planted inside a part,
+    under its part labels with a few of them redrawn."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    l = r + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(r, 9))
+        total = math.comb(n, r)
+        # rows when they take no more bytes than the int32 link codes
+        least = 0 if r == 2 else -(-n * 8 * -(-(n ** (r - 1)) // 64) // (4 * r))
+        form = "rows" if r == 2 else draw(st.sampled_from(["rows", "codes"]))
+        if form == "rows":
+            assume(least <= total)
+            count = draw(st.integers(least, total))
+        else:
+            count = draw(st.integers(0, min(least - 1, total)))
+        host = Hypergraph(r, n, _sample_edges(rng, n, r, count))
+        assert (host.link_rows is None) == (form == "codes")
+        return host, l, rng.integers(0, l, size=n)
+    sizes = rng.integers(1, 4, size=l)
+    blowup = pattern_blowup(complete_pattern(r, l), sizes.tolist())
+    n = blowup.n
+    perm = rng.permutation(n)
+    labels = np.empty(n, dtype=np.int64)
+    labels[perm] = np.repeat(np.arange(l), sizes)
+    edges = [perm[blowup.edge_array]]
+    for _ in range(draw(st.integers(0, 2))):
+        part = rng.integers(l)
+        if sizes[part] >= r:
+            edges.append(np.sort(rng.choice(np.flatnonzero(labels == part), r, replace=False))[None])
+    edges = np.unique(np.concatenate(edges).reshape(-1, r), axis=0)
+    flips = rng.choice(n, min(n, draw(st.integers(0, 2))), replace=False)
+    labels[flips] = rng.integers(0, l, size=flips.size)
+    return Hypergraph(r, n, edges[rng.permutation(len(edges))]), l, labels
+
+
+@given(complete_cases())
+@settings(max_examples=300, deadline=None)
+def test_the_complete_verdict_matches_the_reference(case):
+    host, l, labels = case
+    pattern = complete_pattern(host.r, l)
+    edge = _complete_verdict(host, labels, l)
+    assert edge == reference_signature_verdict(host, pattern, labels)[1]
+    assert edge == _signature_verdict(host, pattern, labels, DecideStats())[1]
+    if edge is None:
+        assert is_valid_coloring(host, pattern, labels)
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_balanced_blowups_keep_the_signature_labels(r, extra, size, seed):
+    # the clustering at the core's radius recovers the parts, and the
+    # signature path's relabeling of them is the identity
+    l = r + extra
+    pattern = complete_pattern(r, l)
+    blowup = pattern_blowup(pattern, [size] * l)
+    perm = np.random.default_rng(seed).permutation(blowup.n)
+    host = Hypergraph(r, blowup.n, perm[blowup.edge_array])
+    radius = Fraction(2, 3 * l - 1) if r == 2 else Fraction(1, 2 * l) ** (r - 1) / math.factorial(r - 1)
+    labels, _ = _cluster(host, l, radius)
+    assert _complete_verdict(host, labels, l) is None
+    relabeled, edge = _signature_verdict(host, pattern, labels, DecideStats())
+    assert edge is None
+    np.testing.assert_array_equal(relabeled, labels)
