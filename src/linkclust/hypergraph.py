@@ -35,7 +35,8 @@ The links take one of two forms:
   more than the bytes of its link codes: the 3 x 80 complete 3-partite host
   has 1.73 MB of rows against 6.14 MB of codes.  Every n and r builds them
   one way: a block of rows at a time is set in a dense bool buffer at the
-  owner-first keys, then packed.
+  owner-first keys, then packed.  Each column of keys is cast to intp as it
+  indexes the buffer: numpy scatters through intp about twice as fast.
 * Sorted link codes, for a sparser r >= 3 host: one sort of the owner-first
   keys orders them by owner and then by link code, and a binary search of
   the sorted keys at each owner's first key gives the link offsets.  The
@@ -231,7 +232,14 @@ class Hypergraph:
             rows = [_integer_edge(e, self.r) for e in rows]
             arr = np.array(rows, dtype=object).reshape(arr.shape)
 
-        if arr.size:
+        # A signed array is range-checked in one read: viewed as the unsigned
+        # type of its size, a negative vertex is past n (0.61 ms against 1.24
+        # for ``min`` and ``max`` on 512 000 int64 triples).  Unsigned, bool
+        # and object arrays, whose values may lie past int64, read both; the
+        # bounds that name the vertex are read only on the error path.
+        if arr.size and (
+            arr.dtype.kind != "i" or arr.view(arr.dtype.str.replace("i", "u")).max() >= self.n
+        ):
             lo, hi = int(arr.min()), int(arr.max())
             if lo < 0 or hi >= self.n:
                 raise InvalidInput(
@@ -316,13 +324,18 @@ class Hypergraph:
         # then packed.  One block takes the keys of one edge column at a
         # time, made as they are set, and its packed bits are the rows,
         # padded once the buffer is freed.  Several blocks slice the keys, and
-        # need the non-first ones sorted (the edge codes already are).
+        # need the non-first ones sorted (the edge codes already are).  The
+        # keys index the buffer as intp: numpy's int32 index path scattered
+        # one column of the 3 x 80 host in 2.2-2.9 ms, the same keys cast
+        # first in 0.85-1.4 ms.  They stay int32 until then, as the link
+        # codes sort them, and a slice is cast before its block offset is
+        # subtracted, so that both steps share one temporary.
         span = n ** (r - 1)
         step = max(1, DENSE_BLOCK_BYTES // max(span, 1))
         if step >= n:
             dense = np.zeros(n * span, dtype=bool)
             for owned in self._owner_keys():
-                dense[owned] = True
+                dense[owned.astype(np.intp, copy=False)] = True
                 del owned  # before the next column's keys are made
             bits = np.packbits(dense.reshape(n, span), axis=1)
             del dense
@@ -340,7 +353,9 @@ class Hypergraph:
             block[:] = False
             for owned in keys:
                 a, b = owned.searchsorted(np.array([lo, hi], owned.dtype) * span)
-                block[owned[a:b] - lo * span] = True
+                at = owned[a:b].astype(np.intp)
+                at -= lo * span
+                block[at] = True
             packed[lo:hi, : (span + 7) // 8] = np.packbits(block.reshape(-1, span), axis=1)
         return packed
 

@@ -329,6 +329,77 @@ class TestConstruction:
             TRIPLE.packed_adjacency
 
 
+class TestRangeCheck:
+    """A signed edge array is range-checked by one read of its unsigned
+    view, where a negative vertex is past n; unsigned, bool and object
+    arrays by their least and greatest values.  Every dtype refuses with the
+    same message, naming the least vertex when it is negative and the
+    greatest otherwise."""
+
+    @pytest.mark.parametrize("dtype", ["i1", "i2", "i4", "i8", ">i8"])
+    @pytest.mark.parametrize("bad", ["negative", "least", "n", "both"])
+    def test_signed_arrays_refuse_a_vertex_outside(self, dtype, bad):
+        n = 5
+        least = int(np.iinfo(np.dtype(dtype)).min)
+        vertex, named = {
+            "negative": ([-1], -1),
+            "least": ([least], least),
+            "n": ([n], n),
+            "both": ([n, -2], -2),
+        }[bad]
+        edges = np.array([(0, 1, 2)] + [(3, 4, v) for v in vertex], dtype=dtype)
+        with pytest.raises(InvalidInput) as err:
+            Hypergraph(3, n, edges)
+        assert str(err.value) == f"edge vertex {named} outside [0, {n})"
+
+    @pytest.mark.parametrize(
+        "dtype, vertex",
+        [(np.uint32, 5), (np.uint32, 2**32 - 1), (np.uint64, 5), (np.uint64, 2**63), (np.uint64, 2**64 - 1)],
+    )
+    def test_unsigned_arrays_refuse_a_vertex_past_n(self, dtype, vertex):
+        edges = np.array([(0, 1, 2), (3, 4, vertex)], dtype=dtype)
+        with pytest.raises(InvalidInput) as err:
+            Hypergraph(3, 5, edges)
+        assert str(err.value) == f"edge vertex {vertex} outside [0, 5)"
+
+    def test_bool_arrays_are_checked_against_n(self):
+        edges = np.array([(False, True)])
+        assert Hypergraph(2, 2, edges).edge_list() == [(0, 1)]
+        with pytest.raises(InvalidInput) as err:
+            Hypergraph(2, 1, edges)
+        assert str(err.value) == "edge vertex 1 outside [0, 1)"
+
+    @pytest.mark.parametrize("vertex", [2**63, 2**64, -(2**63) - 1, -(2**64)])
+    def test_object_arrays_refuse_a_vertex_past_int64(self, vertex):
+        edges = np.array([(0, 1, 2), (3, 4, vertex)], dtype=object)
+        with pytest.raises(InvalidInput) as err:
+            Hypergraph(3, 5, edges)
+        assert str(err.value) == f"edge vertex {vertex} outside [0, 5)"
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_accepted_layouts_and_dtypes_build_the_same_host(self, r):
+        rng = np.random.default_rng(r)
+        base = pattern_blowup(Pattern.single_edge(r), (6,) * r)
+        perm = rng.permutation(base.n)
+        edges = np.ascontiguousarray(perm[base.edge_array], dtype=np.int64)
+        ref = Hypergraph(r, base.n, edges)
+        flipped = np.ascontiguousarray(edges[::-1, ::-1])
+        forms = {
+            "reversed-view": flipped[::-1, ::-1],
+            "int32": edges.astype(np.int32),
+            "uint16": edges.astype(np.uint16),
+            "big-endian": edges.astype(">i8"),
+            "shuffled": edges[rng.permutation(len(edges))],
+        }
+        assert not forms["reversed-view"].flags.c_contiguous
+        for name, rows in forms.items():
+            g = Hypergraph(r, base.n, rows)
+            np.testing.assert_array_equal(g.edge_array, ref.edge_array, err_msg=name)
+            np.testing.assert_array_equal(g.degrees(), ref.degrees(), err_msg=name)
+            np.testing.assert_array_equal(g.link_rows, ref.link_rows, err_msg=name)
+        assert ref.link_rows is not None
+
+
 def _sampled_edges(r, vertices, count, seed):
     pool = list(itertools.combinations(vertices, r))
     pick = np.random.default_rng(seed).choice(len(pool), count, replace=False)

@@ -5,13 +5,14 @@ pattern's verdict against both."""
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkclust import Hypergraph, Pattern, oracles, pattern_blowup
+from linkclust import Hypergraph, Pattern, deciders, oracles, pattern_blowup
 from linkclust.deciders import DecideStats, _cluster, _complete_verdict, _signature_verdict
 
 from helpers import CountingDeadline, is_valid_coloring, reference_signature_verdict
@@ -196,6 +197,11 @@ def test_the_complete_verdict_matches_the_reference(case):
     assert edge == _signature_verdict(host, pattern, labels, DecideStats())[1]
     if edge is None:
         assert is_valid_coloring(host, pattern, labels)
+    # a class's rows split across slices of one or two rows give the same edge
+    if host.link_rows is not None:
+        for rows in (1, 2):
+            with mock.patch.object(deciders, "VERDICT_BLOCK_BYTES", rows * host.link_rows.shape[1]):
+                assert _complete_verdict(host, labels, l) == edge
 
 
 @given(st.sampled_from([2, 3, 4]), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -214,3 +220,11 @@ def test_balanced_blowups_keep_the_signature_labels(r, extra, size, seed):
     relabeled, edge = _signature_verdict(host, pattern, labels, DecideStats())
     assert edge is None
     np.testing.assert_array_equal(relabeled, labels)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_the_complete_verdict_on_no_vertices(r):
+    # rows of zero bytes still slice the classes
+    host = Hypergraph(r, 0, [])
+    assert host.link_rows.shape == (0, 0)
+    assert _complete_verdict(host, np.zeros(0, dtype=np.int64), r) is None
