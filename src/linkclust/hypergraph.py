@@ -35,8 +35,9 @@ The links take one of two forms:
   more than the bytes of its link codes: the 3 x 80 complete 3-partite host
   has 1.73 MB of rows against 6.14 MB of codes.  Every n and r builds them
   one way: a block of rows at a time is set in a dense bool buffer at the
-  owner-first keys, then packed.  Each column of keys is cast to intp as it
-  indexes the buffer: numpy scatters through intp about twice as fast.
+  owner-first keys, then packed.  The keys are cast to intp, a slice at a
+  time, as they index the buffer: numpy scatters through intp about twice
+  as fast.
 * Sorted link codes, for a sparser r >= 3 host: one sort of the owner-first
   keys orders them by owner and then by link code, and a binary search of
   the sorted keys at each owner's first key gives the link offsets.  The
@@ -82,6 +83,11 @@ MAX_VERTEX_TABLE_BYTES = 1 << 30
 # buffer instead of the whole bool matrix.
 DENSE_BLOCK_BYTES = 1 << 24
 
+# Owner-first keys cast to intp and set at a time by ``_build_rows``: a
+# 512 KiB buffer, reused for every slice, where a whole column's cast took
+# 8 bytes a key.
+SCATTER_KEYS = 1 << 16
+
 # Link codes marked and counted per block by ``distances_from`` on an r >= 3
 # host that keeps link codes, so that its temporaries stay well below the
 # codes themselves: the block's bool marks and the int64 sums that
@@ -111,6 +117,21 @@ def _check_size(r: int, n: int) -> None:
             f"tables, above MAX_VERTEX_TABLE_BYTES = {MAX_VERTEX_TABLE_BYTES}"
         )
     _code_dtype(max(n, 2), r)
+
+
+def _scatter(dense: np.ndarray, keys: np.ndarray, offset: int, at: np.ndarray) -> None:
+    """Set ``dense[keys - offset]``, ``at.size`` keys at a time cast into the
+    intp buffer `at`.  numpy's int32 index path set the keys of the 3 x 80
+    complete 3-partite 3-graph in 6.7 ms, through `at` in 3.6-5.1.  Casting
+    each whole column was about as fast there (4.4-5.0 ms), but on T(4000, 3)
+    its 21 MB temporary took the scatter from 55-67 ms (int32) to 73-75,
+    against 50-51 through `at` (2-core Xeon, best of 5 after a cold run)."""
+    for start in range(0, keys.size, at.size):
+        part = at[: min(at.size, keys.size - start)]
+        part[...] = keys[start : start + at.size]
+        if offset:
+            part -= offset
+        dense[part] = True
 
 
 def _sort_columns(cols: list[np.ndarray]) -> None:
@@ -232,13 +253,17 @@ class Hypergraph:
             rows = [_integer_edge(e, self.r) for e in rows]
             arr = np.array(rows, dtype=object).reshape(arr.shape)
 
-        # A signed array is range-checked in one read: viewed as the unsigned
-        # type of its size, a negative vertex is past n (0.61 ms against 1.24
-        # for ``min`` and ``max`` on 512 000 int64 triples).  Unsigned, bool
-        # and object arrays, whose values may lie past int64, read both; the
-        # bounds that name the vertex are read only on the error path.
+        # An int32 or int64 array is range-checked in one read: viewed as the
+        # unsigned type of its size, a negative vertex reads as at least 2**31,
+        # past every n that ``_check_size`` admits (0.61 ms against 1.24 for
+        # ``min`` and ``max`` on 512 000 int64 triples).  A narrower signed
+        # array is not: int8 -100 reads as 156.  It, and unsigned, bool and
+        # object arrays, whose values may lie past int64, read both; the bounds
+        # that name the vertex are read only on the error path.
         if arr.size and (
-            arr.dtype.kind != "i" or arr.view(arr.dtype.str.replace("i", "u")).max() >= self.n
+            arr.dtype.kind != "i"
+            or arr.dtype.itemsize < 4
+            or arr.view(arr.dtype.str.replace("i", "u")).max() >= self.n
         ):
             lo, hi = int(arr.min()), int(arr.max())
             if lo < 0 or hi >= self.n:
@@ -325,17 +350,15 @@ class Hypergraph:
         # time, made as they are set, and its packed bits are the rows,
         # padded once the buffer is freed.  Several blocks slice the keys, and
         # need the non-first ones sorted (the edge codes already are).  The
-        # keys index the buffer as intp: numpy's int32 index path scattered
-        # one column of the 3 x 80 host in 2.2-2.9 ms, the same keys cast
-        # first in 0.85-1.4 ms.  They stay int32 until then, as the link
-        # codes sort them, and a slice is cast before its block offset is
-        # subtracted, so that both steps share one temporary.
+        # keys stay int32, as the link codes sort them, and are cast to intp
+        # as they are set (:func:`_scatter`).
         span = n ** (r - 1)
         step = max(1, DENSE_BLOCK_BYTES // max(span, 1))
+        at = np.empty(min(SCATTER_KEYS, max(len(self._edge_codes), 1)), dtype=np.intp)
         if step >= n:
             dense = np.zeros(n * span, dtype=bool)
             for owned in self._owner_keys():
-                dense[owned.astype(np.intp, copy=False)] = True
+                _scatter(dense, owned, 0, at)
                 del owned  # before the next column's keys are made
             bits = np.packbits(dense.reshape(n, span), axis=1)
             del dense
@@ -353,9 +376,7 @@ class Hypergraph:
             block[:] = False
             for owned in keys:
                 a, b = owned.searchsorted(np.array([lo, hi], owned.dtype) * span)
-                at = owned[a:b].astype(np.intp)
-                at -= lo * span
-                block[at] = True
+                _scatter(block, owned[a:b], lo * span, at)
             packed[lo:hi, : (span + 7) // 8] = np.packbits(block.reshape(-1, span), axis=1)
         return packed
 

@@ -330,9 +330,9 @@ class TestConstruction:
 
 
 class TestRangeCheck:
-    """A signed edge array is range-checked by one read of its unsigned
-    view, where a negative vertex is past n; unsigned, bool and object
-    arrays by their least and greatest values.  Every dtype refuses with the
+    """An int32 or int64 edge array is range-checked by one read of its
+    unsigned view, where a negative vertex is past n; narrower signed,
+    unsigned, bool and object arrays by their least and greatest values.  Every dtype refuses with the
     same message, naming the least vertex when it is negative and the
     greatest otherwise."""
 
@@ -351,6 +351,19 @@ class TestRangeCheck:
         with pytest.raises(InvalidInput) as err:
             Hypergraph(3, n, edges)
         assert str(err.value) == f"edge vertex {named} outside [0, {n})"
+
+    @pytest.mark.parametrize(
+        "dtype, r, n, vertex",
+        [("i1", 3, 200, -100), ("i1", 2, 129, -128), ("i2", 2, 40000, -30000), ("i2", 3, 40000, -30000)],
+    )
+    def test_narrow_signed_arrays_refuse_a_negative_vertex_below_n_unsigned(self, dtype, r, n, vertex):
+        # the unsigned view of the negative vertex lies below n, so only the
+        # least value finds it
+        assert int(np.array(vertex, dtype=dtype).view(dtype.replace("i", "u"))) < n
+        edges = np.array([tuple(range(r)), tuple(range(1, r)) + (vertex,)], dtype=dtype)
+        with pytest.raises(InvalidInput) as err:
+            Hypergraph(r, n, edges)
+        assert str(err.value) == f"edge vertex {vertex} outside [0, {n})"
 
     @pytest.mark.parametrize(
         "dtype, vertex",
