@@ -239,9 +239,9 @@ def _complete_verdict(
 
     On a host that keeps link rows, vertex v lies in such an edge exactly
     when its row hits the mask of its own class (:func:`_class_mask`); the
-    rows are ANDed one class at a time, ``VERDICT_BLOCK_BYTES`` of them at
-    once and as words when r >= 3, so the temporary is a slice of the rows
-    whatever the labels.  Every violating edge hits
+    rows are ANDed as words one class at a time, ``VERDICT_BLOCK_BYTES`` of
+    them at once, so the temporary is a slice of the rows whatever the
+    labels.  Every violating edge hits
     the rows of all its vertices, so the least vertex a whose row hits is
     the least vertex of the lexicographically least violating edge, and
     every hit in row a comes from an edge whose least vertex is a.  That
@@ -268,12 +268,12 @@ def _complete_verdict(
             if hits.size:
                 return tuple(int(v) for v in block[hits[0]])
         return None
-    words = rows.view(np.uint64) if r > 2 else rows
+    words = rows.view(np.uint64)
     hit = np.zeros(hypergraph.n, dtype=bool)
     step = max(1, VERDICT_BLOCK_BYTES // max(rows.shape[1], 1))
     for j in range(num_classes):
         members = np.flatnonzero(labels == j)
-        mask = _class_mask(labels, j, r, rows.shape[1]).view(words.dtype)
+        mask = _class_mask(labels, j, r, rows.shape[1]).view(np.uint64)
         for start in range(0, members.size, step):
             part = members[start : start + step]
             anded = words.take(part, axis=0)
@@ -619,10 +619,11 @@ def embed_min_decide(
     The caller supplies the pairing: hosts colorable by ``pattern`` avoid
     ``small``, and dense ``small``-free hosts are pattern-colorable.  Small
     hosts go straight to the exhaustive embedding search; large ones are
-    clustered and answered by the class-signature test.  Before that the
-    checkable half of the pairing is checked, once per pairing: a ``small``
-    that is itself ``pattern``-colorable lies in the pattern's blow-ups, so
-    the pairing is refused with :class:`InvalidInput`.
+    clustered by :func:`_decide_core` and answered by the class-signature
+    test, or for a complete pattern K_l^(r) by :func:`_complete_verdict`.
+    Before that the checkable half of the pairing is checked, once per
+    pairing: a ``small`` that is itself ``pattern``-colorable lies in the
+    pattern's blow-ups, so the pairing is refused with :class:`InvalidInput`.
     """
     if hypergraph.r != small.r or hypergraph.r != pattern.r:
         raise InvalidInput("uniformity mismatch")
@@ -669,9 +670,9 @@ def peel(graph: Hypergraph, num_parts: int) -> PeelResult:
         raise InvalidInput("need at least 2 parts")
     n = graph.n
     k = num_parts
-    rows = graph.packed_adjacency
+    rows = graph.link_rows
     alive = np.ones(n, dtype=bool)
-    deg = graph.degrees().astype(np.int64).copy()
+    deg = graph.degrees().astype(np.int64)
     order: list[int] = []
     sentinel = np.int64(n + 1)
     for removed in range(n):
@@ -759,7 +760,7 @@ def clique_avg_decide(
 
     # step 3: reinsert each peeled vertex into the first class where it has
     # no neighbor: one (z, k, width) AND of its row against the class masks
-    rows = graph.packed_adjacency
+    rows = graph.link_rows
     full_labels = np.full(n, -1, dtype=np.int64)
     full_labels[survivors] = labels_sub
     class_masks = np.stack([_class_mask(full_labels, j, 2, rows.shape[1]) for j in range(k)])

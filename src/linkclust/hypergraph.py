@@ -28,10 +28,10 @@ The links take one of two forms:
 
 * Packed link rows: row v marks the codes of L(v), so a key is the flat
   index of its bit in the (n, span) matrix of rows, and the link distance
-  of a pair is a popcount over XORed rows.  Graphs (r == 2) always keep
-  these, their adjacency rows, ``ceil(n/8)`` bytes each.  An r >= 3 host
-  keeps them, padded to whole 64-bit words so that the XOR is counted a
-  word at a time, when their ``n * 8 * ceil(n**(r-1)/64)`` bytes are no
+  of a pair is a popcount over XORed rows.  Every row is padded with zero
+  bits to whole 64-bit words, ``8 * ceil(n**(r-1)/64)`` bytes, so that the
+  XOR is counted a word at a time.  Graphs (r == 2) always keep these,
+  their adjacency rows.  An r >= 3 host keeps them when their bytes are no
   more than the bytes of its link codes: the 3 x 80 complete 3-partite host
   has 1.73 MB of rows against 6.14 MB of codes.  Every n and r builds them
   one way: a block of rows at a time is set in a dense bool buffer at the
@@ -72,9 +72,9 @@ __all__ = ["Hypergraph", "Partition"]
 
 # Upper bound on the per-vertex tables one instance allocates whatever its
 # edge count: the degree and link-offset arrays and, for graphs, the packed
-# adjacency bit rows (n * ceil(n/8) bytes, on their first query).  A larger request is rejected
-# before anything is allocated, so a header such as ``2 1000000 0`` cannot
-# ask for ~125 GB.
+# adjacency rows (n * ``_row_bytes(n, 2)`` bytes, on their first query).  A
+# larger request is rejected before anything is allocated, so a header such
+# as ``2 1000000 0`` cannot ask for ~125 GB.
 MAX_VERTEX_TABLE_BYTES = 1 << 30
 
 # Bytes of the dense bool buffer that builds packed link rows, for every n
@@ -107,10 +107,15 @@ def _code_dtype(base: int, k: int) -> type:
     return np.int32 if base**k < 2**31 else np.int64
 
 
+def _row_bytes(n: int, r: int) -> int:
+    """Bytes of one packed link row: n**(r-1) bits in whole 64-bit words."""
+    return (n ** (r - 1) + 63) // 64 * 8
+
+
 def _check_size(r: int, n: int) -> None:
     """Refuse an r-uniform hypergraph on n vertices whose per-vertex tables
     or edge codes do not fit, whatever its edges."""
-    table_bytes = 16 * (n + 1) + (n * ((n + 7) // 8) if r == 2 else 0)
+    table_bytes = 16 * (n + 1) + (n * _row_bytes(n, r) if r == 2 else 0)
     if table_bytes > MAX_VERTEX_TABLE_BYTES:
         raise InvalidInput(
             f"vertex count {n} needs {table_bytes} bytes of per-vertex "
@@ -318,7 +323,7 @@ class Hypergraph:
         links = self._links
         if links is None:
             code_bytes = np.dtype(_code_dtype(max(self.n, 2), self.r - 1)).itemsize
-            if self.r == 2 or self.n * self._row_bytes() <= self.r * len(self) * code_bytes:
+            if self.r == 2 or self.n * _row_bytes(self.n, self.r) <= self.r * len(self) * code_bytes:
                 links = self._build_rows()
             else:
                 links = self._build_links()
@@ -326,13 +331,6 @@ class Hypergraph:
                 arr.setflags(write=False)
             self._links = links
         return links
-
-    def _row_bytes(self) -> int:
-        """Bytes of one packed link row: ``ceil(n/8)`` for a graph, whole
-        64-bit words of n**(r-1) bits for r >= 3."""
-        if self.r == 2:
-            return (self.n + 7) // 8
-        return (self.n ** (self.r - 1) + 63) // 64 * 8
 
     def _owner_keys(self) -> Iterator[np.ndarray]:
         """The owner-first keys of each edge column in turn: the edge codes,
@@ -343,41 +341,46 @@ class Hypergraph:
             yield _encode_rows([cols[j]] + cols[:j] + cols[j + 1 :], max(self.n, 2))
 
     def _build_rows(self) -> np.ndarray:
-        n, r, width = self.n, self.r, self._row_bytes()
+        n, r = self.n, self.r
         # The owner-first keys are flat indices into the (n, span) bool matrix
-        # of the rows: a block of rows is set from them in a dense buffer,
-        # then packed.  One block takes the keys of one edge column at a
-        # time, made as they are set, and its packed bits are the rows,
-        # padded once the buffer is freed.  Several blocks slice the keys, and
-        # need the non-first ones sorted (the edge codes already are).  The
-        # keys stay int32, as the link codes sort them, and are cast to intp
-        # as they are set (:func:`_scatter`).
+        # of the rows: a block of rows at a time is set from them in a dense
+        # buffer, packed and copied into the rows.  One block takes the keys
+        # of one edge column at a time, made as they are set; several blocks
+        # slice the keys, and need the non-first ones sorted (the edge codes
+        # already are).  The keys stay int32, as the link codes sort them,
+        # and are cast to intp as they are set (:func:`_scatter`).  The buffer
+        # comes from ``np.zeros``, which touches only the pages a key sets, is
+        # cleared only for a later block, and is freed before the last copy;
+        # the rows are allocated at the first copy, so one block peaks at the
+        # buffer and its packed bits.
         span = n ** (r - 1)
         step = max(1, DENSE_BLOCK_BYTES // max(span, 1))
+        keys = self._owner_keys()
+        if step < n:
+            keys = list(keys)
+            for others in keys[1:]:
+                others.sort()
         at = np.empty(min(SCATTER_KEYS, max(len(self._edge_codes), 1)), dtype=np.intp)
-        if step >= n:
-            dense = np.zeros(n * span, dtype=bool)
-            for owned in self._owner_keys():
-                _scatter(dense, owned, 0, at)
-                del owned  # before the next column's keys are made
-            bits = np.packbits(dense.reshape(n, span), axis=1)
-            del dense
-            if width > bits.shape[1]:
-                bits = np.pad(bits, ((0, 0), (0, width - bits.shape[1])))
-            return bits
-        keys = list(self._owner_keys())
-        for others in keys[1:]:
-            others.sort()
-        packed = np.zeros((n, width), dtype=np.uint8)
-        dense = np.empty(step * span, dtype=bool)
+        packed = np.zeros((0, 0), dtype=np.uint8)  # no vertices: no block
+        dense = np.zeros(min(step, n) * span, dtype=bool)
         for lo in range(0, n, step):
             hi = min(n, lo + step)
             block = dense[: (hi - lo) * span]
-            block[:] = False
+            if lo:
+                block[:] = False
             for owned in keys:
-                a, b = owned.searchsorted(np.array([lo, hi], owned.dtype) * span)
-                _scatter(block, owned[a:b], lo * span, at)
-            packed[lo:hi, : (span + 7) // 8] = np.packbits(block.reshape(-1, span), axis=1)
+                if step < n:
+                    a, b = owned.searchsorted(np.array([lo, hi], owned.dtype) * span)
+                    owned = owned[a:b]
+                _scatter(block, owned, lo * span, at)
+                del owned  # before the next column's keys are made
+            bits = np.packbits(block.reshape(-1, span), axis=1)
+            if hi == n:
+                del block, dense
+            if lo == 0:
+                packed = np.zeros((n, _row_bytes(n, r)), dtype=np.uint8)
+            packed[lo:hi, : bits.shape[1]] = bits
+            del bits
         return packed
 
     def _build_links(self) -> tuple[np.ndarray, np.ndarray]:
@@ -450,19 +453,12 @@ class Hypergraph:
         return self._edges
 
     @property
-    def packed_adjacency(self) -> np.ndarray:
-        """Packed adjacency bit-rows (graphs only): ``(n, ceil(n/8))`` uint8,
-        read-only."""
-        if self.r != 2:
-            raise InvalidInput("packed adjacency rows exist only for r = 2")
-        return self._link_store()
-
-    @property
     def link_rows(self) -> np.ndarray | None:
-        """The packed link rows, ``(n, row bytes)`` uint8 and read-only, or
-        ``None`` when the host keeps sorted link codes (see the module
-        docstring).  Row v marks the base-n codes of the (r-1)-tuples of
-        L(v), most significant bit first; a graph's are its adjacency rows."""
+        """The packed link rows, ``(n, 8 * ceil(n**(r-1)/64))`` uint8 and
+        read-only, or ``None`` when the host keeps sorted link codes (see the
+        module docstring).  Row v marks the base-n codes of the (r-1)-tuples
+        of L(v), most significant bit first, and its padding bits are zero; a
+        graph's are its adjacency rows."""
         links = self._link_store()
         return None if isinstance(links, tuple) else links
 
@@ -493,7 +489,7 @@ class Hypergraph:
             raise InvalidInput(f"face {tuple(face)!r} does not have {self.r - 1} vertices")
         v, *rest = (self._check_vertex(u) for u in face)
         if self.r == 2:
-            return self._link_store()[v]
+            return self._link_store()[v, : (self.n + 7) // 8]
         # the link tuples of v holding all of ``rest`` (none if it repeats a
         # vertex); each has one vertex left, the completion
         rows = _decode_codes(self._link_codes(v), max(self.n, 2), self.r - 1).T
@@ -559,10 +555,9 @@ class Hypergraph:
         v = self._check_vertex(v)
         links = self._link_store()
         if not isinstance(links, tuple):
-            xored = links ^ links[v]
-            if self.r > 2:  # rows of whole words: a popcount per word is 6x faster
-                xored = xored.view(np.uint64)
-            return np.bitwise_count(xored).sum(axis=1).astype(np.int64)
+            # rows of whole words: a popcount per word is 6x faster than per byte
+            words = links.view(np.uint64)
+            return np.bitwise_count(words ^ words[v]).sum(axis=1).astype(np.int64)
         # deg(u) + deg(v) - 2 |L(u) & L(v)|: mark the link codes that lie in
         # L(v), a block at a time, by a lookup in a bool table over the
         # (r-1)-tuple code space set at L(v).  The table is built only when

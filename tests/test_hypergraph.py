@@ -206,7 +206,7 @@ class TestConstruction:
                 for e in itertools.combinations(range(n), r):
                     assert g.has_edge(e) == ref.has_edge(e)
                 if r == 2:
-                    np.testing.assert_array_equal(g.packed_adjacency, ref.packed_adjacency)
+                    np.testing.assert_array_equal(g.link_rows, ref.link_rows)
                 for v in range(n):
                     np.testing.assert_array_equal(g.distances_from(v), ref.distances_from(v))
 
@@ -269,7 +269,7 @@ class TestConstruction:
         n = 8192
         tracemalloc.start()
         try:
-            rows = Hypergraph(2, n, [(0, 1)]).packed_adjacency
+            rows = Hypergraph(2, n, [(0, 1)]).link_rows
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -290,7 +290,7 @@ class TestConstruction:
         assert peak < 1 << 20
         expected = np.zeros((8000, 1000), dtype=np.uint8)
         expected[0, 0], expected[1, 0] = 0b01000000, 0b10000000
-        np.testing.assert_array_equal(g.packed_adjacency, expected)
+        np.testing.assert_array_equal(g.link_rows, expected)
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, 7, 23])
     def test_dense_rows_match_across_block_boundaries(self, monkeypatch, rows_per_block):
@@ -302,11 +302,14 @@ class TestConstruction:
         dense[edges[:, 0], edges[:, 1]] = dense[edges[:, 1], edges[:, 0]] = True
         monkeypatch.setattr(hypergraph_module, "DENSE_BLOCK_BYTES", rows_per_block * n)
         g = Hypergraph(2, n, edges[rng.permutation(len(edges))])
-        np.testing.assert_array_equal(g.packed_adjacency, np.packbits(dense, axis=1))
+        # 23 bits padded to one 64-bit word: 3 bytes of adjacency, 5 of zeros
+        assert g.link_rows.shape == (n, 8)
+        np.testing.assert_array_equal(g.link_rows[:, :3], np.packbits(dense, axis=1))
+        assert not g.link_rows[:, 3:].any()
 
     def test_sparse_rows_above_the_dense_cut(self):
         g = Hypergraph(2, 8193, [(0, 8192), (5, 13), (8000, 13)])
-        assert int(np.bitwise_count(g.packed_adjacency).sum()) == 6
+        assert int(np.bitwise_count(g.link_rows).sum()) == 6
         assert g.link(13) == {(5,), (8000,)} and g.link(8192) == {(0,)}
 
     @pytest.mark.parametrize("r, n", [(2, 1_000_000), (3, 10**12)])
@@ -323,10 +326,12 @@ class TestConstruction:
 
     def test_constant_time_edge_query_backing(self):
         g = turan_graph(10, 2)
-        assert g.packed_adjacency.shape == (10, 2)
+        # 10 bits padded to one 64-bit word; the padding bits are zero
+        assert g.link_rows.shape == (10, 8)
+        adjacency = [[g.has_edge((u, v)) for v in range(10)] for u in range(10)]
+        np.testing.assert_array_equal(g.link_rows[:, :2], np.packbits(adjacency, axis=1))
+        assert not g.link_rows[:, 2:].any()
         assert g.has_edge((0, 9)) and not g.has_edge((0, 1))
-        with pytest.raises(InvalidInput):
-            TRIPLE.packed_adjacency
 
 
 class TestRangeCheck:
@@ -441,7 +446,8 @@ EMPTY_LINK_HOSTS = {
 
 
 def _row_bytes(r, n):
-    """Bytes of the packed link rows of an r >= 3 host on n vertices."""
+    """Bytes of the packed link rows of an r-uniform host on n vertices:
+    n rows of n**(r-1) bits, each padded to whole 64-bit words."""
     return n * 8 * -(-(n ** (r - 1)) // 64)
 
 
@@ -517,7 +523,7 @@ class TestDegree:
             graph.degrees()[graph.n - 1] = 0
         if graph.r == 2:
             with pytest.raises(ValueError):
-                graph.packed_adjacency[0, 0] = 0
+                graph.link_rows[0, 0] = 0
         assert graph.min_degree() == low
 
 
@@ -605,7 +611,7 @@ class TestTwinClasses:
         pairs = rng_from_seed(8192).integers(0, n, size=(60000, 2))
         pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
         g = Hypergraph(2, n, pairs)
-        rows = g.packed_adjacency
+        rows = g.link_rows
         tracemalloc.start()
         try:
             roots = g.twin_classes()
@@ -729,8 +735,8 @@ class TestHammingDistance:
 
 
 class TestLinkForms:
-    """Both forms of the r >= 3 links, on either side of the row rule and
-    with the rows built several dense blocks at a time, answer every query
+    """Both forms of the r >= 3 links, on either side of the row rule, and
+    a graph's rows, built in one dense block or several, answer every query
     as the links of a brute-force count do."""
 
     @staticmethod
@@ -777,6 +783,31 @@ class TestLinkForms:
             forms.append(rows)
         # the dense hosts keep rows, the sparse and the padded ones link codes
         assert forms[:2] == [True, False] and forms[3] is False
+
+    @pytest.mark.parametrize("rows_per_block", [1, 5, None])
+    @pytest.mark.parametrize("n", [0, 23, 63, 64, 65, 129])
+    def test_graph_rows_match_brute_force_adjacency(self, monkeypatch, n, rows_per_block):
+        # a graph's link rows are its adjacency rows, padded with zero bits
+        # to whole 64-bit words, on either side of every word boundary and
+        # built in one dense block or several
+        if rows_per_block:
+            monkeypatch.setattr(hypergraph_module, "DENSE_BLOCK_BYTES", rows_per_block * n)
+        g = erdos_renyi(n, 0.3, n)
+        adj = np.zeros((n, n), dtype=bool)
+        for u, v in g:
+            adj[u, v] = adj[v, u] = True
+        rows = g.link_rows
+        assert rows.nbytes == _row_bytes(2, n) and rows.shape[1] % 8 == 0
+        np.testing.assert_array_equal(rows[:, : (n + 7) // 8], np.packbits(adj, axis=1))
+        assert not np.unpackbits(rows, axis=1)[:, n:].any()
+        for v in range(n):
+            assert g.distances_from(v).tolist() == (adj ^ adj[v]).sum(axis=1).tolist()
+            assert g.link(v) == {(int(u),) for u in np.flatnonzero(adj[v])}
+            completions = g.completions((v,))
+            assert completions.size == (n + 7) // 8
+            assert np.unpackbits(completions, count=n).tolist() == adj[v].tolist()
+        first = [next(u for u in range(n) if (adj[u] == adj[v]).all()) for v in range(n)]
+        assert g.twin_classes().tolist() == first
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_links_wait_for_their_first_query(self, r):
