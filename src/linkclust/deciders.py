@@ -7,19 +7,17 @@ thresholds this is exact; below them the deciders either refuse (strict
 mode) or fall back to the exhaustive oracles.
 
 The pattern deciders check an edge through its signature, the sorted tuple
-of its vertices' class labels.  Signatures are canonicalized and coded by
-the helpers that canonicalize the edges of a :class:`Hypergraph`, so only
-the few distinct codes are decoded.  The embedding search of
-:mod:`linkclust.oracles` matches their quotient, every class with one edge
-per signature, to the pattern's edges; the classes that no edge touches are
-isolated, so the search maps them last, to the unused pattern vertices in
-ascending order.  A complete pattern K_l^(r) needs no match and no codes:
-an edge maps onto one of its edges exactly when its r labels are distinct,
-and every relabeling of such a coloring is one too, so the clustering
-labels are the coloring as they stand.  Its verdict, which k-colorability
-(the core's K_k row) and the clique decider share, ANDs each packed link
-row with a mask of the (r-1)-tuples that would repeat a label; a host that
-keeps link codes compares the label columns of its edges instead.
+of its vertices' class labels (:meth:`Hypergraph.label_signatures`).  The
+embedding search of :mod:`linkclust.oracles` matches their quotient, every
+class with one edge per signature, to the pattern's edges; the classes that
+no edge touches are isolated, so the search maps them last, to the unused
+pattern vertices in ascending order.  A complete pattern K_l^(r) needs no
+match and no signatures: an edge maps onto one of its edges exactly when its
+r labels are distinct, and every relabeling of such a coloring is one too,
+so the clustering labels are the coloring as they stand.  Its verdict, which
+k-colorability (the core's K_k row) and the clique decider share, is the
+lowest-index edge that repeats a label
+(:meth:`Hypergraph.first_repeating_edge`).
 
 All degree and radius comparisons are exact integer or rational arithmetic.
 The thresholds they compare against are exact for the complete r-graphs
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import numbers
 from collections import Counter
@@ -50,7 +47,6 @@ from .errors import (
     PatternNotRigid,
 )
 from .hypergraph import Hypergraph, Partition
-from .hypergraph import _code_dtype, _decode_codes, _encode_rows, _sort_columns
 from .lagrangian import OptConfig, is_minimal, lagrangian, rigidity_report
 from .oracles import DEFAULT_BUDGET_S, find_embedding, find_homomorphism, turan_number
 from .patterns import Pattern
@@ -152,13 +148,6 @@ class DeciderConfig:
             raise InvalidInput(f"oracle budget {self.oracle_budget_s!r} never runs out")
 
 
-# Bytes of link rows the complete-pattern verdict takes and ANDs at a time,
-# so that its temporary stays a slice of the rows however large a class is:
-# with every vertex in one class, taking the class at once peaked at 1.92 MB
-# traced against 1.73 MB of rows on the 3 x 80 complete 3-partite 3-graph.
-VERDICT_BLOCK_BYTES = 1 << 19
-
-
 # -- the clustering core -------------------------------------------------------
 
 
@@ -212,104 +201,10 @@ def hamming_clustering(
 # -- signature tests -----------------------------------------------------------
 
 
-def _class_mask(labels: np.ndarray, j: int, r: int, width: int) -> np.ndarray:
-    """Packed mask of class j over the (r-1)-tuple codes, base n =
-    ``labels.size``, padded with zeros to ``width`` bytes like the link rows.
-
-    A code is marked when its tuple repeats a label or holds label j, so the
-    AND of a class-j vertex's link row with it marks exactly the link tuples
-    that make an edge repeat a label.  For r = 2 it is the row of the
-    vertices labeled j.
-    """
-    n = labels.size
-    digits = [labels.reshape([n if d == i else 1 for d in range(r - 1)]) for i in range(r - 1)]
-    tests = [col == j for col in digits] + [a == b for a, b in itertools.combinations(digits, 2)]
-    bits = np.packbits(functools.reduce(np.logical_or, tests).ravel())
-    mask = np.zeros(width, dtype=np.uint8)
-    mask[: bits.size] = bits
-    return mask
-
-
-def _complete_verdict(
-    hypergraph: Hypergraph, labels: np.ndarray, num_classes: int
-) -> Optional[tuple[int, ...]]:
-    """The lowest-index edge that repeats a label, or ``None``: the verdict
-    of a complete pattern K_l^(r) on ``num_classes`` = l labels, which an
-    edge maps onto legally exactly when its r labels are distinct.
-
-    On a host that keeps link rows, vertex v lies in such an edge exactly
-    when its row hits the mask of its own class (:func:`_class_mask`); the
-    rows are ANDed as words one class at a time, ``VERDICT_BLOCK_BYTES`` of
-    them at once, so the temporary is a slice of the rows whatever the
-    labels.  Every violating edge hits
-    the rows of all its vertices, so the least vertex a whose row hits is
-    the least vertex of the lexicographically least violating edge, and
-    every hit in row a comes from an edge whose least vertex is a.  That
-    edge is a plus the tuple of the least set bit of row a's hit, which in
-    the canonical edge array is the lowest-index violating edge.  A host
-    that keeps link codes scans its edges a block at a time instead,
-    comparing each pair of label columns.
-
-    After clustering T(4000, 3) it took 0.36 ms, and 0.50 ms with an edge
-    planted in a part, against 137-150 ms for the signature verdict with K_3
-    and 31 ms for the scan of the edges that located the planted one before
-    the rows did.  On the 3 x 80 complete 3-partite 3-graph it took 0.6-1.1
-    ms, against 6.5-9.3 ms for the signature verdict (medians, 2 cores).
-    """
-    rows, r = hypergraph.link_rows, hypergraph.r
-    if rows is None:
-        arr = hypergraph.edge_array
-        step = 1 << 18
-        for start in range(0, arr.shape[0], step):
-            block = arr[start : start + step]
-            lab = labels[block]
-            repeats = [lab[:, a] == lab[:, b] for a, b in itertools.combinations(range(r), 2)]
-            hits = np.flatnonzero(functools.reduce(np.logical_or, repeats))
-            if hits.size:
-                return tuple(int(v) for v in block[hits[0]])
-        return None
-    words = rows.view(np.uint64)
-    hit = np.zeros(hypergraph.n, dtype=bool)
-    step = max(1, VERDICT_BLOCK_BYTES // max(rows.shape[1], 1))
-    for j in range(num_classes):
-        members = np.flatnonzero(labels == j)
-        mask = _class_mask(labels, j, r, rows.shape[1]).view(np.uint64)
-        for start in range(0, members.size, step):
-            part = members[start : start + step]
-            anded = words.take(part, axis=0)
-            anded &= mask
-            if anded.any():  # on T(4000, 3) the flat test took 0.07 ms, per row 0.19
-                hit[part] = anded.any(axis=1)
-            del anded  # before the next slice is taken
-    if not hit.any():
-        return None
-    a = int(hit.argmax())
-    first = np.flatnonzero(np.unpackbits(rows[a] & _class_mask(labels, labels[a], r, rows.shape[1])))[0]
-    rest = _decode_codes(np.array([first]), max(hypergraph.n, 2), r - 1)[:, 0]
-    return (a, *(int(v) for v in rest))
-
-
-def _edge_signatures(
-    hypergraph: Hypergraph, labels: np.ndarray, num_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted codes of the distinct edge signatures, and the lowest index of
-    an edge with each.  A signature is the sorted tuple of an edge's class
-    labels, coded base ``max(num_classes, 2)`` like the edges themselves."""
-    base = max(num_classes, 2)
-    lab = labels.astype(_code_dtype(base, hypergraph.r))
-    # one contiguous edge column at a time: a take of the whole (m, r) array
-    # peaked at 21.5 MB on the hyper-array host, against 17.4 MB
-    cols = [lab.take(col) for col in hypergraph.edge_array.T]
-    _sort_columns(cols)
-    codes = _encode_rows(cols, base)
-    return np.unique(codes, return_index=True)
-
-
 def _signature_verdict(
     hypergraph: Hypergraph,
     pattern: Pattern,
     labels: np.ndarray,
-    stats: DecideStats,
     budget_s: float = DEFAULT_BUDGET_S,
 ) -> tuple[Optional[np.ndarray], Optional[tuple[int, ...]]]:
     """Relabel clusters onto pattern vertices so the class map colors every
@@ -320,9 +215,8 @@ def _signature_verdict(
     Returns (relabeled labels, None) on success, (None, edge) otherwise.
     """
     num = pattern.num_vertices
-    codes, reps = _edge_signatures(hypergraph, labels, num)
-    stats.edges_scanned += len(hypergraph)
-    sigs = [tuple(row) for row in _decode_codes(codes, max(num, 2), hypergraph.r).T.tolist()]
+    signatures, reps = hypergraph.label_signatures(labels, num)
+    sigs = [tuple(row) for row in signatures.tolist()]
 
     # A class-count profile that no pattern edge has cannot be fixed by any
     # relabeling; report the earliest offending edge.
@@ -469,13 +363,14 @@ def _decide_core(
     nonempty.
 
     A complete pattern K_l^(r) reads no signatures: its verdict is the
-    lowest-index edge that repeats a label (:func:`_complete_verdict`), and
-    on a yes the clustering labels are the coloring, unrelabeled.  The K_k
-    row (r = 2, complete on k vertices) is k-colorability, with the closed
-    forms r·λ = φ = 1 - 1/k and c = 1/k.  From eps = 1/(k(3k-1)) on, the λ
-    bound admits hosts at (3k-4)/(3k-1)·n, which the Andrásfai–Erdős–Sós
-    theorem excludes, so the row gates strictly above that bound; there
-    radius 2/(3k-1) separates the parts of a k-partite host.
+    lowest-index edge that repeats a label
+    (:meth:`Hypergraph.first_repeating_edge`), and on a yes the clustering
+    labels are the coloring, unrelabeled.  The K_k row (r = 2, complete on
+    k vertices) is k-colorability, with the closed forms r·λ = φ = 1 - 1/k
+    and c = 1/k.  From eps = 1/(k(3k-1)) on, the λ bound admits hosts at
+    (3k-4)/(3k-1)·n, which the Andrásfai–Erdős–Sós theorem excludes, so the
+    row gates strictly above that bound; there radius 2/(3k-1) separates the
+    parts of a k-partite host.
     """
     n, r, k = hypergraph.n, hypergraph.r, pattern.num_vertices
     complete = pattern.is_complete()
@@ -517,14 +412,11 @@ def _decide_core(
     if smallest <= 0:
         raise degenerate or NumericFailure("clustering radius degenerated to zero", float(smallest))
     labels, evals = _cluster(hypergraph, k, radius)
-    stats = DecideStats(distance_evals=evals)
+    stats = DecideStats(distance_evals=evals, edges_scanned=len(hypergraph))
     if complete:  # every relabeling of a legal coloring is one: test the identity
-        stats.edges_scanned = len(hypergraph)
-        relabeled, bad_edge = labels, _complete_verdict(hypergraph, labels, k)
+        relabeled, bad_edge = labels, hypergraph.first_repeating_edge(labels, k)
     else:
-        relabeled, bad_edge = _signature_verdict(
-            hypergraph, pattern, labels, stats, cfg.oracle_budget_s
-        )
+        relabeled, bad_edge = _signature_verdict(hypergraph, pattern, labels, cfg.oracle_budget_s)
     _finish_work(stats, hypergraph)
     if bad_edge is not None:
         return Decision(
@@ -620,10 +512,11 @@ def embed_min_decide(
     ``small``, and dense ``small``-free hosts are pattern-colorable.  Small
     hosts go straight to the exhaustive embedding search; large ones are
     clustered by :func:`_decide_core` and answered by the class-signature
-    test, or for a complete pattern K_l^(r) by :func:`_complete_verdict`.
-    Before that the checkable half of the pairing is checked, once per
-    pairing: a ``small`` that is itself ``pattern``-colorable lies in the
-    pattern's blow-ups, so the pairing is refused with :class:`InvalidInput`.
+    test, or for a complete pattern K_l^(r) by the lowest-index edge that
+    repeats a label (:meth:`Hypergraph.first_repeating_edge`).  Before that
+    the checkable half of the pairing is checked, once per pairing: a
+    ``small`` that is itself ``pattern``-colorable lies in the pattern's
+    blow-ups, so the pairing is refused with :class:`InvalidInput`.
     """
     if hypergraph.r != small.r or hypergraph.r != pattern.r:
         raise InvalidInput("uniformity mismatch")
@@ -670,7 +563,6 @@ def peel(graph: Hypergraph, num_parts: int) -> PeelResult:
         raise InvalidInput("need at least 2 parts")
     n = graph.n
     k = num_parts
-    rows = graph.link_rows
     alive = np.ones(n, dtype=bool)
     deg = graph.degrees().astype(np.int64)
     order: list[int] = []
@@ -682,7 +574,7 @@ def peel(graph: Hypergraph, num_parts: int) -> PeelResult:
             break
         order.append(v)
         alive[v] = False
-        neigh = np.unpackbits(rows[v], count=n).astype(bool) & alive
+        neigh = np.unpackbits(graph.completions((v,)), count=n).astype(bool) & alive
         deg[neigh] -= 1
     survivors = tuple(int(v) for v in np.nonzero(alive)[0])
     return PeelResult(order=tuple(order), z=len(order), survivors=survivors)
@@ -747,7 +639,7 @@ def clique_avg_decide(
     labels_sub, evals = _cluster(sub, k, Fraction(1, 3 * k + 1))
     stats.distance_evals = evals
     stats.edges_scanned += len(sub)
-    edge = _complete_verdict(sub, labels_sub, k)
+    edge = sub.first_repeating_edge(labels_sub, k)
     if edge is not None:
         edge = tuple(int(survivors[v]) for v in edge)
         _finish_work(stats, graph)
@@ -759,13 +651,14 @@ def clique_avg_decide(
         )
 
     # step 3: reinsert each peeled vertex into the first class where it has
-    # no neighbor: one (z, k, width) AND of its row against the class masks
-    rows = graph.link_rows
+    # no neighbor; the peeled vertices are labeled -1 until then
     full_labels = np.full(n, -1, dtype=np.int64)
     full_labels[survivors] = labels_sub
-    class_masks = np.stack([_class_mask(full_labels, j, 2, rows.shape[1]) for j in range(k)])
     order = np.array(peeled.order, dtype=np.int64)
-    free = ~np.any(rows[order][:, None, :] & class_masks[None, :, :], axis=2)
+    free = np.ones((z, k), dtype=bool)
+    for i, v in enumerate(peeled.order):
+        near = full_labels[np.unpackbits(graph.completions((v,)), count=n).astype(bool)]
+        free[i, near[near >= 0]] = False
     stuck = np.flatnonzero(~free.any(axis=1))
     if stuck.size:
         v = int(order[stuck[0]])
@@ -780,7 +673,7 @@ def clique_avg_decide(
 
     # step 4: the merged partition must be proper
     stats.edges_scanned += len(graph)
-    edge = _complete_verdict(graph, full_labels, k)
+    edge = graph.first_repeating_edge(full_labels, k)
     _finish_work(stats, graph)
     if edge is not None:
         return Decision(

@@ -11,12 +11,12 @@ edge array.  Codes of k-tuples, and so the edges, are int32 when
 The edge array is stored column-major: both paths write its r columns into
 one ``(r, m)`` block, the stacked sorted columns or the digits of the sorted
 codes, and the ``(m, r)`` array is that block's transpose.  Every linear
-pass (the link keys, the graph degrees, the deciders' signature scan) reads
-one column at a time, and a contiguous column reads about twice as fast as
-a strided one.  Edge membership is a binary search in the codes.  Every
-uniformity counts degrees one way: the first column is nondecreasing, so a
-binary search of 0..n in it gives its counts, and a ``bincount`` of each
-other column adds theirs.
+pass (the link keys, the degrees, the label signatures) reads one column at
+a time, and a contiguous column reads about twice as fast as a strided one.
+Edge membership is a binary search in the codes.  Every uniformity counts
+degrees one way: the first column is nondecreasing, so a binary search of
+0..n in it gives its counts, and a ``bincount`` of the other columns, a
+slice at a time, adds theirs.
 
 The links are built on the first query that reads them, so a host that is
 only parsed, generated, written or asked for its degrees never pays for
@@ -54,6 +54,17 @@ or for r >= 3 the link tuples of the face's first vertex that hold the
 rest).  They also back the twin classes, the vertices with equal links:
 equal rows, or equal link-code slices.
 
+Two queries read the edges under a vertex labeling, the class map of a
+clustering.  The signature of an edge is the sorted tuple of its r labels:
+:meth:`Hypergraph.label_signatures` sorts the label columns and codes them
+base ``max(num_classes, 2)`` by the pipeline that canonicalizes the edges,
+so only the few distinct codes are decoded.  The verdict of a complete
+pattern is the lowest-index edge that repeats a label:
+:meth:`Hypergraph.first_repeating_edge` ANDs each packed link row with a
+mask of the (r-1)-tuples that would repeat a label, or, on a host that
+keeps link codes, compares the label columns of its edges, in either form
+``SLICE_BYTES`` at a time.
+
 Instances are immutable after construction and safe to share across threads:
 two threads whose first queries race build equal links, and either may be
 kept.
@@ -62,6 +73,7 @@ kept.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -83,19 +95,17 @@ MAX_VERTEX_TABLE_BYTES = 1 << 30
 # buffer instead of the whole bool matrix.
 DENSE_BLOCK_BYTES = 1 << 24
 
-# Owner-first keys cast to intp and set at a time by ``_build_rows``: a
-# 512 KiB buffer, reused for every slice, where a whole column's cast took
-# 8 bytes a key.
-SCATTER_KEYS = 1 << 16
-
-# Link codes marked and counted per block by ``distances_from`` on an r >= 3
-# host that keeps link codes, so that its temporaries stay well below the
-# codes themselves: the block's bool marks and the int64 sums that
-# ``reduceat`` casts them to, plus the per-call mark table of at most one byte
-# per link code.  Marking all 1.5M codes of a 3 x 80 host at once by
-# ``np.isin`` peaked at 3.7x their bytes; 2**16 codes a block timed as fast as
-# 2**18 there, with a quarter of the temporaries (that host keeps rows now).
-LINK_BLOCK = 1 << 16
+# Bytes of the temporaries that a linear pass takes a slice at a time, so that
+# they stay well below the arrays it reads: the intp keys ``_build_rows``
+# scatters, through one buffer reused for every slice (a whole column's cast
+# took 8 bytes a key); the intp casts of the degree count; the int64 sums of
+# the link codes ``distances_from`` marks (marking all 1.5M codes of a 3 x 80
+# host at once by ``np.isin`` peaked at 3.7x their bytes, while 2**16 codes a
+# block timed as fast as 2**18 with a quarter of the temporaries); and the link
+# rows or int64 edge labels of ``first_repeating_edge`` (with every vertex in
+# one class, taking the class at once peaked at 1.92 MB traced against 1.73 MB
+# of rows on the 3 x 80 host).
+SLICE_BYTES = 1 << 19
 
 
 def _code_dtype(base: int, k: int) -> type:
@@ -311,9 +321,15 @@ class Hypergraph:
         self._links = None
         # the first column is nondecreasing on both branches, so its counts
         # are the gaps between the first indices of 0..n; the other columns
-        # are one contiguous run of the block
+        # are one contiguous run of the block, counted a slice at a time, as
+        # ``bincount`` casts each slice to intp.  A slice holds at least n
+        # vertices, so its n counts never outweigh it.
         first = block[0].searchsorted(np.arange(self.n + 1, dtype=block.dtype))
-        self._deg = np.diff(first) + np.bincount(block[1:].ravel(), minlength=self.n)
+        self._deg = np.diff(first)
+        rest = block[1:].ravel()
+        step = max(SLICE_BYTES // 8, self.n)
+        for start in range(0, rest.size, step):
+            self._deg += np.bincount(rest[start : start + step], minlength=self.n)
         self._deg.setflags(write=False)
 
     def _link_store(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -360,7 +376,7 @@ class Hypergraph:
             keys = list(keys)
             for others in keys[1:]:
                 others.sort()
-        at = np.empty(min(SCATTER_KEYS, max(len(self._edge_codes), 1)), dtype=np.intp)
+        at = np.empty(min(SLICE_BYTES // 8, max(len(self._edge_codes), 1)), dtype=np.intp)
         packed = np.zeros((0, 0), dtype=np.uint8)  # no vertices: no block
         dense = np.zeros(min(step, n) * span, dtype=bool)
         for lo in range(0, n, step):
@@ -446,7 +462,7 @@ class Hypergraph:
         Its dtype is that of the edge codes: int32 when ``max(n, 2)**r <
         2**31``, int64 otherwise.  It is stored column-major (Fortran
         order): ``edge_array.T`` is r contiguous columns, which is how the
-        build, the links and the deciders' signature scan read it.  Its
+        build, the links and the label signatures read it.  Its
         values, ``tobytes()`` and row iteration are those of the row-major
         array.
         """
@@ -576,8 +592,9 @@ class Hypergraph:
         else:
             mark = functools.partial(np.isin, test_elements=seed)
         common = np.zeros(self.n, dtype=np.int64)
-        for lo in range(0, len(codes), LINK_BLOCK):
-            marks = mark(codes[lo : lo + LINK_BLOCK])
+        step = SLICE_BYTES // 8  # int64 sums
+        for lo in range(0, len(codes), step):
+            marks = mark(codes[lo : lo + step])
             start = np.clip(off - lo, 0, marks.size)
             owns = start[:-1] < start[1:]
             common[owns] += np.add.reduceat(marks, start[:-1][owns], dtype=np.int64)
@@ -600,6 +617,90 @@ class Hypergraph:
         else:
             keys = (row.tobytes() for row in links)
         return np.array(_first_by_key(keys), dtype=np.int64)
+
+    # -- labeled edges -------------------------------------------------------
+
+    def _check_labels(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
+        """``labels`` as int64, refusing all but one integer label in
+        ``[0, num_classes)`` per vertex."""
+        lab = np.asarray(labels)
+        bad = lab.shape != (self.n,) or lab.dtype.kind not in "iu"
+        if bad or lab.size and not 0 <= lab.min() <= lab.max() < num_classes:
+            raise InvalidInput(f"need {self.n} integer labels in [0, {num_classes})")
+        return lab.astype(np.int64, copy=False)
+
+    def _repeat_mask(self, labels: np.ndarray, j: int) -> np.ndarray:
+        """Packed mask of class j over the (r-1)-tuple codes, padded like a
+        link row.  A code is marked when its tuple repeats a label or holds
+        label j, so the AND of a class-j vertex's link row with it marks the
+        link tuples that make an edge repeat a label."""
+        n, k = self.n, self.r - 1
+        digits = [labels.reshape([n if d == i else 1 for d in range(k)]) for i in range(k)]
+        tests = [col == j for col in digits] + [a == b for a, b in itertools.combinations(digits, 2)]
+        bits = np.packbits(functools.reduce(np.logical_or, tests).ravel())
+        return np.pad(bits, (0, _row_bytes(n, self.r) - bits.size))
+
+    def first_repeating_edge(self, labels: np.ndarray, num_classes: int) -> tuple[int, ...] | None:
+        """The lowest-index edge two of whose vertices share a label, or
+        ``None``; ``labels`` holds one class in ``[0, num_classes)`` per vertex.
+
+        With link rows, vertex v lies in such an edge exactly when its row
+        hits the repeat mask of its class; the rows are ANDed as words one
+        inhabited class at a time, ``SLICE_BYTES`` of them at once.  Such an
+        edge hits the rows of all its vertices, so the least vertex a whose
+        row hits is the least vertex of the lexicographically least one,
+        which is a plus the tuple of the least set bit of row a's hit.  With
+        link codes the edges are scanned a slice at a time, by their label
+        columns.
+        """
+        labels = self._check_labels(labels, num_classes)
+        rows, r = self.link_rows, self.r
+        if rows is None:
+            step = SLICE_BYTES // (8 * r)  # the int64 labels of a slice of edges
+            for start in range(0, len(self), step):
+                block = self._edges[start : start + step]
+                lab = labels[block]
+                repeats = [lab[:, a] == lab[:, b] for a, b in itertools.combinations(range(r), 2)]
+                hits = np.flatnonzero(functools.reduce(np.logical_or, repeats))
+                if hits.size:
+                    return tuple(int(v) for v in block[hits[0]])
+            return None
+        words = rows.view(np.uint64)
+        hit = np.zeros(self.n, dtype=bool)
+        step = max(1, SLICE_BYTES // max(rows.shape[1], 1))
+        for j in np.unique(labels).tolist():
+            members = np.flatnonzero(labels == j)
+            mask = self._repeat_mask(labels, j).view(np.uint64)
+            for start in range(0, members.size, step):
+                part = members[start : start + step]
+                anded = words.take(part, axis=0)
+                anded &= mask
+                if anded.any():  # on T(4000, 3) the flat test took 0.07 ms, per row 0.19
+                    hit[part] = anded.any(axis=1)
+                del anded  # before the next slice is taken
+        if not hit.any():
+            return None
+        a = int(hit.argmax())
+        first = np.flatnonzero(np.unpackbits(rows[a] & self._repeat_mask(labels, labels[a])))[0]
+        rest = _decode_codes(np.array([first]), max(self.n, 2), r - 1)[:, 0]
+        return (a, *(int(v) for v in rest))
+
+    def label_signatures(
+        self, labels: np.ndarray, num_classes: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct edge signatures, the sorted tuples of the edges' r
+        labels, as the rows of a ``(d, r)`` array in lexicographic order, and
+        the lowest index of an edge with each; ``labels`` holds one class in
+        ``[0, num_classes)`` per vertex."""
+        labels = self._check_labels(labels, num_classes)
+        base = max(num_classes, 2)
+        lab = labels.astype(_code_dtype(base, self.r))
+        # one contiguous edge column at a time: a take of the whole (m, r)
+        # array peaked at 21.5 MB on the hyper-array host, against 17.4 MB
+        cols = [lab.take(col) for col in self._edges.T]
+        _sort_columns(cols)
+        codes, reps = np.unique(_encode_rows(cols, base), return_index=True)
+        return _decode_codes(codes, base, self.r).T, reps
 
     # -- induced subgraphs ---------------------------------------------------
 

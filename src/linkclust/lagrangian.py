@@ -107,7 +107,8 @@ class OptConfig:
 
 @dataclass(frozen=True)
 class OptReport:
-    """Result of one simplex optimization run."""
+    """Result of one simplex optimization run.  ``converged`` is always True:
+    a run that converges nowhere raises :class:`NumericFailure` instead."""
 
     value: float
     argmax: SimplexPoint

@@ -280,8 +280,8 @@ class TestDecideShomRigid:
         verdict = deciders._signature_verdict
         edges = []
 
-        def with_reference(host, pattern, labels, stats, budget_s):
-            got = verdict(host, pattern, labels, stats, budget_s)
+        def with_reference(host, pattern, labels, budget_s):
+            got = verdict(host, pattern, labels, budget_s)
             edges.append((got[1], reference_signature_verdict(host, pattern, labels)[1]))
             return got
 
@@ -295,7 +295,7 @@ class TestDecideShomRigid:
         pattern = Pattern.from_hypergraph(erdos_renyi(40, 0.4, 2))
         labels = np.arange(6)
         with pytest.raises(OracleTimeout):
-            deciders._signature_verdict(K6, pattern, labels, deciders.DecideStats(), 0.0)
+            deciders._signature_verdict(K6, pattern, labels, 0.0)
 
 
 class TestEmbedMinDecide:
@@ -811,7 +811,7 @@ def test_the_complete_verdict_peaks_below_the_link_rows():
     rows = host.link_rows
     tracemalloc.start()
     try:
-        edge = deciders._complete_verdict(host, parts.labels, 3)
+        edge = host.first_repeating_edge(parts.labels, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -822,13 +822,13 @@ def test_the_complete_verdict_peaks_below_the_link_rows():
 def test_the_complete_verdict_peaks_below_the_link_rows_in_one_class():
     # every vertex labeled 0, so one class holds all the rows: taking the
     # class at once peaked at 1.92 MB traced against 1.73 MB of rows, slices
-    # of VERDICT_BLOCK_BYTES at 0.60 MB
+    # of SLICE_BYTES at 0.60 MB
     host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
     rows = host.link_rows
     labels = np.zeros(host.n, dtype=np.int64)
     tracemalloc.start()
     try:
-        edge = deciders._complete_verdict(host, labels, 3)
+        edge = host.first_repeating_edge(labels, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

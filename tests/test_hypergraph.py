@@ -497,10 +497,10 @@ class TestDegree:
 
     @pytest.mark.parametrize("shuffled", [False, True], ids=["canonical", "shuffled"])
     @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (6, 0), (6, 10), (50, 400), (50_000, 1000)])
-    def test_graph_degrees_count_every_endpoint(self, n, m, shuffled):
+    def test_graph_degrees_count_every_endpoint(self, monkeypatch, n, m, shuffled):
         # r = 2 degrees come from the sorted first column's offsets and a
         # count of the second, on both constructor branches (n = 50 000
-        # codes the edges in int64)
+        # codes the edges in int64), in one slice or in slices of n entries
         rng = np.random.default_rng(n + m)
         pairs = np.sort(rng.integers(0, max(n, 1), size=(4 * m, 2)), axis=1)
         pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
@@ -510,6 +510,8 @@ class TestDegree:
         assert len(edges) == m
         g = Hypergraph(2, n, edges)
         np.testing.assert_array_equal(g.degrees(), np.bincount(edges.ravel(), minlength=n))
+        monkeypatch.setattr(hypergraph_module, "SLICE_BYTES", 8)
+        np.testing.assert_array_equal(Hypergraph(2, n, edges).degrees(), g.degrees())
 
     @pytest.mark.parametrize(
         "graph",
@@ -667,9 +669,9 @@ class TestHammingDistance:
         # vertex 0 and the top vertices have empty links: their rows are
         # zero, or their segments of the link codes are empty and the last
         # owner of a code is not the last vertex; small blocks split the
-        # link codes mid-segment
+        # link codes mid-segment (a block of codes takes 8 bytes of sums each)
         r, n, edges = EMPTY_LINK_HOSTS[case]
-        monkeypatch.setattr(hypergraph_module, "LINK_BLOCK", block)
+        monkeypatch.setattr(hypergraph_module, "SLICE_BYTES", 8 * block)
         isin_calls = []
         real_isin = np.isin
 
@@ -837,13 +839,16 @@ class TestDegreesByColumn:
 
     @pytest.mark.parametrize("r", [3, 4])
     @pytest.mark.parametrize("shuffled", [False, True], ids=["canonical", "shuffled"])
-    def test_match_a_count_of_the_edge_array(self, r, shuffled):
-        # vertices 0, 1 and 9, 10 are isolated
+    def test_match_a_count_of_the_edge_array(self, monkeypatch, r, shuffled):
+        # vertices 0, 1 and 9, 10 are isolated; the other columns are counted
+        # in one slice, then in slices of n = 11 entries
         rng = np.random.default_rng(r)
         pool = np.array(list(itertools.combinations(range(2, 9), r)))
         edges = pool[rng.random(len(pool)) < 0.6]
         if shuffled:
             edges = rng.permuted(edges[rng.permutation(len(edges))], axis=1)
+        self._check(Hypergraph(r, 11, edges))
+        monkeypatch.setattr(hypergraph_module, "SLICE_BYTES", 8)
         self._check(Hypergraph(r, 11, edges))
 
     @pytest.mark.parametrize("r", [3, 4])

@@ -1,8 +1,11 @@
 """The package surface: each public name is declared once, in its module's
-``__all__``, and ``linkclust`` re-exports exactly those names."""
+``__all__``, ``linkclust`` re-exports exactly those names, and ``deciders``
+imports only public names from ``hypergraph``."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import linkclust
 from linkclust import formats
@@ -124,3 +127,16 @@ def test_no_name_is_declared_by_two_modules():
             assert hasattr(module, name), f"{module_name}.__all__ lists missing {name}"
             owner[name] = module_name
     assert sorted(owner) == [name for name in PUBLIC if name != "__version__"]
+
+
+def test_the_deciders_read_no_private_hypergraph_names():
+    # the link-row layout and the code format stay behind Hypergraph's queries
+    tree = ast.parse(Path(importlib.import_module("linkclust.deciders").__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "linkclust.hypergraph" or (node.level and node.module == "hypergraph"))
+        for alias in node.names
+    ]
+    assert sorted(imported) == ["Hypergraph", "Partition"]

@@ -1,6 +1,7 @@
-"""Edge signature tests: the coded signature verdict against the count-matrix
-reference, the number of relabeling searches it makes, and the complete
-pattern's verdict against both."""
+"""Edge signature tests: the signatures of ``Hypergraph.label_signatures`` and
+the coded signature verdict against the count-matrix reference, the number
+of relabeling searches it makes, and the complete pattern's verdict,
+``Hypergraph.first_repeating_edge``, against both."""
 
 import itertools
 import math
@@ -12,10 +13,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from linkclust import Hypergraph, Pattern, deciders, oracles, pattern_blowup
-from linkclust.deciders import DecideStats, _cluster, _complete_verdict, _signature_verdict
+from linkclust import Hypergraph, Pattern, oracles, pattern_blowup
+from linkclust import hypergraph as hypergraph_module
+from linkclust.deciders import _cluster, _signature_verdict
+from linkclust.errors import InvalidInput
 
-from helpers import CountingDeadline, is_valid_coloring, reference_signature_verdict
+from helpers import (
+    CountingDeadline,
+    _reference_edge_signatures,
+    is_valid_coloring,
+    reference_signature_verdict,
+)
 
 
 @st.composite
@@ -50,9 +58,7 @@ def signature_cases(draw):
 
 
 def _verdicts(host, pattern, labels):
-    stats = DecideStats()
-    got = _signature_verdict(host, pattern, labels, stats)
-    assert stats.edges_scanned == len(host)
+    got = _signature_verdict(host, pattern, labels)
     return got, reference_signature_verdict(host, pattern, labels)
 
 
@@ -63,6 +69,60 @@ def _assert_same(got, want):
         assert labels is None
     else:
         np.testing.assert_array_equal(labels, want_labels)
+
+
+@st.composite
+def labeled_hosts(draw):
+    """``(host, labels, num_classes)`` with r in {2, 3, 4}: a random host,
+    empty when n < r, that keeps link rows or link codes, under random labels
+    or labels all in one class.  The label base is small, or the least whose
+    codes of r-tuples need int64."""
+    r = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(0, 9))
+    pool = list(itertools.combinations(range(n), r))
+    edges = draw(st.lists(st.sampled_from(pool), unique=True, max_size=60)) if pool else []
+    wide = next(b for b in itertools.count(2) if b**r >= 2**31)
+    num = draw(st.sampled_from([1, 2, 5, wide]))
+    if draw(st.booleans()):
+        labels = np.full(n, draw(st.integers(0, num - 1)), dtype=np.int64)
+    else:
+        drawn = draw(st.lists(st.integers(0, num - 1), min_size=n, max_size=n))
+        labels = np.array(drawn, dtype=np.int64)
+    return Hypergraph(r, n, np.array(edges, dtype=np.int64).reshape(-1, r)), labels, num
+
+
+@given(labeled_hosts(), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_label_signatures_match_the_count_matrix_reference(case, slice_edges):
+    host, labels, num = case
+    r = host.r
+    signatures, reps = host.label_signatures(labels, num)
+    distinct, first = _reference_edge_signatures(host, labels, num)
+    # a count row of the reference is the sorted tuple of its labels
+    want = {tuple(np.repeat(np.arange(num), row).tolist()): i for row, i in zip(distinct, first)}
+    got = {tuple(sig): int(i) for sig, i in zip(signatures.tolist(), reps)}
+    assert signatures.shape == (len(want), r) and got == want
+    assert list(got) == sorted(got)
+    assert (signatures.dtype == np.int64) == (max(num, 2) ** r >= 2**31)
+    # the lowest-index edge that repeats a label, from slices of a few edges
+    # or rows, so that the edge count is rarely a multiple of the slice
+    repeating = [i for sig, i in want.items() if len(set(sig)) < r]
+    edge = tuple(int(v) for v in host.edge_array[min(repeating)]) if repeating else None
+    with mock.patch.object(hypergraph_module, "SLICE_BYTES", 8 * r * slice_edges):
+        assert host.first_repeating_edge(labels, num) == edge
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0, 1, 2], [0, 1, 2, 0, 1], [0, 1, -1, 2], [0, 1, 3, 2], [0.0, 1.0, 2.0, 0.0]],
+    ids=["short", "long", "negative", "above", "float"],
+)
+def test_labeled_queries_refuse_bad_labels(labels):
+    host = Hypergraph(3, 4, [(0, 1, 2), (1, 2, 3)])
+    with pytest.raises(InvalidInput):
+        host.label_signatures(np.array(labels), 3)
+    with pytest.raises(InvalidInput):
+        host.first_repeating_edge(np.array(labels), 3)
 
 
 @given(signature_cases())
@@ -192,16 +252,17 @@ def complete_cases(draw):
 def test_the_complete_verdict_matches_the_reference(case):
     host, l, labels = case
     pattern = complete_pattern(host.r, l)
-    edge = _complete_verdict(host, labels, l)
+    edge = host.first_repeating_edge(labels, l)
     assert edge == reference_signature_verdict(host, pattern, labels)[1]
-    assert edge == _signature_verdict(host, pattern, labels, DecideStats())[1]
+    assert edge == _signature_verdict(host, pattern, labels)[1]
     if edge is None:
         assert is_valid_coloring(host, pattern, labels)
     # a class's rows split across slices of one or two rows give the same edge
     if host.link_rows is not None:
         for rows in (1, 2):
-            with mock.patch.object(deciders, "VERDICT_BLOCK_BYTES", rows * host.link_rows.shape[1]):
-                assert _complete_verdict(host, labels, l) == edge
+            slice_bytes = rows * host.link_rows.shape[1]
+            with mock.patch.object(hypergraph_module, "SLICE_BYTES", slice_bytes):
+                assert host.first_repeating_edge(labels, l) == edge
 
 
 @given(st.sampled_from([2, 3, 4]), st.integers(0, 2), st.integers(1, 3), st.integers(0, 2**32 - 1))
@@ -216,8 +277,8 @@ def test_balanced_blowups_keep_the_signature_labels(r, extra, size, seed):
     host = Hypergraph(r, blowup.n, perm[blowup.edge_array])
     radius = Fraction(2, 3 * l - 1) if r == 2 else Fraction(1, 2 * l) ** (r - 1) / math.factorial(r - 1)
     labels, _ = _cluster(host, l, radius)
-    assert _complete_verdict(host, labels, l) is None
-    relabeled, edge = _signature_verdict(host, pattern, labels, DecideStats())
+    assert host.first_repeating_edge(labels, l) is None
+    relabeled, edge = _signature_verdict(host, pattern, labels)
     assert edge is None
     np.testing.assert_array_equal(relabeled, labels)
 
@@ -227,4 +288,4 @@ def test_the_complete_verdict_on_no_vertices(r):
     # rows of zero bytes still slice the classes
     host = Hypergraph(r, 0, [])
     assert host.link_rows.shape == (0, 0)
-    assert _complete_verdict(host, np.zeros(0, dtype=np.int64), r) is None
+    assert host.first_repeating_edge(np.zeros(0, dtype=np.int64), r) is None
