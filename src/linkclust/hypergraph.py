@@ -30,17 +30,18 @@ The links take one of two forms:
   index of its bit in the (n, span) matrix of rows, and the link distance
   of a pair is a popcount over XORed rows.  Every row is padded with zero
   bits to whole 64-bit words, ``8 * ceil(n**(r-1)/64)`` bytes, so that the
-  XOR is counted a word at a time.  Graphs (r == 2) always keep these,
-  their adjacency rows.  An r >= 3 host keeps them when their bytes are no
-  more than the bytes of its link codes: the 3 x 80 complete 3-partite host
-  has 1.73 MB of rows against 6.14 MB of codes.  Every n and r builds them
-  one way: a block of rows at a time is set in a dense bool buffer at the
-  owner-first keys, then packed.  The keys are cast to intp, a slice at a
-  time, as they index the buffer: numpy scatters through intp about twice
-  as fast.
-* Sorted link codes, for a sparser r >= 3 host: one sort of the owner-first
-  keys orders them by owner and then by link code, and a binary search of
-  the sorted keys at each owner's first key gives the link offsets.  The
+  XOR is counted a word at a time.  A host of any uniformity keeps them
+  when their bytes are no more than the bytes of its link codes: the 3 x 80
+  complete 3-partite host has 1.73 MB of rows against 6.14 MB of codes, and
+  T(1200, 3) 182 KB against 3.84 MB.  A graph's rows are its adjacency
+  rows, kept from about n**2 / 64 edges on (average degree n / 32).  Every
+  n and r builds them one way: a block of rows at a time is set in a dense
+  bool buffer at the owner-first keys, then packed.  The keys are cast to
+  intp, a slice at a time, as they index the buffer: numpy scatters through
+  intp about twice as fast.
+* Sorted link codes, for a sparser host: one sort of the owner-first keys
+  orders them by owner and then by link code, and a binary search of the
+  sorted keys at each owner's first key gives the link offsets.  The
   distances from a vertex v to all others come from one membership count:
   mark the codes that lie in v's link, and count the marks per owner.  The
   marks are read from a bool table over the (r-1)-tuple code space, set at
@@ -49,10 +50,10 @@ The links take one of two forms:
   than the code space.
 
 Either form backs the completion rows: for an (r-1)-face, the packed bit
-row of the vertices that complete it to an edge (a graph's adjacency row,
-or for r >= 3 the link tuples of the face's first vertex that hold the
-rest).  They also back the twin classes, the vertices with equal links:
-equal rows, or equal link-code slices.
+row of the vertices that complete it to an edge (the adjacency row of a
+graph that keeps rows, otherwise the link tuples of the face's first vertex
+that hold the rest).  They also back the twin classes, the vertices with
+equal links: equal rows, or equal link-code slices.
 
 Two queries read the edges under a vertex labeling, the class map of a
 clustering.  The signature of an edge is the sorted tuple of its r labels:
@@ -83,10 +84,11 @@ from .errors import InvalidInput, InvalidVertex
 __all__ = ["Hypergraph", "Partition"]
 
 # Upper bound on the per-vertex tables one instance allocates whatever its
-# edge count: the degree and link-offset arrays and, for graphs, the packed
-# adjacency rows (n * ``_row_bytes(n, 2)`` bytes, on their first query).  A
-# larger request is rejected before anything is allocated, so a header such
-# as ``2 1000000 0`` cannot ask for ~125 GB.
+# edge count: the int64 degree and link-offset arrays, 16 * (n + 1) bytes, so
+# n stays below 2**26 for every r.  The links follow the edges, since rows are
+# kept only when they take no more bytes than the link codes.  A larger
+# request is rejected before anything is allocated, so a header such as
+# ``2 100000000 0`` cannot ask for 1.6 GB.
 MAX_VERTEX_TABLE_BYTES = 1 << 30
 
 # Bytes of the dense bool buffer that builds packed link rows, for every n
@@ -123,9 +125,11 @@ def _row_bytes(n: int, r: int) -> int:
 
 
 def _check_size(r: int, n: int) -> None:
-    """Refuse an r-uniform hypergraph on n vertices whose per-vertex tables
-    or edge codes do not fit, whatever its edges."""
-    table_bytes = 16 * (n + 1) + (n * _row_bytes(n, r) if r == 2 else 0)
+    """Refuse an r-uniform hypergraph on n vertices whose degree and offset
+    tables or edge codes do not fit, whatever its edges.  Every n it admits
+    is below 2**26, and so below the 2**31 that the constructor's one-read
+    range check needs."""
+    table_bytes = 16 * (n + 1)
     if table_bytes > MAX_VERTEX_TABLE_BYTES:
         raise InvalidInput(
             f"vertex count {n} needs {table_bytes} bytes of per-vertex "
@@ -335,11 +339,11 @@ class Hypergraph:
     def _link_store(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """The links, built on the first call: the packed link rows, or the
         sorted link codes and their offsets when the rows would take more
-        bytes (see the module docstring).  Graphs always keep rows."""
+        bytes (see the module docstring)."""
         links = self._links
         if links is None:
             code_bytes = np.dtype(_code_dtype(max(self.n, 2), self.r - 1)).itemsize
-            if self.r == 2 or self.n * _row_bytes(self.n, self.r) <= self.r * len(self) * code_bytes:
+            if self.n * _row_bytes(self.n, self.r) <= self.r * len(self) * code_bytes:
                 links = self._build_rows()
             else:
                 links = self._build_links()
@@ -474,7 +478,7 @@ class Hypergraph:
         read-only, or ``None`` when the host keeps sorted link codes (see the
         module docstring).  Row v marks the base-n codes of the (r-1)-tuples
         of L(v), most significant bit first, and its padding bits are zero; a
-        graph's are its adjacency rows."""
+        graph's are its adjacency rows, kept from about n**2 / 64 edges on."""
         links = self._link_store()
         return None if isinstance(links, tuple) else links
 
@@ -500,12 +504,14 @@ class Hypergraph:
 
     def completions(self, face: Sequence[int]) -> np.ndarray:
         """Packed ``ceil(n/8)`` uint8 row of the vertices w for which
-        ``face + (w,)`` is an edge; ``face`` holds r - 1 vertices."""
+        ``face + (w,)`` is an edge; ``face`` holds r - 1 vertices.  A graph
+        that keeps link rows returns a read-only slice of its row; any other
+        host builds the row from the link of the face's first vertex."""
         if len(face) != self.r - 1:
             raise InvalidInput(f"face {tuple(face)!r} does not have {self.r - 1} vertices")
         v, *rest = (self._check_vertex(u) for u in face)
-        if self.r == 2:
-            return self._link_store()[v, : (self.n + 7) // 8]
+        if self.r == 2 and self.link_rows is not None:
+            return self.link_rows[v, : (self.n + 7) // 8]
         # the link tuples of v holding all of ``rest`` (none if it repeats a
         # vertex); each has one vertex left, the completion
         rows = _decode_codes(self._link_codes(v), max(self.n, 2), self.r - 1).T

@@ -577,7 +577,7 @@ class TestCliInputs:
 
     def test_a_huge_vertex_count_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "huge.txt"
-        path.write_text("2 1000000 0\n")
+        path.write_text("2 100000000 0\n")
         assert run_cli(["decide", "kcolor", "--host", str(path), "--l", "3"]) == 3
         assert "MAX_VERTEX_TABLE_BYTES" in capsys.readouterr().err
 

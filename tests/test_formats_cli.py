@@ -72,6 +72,12 @@ class TestHypergraphFormat:
         with pytest.raises(ParseError):
             parse_hypergraph("")
 
+    def test_negative_edge_count(self):
+        for parse in (parse_hypergraph, parse_pattern):
+            with pytest.raises(ParseError) as err:
+                parse("2 3 -1\n")
+            assert (err.value.line, err.value.reason) == (1, "edge count must be nonnegative")
+
     def test_wrong_arity_line(self):
         with pytest.raises(ParseError, match="expected 3"):
             parse_hypergraph("3 4 1\n0 1\n")

@@ -263,34 +263,45 @@ class TestConstruction:
         # (m, r) temporaries and a lexsort of the links take it past 4x
         assert peak < 4 * edges.nbytes
 
-    def test_dense_rows_peak_near_the_packed_output(self):
-        # the packed rows (8 MiB) plus one 16 MiB block of dense rows; the
-        # whole n*n bool matrix took the peak to 8.6x the packed rows
-        n = 8192
+    def test_dense_rows_peak_near_the_packed_output(self, monkeypatch):
+        # a graph with just enough edges to keep rows: the packed rows (2 MiB),
+        # the second column's keys (1 MiB) and one dense block, here 2 MiB of
+        # 512 rows; the whole n*n bool matrix in one block took the peak to
+        # 9.3x the packed rows
+        n = 4096
+        g = Hypergraph(2, n, _circulant(n, 64))
+        monkeypatch.setattr(hypergraph_module, "DENSE_BLOCK_BYTES", 1 << 21)
         tracemalloc.start()
         try:
-            rows = Hypergraph(2, n, [(0, 1)]).link_rows
+            rows = g.link_rows
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.nbytes == n * n // 8
+        assert rows.nbytes == n * n // 8 == 8 * len(g)
         assert peak < 3.5 * rows.nbytes
 
     def test_packed_rows_wait_for_their_first_query(self):
-        # writing a one-edge graph read no adjacency row, yet building them
-        # eagerly peaked at 26.9 MB
+        # writing a graph that keeps rows reads none of them: building them
+        # first, from one 16 MiB dense block, took this peak from 11.7 MiB to
+        # 21.5 MiB
+        n = 4096
+        edges = _circulant(n, 64)
         tracemalloc.start()
         try:
-            g = Hypergraph(2, 8000, [(0, 1)])
+            g = Hypergraph(2, n, edges)
             text = serialize_hypergraph(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert text == "2 8000 1\n0 1\n"
-        assert peak < 1 << 20
-        expected = np.zeros((8000, 1000), dtype=np.uint8)
-        expected[0, 0], expected[1, 0] = 0b01000000, 0b10000000
-        np.testing.assert_array_equal(g.link_rows, expected)
+        assert g._links is None
+        assert text.startswith(f"2 {n} {len(edges)}\n0 1\n0 2\n")
+        assert peak < 16 << 20
+        # row v marks v +- 1..64 mod n
+        bits = np.unpackbits(g.link_rows, axis=1)
+        assert bits.shape == (n, n) and int(bits.sum()) == 2 * len(edges)
+        for v in (0, 100, n - 1):
+            near = np.concatenate([np.arange(v - 64, v), np.arange(v + 1, v + 65)]) % n
+            assert np.flatnonzero(bits[v]).tolist() == sorted(near.tolist())
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, 7, 23])
     def test_dense_rows_match_across_block_boundaries(self, monkeypatch, rows_per_block):
@@ -307,14 +318,24 @@ class TestConstruction:
         np.testing.assert_array_equal(g.link_rows[:, :3], np.packbits(dense, axis=1))
         assert not g.link_rows[:, 3:].any()
 
-    def test_sparse_rows_above_the_dense_cut(self):
+    def test_sparse_graph_above_the_dense_cut_keeps_link_codes(self):
+        # its rows would take 8.5 MB, its link codes 24 bytes
         g = Hypergraph(2, 8193, [(0, 8192), (5, 13), (8000, 13)])
-        assert int(np.bitwise_count(g.link_rows).sum()) == 6
+        assert g.link_rows is None
         assert g.link(13) == {(5,), (8000,)} and g.link(8192) == {(0,)}
+        assert np.flatnonzero(np.unpackbits(g.completions((13,)))).tolist() == [5, 8000]
+        assert g.distances_from(13)[[0, 1, 5, 13, 8000, 8192]].tolist() == [3, 2, 3, 0, 3, 3]
 
-    @pytest.mark.parametrize("r, n", [(2, 1_000_000), (3, 10**12)])
+    def test_a_sparse_graph_on_a_million_vertices_builds(self):
+        # only the 16 * (n + 1) bytes of the degree and offset tables grow
+        # with n; the link codes follow the one edge
+        g = Hypergraph(2, 10**6, [(0, 1)])
+        assert g.link(1) == {(0,)} and g.link_rows is None
+        assert g.distances_from(0)[[0, 1, 2, 10**6 - 1]].tolist() == [0, 2, 1, 1]
+
+    @pytest.mark.parametrize("r, n", [(2, 100_000_000), (3, 10**12)])
     def test_rejects_huge_vertex_tables_before_allocating(self, r, n):
-        # a graph on 10^6 vertices would need ~125 GB of adjacency bit rows
+        # 10^8 vertices would need 1.6 GB of degree and offset tables
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInput, match="MAX_VERTEX_TABLE_BYTES"):
@@ -340,6 +361,17 @@ class TestRangeCheck:
     unsigned, bool and object arrays by their least and greatest values.  Every dtype refuses with the
     same message, naming the least vertex when it is negative and the
     greatest otherwise."""
+
+    def test_no_admitted_vertex_count_reaches_the_sign_bit(self):
+        # the one-read check is sound only while every admitted n is below
+        # 2**31, where a negative int32 or int64 vertex reads unsigned
+        for r in (2, 3):
+            with pytest.raises(InvalidInput, match="MAX_VERTEX_TABLE_BYTES"):
+                hypergraph_module._check_size(r, 2**31)
+        # the degree and offset tables alone cap a graph at 2**26 - 1 vertices
+        hypergraph_module._check_size(2, 2**26 - 1)
+        with pytest.raises(InvalidInput, match="MAX_VERTEX_TABLE_BYTES"):
+            hypergraph_module._check_size(2, 2**26)
 
     @pytest.mark.parametrize("dtype", ["i1", "i2", "i4", "i8", ">i8"])
     @pytest.mark.parametrize("bad", ["negative", "least", "n", "both"])
@@ -430,11 +462,13 @@ def _half_of_the_edges(r, vertices, seed):
 
 
 # hosts whose vertex 0 and two top vertices have empty links, by the form of
-# their r >= 3 links: packed rows when their n * 8 * ceil(n**(r-1)/64) bytes
-# are at most those of the r * m int32 link codes; otherwise link codes,
-# marked by a table of n**(r-1) entries when that is at most r * m, and by
-# np.isin past it
+# their links: packed rows when their n * 8 * ceil(n**(r-1)/64) bytes are at
+# most those of the r * m int32 link codes; otherwise link codes, marked by a
+# table of n**(r-1) entries when that is at most r * m, and by np.isin past it
 EMPTY_LINK_HOSTS = {
+    "rows-r2": (2, 12, _sampled_edges(2, range(1, 10), 20, 0)),  # 96 bytes of rows, 160 of codes
+    "table-r2": (2, 40, _sampled_edges(2, range(1, 38), 30, 1)),  # 60 codes, 40 entries
+    "isin-r2": (2, 10, _sampled_edges(2, range(1, 8), 3, 2)),  # 6 codes, 10 entries
     "rows-r3": (3, 11, _sampled_edges(3, range(1, 9), 45, 0)),  # 176 bytes of rows, 540 of codes
     "rows-exact-r3": (3, 12, _sampled_edges(3, range(1, 10), 24, 2)),  # 288 of rows, 288 of codes
     "rows-r4": (4, 16, _sampled_edges(4, range(1, 14), 600, 5)),  # 8192 of rows, 9600 of codes
@@ -443,6 +477,13 @@ EMPTY_LINK_HOSTS = {
     "isin-r3": (3, 10, _sampled_edges(3, range(1, 8), 10, 3)),  # 30 codes, 100 entries
     "isin-r4": (4, 10, _half_of_the_edges(4, range(1, 8), 4)),  # 52 codes, 1000 entries
 }
+
+
+def _circulant(n, k):
+    """The edges of the circulant graph joining each v to v + 1..k mod n, for
+    k < n / 2: n * k edges, each vertex of degree 2k."""
+    ends = np.arange(n).repeat(k)
+    return np.sort(np.column_stack([ends, (ends + np.tile(np.arange(1, k + 1), n)) % n]), axis=1)
 
 
 def _row_bytes(r, n):
@@ -513,9 +554,10 @@ class TestDegree:
         monkeypatch.setattr(hypergraph_module, "SLICE_BYTES", 8)
         np.testing.assert_array_equal(Hypergraph(2, n, edges).degrees(), g.degrees())
 
+    # the scattered rows are set in two dense blocks of 4032 rows at most
     @pytest.mark.parametrize(
         "graph",
-        [turan_graph(6, 2), Hypergraph(2, 9000, [(0, 8999)]), TRIPLE],
+        [turan_graph(6, 2), Hypergraph(2, 4160, _circulant(4160, 66)), TRIPLE],
         ids=["dense_rows", "scattered_rows", "r3"],
     )
     def test_degrees_and_rows_are_read_only(self, graph):
@@ -609,8 +651,8 @@ class TestTwinClasses:
     def test_twin_classes_peak_near_the_packed_rows(self):
         # one bytes key per distinct row; np.unique(axis=0) on the rows
         # peaked at about 3x their bytes
-        n = 8192
-        pairs = rng_from_seed(8192).integers(0, n, size=(60000, 2))
+        n = 4096
+        pairs = rng_from_seed(n).integers(0, n, size=(600000, 2))
         pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1), axis=0)
         g = Hypergraph(2, n, pairs)
         rows = g.link_rows
@@ -737,9 +779,9 @@ class TestHammingDistance:
 
 
 class TestLinkForms:
-    """Both forms of the r >= 3 links, on either side of the row rule, and
-    a graph's rows, built in one dense block or several, answer every query
-    as the links of a brute-force count do."""
+    """Both forms of the links of every uniformity, on either side of the
+    row rule, and a graph's rows, built in one dense block or several, answer
+    every query as the links of a brute-force count do."""
 
     @staticmethod
     def _hosts(r):
@@ -759,7 +801,7 @@ class TestLinkForms:
         ]
 
     @pytest.mark.parametrize("rows_per_block", [1, 3, None])
-    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("r", [2, 3, 4])
     def test_queries_match_brute_force_links(self, monkeypatch, r, rows_per_block):
         forms = []
         for name, n, edges in self._hosts(r):
@@ -810,6 +852,24 @@ class TestLinkForms:
             assert np.unpackbits(completions, count=n).tolist() == adj[v].tolist()
         first = [next(u for u in range(n) if (adj[u] == adj[v]).all()) for v in range(n)]
         assert g.twin_classes().tolist() == first
+
+    def test_a_sparse_graph_costs_memory_in_proportion_to_its_edges(self):
+        # 2 edges on 30 000 vertices: the link codes, a distance array and a
+        # twin array; the rows alone would take 113 MB
+        g = Hypergraph(2, 30_000, [(0, 1), (2, 3)])
+        tracemalloc.start()
+        try:
+            roots = g.twin_classes()
+            d = g.distances_from(0)
+            row = g.completions((0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.link_rows is None
+        assert roots[:5].tolist() == [0, 1, 2, 3, 4] and (roots[4:] == 4).all()
+        assert d[:5].tolist() == [0, 2, 2, 2, 1] and (d[4:] == 1).all()
+        assert np.flatnonzero(np.unpackbits(row)).tolist() == [1]
+        assert peak < 4 << 20
 
     @pytest.mark.parametrize("r", [3, 4])
     def test_links_wait_for_their_first_query(self, r):

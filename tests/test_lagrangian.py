@@ -315,6 +315,10 @@ class TestExactGraph:
             exact, numeric = solve(pattern, CFG), solve(pattern, NUMERIC)
             assert abs(numeric.value - exact.value_exact) <= 1e-9, solve.__name__
 
+    def test_equal_rows_are_singular(self):
+        # the rigidity check's elimination finds no pivot in the second column
+        assert lagrangian_module._nonsingular([[1, 1], [1, 1]]) is False
+
     @pytest.mark.parametrize("pattern", [p for _, p in GRAPHS], ids=[name for name, _ in GRAPHS])
     def test_exact_points_attain_the_values(self, pattern):
         record = lagrangian_module._exact(pattern)

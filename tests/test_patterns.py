@@ -317,3 +317,8 @@ def test_completions_from_the_first_vertex_link_match_the_edge_scan(drawn):
     pattern, face = drawn
     assert pattern.completions(face).tolist() == reference_completions(pattern, face).tolist()
     assert pattern.links() is pattern.links()  # built once and kept
+
+
+def test_completions_of_a_vertex_outside_the_pattern_are_empty():
+    # no edge holds vertex 3 of K_3, so its row is all zero
+    assert Pattern.complete_graph(3).completions((3,)).tolist() == [0]

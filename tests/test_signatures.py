@@ -220,8 +220,8 @@ def complete_cases(draw):
         n = draw(st.integers(r, 9))
         total = math.comb(n, r)
         # rows when they take no more bytes than the int32 link codes
-        least = 0 if r == 2 else -(-n * 8 * -(-(n ** (r - 1)) // 64) // (4 * r))
-        form = "rows" if r == 2 else draw(st.sampled_from(["rows", "codes"]))
+        least = -(-n * 8 * -(-(n ** (r - 1)) // 64) // (4 * r))
+        form = draw(st.sampled_from(["rows", "codes"]))
         if form == "rows":
             assume(least <= total)
             count = draw(st.integers(least, total))
