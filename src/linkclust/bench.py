@@ -83,11 +83,11 @@ def bench(
     Sizes are rounded down where the scenario needs a divisible vertex
     count; the row reports the size actually used.
     """
-    warm_n = {"kcolor": 20 * num_classes, "hom": 33, "shom": 50}.get(
-        scenario, max(6 * 4, 30 * slack * 2)
-    )
-    warm_host, warm_run, _ = _build(scenario, warm_n, seed, num_classes, slack)
-    _timed_run(warm_host, warm_run)  # absorb first-call costs outside the rows
+    if len(sizes):
+        # absorb first-call costs outside the rows, on an instance of the
+        # smallest size, so that the first row pays no first-touch costs
+        host, run, _ = _build(scenario, int(min(sizes)), seed, num_classes, slack)
+        _timed_run(host, run)
 
     rows = []
     for n in sizes:

@@ -7,7 +7,15 @@ with repetition denoting multiplicity.  ``#`` starts a comment anywhere on a
 line; blank lines are ignored.  Serialization is canonical, so parse and
 serialize round-trip exactly.
 
-Hypergraph text is parsed in bulk, on its bytes, one byte per character:
+Hypergraph text is parsed in bulk.  A text in the layout that
+``serialize_hypergraph`` writes (ASCII, the header then one line of r
+digit tokens per edge, each separator one space or LF) is recognized by
+one ``bytes.translate`` that deletes the digits and a count of the tokens,
+and goes straight to ``np.fromstring`` and the constructor.  Every other
+text, and a text in that layout that the constructor refuses, takes the
+structure pass below, which finds the lines and names the bad one.
+
+The structure pass works on the text's bytes, one byte per character:
 CRLF becomes `` \\n``, the other line breaks and whitespace of ``str`` become
 LF and space, and any other non-ASCII character ``?``, so offsets and line
 numbers stay the text's.  One ``bytes.translate`` looks up the class of
@@ -148,15 +156,15 @@ def _byte_classes(data: bytes) -> np.ndarray:
     return np.frombuffer(data.translate(_BYTE_CLASS), dtype=np.uint8)
 
 
-def _ascii_bytes(text: str) -> tuple[bytes, np.ndarray, int]:
+def _ascii_bytes(text: str, data: bytes | None) -> tuple[bytes, np.ndarray, int]:
     """The text as one byte per character, the class of each byte, and the
-    largest class.
+    largest class; ``data`` is the text's ASCII encoding, or None when the
+    text is not ASCII.
 
     CRLF becomes `` \\n``, every other line break of ``str.splitlines`` LF,
     every other whitespace of ``str.split`` a space, and every other
     non-ASCII character ``?``.  Offsets and line numbers stay the text's."""
-    if text.isascii():
-        data = text.encode("ascii")
+    if data is not None:
         if b"\r" in data:
             data = data.replace(b"\r\n", b" \n")
         cls = _byte_classes(data)
@@ -188,6 +196,36 @@ class _Lines(Sequence[tuple[int, str]]):
         return i + 1, self._text[start:end].split("#", 1)[0].strip()
 
 
+def _serializer_layout(data: bytes) -> tuple[int, int, np.ndarray] | None:
+    """``(r, n, rows)`` when the ASCII text ``data`` has the layout that
+    ``serialize_hypergraph`` writes, else None: the header ``r n m``, then m
+    lines of r tokens, every token plain digits and every separator one
+    space or the LF ending a line (the last LF may be missing).
+
+    The digits deleted, the text must leave ``"  \\n"`` and m times r - 1
+    spaces and an LF.  The header is checked against that length before
+    anything is sized from it.  When ``np.fromstring`` then finds one token
+    per separator, or one more without a final LF, no two separators touch:
+    no token is empty, so no line is blank, odd or short."""
+    nl = data.find(b"\n")
+    try:  # three tokens, each an int
+        r, n, m = map(int, data[: nl if nl >= 0 else len(data)].split())
+    except ValueError:
+        return None
+    seps = data.translate(None, b"0123456789")
+    tokens = len(seps) + (not data.endswith(b"\n"))
+    if r < 2 or r * m + 3 != tokens:  # so r <= len(seps) when m > 0
+        return None
+    line = b" " * (r - 1) + b"\n" if m else b""
+    if not (b"  \n" + line * m).startswith(seps):
+        return None
+    del seps
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.size != tokens:
+        return None
+    return r, n, values[3:].reshape(m, r) if m else values[3:3]
+
+
 def _suspect_rows(rows: np.ndarray, n: int) -> np.ndarray:
     """Indices, in order, of the edge rows the line loop might reject: a
     superset of the bad rows that holds every row equal (as a sorted key) to
@@ -213,7 +251,14 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     are made only for the header, for the lines ``int()`` must read, and for
     the lines that may be bad."""
     text = source if isinstance(source, str) else source.read()
-    data, cls, top = _ascii_bytes(text)
+    data = text.encode("ascii") if text.isascii() else None
+    layout = _serializer_layout(data) if data is not None else None
+    if layout is not None:
+        try:
+            return Hypergraph(*layout)
+        except InvalidInput:  # the structure pass below names the bad line
+            layout = None  # frees the values first
+    data, cls, top = _ascii_bytes(text, data)
     text_breaks = None  # the breaks of the text itself, when comments are cut
     if top >= _OTHER and b"#" in data:
         text_breaks = np.flatnonzero(cls == _LF)

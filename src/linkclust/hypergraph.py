@@ -614,15 +614,23 @@ class Hypergraph:
         v, since the rest of such an edge would lie in the link of u and hold
         v.  So swapping two twins maps the edges onto themselves.  A link's
         key is the bytes of its packed link row or of its link-code slice,
-        and one dict pass over the keys finds the first vertex of each.
+        and one dict pass over the keys of the vertices of positive degree
+        finds the first vertex of each.  The vertices of degree 0 share the
+        empty link, which no other vertex has, so they map to the least of
+        them in one step.
         """
         links = self._link_store()
+        used = np.flatnonzero(self._deg)
         if isinstance(links, tuple):
-            codes, off = links[0], links[1].tolist()
-            keys = (codes[a:b].tobytes() for a, b in zip(off, off[1:]))
+            codes, off = links[0], links[1]
+            ends = zip(off[used].tolist(), off[used + 1].tolist())
+            keys = (codes[a:b].tobytes() for a, b in ends)
         else:
-            keys = (row.tobytes() for row in links)
-        return np.array(_first_by_key(keys), dtype=np.int64)
+            keys = (links[v].tobytes() for v in used.tolist())
+        # the least vertex of degree 0; with none, out[used] covers every vertex
+        out = np.full(self.n, np.argmin(self._deg) if self.n else 0, dtype=np.int64)
+        out[used] = used[_first_by_key(keys)]
+        return out
 
     # -- labeled edges -------------------------------------------------------
 

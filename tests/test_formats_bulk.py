@@ -22,6 +22,7 @@ from linkclust import (
     serialize_hypergraph,
     turan_graph,
 )
+from linkclust import formats
 from linkclust.cli import run_cli
 from helpers import reference_parse_hypergraph
 
@@ -154,6 +155,10 @@ def edge_list_texts(draw):
     return text, graph
 
 
+def _no_structure_pass(*args, **kwargs):
+    raise AssertionError("the line-structure pass ran on a serializer text")
+
+
 def _outcome(parse, text):
     try:
         return parse(text)
@@ -190,6 +195,65 @@ T600 = serialize_hypergraph(turan_graph(600, 3))  # 120 000 edges on 600 vertice
 # a byte that keeps a text from being plain: non-ASCII, a rare break or blank
 NOT_PLAIN = re.compile(r"[^\x00-\x7f]|[\x0b\x0c\x1c-\x1f]|\r(?!\n)")
 INT64_BEYOND = ["9223372036854775808", "99999999999999999999", "1" + "0" * 30]
+
+# serializer texts: r = 2, 3 and 4, with m = 0 and n = 0 among them, each
+# also without its final LF
+LAYOUT_GRAPHS = [
+    turan_graph(7, 3),
+    Hypergraph(2, 12, [(0, 11), (3, 10), (10, 11)]),
+    Hypergraph(2, 5, []),
+    Hypergraph(2, 0, []),
+    catalog("fano"),
+    Hypergraph(3, 4, []),
+    catalog("generalized_triangle", r=4),
+    Hypergraph(4, 0, []),
+]
+LAYOUT_TEXTS = [
+    pytest.param(text, id=f"r{graph.r}-n{graph.n}-m{len(graph)}{end}")
+    for graph in LAYOUT_GRAPHS
+    for text, end in [
+        (serialize_hypergraph(graph), ""),
+        (serialize_hypergraph(graph)[:-1], "-no-final-lf"),
+    ]
+]
+
+
+def _one_edits(text: str) -> list[str]:
+    """Each one-edit mutation of a serializer text, at every line: a
+    leading, trailing or doubled blank, a tab, CRLF, a blank line, a
+    comment, header m +- 1, header r = 1, a missing token, leading zeros, a
+    sign and a 20-digit token."""
+    ends = text.endswith("\n")
+    lines = text.split("\n")[: -1 if ends else None]
+
+    def joined(new: list[str], brk: int = -1) -> str:
+        out = "".join(line + ("\r\n" if i == brk else "\n") for i, line in enumerate(new))
+        return out if ends else out[:-1]
+
+    r, n, m = lines[0].split()
+    variants = [
+        joined([f"{r} {n} {int(m) + d}", *lines[1:]]) for d in (-1, 1)
+    ] + [joined([f"1 {n} {m}", *lines[1:]])]
+    for i, line in enumerate(lines):
+        first = line.split(" ", 1)[0]
+        edits = [
+            " " + line,
+            line + " ",
+            line.replace(" ", "  ", 1),
+            line.replace(" ", "\t", 1),
+            line + " # c",
+            line.rsplit(" ", 1)[0],
+            "0" + line,
+            "+" + line,
+            "-" + line,
+            "9" * 20 + line[len(first) :],
+            first.zfill(20) + line[len(first) :],
+        ]
+        variants += [joined([*lines[:i], edit, *lines[i + 1 :]]) for edit in edits]
+        variants.append(joined(lines, brk=i))
+    for i in range(len(lines) + 1):
+        variants += [joined([*lines[:i], extra, *lines[i:]]) for extra in ("", "# c")]
+    return variants
 
 
 class TestBulkParser:
@@ -452,6 +516,57 @@ class TestBulkParser:
         # the line loop peaked at 45x the text on each
         assert parse_hypergraph(text) == turan_graph(600, 3)
         assert _peak_per_byte(text) <= 12
+
+    def test_memory_of_the_serializer_layout(self):
+        # the separators, the values and the constructor's arrays, with no
+        # byte classes or event offsets: 5.9x, against 8.3x with them
+        assert _peak_per_byte(T600) <= 7
+
+    @pytest.mark.parametrize("text", LAYOUT_TEXTS)
+    def test_the_serializer_layout_skips_the_structure_pass(self, text, monkeypatch):
+        expected = _outcome(reference_parse_hypergraph, text)
+        assert isinstance(expected, Hypergraph)
+        monkeypatch.setattr(formats, "_ascii_bytes", _no_structure_pass)
+        monkeypatch.setattr(formats, "_byte_classes", _no_structure_pass)
+        assert parse_hypergraph(text) == expected
+
+    @pytest.mark.parametrize("text", LAYOUT_TEXTS)
+    def test_one_edit_from_the_layout_reads_as_in_the_line_loop(self, text):
+        for variant in _one_edits(text):
+            expected = _outcome(reference_parse_hypergraph, variant)
+            assert _outcome(parse_hypergraph, variant) == expected, repr(variant)
+
+    @pytest.mark.parametrize(
+        "edge, error, reason",
+        [
+            ("1 0", DuplicateEdge, "edge '1 0' duplicates line 2"),
+            ("0 12", IndexOutOfRange, "vertex 12 outside [0, 12)"),
+            ("4 4", ParseError, "repeated vertex in edge '4 4'"),
+            ("99999999999999999999 4", IndexOutOfRange,
+             "vertex 99999999999999999999 outside [0, 12)"),
+        ],
+    )
+    def test_a_bad_edge_in_the_layout_names_its_line(self, edge, error, reason):
+        # the layout holds, the constructor refuses, and the structure pass
+        # names the line
+        text = "2 12 4\n0 1\n2 3\n" + edge + "\n5 6\n"
+        assert formats._serializer_layout(text.encode("ascii")) is not None
+        assert _outcome(reference_parse_hypergraph, text) == (error, 4, f"line 4: {reason}")
+        assert _outcome(parse_hypergraph, text) == (error, 4, f"line 4: {reason}")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "9223372036854775808 3 1\n0 1\n",
+            "2 3 99999999999999999999\n0 1\n",
+            "1 3 2\n0\n1\n",  # the layout of r = 1
+            "0 3 0\n",
+        ],
+    )
+    def test_the_header_is_checked_before_the_layout_is_sized(self, text):
+        assert formats._serializer_layout(text.encode("ascii")) is None
+        assert isinstance(_outcome(reference_parse_hypergraph, text), tuple)
+        assert _outcome(parse_hypergraph, text) == _outcome(reference_parse_hypergraph, text)
 
     @pytest.mark.parametrize("spell", [r"+\g<0>", r"0_\g<0>"], ids=["signed", "underscored"])
     def test_every_token_signed_or_underscored(self, spell):

@@ -648,6 +648,48 @@ class TestTwinClasses:
             assert roots.tolist() == list(Pattern.from_hypergraph(h).twin_classes())
         assert Hypergraph(r, 0, []).twin_classes().dtype == np.int64
 
+    @pytest.mark.parametrize("form", ["rows", "codes"])
+    def test_isolated_vertices_match_the_per_vertex_dict_pass(self, form, monkeypatch):
+        # the vertices of degree 0 are mapped in one step; the dict pass
+        # sees only the others
+        rng = rng_from_seed(7)
+        dense = turan_graph(30, 3)
+        blowup = pattern_blowup(Pattern.single_edge(3), (6, 6, 6))
+        hosts = [
+            Hypergraph(2, 45, rng.permutation(45)[dense.edge_array]),
+            Hypergraph(3, 20, rng.permutation(20)[blowup.edge_array]),
+            Hypergraph(2, 1000, [(3, 999), (4, 999), (7, 500)]),
+            Hypergraph(3, 60, [(5, 6, 40), (5, 7, 40), (0, 1, 2)]),
+            Hypergraph(4, 9, [(1, 2, 3, 8)]),
+            Hypergraph(2, 6, []),
+        ]
+        real_first_by_key = hypergraph_module._first_by_key
+        seen: list[bytes] = []
+
+        def recording(keys):
+            seen[:] = keys
+            return real_first_by_key(seen)
+
+        monkeypatch.setattr(hypergraph_module, "_first_by_key", recording)
+        hosts = [h for h in hosts if isinstance(h._link_store(), tuple) == (form == "codes")]
+        assert len(hosts) >= 2
+        for h in hosts:
+            links = h._link_store()
+            if isinstance(links, tuple):
+                off = links[1].tolist()
+                keys = [links[0][a:b].tobytes() for a, b in zip(off, off[1:])]
+            else:
+                keys = [row.tobytes() for row in links]
+            roots = h.twin_classes()
+            assert roots.dtype == np.int64
+            assert roots.tolist() == real_first_by_key(keys)
+            assert len(seen) == np.count_nonzero(h.degrees()) < h.n
+
+    def test_one_edge_on_a_million_vertices(self):
+        roots = Hypergraph(2, 10**6, [(5, 999_999)]).twin_classes()
+        assert roots[:7].tolist() == [0, 0, 0, 0, 0, 5, 0]
+        assert roots[999_999] == 999_999 and np.count_nonzero(roots) == 2
+
     def test_twin_classes_peak_near_the_packed_rows(self):
         # one bytes key per distinct row; np.unique(axis=0) on the rows
         # peaked at about 3x their bytes
