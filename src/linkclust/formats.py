@@ -11,9 +11,11 @@ Hypergraph text is parsed in bulk.  A text in the layout that
 ``serialize_hypergraph`` writes (ASCII, the header then one line of r
 digit tokens per edge, each separator one space or LF) is recognized by
 one ``bytes.translate`` that deletes the digits and a count of the tokens,
-and goes straight to ``np.fromstring`` and the constructor.  Every other
-text, and a text in that layout that the constructor refuses, takes the
-structure pass below, which finds the lines and names the bad one.
+and goes straight to ``np.fromstring`` and the constructor.  When the
+constructor refuses such a text, its values are kept and one search for LF
+finds its lines, since row j is on line j + 2; the rows that may be bad are
+then checked as below.  Every other text takes the structure pass below,
+which finds the lines and names the bad one.
 
 The structure pass works on the text's bytes, one byte per character:
 CRLF becomes `` \\n``, the other line breaks and whitespace of ``str`` become
@@ -254,10 +256,14 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
     data = text.encode("ascii") if text.isascii() else None
     layout = _serializer_layout(data) if data is not None else None
     if layout is not None:
+        r, n, rows = layout
         try:
-            return Hypergraph(*layout)
-        except InvalidInput:  # the structure pass below names the bad line
-            layout = None  # frees the values first
+            return Hypergraph(r, n, rows)
+        except InvalidInput as exc:
+            error = exc.with_traceback(None)  # frees the constructor's arrays
+        # every line of the layout holds r tokens: row j is on line j + 2
+        breaks = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        _raise_first_bad_line(_Lines(text, breaks, np.arange(len(rows) + 1)), r, n, rows, [], error)
     data, cls, top = _ascii_bytes(text, data)
     text_breaks = None  # the breaks of the text itself, when comments are cut
     if top >= _OTHER and b"#" in data:
@@ -309,14 +315,25 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
         try:
             return Hypergraph(r, n, rows)
         except InvalidInput as exc:
-            error = exc
+            error = exc.with_traceback(None)
+    _raise_first_bad_line(lines, r, n, rows, failed, error)
+
+
+def _raise_first_bad_line(lines: _Lines, r: int, n: int, rows: np.ndarray, failed: list, error) -> None:
+    """Raise the error of the first bad edge line, as the line loop does.
+    ``rows`` holds the values of the edge lines before the first one with a
+    wrong token count, if any; ``failed`` the rows ``int()`` rejects, and
+    ``error`` what the constructor raised on the rows.  Only the lines the
+    arrays mark as possibly bad are checked, in order; when none is bad,
+    ``error`` is raised, as the line loop's constructor raises it too."""
+    good = len(rows)
     suspects = sorted({*_suspect_rows(rows, n).tolist(), *failed}) if good else []
-    if good < m:
+    if good < len(lines) - 1:
         suspects.append(good)  # the first miscounted line, which raises
     seen: dict[tuple[int, ...], int] = {}
     for j in suspects:
         _edge_key(*lines[j + 1], r, n, seen)
-    raise error  # no line is bad: the line loop's constructor raises it too
+    raise error
 
 
 def serialize_hypergraph(hypergraph: Hypergraph) -> str:

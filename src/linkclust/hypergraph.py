@@ -1,18 +1,19 @@
 """Storage and elementary queries for r-uniform hypergraphs.
 
 Vertices are dense 0-based indices; edges are strictly sorted r-tuples of
-distinct vertices.  Every uniformity is canonicalized by one pipeline: each
-row is sorted by compare-exchange of whole columns and coded as a base-n
-integer.  Strictly increasing codes mean the rows are already canonical and
-distinct, and they are kept as they are; otherwise the sorted codes are
-checked for duplicates and decoded back into the lexicographically sorted
-edge array.  Codes of k-tuples, and so the edges, are int32 when
-``max(n, 2)**k < 2**31`` and int64 otherwise; past 62 bits they are rejected.
-The edge array is stored column-major: both paths write its r columns into
-one ``(r, m)`` block, the stacked sorted columns or the digits of the sorted
-codes, and the ``(m, r)`` array is that block's transpose.  Every linear
-pass (the link keys, the degrees, the label signatures) reads one column at
-a time, and a contiguous column reads about twice as fast as a strided one.
+distinct vertices.  Every uniformity is canonicalized by one pipeline, one
+pass over slices of rows: each slice is cast into its share of one ``(r,
+m)`` block of columns, its rows are sorted by compare-exchange of those
+columns, and each row is coded as a base-n integer.  Strictly increasing
+codes mean the rows are already canonical and distinct, and the block is
+kept as it is; otherwise the sorted codes are checked for duplicates and
+decoded back into the block, a slice at a time, in lexicographic order.
+Codes of k-tuples, and so the edges, are int32 when ``max(n, 2)**k < 2**31``
+and int64 otherwise; past 62 bits they are rejected.  The edge array is
+stored column-major: the ``(m, r)`` array is the block's transpose.  Every
+linear pass (the link keys, the degrees, the label signatures) reads one
+column at a time, and a contiguous column reads about twice as fast as a
+strided one.
 Edge membership is a binary search in the codes.  Every uniformity counts
 degrees one way: the first column is nondecreasing, so a binary search of
 0..n in it gives its counts, and a ``bincount`` of the other columns, a
@@ -98,7 +99,12 @@ MAX_VERTEX_TABLE_BYTES = 1 << 30
 DENSE_BLOCK_BYTES = 1 << 24
 
 # Bytes of the temporaries that a linear pass takes a slice at a time, so that
-# they stay well below the arrays it reads: the intp keys ``_build_rows``
+# they stay well below the arrays it reads: the constructor's slices of rows,
+# as int32 columns, which it casts, sorts, checks and codes in cache (whole
+# columns took a fresh temporary of m entries for each step, and the stacked
+# block peaked at 1.6x the block and codes of the shuffled 3 x 80 host); the
+# XOR of the packed rows in ``distances_from`` (all rows at once peaked at
+# 15.6 MB traced at n = 480, a slice at 0.65 MB); the intp keys ``_build_rows``
 # scatters, through one buffer reused for every slice (a whole column's cast
 # took 8 bytes a key); the intp casts of the degree count; the int64 sums of
 # the link codes ``distances_from`` marks (marking all 1.5M codes of a 3 x 80
@@ -153,27 +159,39 @@ def _scatter(dense: np.ndarray, keys: np.ndarray, offset: int, at: np.ndarray) -
         dense[part] = True
 
 
-def _sort_columns(cols: list[np.ndarray]) -> None:
+def _sort_columns(cols: list[np.ndarray], spare: np.ndarray) -> None:
     """Sort the rows with columns `cols` in place, by compare-exchange of
     whole columns (k passes of odd-even transposition; for k = 2 one
-    min/max).  ``arr.sort(axis=1)`` took 21 ms on a (540 000, 2) array and
-    made the graph-text benchmark's wall time about 8 % worse."""
+    min/max), each minimum going through the `spare` buffer, as long as the
+    columns, so that nothing is allocated.  ``arr.sort(axis=1)`` took 21 ms
+    on a (540 000, 2) array and made the graph-text benchmark's wall time
+    about 8 % worse."""
     k = len(cols)
     for p in range(k):
         for j in range(p % 2, k - 1, 2):
-            low = np.minimum(cols[j], cols[j + 1])
+            np.minimum(cols[j], cols[j + 1], out=spare)
             np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
-            cols[j] = low
+            cols[j][...] = spare
 
 
-def _encode_rows(cols: Sequence[np.ndarray], base: int) -> np.ndarray:
+def _encode_rows(cols: Sequence[np.ndarray], base: int, out: np.ndarray | None = None) -> np.ndarray:
     """Base-`base` codes of the rows with columns `cols`, by Horner's scheme
-    in the sized dtype (no ``(m, k)`` temporaries)."""
-    codes = cols[0].astype(_code_dtype(base, len(cols)))
+    in the sized dtype (no ``(m, k)`` temporaries), written into `out` when
+    it is given."""
+    codes = np.empty(cols[0].shape, _code_dtype(base, len(cols))) if out is None else out
+    codes[...] = cols[0]
     for col in cols[1:]:
         codes *= base
         codes += col
     return codes
+
+
+def _first_drop(codes: np.ndarray, lo: int, hi: int) -> int | None:
+    """The first index i in ``[lo, hi)`` with ``codes[i] <= codes[i - 1]``,
+    the previous slice's last code included, or None."""
+    part = codes[max(lo - 1, 0) : hi]
+    drops = part[1:] <= part[:-1]
+    return max(lo, 1) + int(drops.argmax()) if drops.any() else None
 
 
 def _integer_edge(edge: Iterable, r: int) -> tuple:
@@ -206,13 +224,15 @@ def _first_by_key(keys: Iterable) -> list[int]:
     return [first.setdefault(key, i) for i, key in enumerate(keys)]
 
 
-def _decode_codes(codes: np.ndarray, base: int, k: int) -> np.ndarray:
+def _decode_codes(codes: np.ndarray, base: int, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """The ``(k, m)`` digit columns of base-`base` codes, most significant
-    first, in the codes' dtype; ``.T`` gives the rows.  Each digit is written
-    straight into its row of the output, as ``codes - (codes // base) *
-    base``: about 3 ms on 512 000 int32 codes of triples (2 cores), less
-    than half the time of ``np.divmod`` and ``np.column_stack``."""
-    out = np.empty((k, codes.size), dtype=codes.dtype)
+    first, in the codes' dtype, written into `out` when it is given (the
+    constructor decodes its sorted codes a slice at a time into its block);
+    ``.T`` gives the rows.  Each digit is written straight into its row of
+    the output, as ``codes - (codes // base) * base``: about 3 ms on 512 000
+    int32 codes of triples (2 cores), less than half the time of
+    ``np.divmod`` and ``np.column_stack``."""
+    out = np.empty((k, codes.size), dtype=codes.dtype) if out is None else out
     for j in range(k - 1, 0, -1):
         quot = codes // base
         np.multiply(quot, base, out=out[j])
@@ -289,32 +309,47 @@ class Hypergraph:
                 raise InvalidInput(
                     f"edge vertex {lo if lo < 0 else hi} outside [0, {self.n})"
                 )
-        cols = [arr[:, j].astype(dtype) for j in range(self.r)]
-        _sort_columns(cols)
-        repeated = np.logical_or.reduce([a == b for a, b in zip(cols, cols[1:])])
-        if repeated.any():
-            at = int(repeated.argmax())
-            edge = tuple(int(col[at]) for col in cols)
-            raise InvalidInput(f"edge {edge} has a repeated vertex")
-        codes = _encode_rows(cols, base)
-        if (codes[1:] > codes[:-1]).all():
-            # strictly increasing codes: the rows are already canonical and
-            # distinct (every parsed file, thinned host and induced subgraph)
-            block = np.stack(cols)
-            del cols
-        else:
-            del cols
-            # The default sort kind: ``kind="stable"`` took 66 ms on 540 000
-            # shuffled codes, against 2.9 ms.
+        # One pass over slices of rows builds the (r, m) block and the codes,
+        # with no temporary of m entries: each slice is cast into the block
+        # from the input, whatever its layout or dtype, sorted through one
+        # spare buffer, tested for a repeated vertex (the first in row order
+        # raises) and coded into its share of the codes.
+        m = arr.shape[0]
+        step = max(1, SLICE_BYTES // (4 * self.r))  # rows of int32 columns
+        block = np.empty((self.r, m), dtype=dtype)
+        codes = np.empty(m, dtype=dtype)
+        spare = np.empty(min(step, m), dtype=dtype)
+        increasing = True
+        for start in range(0, m, step):
+            part = slice(start, start + step)
+            np.copyto(block[:, part], arr[part].T, casting="unsafe")
+            cols = list(block[:, part])
+            _sort_columns(cols, spare[: cols[0].size])
+            repeated = functools.reduce(np.logical_or, [a == b for a, b in zip(cols, cols[1:])])
+            if repeated.any():
+                at = int(repeated.argmax())
+                edge = tuple(int(col[at]) for col in cols)
+                raise InvalidInput(f"edge {edge} has a repeated vertex")
+            _encode_rows(cols, base, out=codes[part])
+            increasing = increasing and _first_drop(codes, start, start + step) is None
+        del spare  # before the degree count's intp slices
+        if not increasing:
+            # Strictly increasing codes mean canonical, distinct rows (every
+            # parsed file, thinned host and induced subgraph), already in the
+            # block.  Other codes are sorted, by the default kind
+            # (``kind="stable"`` took 66 ms on 540 000 shuffled codes, against
+            # 2.9 ms), and decoded a slice at a time back into the block,
+            # whose pages are already touched: the canonical lexicographic
+            # order, more cheaply than permuting the rows.  A drop left in the
+            # sorted codes is a duplicate, and the first one the least.
             codes.sort()
-            dup = codes[1:] == codes[:-1]
-            if dup.any():
-                at = int(dup.argmax())
-                edge = tuple(int(x) for x in _decode_codes(codes[at : at + 1], base, self.r)[:, 0])
-                raise InvalidInput(f"duplicate edge {edge}; multi-edges are rejected")
-            # canonical lexicographic order, recovered arithmetically from the
-            # sorted codes (cheaper than permuting the row array)
-            block = _decode_codes(codes, base, self.r)
+            for start in range(0, m, step):
+                at = _first_drop(codes, start, start + step)
+                if at is not None:
+                    edge = tuple(int(x) for x in _decode_codes(codes[at : at + 1], base, self.r)[:, 0])
+                    raise InvalidInput(f"duplicate edge {edge}; multi-edges are rejected")
+                part = slice(start, start + step)
+                _decode_codes(codes[part], base, self.r, out=block[:, part])
 
         # ``block`` holds the r columns, each contiguous; the edge array is
         # its transpose, so every pass below reads whole columns
@@ -577,9 +612,16 @@ class Hypergraph:
         v = self._check_vertex(v)
         links = self._link_store()
         if not isinstance(links, tuple):
-            # rows of whole words: a popcount per word is 6x faster than per byte
+            # rows of whole words: a popcount per word is 6x faster than per
+            # byte; ``SLICE_BYTES`` of rows are XORed at a time into one buffer
             words = links.view(np.uint64)
-            return np.bitwise_count(words ^ words[v]).sum(axis=1).astype(np.int64)
+            out = np.empty(self.n, dtype=np.int64)
+            step = max(1, SLICE_BYTES // links.shape[1])
+            xor = np.empty_like(words[:step])
+            for lo in range(0, self.n, step):
+                part = np.bitwise_xor(words[lo : lo + step], words[v], out=xor[: min(step, self.n - lo)])
+                np.bitwise_count(part).sum(axis=1, out=out[lo : lo + step])
+            return out
         # deg(u) + deg(v) - 2 |L(u) & L(v)|: mark the link codes that lie in
         # L(v), a block at a time, by a lookup in a bool table over the
         # (r-1)-tuple code space set at L(v).  The table is built only when
@@ -712,7 +754,7 @@ class Hypergraph:
         # one contiguous edge column at a time: a take of the whole (m, r)
         # array peaked at 21.5 MB on the hyper-array host, against 17.4 MB
         cols = [lab.take(col) for col in self._edges.T]
-        _sort_columns(cols)
+        _sort_columns(cols, np.empty_like(cols[0]))
         codes, reps = np.unique(_encode_rows(cols, base), return_index=True)
         return _decode_codes(codes, base, self.r).T, reps
 

@@ -554,6 +554,28 @@ class TestBulkParser:
         assert _outcome(reference_parse_hypergraph, text) == (error, 4, f"line 4: {reason}")
         assert _outcome(parse_hypergraph, text) == (error, 4, f"line 4: {reason}")
 
+    def test_a_refused_layout_is_converted_once(self, monkeypatch):
+        # the layout's values and one search for LF name the line: neither
+        # the structure pass nor a second np.fromstring runs
+        text = serialize_hypergraph(turan_graph(1200, 3))
+        header, rest = text.split("\n", 1)
+        m = int(header.split()[2])
+        text = f"2 1200 {m + 1}\n{rest}0 400\n"
+        calls = []
+        fromstring = np.fromstring
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fromstring(*args, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", spy)
+        monkeypatch.setattr(formats, "_ascii_bytes", _no_structure_pass)
+        monkeypatch.setattr(formats, "_byte_classes", _no_structure_pass)
+        assert _outcome(parse_hypergraph, text) == (
+            DuplicateEdge, m + 2, f"line {m + 2}: edge '0 400' duplicates line 2"
+        )
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -805,6 +805,24 @@ class TestHammingDistance:
         assert [d[u] for u in (0, 1, 239)] == [len(host.link(u) ^ link) for u in (0, 1, 239)]
         assert peak <= link_bytes
 
+    def test_row_distances_peak_at_a_slice_of_rows(self):
+        # n = 480: 13.8 MB of rows, XORed SLICE_BYTES at a time into one
+        # buffer; XORing them all at once peaked at 15.6 MB
+        host = pattern_blowup(Pattern.single_edge(3), (160, 160, 160))
+        rows = host.link_rows
+        tracemalloc.start()
+        try:
+            d = host.distances_from(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        words = rows.view(np.uint64)
+        assert d.dtype == np.int64
+        assert d.tolist() == np.bitwise_count(words ^ words[5]).sum(axis=1).tolist()
+        # 0 and 6 are twins of 5; 200 lies in another class, with a disjoint link
+        assert d[[0, 5, 6]].tolist() == [0, 0, 0] and d[200] == 2 * host.degree(5)
+        assert peak < 4 * hypergraph_module.SLICE_BYTES
+
     def test_a_sparse_host_builds_no_rows(self):
         # its rows would take n * n**2 / 8 = 1 GB; its link codes are 12 bytes
         g = Hypergraph(3, 2000, [(0, 1, 2)])
@@ -969,6 +987,144 @@ class TestDegreesByColumn:
         if g.n:
             with pytest.raises(ValueError):
                 deg[0] = 1
+
+
+def _slice_rows(monkeypatch, r, rows):
+    """Make the constructor's slices ``rows`` rows of r int32 columns."""
+    monkeypatch.setattr(hypergraph_module, "SLICE_BYTES", 4 * r * rows)
+
+
+class TestSlicedBuild:
+    """The constructor casts, sorts, checks and codes the rows a slice at a
+    time; on slices of a few rows every input dtype and layout must build
+    the edges, codes and degrees of a Python reference, and every fault must
+    raise the message of the first one in canonical order."""
+
+    ROWS = 4  # rows per slice
+
+    @staticmethod
+    def _reference(r, n, edges):
+        canon = sorted({tuple(sorted(e)) for e in edges})
+        base = max(n, 2)
+        codes = [sum(v * base ** (r - 1 - i) for i, v in enumerate(e)) for e in canon]
+        deg = Counter(v for e in canon for v in e)
+        return canon, codes, [deg[v] for v in range(n)]
+
+    @staticmethod
+    def _inputs(edges, r, dtype):
+        """The rows as a C-order and an F-order array of ``dtype`` and as a
+        list of tuples (of Python ints, or of ``dtype`` scalars)."""
+        arr = np.array(edges, dtype=dtype).reshape(len(edges), r)
+        return {
+            "C": arr,
+            "F": np.asfortranarray(arr),
+            "list": [tuple(row) for row in (arr.tolist() if dtype is object else arr)],
+        }
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64, object])
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("m", [0, 1, ROWS - 1, ROWS, ROWS + 1, 3 * ROWS + 2])
+    def test_every_dtype_and_layout_matches_a_python_reference(self, monkeypatch, dtype, r, m):
+        _slice_rows(monkeypatch, r, self.ROWS)
+        n = 9
+        rng = np.random.default_rng([r, m])
+        pool = list(itertools.combinations(range(n), r))
+        canon = [pool[i] for i in sorted(rng.choice(len(pool), m, replace=False))]
+        shuffled = [tuple(rng.permutation(e).tolist()) for e in canon]
+        shuffled = [shuffled[i] for i in rng.permutation(m)]
+        ref = self._reference(r, n, canon)
+        for order, edges in (("sorted", canon), ("shuffled", shuffled)):
+            for layout, rows in self._inputs(edges, r, dtype).items():
+                g = Hypergraph(r, n, rows)
+                what = (order, layout)
+                assert g.edge_array.dtype == np.int32, what
+                assert g.edge_list() == ref[0], what
+                assert g._edge_codes.tolist() == ref[1], what
+                assert g.degrees().tolist() == ref[2], what
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_bool_arrays(self, monkeypatch, m):
+        _slice_rows(monkeypatch, 2, 1)
+        edges = [(True, False)][:m]
+        for rows in self._inputs(edges, 2, bool).values():
+            g = Hypergraph(2, 2, rows)
+            assert g.edge_list() == [(0, 1)][:m]
+            assert g._edge_codes.tolist() == [1][:m] and g.degrees().tolist() == [m, m]
+
+    def test_a_code_drop_at_a_slice_boundary_takes_the_sort(self, monkeypatch):
+        # slice 0 holds rows 0..3 of canonical order 1..4, and row 4 is the
+        # canonical row 0: the codes drop exactly at the boundary, with no
+        # duplicate, so the codes are sorted and decoded
+        _slice_rows(monkeypatch, 3, self.ROWS)
+        canon = list(itertools.combinations(range(7), 3))[:11]
+        rows = canon[1:5] + canon[:1] + canon[5:]
+        decoded = []
+        decode = hypergraph_module._decode_codes
+
+        def spy(codes, base, k, out=None):
+            decoded.append(codes.size)
+            return decode(codes, base, k, out)
+
+        monkeypatch.setattr(hypergraph_module, "_decode_codes", spy)
+        assert Hypergraph(3, 7, np.array(canon)).edge_list() == canon
+        assert decoded == []  # canonical rows keep the block as cast
+        g = Hypergraph(3, 7, np.array(rows))
+        assert g.edge_list() == canon and g._edge_codes.tolist() == self._reference(3, 7, canon)[1]
+        assert decoded == [4, 4, 3]
+
+    # rows 0..3 are slice 0 and rows 4..7 slice 1; canonical rows of K_7^(3)
+    CANON = list(itertools.combinations(range(7), 3))[:10]
+
+    @pytest.mark.parametrize(
+        "rows, dtype, n, message",
+        [
+            # a repeated vertex in the first row of slice 1 beats a duplicate
+            # in slice 0 and a repeated vertex after it
+            (CANON[:2] + CANON[:2] + [(5, 3, 5)] + [(0, 0, 1)] + CANON[4:], np.int64, 7,
+             "edge (3, 5, 5) has a repeated vertex"),
+            # the last row of slice 0 and the first of slice 1 are one edge
+            (CANON[:4] + [(1, 5, 0)] + CANON[4:], np.int64, 7,
+             "duplicate edge (0, 1, 5); multi-edges are rejected"),
+            (CANON[:4] + [(5, 1, 0)] + CANON[4:], np.int32, 7,
+             "duplicate edge (0, 1, 5); multi-edges are rejected"),
+            # shuffled: after the sort the pair straddles the decode's boundary,
+            # and the least of two duplicates is named
+            ([(6, 2, 0)] + CANON[::-1] + [(5, 0, 1)], np.int64, 7,
+             "duplicate edge (0, 1, 5); multi-edges are rejected"),
+            # range faults come first, in any slice and any dtype
+            (CANON[:4] + [(5, 5, 6)] + CANON[4:6] + [(1, 2, -100)], np.int8, 200,
+             "edge vertex -100 outside [0, 200)"),
+            ([(1, 1, 2)] + CANON + [(3, 9, 4)], np.int64, 7, "edge vertex 9 outside [0, 7)"),
+            ([(1, 1, 2)] + CANON + [(3, 9, 4)], object, 7, "edge vertex 9 outside [0, 7)"),
+        ],
+        ids=["repeated", "duplicate-int64", "duplicate-int32", "least-duplicate",
+             "negative-int8", "out-of-range", "out-of-range-object"],
+    )
+    def test_faults_across_slices(self, monkeypatch, rows, dtype, n, message):
+        _slice_rows(monkeypatch, 3, self.ROWS)
+        for layout, edges in self._inputs(rows, 3, dtype).items():
+            with pytest.raises(InvalidInput) as err:
+                Hypergraph(3, n, edges)
+            assert str(err.value) == message, layout
+
+    def test_build_peak_of_a_shuffled_host(self):
+        # the hyper-array host: relabelled, shuffled int64 triples, which take
+        # the sort; the block and the codes are allocated once, next to
+        # slice-sized temporaries (stacking sorted whole columns peaked at
+        # about 1.6x)
+        base = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
+        rng = np.random.Generator(np.random.Philox(4101))
+        edges = rng.permutation(base.n)[base.edge_array][rng.permutation(len(base))]
+        assert edges.dtype == np.int64 and edges.flags.c_contiguous
+        tracemalloc.start()
+        try:
+            g = Hypergraph(3, base.n, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(g.edge_array, np.unique(np.sort(edges, axis=1), axis=0))
+        stored = g.edge_array.nbytes + g._edge_codes.nbytes  # 8.2 MB
+        assert peak <= 1.25 * stored
 
 
 class TestInduced:
