@@ -103,10 +103,11 @@ def turan_classes(n: int, parts: int) -> Partition:
 
 
 def _blowup_edges(pattern: Pattern, sizes: Sequence[int]) -> tuple[int, np.ndarray]:
-    """Vertex count and edge rows of :func:`pattern_blowup`.
+    """Vertex count and ``(r, m)`` edge columns of :func:`pattern_blowup`, in
+    the dtype of the host's edge codes, so that the host keeps them.
 
-    The rows are counted first and written into one array: each pattern
-    edge's block, viewed as an ``(n_1, ..., n_k, r)`` array over the
+    The edges are counted first and written into one array: each pattern
+    edge's block, viewed as an ``(r, n_1, ..., n_k)`` array over the
     classes it uses, gets each class's member tuples broadcast along that
     class's axis, so the first class varies slowest.
     """
@@ -128,19 +129,19 @@ def _blowup_edges(pattern: Pattern, sizes: Sequence[int]) -> tuple[int, np.ndarr
     uses = [[(i, e.count(i)) for i in dict.fromkeys(e)] for e in pattern.edges]
     counts = [math.prod(math.comb(sizes[i], m) for i, m in used) for used in uses]
     _check_edge_array(sum(counts), pattern.r)
-    edges = np.empty((sum(counts), pattern.r), dtype=np.int64)
+    edges = np.empty((pattern.r, sum(counts)), dtype=_check_size(pattern.r, starts[-1]))
     row = 0
     for used, count in zip(uses, counts):
         shape = [math.comb(sizes[i], m) for i, m in used]
-        block = edges[row : row + count].reshape(*shape, pattern.r)
+        block = edges[:, row : row + count].reshape(pattern.r, *shape)
         col = 0
         for axis, (i, m) in enumerate(used):
             members = itertools.combinations(range(starts[i], starts[i + 1]), m)
             flat = itertools.chain.from_iterable(members)
             combos = np.fromiter(flat, dtype=np.int64, count=shape[axis] * m)
-            view = [1] * len(used) + [m]
-            view[axis] = shape[axis]
-            block[..., col : col + m] = combos.reshape(view)
+            view = [m] + [1] * len(used)
+            view[1 + axis] = shape[axis]
+            block[col : col + m] = combos.reshape(shape[axis], m).T.reshape(view)
             col += m
         row += count
     return starts[-1], edges
@@ -153,7 +154,7 @@ def pattern_blowup(pattern: Pattern, sizes: Sequence[int]) -> Hypergraph:
     from each class (as distinct vertices) becomes an edge, so the class map
     is a homomorphism onto the pattern.
     """
-    return Hypergraph(pattern.r, *_blowup_edges(pattern, sizes))
+    return Hypergraph._from_block(pattern.r, *_blowup_edges(pattern, sizes))
 
 
 def delete_random_edges(
@@ -168,9 +169,9 @@ def delete_random_edges(
     keep = np.ones(len(hypergraph), dtype=bool)
     keep[_sample_without_replacement(rng, len(hypergraph), k)] = False
     # compressing the (r, m) columns keeps the kept edges column-major and
-    # in order, so the constructor reads contiguous columns and does not sort
-    edges = hypergraph.edge_array.T.compress(keep, axis=1).T
-    return Hypergraph(hypergraph.r, hypergraph.n, edges)
+    # in order: a fresh block that the host keeps, and does not sort
+    edges = hypergraph.edge_array.T.compress(keep, axis=1)
+    return Hypergraph._from_block(hypergraph.r, hypergraph.n, edges)
 
 
 def plant_violation(
@@ -239,7 +240,7 @@ def join_construction(graph: Hypergraph, q: int, part_size: int) -> Hypergraph:
     _check_edge_array(graph.n * q * part_size + math.comb(q, 2) * part_size**2, 2)
     sizes = (graph.n, *[part_size] * q) if graph.n else (part_size,) * q
     n, added = _blowup_edges(Pattern.complete_graph(len(sizes)), sizes)
-    return Hypergraph(2, n, np.concatenate([graph.edge_array, added]))
+    return Hypergraph(2, n, np.concatenate([graph.edge_array, added.T]))
 
 
 # -- fixture catalog -----------------------------------------------------------

@@ -8,6 +8,8 @@ columns, and each row is coded as a base-n integer.  Strictly increasing
 codes mean the rows are already canonical and distinct, and the block is
 kept as it is; otherwise the sorted codes are checked for duplicates and
 decoded back into the block, a slice at a time, in lexicographic order.
+The blow-ups and thinned hosts of ``corpus`` write their edges as a fresh
+block in the code dtype, which the pass takes over and runs on in place.
 Codes of k-tuples, and so the edges, are int32 when ``max(n, 2)**k < 2**31``
 and int64 otherwise; past 62 bits they are rejected.  The edge array is
 stored column-major: the ``(m, r)`` array is the block's transpose.  Every
@@ -130,18 +132,18 @@ def _row_bytes(n: int, r: int) -> int:
     return (n ** (r - 1) + 63) // 64 * 8
 
 
-def _check_size(r: int, n: int) -> None:
+def _check_size(r: int, n: int) -> type:
     """Refuse an r-uniform hypergraph on n vertices whose degree and offset
-    tables or edge codes do not fit, whatever its edges.  Every n it admits
-    is below 2**26, and so below the 2**31 that the constructor's one-read
-    range check needs."""
+    tables or edge codes do not fit, whatever its edges, and return the
+    dtype of its edge codes.  Every n it admits is below 2**26, and so below
+    the 2**31 that the constructor's one-read range check needs."""
     table_bytes = 16 * (n + 1)
     if table_bytes > MAX_VERTEX_TABLE_BYTES:
         raise InvalidInput(
             f"vertex count {n} needs {table_bytes} bytes of per-vertex "
             f"tables, above MAX_VERTEX_TABLE_BYTES = {MAX_VERTEX_TABLE_BYTES}"
         )
-    _code_dtype(max(n, 2), r)
+    return _code_dtype(max(n, 2), r)
 
 
 def _scatter(dense: np.ndarray, keys: np.ndarray, offset: int, at: np.ndarray) -> None:
@@ -267,10 +269,7 @@ class Hypergraph:
             raise InvalidInput(f"vertex count must be a nonnegative integer, got {n!r}")
         self.r = int(r)
         self.n = int(n)
-        _check_size(self.r, self.n)
-
-        base = max(self.n, 2)
-        dtype = _code_dtype(base, self.r)
+        dtype = _check_size(self.r, self.n)
 
         if isinstance(edges, np.ndarray):
             arr = edges.reshape(0, self.r) if edges.size == 0 else edges
@@ -309,20 +308,42 @@ class Hypergraph:
                 raise InvalidInput(
                     f"edge vertex {lo if lo < 0 else hi} outside [0, {self.n})"
                 )
-        # One pass over slices of rows builds the (r, m) block and the codes,
-        # with no temporary of m entries: each slice is cast into the block
-        # from the input, whatever its layout or dtype, sorted through one
-        # spare buffer, tested for a repeated vertex (the first in row order
-        # raises) and coded into its share of the codes.
-        m = arr.shape[0]
+        self._canonicalize(np.empty((self.r, arr.shape[0]), dtype), arr)
+
+    @classmethod
+    def _from_block(cls, r: int, n: int, block: np.ndarray) -> Hypergraph:
+        """The hypergraph whose edges are the columns of `block`, a C-order
+        ``(r, m)`` array of the code dtype with every vertex in ``[0, n)``,
+        made for it by a caller that has passed ``_check_size(r, n)`` and
+        keeps no reference to it (the blow-ups and thinned hosts of
+        ``corpus``).  The block is canonicalized in place and kept, so the
+        edges are neither cast nor copied: at set-up, the 3 x 80 blow-up's
+        11.7 MB of int64 rows and its copy into the block are gone."""
+        self = cls.__new__(cls)
+        self.r, self.n = r, n
+        self._canonicalize(block)
+        return self
+
+    def _canonicalize(self, block: np.ndarray, arr: np.ndarray | None = None) -> None:
+        """Store the edges in `block`, an ``(r, m)`` array of the code dtype,
+        after the rows of `arr` are cast into it, or as it holds them when
+        `arr` is None, and count the degrees.
+
+        One pass over slices of rows builds the block and the codes, with no
+        temporary of m entries: each slice is cast into the block from the
+        input, whatever its layout or dtype, sorted through one spare buffer,
+        tested for a repeated vertex (the first in row order raises) and
+        coded into its share of the codes."""
+        base = max(self.n, 2)
+        m = block.shape[1]
         step = max(1, SLICE_BYTES // (4 * self.r))  # rows of int32 columns
-        block = np.empty((self.r, m), dtype=dtype)
-        codes = np.empty(m, dtype=dtype)
-        spare = np.empty(min(step, m), dtype=dtype)
+        codes = np.empty(m, dtype=block.dtype)
+        spare = np.empty(min(step, m), dtype=block.dtype)
         increasing = True
         for start in range(0, m, step):
             part = slice(start, start + step)
-            np.copyto(block[:, part], arr[part].T, casting="unsafe")
+            if arr is not None:
+                np.copyto(block[:, part], arr[part].T, casting="unsafe")
             cols = list(block[:, part])
             _sort_columns(cols, spare[: cols[0].size])
             repeated = functools.reduce(np.logical_or, [a == b for a, b in zip(cols, cols[1:])])
@@ -348,8 +369,7 @@ class Hypergraph:
                 if at is not None:
                     edge = tuple(int(x) for x in _decode_codes(codes[at : at + 1], base, self.r)[:, 0])
                     raise InvalidInput(f"duplicate edge {edge}; multi-edges are rejected")
-                part = slice(start, start + step)
-                _decode_codes(codes[part], base, self.r, out=block[:, part])
+                _decode_codes(codes[start : start + step], base, self.r, out=block[:, start : start + step])
 
         # ``block`` holds the r columns, each contiguous; the edge array is
         # its transpose, so every pass below reads whole columns
@@ -363,8 +383,7 @@ class Hypergraph:
         # are one contiguous run of the block, counted a slice at a time, as
         # ``bincount`` casts each slice to intp.  A slice holds at least n
         # vertices, so its n counts never outweigh it.
-        first = block[0].searchsorted(np.arange(self.n + 1, dtype=block.dtype))
-        self._deg = np.diff(first)
+        self._deg = np.diff(block[0].searchsorted(np.arange(self.n + 1, dtype=block.dtype)))
         rest = block[1:].ravel()
         step = max(SLICE_BYTES // 8, self.n)
         for start in range(0, rest.size, step):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from linkclust import hypergraph as hypergraph_module
 from linkclust import (
     Hypergraph,
     InvalidInput,
@@ -105,6 +106,44 @@ class TestPatternBlowup:
             tracemalloc.stop()
         assert len(host) == math.comb(120, 2)
         assert peak < 4 << 20
+
+    def test_the_host_keeps_the_written_block(self):
+        # the hyper-array base host: its 512 000 triples are written once,
+        # as int32 columns that the host keeps; int64 rows copied into the
+        # block peaked at 2.5x the block and codes
+        tracemalloc.start()
+        try:
+            host = pattern_blowup(Pattern.single_edge(3), (80, 80, 80))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        edges = host.edge_array
+        assert edges.dtype == np.int32 and edges.flags.f_contiguous and not edges.flags.writeable
+        assert len(host) == 80**3 and host.edge_list()[:2] == [(0, 80, 160), (0, 80, 161)]
+        assert peak <= 1.1 * (edges.nbytes + host._edge_codes.nbytes)
+
+    @pytest.mark.parametrize(
+        "pattern, sizes",
+        [
+            (Pattern.single_edge(3), (2, 3, 4)),  # one pattern edge: kept as written
+            (Pattern.complete_graph(4), (3, 1, 4, 2)),  # its blocks' codes drop: sorted in place
+            (Pattern.cycle(5), (2, 3, 1, 2, 2)),
+            (Pattern.from_multisets(3, 2, [(0, 0, 1), (0, 1, 1)]), (4, 3)),
+            (Pattern.from_multisets(4, 2, [(0, 0, 0, 1), (0, 0, 1, 1)]), (5, 4)),
+            (Pattern.single_edge(3), (2, 2, 1300)),  # 1304**3 > 2**31: int64 codes
+        ],
+        ids=["single-edge", "K4", "C5", "multiplicities-r3", "multiplicities-r4", "int64-codes"],
+    )
+    def test_slices_of_a_few_rows(self, monkeypatch, pattern, sizes):
+        # the kept block is checked and, when its codes drop, sorted in place
+        # three rows at a time, across every slice boundary
+        monkeypatch.setattr(hypergraph_module, "SLICE_BYTES", 4 * pattern.r * 3)
+        host = pattern_blowup(pattern, sizes)
+        expected = reference_blowup(pattern, sizes)
+        assert host == expected
+        assert host.edge_array.dtype == expected.edge_array.dtype
+        assert host._edge_codes.tolist() == expected._edge_codes.tolist()
+        assert host.degrees().tolist() == expected.degrees().tolist()
 
 
 def _complete_pattern(k):

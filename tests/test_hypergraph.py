@@ -1107,6 +1107,35 @@ class TestSlicedBuild:
                 Hypergraph(3, n, edges)
             assert str(err.value) == message, layout
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            CANON,
+            CANON[5:] + [(3, 1, 2)] + CANON[:3],
+            CANON[:2] + CANON[:2] + [(5, 3, 5)] + [(0, 0, 1)] + CANON[4:],
+            CANON[:4] + [(1, 5, 0)] + CANON[4:],
+            [(6, 2, 0)] + CANON[::-1] + [(5, 0, 1)],
+        ],
+        ids=["canonical", "shuffled", "repeated", "duplicate", "least-duplicate"],
+    )
+    def test_a_handed_over_block_is_checked_in_place(self, monkeypatch, rows):
+        # the generators' path: the (r, m) int32 block is kept, not copied,
+        # and builds or refuses as the constructor does on its rows
+        _slice_rows(monkeypatch, 3, self.ROWS)
+        block = np.array(rows, dtype=np.int32).T.copy()
+        try:
+            expected = Hypergraph(3, 7, rows)
+        except InvalidInput as exc:
+            with pytest.raises(InvalidInput) as err:
+                Hypergraph._from_block(3, 7, block)
+            assert str(err.value) == str(exc)
+            return
+        g = Hypergraph._from_block(3, 7, block)
+        assert np.shares_memory(g.edge_array, block)
+        assert g == expected and not g.edge_array.flags.writeable
+        assert g._edge_codes.tolist() == expected._edge_codes.tolist()
+        assert g.degrees().tolist() == expected.degrees().tolist()
+
     def test_build_peak_of_a_shuffled_host(self):
         # the hyper-array host: relabelled, shuffled int64 triples, which take
         # the sort; the block and the codes are allocated once, next to
