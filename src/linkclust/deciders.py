@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -107,6 +107,13 @@ class Decision:
         return self.verdict is Verdict.NO
 
 
+def _integer(value, name: str):
+    """``value`` if it is an integer, else :class:`InvalidInput` naming it."""
+    if isinstance(value, (int, np.integer)):
+        return value
+    raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DeciderConfig:
     """Caller-supplied constants for the deciders.
@@ -124,11 +131,13 @@ class DeciderConfig:
     :func:`decide_k_colorable`, which reads only ``strict`` and
     ``oracle_budget_s``.
 
-    ``n_small`` defaults per decider: ``3 * l * r`` for an l-vertex pattern
-    in :func:`decide_hom_minimal` and :func:`decide_shom_rigid`, and
-    ``3 * |V(F)|`` for the forbidden F in :func:`embed_min_decide`.  The
-    latter sends every smaller host to the embedding search whatever
-    ``strict`` says; ``strict`` governs only its sub-threshold hosts.
+    ``n_small`` must be a positive integer.  It defaults to ``3 * l * r``
+    for an l-vertex pattern in :func:`decide_hom_minimal` and
+    :func:`decide_shom_rigid`, and to ``3 * |V(F)|`` for the forbidden F in
+    :func:`embed_min_decide`.  The latter sends every smaller host to the
+    embedding search whatever ``strict`` says; ``strict`` governs only its
+    sub-threshold hosts.  :func:`decide_k_colorable` has no cutoff and
+    ignores ``n_small``.
     """
 
     eps: float | Fraction = 0.0
@@ -142,7 +151,7 @@ class DeciderConfig:
             raise InvalidInput("eps must be nonnegative")
         if not isinstance(self.eps, numbers.Rational) and not math.isfinite(self.eps):
             raise InvalidInput(f"eps must be finite, got {self.eps!r}")
-        if self.n_small is not None and self.n_small < 1:
+        if self.n_small is not None and _integer(self.n_small, "n_small") < 1:
             raise InvalidInput("n_small must be positive")
         if not self.oracle_budget_s < math.inf:  # NaN compares false with every time
             raise InvalidInput(f"oracle budget {self.oracle_budget_s!r} never runs out")
@@ -189,10 +198,13 @@ def hamming_clustering(
     ``delta`` may be anything :class:`~fractions.Fraction` accepts; the ball
     radius comparison is exact.  Deterministic given the vertex order.
     """
-    if num_classes < 2:
+    if _integer(num_classes, "class count") < 2:
         raise InvalidInput("need at least 2 classes")
-    frac = Fraction(delta)
-    if frac < 0 or frac > 1:
+    try:
+        frac = Fraction(delta)
+    except (TypeError, ValueError, OverflowError):  # not a number, NaN or infinite
+        frac = None
+    if frac is None or frac < 0 or frac > 1:
         raise InvalidInput(f"delta must lie in [0, 1], got {delta!r}")
     labels, _ = _cluster(hypergraph, num_classes, frac)
     return Partition.from_labels(labels, num_classes)
@@ -306,115 +318,135 @@ def decide_k_colorable(
     small-host cutoff: requires minimum degree strictly above
     ``(3k-4)/(3k-1) * n``, where the ball clustering recovers the unique
     coloring when one exists.  Below it the decision is refused, or
-    delegated to the exhaustive oracle when ``cfg.strict`` is false.
+    delegated to the exhaustive oracle when ``cfg.strict`` is false.  K_k
+    itself, with its C(k, 2) edges, is built only for that oracle.
     """
     if graph.r != 2:
         raise InvalidInput("colorability decider expects a graph (r = 2)")
-    if num_colors < 2:
+    if _integer(num_colors, "color count") < 2:
         raise InvalidInput("need at least 2 colors")
     if graph.n == 0:
         raise InvalidInput("empty vertex set")
     k = num_colors
-    # the core's gate would refuse too; a refused host pays no C(k, 2) edges
-    if cfg.strict and (refusal := _clique_refusal(graph, k)) is not None:
-        return _precondition(*refusal)
-    clique = Pattern.complete_graph(k)
-    oracle = functools.partial(_oracle_hom_decision, graph, clique, False, cfg.oracle_budget_s)
-    return _decide_core(graph, clique, replace(cfg, eps=Fraction(1, k * (3 * k - 1))), oracle, 0)
+
+    def oracle(note: str) -> Decision:
+        return _oracle_hom_decision(graph, Pattern.complete_graph(k), False, cfg.oracle_budget_s, note)
+
+    eps = Fraction(1, k * (3 * k - 1))
+    return _decide_core(graph, None, replace(cfg, eps=eps, n_small=1), oracle, row=_clique_row(k))
 
 
-# -- pattern colorability under minimum degree -----------------------------------
+# -- the decision pipeline: calibrate, gate, cluster, verdict ---------------------
 
 
-def _exact_fraction(value: float, exact: Optional[Fraction]) -> Fraction:
-    return exact if exact is not None else Fraction(value)
+class _Row(NamedTuple):
+    """A calibrated pattern: the degree threshold (r·λ, or φ when
+    surjective), the least coordinate c of the maximin optimum, the
+    clustering radius (``(c/2)**(r-1) / (r-1)!`` but on the K_k row), the
+    number of classes and whether the pattern is complete."""
+
+    threshold: Fraction
+    smallest: Fraction
+    radius: Fraction
+    k: int
+    complete: bool
 
 
-def _clique_refusal(graph: Hypergraph, k: int) -> Optional[tuple[str, dict]]:
-    """The K_k row's gate: reason and details unless the minimum degree is
-    strictly above ``(3k-4)/(3k-1) * n``."""
-    n, dmin, (a, b) = graph.n, graph.min_degree(), (3 * k - 4, 3 * k - 1)
-    if b * dmin > a * n:
+def _clique_row(k: int) -> _Row:
+    """The K_k row (r = 2, complete on k vertices), all closed forms:
+    r·λ = φ = 1 - 1/k and c = 1/k.  Its radius is 2/(3k-1), which separates
+    the parts of a k-partite host above the gate of :func:`_gate`."""
+    return _Row(Fraction(k - 1, k), Fraction(1, k), Fraction(2, 3 * k - 1), k, True)
+
+
+def _calibrate(pattern: Pattern, surjective: bool, cfg: DeciderConfig) -> _Row:
+    """The pattern's row, exact where the calibration has a closed form.
+
+    ``exact or value`` takes the exact value where there is one; an exact 0
+    falls back to its float, which is then 0.0 as well.
+    """
+    r, complete = pattern.r, pattern.is_complete()
+    if r == 2 and complete:
+        return _clique_row(pattern.num_vertices)
+    if surjective:
+        rig = rigidity_report(pattern, cfg.opt)
+        threshold = Fraction(rig.maximin_exact or rig.maximin)
+    else:
+        lam = lagrangian(pattern, cfg.opt)
+        threshold = r * Fraction(lam.value_exact or lam.value)
+        rig = rigidity_report(pattern, cfg.opt)
+    smallest = Fraction(rig.smallest_exact or rig.smallest_coordinate)
+    radius = (smallest / 2) ** (r - 1) / math.factorial(r - 1)
+    return _Row(threshold, smallest, radius, pattern.num_vertices, complete)
+
+
+def _gate(host: Hypergraph, row: _Row, cfg: DeciderConfig, n_small: int) -> Optional[tuple]:
+    """``None`` for a host the criterion covers, else the oracle's note, the
+    reason and its details.
+
+    A host with fewer than ``n_small`` vertices is not covered.  Nor is one
+    with minimum degree below ``(threshold - eps) * n**(r-1)``, except on
+    the K_k row from eps = 1/(k(3k-1)) on: there the λ bound admits hosts
+    at (3k-4)/(3k-1)·n, which the Andrásfai–Erdős–Sós theorem excludes, so
+    the row needs minimum degree strictly above that bound.
+    """
+    n, r, k = host.n, host.r, row.k
+    if n < n_small:
+        reason = f"host has {n} vertices, below the small-instance cutoff {n_small}"
+        return "small host", reason, {"n": n, "n_small": n_small}
+    dmin = host.min_degree()
+    if r == 2 and row.complete and Fraction(cfg.eps) >= Fraction(1, k * (3 * k - 1)):
+        a, b = 3 * k - 4, 3 * k - 1
+        if b * dmin > a * n:
+            return None
+        reason = f"minimum degree {dmin} is not above {a}/{b} of {n}"
+        return "sub-threshold fallback", reason, {"min_degree": dmin, "bound": (a, b), "n": n}
+    bound = (row.threshold - Fraction(cfg.eps)) * Fraction(n) ** (r - 1)
+    if Fraction(dmin) >= bound:
         return None
-    reason = f"minimum degree {dmin} is not above {a}/{b} of {n}"
-    return reason, {"min_degree": dmin, "bound": (a, b), "n": n}
+    reason = f"minimum degree {dmin} below the threshold {bound}"
+    return "sub-threshold fallback", reason, {"min_degree": dmin, "threshold": str(bound)}
 
 
 def _decide_core(
     hypergraph: Hypergraph,
-    pattern: Pattern,
+    pattern: Optional[Pattern],
     cfg: DeciderConfig,
     oracle: Callable[[str], Decision],
-    n_small: int,
     degenerate: Optional[Exception] = None,
     surjective: bool = False,
+    row: Optional[_Row] = None,
 ) -> Decision:
-    """The criterion's decision procedure, shared by all but the clique decider.
+    """The criterion's decision procedure, shared by every decider but the
+    clique decider, in four phases.
 
-    Calibrate: the threshold is r·λ of the pattern, or its maximin level φ
-    when ``surjective``, and c is the least coordinate of the maximin
-    optimum; both are exact where the calibration has a closed form.  Gate:
-    a host with fewer than ``n_small`` vertices, then one with minimum
-    degree below ``(threshold - eps) * n**(r-1)``, is refused when
-    ``cfg.strict`` and else answered by ``oracle(note)``.  Decide: raise
+    Calibrate: ``row`` is the pattern's :func:`_calibrate` row unless the
+    caller gives it, as k-colorability gives the K_k row with no pattern.
+    Gate: :func:`_gate` with the cutoff ``cfg.n_small``, by default
+    ``3 * k * r`` for k classes, refuses an uncovered host when
+    ``cfg.strict`` and else hands it to ``oracle(note)``.  Cluster: raise
     ``degenerate`` (a :class:`NumericFailure` by default) unless c > 0,
-    cluster at radius ``(c/2)**(r-1) / (r-1)!``, and read the class
-    signatures of the edges; when ``surjective`` every class must be
-    nonempty.
-
-    A complete pattern K_l^(r) reads no signatures: its verdict is the
-    lowest-index edge that repeats a label
-    (:meth:`Hypergraph.first_repeating_edge`), and on a yes the clustering
-    labels are the coloring, unrelabeled.  The K_k row (r = 2, complete on
-    k vertices) is k-colorability, with the closed forms r·λ = φ = 1 - 1/k
-    and c = 1/k.  From eps = 1/(k(3k-1)) on, the λ bound admits hosts at
-    (3k-4)/(3k-1)·n, which the Andrásfai–Erdős–Sós theorem excludes, so the
-    row gates strictly above that bound; there radius 2/(3k-1) separates the
-    parts of a k-partite host.
+    and cluster into k balls of the row's radius.  Verdict: a complete
+    pattern K_l^(r) reads no signatures, but the lowest-index edge that
+    repeats a label (:meth:`Hypergraph.first_repeating_edge`), and on a yes
+    the clustering labels are the coloring, unrelabeled; any other pattern
+    reads the class signatures of the edges; and when ``surjective`` every
+    class must be nonempty.
     """
-    n, r, k = hypergraph.n, hypergraph.r, pattern.num_vertices
-    complete = pattern.is_complete()
-    clique = r == 2 and complete
-    if clique:
-        threshold, smallest, radius = Fraction(k - 1, k), Fraction(1, k), Fraction(2, 3 * k - 1)
-    else:
-        if surjective:
-            rig = rigidity_report(pattern, cfg.opt)
-            threshold = _exact_fraction(rig.maximin, rig.maximin_exact)
-        else:
-            lam = lagrangian(pattern, cfg.opt)
-            threshold = r * _exact_fraction(lam.value, lam.value_exact)
-            rig = rigidity_report(pattern, cfg.opt)
-        smallest = _exact_fraction(rig.smallest_coordinate, rig.smallest_exact)
-        radius = (smallest / 2) ** (r - 1) / math.factorial(r - 1)
-
-    if n < n_small:
-        if cfg.strict:
-            return _precondition(
-                f"host has {n} vertices, below the small-instance cutoff {n_small}",
-                {"n": n, "n_small": n_small},
-            )
-        return oracle("small host")
-    if clique and Fraction(cfg.eps) >= Fraction(1, k * (3 * k - 1)):
-        refusal = _clique_refusal(hypergraph, k)
-    else:
-        dmin = hypergraph.min_degree()
-        bound = (threshold - Fraction(cfg.eps)) * Fraction(n) ** (r - 1)
-        refusal = None if Fraction(dmin) >= bound else (
-            f"minimum degree {dmin} below the threshold {bound}",
-            {"min_degree": dmin, "threshold": str(bound)},
-        )
+    if row is None:
+        row = _calibrate(pattern, surjective, cfg)
+    n_small = cfg.n_small if cfg.n_small is not None else 3 * row.k * hypergraph.r
+    refusal = _gate(hypergraph, row, cfg, n_small)
     if refusal is not None:
-        if cfg.strict:
-            return _precondition(*refusal)
-        return oracle("sub-threshold fallback")
+        note, reason, details = refusal
+        return _precondition(reason, details) if cfg.strict else oracle(note)
 
-    if smallest <= 0:
-        raise degenerate or NumericFailure("clustering radius degenerated to zero", float(smallest))
-    labels, evals = _cluster(hypergraph, k, radius)
+    if row.smallest <= 0:
+        raise degenerate or NumericFailure("clustering radius degenerated to zero", float(row.smallest))
+    labels, evals = _cluster(hypergraph, row.k, row.radius)
     stats = DecideStats(distance_evals=evals, edges_scanned=len(hypergraph))
-    if complete:  # every relabeling of a legal coloring is one: test the identity
-        relabeled, bad_edge = labels, hypergraph.first_repeating_edge(labels, k)
+    if row.complete:  # every relabeling of a legal coloring is one: test the identity
+        relabeled, bad_edge = labels, hypergraph.first_repeating_edge(labels, row.k)
     else:
         relabeled, bad_edge = _signature_verdict(hypergraph, pattern, labels, cfg.oracle_budget_s)
     _finish_work(stats, hypergraph)
@@ -425,7 +457,7 @@ def _decide_core(
             reason=f"edge {bad_edge} has no legal class signature",
             stats=stats,
         )
-    part = Partition.from_labels(relabeled, pattern.num_vertices)
+    part = Partition.from_labels(relabeled, row.k)
     if surjective and not part.has_full_support():
         empty = next(i for i, c in enumerate(part.classes) if not c)
         return Decision(
@@ -435,6 +467,9 @@ def _decide_core(
             stats=stats,
         )
     return Decision(Verdict.YES, partition=part, stats=stats)
+
+
+# -- pattern colorability under minimum degree -----------------------------------
 
 
 def decide_hom_minimal(
@@ -460,7 +495,6 @@ def decide_hom_minimal(
         pattern,
         cfg,
         functools.partial(_oracle_hom_decision, hypergraph, pattern, False, cfg.oracle_budget_s),
-        cfg.n_small if cfg.n_small is not None else 3 * pattern.num_vertices * pattern.r,
     )
 
 
@@ -485,7 +519,6 @@ def decide_shom_rigid(
         pattern,
         cfg,
         functools.partial(_oracle_hom_decision, hypergraph, pattern, True, cfg.oracle_budget_s),
-        cfg.n_small if cfg.n_small is not None else 3 * pattern.num_vertices * pattern.r,
         surjective=True,
     )
 
@@ -532,9 +565,8 @@ def embed_min_decide(
     return _decide_core(
         hypergraph,
         pattern,
-        cfg,
+        replace(cfg, n_small=n_small),
         oracle,
-        0,
         InvalidInput("pattern admits no positive clustering radius; unusable pairing"),
     )
 
@@ -559,7 +591,7 @@ def peel(graph: Hypergraph, num_parts: int) -> PeelResult:
     """
     if graph.r != 2:
         raise InvalidInput("peeling expects a graph (r = 2)")
-    if num_parts < 2:
+    if _integer(num_parts, "part count") < 2:
         raise InvalidInput("need at least 2 parts")
     n = graph.n
     k = num_parts
@@ -601,9 +633,9 @@ def clique_avg_decide(
     """
     if graph.r != 2:
         raise InvalidInput("clique decider expects a graph (r = 2)")
-    if num_parts < 2:
+    if _integer(num_parts, "part count") < 2:
         raise InvalidInput("need at least 2 parts")
-    if slack < 0:
+    if _integer(slack, "edge slack") < 0:
         raise InvalidInput("edge slack must be nonnegative")
     n, k = graph.n, num_parts
     extremal = turan_number(n, k)

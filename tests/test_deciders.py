@@ -14,6 +14,7 @@ from linkclust import (
     DeciderConfig,
     Hypergraph,
     InvalidInput,
+    NumericFailure,
     OracleTimeout,
     Partition,
     Pattern,
@@ -32,9 +33,11 @@ from linkclust import (
     embed_min_decide,
     find_embedding,
     find_homomorphism,
+    hamming_clustering,
     pattern_blowup,
     peel,
     plant_violation,
+    rigidity_report,
     rng_from_seed,
     serialize_hypergraph,
     serialize_pattern,
@@ -403,6 +406,22 @@ def zero_stats(**stats) -> dict:
     return {"distance_evals": 0, "edges_scanned": 0, "work_units": 0, "z": None, **stats}
 
 
+def pinned(d) -> dict:
+    """Every field of a decision, with the classes for the partition."""
+    return dict(
+        verdict=d.verdict.value,
+        reason=d.reason,
+        details=d.details,
+        violating_edge=d.violating_edge,
+        classes=None if d.partition is None else d.partition.classes,
+        stats=dataclasses.asdict(d.stats),
+    )
+
+
+# pinned() of a decision that sets only its verdict
+UNSET = dict(reason=None, details={}, violating_edge=None, classes=None, stats=zero_stats())
+
+
 def small_host_refused(n, n_small):
     return dict(
         verdict="precondition_violated",
@@ -594,25 +613,36 @@ BRANCHES = {
 
 @pytest.mark.parametrize("decide, expected", BRANCHES.values(), ids=BRANCHES.keys())
 def test_calibrated_decider_branches(decide, expected):
-    d = decide()
-    got = dict(
-        verdict=d.verdict.value,
-        reason=d.reason,
-        details=d.details,
-        violating_edge=d.violating_edge,
-        classes=None if d.partition is None else d.partition.classes,
-        stats=dataclasses.asdict(d.stats),
-    )
-    want = dict(
-        reason=None, details={}, violating_edge=None, classes=None, stats=zero_stats()
-    ) | expected
-    assert got == want
+    assert pinned(decide()) == UNSET | expected
 
 
 def test_degenerate_kfree_radius_is_refused():
     # K3 does not map into the path, but the path's optimum drops a vertex
     with pytest.raises(InvalidInput, match="^pattern admits no positive clustering radius"):
         embed_min_decide(turan_graph(40, 2), K3, Pattern.path(3))
+
+
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda: decide_hom_minimal(pattern_blowup(P_001_011, (20, 20)), P_001_011, EPS_005),
+        lambda: decide_shom_rigid(pattern_blowup(C5, (6,) * 5), C5),
+    ],
+    ids=["hom", "shom"],
+)
+def test_degenerate_radius_is_a_numeric_failure(decide, monkeypatch):
+    # both hosts pass the gate (hom-multiset-yes and shom-yes above); a
+    # smallest coordinate of 0 leaves the clustering no positive radius
+    def zero_smallest(pattern, opt):
+        return dataclasses.replace(
+            rigidity_report(pattern, opt), smallest_coordinate=0.0, smallest_exact=Fraction(0)
+        )
+
+    monkeypatch.setattr(deciders, "rigidity_report", zero_smallest)
+    with pytest.raises(NumericFailure) as err:
+        decide()
+    assert str(err.value) == "clustering radius degenerated to zero (best value found: 0.0)"
+    assert err.value.best_value == 0.0
 
 
 @pytest.mark.parametrize(
@@ -665,6 +695,16 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         ),
         (lambda: clique_avg_decide(K3, 1, 0), "need at least 2 parts"),
         (lambda: clique_avg_decide(K3, 2, -1), "edge slack must be nonnegative"),
+        # a count that is not an integer, and a delta that is not a number
+        (lambda: DeciderConfig(n_small=2.5), "n_small must be an integer, got 2.5"),
+        (lambda: decide_k_colorable(K3, 2.5), "color count must be an integer, got 2.5"),
+        (lambda: peel(K3, 2.5), "part count must be an integer, got 2.5"),
+        (lambda: clique_avg_decide(K3, 2.5, 0), "part count must be an integer, got 2.5"),
+        (lambda: clique_avg_decide(K3, 2, 0.5), "edge slack must be an integer, got 0.5"),
+        (lambda: hamming_clustering(K3, 2.5, 0), "class count must be an integer, got 2.5"),
+        (lambda: hamming_clustering(K3, 2, float("nan")), "delta must lie in [0, 1], got nan"),
+        (lambda: hamming_clustering(K3, 2, float("inf")), "delta must lie in [0, 1], got inf"),
+        (lambda: hamming_clustering(K3, 2, "x"), "delta must lie in [0, 1], got 'x'"),
     ],
     ids=[
         "negative_eps",
@@ -677,6 +717,15 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         "clique_r3",
         "clique_one_part",
         "negative_slack",
+        "n_small_fractional",
+        "colors_fractional",
+        "peel_parts_fractional",
+        "clique_parts_fractional",
+        "slack_fractional",
+        "classes_fractional",
+        "delta_nan",
+        "delta_inf",
+        "delta_not_a_number",
     ],
 )
 def test_argument_refusals(make, message):
@@ -749,19 +798,46 @@ def test_an_infinite_decimal_eps_is_refused():
     assert str(err.value) == "eps must be finite, got Decimal('Infinity')"
 
 
-@pytest.mark.parametrize("k", [3, 41, 10**5])
-def test_kcolor_refuses_before_building_k_k(k, monkeypatch):
-    # T(40, 2) is not above the bound for any k >= 3, and no host is for
-    # k > n; K_k has C(k, 2) edges, 5·10^9 at k = 10^5
-    def refuse(*args):
-        raise AssertionError("K_k built for a host that is refused")
+def not_above_aes_bound(k: int) -> dict:
+    """T(40, 2)'s refusal by the K_k row's gate."""
+    return dict(
+        verdict="precondition_violated",
+        reason=f"minimum degree 20 is not above {3 * k - 4}/{3 * k - 1} of 40",
+        details={"min_degree": 20, "bound": (3 * k - 4, 3 * k - 1), "n": 40},
+    )
 
-    host = turan_graph(40, 2)
+
+@pytest.mark.parametrize(
+    "make_host, k, expected",
+    [
+        *[(lambda: turan_graph(40, 2), k, not_above_aes_bound(k)) for k in (3, 41, 10**5)],
+        (
+            lambda: turan_graph(60, 3),
+            3,
+            dict(
+                verdict="yes",
+                classes=blocks(20, 20, 20),
+                stats=zero_stats(distance_evals=118, edges_scanned=1200, work_units=9480),
+            ),
+        ),
+        (
+            lambda: plant_violation(turan_graph(60, 3), contiguous_classes((20, 20, 20)), 0),
+            3,
+            no_signature((0, 18), distance_evals=118, edges_scanned=1201, work_units=9482),
+        ),
+    ],
+    ids=["refused-3", "refused-41", "refused-100000", "yes", "planted"],
+)
+def test_kcolor_builds_no_k_k(make_host, k, expected, monkeypatch):
+    # T(40, 2) is not above the bound for any k >= 3, and no host is for
+    # k > n; K_k has C(k, 2) edges, 5·10^9 at k = 10^5.  A strict decision
+    # needs K_k nowhere, neither to refuse a host nor to cluster it.
+    def refuse(*args):
+        raise AssertionError("K_k built by a strict decision")
+
+    host = make_host()
     monkeypatch.setattr(Pattern, "complete_graph", refuse)
-    d = decide_k_colorable(host, k)
-    assert d.verdict is Verdict.PRECONDITION_VIOLATED
-    assert d.reason == f"minimum degree 20 is not above {3 * k - 4}/{3 * k - 1} of 40"
-    assert d.details == {"min_degree": 20, "bound": (3 * k - 4, 3 * k - 1), "n": 40}
+    assert pinned(decide_k_colorable(host, k)) == UNSET | expected
 
 
 def test_the_k_k_row_does_not_calibrate(monkeypatch):
