@@ -28,7 +28,7 @@ from .deciders import (
     decide_k_colorable,
     decide_shom_rigid,
 )
-from .errors import InvalidInput
+from .errors import InvalidInput, _integer
 from .hypergraph import Hypergraph
 from .patterns import Pattern
 
@@ -80,18 +80,20 @@ def bench(
 ) -> list[dict]:
     """One row per requested size: wall time and exact work counters.
 
-    Sizes are rounded down where the scenario needs a divisible vertex
-    count; the row reports the size actually used.
+    Each size must be an integer.  Sizes are rounded down where the
+    scenario needs a divisible vertex count; the row reports the size
+    actually used.
     """
-    if len(sizes):
+    sizes = [_integer(n, "size") for n in sizes]
+    if sizes:
         # absorb first-call costs outside the rows, on an instance of the
         # smallest size, so that the first row pays no first-touch costs
-        host, run, _ = _build(scenario, int(min(sizes)), seed, num_classes, slack)
+        host, run, _ = _build(scenario, min(sizes), seed, num_classes, slack)
         _timed_run(host, run)
 
     rows = []
     for n in sizes:
-        host, run, classes = _build(scenario, int(n), seed, num_classes, slack)
+        host, run, classes = _build(scenario, n, seed, num_classes, slack)
         decision, seconds = _timed_run(host, run)
         evals = decision.stats.distance_evals
         budget = classes * host.n

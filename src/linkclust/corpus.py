@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _integer, _is_integer
 from .hypergraph import Hypergraph, Partition, _check_size
 from .oracles import turan_number
 from .patterns import Pattern
@@ -39,7 +39,7 @@ Seed = int
 
 def rng_from_seed(seed: Seed) -> np.random.Generator:
     """Philox-backed generator for a 64-bit unsigned seed."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0 or seed >= 2**64:
+    if not _is_integer(seed) or not 0 <= int(seed) < 2**64:
         raise InvalidInput(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return np.random.Generator(np.random.Philox(int(seed)))
 
@@ -64,13 +64,13 @@ def balanced_sizes(n: int, parts: int) -> tuple[int, ...]:
     classes get the extra vertex."""
     if n < 0 or parts < 1:
         raise InvalidInput(f"need n >= 0 and parts >= 1, got n = {n} and parts = {parts}")
-    q, s = divmod(n, parts)
+    q, s = divmod(_integer(n, "vertex count"), _integer(parts, "part count"))
     return tuple(q + 1 if i < s else q for i in range(parts))
 
 
 def contiguous_classes(sizes: Sequence[int]) -> Partition:
     """Partition of ``sum(sizes)`` vertices into consecutive index blocks."""
-    bounds = np.cumsum([0, *sizes])
+    bounds = np.cumsum([0, *(_integer(s, "class size") for s in sizes)])
     classes = [range(bounds[i], bounds[i + 1]) for i in range(len(sizes))]
     return Partition(classes, int(bounds[-1]))
 
@@ -111,7 +111,7 @@ def _blowup_edges(pattern: Pattern, sizes: Sequence[int]) -> tuple[int, np.ndarr
     classes it uses, gets each class's member tuples broadcast along that
     class's axis, so the first class varies slowest.
     """
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(_integer(s, "class size") for s in sizes)
     if len(sizes) != pattern.num_vertices:
         raise InvalidInput(
             f"{len(sizes)} sizes given for a pattern on {pattern.num_vertices} vertices"
@@ -165,6 +165,7 @@ def delete_random_edges(
         raise InvalidInput(
             f"cannot delete {k} edges from a hypergraph with {len(hypergraph)}"
         )
+    k = _integer(k, "edge count")
     rng = rng_from_seed(seed)
     keep = np.ones(len(hypergraph), dtype=bool)
     keep[_sample_without_replacement(rng, len(hypergraph), k)] = False
@@ -235,6 +236,7 @@ def join_construction(graph: Hypergraph, q: int, part_size: int) -> Hypergraph:
         raise InvalidInput("need at least one added part")
     if part_size < 1:
         raise InvalidInput("added parts must be nonempty")
+    q, part_size = _integer(q, "added part count"), _integer(part_size, "part size")
     # the added edges blow up K_{q+1} over the graph's vertex set and the q
     # new parts, or K_q when the graph has no vertex
     _check_edge_array(graph.n * q * part_size + math.comb(q, 2) * part_size**2, 2)

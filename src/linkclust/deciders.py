@@ -34,6 +34,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -45,6 +46,8 @@ from .errors import (
     NumericFailure,
     PatternNotMinimal,
     PatternNotRigid,
+    _budget,
+    _integer,
 )
 from .hypergraph import Hypergraph, Partition
 from .lagrangian import OptConfig, is_minimal, lagrangian, rigidity_report
@@ -107,29 +110,24 @@ class Decision:
         return self.verdict is Verdict.NO
 
 
-def _integer(value, name: str):
-    """``value`` if it is an integer, else :class:`InvalidInput` naming it."""
-    if isinstance(value, (int, np.integer)):
-        return value
-    raise InvalidInput(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DeciderConfig:
     """Caller-supplied constants for the deciders.
 
     ``eps`` is the accepted slack below the calibrated degree threshold; it
-    must be finite and nonnegative.  A ``Fraction`` is compared exactly, and
-    a float by its binary value, so ``0.09`` is a little below ``9/100``.  A
-    host with fewer than ``n_small`` vertices, or with minimum degree below
-    the slackened threshold, is refused when ``strict`` and otherwise handed
-    to the exhaustive oracle (exponential worst case), which gives up after
-    ``oracle_budget_s`` seconds.  Each search that matches the clusters to
-    the pattern, and the pairing check of :func:`embed_min_decide`, runs
-    under the same budget.  ``opt`` configures the
-    calibration.  For K_k, eps >= 1/(k(3k-1)) gates by the strict bound of
-    :func:`decide_k_colorable`, which reads only ``strict`` and
-    ``oracle_budget_s``.
+    must be a finite, nonnegative real number (a ``numbers.Real`` or a
+    ``Decimal``).  A ``Fraction`` is compared exactly, and a float by its
+    binary value, so ``0.09`` is a little below ``9/100``.  ``strict`` must
+    be a bool, and the budget a real number that runs out
+    (``errors._budget``).  A host with fewer than ``n_small`` vertices, or
+    with minimum degree below the slackened threshold, is refused when
+    ``strict`` and otherwise handed to the exhaustive oracle (exponential
+    worst case), which gives up after ``oracle_budget_s`` seconds.  Each
+    search that matches the clusters to the pattern, and the pairing check
+    of :func:`embed_min_decide`, runs under the same budget.  ``opt``
+    configures the calibration.  For K_k, eps >= 1/(k(3k-1)) gates by the
+    strict bound of :func:`decide_k_colorable`, which reads only ``strict``
+    and ``oracle_budget_s``.
 
     ``n_small`` must be a positive integer.  It defaults to ``3 * l * r``
     for an l-vertex pattern in :func:`decide_hom_minimal` and
@@ -147,14 +145,17 @@ class DeciderConfig:
     oracle_budget_s: float = DEFAULT_BUDGET_S
 
     def __post_init__(self):
+        if not isinstance(self.eps, (numbers.Real, Decimal)):
+            raise InvalidInput(f"eps must be a real number, got {self.eps!r}")
         if self.eps < 0:
             raise InvalidInput("eps must be nonnegative")
         if not isinstance(self.eps, numbers.Rational) and not math.isfinite(self.eps):
             raise InvalidInput(f"eps must be finite, got {self.eps!r}")
         if self.n_small is not None and _integer(self.n_small, "n_small") < 1:
             raise InvalidInput("n_small must be positive")
-        if not self.oracle_budget_s < math.inf:  # NaN compares false with every time
-            raise InvalidInput(f"oracle budget {self.oracle_budget_s!r} never runs out")
+        if not isinstance(self.strict, (bool, np.bool_)):
+            raise InvalidInput(f"strict must be a bool, got {self.strict!r}")
+        _budget(self.oracle_budget_s)
 
 
 # -- the clustering core -------------------------------------------------------
@@ -363,13 +364,21 @@ def _calibrate(pattern: Pattern, surjective: bool, cfg: DeciderConfig) -> _Row:
     """The pattern's row, exact where the calibration has a closed form.
 
     ``exact or value`` takes the exact value where there is one; an exact 0
-    falls back to its float, which is then 0.0 as well.
+    falls back to its float, which is then 0.0 as well.  A surjective
+    decision needs a rigid pattern: the one rigidity report that gives its
+    threshold raises :class:`PatternNotRigid` for any other.  Every K_k is
+    rigid, so its closed-form row needs no report.
     """
     r, complete = pattern.r, pattern.is_complete()
     if r == 2 and complete:
         return _clique_row(pattern.num_vertices)
     if surjective:
         rig = rigidity_report(pattern, cfg.opt)
+        if not rig.rigid:
+            raise PatternNotRigid(
+                f"pattern is not rigid ({(rig.certificate or {}).get('kind', 'unknown')}); "
+                "this decider requires a rigid pattern"
+            )
         threshold = Fraction(rig.maximin_exact or rig.maximin)
     else:
         lam = lagrangian(pattern, cfg.opt)
@@ -504,16 +513,11 @@ def decide_shom_rigid(
     """Decide surjective colorability by a rigid pattern for dense hosts.
 
     As :func:`decide_hom_minimal`, with the threshold taken from the maximin
-    level of the pattern's partials and every class required nonempty.
+    level of the pattern's partials and every class required nonempty; the
+    pattern must certify rigid, which the calibration checks.
     """
     if hypergraph.r != pattern.r:
         raise InvalidInput("uniformity mismatch between host and pattern")
-    rig = rigidity_report(pattern, cfg.opt)
-    if not rig.rigid:
-        raise PatternNotRigid(
-            f"pattern is not rigid ({(rig.certificate or {}).get('kind', 'unknown')}); "
-            "this decider requires a rigid pattern"
-        )
     return _decide_core(
         hypergraph,
         pattern,

@@ -1,6 +1,25 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the argument rules that
+every module applies the same way.
+
+The integer rule: an argument that counts or names something (a vertex, a
+vertex count, a uniformity, a class size, a seed) is an integer when it is
+a Python ``int`` or ``bool`` or a numpy integer or bool, whatever its
+value.  Anything else, a float such as ``2.0`` or ``2.7``, a string or
+``None``, is refused with :class:`InvalidInput`, never truncated or parsed.
+An array of such values has an integer or bool dtype, or holds only
+integers.  :func:`_integer` applies the rule to one value, :func:`_integers`
+to an array; a caller with its own message tests :func:`_is_integer`.
+
+The budget rule: an oracle budget is a real number of seconds that runs
+out, so NaN and infinity are refused (:func:`_budget`).
+"""
 
 from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 __all__ = [
     "LinkclustError",
@@ -66,3 +85,39 @@ class PatternNotRigid(LinkclustError):
 
 class OracleTimeout(LinkclustError, TimeoutError):
     """An exhaustive search exceeded its time budget."""
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer by the rule of the module docstring."""
+    return isinstance(value, (int, np.integer, np.bool_))
+
+
+_AT_LEAST = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def _integer(value, what: str, low: int | None = None) -> int:
+    """``value`` as an ``int``, refusing with :class:`InvalidInput`, named by
+    ``what``, a value that is not an integer or is below ``low``."""
+    if not _is_integer(value) or low is not None and value < low:
+        kind = _AT_LEAST.get(low, f"an integer >= {low}")
+        raise InvalidInput(f"{what} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an array, refusing a value that is not an integer; an
+    empty one, as ``np.array([])``, has none."""
+    arr = values if isinstance(values, np.ndarray) else np.array(list(values))
+    if arr.dtype.kind not in "iub":
+        for v in arr.flat:
+            if not _is_integer(v):
+                raise InvalidInput(f"{what} has a value {v!r} that is not an integer")
+    return arr
+
+
+def _budget(seconds) -> None:
+    """Refuse an oracle budget that is not a real number or never runs out."""
+    if not isinstance(seconds, numbers.Real):
+        raise InvalidInput(f"oracle budget must be a real number, got {seconds!r}")
+    if not seconds < math.inf:  # NaN compares false with every time
+        raise InvalidInput(f"oracle budget {seconds!r} never runs out")

@@ -82,7 +82,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidVertex
+from .errors import InvalidInput, InvalidVertex, _integer, _integers, _is_integer
 
 __all__ = ["Hypergraph", "Partition"]
 
@@ -198,26 +198,15 @@ def _first_drop(codes: np.ndarray, lo: int, hi: int) -> int | None:
 
 def _integer_edge(edge: Iterable, r: int) -> tuple:
     """The vertices of ``edge`` as a tuple, refusing an edge without r of them
-    or with one that is not an integer (a Python or numpy integer, or a bool)
-    rather than truncating or parsing it."""
+    or with one that is not an integer (``errors._is_integer``) rather than
+    truncating or parsing it."""
     e = tuple(edge)
     if len(e) != r:
         raise InvalidInput(f"edge {e!r} has {len(e)} vertices, expected {r}")
     for v in e:
-        if not isinstance(v, (int, np.integer, np.bool_)):
+        if not _is_integer(v):
             raise InvalidInput(f"edge {e!r} has a vertex {v!r} that is not an integer")
     return e
-
-
-def _integer_values(values: Iterable, what: str) -> np.ndarray:
-    """``values`` as an array, refusing a value that is not an integer as
-    :func:`_integer_edge` does; an empty one, as ``np.array([])``, has none."""
-    arr = values if isinstance(values, np.ndarray) else np.array(list(values))
-    if arr.dtype.kind not in "iub":
-        for v in arr.flat:
-            if not isinstance(v, (int, np.integer, np.bool_)):
-                raise InvalidInput(f"{what} has a value {v!r} that is not an integer")
-    return arr
 
 
 def _first_by_key(keys: Iterable) -> list[int]:
@@ -263,12 +252,8 @@ class Hypergraph:
     __slots__ = ("r", "n", "_edges", "_deg", "_edge_codes", "_links", "_hash")
 
     def __init__(self, r: int, n: int, edges: Iterable[Iterable[int]] | np.ndarray):
-        if not isinstance(r, (int, np.integer)) or r < 2:
-            raise InvalidInput(f"uniformity must be an integer >= 2, got {r!r}")
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise InvalidInput(f"vertex count must be a nonnegative integer, got {n!r}")
-        self.r = int(r)
-        self.n = int(n)
+        self.r = _integer(r, "uniformity", 2)
+        self.n = _integer(n, "vertex count", 0)
         dtype = _check_size(self.r, self.n)
 
         if isinstance(edges, np.ndarray):
@@ -576,7 +561,7 @@ class Hypergraph:
         return np.packbits(bits)
 
     def _check_vertex(self, v: int) -> int:
-        if not isinstance(v, (int, np.integer)) or v < 0 or v >= self.n:
+        if not _is_integer(v) or v < 0 or v >= self.n:
             raise InvalidVertex(f"vertex {v!r} outside [0, {self.n})")
         return int(v)
 
@@ -697,9 +682,11 @@ class Hypergraph:
 
     def _check_labels(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
         """``labels`` as int64, refusing all but one integer label in
-        ``[0, num_classes)`` per vertex."""
+        ``[0, num_classes)`` per vertex.  The array's dtype must pass the
+        test of ``errors._integers``, integer or bool, so a bool array reads
+        as 0s and 1s, as in :meth:`Partition.from_labels`."""
         lab = np.asarray(labels)
-        bad = lab.shape != (self.n,) or lab.dtype.kind not in "iu"
+        bad = lab.shape != (self.n,) or lab.dtype.kind not in "iub"
         if bad or lab.size and not 0 <= lab.min() <= lab.max() < num_classes:
             raise InvalidInput(f"need {self.n} integer labels in [0, {num_classes})")
         return lab.astype(np.int64, copy=False)
@@ -789,9 +776,10 @@ class Hypergraph:
         through one index array; an increasing relabeling keeps them in
         canonical order, so the constructor only checks them.
         """
-        keep = np.unique(np.fromiter((int(x) for x in subset), dtype=np.int64))
+        keep = np.unique(_integers(subset, "the subset"))
         if keep.size and (keep[0] < 0 or keep[-1] >= self.n):
             raise InvalidVertex(f"subset contains a vertex outside [0, {self.n})")
+        keep = keep.astype(np.int64, copy=False)
         if keep.size == self.n:
             return self, {v: v for v in range(self.n)}
         new = np.full(self.n, -1, dtype=self._edges.dtype)
@@ -815,13 +803,11 @@ class Partition:
     __slots__ = ("n", "_num_classes", "_labels", "_classes_cache")
 
     def __init__(self, classes: Sequence[Iterable[int]], n: int):
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise InvalidInput(f"vertex count must be a nonnegative integer, got {n!r}")
-        self.n = int(n)
+        self.n = _integer(n, "vertex count", 0)
         labels = np.full(self.n, -1, dtype=np.int64)
         count = 0
         for i, cls in enumerate(classes):
-            idx = np.unique(_integer_values(cls, f"class {i}"))
+            idx = np.unique(_integers(cls, f"class {i}"))
             if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
                 raise InvalidVertex(f"class {i} contains a vertex outside [0, {self.n})")
             idx = idx.astype(np.int64, copy=False)
@@ -842,15 +828,14 @@ class Partition:
     def from_labels(cls, labels: np.ndarray, num_classes: int) -> "Partition":
         """Build from per-vertex class indices (disjointness and coverage
         hold by construction, so only the index range is checked)."""
-        if not isinstance(num_classes, (int, np.integer)) or num_classes < 0:
-            raise InvalidInput(f"class count must be a nonnegative integer, got {num_classes!r}")
-        labels = _integer_values(labels, "the label array")
+        num_classes = _integer(num_classes, "class count", 0)
+        labels = _integers(labels, "the label array")
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise InvalidInput("label outside [0, num_classes)")
         labels = np.ascontiguousarray(labels, dtype=np.int64)
         self = cls.__new__(cls)
         self.n = int(labels.size)
-        self._num_classes = int(num_classes)
+        self._num_classes = num_classes
         self._labels = labels
         self._labels.setflags(write=False)
         self._classes_cache = None

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidInput, NumericFailure
+from .errors import InvalidInput, NumericFailure, _integer
 from .patterns import Pattern, SimplexPoint, lagrange_eval, lagrange_grad
 
 __all__ = [
@@ -90,8 +90,9 @@ class OptConfig:
     Dirichlet samples drawn from ``seed``); ``closed_forms`` lets complete
     r-graphs K_l^(r) and every pattern with r = 2 skip the numerics for
     their exact records, and turned off forces the numeric path on them
-    too.  The tolerances are the module constants above.  A seed below 0 or
-    fewer than one restart is refused with :class:`InvalidInput`.
+    too.  The tolerances are the module constants above.  A restart count
+    or seed that is not an integer, a seed below 0 or fewer than one restart
+    is refused with :class:`InvalidInput`.
     """
 
     restarts: int = 64
@@ -99,9 +100,9 @@ class OptConfig:
     closed_forms: bool = True
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
+        if _integer(self.restarts, "restarts") < 1:
             raise InvalidInput(f"restarts must be at least 1, got {self.restarts}")
-        if self.seed < 0:
+        if _integer(self.seed, "the optimizer seed") < 0:
             raise InvalidInput(f"the optimizer seed must be nonnegative, got {self.seed}")
 
 

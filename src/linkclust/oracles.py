@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import InvalidInput, OracleTimeout
+from .errors import InvalidInput, OracleTimeout, _budget, _integer
 from .hypergraph import Hypergraph
 from .lagrangian import _Calc
 from .patterns import Pattern
@@ -59,9 +59,7 @@ class _Deadline:
     __slots__ = ("t_end", "ticks")
 
     def __init__(self, budget_s: float):
-        # NaN compares false with every time, so it would never run out
-        if not budget_s < math.inf:
-            raise InvalidInput(f"oracle budget {budget_s!r} never runs out")
+        _budget(budget_s)
         self.t_end = time.monotonic() + budget_s
         self.ticks = 0
 
@@ -76,6 +74,7 @@ def turan_number(n: int, parts: int) -> int:
     vertices with ``parts`` classes; equals ``floor((parts-1) n^2 / (2 parts))``."""
     if n < 0 or parts < 1:
         raise InvalidInput("need n >= 0 and parts >= 1")
+    n, parts = _integer(n, "vertex count"), _integer(parts, "part count")
     q, s = divmod(n, parts)
     inside = s * (q + 1) * q // 2 + (parts - s) * q * (q - 1) // 2
     return n * (n - 1) // 2 - inside
@@ -434,6 +433,7 @@ def _grid_max(
     ``GRID_POINT_LIMIT`` of them."""
     if resolution < 1:
         raise InvalidInput("grid resolution must be at least 1")
+    resolution = _integer(resolution, "grid resolution")
     dim = pattern.num_vertices
     points = math.comb(resolution + dim - 1, dim - 1)
     if points > GRID_POINT_LIMIT:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, _integer, _is_integer
 from .hypergraph import Hypergraph, _first_by_key, _integer_edge
 
 __all__ = [
@@ -112,14 +112,8 @@ class Pattern:
         num_vertices: int,
         edges: Iterable[Iterable[int]],
     ):
-        if not isinstance(r, (int, np.integer)) or r < 1:
-            raise InvalidInput(f"uniformity must be a positive integer, got {r!r}")
-        if not isinstance(num_vertices, (int, np.integer)) or num_vertices < 1:
-            raise InvalidInput(
-                f"vertex count must be a positive integer, got {num_vertices!r}"
-            )
-        self.r = int(r)
-        self.num_vertices = int(num_vertices)
+        self.r = _integer(r, "uniformity", 1)
+        self.num_vertices = _integer(num_vertices, "vertex count", 1)
         canon = set()
         for e in edges:
             ms = tuple(sorted(map(int, _integer_edge(e, self.r))))
@@ -149,23 +143,27 @@ class Pattern:
     def complete_graph(cls, num_vertices: int) -> "Pattern":
         if num_vertices < 1:
             raise InvalidInput("a complete graph pattern needs at least 1 vertex")
+        num_vertices = _integer(num_vertices, "vertex count")
         return cls(2, num_vertices, itertools.combinations(range(num_vertices), 2))
 
     @classmethod
     def cycle(cls, length: int) -> "Pattern":
         if length < 3:
             raise InvalidInput("a cycle pattern needs at least 3 vertices")
+        length = _integer(length, "cycle length")
         return cls(2, length, [(i, (i + 1) % length) for i in range(length)])
 
     @classmethod
     def path(cls, num_vertices: int) -> "Pattern":
         if num_vertices < 2:
             raise InvalidInput("a path pattern needs at least 2 vertices")
+        num_vertices = _integer(num_vertices, "vertex count")
         return cls(2, num_vertices, [(i, i + 1) for i in range(num_vertices - 1)])
 
     @classmethod
     def single_edge(cls, r: int) -> "Pattern":
         """The pattern on r vertices whose only edge uses each vertex once."""
+        r = _integer(r, "uniformity", 1)
         return cls(r, r, [tuple(range(r))])
 
     # -- structure -----------------------------------------------------------
@@ -183,7 +181,7 @@ class Pattern:
 
     def vertex_deleted(self, i: int) -> "Pattern":
         """Remove vertex ``i`` and every edge using it; reindex the rest."""
-        if i < 0 or i >= self.num_vertices:
+        if not _is_integer(i) or i < 0 or i >= self.num_vertices:
             raise InvalidInput(f"vertex {i} outside [0, {self.num_vertices})")
         if self.num_vertices == 1:
             raise InvalidInput("cannot delete the only vertex")

@@ -705,6 +705,15 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         (lambda: hamming_clustering(K3, 2, float("nan")), "delta must lie in [0, 1], got nan"),
         (lambda: hamming_clustering(K3, 2, float("inf")), "delta must lie in [0, 1], got inf"),
         (lambda: hamming_clustering(K3, 2, "x"), "delta must lie in [0, 1], got 'x'"),
+        # a config field or budget of the wrong type
+        (lambda: DeciderConfig(eps="0.1"), "eps must be a real number, got '0.1'"),
+        (lambda: DeciderConfig(eps=None), "eps must be a real number, got None"),
+        (lambda: DeciderConfig(oracle_budget_s="1"), "oracle budget must be a real number, got '1'"),
+        (lambda: DeciderConfig(strict="no"), "strict must be a bool, got 'no'"),
+        (
+            lambda: find_homomorphism(K3, Pattern.complete_graph(3), False, None),
+            "oracle budget must be a real number, got None",
+        ),
     ],
     ids=[
         "negative_eps",
@@ -726,6 +735,11 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         "delta_nan",
         "delta_inf",
         "delta_not_a_number",
+        "eps_string",
+        "eps_none",
+        "budget_string",
+        "strict_string",
+        "oracle_budget_none",
     ],
 )
 def test_argument_refusals(make, message):
@@ -852,6 +866,26 @@ def test_the_k_k_row_does_not_calibrate(monkeypatch):
     planted = plant_violation(host, contiguous_classes(balanced_sizes(60, 3)), 0)
     assert decide_k_colorable(planted, 3).is_no
     assert decide_k_colorable(host, 4, DeciderConfig(strict=False)).is_yes
+
+
+def test_shom_reads_one_rigidity_report_per_decision(monkeypatch):
+    # the report that gives the threshold also certifies rigidity; the
+    # uniformity is still checked before either
+    calls = []
+
+    def counted(pattern, opt):
+        calls.append(pattern)
+        return rigidity_report(pattern, opt)
+
+    monkeypatch.setattr(deciders, "rigidity_report", counted)
+    assert decide_shom_rigid(pattern_blowup(C5, (6,) * 5), C5).is_yes
+    assert calls == [C5]
+    with pytest.raises(PatternNotRigid):
+        decide_shom_rigid(turan_graph(20, 2), Pattern.cycle(4), SHOM_CFG)
+    assert calls == [C5, Pattern.cycle(4)]
+    with pytest.raises(InvalidInput, match="^uniformity mismatch between host and pattern$"):
+        decide_shom_rigid(catalog("fano"), Pattern.cycle(4))
+    assert len(calls) == 2
 
 
 def test_complete_patterns_answer_without_the_signature_path(monkeypatch, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The package surface: each public name is declared once, in its module's
-``__all__``, ``linkclust`` re-exports exactly those names, and ``deciders``
-imports only public names from ``hypergraph``."""
+``__all__``, ``linkclust`` re-exports exactly those names, ``deciders``
+imports only public names from ``hypergraph``, and only ``errors`` spells
+out the integer rule."""
 
 import ast
 import importlib
@@ -140,3 +141,24 @@ def test_the_deciders_read_no_private_hypergraph_names():
         for alias in node.names
     ]
     assert sorted(imported) == ["Hypergraph", "Partition"]
+
+
+def test_only_errors_tests_for_a_numpy_integer():
+    # every other module applies the integer rule through errors._integer,
+    # errors._integers or errors._is_integer
+    package = Path(linkclust.__file__).parent
+    spelled = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "integer"
+                    for sub in ast.walk(node.args[1])
+                )
+            ):
+                spelled.append(f"{path.name}:{node.lineno}")
+    assert spelled and all(at.startswith("errors.py:") for at in spelled), spelled
