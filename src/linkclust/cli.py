@@ -282,11 +282,10 @@ def _cmd_gen(args) -> int:
         if parts is None:
             raise LinkclustError("this generator cannot plant without --classes")
         hypergraph = plant_violation(hypergraph, parts, args.seed)
-    text = formats.serialize_hypergraph(hypergraph)
     if args.out and args.out != "-":
-        Path(args.out).write_text(text)
+        Path(args.out).write_bytes(formats._hypergraph_bytes(hypergraph))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(formats.serialize_hypergraph(hypergraph))
     return EXIT_YES
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, _integer, _is_integer
+from .errors import InvalidInput, _comparable, _integer, _is_integer
 from .hypergraph import Hypergraph, Partition, _check_size
 from .oracles import turan_number
 from .patterns import Pattern
@@ -62,7 +62,7 @@ def _sample_without_replacement(
 def balanced_sizes(n: int, parts: int) -> tuple[int, ...]:
     """Class sizes differing by at most one; the first ``n mod parts``
     classes get the extra vertex."""
-    if n < 0 or parts < 1:
+    if _comparable(n, "vertex count") < 0 or _comparable(parts, "part count") < 1:
         raise InvalidInput(f"need n >= 0 and parts >= 1, got n = {n} and parts = {parts}")
     q, s = divmod(_integer(n, "vertex count"), _integer(parts, "part count"))
     return tuple(q + 1 if i < s else q for i in range(parts))
@@ -92,7 +92,7 @@ def _check_edge_array(m: int, r: int) -> None:
 
 def turan_graph(n: int, parts: int) -> Hypergraph:
     """Balanced complete multipartite graph on ``n`` vertices."""
-    if parts < 1 or n < parts:
+    if _comparable(parts, "part count") < 1 or _comparable(n, "vertex count") < parts:
         raise InvalidInput("need n >= parts >= 1")
     _check_edge_array(turan_number(n, parts), 2)
     return pattern_blowup(Pattern.complete_graph(parts), balanced_sizes(n, parts))
@@ -161,7 +161,7 @@ def delete_random_edges(
     hypergraph: Hypergraph, k: int, seed: Seed
 ) -> Hypergraph:
     """Remove ``k`` uniformly chosen edges, deterministically per seed."""
-    if k < 0 or k > len(hypergraph):
+    if _comparable(k, "edge count") < 0 or k > len(hypergraph):
         raise InvalidInput(
             f"cannot delete {k} edges from a hypergraph with {len(hypergraph)}"
         )
@@ -232,9 +232,9 @@ def join_construction(graph: Hypergraph, q: int, part_size: int) -> Hypergraph:
     """
     if graph.r != 2:
         raise InvalidInput("join construction is defined for graphs")
-    if q < 1:
+    if _comparable(q, "added part count") < 1:
         raise InvalidInput("need at least one added part")
-    if part_size < 1:
+    if _comparable(part_size, "part size") < 1:
         raise InvalidInput("added parts must be nonempty")
     q, part_size = _integer(q, "added part count"), _integer(part_size, "part size")
     # the added edges blow up K_{q+1} over the graph's vertex set and the q

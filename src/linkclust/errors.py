@@ -8,7 +8,10 @@ value.  Anything else, a float such as ``2.0`` or ``2.7``, a string or
 ``None``, is refused with :class:`InvalidInput`, never truncated or parsed.
 An array of such values has an integer or bool dtype, or holds only
 integers.  :func:`_integer` applies the rule to one value, :func:`_integers`
-to an array; a caller with its own message tests :func:`_is_integer`.
+to an array; a caller with its own message tests :func:`_is_integer`.  A
+caller whose range test keeps its own message for a number such as -1.5
+passes the value through :func:`_comparable` first, so that a string or
+``None`` is refused by the rule rather than by the comparison.
 
 The budget rule: an oracle budget is a real number of seconds that runs
 out, so NaN and infinity are refused (:func:`_budget`).
@@ -104,12 +107,24 @@ def _integer(value, what: str, low: int | None = None) -> int:
     return int(value)
 
 
+def _comparable(value, what: str):
+    """``value`` when a range test may compare it: an integer or another real
+    number, which the caller's own range message names.  Anything else, a
+    string or ``None``, is refused as :func:`_integer` refuses it."""
+    if not (_is_integer(value) or isinstance(value, numbers.Real)):
+        raise InvalidInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _integers(values, what: str) -> np.ndarray:
     """``values`` as an array, refusing a value that is not an integer; an
-    empty one, as ``np.array([])``, has none."""
-    arr = values if isinstance(values, np.ndarray) else np.array(list(values))
+    empty one, as ``np.array([])``, has none.  The value named is the
+    caller's own, not what the array made of it (``0`` beside ``1.5`` reads
+    as ``0.0`` in the array)."""
+    items = values if isinstance(values, np.ndarray) else list(values)
+    arr = np.asarray(items)
     if arr.dtype.kind not in "iub":
-        for v in arr.flat:
+        for v in arr.flat if items is arr else items:
             if not _is_integer(v):
                 raise InvalidInput(f"{what} has a value {v!r} that is not an integer")
     return arr

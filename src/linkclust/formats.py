@@ -34,9 +34,12 @@ whole array.  When a check fails, the lines the arrays mark as possibly bad
 are checked one by one in order, so the error names the same line, with the
 same message, as the reference line loop in ``tests/helpers.py``.
 Serialization gathers the text from a byte table: each vertex that occurs
-in an edge gets its digits followed by a space and by a newline, and one
-``take`` by the edge array, ``tobytes`` and the removal of the NUL padding
-write every line, with no Python object per edge, value or vertex.
+in an edge gets two NUL-padded entries, its digits followed by a space and
+by a newline.  The index of every value's entry is filled one contiguous
+edge column at a time: the vertex itself when every vertex occurs, else
+its rank among those that do.  One ``take`` gathers the entries and the
+removal of the NUL padding writes every line, with no Python object per
+edge, value or vertex.  ``gen --out`` writes these bytes as they are.
 """
 
 from __future__ import annotations
@@ -206,9 +209,11 @@ def _serializer_layout(data: bytes) -> tuple[int, int, np.ndarray] | None:
 
     The digits deleted, the text must leave ``"  \\n"`` and m times r - 1
     spaces and an LF.  The header is checked against that length before
-    anything is sized from it.  When ``np.fromstring`` then finds one token
-    per separator, or one more without a final LF, no two separators touch:
-    no token is empty, so no line is blank, odd or short."""
+    anything is sized from it, and its three tokens keep a separator from
+    starting the text.  When no separator follows another, and none but an
+    LF ends the text, no token is empty, so no line is blank, odd or short,
+    and ``np.fromstring`` reads the tokens into one array of their exact
+    count."""
     nl = data.find(b"\n")
     try:  # three tokens, each an int
         r, n, m = map(int, data[: nl if nl >= 0 else len(data)].split())
@@ -222,9 +227,13 @@ def _serializer_layout(data: bytes) -> tuple[int, int, np.ndarray] | None:
     if not (b"  \n" + line * m).startswith(seps):
         return None
     del seps
-    values = np.fromstring(data, dtype=np.int64, sep=" ")
-    if values.size != tokens:
+    # the separators, " " and LF, are the bytes below the digit "0"
+    sep = np.frombuffer(data, dtype=np.uint8) < ord("0")
+    if data.endswith(b" ") or (sep[1:] & sep[:-1]).any():
         return None
+    del sep
+    # sized once; a short read would leave the entries beyond it unset
+    values = np.fromstring(data, dtype=np.int64, sep=" ", count=tokens)
     return r, n, values[3:].reshape(m, r) if m else values[3:3]
 
 
@@ -336,12 +345,13 @@ def _raise_first_bad_line(lines: _Lines, r: int, n: int, rows: np.ndarray, faile
     raise error
 
 
-def serialize_hypergraph(hypergraph: Hypergraph) -> str:
+def _hypergraph_bytes(hypergraph: Hypergraph) -> bytes:
+    """The edge-list text of ``hypergraph`` as ASCII bytes."""
     edges = hypergraph.edge_array
     header = f"{hypergraph.r} {hypergraph.n} {len(edges)}\n".encode("ascii")
     used = np.flatnonzero(hypergraph.degrees())
     if not used.size:
-        return header.decode("ascii")
+        return header
     # Two NUL-padded entries per used vertex: its digits, then " " in the
     # first half of the table and "\n" in the second.  The digits are right
     # aligned, one divmod pass per column; a column left of the leading digit
@@ -356,14 +366,27 @@ def serialize_hypergraph(hypergraph: Hypergraph) -> str:
     table[1] = table[0]
     table[0, :, d] = ord(" ")
     table[1, :, d] = ord("\n")
-    rank = np.zeros(hypergraph.n, dtype=edges.dtype)  # 2u fits the edge dtype
-    rank[used] = np.arange(u, dtype=edges.dtype)
-    idx = rank[edges]
-    del rank
+    entries = table.view(f"S{d + 1}").reshape(2 * u)
+    rank = None  # every vertex used: a vertex is its own entry
+    if u < hypergraph.n:
+        rank = np.zeros(hypergraph.n, dtype=np.intp)
+        rank[used] = np.arange(u)
+    # the entry of every value, filled one contiguous edge column at a time,
+    # the last column's from the "\n" half; the indices are valid, so the
+    # take skips its bounds check
+    idx = np.empty(edges.shape, dtype=np.intp)
+    for j, column in enumerate(edges.T):
+        idx[:, j] = column if rank is None else rank.take(column)
     idx[:, -1] += u
-    body = table.view(f"S{d + 1}").reshape(2 * u).take(idx)
+    body = entries.take(idx, mode="clip")
     del idx
-    return (header + body.data).translate(None, b"\0").decode("ascii")
+    text = header + body.data
+    del body
+    return text.translate(None, b"\0")
+
+
+def serialize_hypergraph(hypergraph: Hypergraph) -> str:
+    return _hypergraph_bytes(hypergraph).decode("ascii")
 
 
 def parse_pattern(source: str | IO[str]) -> Pattern:

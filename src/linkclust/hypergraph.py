@@ -685,6 +685,7 @@ class Hypergraph:
         ``[0, num_classes)`` per vertex.  The array's dtype must pass the
         test of ``errors._integers``, integer or bool, so a bool array reads
         as 0s and 1s, as in :meth:`Partition.from_labels`."""
+        num_classes = _integer(num_classes, "class count")
         lab = np.asarray(labels)
         bad = lab.shape != (self.n,) or lab.dtype.kind not in "iub"
         if bad or lab.size and not 0 <= lab.min() <= lab.max() < num_classes:

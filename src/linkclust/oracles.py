@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import InvalidInput, OracleTimeout, _budget, _integer
+from .errors import InvalidInput, OracleTimeout, _budget, _comparable, _integer
 from .hypergraph import Hypergraph
 from .lagrangian import _Calc
 from .patterns import Pattern
@@ -72,7 +72,7 @@ class _Deadline:
 def turan_number(n: int, parts: int) -> int:
     """Edge count of the balanced complete multipartite graph on ``n``
     vertices with ``parts`` classes; equals ``floor((parts-1) n^2 / (2 parts))``."""
-    if n < 0 or parts < 1:
+    if _comparable(n, "vertex count") < 0 or _comparable(parts, "part count") < 1:
         raise InvalidInput("need n >= 0 and parts >= 1")
     n, parts = _integer(n, "vertex count"), _integer(parts, "part count")
     q, s = divmod(n, parts)
@@ -431,7 +431,7 @@ def _grid_max(
     """Maximum of ``objective(calc, X)`` over the simplex points whose
     coordinates are multiples of ``1/resolution``, at most
     ``GRID_POINT_LIMIT`` of them."""
-    if resolution < 1:
+    if _comparable(resolution, "grid resolution") < 1:
         raise InvalidInput("grid resolution must be at least 1")
     resolution = _integer(resolution, "grid resolution")
     dim = pattern.num_vertices

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, _integer, _is_integer
+from .errors import InvalidInput, _comparable, _integer, _is_integer
 from .hypergraph import Hypergraph, _first_by_key, _integer_edge
 
 __all__ = [
@@ -63,8 +63,9 @@ class SimplexPoint:
 
     @classmethod
     def uniform(cls, dim: int) -> "SimplexPoint":
-        if dim < 1:
+        if _comparable(dim, "dimension") < 1:
             raise InvalidInput("dimension must be positive")
+        dim = _integer(dim, "dimension")
         return cls([1.0 / dim] * dim)
 
     @property
@@ -141,21 +142,21 @@ class Pattern:
 
     @classmethod
     def complete_graph(cls, num_vertices: int) -> "Pattern":
-        if num_vertices < 1:
+        if _comparable(num_vertices, "vertex count") < 1:
             raise InvalidInput("a complete graph pattern needs at least 1 vertex")
         num_vertices = _integer(num_vertices, "vertex count")
         return cls(2, num_vertices, itertools.combinations(range(num_vertices), 2))
 
     @classmethod
     def cycle(cls, length: int) -> "Pattern":
-        if length < 3:
+        if _comparable(length, "cycle length") < 3:
             raise InvalidInput("a cycle pattern needs at least 3 vertices")
         length = _integer(length, "cycle length")
         return cls(2, length, [(i, (i + 1) % length) for i in range(length)])
 
     @classmethod
     def path(cls, num_vertices: int) -> "Pattern":
-        if num_vertices < 2:
+        if _comparable(num_vertices, "vertex count") < 2:
             raise InvalidInput("a path pattern needs at least 2 vertices")
         num_vertices = _integer(num_vertices, "vertex count")
         return cls(2, num_vertices, [(i, i + 1) for i in range(num_vertices - 1)])

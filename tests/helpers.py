@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,6 +22,15 @@ from linkclust import (
 )
 from linkclust import oracles
 from linkclust.corpus import _sample_without_replacement
+
+
+def load_tool(name: str) -> ModuleType:
+    """The script ``tools/<name>.py``, imported as a module."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def reference_parse_hypergraph(source) -> Hypergraph:

@@ -1,12 +1,8 @@
 """The line counter of tools/count_code_lines.py."""
 
-import importlib.util
-from pathlib import Path
+from helpers import load_tool
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "count_code_lines.py"
-_spec = importlib.util.spec_from_file_location("count_code_lines", TOOL)
-count_code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(count_code_lines)
+count_code_lines = load_tool("count_code_lines")
 
 SOURCE = '''"""Module docstring,
 two lines."""

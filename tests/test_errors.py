@@ -10,6 +10,7 @@ from linkclust import (
     OptConfig,
     Partition,
     Pattern,
+    SimplexPoint,
     balanced_sizes,
     bench,
     catalog,
@@ -66,6 +67,15 @@ T93 = turan_graph(9, 3)
         (lambda: phi_grid(C5, 2.5), "grid resolution must be an integer, got 2.5"),
         (lambda: OptConfig(seed="1"), "the optimizer seed must be an integer, got '1'"),
         (lambda: OptConfig(restarts=2.5), "restarts must be an integer, got 2.5"),
+        (
+            lambda: T93.label_signatures(np.arange(9) % 3, 2.5),
+            "class count must be an integer, got 2.5",
+        ),
+        (
+            lambda: T93.first_repeating_edge(np.arange(9) % 3, 2.5),
+            "class count must be an integer, got 2.5",
+        ),
+        (lambda: SimplexPoint.uniform(2.5), "dimension must be an integer, got 2.5"),
     ],
     ids=[
         "blowup-sizes",
@@ -90,6 +100,9 @@ T93 = turan_graph(9, 3)
         "phi-grid",
         "optimizer-seed",
         "optimizer-restarts",
+        "label-signatures",
+        "first-repeating-edge",
+        "uniform-simplex-point",
     ],
 )
 def test_a_count_that_is_not_an_integer_is_refused(make, message):
@@ -128,6 +141,64 @@ def test_a_number_out_of_range_keeps_its_range_message(make, message):
     with pytest.raises(InvalidInput) as err:
         make()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: balanced_sizes("10", 3), "vertex count must be an integer, got '10'"),
+        (lambda: balanced_sizes(10, None), "part count must be an integer, got None"),
+        (lambda: turan_number("10", 3), "vertex count must be an integer, got '10'"),
+        (lambda: turan_graph(10, "3"), "part count must be an integer, got '3'"),
+        (lambda: turan_graph(None, 3), "vertex count must be an integer, got None"),
+        (lambda: Pattern.complete_graph("3"), "vertex count must be an integer, got '3'"),
+        (lambda: Pattern.cycle(None), "cycle length must be an integer, got None"),
+        (lambda: Pattern.path("3"), "vertex count must be an integer, got '3'"),
+        (lambda: SimplexPoint.uniform("3"), "dimension must be an integer, got '3'"),
+        (lambda: delete_random_edges(T93, "1", 0), "edge count must be an integer, got '1'"),
+        (
+            lambda: join_construction(catalog("cycle", k=5), "1", 2),
+            "added part count must be an integer, got '1'",
+        ),
+        (
+            lambda: join_construction(catalog("cycle", k=5), 1, None),
+            "part size must be an integer, got None",
+        ),
+        (lambda: lagrangian_grid(C5, "3"), "grid resolution must be an integer, got '3'"),
+        (lambda: phi_grid(C5, None), "grid resolution must be an integer, got None"),
+    ],
+    ids=[
+        "balanced-sizes-n",
+        "balanced-sizes-parts",
+        "turan-number",
+        "turan-graph-parts",
+        "turan-graph-n",
+        "complete-graph",
+        "cycle",
+        "path",
+        "uniform-simplex-point",
+        "delete-edges",
+        "join-parts",
+        "join-part-size",
+        "lagrangian-grid",
+        "phi-grid",
+    ],
+)
+def test_a_string_or_none_is_refused_before_the_range_test(make, message):
+    # each of these leaked the comparison's TypeError
+    with pytest.raises(InvalidInput) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_a_mixed_list_names_its_own_value():
+    # the array made of [0, 1.5] holds 0.0, which is not the bad value
+    with pytest.raises(InvalidInput) as err:
+        Partition([[0, 1.5]], 2)
+    assert str(err.value) == "class 0 has a value 1.5 that is not an integer"
+    with pytest.raises(InvalidInput) as err:
+        T93.induced([0, "1"])
+    assert str(err.value) == "the subset has a value '1' that is not an integer"
 
 
 def test_numpy_bools_count_as_python_bools_do():

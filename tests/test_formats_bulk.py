@@ -24,7 +24,7 @@ from linkclust import (
 )
 from linkclust import formats
 from linkclust.cli import run_cli
-from helpers import reference_parse_hypergraph
+from helpers import load_tool, reference_parse_hypergraph
 
 # Line breaks and token separators as the writers of edge lists use them, and
 # the rarer ones of ``str.splitlines`` and ``str.split`` (a rare separator may
@@ -196,64 +196,15 @@ T600 = serialize_hypergraph(turan_graph(600, 3))  # 120 000 edges on 600 vertice
 NOT_PLAIN = re.compile(r"[^\x00-\x7f]|[\x0b\x0c\x1c-\x1f]|\r(?!\n)")
 INT64_BEYOND = ["9223372036854775808", "99999999999999999999", "1" + "0" * 30]
 
-# serializer texts: r = 2, 3 and 4, with m = 0 and n = 0 among them, each
-# also without its final LF
-LAYOUT_GRAPHS = [
-    turan_graph(7, 3),
-    Hypergraph(2, 12, [(0, 11), (3, 10), (10, 11)]),
-    Hypergraph(2, 5, []),
-    Hypergraph(2, 0, []),
-    catalog("fano"),
-    Hypergraph(3, 4, []),
-    catalog("generalized_triangle", r=4),
-    Hypergraph(4, 0, []),
-]
+format_digests = load_tool("format_digests")
 LAYOUT_TEXTS = [
     pytest.param(text, id=f"r{graph.r}-n{graph.n}-m{len(graph)}{end}")
-    for graph in LAYOUT_GRAPHS
+    for graph in format_digests.layout_graphs()
     for text, end in [
         (serialize_hypergraph(graph), ""),
         (serialize_hypergraph(graph)[:-1], "-no-final-lf"),
     ]
 ]
-
-
-def _one_edits(text: str) -> list[str]:
-    """Each one-edit mutation of a serializer text, at every line: a
-    leading, trailing or doubled blank, a tab, CRLF, a blank line, a
-    comment, header m +- 1, header r = 1, a missing token, leading zeros, a
-    sign and a 20-digit token."""
-    ends = text.endswith("\n")
-    lines = text.split("\n")[: -1 if ends else None]
-
-    def joined(new: list[str], brk: int = -1) -> str:
-        out = "".join(line + ("\r\n" if i == brk else "\n") for i, line in enumerate(new))
-        return out if ends else out[:-1]
-
-    r, n, m = lines[0].split()
-    variants = [
-        joined([f"{r} {n} {int(m) + d}", *lines[1:]]) for d in (-1, 1)
-    ] + [joined([f"1 {n} {m}", *lines[1:]])]
-    for i, line in enumerate(lines):
-        first = line.split(" ", 1)[0]
-        edits = [
-            " " + line,
-            line + " ",
-            line.replace(" ", "  ", 1),
-            line.replace(" ", "\t", 1),
-            line + " # c",
-            line.rsplit(" ", 1)[0],
-            "0" + line,
-            "+" + line,
-            "-" + line,
-            "9" * 20 + line[len(first) :],
-            first.zfill(20) + line[len(first) :],
-        ]
-        variants += [joined([*lines[:i], edit, *lines[i + 1 :]]) for edit in edits]
-        variants.append(joined(lines, brk=i))
-    for i in range(len(lines) + 1):
-        variants += [joined([*lines[:i], extra, *lines[i:]]) for extra in ("", "# c")]
-    return variants
 
 
 class TestBulkParser:
@@ -532,9 +483,34 @@ class TestBulkParser:
 
     @pytest.mark.parametrize("text", LAYOUT_TEXTS)
     def test_one_edit_from_the_layout_reads_as_in_the_line_loop(self, text):
-        for variant in _one_edits(text):
+        for variant in format_digests.one_edits(text):
             expected = _outcome(reference_parse_hypergraph, variant)
             assert _outcome(parse_hypergraph, variant) == expected, repr(variant)
+
+    @pytest.mark.parametrize("text", format_digests.EMPTY_TOKEN_TEXTS)
+    def test_an_empty_token_leaves_the_layout(self, text):
+        # the separators are the layout's, so the empty token alone refuses
+        # it: sized to the token count, np.fromstring would leave one unset
+        data = text.encode("ascii")
+        r, _, m = map(int, text.split("\n", 1)[0].split())
+        layout = b"  \n" + (b" " * (r - 1) + b"\n") * m
+        assert layout.startswith(data.translate(None, b"0123456789"))
+        assert formats._serializer_layout(data) is None
+        assert _outcome(parse_hypergraph, text) == _outcome(reference_parse_hypergraph, text)
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["final-lf", "no-final-lf"])
+    def test_the_layout_sizes_its_values_once(self, end, monkeypatch):
+        text = T600[:-1] + end
+        counts = []
+        fromstring = np.fromstring
+
+        def spy(*args, **kwargs):
+            counts.append(kwargs.get("count", -1))
+            return fromstring(*args, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", spy)
+        assert parse_hypergraph(text) == reference_parse_hypergraph(text)
+        assert counts == [2 * len(turan_graph(600, 3)) + 3]
 
     @pytest.mark.parametrize(
         "edge, error, reason",
@@ -623,6 +599,7 @@ def hypergraphs(draw):
     return Hypergraph(r, n, draw(st.lists(edge, unique=True, max_size=40)))
 
 
+SERIALIZED_HOSTS = format_digests.serialized_hosts()
 # a shuffled perfect matching: every vertex is used once
 MATCHING = Hypergraph(3, 3000, np.random.default_rng(5).permutation(3000).reshape(-1, 3))
 INT64_CODED = Hypergraph(4, 300, [(0, 1, 2, 299), (9, 10, 99, 100), (3, 50, 98, 297)])
@@ -653,11 +630,13 @@ class TestBulkSerializer:
             ),
             INT64_CODED,
             MATCHING,
+            *(graph for _, graph in SERIALIZED_HOSTS),
         ],
         ids=[
             "turan", "fano", "triangle4", "m0r2", "m0r3", "n0r4", "n0r2", "wide",
             "digit_boundaries", "n1", "one_edge", "isolated", "sparse_wide",
             "r2", "r3", "r4", "r5", "int64_coded", "matching",
+            *(f"corpus-{name}" for name, _ in SERIALIZED_HOSTS),
         ],
     )
     def test_bytes_match_the_per_edge_join(self, graph):
@@ -671,10 +650,21 @@ class TestBulkSerializer:
     def test_matches_the_per_edge_join(self, graph):
         assert serialize_hypergraph(graph) == _joined(graph)
 
+    def test_the_digest_corpus_takes_both_entry_paths(self):
+        # a vertex is its own entry when every vertex is used, and is ranked
+        # among the used ones otherwise; unused ends are the edge cases
+        degrees = [g.degrees() for _, g in SERIALIZED_HOSTS if len(g)]
+        assert any(d.all() for d in degrees)
+        assert any(d[0] == 0 and d[1:].any() for d in degrees)
+        assert any(d[-1] == 0 and d[:-1].any() for d in degrees)
+        digits = {len(str(g.n - 1)) for _, g in SERIALIZED_HOSTS if g.n}
+        assert digits >= {1, 2, 3, 4}
+
     def test_memory_stays_proportional_to_the_text(self):
-        # the byte table, the gathered entries and the text they become: about
-        # 4.2x, against 9.8x when every value was formatted as a Python int
-        assert _serialize_peak_per_byte(turan_graph(600, 3)) <= 6
+        # the entry indices, the gathered entries and the text they become:
+        # 3.17x, against 4.22x when the indices were gathered through the
+        # strided view, and 9.8x when every value was a Python int
+        assert _serialize_peak_per_byte(turan_graph(600, 3)) <= 3.5
 
     def test_report_digests_do_not_move(self, tmp_path, capsys):
         host = tmp_path / "t30.txt"

@@ -32,6 +32,7 @@ from linkclust import (
     turan_classes,
     turan_graph,
 )
+from linkclust import formats
 from linkclust.cli import run_cli
 from linkclust.formats import build_report, dump_report, partition_classes_sorted
 from linkclust.hypergraph import Partition
@@ -619,6 +620,22 @@ def test_gen_output(gen_files, capsys, case):
         text = Path(gen_files["out"]).read_text()
     assert text.splitlines()[0] == header
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_gen_out_writes_the_text_as_bytes(gen_files, capsys, monkeypatch):
+    # the ASCII bytes of the text gen prints, written with no str between:
+    # neither the locale's encoding nor its newline can reach the file
+    expected = serialize_hypergraph(turan_graph(30, 3)).encode("ascii")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen --out went through a str")
+
+    monkeypatch.setattr(formats, "serialize_hypergraph", refuse)
+    monkeypatch.setattr(Path, "write_text", refuse)
+    argv = ["gen", "turan", "--n", "30", "--l", "3", "--out", gen_files["out"]]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert Path(gen_files["out"]).read_bytes() == expected
 
 
 @pytest.mark.parametrize("case", list(_GEN_ERRORS))
