@@ -35,11 +35,11 @@ are checked one by one in order, so the error names the same line, with the
 same message, as the reference line loop in ``tests/helpers.py``.
 Serialization gathers the text from a byte table: each vertex that occurs
 in an edge gets two NUL-padded entries, its digits followed by a space and
-by a newline.  The index of every value's entry is filled one contiguous
-edge column at a time: the vertex itself when every vertex occurs, else
-its rank among those that do.  One ``take`` gathers the entries and the
-removal of the NUL padding writes every line, with no Python object per
-edge, value or vertex.  ``gen --out`` writes these bytes as they are.
+by a newline.  Every value's vertex is copied into an index one contiguous
+edge column at a time and replaced in place by its rank among the vertices
+that occur.  One ``take`` gathers the entries and the removal of the NUL
+padding writes every line, with no Python object per edge, value or
+vertex.  ``gen --out`` writes these bytes as they are.
 """
 
 from __future__ import annotations
@@ -209,11 +209,9 @@ def _serializer_layout(data: bytes) -> tuple[int, int, np.ndarray] | None:
 
     The digits deleted, the text must leave ``"  \\n"`` and m times r - 1
     spaces and an LF.  The header is checked against that length before
-    anything is sized from it, and its three tokens keep a separator from
-    starting the text.  When no separator follows another, and none but an
-    LF ends the text, no token is empty, so no line is blank, odd or short,
-    and ``np.fromstring`` reads the tokens into one array of their exact
-    count."""
+    anything is sized from it.  When ``np.fromstring`` then finds one token
+    per separator, or one more without a final LF, no two separators touch:
+    no token is empty, so no line is blank, odd or short."""
     nl = data.find(b"\n")
     try:  # three tokens, each an int
         r, n, m = map(int, data[: nl if nl >= 0 else len(data)].split())
@@ -227,13 +225,9 @@ def _serializer_layout(data: bytes) -> tuple[int, int, np.ndarray] | None:
     if not (b"  \n" + line * m).startswith(seps):
         return None
     del seps
-    # the separators, " " and LF, are the bytes below the digit "0"
-    sep = np.frombuffer(data, dtype=np.uint8) < ord("0")
-    if data.endswith(b" ") or (sep[1:] & sep[:-1]).any():
+    values = np.fromstring(data, dtype=np.int64, sep=" ")
+    if values.size != tokens:
         return None
-    del sep
-    # sized once; a short read would leave the entries beyond it unset
-    values = np.fromstring(data, dtype=np.int64, sep=" ", count=tokens)
     return r, n, values[3:].reshape(m, r) if m else values[3:3]
 
 
@@ -367,17 +361,18 @@ def _hypergraph_bytes(hypergraph: Hypergraph) -> bytes:
     table[0, :, d] = ord(" ")
     table[1, :, d] = ord("\n")
     entries = table.view(f"S{d + 1}").reshape(2 * u)
-    rank = None  # every vertex used: a vertex is its own entry
-    if u < hypergraph.n:
-        rank = np.zeros(hypergraph.n, dtype=np.intp)
-        rank[used] = np.arange(u)
-    # the entry of every value, filled one contiguous edge column at a time,
-    # the last column's from the "\n" half; the indices are valid, so the
-    # take skips its bounds check
+    rank = np.zeros(hypergraph.n, dtype=np.intp)
+    rank[used] = np.arange(u)
+    # the entry of every value: its vertex, copied one contiguous edge column
+    # at a time, then ranked in place, since a fresh array would fault its
+    # pages in (the take reads each index before it writes that place); the
+    # indices are valid, so the takes skip their bounds check
     idx = np.empty(edges.shape, dtype=np.intp)
     for j, column in enumerate(edges.T):
-        idx[:, j] = column if rank is None else rank.take(column)
-    idx[:, -1] += u
+        idx[:, j] = column
+    np.take(rank, idx, out=idx, mode="clip")
+    del rank
+    idx[:, -1] += u  # a line's last value takes its "\n" entry
     body = entries.take(idx, mode="clip")
     del idx
     text = header + body.data

@@ -12,10 +12,13 @@ empty, generated, thinned and joined hosts, r = 2 to 5), the files that
 ``gen --out`` writes and the text ``gen`` prints, and parse outcomes: the
 graph's r, n and edge array, or the error's class, line and message, for
 the serializer's layout texts, each with and without its final LF, for
-every one-edit variant of them (``one_edits``) and for texts with the
-layout's separators and an empty token.  Each line is the digest
+every one-edit variant of them (``one_edits``).  Each line is the digest
 and the case's name; the last line is the digest of all the others.  The
 corpus uses the public API only, and runs in a few seconds.
+
+``tests/test_formats_bulk.py`` parses ``layout_graphs`` and ``one_edits``
+and serializes ``serialized_hosts``, so the tests and the digests cover
+one corpus: change them with the tests in mind.
 """
 
 from __future__ import annotations
@@ -43,20 +46,6 @@ from linkclust import (
     turan_graph,
 )
 from linkclust.cli import run_cli
-
-
-# texts whose separators are those of the layout while a token is empty: a
-# separator ends the text, or two touch
-EMPTY_TOKEN_TEXTS = [
-    "2 3 1\n0 \n",
-    "2 3 1\n0 ",
-    "2 3 1\n 01\n",
-    "2 3 1\n01 \n",
-    "2 4 2\n0 \n12 3\n",
-    "2 4 2\n0 1\n2 ",
-    "3 5 2\n0 1 2\n3  4\n",
-    "3 5 2\n0 1 2\n34  \n",
-]
 
 
 def layout_graphs() -> list[Hypergraph]:
@@ -191,7 +180,6 @@ def cases() -> list[tuple[str, bytes]]:
     header, rest = big.split("\n", 1)
     refused = f"2 1200 {int(header.split()[2]) + 1}\n{rest}0 400\n"  # a duplicate last line
     out += [("parse turan-1200-3", _outcome(big)), ("parse turan-1200-3-duplicate", _outcome(refused))]
-    out.append(("parse empty-tokens", b"\n".join(_outcome(text) for text in EMPTY_TOKEN_TEXTS)))
     for graph in layout_graphs():
         full = serialize_hypergraph(graph)
         for end, text in (("", full), ("-no-final-lf", full[:-1])):
