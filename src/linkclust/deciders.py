@@ -147,10 +147,15 @@ class DeciderConfig:
     def __post_init__(self):
         if not isinstance(self.eps, (numbers.Real, Decimal)):
             raise InvalidInput(f"eps must be a real number, got {self.eps!r}")
+        # before any comparison: a Decimal NaN raises on one
+        if isinstance(self.eps, Decimal):
+            finite = self.eps.is_finite()
+        else:
+            finite = isinstance(self.eps, numbers.Rational) or math.isfinite(self.eps)
+        if not finite:
+            raise InvalidInput(f"eps must be finite, got {self.eps!r}")
         if self.eps < 0:
             raise InvalidInput("eps must be nonnegative")
-        if not isinstance(self.eps, numbers.Rational) and not math.isfinite(self.eps):
-            raise InvalidInput(f"eps must be finite, got {self.eps!r}")
         if self.n_small is not None and _integer(self.n_small, "n_small") < 1:
             raise InvalidInput("n_small must be positive")
         if not isinstance(self.strict, (bool, np.bool_)):

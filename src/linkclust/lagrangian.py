@@ -16,17 +16,19 @@ Every value, gradient and Hessian comes from :class:`_Calc`: monomials are
 products of gathered columns of one power table per call, and partials are
 summed in term order by index plans fixed at construction.
 
-Two kinds of pattern bypass the numerics and get exact rational records
-(:func:`_exact`), so the deciders built on them are float-free: complete
+Each pattern has one calibration path.  Three kinds of pattern never reach
+the numerics and get exact rational records (:func:`_exact`), so the
+deciders built on them are float-free: edgeless patterns, complete
 r-graphs K_l^(r) through one closed form, and every pattern with r = 2
 (graphs, loops allowed) through Motzkin–Straus for λ and an exact
-matrix-game LP for φ and rigidity.  Only patterns with r >= 3 that are not
-complete are certified numerically, and their reports say so.
+matrix-game LP for φ and rigidity.  Only patterns with r >= 3 that have
+edges and are not complete are certified numerically, and their reports
+say so.
 
-Only the restart count, the seed and the closed-form switch are options
-(:class:`OptConfig`).  The iteration budget, step size and tolerances below
-are fixed: they are tuned together, the minimality and rigidity verdicts are
-read against them, and nothing calls for other values.
+Only the restart count and the seed are options (:class:`OptConfig`).  The
+iteration budget, step size and tolerances below are fixed: they are tuned
+together, the minimality and rigidity verdicts are read against them, and
+nothing calls for other values.
 """
 
 from __future__ import annotations
@@ -87,17 +89,15 @@ class OptConfig:
     """Options of the simplex optimizer.
 
     ``restarts`` counts independent starting points (the uniform point plus
-    Dirichlet samples drawn from ``seed``); ``closed_forms`` lets complete
-    r-graphs K_l^(r) and every pattern with r = 2 skip the numerics for
-    their exact records, and turned off forces the numeric path on them
-    too.  The tolerances are the module constants above.  A restart count
-    or seed that is not an integer, a seed below 0 or fewer than one restart
-    is refused with :class:`InvalidInput`.
+    Dirichlet samples drawn from ``seed``).  Both serve only the patterns
+    with no exact record (:func:`_exact`).  The tolerances are the module
+    constants above.  A restart count or seed that is not an integer, a
+    seed below 0 or fewer than one restart is refused with
+    :class:`InvalidInput`.
     """
 
     restarts: int = 64
     seed: int = 1729
-    closed_forms: bool = True
 
     def __post_init__(self) -> None:
         if _integer(self.restarts, "restarts") < 1:
@@ -469,8 +469,17 @@ class _Exact(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _exact(pattern: Pattern) -> Optional[_Exact]:
-    """The exact record of a complete r-graph K_l^(r) with r >= 2 or of any
-    pattern with r = 2, else None."""
+    """The exact record of an edgeless pattern, of a complete r-graph
+    K_l^(r) with r >= 2 or of any pattern with r = 2; None for any other
+    pattern, which the numeric optimizer serves.
+
+    An edgeless pattern's polynomial is 0: λ = φ = 0 at every point, the
+    uniform one reported, and for l >= 2 the optimal set reaches the
+    boundary, so its smallest coordinate is 0 and it is not rigid.
+    """
+    if not pattern.edges:
+        u = (Fraction(1, pattern.num_vertices),) * pattern.num_vertices
+        return _Exact("empty", (Fraction(0), Fraction(0)), (u, u), Fraction(0), False)
     if pattern.r >= 2 and pattern.is_complete():
         return _complete(pattern)
     if pattern.r == 2:
@@ -656,15 +665,12 @@ def _optimize(
     polish: Callable[[_Calc, np.ndarray], list[Optional[np.ndarray]]],
     score: Callable[[Pattern, np.ndarray], float],
 ) -> OptReport:
-    """One multistart run: ascend all restarts through ``stages``, polish
-    them all, and report the best ``score`` with its distinct near-optimal
-    points as witnesses, ties broken toward the lexicographically smallest
-    point."""
-    if not pattern.edges:
-        _log.debug(_RUN_RECORD, _NAMES[which], pattern, "empty", 0, 0, 0)
-        u = SimplexPoint.uniform(pattern.num_vertices)
-        return OptReport(0.0, u, 0, True, (u,), Fraction(0))
-    exact = _exact(pattern) if cfg.closed_forms else None
+    """The pattern's exact record (:func:`_exact`) when it has one, with its
+    point as the one witness.  Otherwise one multistart run: ascend all
+    restarts through ``stages``, polish them all, and report the best
+    ``score`` with its distinct near-optimal points as witnesses, ties
+    broken toward the lexicographically smallest point."""
+    exact = _exact(pattern)
     if exact is not None:
         _log.debug(_RUN_RECORD, _NAMES[which], pattern, exact.path, 0, 0, 0)
         point = SimplexPoint(float(c) for c in exact.points[which])
@@ -742,7 +748,7 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
     """Rigidity classification: whether the optimal set of the maximin
     problem is one point with every coordinate positive.
 
-    With an exact record (see :class:`OptConfig`) the verdict and the
+    With an exact record (see :func:`_exact`) the verdict and the
     smallest coordinate over the optimal set are exact.  Otherwise they are
     numerical: rigid means the sampled optimal set stays away from the
     simplex boundary (smallest coordinate above ``POS_GAP``) and every
@@ -755,7 +761,7 @@ def rigidity_report(pattern: Pattern, cfg: OptConfig = OptConfig()) -> RigidityR
     if pattern.num_vertices < 2:
         raise InvalidInput("rigidity needs at least 2 vertices")
     rep = phi(pattern, cfg)
-    exact = _exact(pattern) if cfg.closed_forms else None
+    exact = _exact(pattern)
     witnesses = list(rep.witness_set)
     roots = pattern.twin_classes()
     pair = min(((root, v) for v, root in enumerate(roots) if root != v), default=None)

@@ -35,13 +35,23 @@ __all__ = [
 _SUM_TOL = 1e-12
 
 
+def _finite(coords: Iterable[float]) -> list[float]:
+    """``coords`` as floats, refusing a NaN or infinite one."""
+    vals = [float(x) for x in coords]
+    for x in vals:
+        if not math.isfinite(x):
+            raise InvalidInput(f"coordinate {x!r} is not finite")
+    return vals
+
+
 class SimplexPoint:
-    """A nonnegative vector summing to 1 within ``1e-12``."""
+    """A nonnegative vector of finite coordinates summing to 1 within
+    ``1e-12``."""
 
     __slots__ = ("_coords",)
 
     def __init__(self, coords: Iterable[float]):
-        vals = [float(x) for x in coords]
+        vals = _finite(coords)
         if not vals:
             raise InvalidInput("a simplex point needs at least one coordinate")
         if min(vals) < -_SUM_TOL:
@@ -55,7 +65,7 @@ class SimplexPoint:
     @classmethod
     def normalized(cls, coords: Iterable[float]) -> "SimplexPoint":
         """Clip tiny negatives and rescale so the sum is exactly 1."""
-        vals = [max(0.0, float(x)) for x in coords]
+        vals = [max(0.0, x) for x in _finite(coords)]
         total = math.fsum(vals)
         if total <= 0.0:
             raise InvalidInput("cannot normalize a nonpositive vector")

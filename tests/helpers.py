@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import itertools
 import math
@@ -655,19 +656,36 @@ def reference_select(candidates, score):
     return best_val, best_arg, witnesses
 
 
+@contextlib.contextmanager
+def numeric_path():
+    """Send every pattern with an edge through the numeric optimizer inside
+    the block, as if it had no exact record (``lagrangian._exact`` answers
+    None).  An edgeless pattern keeps its record: the optimizer has nothing
+    to climb there, and never ran on one.
+
+    ``_optimize``'s cache is cleared on entry and on exit, since exact and
+    numeric runs share its keys.  The cached driver is held here, so the
+    clearing holds even when a test swaps ``_optimize`` inside the block.
+    """
+    module = importlib.import_module("linkclust.lagrangian")
+    optimize, exact = module._optimize, module._exact
+    optimize.cache_clear()
+    module._exact = lambda pattern: None if pattern.edges else exact(pattern)
+    try:
+        yield
+    finally:
+        module._exact = exact
+        optimize.cache_clear()
+
+
 def reference_optimize(pattern, cfg, which, *_ignored):
     """Drop-in for ``linkclust.lagrangian._optimize`` (uncached) built on the
     per-row references above; ``which`` 0 is λ, 1 is φ."""
-    from fractions import Fraction
-
     from linkclust import NumericFailure, OptReport, SimplexPoint
     from linkclust.lagrangian import _Calc, _exact, _starts
     from linkclust.patterns import lagrange_eval, lagrange_grad
 
-    if not pattern.edges:
-        u = SimplexPoint.uniform(pattern.num_vertices)
-        return OptReport(0.0, u, 0, True, (u,), Fraction(0))
-    exact = _exact(pattern) if cfg.closed_forms else None
+    exact = _exact(pattern)
     if exact is not None:
         point = SimplexPoint(float(c) for c in exact.points[which])
         return OptReport(float(exact.values[which]), point, 0, True, (point,), exact.values[which])

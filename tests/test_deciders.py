@@ -708,6 +708,11 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         # a config field or budget of the wrong type
         (lambda: DeciderConfig(eps="0.1"), "eps must be a real number, got '0.1'"),
         (lambda: DeciderConfig(eps=None), "eps must be a real number, got None"),
+        # a NaN eps, Decimal or float, is refused before any comparison
+        (lambda: DeciderConfig(eps=Decimal("NaN")), "eps must be finite, got Decimal('NaN')"),
+        (lambda: DeciderConfig(eps=Decimal("sNaN")), "eps must be finite, got Decimal('sNaN')"),
+        (lambda: DeciderConfig(eps=Decimal("-NaN")), "eps must be finite, got Decimal('-NaN')"),
+        (lambda: DeciderConfig(eps=float("nan")), "eps must be finite, got nan"),
         (lambda: DeciderConfig(oracle_budget_s="1"), "oracle budget must be a real number, got '1'"),
         (lambda: DeciderConfig(strict="no"), "strict must be a bool, got 'no'"),
         (
@@ -737,6 +742,10 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         "delta_not_a_number",
         "eps_string",
         "eps_none",
+        "eps_decimal_nan",
+        "eps_decimal_snan",
+        "eps_decimal_negative_nan",
+        "eps_float_nan",
         "budget_string",
         "strict_string",
         "oracle_budget_none",

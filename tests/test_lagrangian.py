@@ -1,5 +1,6 @@
 """Optimization layer tests: fixture values, minimality, rigidity."""
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -36,6 +37,7 @@ from linkclust import (
 )
 from helpers import (
     interior_points,
+    numeric_path,
     reference_calc,
     reference_optimize,
     reference_polish_face_max,
@@ -47,7 +49,6 @@ from helpers import (
 lagrangian_module = importlib.import_module("linkclust.lagrangian")
 
 CFG = OptConfig()
-NUMERIC = OptConfig(closed_forms=False)
 
 # the complete r-graphs K_l^(r) for r = 2..5 and l = r..r+2: complete graphs
 # for r = 2, the single transversal edge for l = r
@@ -66,16 +67,18 @@ class TestLagrangian:
         rep = lagrangian(pattern, CFG)
         assert rep.value_exact == exact and rep.value == float(exact)
         assert rep.argmax == SimplexPoint.uniform(l) and rep.witness_set == (rep.argmax,)
-        assert abs(lagrangian(pattern, NUMERIC).value - exact) <= 1e-9
+        with numeric_path():
+            assert abs(lagrangian(pattern, CFG).value - exact) <= 1e-9
         # the grid of resolution 2l contains the uniform point
         assert lagrangian_grid(pattern, 2 * l) == pytest.approx(float(exact), abs=1e-15)
 
     @pytest.mark.parametrize("num", [2, 3, 4, 5, 6])
     def test_optimizer_agrees_with_closed_form(self, num):
-        rep = lagrangian(Pattern.complete_graph(num), NUMERIC)
+        with numeric_path():
+            rep = lagrangian(Pattern.complete_graph(num), CFG)
         assert rep.value_exact is None
         assert abs(rep.value - (num - 1) / (2 * num)) <= 1e-6
-        assert rep.converged and rep.restarts_used == NUMERIC.restarts
+        assert rep.converged and rep.restarts_used == CFG.restarts
 
     @pytest.mark.parametrize(
         "pattern",
@@ -84,7 +87,8 @@ class TestLagrangian:
             Pattern.from_multisets(1, 3, [(0,), (1,), (2,)]),
             Pattern.from_multisets(3, 5, list(itertools.combinations(range(5), 3))[1:]),
             Pattern.from_multisets(3, 4, [*itertools.combinations(range(4), 3), (0, 0, 1)]),
-            # fewer vertices than the uniformity: empty, so exactly 0
+            # fewer vertices than the uniformity: empty, so exactly 0, and
+            # every point optimal, so the smallest coordinate is exactly 0
             Pattern(3, 2, []),
             Pattern(4, 3, []),
         ],
@@ -100,7 +104,7 @@ class TestLagrangian:
         expected = None if pattern.edges else 0
         assert lagrangian(pattern, CFG).value_exact == expected
         assert phi(pattern, CFG).value_exact == expected
-        assert rigidity_report(pattern, CFG).smallest_exact is None
+        assert rigidity_report(pattern, CFG).smallest_exact == expected
 
     def test_empty_pattern(self):
         rep = lagrangian(Pattern(2, 4, []), CFG)
@@ -113,7 +117,8 @@ class TestLagrangian:
 
     def test_value_matches_argmax_evaluation(self):
         for pattern in (Pattern.cycle(5), Pattern.single_edge(3), Pattern(3, 2, [(0, 0, 1)])):
-            rep = lagrangian(pattern, NUMERIC)
+            with numeric_path():
+                rep = lagrangian(pattern, CFG)
             assert abs(rep.value - lagrange_eval(pattern, rep.argmax)) <= 1e-10
 
     def test_grid_oracle_is_a_lower_bound(self):
@@ -128,14 +133,16 @@ class TestPhi:
         exact = Fraction(math.comb(l - 1, r - 1), l ** (r - 1))
         rep = phi(pattern, CFG)
         assert rep.value_exact == exact and rep.value == float(exact)
-        assert abs(phi(pattern, NUMERIC).value - exact) <= 1e-9
+        with numeric_path():
+            assert abs(phi(pattern, CFG).value - exact) <= 1e-9
         rig = rigidity_report(pattern, CFG)
         assert rig.rigid and rig.maximin_exact == exact and rig.smallest_exact == Fraction(1, l)
         assert phi_grid(pattern, l) == pytest.approx(float(exact), abs=1e-15)
 
     def test_optimizer_matches_closed_forms(self):
-        assert abs(phi(Pattern.complete_graph(3), NUMERIC).value - 2 / 3) <= 1e-6
-        assert abs(phi(Pattern.single_edge(3), NUMERIC).value - 1 / 9) <= 1e-6
+        with numeric_path():
+            assert abs(phi(Pattern.complete_graph(3), CFG).value - 2 / 3) <= 1e-6
+            assert abs(phi(Pattern.single_edge(3), CFG).value - 1 / 9) <= 1e-6
 
     def test_cycle_five(self):
         rep = phi(Pattern.cycle(5), CFG)
@@ -143,7 +150,8 @@ class TestPhi:
         assert max(abs(c - 0.2) for c in rep.argmax.coords) <= 1e-6
 
     def test_cycle_four_flat_optimum(self):
-        rep = phi(Pattern.cycle(4), NUMERIC)
+        with numeric_path():
+            rep = phi(Pattern.cycle(4), CFG)
         assert abs(rep.value - 0.5) <= 1e-6
         # the optimal set is a continuum; restarts land on distinct points
         assert len(rep.witness_set) > 1
@@ -155,7 +163,8 @@ class TestPhi:
 
     def test_value_is_min_partial_at_argmax(self):
         for pattern in (Pattern.cycle(5), Pattern.cycle(4), Pattern.single_edge(3)):
-            rep = phi(pattern, NUMERIC)
+            with numeric_path():
+                rep = phi(pattern, CFG)
             assert abs(rep.value - min(lagrange_grad(pattern, rep.argmax))) <= 1e-10
 
     def test_grid_oracle_is_a_lower_bound(self):
@@ -224,7 +233,8 @@ class TestRigidity:
         assert not rigidity_report(shared, CFG).rigid
 
     def test_report_is_flagged_numerical(self):
-        assert "not a proof" in rigidity_report(Pattern.cycle(5), NUMERIC).note
+        with numeric_path():
+            assert "not a proof" in rigidity_report(Pattern.cycle(5), CFG).note
 
     def test_exact_report_says_so(self):
         for pattern in (Pattern.cycle(5), Pattern.cycle(4), _k4_3_pattern()):
@@ -311,9 +321,11 @@ class TestExactGraph:
         ],
     )
     def test_numeric_optimizer_agrees(self, pattern):
-        for solve in (lagrangian, phi):
-            exact, numeric = solve(pattern, CFG), solve(pattern, NUMERIC)
-            assert abs(numeric.value - exact.value_exact) <= 1e-9, solve.__name__
+        exact = [solve(pattern, CFG).value_exact for solve in (lagrangian, phi)]
+        with numeric_path():
+            numeric = [solve(pattern, CFG).value for solve in (lagrangian, phi)]
+        for name, value, want in zip(("lagrangian", "phi"), numeric, exact):
+            assert abs(value - want) <= 1e-9, name
 
     def test_equal_rows_are_singular(self):
         # the rigidity check's elimination finds no pivot in the second column
@@ -359,7 +371,9 @@ class TestExactGraph:
         ids=["C5", "C7", "C4", "P3", "K3", "twin-pair", "loop"],
     )
     def test_rigidity_matches_the_numeric_verdict(self, pattern):
-        exact, numeric = rigidity_report(pattern, CFG), rigidity_report(pattern, NUMERIC)
+        exact = rigidity_report(pattern, CFG)
+        with numeric_path():
+            numeric = rigidity_report(pattern, CFG)
         assert exact.rigid == numeric.rigid
         assert (exact.certificate or {}).get("kind") == (numeric.certificate or {}).get("kind")
         assert abs(exact.smallest_coordinate - numeric.smallest_coordinate) <= 1e-6
@@ -524,9 +538,11 @@ class TestOptimizerBranches:
             lambda evaluate, X, *limits: (X, np.zeros(X.shape[0], dtype=bool)),
         )
         monkeypatch.setattr(lagrangian_module, polish, lambda calc, X: [None] * len(X))
-        cfg = OptConfig(restarts=3, seed=97, closed_forms=False)
+        cfg = OptConfig(restarts=3, seed=97)
         pattern = Pattern.cycle(5)
-        with pytest.raises(NumericFailure, match=f"{name} ascent did not converge") as info:
+        with numeric_path(), pytest.raises(
+            NumericFailure, match=f"{name} ascent did not converge"
+        ) as info:
             solve(pattern, cfg)
         starts = lagrangian_module._starts(5, cfg.restarts, cfg.seed)
         assert info.value.best_value == max(score(pattern, x) for x in starts)
@@ -629,10 +645,11 @@ class TestBatchedOptimizer:
         # the numeric path of every pattern, three seeds each; the per-row
         # driver also ascends as before, evaluating each point twice
         calls = (lagrangian, phi, is_minimal, rigidity_report)
-        cfgs = [OptConfig(seed=seed, closed_forms=False) for seed in (1729, 1, 2)]
-        got = [repr(call(pattern, cfg)) for cfg in cfgs for call in calls]
-        monkeypatch.setattr(lagrangian_module, "_optimize", reference_optimize)
-        assert got == [repr(call(pattern, cfg)) for cfg in cfgs for call in calls]
+        cfgs = [OptConfig(seed=seed) for seed in (1729, 1, 2)]
+        with numeric_path():
+            got = [repr(call(pattern, cfg)) for cfg in cfgs for call in calls]
+            monkeypatch.setattr(lagrangian_module, "_optimize", reference_optimize)
+            assert got == [repr(call(pattern, cfg)) for cfg in cfgs for call in calls]
 
 
     @pytest.mark.parametrize(
@@ -662,9 +679,10 @@ class TestBatchedOptimizer:
     def test_numeric_bits_are_pinned(self, pattern, lam, phi_value, smallest):
         # the driver test above compares two evaluators that share the
         # pattern's term order; these bits also catch a change of that order
-        assert lagrangian(pattern, NUMERIC).value.hex() == lam
-        assert phi(pattern, NUMERIC).value.hex() == phi_value
-        assert rigidity_report(pattern, NUMERIC).smallest_coordinate.hex() == smallest
+        with numeric_path():
+            assert lagrangian(pattern, CFG).value.hex() == lam
+            assert phi(pattern, CFG).value.hex() == phi_value
+            assert rigidity_report(pattern, CFG).smallest_coordinate.hex() == smallest
 
 
 # -- the batched evaluator --------------------------------------------------------
@@ -776,21 +794,42 @@ class TestOptionLimits:
         with pytest.raises(InvalidInput, match=match):
             OptConfig(**kwargs)
 
+    def test_the_options_are_the_restarts_and_the_seed(self):
+        # no switch sends a pattern with an exact record to the optimizer
+        assert [f.name for f in dataclasses.fields(OptConfig)] == ["restarts", "seed"]
+
     def test_hessian_batch_above_the_cap_is_refused(self, monkeypatch):
         # 4 restarts of C5 need 4 * 5 * 5 * 8 = 800 bytes of Hessians; the
         # cap is lowered instead of asking for a real huge batch
         monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", 800)
-        with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES = 800"):
-            lagrangian(Pattern.cycle(5), OptConfig(restarts=5, seed=70_001, closed_forms=False))
+        with numeric_path():
+            with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES = 800"):
+                lagrangian(Pattern.cycle(5), OptConfig(restarts=5, seed=70_001))
+            cfg = OptConfig(restarts=4, seed=70_001)
+            assert lagrangian(Pattern.cycle(5), cfg).restarts_used == 4
         with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES"):
             lagrangian_module._starts(5, 5, 70_001)
-        cfg = OptConfig(restarts=4, seed=70_001, closed_forms=False)
-        assert lagrangian(Pattern.cycle(5), cfg).restarts_used == 4
 
     def test_closed_forms_need_no_batch(self, monkeypatch):
+        # every pattern a benchmark workload calibrates (C5, C7 and K4^(3) of
+        # calibrate-small, the single 3-edge of hyper-array) reads its exact
+        # record, as does an edgeless pattern: with no room for a batch, no
+        # run reaches the optimizer
         monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", 0)
-        assert phi(Pattern.complete_graph(3), OptConfig(seed=70_002)).value_exact == Fraction(2, 3)
-        assert phi(Pattern.cycle(7), OptConfig(seed=70_002)).value_exact == Fraction(2, 7)
+        cfg = OptConfig(seed=70_002)
+        for pattern, lam, maximin in (
+            (Pattern.complete_graph(3), Fraction(1, 3), Fraction(2, 3)),
+            (Pattern.cycle(5), Fraction(1, 4), Fraction(2, 5)),
+            (Pattern.cycle(7), Fraction(1, 4), Fraction(2, 7)),
+            (_k4_3_pattern(), Fraction(1, 16), Fraction(3, 16)),
+            (Pattern.single_edge(3), Fraction(1, 27), Fraction(1, 9)),
+            (Pattern(3, 4, []), 0, 0),
+        ):
+            for solve, want in ((lagrangian, lam), (phi, maximin)):
+                rep = solve(pattern, cfg)
+                assert (rep.value_exact, rep.restarts_used) == (want, 0), (pattern, solve)
+        rig = rigidity_report(Pattern(3, 4, []), cfg)
+        assert rig.smallest_exact == 0 and not rig.rigid
 
 
 class TestDebugLog:

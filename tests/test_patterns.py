@@ -46,6 +46,12 @@ FIXTURES = [
     [
         (lambda: SimplexPoint([]), "a simplex point needs at least one coordinate"),
         (lambda: SimplexPoint.uniform(0), "dimension must be positive"),
+        (lambda: SimplexPoint([1.0, math.nan]), "coordinate nan is not finite"),
+        (lambda: SimplexPoint([math.nan]), "coordinate nan is not finite"),
+        (lambda: SimplexPoint([math.inf]), "coordinate inf is not finite"),
+        (lambda: SimplexPoint.normalized([math.inf, 1.0]), "coordinate inf is not finite"),
+        (lambda: SimplexPoint.normalized([1.0, math.nan]), "coordinate nan is not finite"),
+        (lambda: SimplexPoint.normalized([-math.inf, 1.0]), "coordinate -inf is not finite"),
         (lambda: Pattern(0, 2, []), "uniformity must be a positive integer, got 0"),
         (lambda: Pattern(2, 0, []), "vertex count must be a positive integer, got 0"),
         (lambda: Pattern.cycle(2), "a cycle pattern needs at least 3 vertices"),
@@ -57,6 +63,12 @@ FIXTURES = [
     ids=[
         "empty_point",
         "uniform_zero",
+        "point_nan",
+        "point_only_nan",
+        "point_inf",
+        "normalized_inf",
+        "normalized_nan",
+        "normalized_negative_inf",
         "r_zero",
         "l_zero",
         "cycle_two",
