@@ -175,7 +175,7 @@ def _decision(call: Callable[[argparse.Namespace, dict], Decision]):
 
 
 def _opt_cfg(args) -> OptConfig:
-    return OptConfig(seed=args.opt_seed, restarts=args.restarts)
+    return OptConfig(seed=args.opt_seed)
 
 
 def _oracle_cfg(args) -> DeciderConfig:
@@ -250,17 +250,19 @@ _OPTIONS = {
     "--oracle-budget": {"type": float, "default": DEFAULT_BUDGET_S},
     "--eps": {"type": fraction, "default": "0", "help": "accepted threshold slack, e.g. 1/24"},
     "--n-small": {"type": int, "default": None},
-    "--restarts": {"type": int, "default": OptConfig.restarts},
-    "--opt-seed": {"type": int, "default": OptConfig.seed},
+    "--opt-seed": {
+        "type": int,
+        "default": OptConfig.seed,
+        "help": "seed of the numeric optimizer's random starts (patterns with no exact record)",
+    },
     "--l": {"type": int, "required": True, "dest": "num_classes"},
     "--k": {"type": int, "required": True, "help": "edge slack below the extremal count"},
     "--delta": {"required": True, "type": fraction, "help": "radius fraction, e.g. 2/5"},
     "--surjective": {"action": "store_true"},
 }
 _DECIDE_FLAGS = ("--host", "--format", "--seed")
-_OPTIMIZER_FLAGS = ("--restarts", "--opt-seed")
 _ORACLE_FLAGS = (*_DECIDE_FLAGS, "--strict", "--oracle-budget")
-_CALIBRATED_FLAGS = (*_ORACLE_FLAGS, "--pattern", "--eps", "--n-small", *_OPTIMIZER_FLAGS)
+_CALIBRATED_FLAGS = (*_ORACLE_FLAGS, "--pattern", "--eps", "--n-small", "--opt-seed")
 _CALIBRATED_PARAMS = {"eps": "eps", "n_small": "n_small", "strict": "strict"}
 
 
@@ -415,11 +417,9 @@ def build_parser() -> _Parser:
         sub, cluster, "ball clustering of the vertex set", "--host", "--l", "--delta", "--format"
     )
     numerics = (("lagrangian", _run_optimum), ("phi", _run_optimum), ("rigidity", _run_rigidity))
-    params = {"restarts": "restarts", "opt_seed": "opt_seed"}
     for which, run in numerics:
-        numeric = _Report(which, ("pattern",), params, run)
-        flags = ("--pattern", *_OPTIMIZER_FLAGS, "--format")
-        _add_report(sub, numeric, f"{which} of a pattern", *flags)
+        numeric = _Report(which, ("pattern",), {"opt_seed": "opt_seed"}, run)
+        _add_report(sub, numeric, f"{which} of a pattern", "--pattern", "--opt-seed", "--format")
 
     gen = sub.add_parser("gen", help="generate instances")
     gen.set_defaults(handler=_cmd_gen)

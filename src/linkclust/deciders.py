@@ -50,7 +50,7 @@ from .errors import (
     _integer,
 )
 from .hypergraph import Hypergraph, Partition
-from .lagrangian import OptConfig, is_minimal, lagrangian, rigidity_report
+from .lagrangian import OptConfig, _opt_config, is_minimal, lagrangian, rigidity_report
 from .oracles import DEFAULT_BUDGET_S, find_embedding, find_homomorphism, turan_number
 from .patterns import Pattern
 
@@ -124,10 +124,11 @@ class DeciderConfig:
     ``strict`` and otherwise handed to the exhaustive oracle (exponential
     worst case), which gives up after ``oracle_budget_s`` seconds.  Each
     search that matches the clusters to the pattern, and the pairing check
-    of :func:`embed_min_decide`, runs under the same budget.  ``opt``
-    configures the calibration.  For K_k, eps >= 1/(k(3k-1)) gates by the
-    strict bound of :func:`decide_k_colorable`, which reads only ``strict``
-    and ``oracle_budget_s``.
+    of :func:`embed_min_decide`, runs under the same budget.  ``opt``, an
+    :class:`OptConfig`, configures the calibration.  For K_k,
+    eps >= 1/(k(3k-1)) gates by the strict bound of
+    :func:`decide_k_colorable`, which reads only ``strict`` and
+    ``oracle_budget_s``.
 
     ``n_small`` must be a positive integer.  It defaults to ``3 * l * r``
     for an l-vertex pattern in :func:`decide_hom_minimal` and
@@ -160,6 +161,7 @@ class DeciderConfig:
             raise InvalidInput("n_small must be positive")
         if not isinstance(self.strict, (bool, np.bool_)):
             raise InvalidInput(f"strict must be a bool, got {self.strict!r}")
+        _opt_config(self.opt, "opt")
         _budget(self.oracle_budget_s)
 
 

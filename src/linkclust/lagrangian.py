@@ -16,16 +16,16 @@ Every value, gradient and Hessian comes from :class:`_Calc`: monomials are
 products of gathered columns of one power table per call, and partials are
 summed in term order by index plans fixed at construction.
 
-Each pattern has one calibration path.  Three kinds of pattern never reach
+Each pattern has one calibration path.  Four kinds of pattern never reach
 the numerics and get exact rational records (:func:`_exact`), so the
-deciders built on them are float-free: edgeless patterns, complete
-r-graphs K_l^(r) through one closed form, and every pattern with r = 2
-(graphs, loops allowed) through Motzkin–Straus for λ and an exact
-matrix-game LP for φ and rigidity.  Only patterns with r >= 3 that have
-edges and are not complete are certified numerically, and their reports
-say so.
+deciders built on them are float-free: edgeless patterns, every pattern
+with r = 1 (a linear polynomial), complete r-graphs K_l^(r) through one
+closed form, and every pattern with r = 2 (graphs, loops allowed) through
+Motzkin–Straus for λ and an exact matrix-game LP for φ and rigidity.  Only
+patterns with r >= 3 that have edges and are not complete are certified
+numerically, and their reports say so.
 
-Only the restart count and the seed are options (:class:`OptConfig`).  The
+Only the seed is an option (:class:`OptConfig`).  The restart count,
 iteration budget, step size and tolerances below are fixed: they are tuned
 together, the minimality and rigidity verdicts are read against them, and
 nothing calls for other values.
@@ -61,6 +61,9 @@ _EXACT_NOTE = "exact rational result"
 _log = logging.getLogger(__name__)
 _RUN_RECORD = "%s of %r: %s path, %d restarts, %d converged, %d polished"
 
+# Starting points of a numeric run: the uniform point and RESTARTS - 1
+# Dirichlet samples.
+RESTARTS = 64
 # Ascent: iterations in all (the φ stages share them equally), the first
 # step length, and the displacement per unit step under which a row counts
 # as converged.
@@ -79,7 +82,7 @@ STRICT_GAP = 1e-7
 # of φ.
 POS_GAP = 1e-6
 TOL = 1e-6
-# The largest batch of restart Hessians (restarts x dim x dim floats) a run
+# The largest batch of restart Hessians (RESTARTS x dim x dim floats) a run
 # may ask for, the cap ``Hypergraph`` puts on its vertex tables.
 MAX_BATCH_BYTES = 1 << 30
 
@@ -88,22 +91,27 @@ MAX_BATCH_BYTES = 1 << 30
 class OptConfig:
     """Options of the simplex optimizer.
 
-    ``restarts`` counts independent starting points (the uniform point plus
-    Dirichlet samples drawn from ``seed``).  Both serve only the patterns
-    with no exact record (:func:`_exact`).  The tolerances are the module
-    constants above.  A restart count or seed that is not an integer, a
-    seed below 0 or fewer than one restart is refused with
-    :class:`InvalidInput`.
+    ``seed`` draws the Dirichlet starting points of a numeric run, so it
+    serves only the patterns with no exact record (:func:`_exact`).  The
+    restart count and the tolerances are the module constants above.  A
+    seed that is not an integer, or is below 0, is refused with
+    :class:`InvalidInput`; so is a ``cfg`` that is not an ``OptConfig``, by
+    every entry point of this module.
     """
 
-    restarts: int = 64
     seed: int = 1729
 
     def __post_init__(self) -> None:
-        if _integer(self.restarts, "restarts") < 1:
-            raise InvalidInput(f"restarts must be at least 1, got {self.restarts}")
         if _integer(self.seed, "the optimizer seed") < 0:
             raise InvalidInput(f"the optimizer seed must be nonnegative, got {self.seed}")
+
+
+def _opt_config(cfg: OptConfig, what: str = "cfg") -> OptConfig:
+    """``cfg``, refused with :class:`InvalidInput` unless it is an
+    :class:`OptConfig`; ``what`` names it in the message."""
+    if not isinstance(cfg, OptConfig):
+        raise InvalidInput(f"{what} must be an OptConfig, got {cfg!r}")
+    return cfg
 
 
 @dataclass(frozen=True)
@@ -257,20 +265,19 @@ def _project_rows(Y: np.ndarray) -> np.ndarray:
     return np.maximum(Y - theta[:, None], 0.0)
 
 
-def _starts(dim: int, restarts: int, seed: int) -> np.ndarray:
-    """The uniform point and ``restarts - 1`` Dirichlet samples, refused
-    when a batch of their Hessians would pass ``MAX_BATCH_BYTES``."""
-    batch_bytes = restarts * dim * dim * 8
+def _starts(dim: int, seed: int) -> np.ndarray:
+    """The uniform point and ``RESTARTS - 1`` Dirichlet samples drawn from
+    ``seed``, refused when a batch of their Hessians would pass
+    ``MAX_BATCH_BYTES``."""
+    batch_bytes = RESTARTS * dim * dim * 8
     if batch_bytes > MAX_BATCH_BYTES:
         raise InvalidInput(
-            f"{restarts} restarts in dimension {dim} need {batch_bytes} bytes of "
+            f"{RESTARTS} restarts in dimension {dim} need {batch_bytes} bytes of "
             f"Hessians, above MAX_BATCH_BYTES = {MAX_BATCH_BYTES}"
         )
-    rng = np.random.Generator(np.random.Philox(seed))
-    X = np.empty((restarts, dim))
+    X = np.empty((RESTARTS, dim))
     X[0] = 1.0 / dim
-    if restarts > 1:
-        X[1:] = rng.dirichlet(np.ones(dim), size=restarts - 1)
+    X[1:] = np.random.Generator(np.random.Philox(seed)).dirichlet(np.ones(dim), RESTARTS - 1)
     return X
 
 
@@ -469,9 +476,9 @@ class _Exact(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _exact(pattern: Pattern) -> Optional[_Exact]:
-    """The exact record of an edgeless pattern, of a complete r-graph
-    K_l^(r) with r >= 2 or of any pattern with r = 2; None for any other
-    pattern, which the numeric optimizer serves.
+    """The exact record of an edgeless pattern, of any pattern with r = 1,
+    of a complete r-graph K_l^(r) with r >= 2 or of any pattern with r = 2;
+    None for any other pattern, which the numeric optimizer serves.
 
     An edgeless pattern's polynomial is 0: λ = φ = 0 at every point, the
     uniform one reported, and for l >= 2 the optimal set reaches the
@@ -480,11 +487,27 @@ def _exact(pattern: Pattern) -> Optional[_Exact]:
     if not pattern.edges:
         u = (Fraction(1, pattern.num_vertices),) * pattern.num_vertices
         return _Exact("empty", (Fraction(0), Fraction(0)), (u, u), Fraction(0), False)
-    if pattern.r >= 2 and pattern.is_complete():
+    if pattern.r == 1:
+        return _linear(pattern)
+    if pattern.is_complete():
         return _complete(pattern)
     if pattern.r == 2:
         return _graph(pattern)
     return None
+
+
+def _linear(pattern: Pattern) -> _Exact:
+    """r = 1: p(x) = Σ_{v∈S} x_v over the set S of vertices with an edge.
+    λ = 1, at the unit point of the least vertex of S.  Each partial is 1 on
+    S and 0 off it at every point, so φ = 1 when S holds every vertex and 0
+    otherwise, reported at the uniform point; every point is optimal, so
+    for l >= 2 the smallest coordinate is 0 and the pattern is not rigid
+    (l = 1 leaves the one point 1)."""
+    l, least = pattern.num_vertices, pattern.edges[0][0]
+    unit = tuple(Fraction(int(v == least)) for v in range(l))
+    u = (Fraction(1, l),) * l
+    values = Fraction(1), Fraction(int(len(pattern.edges) == l))
+    return _Exact("linear", values, (unit, u), Fraction(int(l == 1)), l == 1)
 
 
 def _complete(pattern: Pattern) -> _Exact:
@@ -677,7 +700,7 @@ def _optimize(
         return OptReport(float(exact.values[which]), point, 0, True, (point,), exact.values[which])
 
     calc = _Calc(pattern)
-    X = _starts(pattern.num_vertices, cfg.restarts, cfg.seed)
+    X = _starts(pattern.num_vertices, cfg.seed)
     for evaluate, max_iter in stages(calc):
         X, conv = _ascend(evaluate, X, max_iter)
     polished = [p for p in polish(calc, X) if p is not None]
@@ -711,7 +734,9 @@ def lagrangian(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
     is set when the value is exact; the report then has one witness, the
     exact optimal point.
     """
-    return _optimize(pattern, cfg, _LAMBDA, _value_stages, _polish_face_max, lagrange_eval)
+    return _optimize(
+        pattern, _opt_config(cfg), _LAMBDA, _value_stages, _polish_face_max, lagrange_eval
+    )
 
 
 def phi(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
@@ -721,7 +746,9 @@ def phi(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
     found across restarts; it samples the optimal set of the maximin
     problem.  An exact report has one witness, an exact optimal point.
     """
-    return _optimize(pattern, cfg, _PHI, _softmin_stages, _polish_maximin, _min_partial)
+    return _optimize(
+        pattern, _opt_config(cfg), _PHI, _softmin_stages, _polish_maximin, _min_partial
+    )
 
 
 def is_minimal(pattern: Pattern, cfg: OptConfig = OptConfig()) -> MinimalityReport:

@@ -690,7 +690,7 @@ def reference_optimize(pattern, cfg, which, *_ignored):
         point = SimplexPoint(float(c) for c in exact.points[which])
         return OptReport(float(exact.values[which]), point, 0, True, (point,), exact.values[which])
     calc = _Calc(pattern)
-    X = _starts(pattern.num_vertices, cfg.restarts, cfg.seed)
+    X = _starts(pattern.num_vertices, cfg.seed)
     for value_fn, grad_fn, max_iter in _reference_stages(calc, which):
         X, conv = _reference_ascend(value_fn, grad_fn, X, max_iter)
     polish = reference_polish_maximin if which else reference_polish_face_max

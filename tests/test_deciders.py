@@ -715,6 +715,8 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         (lambda: DeciderConfig(eps=float("nan")), "eps must be finite, got nan"),
         (lambda: DeciderConfig(oracle_budget_s="1"), "oracle budget must be a real number, got '1'"),
         (lambda: DeciderConfig(strict="no"), "strict must be a bool, got 'no'"),
+        (lambda: DeciderConfig(opt=None), "opt must be an OptConfig, got None"),
+        (lambda: DeciderConfig(opt="x"), "opt must be an OptConfig, got 'x'"),
         (
             lambda: find_homomorphism(K3, Pattern.complete_graph(3), False, None),
             "oracle budget must be a real number, got None",
@@ -748,6 +750,8 @@ def test_a_negative_oracle_budget_times_out_at_the_first_check():
         "eps_float_nan",
         "budget_string",
         "strict_string",
+        "opt_none",
+        "opt_string",
         "oracle_budget_none",
     ],
 )

@@ -39,3 +39,12 @@ def test_the_corpus_holds_every_kind_of_case(printed):
 def test_an_argument_prints_the_usage(capsys):
     assert decision_digests.main(["--help"]) == 2
     assert "decision_digests.py" in capsys.readouterr().err
+
+
+def test_the_numeric_patterns_run_at_a_second_seed(printed):
+    digests = {name: digest for digest, name in (line.split("  ", 1) for line in printed)}
+    for call in ("lagrangian", "phi", "rigidity_report", "is_minimal"):
+        # the seed draws the starts, so the runs differ; an exact record
+        # reads no seed and has no second line
+        assert digests[f"{call} fano seed-3"] != digests[f"{call} fano"]
+        assert f"{call} C5 seed-3" not in digests

@@ -66,7 +66,6 @@ T93 = turan_graph(9, 3)
         (lambda: lagrangian_grid(C5, 2.5), "grid resolution must be an integer, got 2.5"),
         (lambda: phi_grid(C5, 2.5), "grid resolution must be an integer, got 2.5"),
         (lambda: OptConfig(seed="1"), "the optimizer seed must be an integer, got '1'"),
-        (lambda: OptConfig(restarts=2.5), "restarts must be an integer, got 2.5"),
         (
             lambda: T93.label_signatures(np.arange(9) % 3, 2.5),
             "class count must be an integer, got 2.5",
@@ -99,7 +98,6 @@ T93 = turan_graph(9, 3)
         "lagrangian-grid",
         "phi-grid",
         "optimizer-seed",
-        "optimizer-restarts",
         "label-signatures",
         "first-repeating-edge",
         "uniform-simplex-point",

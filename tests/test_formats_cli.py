@@ -228,7 +228,7 @@ def report_files(tmp_path):
 
 _T30_CLASSES = f"classes: {[list(range(i, i + 10)) for i in (0, 10, 20)]}"
 _BASE_KEYS = ["command", "input_digests", "params", "schema_version", "tool", "tool_version"]
-_OPT_PARAMS = {"opt_seed": 1729, "restarts": 64}
+_OPT_PARAMS = {"opt_seed": 1729}
 
 # One request per report subcommand and per verdict branch whose report
 # fields differ: (argv, exit code, command, params, the report's keys beyond
@@ -735,7 +735,6 @@ def test_the_parser_takes_its_defaults_from_the_library():
 
     library = {
         "oracle_budget": DEFAULT_BUDGET_S,
-        "restarts": OptConfig().restarts,
         "opt_seed": OptConfig().seed,
     }
     seen = set()
@@ -1290,6 +1289,7 @@ class TestCli:
     )
     @pytest.mark.parametrize("command", ["lagrangian", "phi", "rigidity", "decide shom"])
     def test_invalid_optimizer_options_are_3(self, tmp_path, capsys, command, option):
+        # the restart count is no option: no command recognizes --restarts
         path = tmp_path / "c5.txt"
         path.write_text(serialize_pattern(Pattern.cycle(5)))
         argv = [*command.split(), "--pattern", str(path), *option]
@@ -1297,11 +1297,16 @@ class TestCli:
             host = tmp_path / "host.txt"
             host.write_text(serialize_hypergraph(pattern_blowup(Pattern.cycle(5), [2] * 5)))
             argv += ["--host", str(host)]
-        assert run_cli(argv) == 3
+        code = run_cli(argv)
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("linkclust: error: ")
         assert "Traceback" not in captured.err
+        if option[0] == "--restarts":
+            assert code == 64
+            assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(option)}\n")
+        else:
+            assert code == 3
+            assert captured.err.startswith("linkclust: error: ")
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_eps_is_64(self, turan_file, k3_pattern_file, capsys, eps):
@@ -1348,16 +1353,20 @@ class TestCli:
     def test_restarts_above_the_memory_cap_are_3(self, tmp_path, capsys, monkeypatch):
         import importlib
 
-        monkeypatch.setattr(importlib.import_module("linkclust.lagrangian"), "MAX_BATCH_BYTES", 800)
-        # five vertices, so 4 restarts need 800 bytes of Hessians; r = 3 and
-        # not complete, so the CLI runs the numeric optimizer on it
+        module = importlib.import_module("linkclust.lagrangian")
+        # five vertices, so the restarts need RESTARTS * 5 * 5 * 8 bytes of
+        # Hessians; r = 3 and not complete, so the CLI runs the numeric
+        # optimizer on it
+        batch = module.RESTARTS * 5 * 5 * 8
         k5_3_minus = Pattern.from_multisets(3, 5, list(itertools.combinations(range(5), 3))[1:])
         path = tmp_path / "k5_3_minus.txt"
         path.write_text(serialize_pattern(k5_3_minus))
-        argv = ["lagrangian", "--pattern", str(path), "--opt-seed", "70003", "--restarts"]
-        assert run_cli(argv + ["5"]) == 3
-        assert "MAX_BATCH_BYTES = 800" in capsys.readouterr().err
-        assert run_cli(argv + ["4"]) == 0
+        argv = ["lagrangian", "--pattern", str(path), "--opt-seed", "70003"]
+        monkeypatch.setattr(module, "MAX_BATCH_BYTES", batch - 1)
+        assert run_cli(argv) == 3
+        assert f"MAX_BATCH_BYTES = {batch - 1}\n" in capsys.readouterr().err
+        monkeypatch.setattr(module, "MAX_BATCH_BYTES", batch)
+        assert run_cli(argv) == 0
         capsys.readouterr()
 
     def test_report_is_reproducible(self, turan_file, capsys):

@@ -24,6 +24,7 @@ from linkclust import (
     OptConfig,
     Pattern,
     SimplexPoint,
+    catalog,
     is_minimal,
     lagrange_eval,
     lagrange_grad,
@@ -49,6 +50,7 @@ from helpers import (
 lagrangian_module = importlib.import_module("linkclust.lagrangian")
 
 CFG = OptConfig()
+NUMERIC = (None, None, None)  # no exact λ, φ or smallest coordinate
 
 # the complete r-graphs K_l^(r) for r = 2..5 and l = r..r+2: complete graphs
 # for r = 2, the single transversal edge for l = r
@@ -78,33 +80,50 @@ class TestLagrangian:
             rep = lagrangian(Pattern.complete_graph(num), CFG)
         assert rep.value_exact is None
         assert abs(rep.value - (num - 1) / (2 * num)) <= 1e-6
-        assert rep.converged and rep.restarts_used == CFG.restarts
+        assert rep.converged and rep.restarts_used == lagrangian_module.RESTARTS == 64
 
     @pytest.mark.parametrize(
-        "pattern",
+        "pattern, expected",
         [
-            # every point of the simplex is optimal, so 1/l is no smallest coordinate
-            Pattern.from_multisets(1, 3, [(0,), (1,), (2,)]),
-            Pattern.from_multisets(3, 5, list(itertools.combinations(range(5), 3))[1:]),
-            Pattern.from_multisets(3, 4, [*itertools.combinations(range(4), 3), (0, 0, 1)]),
+            # p = x_0 + x_1 + x_2 is 1 everywhere: λ = φ = 1 exactly, and
+            # every point is optimal, so 1/l is no smallest coordinate; with
+            # no edge at vertex 0 its partial is 0 everywhere, and so is φ
+            (Pattern.from_multisets(1, 3, [(0,), (1,), (2,)]), (1, 1, 0)),
+            (Pattern.from_multisets(1, 3, [(1,), (2,)]), (1, 0, 0)),
+            (Pattern.from_multisets(3, 5, list(itertools.combinations(range(5), 3))[1:]), NUMERIC),
+            (
+                Pattern.from_multisets(3, 4, [*itertools.combinations(range(4), 3), (0, 0, 1)]),
+                NUMERIC,
+            ),
             # fewer vertices than the uniformity: empty, so exactly 0, and
             # every point optimal, so the smallest coordinate is exactly 0
-            Pattern(3, 2, []),
-            Pattern(4, 3, []),
+            (Pattern(3, 2, []), (0, 0, 0)),
+            (Pattern(4, 3, []), (0, 0, 0)),
         ],
         ids=[
             "r1",
+            "r1-partial",
             "K5^(3)-minus-an-edge",
             "K4^(3)-plus-001",
             "r3-l2",
             "r4-l3",
         ],
     )
-    def test_patterns_off_the_closed_form(self, pattern):
-        expected = None if pattern.edges else 0
-        assert lagrangian(pattern, CFG).value_exact == expected
-        assert phi(pattern, CFG).value_exact == expected
-        assert rigidity_report(pattern, CFG).smallest_exact == expected
+    def test_patterns_off_the_closed_form(self, pattern, expected):
+        got = (
+            lagrangian(pattern, CFG).value_exact,
+            phi(pattern, CFG).value_exact,
+            rigidity_report(pattern, CFG).smallest_exact,
+        )
+        assert got == expected
+
+    def test_linear_optimum_is_the_least_vertex_with_an_edge(self):
+        # r = 1 reads its exact record, with no restart: λ = 1 at the unit
+        # point of the least vertex with an edge
+        rep = lagrangian(Pattern(1, 3, [(1,), (2,)]), CFG)
+        assert (rep.value, rep.argmax.coords, rep.restarts_used) == (1.0, (0.0, 1.0, 0.0), 0)
+        single = Pattern(1, 1, [(0,)])
+        assert lagrangian(single, CFG).value_exact == phi(single, CFG).value_exact == 1
 
     def test_empty_pattern(self):
         rep = lagrangian(Pattern(2, 4, []), CFG)
@@ -173,6 +192,15 @@ class TestPhi:
 
 
 class TestMinimality:
+    def test_the_restarts_find_the_fano_planes_edge(self):
+        # the uniform point alone reads 7/7^3 = 1/49 and calls the Fano plane
+        # minimal; the optimum 1/27 sits on one edge, which survives every
+        # vertex deletion.  Both pins fail if RESTARTS ever drops to 1.
+        fano = catalog("fano")
+        pattern = Pattern(3, fano.n, [tuple(e) for e in fano.edge_array.tolist()])
+        assert lagrangian(pattern).value == pytest.approx(1 / 27, abs=1e-9)
+        assert is_minimal(pattern).minimal is False
+
     def test_complete_graphs_are_minimal(self):
         for num in (2, 3, 4, 5):
             rep = is_minimal(Pattern.complete_graph(num), CFG)
@@ -538,13 +566,13 @@ class TestOptimizerBranches:
             lambda evaluate, X, *limits: (X, np.zeros(X.shape[0], dtype=bool)),
         )
         monkeypatch.setattr(lagrangian_module, polish, lambda calc, X: [None] * len(X))
-        cfg = OptConfig(restarts=3, seed=97)
+        cfg = OptConfig(seed=97)
         pattern = Pattern.cycle(5)
         with numeric_path(), pytest.raises(
             NumericFailure, match=f"{name} ascent did not converge"
         ) as info:
             solve(pattern, cfg)
-        starts = lagrangian_module._starts(5, cfg.restarts, cfg.seed)
+        starts = lagrangian_module._starts(5, cfg.seed)
         assert info.value.best_value == max(score(pattern, x) for x in starts)
 
 
@@ -612,7 +640,7 @@ class TestBatchedOptimizer:
         # a λ step costs one power table; a φ step one grad_hess (and its
         # table); the ascent evaluates its start and each of its 6 steps
         calc = lagrangian_module._Calc(Pattern.cycle(5))
-        X = lagrangian_module._starts(5, 8, seed=3)
+        X = lagrangian_module._starts(5, seed=3)[:8]
         counts = {}
         for name in ("_table", "value", "grad", "grad_hess"):
             _counting(monkeypatch, calc, name, counts)
@@ -786,29 +814,41 @@ class TestCalc:
 
 
 class TestOptionLimits:
-    @pytest.mark.parametrize(
-        "kwargs, match",
-        [({"seed": -1}, "seed"), ({"restarts": 0}, "restarts"), ({"restarts": -3}, "restarts")],
-    )
+    @pytest.mark.parametrize("kwargs, match", [({"seed": -1}, "seed")])
     def test_invalid_options_are_refused(self, kwargs, match):
         with pytest.raises(InvalidInput, match=match):
             OptConfig(**kwargs)
 
-    def test_the_options_are_the_restarts_and_the_seed(self):
-        # no switch sends a pattern with an exact record to the optimizer
-        assert [f.name for f in dataclasses.fields(OptConfig)] == ["restarts", "seed"]
+    @pytest.mark.parametrize("cfg", [None, "x", [1729]], ids=["none", "string", "list"])
+    @pytest.mark.parametrize("call", [lagrangian, phi, is_minimal, rigidity_report])
+    @pytest.mark.parametrize(
+        "pattern", [Pattern.cycle(5), _k4_3_minus_an_edge()], ids=["exact", "numeric"]
+    )
+    def test_a_config_that_is_no_opt_config_is_refused(self, pattern, call, cfg):
+        # before the cached driver, which would hash it or, on an exact
+        # record, never read it
+        with pytest.raises(InvalidInput) as err:
+            call(pattern, cfg)
+        assert str(err.value) == f"cfg must be an OptConfig, got {cfg!r}"
+
+    def test_the_seed_is_the_only_option(self):
+        # no switch sends a pattern with an exact record to the optimizer,
+        # and the restart count is the module constant
+        assert [f.name for f in dataclasses.fields(OptConfig)] == ["seed"]
 
     def test_hessian_batch_above_the_cap_is_refused(self, monkeypatch):
-        # 4 restarts of C5 need 4 * 5 * 5 * 8 = 800 bytes of Hessians; the
-        # cap is lowered instead of asking for a real huge batch
-        monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", 800)
+        # the restarts of C5 need RESTARTS * 5 * 5 * 8 = 12800 bytes of
+        # Hessians; the cap is lowered instead of asking for a real huge batch
+        batch = lagrangian_module.RESTARTS * 5 * 5 * 8
+        cfg = OptConfig(seed=70_001)
+        monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", batch - 1)
+        with pytest.raises(InvalidInput, match=f"MAX_BATCH_BYTES = {batch - 1}$"):
+            lagrangian_module._starts(5, cfg.seed)
         with numeric_path():
-            with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES = 800"):
-                lagrangian(Pattern.cycle(5), OptConfig(restarts=5, seed=70_001))
-            cfg = OptConfig(restarts=4, seed=70_001)
-            assert lagrangian(Pattern.cycle(5), cfg).restarts_used == 4
-        with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES"):
-            lagrangian_module._starts(5, 5, 70_001)
+            with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES"):
+                lagrangian(Pattern.cycle(5), cfg)
+            monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", batch)
+            assert lagrangian(Pattern.cycle(5), cfg).restarts_used == lagrangian_module.RESTARTS
 
     def test_closed_forms_need_no_batch(self, monkeypatch):
         # every pattern a benchmark workload calibrates (C5, C7 and K4^(3) of
@@ -835,7 +875,7 @@ class TestOptionLimits:
 class TestDebugLog:
     def test_one_record_per_run_names_the_path(self, caplog):
         caplog.set_level(logging.DEBUG, logger="linkclust")
-        cfg = OptConfig(restarts=4, seed=60_013)
+        cfg = OptConfig(seed=60_013)
         lagrangian(_k4_3_minus_an_edge(), cfg)
         phi(Pattern.complete_graph(3), cfg)
         lagrangian(_k4_3_pattern(), cfg)
@@ -846,7 +886,7 @@ class TestDebugLog:
         assert [r.levelno for r in records] == [logging.DEBUG] * 5
         numeric, closed, closed_k4_3, empty, graph = (r.getMessage() for r in records)
         assert numeric.startswith("simplex of Pattern(r=3, num_vertices=4, edges=3): ")
-        assert "numeric path, 4 restarts, " in numeric
+        assert f"numeric path, {lagrangian_module.RESTARTS} restarts, " in numeric
         assert closed.endswith("closed-form path, 0 restarts, 0 converged, 0 polished")
         assert closed_k4_3 == (
             "simplex of Pattern(r=3, num_vertices=4, edges=4): "
@@ -864,7 +904,7 @@ class TestDebugLog:
         src = os.path.dirname(os.path.dirname(lagrangian_module.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", "from linkclust.cli import main; main()",
-             "lagrangian", "--pattern", str(path), "--restarts", "4"],
+             "lagrangian", "--pattern", str(path)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
