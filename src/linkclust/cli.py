@@ -62,12 +62,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path`` ('-' for stdin), read as a UTF-8
+    text file would be, whatever the locale: bytes that are not UTF-8 raise
+    ``UnicodeDecodeError``, and ``\\r\\n`` and then a lone ``\\r`` become
+    ``\\n``.  So they equal the UTF-8 encoding of ``Path.read_text``.  A
+    stdin with no bytes below it (an ``io.StringIO``) gives its text's
+    UTF-8 encoding, as it reads."""
     if path == "-":
-        if hasattr(sys.stdin, "reconfigure"):  # not on an io.StringIO
-            sys.stdin.reconfigure(encoding="utf-8")  # as files, whatever the locale
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        if not hasattr(sys.stdin, "buffer"):
+            return sys.stdin.read().encode("utf-8")
+        data = sys.stdin.buffer.read()
+    else:
+        data = Path(path).read_bytes()
+    if not data.isascii():
+        data.decode("utf-8")  # raises at the offset read_text names
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 # argparse ``type=`` converters: a ValueError is a usage error (exit 64)
@@ -88,15 +100,21 @@ def classes(text: str) -> list[list[int]]:
     return [[int(v) for v in chunk.split(",") if v != ""] for chunk in chunks]
 
 
-def _read_inputs(args, keys: tuple[str, ...]) -> tuple[dict[str, str], dict]:
-    """Read the input file of every key in order, then parse each text in
-    the same order: ``pattern`` as a pattern, any other key as a
-    hypergraph.  The parsers are looked up at call time, so a patched
-    module global is the one that runs."""
-    texts = {key: _read_text(getattr(args, key)) for key in keys}
+def _read_inputs(args, keys: tuple[str, ...]) -> tuple[dict[str, bytes], dict]:
+    """Read the input file of every key in order as bytes (``_read_bytes``),
+    then parse each in the same order: ``pattern`` as a pattern, from its
+    decoded text, any other key as a hypergraph, from the bytes as read.
+    The report hashes those same bytes, so a hypergraph text is never
+    decoded on its way.  The parsers are looked up at call time, so a
+    patched module global is the one that runs."""
+    texts = {key: _read_bytes(getattr(args, key)) for key in keys}
     parsed = {
-        key: (formats.parse_pattern if key == "pattern" else formats.parse_hypergraph)(text)
-        for key, text in texts.items()
+        key: (
+            formats.parse_pattern(data.decode("utf-8"))
+            if key == "pattern"
+            else formats.parse_hypergraph(data)
+        )
+        for key, data in texts.items()
     }
     return texts, parsed
 
@@ -297,12 +315,12 @@ def _build_turan(args) -> tuple[Hypergraph, Partition]:
 
 
 def _build_blowup(args) -> tuple[Hypergraph, Partition]:
-    pattern = formats.parse_pattern(_read_text(args.pattern))
+    pattern = formats.parse_pattern(_read_bytes(args.pattern).decode("utf-8"))
     return pattern_blowup(pattern, args.sizes), contiguous_classes(args.sizes)
 
 
 def _build_join(args) -> tuple[Hypergraph, None]:
-    base = formats.parse_hypergraph(_read_text(args.graph))
+    base = formats.parse_hypergraph(_read_bytes(args.graph))
     return join_construction(base, args.q, args.part_size), None
 
 
@@ -310,12 +328,12 @@ def _build_catalog(args) -> tuple[Hypergraph, None]:
     keys = ("n", "k", "r", "t")
     params = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     if args.graph is not None:
-        params["graph"] = formats.parse_hypergraph(_read_text(args.graph))
+        params["graph"] = formats.parse_hypergraph(_read_bytes(args.graph))
     return catalog(args.name, **params), None
 
 
 def _build_perturb(args) -> tuple[Hypergraph, Partition | None]:
-    host = formats.parse_hypergraph(_read_text(args.host))
+    host = formats.parse_hypergraph(_read_bytes(args.host))
     return host, Partition(args.classes, host.n) if args.classes else None
 
 
@@ -517,3 +535,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -7,15 +7,19 @@ with repetition denoting multiplicity.  ``#`` starts a comment anywhere on a
 line; blank lines are ignored.  Serialization is canonical, so parse and
 serialize round-trip exactly.
 
-Hypergraph text is parsed in bulk.  A text in the layout that
-``serialize_hypergraph`` writes (ASCII, the header then one line of r
-digit tokens per edge, each separator one space or LF) is recognized by
-one ``bytes.translate`` that deletes the digits and a count of the tokens,
-and goes straight to ``np.fromstring`` and the constructor.  When the
-constructor refuses such a text, its values are kept and one search for LF
-finds its lines, since row j is on line j + 2; the rows that may be bad are
-then checked as below.  Every other text takes the structure pass below,
-which finds the lines and names the bad one.
+Hypergraph text is parsed in bulk, from a ``str`` or from its UTF-8
+bytes; both give the same graph or the same error.  The command line reads
+every input file as bytes, once: it hashes those bytes for the report and
+hands them to the parser, so an ASCII text is never decoded on its way.  A
+text in the layout that ``serialize_hypergraph`` writes (ASCII, the header
+then one line of r digit tokens per edge, each separator one space or LF)
+is recognized by one ``bytes.translate`` that deletes the digits and a
+count of the tokens, and goes straight to ``np.fromstring`` and the
+constructor.  Bytes are decoded to text only where lines must be named:
+when the constructor refuses such a text, its values are kept and one
+search for LF finds its lines, since row j is on line j + 2; the rows that
+may be bad are then checked as below.  Every other text takes the
+structure pass below, which finds the lines and names the bad one.
 
 The structure pass works on the text's bytes, one byte per character:
 CRLF becomes `` \\n``, the other line breaks and whitespace of ``str`` become
@@ -248,15 +252,24 @@ def _suspect_rows(rows: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(suspect)
 
 
-def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
+def parse_hypergraph(source: str | bytes | IO[str]) -> Hypergraph:
     """Parse the edge-list format; malformed lines raise with line numbers.
+
+    ``source`` is the text, its UTF-8 bytes (bytes that are not UTF-8
+    raise ``UnicodeDecodeError``) or a stream to read it from.  ASCII bytes
+    are parsed as they are, and decoded only to name lines.  Bytes keep
+    their line breaks: ``b"\\r\\n"`` reads as ``"\\r\\n"`` does, not as a
+    file opened in text mode would read it.
 
     A bad text raises the error of its first bad line, with the class, line
     and message of the line loop in ``tests/helpers.py``.  Python objects
     are made only for the header, for the lines ``int()`` must read, and for
     the lines that may be bad."""
-    text = source if isinstance(source, str) else source.read()
-    data = text.encode("ascii") if text.isascii() else None
+    text = source if isinstance(source, (str, bytes)) else source.read()
+    if isinstance(text, str):
+        data = text.encode("ascii") if text.isascii() else None
+    else:  # a layout holds digits, spaces and LFs alone: it proves the bytes ASCII
+        data, text = text, None
     layout = _serializer_layout(data) if data is not None else None
     if layout is not None:
         r, n, rows = layout
@@ -264,6 +277,11 @@ def parse_hypergraph(source: str | IO[str]) -> Hypergraph:
             return Hypergraph(r, n, rows)
         except InvalidInput as exc:
             error = exc.with_traceback(None)  # frees the constructor's arrays
+    if text is None:  # decoded only here, where lines are named
+        text = data.decode("utf-8")
+        if not text.isascii():
+            data = None
+    if layout is not None:
         # every line of the layout holds r tokens: row j is on line j + 2
         breaks = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
         _raise_first_bad_line(_Lines(text, breaks, np.arange(len(rows) + 1)), r, n, rows, [], error)
@@ -427,14 +445,15 @@ def partition_classes_sorted(partition: Partition) -> list[list[int]]:
     return sorted(classes, key=lambda c: (not c, c[0] if c else -1))
 
 
-def sha256_digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def sha256_digest(text: str | bytes) -> str:
+    """The SHA-256 of ``text``'s UTF-8 encoding, or of bytes as given."""
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode("utf-8")).hexdigest()
 
 
 def build_report(
     command: str,
     params: dict,
-    inputs: dict[str, str],
+    inputs: dict[str, str | bytes],
     verdict: str | None = None,
     witness: Partition | None = None,
     stats: dict | None = None,
@@ -443,9 +462,10 @@ def build_report(
 ) -> dict:
     """Assemble the machine-readable run report.
 
-    ``inputs`` maps input names to their serialized text; digests are stored
-    rather than the texts.  The report is JSON-serializable and, except for
-    wall-time entries inside ``stats``, deterministic for a given run.
+    ``inputs`` maps input names to their serialized text or its bytes;
+    digests (``sha256_digest``) are stored rather than the texts.  The
+    report is JSON-serializable and, except for wall-time entries inside
+    ``stats``, deterministic for a given run.
     """
     report: dict = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -30,7 +30,18 @@ def test_prints_one_digest_per_case_and_one_of_them_all(printed):
 
 def test_the_corpus_holds_every_kind_of_case(printed):
     kinds = {line.split("  ", 1)[1].split()[0] for line in printed[:-1]}
-    assert kinds == {"serialize", "gen", "parse"}
+    assert kinds == {"serialize", "gen", "parse", "report"}
+
+
+def test_the_reports_read_every_spelling_from_a_file_and_stdin(tmp_path):
+    cases = dict(format_digests.reports(tmp_path))
+    for spelling in ("lf", "crlf", "cr", "utf8-comment"):
+        for name in ("decide-kcolor", "cluster"):
+            file, stdin = (cases[f"report {name} {spelling} {source}"] for source in ("file", "stdin"))
+            assert file == stdin and file.startswith(b"0\n{") and b"wall_time_s" not in file
+    for spelling in ("latin1-comment", "bom"):
+        case = cases[f"report cluster {spelling} file"]
+        assert case.startswith(b"3\nnull\nlinkclust: error: ")
 
 
 def test_an_argument_prints_the_usage(capsys):

@@ -214,12 +214,14 @@ class TestBulkParser:
         text, graph = case
         outcome = _outcome(parse_hypergraph, text)
         assert outcome == _outcome(reference_parse_hypergraph, text)
+        assert _outcome(parse_hypergraph, text.encode()) == outcome  # its UTF-8 bytes too
         if graph is not None:
             assert outcome == graph
 
     def test_takes_plain_text_with_comments_crlf_and_signs(self):
         text = "# K3\r\n2 3 3\r\n\r\n+0\t1  # first\r\n00 2\r\n1 0_2\r\n"
         assert parse_hypergraph(text) == catalog("complete", n=3)
+        assert parse_hypergraph(text.encode()) == catalog("complete", n=3)
 
     @pytest.mark.parametrize(
         "text",
@@ -231,10 +233,18 @@ class TestBulkParser:
             "2 3 1\n0 \u0661\n",  # non-ASCII digit
             "2 3 1\n0 99999999999999999999\n",  # beyond int64
             "2 3 1\n0 0\n",  # an error
+            "2 3 1\n0 1 # caf\xe9 \U0001f600\n",  # a non-ASCII comment
+            "\ufeff2 3 1\n0 1\n",  # a BOM
         ],
     )
     def test_rare_spellings_read_as_in_the_line_loop(self, text):
-        assert _outcome(parse_hypergraph, text) == _outcome(reference_parse_hypergraph, text)
+        expected = _outcome(reference_parse_hypergraph, text)
+        assert _outcome(parse_hypergraph, text) == expected
+        assert _outcome(parse_hypergraph, text.encode()) == expected
+
+    def test_bytes_that_are_not_utf8_raise(self):
+        with pytest.raises(UnicodeDecodeError):
+            parse_hypergraph(b"2 3 1\n0 1 # caf\xe9\n")
 
     @pytest.mark.parametrize(
         "space", [chr(c) for c in range(0x110000) if chr(c).isspace()], ids=ascii
@@ -480,12 +490,14 @@ class TestBulkParser:
         monkeypatch.setattr(formats, "_ascii_bytes", _no_structure_pass)
         monkeypatch.setattr(formats, "_byte_classes", _no_structure_pass)
         assert parse_hypergraph(text) == expected
+        assert parse_hypergraph(text.encode()) == expected
 
     @pytest.mark.parametrize("text", LAYOUT_TEXTS)
     def test_one_edit_from_the_layout_reads_as_in_the_line_loop(self, text):
         for variant in format_digests.one_edits(text):
             expected = _outcome(reference_parse_hypergraph, variant)
             assert _outcome(parse_hypergraph, variant) == expected, repr(variant)
+            assert _outcome(parse_hypergraph, variant.encode()) == expected, repr(variant)
 
     @pytest.mark.parametrize(
         "edge, error, reason",
@@ -660,6 +672,10 @@ class TestCliInputs:
         missing = str(tmp_path / "missing.txt")
         assert run_cli(["oracle", "embed", "--f", str(bad), "--host", missing]) == 3
         assert "missing.txt" in capsys.readouterr().err
+        latin1 = tmp_path / "latin1.txt"  # not UTF-8: refused as it is read
+        latin1.write_bytes(b"2 3 1\n0 1 # caf\xe9\n")
+        assert run_cli(["oracle", "embed", "--f", str(bad), "--host", str(latin1)]) == 3
+        assert "can't decode byte 0xe9 in position 15" in capsys.readouterr().err
 
     def test_oracle_hom_reads_both_files_before_parsing(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

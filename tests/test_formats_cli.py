@@ -1389,3 +1389,115 @@ class TestCli:
     def test_version_flag(self, capsys):
         assert run_cli(["--version"]) == 0
         assert "linkclust" in capsys.readouterr().out
+
+
+# -- inputs as bytes --------------------------------------------------------------
+
+
+_T30 = serialize_hypergraph(turan_graph(30, 3))
+# the same host with every kind of line break, a UTF-8 comment, a BOM, and a
+# Latin-1 comment, which is not UTF-8
+_SPELLINGS = {
+    "lf": _T30.encode("utf-8"),
+    "crlf": _T30.replace("\n", "\r\n").encode("utf-8"),
+    "cr": _T30.replace("\n", "\r").encode("utf-8"),
+    "mixed": _T30.replace("\n", "\r\n", 40).replace("\n", "\r", 40).encode("utf-8"),
+    "utf8-comment": ("# caf\xe9\r" + _T30).encode("utf-8"),
+    "bom": b"\xef\xbb\xbf" + _T30.encode("utf-8"),
+    "latin1-comment": ("# caf\xe9\n" + _T30).encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("spelling", list(_SPELLINGS))
+@pytest.mark.parametrize(
+    "command",
+    [["decide", "kcolor", "--l", "3"], ["cluster", "--l", "3", "--delta", "1/3"]],
+    ids=["kcolor", "cluster"],
+)
+def test_input_digests_hash_the_text_a_utf8_file_reads_as(
+    tmp_path, capsys, monkeypatch, spelling, command
+):
+    import io
+
+    data = _SPELLINGS[spelling]
+    host = tmp_path / "host.txt"
+    host.write_bytes(data)
+    # the rule: the UTF-8 encoding of the text Path.read_text gives, or its error
+    try:
+        expected = {"host": hashlib.sha256(host.read_text(encoding="utf-8").encode()).hexdigest()}
+    except UnicodeDecodeError as exc:
+        expected = f"linkclust: error: {exc}\n"
+    code = run_cli([*command, "--host", str(host)])
+    captured = capsys.readouterr()
+    if spelling == "bom":  # the BOM is part of the header's first token
+        assert code == 3
+        assert captured.err == (
+            "linkclust: error: line 1: header must be 3 integers, got '\\ufeff2 30 300'\n"
+        )
+    elif spelling == "latin1-comment":  # read_text's own error
+        assert (code, captured.err) == (3, expected)
+    else:
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["input_digests"] == expected
+    # the same bytes on a stdin opened in Latin-1, as under a Latin-1 locale
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "latin-1"))
+    assert run_cli([*command, "--host", "-"]) == code
+    from_stdin = capsys.readouterr()
+    assert from_stdin.err == captured.err
+    if code == 0:
+        assert json.loads(from_stdin.out)["input_digests"] == expected
+
+
+def test_a_text_stdin_is_hashed_as_it_reads(capsys, monkeypatch):
+    import io
+
+    # an io.StringIO has no bytes below it: its text is encoded as it reads,
+    # with its line breaks as they are
+    text = _T30.replace("\n", "\r\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run_cli(["decide", "kcolor", "--l", "3"]) == 0
+    digests = json.loads(capsys.readouterr().out)["input_digests"]
+    assert digests == {"host": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def test_the_decide_path_hands_the_host_on_as_bytes(turan_file, capsys, monkeypatch):
+    seen = []
+    parse, report = formats.parse_hypergraph, formats.build_report
+
+    def parse_spy(source):
+        seen.append(("parse", type(source)))
+        return parse(source)
+
+    def report_spy(*args, inputs, **kwargs):
+        seen.append(("report", *{type(v) for v in inputs.values()}))
+        return report(*args, inputs=inputs, **kwargs)
+
+    monkeypatch.setattr(formats, "parse_hypergraph", parse_spy)
+    monkeypatch.setattr(formats, "build_report", report_spy)
+    assert run_cli(["decide", "kcolor", "--host", turan_file, "--l", "3"]) == 0
+    capsys.readouterr()
+    assert seen == [("parse", bytes), ("report", bytes)]
+
+
+@pytest.mark.parametrize("module", ["linkclust", "linkclust.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    import os
+    import subprocess
+    import sys
+
+    import linkclust
+
+    env = {**os.environ, "PYTHONPATH": str(Path(linkclust.__file__).parent.parent)}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+        )
+
+    helped = run("--help")
+    assert helped.returncode == 0 and helped.stdout.startswith("usage: linkclust")
+    host = tmp_path / "t30.txt"
+    host.write_text(_T30)
+    decided = run("decide", "kcolor", "--host", str(host), "--l", "3")
+    assert (decided.returncode, decided.stderr) == (0, "")
+    assert json.loads(decided.stdout)["verdict"] == "yes"

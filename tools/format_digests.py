@@ -12,9 +12,12 @@ empty, generated, thinned and joined hosts, r = 2 to 5), the files that
 ``gen --out`` writes and the text ``gen`` prints, and parse outcomes: the
 graph's r, n and edge array, or the error's class, line and message, for
 the serializer's layout texts, each with and without its final LF, for
-every one-edit variant of them (``one_edits``).  Each line is the digest
-and the case's name; the last line is the digest of all the others.  The
-corpus uses the public API only, and runs in a few seconds.
+every one-edit variant of them (``one_edits``), and the reports of
+``decide kcolor`` and ``cluster`` on one host spelled with LF, CRLF and
+lone CR line breaks, a UTF-8 comment, a Latin-1 comment and a BOM, read
+from a file and from stdin (``reports``).  Each line is the digest and the
+case's name; the last line is the digest of all the others.  The corpus
+uses the public API and ``run_cli`` only, and runs in a few seconds.
 
 ``tests/test_formats_bulk.py`` parses ``layout_graphs`` and ``one_edits``
 and serializes ``serialized_hosts``, so the tests and the digests cover
@@ -26,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -168,6 +172,45 @@ def _gen_outputs(tmp: Path) -> list[tuple[str, bytes]]:
     return outputs
 
 
+def reports(tmp: Path) -> list[tuple[str, bytes]]:
+    """The reports of ``decide kcolor`` and ``cluster`` on each spelling of
+    one host, from a file and from a stdin opened in Latin-1: each case is
+    the exit code, the report without ``stats.wall_time_s`` and what went
+    to stderr."""
+    text = serialize_hypergraph(turan_graph(60, 3))
+    spellings = {
+        "lf": text.encode(),
+        "crlf": text.replace("\n", "\r\n").encode(),
+        "cr": text.replace("\n", "\r").encode(),
+        "utf8-comment": ("# caf\xe9\r\n" + text).encode(),
+        "latin1-comment": ("# caf\xe9\n" + text).encode("latin-1"),
+        "bom": b"\xef\xbb\xbf" + text.encode(),
+    }
+    commands = {
+        "decide-kcolor": ["decide", "kcolor", "--l", "3"],
+        "cluster": ["cluster", "--l", "3", "--delta", "1/3"],
+    }
+    out = []
+    for spelling, data in spellings.items():
+        path = tmp / f"{spelling}.txt"
+        path.write_bytes(data)
+        for name, argv in commands.items():
+            for source, host in (("file", str(path)), ("stdin", "-")):
+                stdout, stderr, stdin = io.StringIO(), io.StringIO(), sys.stdin
+                sys.stdin = io.TextIOWrapper(io.BytesIO(data), "latin-1")
+                try:
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        code = run_cli([*argv, "--host", host])
+                finally:
+                    sys.stdin = stdin
+                report = json.loads(stdout.getvalue()) if stdout.getvalue() else None
+                if report is not None:
+                    report.get("stats", {}).pop("wall_time_s", None)
+                case = f"{code}\n{json.dumps(report, sort_keys=True)}\n{stderr.getvalue()}"
+                out.append((f"report {name} {spelling} {source}", case.encode()))
+    return out
+
+
 def cases() -> list[tuple[str, bytes]]:
     """Every case of the corpus, as its name and the bytes digested."""
     out = [
@@ -176,6 +219,7 @@ def cases() -> list[tuple[str, bytes]]:
     ]
     with tempfile.TemporaryDirectory() as tmp:
         out += [(f"gen {name}", data) for name, data in _gen_outputs(Path(tmp))]
+        out += reports(Path(tmp))
     big = serialize_hypergraph(turan_graph(1200, 3))
     header, rest = big.split("\n", 1)
     refused = f"2 1200 {int(header.split()[2]) + 1}\n{rest}0 400\n"  # a duplicate last line
