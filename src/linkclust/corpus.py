@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, _comparable, _integer, _is_integer
+from .errors import InvalidInput, _allocation, _comparable, _integer, _is_integer
 from .hypergraph import Hypergraph, Partition, _check_size
 from .oracles import turan_number
 from .patterns import Pattern
@@ -75,19 +75,8 @@ def contiguous_classes(sizes: Sequence[int]) -> Partition:
     return Partition(classes, int(bounds[-1]))
 
 
-# Bytes of the edge array a generator may allocate (8 per vertex of each
-# edge).  A larger request is refused before anything is allocated, so
-# ``turan_graph(10**7, 2)`` cannot ask for 364 TiB; the generators that blow
-# up K_l check the closed-form edge count before they build K_l itself.
-MAX_EDGE_ARRAY_BYTES = 1 << 30
-
-
 def _check_edge_array(m: int, r: int) -> None:
-    if 8 * r * m > MAX_EDGE_ARRAY_BYTES:
-        raise InvalidInput(
-            f"{m} edges of {r} vertices need {8 * r * m} bytes, above "
-            f"MAX_EDGE_ARRAY_BYTES = {MAX_EDGE_ARRAY_BYTES}"
-        )
+    _allocation(8 * r * m, f"{m} edges of {r} vertices need {8 * r * m} bytes")
 
 
 def turan_graph(n: int, parts: int) -> Hypergraph:

@@ -275,13 +275,16 @@ def _oracle_hom_decision(
     surjective: bool,
     budget_s: float,
     note: str,
+    classes: Optional[int] = None,
 ) -> Decision:
+    """The exhaustive search's coloring as a partition into ``classes``
+    classes, by default one for each vertex of ``pattern``."""
     coloring = find_homomorphism(hypergraph, pattern, surjective, budget_s)
     if coloring is None:
         return Decision(
             Verdict.NO, reason=f"exhaustive search found no coloring ({note})"
         )
-    part = Partition.from_labels(coloring, pattern.num_vertices)
+    part = Partition.from_labels(coloring, classes or pattern.num_vertices)
     return Decision(
         Verdict.YES, partition=part, reason=f"exhaustive search ({note})"
     )
@@ -326,8 +329,10 @@ def decide_k_colorable(
     small-host cutoff: requires minimum degree strictly above
     ``(3k-4)/(3k-1) * n``, where the ball clustering recovers the unique
     coloring when one exists.  Below it the decision is refused, or
-    delegated to the exhaustive oracle when ``cfg.strict`` is false.  K_k
-    itself, with its C(k, 2) edges, is built only for that oracle.
+    delegated to the exhaustive oracle when ``cfg.strict`` is false.  That
+    oracle searches K_min(k, n), never the C(k, 2) edges of a larger K_k:
+    canonical color introduction opens no color past the n-th, so the
+    coloring is the one K_k gives, with its classes past n empty.
     """
     if graph.r != 2:
         raise InvalidInput("colorability decider expects a graph (r = 2)")
@@ -338,7 +343,8 @@ def decide_k_colorable(
     k = num_colors
 
     def oracle(note: str) -> Decision:
-        return _oracle_hom_decision(graph, Pattern.complete_graph(k), False, cfg.oracle_budget_s, note)
+        clique = Pattern.complete_graph(min(k, graph.n))
+        return _oracle_hom_decision(graph, clique, False, cfg.oracle_budget_s, note, classes=k)
 
     eps = Fraction(1, k * (3 * k - 1))
     return _decide_core(graph, None, replace(cfg, eps=eps, n_small=1), oracle, row=_clique_row(k))

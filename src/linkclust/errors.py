@@ -15,6 +15,10 @@ passes the value through :func:`_comparable` first, so that a string or
 
 The budget rule: an oracle budget is a real number of seconds that runs
 out, so NaN and infinity are refused (:func:`_budget`).
+
+The allocation rule: no array whose size a caller's counts set may take
+more than :data:`MAX_ALLOCATION_BYTES`, and a larger one is refused with
+:class:`InvalidInput` before anything is allocated (:func:`_allocation`).
 """
 
 from __future__ import annotations
@@ -88,6 +92,28 @@ class PatternNotRigid(LinkclustError):
 
 class OracleTimeout(LinkclustError, TimeoutError):
     """An exhaustive search exceeded its time budget."""
+
+
+# Bytes of the largest array a caller's counts may size.  Three checks
+# read it:
+# - a hypergraph's int64 degree and link-offset tables, 16 * (n + 1) bytes
+#   whatever its edges (its links follow the edges, since rows are kept only
+#   when they take no more bytes than the link codes).  Every admitted n is
+#   below 2**26, and so below the 2**31 that the constructor's one-read
+#   range check needs, and a header such as ``2 100000000 0`` cannot ask for
+#   1.6 GB;
+# - a generator's edge array, 8 bytes per vertex of each edge, so
+#   ``turan_graph(10**7, 2)`` cannot ask for 364 TiB (the generators that
+#   blow up K_l check the closed-form edge count before they build K_l);
+# - a batch of restart Hessians, RESTARTS x dim x dim floats.
+MAX_ALLOCATION_BYTES = 1 << 30
+
+
+def _allocation(need: int, message: str) -> None:
+    """Refuse, with ``message``, an allocation of ``need`` bytes above
+    :data:`MAX_ALLOCATION_BYTES`, read at call time."""
+    if need > MAX_ALLOCATION_BYTES:
+        raise InvalidInput(f"{message}, above MAX_ALLOCATION_BYTES = {MAX_ALLOCATION_BYTES}")
 
 
 def _is_integer(value) -> bool:

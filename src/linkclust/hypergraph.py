@@ -82,17 +82,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidVertex, _integer, _integers, _is_integer
+from .errors import InvalidInput, InvalidVertex, _allocation, _integer, _integers, _is_integer
 
 __all__ = ["Hypergraph", "Partition"]
-
-# Upper bound on the per-vertex tables one instance allocates whatever its
-# edge count: the int64 degree and link-offset arrays, 16 * (n + 1) bytes, so
-# n stays below 2**26 for every r.  The links follow the edges, since rows are
-# kept only when they take no more bytes than the link codes.  A larger
-# request is rejected before anything is allocated, so a header such as
-# ``2 100000000 0`` cannot ask for 1.6 GB.
-MAX_VERTEX_TABLE_BYTES = 1 << 30
 
 # Bytes of the dense bool buffer that builds packed link rows, for every n
 # and r, a block of rows at a time: one block up to n = 4096 for graphs and
@@ -137,12 +129,8 @@ def _check_size(r: int, n: int) -> type:
     tables or edge codes do not fit, whatever its edges, and return the
     dtype of its edge codes.  Every n it admits is below 2**26, and so below
     the 2**31 that the constructor's one-read range check needs."""
-    table_bytes = 16 * (n + 1)
-    if table_bytes > MAX_VERTEX_TABLE_BYTES:
-        raise InvalidInput(
-            f"vertex count {n} needs {table_bytes} bytes of per-vertex "
-            f"tables, above MAX_VERTEX_TABLE_BYTES = {MAX_VERTEX_TABLE_BYTES}"
-        )
+    need = 16 * (n + 1)
+    _allocation(need, f"vertex count {n} needs {need} bytes of per-vertex tables")
     return _code_dtype(max(n, 2), r)
 
 

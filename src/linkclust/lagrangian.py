@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InvalidInput, NumericFailure, _integer
+from .errors import InvalidInput, NumericFailure, _allocation, _integer
 from .patterns import Pattern, SimplexPoint, lagrange_eval, lagrange_grad
 
 __all__ = [
@@ -82,9 +82,6 @@ STRICT_GAP = 1e-7
 # of φ.
 POS_GAP = 1e-6
 TOL = 1e-6
-# The largest batch of restart Hessians (RESTARTS x dim x dim floats) a run
-# may ask for, the cap ``Hypergraph`` puts on its vertex tables.
-MAX_BATCH_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -268,13 +265,9 @@ def _project_rows(Y: np.ndarray) -> np.ndarray:
 def _starts(dim: int, seed: int) -> np.ndarray:
     """The uniform point and ``RESTARTS - 1`` Dirichlet samples drawn from
     ``seed``, refused when a batch of their Hessians would pass
-    ``MAX_BATCH_BYTES``."""
-    batch_bytes = RESTARTS * dim * dim * 8
-    if batch_bytes > MAX_BATCH_BYTES:
-        raise InvalidInput(
-            f"{RESTARTS} restarts in dimension {dim} need {batch_bytes} bytes of "
-            f"Hessians, above MAX_BATCH_BYTES = {MAX_BATCH_BYTES}"
-        )
+    ``MAX_ALLOCATION_BYTES``."""
+    need = RESTARTS * dim * dim * 8
+    _allocation(need, f"{RESTARTS} restarts in dimension {dim} need {need} bytes of Hessians")
     X = np.empty((RESTARTS, dim))
     X[0] = 1.0 / dim
     X[1:] = np.random.Generator(np.random.Philox(seed)).dirichlet(np.ones(dim), RESTARTS - 1)
@@ -676,26 +669,23 @@ def _select(
 
 
 _LAMBDA, _PHI = 0, 1  # which entry of an exact record a run reports
-_NAMES = ("simplex", "maximin")
 
 
 @lru_cache(maxsize=1024)
-def _optimize(
-    pattern: Pattern,
-    cfg: OptConfig,
-    which: int,
-    stages: Callable[[_Calc], list[_Stage]],
-    polish: Callable[[_Calc, np.ndarray], list[Optional[np.ndarray]]],
-    score: Callable[[Pattern, np.ndarray], float],
-) -> OptReport:
+def _optimize(pattern: Pattern, cfg: OptConfig, which: int) -> OptReport:
     """The pattern's exact record (:func:`_exact`) when it has one, with its
     point as the one witness.  Otherwise one multistart run: ascend all
-    restarts through ``stages``, polish them all, and report the best
-    ``score`` with its distinct near-optimal points as witnesses, ties
-    broken toward the lexicographically smallest point."""
+    restarts through the stages of ``which``, polish them all, and report
+    the best score (λ's value or φ's least partial) with its distinct
+    near-optimal points as witnesses, ties broken toward the
+    lexicographically smallest point."""
+    if which == _PHI:
+        name, stages, polish, score = "maximin", _softmin_stages, _polish_maximin, _min_partial
+    else:
+        name, stages, polish, score = "simplex", _value_stages, _polish_face_max, lagrange_eval
     exact = _exact(pattern)
     if exact is not None:
-        _log.debug(_RUN_RECORD, _NAMES[which], pattern, exact.path, 0, 0, 0)
+        _log.debug(_RUN_RECORD, name, pattern, exact.path, 0, 0, 0)
         point = SimplexPoint(float(c) for c in exact.points[which])
         return OptReport(float(exact.values[which]), point, 0, True, (point,), exact.values[which])
 
@@ -704,14 +694,12 @@ def _optimize(
     for evaluate, max_iter in stages(calc):
         X, conv = _ascend(evaluate, X, max_iter)
     polished = [p for p in polish(calc, X) if p is not None]
-    _log.debug(
-        _RUN_RECORD, _NAMES[which], pattern, "numeric", len(X), conv.sum(), len(polished)
-    )
+    _log.debug(_RUN_RECORD, name, pattern, "numeric", len(X), conv.sum(), len(polished))
     best_val, best_arg, witnesses = _select(
         np.vstack([X, *polished]), lambda c: score(pattern, c)
     )
     if not (bool(conv.any()) or polished):
-        raise NumericFailure(f"{_NAMES[which]} ascent did not converge", best_val)
+        raise NumericFailure(f"{name} ascent did not converge", best_val)
     return OptReport(
         value=best_val,
         argmax=SimplexPoint.normalized(best_arg),
@@ -734,9 +722,7 @@ def lagrangian(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
     is set when the value is exact; the report then has one witness, the
     exact optimal point.
     """
-    return _optimize(
-        pattern, _opt_config(cfg), _LAMBDA, _value_stages, _polish_face_max, lagrange_eval
-    )
+    return _optimize(pattern, _opt_config(cfg), _LAMBDA)
 
 
 def phi(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
@@ -746,9 +732,7 @@ def phi(pattern: Pattern, cfg: OptConfig = OptConfig()) -> OptReport:
     found across restarts; it samples the optimal set of the maximin
     problem.  An exact report has one witness, an exact optimal point.
     """
-    return _optimize(
-        pattern, _opt_config(cfg), _PHI, _softmin_stages, _polish_maximin, _min_partial
-    )
+    return _optimize(pattern, _opt_config(cfg), _PHI)
 
 
 def is_minimal(pattern: Pattern, cfg: OptConfig = OptConfig()) -> MinimalityReport:

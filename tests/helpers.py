@@ -678,7 +678,7 @@ def numeric_path():
         optimize.cache_clear()
 
 
-def reference_optimize(pattern, cfg, which, *_ignored):
+def reference_optimize(pattern, cfg, which):
     """Drop-in for ``linkclust.lagrangian._optimize`` (uncached) built on the
     per-row references above; ``which`` 0 is λ, 1 is φ."""
     from linkclust import NumericFailure, OptReport, SimplexPoint

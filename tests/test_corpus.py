@@ -295,7 +295,7 @@ class TestBlowupReference:
 
 class TestEdgeArrayCap:
     """A generator refuses, before allocating, an edge array of more than
-    MAX_EDGE_ARRAY_BYTES (8 bytes per vertex of each edge)."""
+    errors.MAX_ALLOCATION_BYTES (8 bytes per vertex of each edge)."""
 
     @pytest.mark.parametrize(
         "make, m, r",
@@ -320,17 +320,17 @@ class TestEdgeArrayCap:
             tracemalloc.stop()
         assert str(err.value) == (
             f"{m} edges of {r} vertices need {8 * r * m} bytes, "
-            "above MAX_EDGE_ARRAY_BYTES = 1073741824"
+            "above MAX_ALLOCATION_BYTES = 1073741824"
         )
         assert peak < 1 << 20
 
     def test_the_bound_itself_is_allowed(self, monkeypatch):
-        import linkclust.corpus
+        import linkclust.errors
 
         assert len(turan_graph(6, 3)) == 12
-        monkeypatch.setattr(linkclust.corpus, "MAX_EDGE_ARRAY_BYTES", 8 * 2 * 12)
+        monkeypatch.setattr(linkclust.errors, "MAX_ALLOCATION_BYTES", 8 * 2 * 12)
         assert turan_graph(6, 3) == reference_blowup(_complete_pattern(3), (2, 2, 2))
-        monkeypatch.setattr(linkclust.corpus, "MAX_EDGE_ARRAY_BYTES", 8 * 2 * 12 - 1)
+        monkeypatch.setattr(linkclust.errors, "MAX_ALLOCATION_BYTES", 8 * 2 * 12 - 1)
         with pytest.raises(InvalidInput, match="12 edges of 2 vertices need 192 bytes"):
             turan_graph(6, 3)
 
@@ -339,8 +339,9 @@ class TestEdgeArrayCap:
         [
             (lambda: turan_graph(7, 3), 16),
             (lambda: turan_graph(1000, 1000), math.comb(1000, 2)),
-            (lambda: join_construction(Hypergraph(2, 2, []), 3, 4), 2 * 3 * 4 + 3 * 16),
-            (lambda: join_construction(Hypergraph(2, 0, []), 2000, 1), math.comb(2000, 2)),
+            # the hosts are built here, before the cap is lowered for their joins
+            (lambda g=Hypergraph(2, 2, []): join_construction(g, 3, 4), 2 * 3 * 4 + 3 * 16),
+            (lambda g=Hypergraph(2, 0, []): join_construction(g, 2000, 1), math.comb(2000, 2)),
             (lambda: catalog("complete_blowup", n=4, t=3), 6 * 9),
             (lambda: catalog("complete_blowup", n=2000, t=2), math.comb(2000, 2) * 4),
         ],
@@ -354,17 +355,17 @@ class TestEdgeArrayCap:
         ],
     )
     def test_k_l_blowups_are_refused_before_k_l_is_built(self, make, m, monkeypatch):
-        import linkclust.corpus
+        import linkclust.errors
 
         def refuse(*args):
             raise AssertionError("K_l built for a request that is refused")
 
-        monkeypatch.setattr(linkclust.corpus, "MAX_EDGE_ARRAY_BYTES", 16)
+        monkeypatch.setattr(linkclust.errors, "MAX_ALLOCATION_BYTES", 16)
         monkeypatch.setattr(Pattern, "complete_graph", refuse)
         with pytest.raises(InvalidInput) as err:
             make()
         assert str(err.value) == (
-            f"{m} edges of 2 vertices need {16 * m} bytes, above MAX_EDGE_ARRAY_BYTES = 16"
+            f"{m} edges of 2 vertices need {16 * m} bytes, above MAX_ALLOCATION_BYTES = 16"
         )
 
 
@@ -402,9 +403,9 @@ class TestUniformityCap:
     def test_the_vertex_tables_are_refused_first(self, monkeypatch):
         # a smaller table cap stands in for r = 10**8 (n = 2 * 10**8 - 1),
         # whose tuples would take about 10 GB if they were built first
-        import linkclust.hypergraph
+        import linkclust.errors
 
-        monkeypatch.setattr(linkclust.hypergraph, "MAX_VERTEX_TABLE_BYTES", 16 * 10**5)
+        monkeypatch.setattr(linkclust.errors, "MAX_ALLOCATION_BYTES", 16 * 10**5)
         tracemalloc.start()
         try:
             with pytest.raises(InvalidInput) as err:
@@ -414,7 +415,7 @@ class TestUniformityCap:
             tracemalloc.stop()
         assert str(err.value) == (
             "vertex count 199999 needs 3200000 bytes of per-vertex tables, "
-            "above MAX_VERTEX_TABLE_BYTES = 1600000"
+            "above MAX_ALLOCATION_BYTES = 1600000"
         )
         assert peak < 1 << 20
 

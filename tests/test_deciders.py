@@ -97,6 +97,29 @@ class TestDecideKColorable:
             {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
         )
 
+    @pytest.mark.parametrize(
+        "host",
+        [catalog("cycle", k=5), catalog("cycle", k=6), turan_graph(9, 3), Hypergraph(2, 4, [(0, 1)])],
+        ids=["C5", "C6", "T9_3", "isolated"],
+    )
+    @pytest.mark.parametrize("more", ["n+1", "2n+3"])
+    def test_the_fallback_searches_at_most_n_colors(self, host, more, monkeypatch):
+        # a coloring of n vertices opens no color past the n-th, so a K_k
+        # with k > n only adds C(k, 2) edges to the search
+        k = host.n + 1 if more == "n+1" else 2 * host.n + 3
+        by_k_k = find_homomorphism(host, Pattern.complete_graph(k))
+        complete_graph, built = Pattern.complete_graph, []
+
+        def spy(num_vertices):
+            built.append(num_vertices)
+            return complete_graph(num_vertices)
+
+        monkeypatch.setattr(Pattern, "complete_graph", spy)
+        d = decide_k_colorable(host, k, DeciderConfig(strict=False))
+        assert built == [host.n]
+        assert d.verdict is Verdict.YES and d.partition.num_classes == k
+        assert d.partition == Partition.from_labels(np.array(by_k_k), k)
+
     def test_uniqueness_against_the_oracle(self):
         g = turan_graph(40, 4)
         d = decide_k_colorable(g, 4)

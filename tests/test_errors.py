@@ -1,5 +1,9 @@
-"""The integer rule of ``errors``: every count a public entry point takes is
-an integer, checked by one rule, and is never truncated or rounded."""
+"""The rules of ``errors``: every count a public entry point takes is an
+integer, checked by one rule, and is never truncated or rounded; and every
+array a caller's counts size is refused above one cap before it is
+allocated."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -27,8 +31,12 @@ from linkclust import (
 )
 from linkclust.errors import _integer
 
+errors_module = importlib.import_module("linkclust.errors")
+lagrangian_module = importlib.import_module("linkclust.lagrangian")
+
 C5 = Pattern.cycle(5)
 T93 = turan_graph(9, 3)
+HESSIANS = lagrangian_module.RESTARTS * 5 * 5 * 8
 
 
 @pytest.mark.parametrize(
@@ -234,3 +242,28 @@ def test_every_integer_kind_is_returned_as_an_int():
     for value in (5, True, np.int8(5), np.uint64(5), np.True_):
         got = _integer(value, "the count")
         assert got == value and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "make, need, message",
+    [
+        (lambda: Hypergraph(2, 9, []), 160, "vertex count 9 needs 160 bytes of per-vertex tables"),
+        (lambda: turan_graph(6, 3), 192, "12 edges of 2 vertices need 192 bytes"),
+        (
+            lambda: lagrangian_module._starts(5, 0),
+            HESSIANS,
+            f"{lagrangian_module.RESTARTS} restarts in dimension 5 need {HESSIANS} bytes of Hessians",
+        ),
+    ],
+    ids=["vertex_tables", "edge_array", "hessian_batch"],
+)
+def test_one_cap_bounds_every_allocation(make, need, message, monkeypatch):
+    # the cap is read when an allocation is checked, so lowering the one
+    # constant in errors moves every threshold at once
+    monkeypatch.setattr(errors_module, "MAX_ALLOCATION_BYTES", need - 1)
+    with pytest.raises(InvalidInput) as err:
+        make()
+    assert type(err.value) is InvalidInput
+    assert str(err.value) == f"{message}, above MAX_ALLOCATION_BYTES = {need - 1}"
+    monkeypatch.setattr(errors_module, "MAX_ALLOCATION_BYTES", need)
+    make()

@@ -540,6 +540,34 @@ class TestBulkParser:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
+        "text, line, got",
+        [
+            ("2 3 1\n 01\n", 2, "expected 2 vertices, got 1"),
+            ("2 3 2\n0 1\n 12\n", 3, "expected 2 vertices, got 1"),
+            ("2 3 1\n01 \n", 2, "expected 2 vertices, got 1"),
+            ("3 4 1\n0  12\n", 2, "expected 3 vertices, got 2"),
+        ],
+    )
+    def test_touching_separators_are_a_short_read(self, text, line, got, monkeypatch):
+        # the separators come in the layout's order, but two of them touch:
+        # np.fromstring reads fewer tokens than there are separators, and
+        # the line loop names the short line
+        calls = []
+        fromstring = np.fromstring
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return fromstring(*args, **kwargs)
+
+        monkeypatch.setattr(np, "fromstring", spy)
+        assert formats._serializer_layout(text.encode()) is None
+        assert len(calls) == 1
+        expected = (ParseError, line, f"line {line}: {got}")
+        assert _outcome(reference_parse_hypergraph, text) == expected
+        assert _outcome(parse_hypergraph, text) == expected
+        assert _outcome(parse_hypergraph, text.encode()) == expected
+
+    @pytest.mark.parametrize(
         "text",
         [
             "9223372036854775808 3 1\n0 1\n",
@@ -698,7 +726,7 @@ class TestCliInputs:
         path = tmp_path / "huge.txt"
         path.write_text("2 100000000 0\n")
         assert run_cli(["decide", "kcolor", "--host", str(path), "--l", "3"]) == 3
-        assert "MAX_VERTEX_TABLE_BYTES" in capsys.readouterr().err
+        assert "MAX_ALLOCATION_BYTES" in capsys.readouterr().err
 
     @pytest.mark.parametrize("r", [2**60, 2**63, 10**400], ids=["2^60", "2^63", "10^400"])
     def test_a_huge_uniformity_is_an_input_error(self, tmp_path, capsys, r):

@@ -1173,7 +1173,7 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (
             "linkclust: error: 25000000000000 edges of 2 vertices need 400000000000000 "
-            "bytes, above MAX_EDGE_ARRAY_BYTES = 1073741824\n"
+            "bytes, above MAX_ALLOCATION_BYTES = 1073741824\n"
         )
 
     def test_usage_error_is_64(self, capsys):
@@ -1354,6 +1354,7 @@ class TestCli:
         import importlib
 
         module = importlib.import_module("linkclust.lagrangian")
+        errors_module = importlib.import_module("linkclust.errors")
         # five vertices, so the restarts need RESTARTS * 5 * 5 * 8 bytes of
         # Hessians; r = 3 and not complete, so the CLI runs the numeric
         # optimizer on it
@@ -1362,10 +1363,10 @@ class TestCli:
         path = tmp_path / "k5_3_minus.txt"
         path.write_text(serialize_pattern(k5_3_minus))
         argv = ["lagrangian", "--pattern", str(path), "--opt-seed", "70003"]
-        monkeypatch.setattr(module, "MAX_BATCH_BYTES", batch - 1)
+        monkeypatch.setattr(errors_module, "MAX_ALLOCATION_BYTES", batch - 1)
         assert run_cli(argv) == 3
-        assert f"MAX_BATCH_BYTES = {batch - 1}\n" in capsys.readouterr().err
-        monkeypatch.setattr(module, "MAX_BATCH_BYTES", batch)
+        assert f"MAX_ALLOCATION_BYTES = {batch - 1}\n" in capsys.readouterr().err
+        monkeypatch.setattr(errors_module, "MAX_ALLOCATION_BYTES", batch)
         assert run_cli(argv) == 0
         capsys.readouterr()
 

@@ -338,7 +338,7 @@ class TestConstruction:
         # 10^8 vertices would need 1.6 GB of degree and offset tables
         tracemalloc.start()
         try:
-            with pytest.raises(InvalidInput, match="MAX_VERTEX_TABLE_BYTES"):
+            with pytest.raises(InvalidInput, match="MAX_ALLOCATION_BYTES"):
                 Hypergraph(r, n, [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -366,11 +366,11 @@ class TestRangeCheck:
         # the one-read check is sound only while every admitted n is below
         # 2**31, where a negative int32 or int64 vertex reads unsigned
         for r in (2, 3):
-            with pytest.raises(InvalidInput, match="MAX_VERTEX_TABLE_BYTES"):
+            with pytest.raises(InvalidInput, match="MAX_ALLOCATION_BYTES"):
                 hypergraph_module._check_size(r, 2**31)
         # the degree and offset tables alone cap a graph at 2**26 - 1 vertices
         hypergraph_module._check_size(2, 2**26 - 1)
-        with pytest.raises(InvalidInput, match="MAX_VERTEX_TABLE_BYTES"):
+        with pytest.raises(InvalidInput, match="MAX_ALLOCATION_BYTES"):
             hypergraph_module._check_size(2, 2**26)
 
     @pytest.mark.parametrize("dtype", ["i1", "i2", "i4", "i8", ">i8"])
@@ -1301,6 +1301,13 @@ class TestInvariants:
     def test_degree_sum(self, g):
         assert sum(g.degree(v) for v in range(g.n)) == g.r * len(g)
 
+    def test_membership_repr_and_equality_with_another_type(self):
+        g = Hypergraph(2, 4, [(0, 1), (2, 3)])
+        assert (1, 0) in g and [3, 2] in g and (0, 2) not in g
+        assert repr(g) == "Hypergraph(r=2, n=4, m=2)"
+        assert g.__eq__(g.edge_list()) is NotImplemented
+        assert g != g.edge_list()
+
     @given(hypergraphs())
     @settings(max_examples=40, deadline=None)
     def test_induced_on_everything_is_identity(self, g):
@@ -1321,6 +1328,15 @@ class TestPartition:
         p = Partition([[0, 2], [1]], 3)
         assert list(p.labels) == [0, 1, 0]
         assert Partition.from_labels(np.array([0, 1, 0]), 2) == p
+
+    def test_hash_repr_and_equality_with_another_type(self):
+        p = Partition([[0, 2], [1], []], 3)
+        q = Partition.from_labels(np.array([0, 1, 0]), 3)
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, Partition([[0, 2], [1]], 3)}) == 2
+        assert repr(p) == "Partition(n=3, sizes=(2, 1, 0))"
+        assert p.__eq__(p.classes) is NotImplemented
+        assert p != p.classes
 
     def test_overlap_rejected(self):
         with pytest.raises(InvalidInput):

@@ -48,6 +48,7 @@ from helpers import (
 
 # the module, not the function of the same name that the package exports
 lagrangian_module = importlib.import_module("linkclust.lagrangian")
+errors_module = importlib.import_module("linkclust.errors")
 
 CFG = OptConfig()
 NUMERIC = (None, None, None)  # no exact λ, φ or smallest coordinate
@@ -231,6 +232,10 @@ class TestMinimality:
     def test_needs_two_vertices(self):
         with pytest.raises(InvalidInput):
             is_minimal(Pattern(2, 1, [(0, 0)]), CFG)
+
+    def test_a_report_is_true_when_the_pattern_is_minimal(self):
+        assert is_minimal(Pattern.complete_graph(3), CFG)
+        assert not is_minimal(Pattern.path(3), CFG)
 
 
 class TestRigidity:
@@ -841,13 +846,13 @@ class TestOptionLimits:
         # Hessians; the cap is lowered instead of asking for a real huge batch
         batch = lagrangian_module.RESTARTS * 5 * 5 * 8
         cfg = OptConfig(seed=70_001)
-        monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", batch - 1)
-        with pytest.raises(InvalidInput, match=f"MAX_BATCH_BYTES = {batch - 1}$"):
+        monkeypatch.setattr(errors_module, "MAX_ALLOCATION_BYTES", batch - 1)
+        with pytest.raises(InvalidInput, match=f"MAX_ALLOCATION_BYTES = {batch - 1}$"):
             lagrangian_module._starts(5, cfg.seed)
         with numeric_path():
-            with pytest.raises(InvalidInput, match="MAX_BATCH_BYTES"):
+            with pytest.raises(InvalidInput, match="MAX_ALLOCATION_BYTES"):
                 lagrangian(Pattern.cycle(5), cfg)
-            monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", batch)
+            monkeypatch.setattr(errors_module, "MAX_ALLOCATION_BYTES", batch)
             assert lagrangian(Pattern.cycle(5), cfg).restarts_used == lagrangian_module.RESTARTS
 
     def test_closed_forms_need_no_batch(self, monkeypatch):
@@ -855,7 +860,7 @@ class TestOptionLimits:
         # calibrate-small, the single 3-edge of hyper-array) reads its exact
         # record, as does an edgeless pattern: with no room for a batch, no
         # run reaches the optimizer
-        monkeypatch.setattr(lagrangian_module, "MAX_BATCH_BYTES", 0)
+        monkeypatch.setattr(errors_module, "MAX_ALLOCATION_BYTES", 0)
         cfg = OptConfig(seed=70_002)
         for pattern, lam, maximin in (
             (Pattern.complete_graph(3), Fraction(1, 3), Fraction(2, 3)),

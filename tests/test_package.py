@@ -1,7 +1,7 @@
 """The package surface: each public name is declared once, in its module's
 ``__all__``, ``linkclust`` re-exports exactly those names, ``deciders``
 imports only public names from ``hypergraph``, and only ``errors`` spells
-out the integer rule."""
+out the integer rule and the allocation cap."""
 
 import ast
 import importlib
@@ -162,3 +162,25 @@ def test_only_errors_tests_for_a_numpy_integer():
             ):
                 spelled.append(f"{path.name}:{node.lineno}")
     assert spelled and all(at.startswith("errors.py:") for at in spelled), spelled
+
+
+def _writes_two_to_the_30(node) -> bool:
+    """Whether ``node`` writes 2**30 as an integer or as a shift or power of
+    two integers (``1 << 30``, ``2**30``)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.Pow)):
+        sides = (node.left, node.right)
+        if all(isinstance(side, ast.Constant) and type(side.value) is int for side in sides):
+            return eval(compile(ast.Expression(node), "<literal>", "eval")) == 1 << 30
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 1 << 30
+
+
+def test_only_errors_spells_the_allocation_cap():
+    # every other module refuses an oversized array through errors._allocation
+    package = Path(linkclust.__file__).parent
+    spelled = []
+    for path in sorted(package.glob("*.py")):
+        lines = path.read_text().splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if _writes_two_to_the_30(node):
+                spelled.append(f"{path.name}: {lines[node.lineno - 1]}")
+    assert spelled == ["errors.py: MAX_ALLOCATION_BYTES = 1 << 30"]

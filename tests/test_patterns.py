@@ -105,11 +105,28 @@ class TestSimplexPoint:
         with pytest.raises(InvalidInput):
             SimplexPoint.normalized([0.0, 0.0])
 
+    def test_array_hash_and_equality_with_another_type(self):
+        p = SimplexPoint([0.25, 0.75])
+        arr = p.as_array()
+        assert arr.dtype == np.float64 and arr.tolist() == [0.25, 0.75]
+        arr[0] = 1.0  # a fresh array each call
+        assert p.as_array().tolist() == [0.25, 0.75]
+        assert hash(p) == hash(SimplexPoint.normalized([1.0, 3.0]))
+        assert len({p, SimplexPoint.normalized([1.0, 3.0]), SimplexPoint.uniform(2)}) == 2
+        assert p.__eq__(p.coords) is NotImplemented
+        assert p != p.coords
+
     def test_uniform(self):
         assert SimplexPoint.uniform(4).coords == (0.25,) * 4
 
 
 class TestPatternType:
+    def test_equality_with_another_type(self):
+        k3 = Pattern.complete_graph(3)
+        assert k3 == Pattern(2, 3, [(2, 1), (1, 0), (2, 0)])
+        assert k3.__eq__(k3.edges) is NotImplemented
+        assert k3 != k3.edges
+
     def test_edges_are_vertex_multisets(self):
         # for r = l a multiplicity vector is also a valid multiset: (1, 1)
         # is the loop at vertex 1, not the edge {0, 1}
