@@ -78,7 +78,18 @@ class Verdict(str, Enum):
 
 @dataclass
 class DecideStats:
-    """Exact work counters for the decider's main loops."""
+    """Exact work counters for the decider's main loops.
+
+    ``distance_evals`` counts the link distances the clustering evaluates,
+    each over the n**(r-1) codes of a link row, and ``edges_scanned`` the
+    edges whose r labels a verdict reads, so the work is
+    ``work_units = distance_evals * n**(r-1) + r * edges_scanned`` for the
+    host's n and r.  ``z`` is the number of vertices
+    :func:`clique_avg_decide` peels, ``None`` for every other decider.  One
+    builder, ``_decided``, makes every :class:`Decision` the deciders return
+    and works out its ``work_units``; a refusal and an exhaustive search's
+    answer count no work.
+    """
 
     distance_evals: int = 0
     edges_scanned: int = 0
@@ -108,6 +119,21 @@ class Decision:
     @property
     def is_no(self) -> bool:
         return self.verdict is Verdict.NO
+
+
+def _decided(
+    host: Hypergraph,
+    verdict: Verdict,
+    evals: int = 0,
+    scanned: int = 0,
+    z: Optional[int] = None,
+    **fields,
+) -> Decision:
+    """The one builder of every :class:`Decision` the deciders return: its
+    :class:`DecideStats` from the work counted on ``host``, and ``fields``
+    as the decision's other fields."""
+    work = evals * host.n ** (host.r - 1) + host.r * scanned
+    return Decision(verdict, stats=DecideStats(evals, scanned, work, z), **fields)
 
 
 @dataclass(frozen=True)
@@ -281,13 +307,10 @@ def _oracle_hom_decision(
     classes, by default one for each vertex of ``pattern``."""
     coloring = find_homomorphism(hypergraph, pattern, surjective, budget_s)
     if coloring is None:
-        return Decision(
-            Verdict.NO, reason=f"exhaustive search found no coloring ({note})"
-        )
+        reason = f"exhaustive search found no coloring ({note})"
+        return _decided(hypergraph, Verdict.NO, reason=reason)
     part = Partition.from_labels(coloring, classes or pattern.num_vertices)
-    return Decision(
-        Verdict.YES, partition=part, reason=f"exhaustive search ({note})"
-    )
+    return _decided(hypergraph, Verdict.YES, partition=part, reason=f"exhaustive search ({note})")
 
 
 def _oracle_embed_decision(
@@ -295,26 +318,14 @@ def _oracle_embed_decision(
 ) -> Decision:
     emb = find_embedding(small, hypergraph, budget_s)
     if emb is None:
-        return Decision(
-            Verdict.YES, reason=f"exhaustive embedding search found none ({note})"
-        )
-    return Decision(
+        reason = f"exhaustive embedding search found none ({note})"
+        return _decided(hypergraph, Verdict.YES, reason=reason)
+    return _decided(
+        hypergraph,
         Verdict.NO,
         reason=f"exhaustive embedding search found a copy ({note})",
         details={"embedding": emb},
     )
-
-
-def _precondition(reason: str, details: dict) -> Decision:
-    return Decision(Verdict.PRECONDITION_VIOLATED, reason=reason, details=details)
-
-
-def _finish_work(stats: DecideStats, hypergraph: Hypergraph) -> DecideStats:
-    stats.work_units = (
-        stats.distance_evals * hypergraph.n ** (hypergraph.r - 1)
-        + hypergraph.r * stats.edges_scanned
-    )
-    return stats
 
 
 # -- graph colorability under minimum degree ------------------------------------
@@ -330,9 +341,18 @@ def decide_k_colorable(
     ``(3k-4)/(3k-1) * n``, where the ball clustering recovers the unique
     coloring when one exists.  Below it the decision is refused, or
     delegated to the exhaustive oracle when ``cfg.strict`` is false.  That
-    oracle searches K_min(k, n), never the C(k, 2) edges of a larger K_k:
-    canonical color introduction opens no color past the n-th, so the
-    coloring is the one K_k gives, with its classes past n empty.
+    oracle searches K_min(k, Δ+1) for the maximum degree Δ, never the
+    C(k, 2) edges of a larger K_k, and its coloring is the one K_k gives,
+    with the classes past the (Δ+1)-th empty.  For k >= Δ+1 the K_k search
+    colors each vertex with the lowest color that canonical color
+    introduction lets it try and that none of its at most Δ colored
+    neighbours has; one of the colors up to Δ is always free, since either
+    they are all open or the next unopened one is unused.  No domain loses
+    more than Δ of its k colors either, so that search never backtracks and
+    opens no color past the (Δ+1)-th.  Its domain sizes, colored vertices
+    included, exceed those of the K_{Δ+1} search by the constant k - Δ - 1,
+    so both pick the same vertex at every step and follow the same path.
+    As Δ+1 <= n, the search is never larger than K_n.
     """
     if graph.r != 2:
         raise InvalidInput("colorability decider expects a graph (r = 2)")
@@ -343,7 +363,7 @@ def decide_k_colorable(
     k = num_colors
 
     def oracle(note: str) -> Decision:
-        clique = Pattern.complete_graph(min(k, graph.n))
+        clique = Pattern.complete_graph(min(k, graph.max_degree() + 1))
         return _oracle_hom_decision(graph, clique, False, cfg.oracle_budget_s, note, classes=k)
 
     eps = Fraction(1, k * (3 * k - 1))
@@ -461,34 +481,30 @@ def _decide_core(
     refusal = _gate(hypergraph, row, cfg, n_small)
     if refusal is not None:
         note, reason, details = refusal
-        return _precondition(reason, details) if cfg.strict else oracle(note)
+        if not cfg.strict:
+            return oracle(note)
+        return _decided(hypergraph, Verdict.PRECONDITION_VIOLATED, reason=reason, details=details)
 
     if row.smallest <= 0:
         raise degenerate or NumericFailure("clustering radius degenerated to zero", float(row.smallest))
     labels, evals = _cluster(hypergraph, row.k, row.radius)
-    stats = DecideStats(distance_evals=evals, edges_scanned=len(hypergraph))
     if row.complete:  # every relabeling of a legal coloring is one: test the identity
         relabeled, bad_edge = labels, hypergraph.first_repeating_edge(labels, row.k)
     else:
         relabeled, bad_edge = _signature_verdict(hypergraph, pattern, labels, cfg.oracle_budget_s)
-    _finish_work(stats, hypergraph)
+    decided = functools.partial(_decided, hypergraph, evals=evals, scanned=len(hypergraph))
     if bad_edge is not None:
-        return Decision(
-            Verdict.NO,
-            violating_edge=bad_edge,
-            reason=f"edge {bad_edge} has no legal class signature",
-            stats=stats,
-        )
+        reason = f"edge {bad_edge} has no legal class signature"
+        return decided(Verdict.NO, violating_edge=bad_edge, reason=reason)
     part = Partition.from_labels(relabeled, row.k)
     if surjective and not part.has_full_support():
         empty = next(i for i, c in enumerate(part.classes) if not c)
-        return Decision(
+        return decided(
             Verdict.NO,
             reason=f"class {empty} is empty; no surjective coloring exists",
             details={"empty_class": empty},
-            stats=stats,
         )
-    return Decision(Verdict.YES, partition=part, stats=stats)
+    return decided(Verdict.YES, partition=part)
 
 
 # -- pattern colorability under minimum degree -----------------------------------
@@ -656,48 +672,40 @@ def clique_avg_decide(
         raise InvalidInput("edge slack must be nonnegative")
     n, k = graph.n, num_parts
     extremal = turan_number(n, k)
+    refused = functools.partial(_decided, graph, Verdict.PRECONDITION_VIOLATED)
     if len(graph) < extremal - slack:
-        return _precondition(
-            f"graph has {len(graph)} edges, below {extremal} - {slack}",
-            {"edges": len(graph), "extremal": extremal, "slack": slack},
+        return refused(
+            reason=f"graph has {len(graph)} edges, below {extremal} - {slack}",
+            details={"edges": len(graph), "extremal": extremal, "slack": slack},
         )
     gate = max(6 * k * k, 30 * slack * k)
     if n < gate:
-        return _precondition(
-            f"{n} vertices, below the size gate {gate}",
-            {"n": n, "gate": gate},
-        )
+        reason = f"{n} vertices, below the size gate {gate}"
+        return refused(reason=reason, details={"n": n, "gate": gate})
 
     # step 1: peel; too many removals already certify a clique
     peeled = peel(graph, k)
     z = peeled.z
-    stats = DecideStats(z=z)
     if 8 * n * z > 12 * k * k * (8 * slack + k):
-        _finish_work(stats, graph)
-        return Decision(
+        return _decided(
+            graph,
             Verdict.NO,
+            z=z,
             reason=f"{z} vertices peeled, above the bound "
             f"12k^2(slack + k/8)/n = {12 * k * k * (8 * slack + k) / (8 * n):.3f}",
             details={"z": z, "order": peeled.order},
-            stats=stats,
         )
 
-    # step 2: cluster the survivor graph
+    # step 2: cluster the survivor graph; the later exits count its work
     survivors = np.array(peeled.survivors, dtype=np.int64)
     sub, _ = graph.induced(survivors)
     labels_sub, evals = _cluster(sub, k, Fraction(1, 3 * k + 1))
-    stats.distance_evals = evals
-    stats.edges_scanned += len(sub)
+    decided = functools.partial(_decided, graph, evals=evals, scanned=len(sub), z=z)
     edge = sub.first_repeating_edge(labels_sub, k)
     if edge is not None:
         edge = tuple(int(survivors[v]) for v in edge)
-        _finish_work(stats, graph)
-        return Decision(
-            Verdict.NO,
-            violating_edge=edge,
-            reason=f"survivor edge {edge} lies inside a class",
-            stats=stats,
-        )
+        reason = f"survivor edge {edge} lies inside a class"
+        return decided(Verdict.NO, violating_edge=edge, reason=reason)
 
     # step 3: reinsert each peeled vertex into the first class where it has
     # no neighbor; the peeled vertices are labeled -1 until then
@@ -711,28 +719,13 @@ def clique_avg_decide(
     stuck = np.flatnonzero(~free.any(axis=1))
     if stuck.size:
         v = int(order[stuck[0]])
-        _finish_work(stats, graph)
-        return Decision(
-            Verdict.NO,
-            reason=f"peeled vertex {v} has neighbors in every class",
-            details={"vertex": v},
-            stats=stats,
-        )
+        reason = f"peeled vertex {v} has neighbors in every class"
+        return decided(Verdict.NO, reason=reason, details={"vertex": v})
     full_labels[order] = free.argmax(axis=1)
 
     # step 4: the merged partition must be proper
-    stats.edges_scanned += len(graph)
+    decided = functools.partial(decided, scanned=len(sub) + len(graph))
     edge = graph.first_repeating_edge(full_labels, k)
-    _finish_work(stats, graph)
     if edge is not None:
-        return Decision(
-            Verdict.NO,
-            violating_edge=edge,
-            reason=f"merged class contains edge {edge}",
-            stats=stats,
-        )
-    return Decision(
-        Verdict.YES,
-        partition=Partition.from_labels(full_labels, k),
-        stats=stats,
-    )
+        return decided(Verdict.NO, violating_edge=edge, reason=f"merged class contains edge {edge}")
+    return decided(Verdict.YES, partition=Partition.from_labels(full_labels, k))

@@ -6,9 +6,10 @@ vertex count, a uniformity, a class size, a seed) is an integer when it is
 a Python ``int`` or ``bool`` or a numpy integer or bool, whatever its
 value.  Anything else, a float such as ``2.0`` or ``2.7``, a string or
 ``None``, is refused with :class:`InvalidInput`, never truncated or parsed.
-An array of such values has an integer or bool dtype, or holds only
-integers.  :func:`_integer` applies the rule to one value, :func:`_integers`
-to an array; a caller with its own message tests :func:`_is_integer`.  A
+An array of such values is not a scalar, and has an integer or bool
+dtype or holds only integers.  :func:`_integer` applies the rule to one
+value, :func:`_integers` to an array; a caller with its own message tests
+:func:`_is_integer`.  A
 caller whose range test keeps its own message for a number such as -1.5
 passes the value through :func:`_comparable` first, so that a string or
 ``None`` is refused by the rule rather than by the comparison.
@@ -143,10 +144,13 @@ def _comparable(value, what: str):
 
 
 def _integers(values, what: str) -> np.ndarray:
-    """``values`` as an array, refusing a value that is not an integer; an
-    empty one, as ``np.array([])``, has none.  The value named is the
-    caller's own, not what the array made of it (``0`` beside ``1.5`` reads
-    as ``0.0`` in the array)."""
+    """``values`` as an array, refusing a scalar (a zero-dimensional array
+    too) and a value that is not an integer; an empty one, as
+    ``np.array([])``, has none.  The value named is the caller's own, not
+    what the array made of it (``0`` beside ``1.5`` reads as ``0.0`` in the
+    array)."""
+    if not np.iterable(values):
+        raise InvalidInput(f"{what} must be a sequence of integers, got {values!r}")
     items = values if isinstance(values, np.ndarray) else list(values)
     arr = np.asarray(items)
     if arr.dtype.kind not in "iub":

@@ -815,10 +815,13 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, num_classes: int) -> "Partition":
-        """Build from per-vertex class indices (disjointness and coverage
-        hold by construction, so only the index range is checked)."""
+        """Build from a one-dimensional array of per-vertex class indices
+        (disjointness and coverage hold by construction, so only the shape
+        and the index range are checked)."""
         num_classes = _integer(num_classes, "class count", 0)
         labels = _integers(labels, "the label array")
+        if labels.ndim != 1:
+            raise InvalidInput(f"the label array must be one-dimensional, got shape {labels.shape}")
         if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
             raise InvalidInput("label outside [0, num_classes)")
         labels = np.ascontiguousarray(labels, dtype=np.int64)

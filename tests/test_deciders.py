@@ -107,6 +107,27 @@ class TestDecideKColorable:
         # a coloring of n vertices opens no color past the n-th, so a K_k
         # with k > n only adds C(k, 2) edges to the search
         k = host.n + 1 if more == "n+1" else 2 * host.n + 3
+        self._check_the_fallback_matches_k_k(host, k, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "host, k",
+        [
+            (Hypergraph(2, 6, []), 2),
+            (Hypergraph(2, 6, []), 6),
+            (catalog("cycle", k=5), 4),
+            (catalog("cycle", k=5), 5),
+            (Hypergraph(2, 7, [(0, 1), (0, 2), (0, 3), (4, 5)]), 5),
+        ],
+        ids=["edgeless-2", "edgeless-n", "C5-4", "C5-n", "star-5"],
+    )
+    def test_the_fallback_searches_at_most_max_degree_plus_1_colors(self, host, k, monkeypatch):
+        # Δ+1 < k <= n: a vertex has at most Δ colored neighbours, so the
+        # K_k search never opens a color past the (Δ+1)-th
+        assert host.max_degree() + 1 < k <= host.n
+        self._check_the_fallback_matches_k_k(host, k, monkeypatch)
+
+    @staticmethod
+    def _check_the_fallback_matches_k_k(host, k, monkeypatch):
         by_k_k = find_homomorphism(host, Pattern.complete_graph(k))
         complete_graph, built = Pattern.complete_graph, []
 
@@ -116,7 +137,7 @@ class TestDecideKColorable:
 
         monkeypatch.setattr(Pattern, "complete_graph", spy)
         d = decide_k_colorable(host, k, DeciderConfig(strict=False))
-        assert built == [host.n]
+        assert built == [min(k, host.max_degree() + 1)]
         assert d.verdict is Verdict.YES and d.partition.num_classes == k
         assert d.partition == Partition.from_labels(np.array(by_k_k), k)
 

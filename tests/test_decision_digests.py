@@ -34,6 +34,28 @@ def test_the_corpus_holds_every_kind_of_case(printed):
     names = {line.split("  ", 1)[1] for line in printed[:-1]}
     for config in decision_digests.CONFIGS:
         assert f"decide kcolor-3 T36 {config}" in names
+    # k-colorability's non-strict fallback at k > Δ+1, and the clique
+    # decider's step-1 "no" and unforced step-4 "yes" and step-3 "no"
+    later = [
+        "decide kcolor-4 C5 non-strict",
+        "decide kcolor-6 E6 non-strict",
+        "decide avg-3-0 T54-stripped",
+        "decide avg-8-2 T481-cut-0-61-62",
+        "decide avg-8-2 T481-cut-0-61-62-63-plus-0-1",
+    ]
+    assert set(later) <= names
+    # after the calibrations, so that the lines of the first corpus stay a prefix
+    order = [line.split("  ", 1)[1] for line in printed[:-1]]
+    calibrations = [i for i, name in enumerate(order) if not name.startswith("decide ")]
+    assert min(order.index(name) for name in later) > max(calibrations)
+
+
+def test_the_later_decisions_reach_the_exits_they_name():
+    outcomes = dict(decision_digests.later_decisions())
+    assert b"exhaustive search (sub-threshold fallback)" in outcomes["kcolor-6 E6 non-strict"]
+    assert b"vertices peeled, above the bound" in outcomes["avg-3-0 T54-stripped"]
+    assert outcomes["avg-8-2 T481-cut-0-61-62"].startswith(b"('yes', None")
+    assert b"has neighbors in every class" in outcomes["avg-8-2 T481-cut-0-61-62-63-plus-0-1"]
 
 
 def test_an_argument_prints_the_usage(capsys):

@@ -207,6 +207,31 @@ def test_a_mixed_list_names_its_own_value():
     assert str(err.value) == "the subset has a value '1' that is not an integer"
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Partition([5], 6), "class 0 must be a sequence of integers, got 5"),
+        (lambda: Partition.from_labels(3, 4), "the label array must be a sequence of integers, got 3"),
+        (lambda: T93.induced(3), "the subset must be a sequence of integers, got 3"),
+        (
+            lambda: Partition.from_labels(np.int64(3), 4),
+            "the label array must be a sequence of integers, got np.int64(3)",
+        ),
+        (
+            lambda: Partition.from_labels(np.array(3), 4),
+            "the label array must be a sequence of integers, got array(3)",
+        ),
+    ],
+    ids=["class", "labels", "subset", "numpy-scalar", "zero-dimensional-array"],
+)
+def test_a_scalar_is_refused_where_an_array_is_due(make, message):
+    # each of these leaked a TypeError from iterating the scalar, or read a
+    # zero-dimensional array as one label
+    with pytest.raises(InvalidInput) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_numpy_bools_count_as_python_bools_do():
     assert Hypergraph(np.int64(2), np.True_, []) == Hypergraph(2, True, [])
     assert Pattern(np.True_, 2, [(0,), (1,)]) == Pattern(True, 2, [(0,), (1,)])

@@ -1381,6 +1381,13 @@ class TestPartition:
         assert Partition([np.array([]), []], 0).classes == ((), ())
         assert Partition.from_labels([0, 1, 1], 2).labels.dtype == np.int64
 
+    @pytest.mark.parametrize("labels", [np.array([[0, 1], [1, 0]]), [[0], [1]], np.zeros((0, 2))])
+    def test_labels_must_be_one_dimensional(self, labels):
+        # a 2-d label array built a partition whose classes and sizes raised
+        # numpy's ValueError
+        with pytest.raises(InvalidInput, match="one-dimensional, got shape"):
+            Partition.from_labels(labels, 2)
+
     def test_a_vertex_past_int64_is_out_of_range(self):
         with pytest.raises(InvalidVertex):
             Partition([[0, 2**70]], 2)

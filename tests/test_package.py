@@ -1,7 +1,8 @@
 """The package surface: each public name is declared once, in its module's
 ``__all__``, ``linkclust`` re-exports exactly those names, ``deciders``
-imports only public names from ``hypergraph``, and only ``errors`` spells
-out the integer rule and the allocation cap."""
+imports only public names from ``hypergraph``, only ``errors`` spells
+out the integer rule and the allocation cap, and only ``deciders._decided``
+builds a ``Decision``."""
 
 import ast
 import importlib
@@ -184,3 +185,23 @@ def test_only_errors_spells_the_allocation_cap():
             if _writes_two_to_the_30(node):
                 spelled.append(f"{path.name}: {lines[node.lineno - 1]}")
     assert spelled == ["errors.py: MAX_ALLOCATION_BYTES = 1 << 30"]
+
+
+def test_only_the_decision_builder_makes_decisions_and_their_stats():
+    # every Decision and its work counters come from deciders._decided
+    package = Path(linkclust.__file__).parent
+    built = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ast.walk goes outside in, so a nested function overwrites its parent
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("Decision", "DecideStats"):
+                    built.append(f"{path.name}:{owner.get(id(node))}:{name}")
+    assert sorted(built) == ["deciders.py:_decided:DecideStats", "deciders.py:_decided:Decision"]

@@ -13,12 +13,16 @@ the verdict, reason, details, partition labels, violating edge and
 report's repr, or the error) on the pattern constructors, the small catalog
 hypergraphs read as patterns and the patterns the tests pin, edgeless ones
 and r >= 3 numeric ones among them, the numeric ones once more at a second
-seed, the one option of ``OptConfig``.  No case can run out of its oracle
-budget: every exhaustive search is on at most 12 vertices, or on a
-colorable host of at most 36, and ends within milliseconds of the default
-60 s.  Each line is the digest and the case's name; the last line is the
-digest of all the others.  The corpus uses the public API only, and runs in
-about two seconds.
+seed, the one option of ``OptConfig``.  Then come the decisions added
+since, after the calibrations so that the earlier lines stay a prefix of
+the output: k-colorability's non-strict fallback with more colors than the
+maximum degree plus one, and the exits of ``clique_avg_decide`` that the
+first corpus does not reach.  No case can run out of its oracle budget:
+every exhaustive search is on at most 12 vertices, or on a colorable host
+of at most 36, and ends within milliseconds of the default 60 s.  Each
+line is the digest and the case's name; the last line is the digest of all
+the others.  The corpus uses the public API only, and runs in about three
+seconds.
 """
 
 from __future__ import annotations
@@ -180,13 +184,54 @@ def decisions() -> list[tuple[str, bytes]]:
     return out + [(name, _outcome(*call)) for name, *call in plain]
 
 
+def _near_turan(n: int, k: int, cut: list, add: list) -> Hypergraph:
+    """T(n, k) without the edges ``cut`` and with the edges ``add``."""
+    cut = set(cut)
+    return Hypergraph(2, n, [e for e in turan_graph(n, k).edge_list() if e not in cut] + add)
+
+
+def later_decisions() -> list[tuple[str, bytes]]:
+    """The decisions added after the first corpus, by name: k-colorability's
+    non-strict fallback at k > Δ+1 for the maximum degree Δ, and the
+    clique decider's step-1 "no" (vertex 0 of T(54, 3) peeled at degree 33,
+    its 3 cut edges repaid inside a part) and its unforced step-4 "yes" and
+    step-3 "no" on T(481, 8) (vertex 0 peeled after losing 61 and 62, then
+    also 63 while gaining 1)."""
+    triangle = Hypergraph(2, 5, [(0, 1), (0, 2), (1, 2)])
+    star = Hypergraph(2, 7, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    kcolor = [
+        ("kcolor-4 C5", catalog("cycle", k=5), 4),
+        ("kcolor-4 K3-plus-2-isolated", triangle, 4),
+        ("kcolor-6 E6", Hypergraph(2, 6, []), 6),
+        ("kcolor-5 star-K1,3-plus-an-edge", star, 5),
+    ]
+    stripped = _near_turan(54, 3, [(0, 18), (0, 19), (0, 20)], [(18, 21), (18, 22), (18, 23)])
+    avg = [
+        ("avg-3-0 T54-stripped", stripped, 3, 0),
+        ("avg-8-2 T481-cut-0-61-62", _near_turan(481, 8, [(0, 61), (0, 62)], []), 8, 2),
+        (
+            "avg-8-2 T481-cut-0-61-62-63-plus-0-1",
+            _near_turan(481, 8, [(0, 61), (0, 62), (0, 63)], [(0, 1)]),
+            8,
+            2,
+        ),
+    ]
+    relaxed = CONFIGS["non-strict"]
+    out = [
+        (f"{name} non-strict", _outcome(decide_k_colorable, host, k, relaxed))
+        for name, host, k in kcolor
+    ]
+    return out + [(name, _outcome(clique_avg_decide, *args)) for name, *args in avg]
+
+
 SECOND_SEED = OptConfig(seed=3)
 
 
 def cases() -> list[tuple[str, bytes]]:
     """Every case of the corpus, as its name and the bytes digested: the
     calibrations at the default config, then those of the r >= 3 patterns
-    with edges that are not complete (the numeric path) at ``SECOND_SEED``."""
+    with edges that are not complete (the numeric path) at ``SECOND_SEED``,
+    then :func:`later_decisions`."""
     out = [(f"decide {name}", data) for name, data in decisions()]
     calls = (lagrangian, phi, rigidity_report, is_minimal)
     for name, pattern in patterns():
@@ -197,7 +242,7 @@ def cases() -> list[tuple[str, bytes]]:
                 (f"{call.__name__} {name} seed-3", _outcome(call, pattern, SECOND_SEED))
                 for call in calls
             ]
-    return out
+    return out + [(f"decide {name}", data) for name, data in later_decisions()]
 
 
 def main(argv: list[str]) -> int:
